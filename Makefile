@@ -17,7 +17,7 @@ BENCH_N     ?= 0
 # fastest run, rejecting episodic noisy-neighbor slowdowns.
 BENCH_COUNT ?= 3
 
-.PHONY: build vet test race bench bench-json bench-compare bench-gate golden golden-update fuzz verify
+.PHONY: build vet test race bench-test bench bench-json bench-compare bench-gate golden golden-update fuzz verify
 
 # Per-target budget for `make fuzz` (matches CI's fuzz-smoke job).
 FUZZTIME ?= 20s
@@ -39,6 +39,12 @@ test:
 # under the race detector on a 1-CPU host, past the 10m default.
 race:
 	$(GO) test -race -timeout 20m ./...
+
+# The end-to-end benchmark under bench/ is its own module, so `go test
+# ./...` at the root never compiles it; a cluster or hetsched API change
+# could break it unseen. Vet and test it here (a few seconds).
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
@@ -102,4 +108,4 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzEventOrder -fuzztime $(FUZZTIME) ./internal/eventq
 	$(GO) test -run '^$$' -fuzz FuzzWheelGeometry -fuzztime $(FUZZTIME) ./internal/eventq
 
-verify: build vet test race
+verify: build vet test race bench-test

@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -32,6 +33,7 @@ import (
 // validation and open-loop assembly are plain functions a test can drive
 // without an engine run or an os.Exit.
 type mainFlags struct {
+	hotness                                      string
 	scale, nodes, batch, servers, cores, queries int
 	arrival, util, netLat, netBW                 float64
 	shardWorkers                                 int
@@ -79,6 +81,11 @@ var openOnlyFlags = []string{
 // only wired through when their enabling flag is present.
 func (o mainFlags) validate(isSet func(string) bool) error {
 	var errs []error
+	if h, err := trace.ParseHotness(o.hotness); err != nil {
+		errs = append(errs, err)
+	} else if !slices.Contains(trace.ProductionHotness, h) {
+		errs = append(errs, fmt.Errorf("-hotness %s is a synthetic class (want high | medium | low)", o.hotness))
+	}
 	if o.scale < 1 {
 		errs = append(errs, fmt.Errorf("-scale %d (want >= 1)", o.scale))
 	}
@@ -256,7 +263,6 @@ func main() {
 	var o mainFlags
 	var (
 		modelName  = flag.String("model", "rm2_1", "rm1 | rm2_1 | rm2_2 | rm2_3")
-		hotness    = flag.String("hotness", "high", "high | medium | low")
 		schemeName = flag.String("scheme", "baseline", "per-node design point: baseline | swpf | mpht | integrated")
 		policyName = flag.String("policy", "rowrange", "sharding policy: tablewise | rowrange")
 		replicate  = flag.String("replicate", "0,0.001,0.01,0.05,0.2", "comma-separated hot-row replication fractions to sweep")
@@ -277,6 +283,7 @@ func main() {
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
+	flag.StringVar(&o.hotness, "hotness", "high", "high | medium | low")
 	flag.IntVar(&o.scale, "scale", 8, "model scale-down divisor")
 	flag.IntVar(&o.nodes, "nodes", 8, "cluster size")
 	flag.IntVar(&o.batch, "batch", 8, "samples per query batch (also the engine batch size)")
@@ -350,7 +357,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	h, err := parseHotness(*hotness)
+	h, err := trace.ParseHotness(o.hotness)
 	if err != nil {
 		fatal(err)
 	}
@@ -594,18 +601,6 @@ func parseFractions(s string) ([]float64, error) {
 		out = append(out, f)
 	}
 	return out, nil
-}
-
-func parseHotness(s string) (trace.Hotness, error) {
-	switch s {
-	case "high":
-		return trace.HighHot, nil
-	case "medium", "med":
-		return trace.MediumHot, nil
-	case "low":
-		return trace.LowHot, nil
-	}
-	return 0, fmt.Errorf("unknown hotness %q", s)
 }
 
 func fatal(err error) {

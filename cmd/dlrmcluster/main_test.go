@@ -11,7 +11,8 @@ import (
 // goodFlags mirrors the flag defaults relevant to validation.
 func goodFlags() mainFlags {
 	return mainFlags{
-		scale: 8, nodes: 8, batch: 8, servers: 2, queries: 4000,
+		hotness: "high",
+		scale:   8, nodes: 8, batch: 8, servers: 2, queries: 4000,
 		util: 0.55, netBW: 10, shardWorkers: 1,
 		arrivals: "poisson", admit: "none",
 		burstFactor: 2, flashFactor: 3, revisit: 0.6, affinity: 0.5,
@@ -31,6 +32,9 @@ func TestValidateBadInputs(t *testing.T) {
 		set  []string // flags "explicitly given" beyond the mutation
 		want string
 	}{
+		{"unknown hotness", func(o *mainFlags) { o.hotness = "scorching" }, nil, "unknown hotness"},
+		{"synthetic hotness", func(o *mainFlags) { o.hotness = "oneitem" }, nil, "-hotness oneitem"},
+		{"random hotness", func(o *mainFlags) { o.hotness = "random" }, nil, "-hotness random"},
 		{"negative scale", func(o *mainFlags) { o.scale = -1 }, nil, "-scale"},
 		{"zero nodes", func(o *mainFlags) { o.nodes = 0 }, nil, "-nodes"},
 		{"zero batch", func(o *mainFlags) { o.batch = 0 }, nil, "-batch"},
@@ -233,16 +237,5 @@ func TestParseFractions(t *testing.T) {
 	}
 	if len(got) != 3 || got[0] != 0 || got[1] != 0.01 || got[2] != 1 {
 		t.Fatalf("parsed %v", got)
-	}
-}
-
-func TestParseHotness(t *testing.T) {
-	for _, s := range []string{"high", "medium", "med", "low"} {
-		if _, err := parseHotness(s); err != nil {
-			t.Fatalf("%s: %v", s, err)
-		}
-	}
-	if _, err := parseHotness("scorching"); err == nil {
-		t.Fatal("accepted unknown hotness")
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"dlrmsim/internal/check"
@@ -75,6 +76,11 @@ func (o mainFlags) validate(isSet func(string) bool) error {
 		}
 		if o.cores < 0 {
 			errs = append(errs, fmt.Errorf("-cores %d (want >= 0)", o.cores))
+		}
+		if h, err := trace.ParseHotness(o.hotness); err != nil {
+			errs = append(errs, err)
+		} else if !slices.Contains(trace.ProductionHotness, h) {
+			errs = append(errs, fmt.Errorf("-hotness %s is a synthetic class (want high | medium | low)", o.hotness))
 		}
 	}
 	if o.mix != "all" {
@@ -162,7 +168,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		h, err := parseHotness(o.hotness)
+		h, err := trace.ParseHotness(o.hotness)
 		if err != nil {
 			fatal(err)
 		}
@@ -258,18 +264,6 @@ func main() {
 		}
 	}
 	fmt.Printf("\neach policy owns a regime: affinity on SMT siblings (the paper's MP-HT colocation —\nzero same-kind overlap), earliest-finish on speed-asymmetric big.LITTLE fleets, and\nwork stealing on wide uniform or deeply heterogeneous fleets\n")
-}
-
-func parseHotness(s string) (trace.Hotness, error) {
-	switch s {
-	case "high":
-		return trace.HighHot, nil
-	case "medium", "med":
-		return trace.MediumHot, nil
-	case "low":
-		return trace.LowHot, nil
-	}
-	return 0, fmt.Errorf("unknown hotness %q", s)
 }
 
 func fatal(err error) {

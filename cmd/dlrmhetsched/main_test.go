@@ -31,6 +31,9 @@ func TestValidateBadInputs(t *testing.T) {
 		{"negative scale", func(o *mainFlags) { o.scale = -1 }, nil, "-scale"},
 		{"zero batch", func(o *mainFlags) { o.batch = 0 }, nil, "-batch"},
 		{"negative cores", func(o *mainFlags) { o.cores = -2 }, nil, "-cores"},
+		{"unknown hotness", func(o *mainFlags) { o.hotness = "scorching" }, nil, "unknown hotness"},
+		{"synthetic hotness", func(o *mainFlags) { o.hotness = "one-item" }, nil, "-hotness one-item"},
+		{"random hotness", func(o *mainFlags) { o.hotness = "random" }, nil, "-hotness random"},
 		{"zero requests", func(o *mainFlags) { o.requests = 0 }, nil, "-requests"},
 		{"negative arrival", func(o *mainFlags) { o.arrival = -0.5 }, nil, "-arrival"},
 		{"util at 1", func(o *mainFlags) { o.util = 1 }, nil, "-util"},

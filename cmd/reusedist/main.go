@@ -33,7 +33,7 @@ func main() {
 	)
 	flag.Parse()
 
-	h, err := parseHotness(*hotness)
+	h, err := trace.ParseHotness(*hotness)
 	if err != nil {
 		fatal(err)
 	}
@@ -72,22 +72,6 @@ func main() {
 			fmt.Printf("  [%8d, %8d] %12d\n", b.Lo, b.Hi, b.Count)
 		}
 	}
-}
-
-func parseHotness(s string) (trace.Hotness, error) {
-	switch s {
-	case "one-item", "oneitem":
-		return trace.OneItem, nil
-	case "high":
-		return trace.HighHot, nil
-	case "medium", "med":
-		return trace.MediumHot, nil
-	case "low":
-		return trace.LowHot, nil
-	case "random":
-		return trace.RandomAccess, nil
-	}
-	return 0, fmt.Errorf("reusedist: unknown hotness %q", s)
 }
 
 func fatal(err error) {

@@ -48,7 +48,7 @@ func main() {
 		return
 	}
 
-	h, err := parseHotness(*hotness)
+	h, err := trace.ParseHotness(*hotness)
 	if err != nil {
 		fatal(err)
 	}
@@ -92,22 +92,6 @@ func main() {
 		info, _ := f.Stat()
 		fmt.Printf("wrote %s (%d bytes)\n", *out, info.Size())
 	}
-}
-
-func parseHotness(s string) (trace.Hotness, error) {
-	switch s {
-	case "one-item", "oneitem":
-		return trace.OneItem, nil
-	case "high":
-		return trace.HighHot, nil
-	case "medium", "med":
-		return trace.MediumHot, nil
-	case "low":
-		return trace.LowHot, nil
-	case "random":
-		return trace.RandomAccess, nil
-	}
-	return 0, fmt.Errorf("tracegen: unknown hotness %q", s)
 }
 
 func fatal(err error) {

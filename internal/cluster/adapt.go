@@ -79,10 +79,10 @@ type adaptState struct {
 	condLaunched int64
 	breakers     []breakerUnit
 
-	// Pending within the current epoch. The sequential driver writes
-	// pendPrim/pendCond directly; the parallel drivers defer them
-	// through partScratch and fold at barriers. attempts/slow are
-	// per-node and node-owned, so both drivers write them in place.
+	// Pending within the current epoch. pendPrim/pendCond arrive through
+	// partScratch, folded after every copy by the sequential drivers and
+	// at window barriers by the parallel ones. attempts/slow are
+	// per-node and node-owned, so every driver writes them in place.
 	pendPrim, pendCond int64
 	attempts, slow     []int32
 
@@ -177,8 +177,7 @@ func (ad *adaptState) allowCond(node int) bool {
 // observe records one launched copy's outcome into the pending epoch:
 // respMs is the router-observed response time past the copy's launch
 // (back − launch), the quantity the router's timeout fires on. prim/
-// cond go to the out-params so each driver can route them (directly, or
-// through partScratch).
+// cond go to the out-params, the caller's partScratch counters.
 func (ad *adaptState) observe(node int, kind copyKind, respMs float64, pendPrim, pendCond *int64) {
 	if kind == copyPrimary {
 		*pendPrim++

@@ -63,11 +63,9 @@ type runArena struct {
 	ttrArr  []int
 	ttrGood []int
 
-	// Recycled event-queue instances (the wheel's 4096 buckets dominate
-	// the open loop's fixed cost), valid only for the backend they were
-	// built under.
-	copyQueues []copyQueue
-	cqBackend  EventBackend
+	// Recycled copy wheels (their 4096 buckets dominate the open loop's
+	// fixed cost).
+	copyQueues []*eventq.Wheel[subCopy]
 }
 
 var (
@@ -106,10 +104,6 @@ func arenaSlice[T any](buf *[]T, n int) []T {
 	*buf = (*buf)[:n]
 	return *buf
 }
-
-// arenaInts and arenaFloats are arenaSlice's historical spellings.
-func arenaInts(buf *[]int, n int) []int           { return arenaSlice(buf, n) }
-func arenaFloats(buf *[]float64, n int) []float64 { return arenaSlice(buf, n) }
 
 // chaosFor materializes a chaos schedule into the arena's recycled
 // chaos state.
@@ -210,28 +204,21 @@ func (a *runArena) efHistSet(nodes int) [][]efEntry {
 	return a.efHist
 }
 
-// copyQueueSet returns n empty copy queues for the current event
-// backend, recycling instances when the backend matches. Both drivers
-// drain their queues completely before finishing, so a recycled queue
-// is already empty; the wheel additionally rebases to time zero
-// (Wheel.Reset) because its monotone-pop watermark survives draining.
-func (a *runArena) copyQueueSet(n int) []copyQueue {
-	if a.cqBackend != eventBackend {
-		a.copyQueues = nil
-	}
-	a.cqBackend = eventBackend
+// copyQueueSet returns n empty copy wheels, recycling instances. Both
+// drivers drain their wheels completely before finishing, so a recycled
+// wheel is already empty; Reset rebases it to time zero because its
+// monotone-pop watermark survives draining.
+func (a *runArena) copyQueueSet(n int) []*eventq.Wheel[subCopy] {
 	if cap(a.copyQueues) < n {
 		old := a.copyQueues
-		a.copyQueues = make([]copyQueue, n)
+		a.copyQueues = make([]*eventq.Wheel[subCopy], n)
 		copy(a.copyQueues, old)
 	}
 	a.copyQueues = a.copyQueues[:n]
-	for i, q := range a.copyQueues {
-		if q == nil {
-			a.copyQueues[i] = newCopyQueue(eventBackend)
-			continue
-		}
-		if w, ok := q.(*eventq.Wheel[subCopy]); ok {
+	for i, w := range a.copyQueues {
+		if w == nil {
+			a.copyQueues[i] = newCopyWheel()
+		} else {
 			w.Reset(0)
 		}
 	}

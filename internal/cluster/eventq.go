@@ -1,70 +1,30 @@
 package cluster
 
-// Event-queue backend selection. Both cluster loops consume sub-request
-// copies in the same (arrive, sub, attempt) total order; HOW that order
-// is produced is a pluggable backend so the differential suite can pin
-// all implementations byte-identical across the experiment registry:
-//
-//   - BackendLegacy: the original paths — a one-shot slices.SortFunc in
-//     the closed loop (every copy is known up front), container/heap
-//     with `any`-boxed Push/Pop in the open loop.
-//   - BackendHeap: eventq.Heap, the generic non-boxing binary heap.
-//   - BackendWheel: eventq.Wheel, the calendar-queue timing wheel —
-//     O(1) amortized per event, the default for the open-loop tier
-//     where a day-in-the-life run is billions of events.
-//
-// BackendDefault resolves to each loop's native choice: the closed loop
-// keeps the one-shot sort (nothing beats sorting a nearly-sorted array
-// once), the open loop takes the wheel.
+// The copy order. Both cluster loops consume sub-request copies in one
+// (arrive, seq, attempt) total order: the closed loop sorts every copy
+// once (all are known up front, and pdqsort exploits the nearly-sorted
+// schedule), the open loop drains an eventq.Wheel because arrivals keep
+// scheduling copies mid-run, and the parallel drivers re-sort each
+// conservative window. copyCmp is the only definition of that order.
 
-import (
-	"container/heap"
+import "dlrmsim/internal/eventq"
 
-	"dlrmsim/internal/eventq"
-)
-
-// EventBackend names one event-order implementation.
-type EventBackend int
-
-const (
-	// BackendDefault picks each loop's native backend (sort / wheel).
-	BackendDefault EventBackend = iota
-	// BackendLegacy forces the original sort / boxed-heap paths.
-	BackendLegacy
-	// BackendHeap forces the generic eventq min-heap.
-	BackendHeap
-	// BackendWheel forces the calendar-queue timing wheel.
-	BackendWheel
-)
-
-// eventBackend is the process-wide backend override. It exists for the
-// differential suite; production callers leave it at BackendDefault.
-var eventBackend = BackendDefault
-
-// SetEventBackend overrides the event-queue backend and returns a
-// restore func. Test-only: the override is process-wide, so callers
-// must not run simulations concurrently with different backends.
-func SetEventBackend(b EventBackend) (restore func()) {
-	prev := eventBackend
-	eventBackend = b
-	return func() { eventBackend = prev }
-}
-
-// copyLess is the (arrive, sub, attempt) total order — identical to the
-// closed-loop sort comparator; no two copies share (sub, attempt). The
-// tie key is the sub's monotone creation seq, which equals the slot
-// index except under stream-stats slot recycling (sim.go).
-func copyLess(a, b subCopy) bool {
-	if a.arrive != b.arrive {
-		return a.arrive < b.arrive
+// copyCmp is the (arrive, seq, attempt) total order. The tie key is the
+// sub's monotone creation seq, which equals the slot index except under
+// stream-stats slot recycling (sim.go); no two copies share (seq,
+// attempt), so unstable sorts over it are deterministic.
+func copyCmp(a, b subCopy) int {
+	switch {
+	case a.arrive < b.arrive:
+		return -1
+	case a.arrive > b.arrive:
+		return 1
+	case a.seq != b.seq:
+		return a.seq - b.seq
+	default:
+		return a.attempt - b.attempt
 	}
-	if a.seq != b.seq {
-		return a.seq < b.seq
-	}
-	return a.attempt < b.attempt
 }
-
-func copyArrive(c subCopy) float64 { return c.arrive }
 
 // Wheel geometry for the open-loop copy queue: copies land within a few
 // service times of the current instant, so a quarter-millisecond bucket
@@ -75,34 +35,9 @@ const (
 	openWheelBuckets = 4096
 )
 
-// copyQueue is the open-loop event loop's view of its backend. The
-// eventq types satisfy it directly; methods take and return subCopy by
-// value, so no backend boxes elements (legacyCopyQueue excepted — that
-// boxing is the bug BackendHeap/BackendWheel fix).
-type copyQueue interface {
-	Len() int
-	Push(subCopy)
-	Min() subCopy
-	Pop() subCopy
+// newCopyWheel returns an empty open-loop copy queue starting at time 0.
+func newCopyWheel() *eventq.Wheel[subCopy] {
+	return eventq.NewWheel(openWheelWidthMs, openWheelBuckets, 0,
+		func(c subCopy) float64 { return c.arrive },
+		func(a, b subCopy) bool { return copyCmp(a, b) < 0 })
 }
-
-func newCopyQueue(b EventBackend) copyQueue {
-	switch b {
-	case BackendLegacy:
-		return &legacyCopyQueue{}
-	case BackendHeap:
-		return eventq.NewHeap(copyLess)
-	default: // BackendDefault, BackendWheel
-		return eventq.NewWheel(openWheelWidthMs, openWheelBuckets, 0, copyArrive, copyLess)
-	}
-}
-
-// legacyCopyQueue adapts the original container/heap copyHeap to the
-// copyQueue interface. Retained as the differential baseline; every
-// Push/Pop allocates an interface box.
-type legacyCopyQueue struct{ h copyHeap }
-
-func (q *legacyCopyQueue) Len() int       { return q.h.Len() }
-func (q *legacyCopyQueue) Push(c subCopy) { heap.Push(&q.h, c) }
-func (q *legacyCopyQueue) Min() subCopy   { return q.h[0] }
-func (q *legacyCopyQueue) Pop() subCopy   { return heap.Pop(&q.h).(subCopy) }

@@ -1,10 +1,8 @@
 package cluster
 
 // Execution-backend selection (DESIGN.md §14): HOW one simulation run
-// executes its event processing. The event-queue backends (eventq.go)
-// pick the container that produces the (arrive, seq, attempt) total
-// order; the exec backend picks whether one goroutine walks that order
-// end to end (Sequential) or the fleet's nodes are partitioned into P
+// executes its event processing — one goroutine walking the copyCmp
+// order end to end (Sequential), or the fleet's nodes partitioned into P
 // logical processes that serve disjoint node sets concurrently
 // (Parallel), synchronized with conservative time windows.
 //
@@ -68,15 +66,14 @@ func (b ExecBackend) Shards() int {
 	return b.shards
 }
 
-// execBackend is the process-wide execution backend. Like the event
-// backend it is a process-global: the CLIs set it once at startup, the
-// differential suite flips it around whole registry renders, and
-// callers must not run simulations concurrently with different
-// backends.
+// execBackend is the process-wide execution backend: the CLIs set it
+// once at startup, the differential suite flips it around whole registry
+// renders, and callers must not run simulations concurrently with
+// different backends.
 var execBackend = Sequential
 
 // SetExecBackend overrides the execution backend and returns a restore
-// func, mirroring SetEventBackend.
+// func.
 func SetExecBackend(b ExecBackend) (restore func()) {
 	prev := execBackend
 	execBackend = b
@@ -160,14 +157,16 @@ type efEntry struct {
 	ef     float64
 }
 
-// serveCopyDeferred is serveCopy with every cross-partition write
-// deferred into ps: the suppression check reads the barrier-merged
-// sub.best (exact, per the window argument above), the node's queue and
-// fault timelines are partition-owned and mutated directly, and the
-// sub-state updates are recorded as a delta for applyDeltas. When
-// efHist is non-nil the node's post-submit earliest-free instant is
-// appended to its history. Must be called in canonical (arrive, seq,
-// attempt) order per node.
+// serveCopyDeferred processes one copy at its node-arrival instant on
+// node: conditional launch suppression, fault and chaos application,
+// jitter, and FCFS submission. Every cross-partition write is deferred
+// into ps: the suppression check reads the barrier-merged sub.best
+// (exact, per the window argument above), the node's queue and fault
+// timelines are partition-owned and mutated directly, and the sub-state
+// updates are recorded as a delta for applyDeltas. When efHist is
+// non-nil the node's post-submit earliest-free instant is appended to
+// its history. Must be called in copyCmp order per node; the sequential
+// drivers reach it through serveCopy.
 func (s *simState) serveCopyDeferred(c *subCopy, node int, ps *partScratch, efHist [][]efEntry) {
 	ad := s.adapt
 	if ad != nil && c.arrive > ps.maxT {
@@ -178,7 +177,10 @@ func (s *simState) serveCopyDeferred(c *subCopy, node int, ps *partScratch, efHi
 		return // a response arrived before this deadline; never sent
 	}
 	if ad != nil && c.kind != copyPrimary && !ad.allowCond(node) {
-		return // suppressed by budget or breaker: never launched (see serveCopy)
+		// Budget exhausted or breaker open: the copy is never launched,
+		// so it counts in no rate metric (HedgeRate, RetriesPerQuery) —
+		// launched copies count, suppressed ones don't, consistently.
+		return
 	}
 	d := copyDelta{sub: c.sub}
 	switch c.kind {
@@ -229,32 +231,36 @@ func (s *simState) serveCopyDeferred(c *subCopy, node int, ps *partScratch, efHi
 // the fold order cannot perturb the result.
 func (s *simState) applyDeltas(scratch []partScratch) {
 	for p := range scratch {
-		ps := &scratch[p]
-		for i := range ps.deltas {
-			d := &ps.deltas[i]
-			sub := &s.subs[d.sub]
-			if d.back < sub.best {
-				sub.best = d.back
-			}
-			sub.retries += int(d.retries)
-			if d.hedged {
-				sub.hedged = true
-			}
+		s.applyScratch(&scratch[p])
+	}
+}
+
+// applyScratch folds one partition's deferred effects and clears them.
+func (s *simState) applyScratch(ps *partScratch) {
+	for i := range ps.deltas {
+		d := &ps.deltas[i]
+		sub := &s.subs[d.sub]
+		if d.back < sub.best {
+			sub.best = d.back
 		}
-		ps.deltas = ps.deltas[:0]
-		if ps.maxWait > s.maxWait {
-			s.maxWait = ps.maxWait
+		sub.retries += int(d.retries)
+		if d.hedged {
+			sub.hedged = true
 		}
-		ps.maxWait = 0
-		if ad := s.adapt; ad != nil {
-			ad.pendPrim += ps.pendPrim
-			ad.pendCond += ps.pendCond
-			ps.pendPrim, ps.pendCond = 0, 0
-			if ps.maxT > ad.lastT {
-				ad.lastT = ps.maxT
-			}
-			ps.maxT = 0
+	}
+	ps.deltas = ps.deltas[:0]
+	if ps.maxWait > s.maxWait {
+		s.maxWait = ps.maxWait
+	}
+	ps.maxWait = 0
+	if ad := s.adapt; ad != nil {
+		ad.pendPrim += ps.pendPrim
+		ad.pendCond += ps.pendCond
+		ps.pendPrim, ps.pendCond = 0, 0
+		if ps.maxT > ad.lastT {
+			ad.lastT = ps.maxT
 		}
+		ps.maxT = 0
 	}
 }
 

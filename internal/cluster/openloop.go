@@ -12,8 +12,8 @@ package cluster
 // The closed-loop simulator pre-schedules every copy and sorts once; here
 // admission decisions must observe queue state at arrival time, so the
 // run is a single event loop over three deterministic event sources —
-// autoscaler control ticks, stream arrivals, and a min-heap of scheduled
-// sub-request copies in the same (arrive, sub, attempt) total order the
+// autoscaler control ticks, stream arrivals, and a timing wheel of
+// scheduled sub-request copies in the same copyCmp total order the
 // closed-loop sort uses. At equal instants ticks precede arrivals precede
 // copies; every source is a pure function of (Seed, index) via
 // stats.SplitSeed, so open-loop results keep the registry-wide
@@ -32,6 +32,7 @@ import (
 	"math"
 
 	"dlrmsim/internal/check"
+	"dlrmsim/internal/eventq"
 	"dlrmsim/internal/stats"
 	"dlrmsim/internal/trace"
 	"dlrmsim/internal/traffic"
@@ -304,35 +305,6 @@ func (o *OpenLoop) applyDefaults(nodes int) error {
 	return nil
 }
 
-// copyHeap orders scheduled sub-request copies by (arrive, sub, attempt) —
-// the exact total order the closed-loop sort establishes, maintained
-// incrementally because arrivals keep scheduling new copies mid-run.
-// Legacy backend only (see eventq.go): container/heap boxes every
-// Push/Pop through `any`, allocating per scheduled copy; the default
-// path now runs the non-boxing eventq wheel in the same total order.
-type copyHeap []subCopy
-
-func (h copyHeap) Len() int { return len(h) }
-func (h copyHeap) Less(i, j int) bool {
-	a, b := h[i], h[j]
-	if a.arrive != b.arrive {
-		return a.arrive < b.arrive
-	}
-	if a.seq != b.seq {
-		return a.seq < b.seq
-	}
-	return a.attempt < b.attempt
-}
-func (h copyHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *copyHeap) Push(x any)   { *h = append(*h, x.(subCopy)) }
-func (h *copyHeap) Pop() any {
-	old := *h
-	n := len(old)
-	c := old[n-1]
-	*h = old[:n-1]
-	return c
-}
-
 // openQuery is one arrival's router-side record.
 type openQuery struct {
 	arrive   float64
@@ -376,8 +348,8 @@ type openRun struct {
 	violated map[int]bool
 	sj       *streamJoin
 
-	h        copyQueue       // the sequential driver's single copy queue
-	push     func(c subCopy) // driver-owned: where scheduled copies go
+	h        *eventq.Wheel[subCopy] // the sequential driver's single copy queue
+	push     func(c subCopy)        // driver-owned: where scheduled copies go
 	queries  []openQuery
 	firstSub []int
 	cold     []int // arrival-scratch: cold lookups per owner node
@@ -489,8 +461,8 @@ func newOpenRun(cfg Config, sketchParts int) (*openRun, error) {
 		violated:    a.violatedMap(),
 		queries:     a.queries[:0],
 		firstSub:    append(a.firstSub[:0], 0),
-		cold:        arenaInts(&a.cold, plan.Nodes),
-		eff:         arenaInts(&a.eff, plan.Nodes),
+		cold:        arenaSlice(&a.cold, plan.Nodes),
+		eff:         arenaSlice(&a.eff, plan.Nodes),
 		draws:       cfg.SamplesPerQuery * model.LookupsPerSample,
 		ring:        a.ring,
 		ringCold:    a.ringCold,
@@ -723,7 +695,9 @@ func (r *openRun) loop() {
 	o := r.o
 	r.h = r.arena.copyQueueSet(1)[0]
 	r.push = r.h.Push
+	r.st.seqScratch = &r.arena.partScratchSet(1)[0]
 	r.nextArr = r.stream.Next()
+	prev := subCopy{arrive: math.Inf(-1)} // last popped copy (check-mode order assertion)
 	for {
 		now := math.Inf(1)
 		kind := 0 // 1 tick, 2 arrival, 3 copy
@@ -755,6 +729,11 @@ func (r *openRun) loop() {
 			r.nextArr = r.stream.Next()
 		case 3:
 			cp := r.h.Pop()
+			if check.Enabled {
+				check.Assert(!math.IsNaN(cp.arrive) && copyCmp(prev, cp) < 0,
+					"cluster: popped copy (arrive %g, seq %d, attempt %d) out of strict copy order", cp.arrive, cp.seq, cp.attempt)
+				prev = cp
+			}
 			r.st.serveCopy(&cp, r.route(cp.node))
 			if r.sj != nil {
 				r.sj.copyDone(r.st, cp.sub, 0)

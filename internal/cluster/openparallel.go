@@ -62,25 +62,6 @@ type openArrival struct {
 // past the horizon are wasted work at most once, at the end of the run.
 var openPredrawBlock = 256
 
-// sortCopySlice establishes the canonical (arrive, seq, attempt) total
-// order in place — the comparator sortCopies and the eventq backends
-// share. No two copies share a (seq, attempt) pair, so the unstable
-// sort is deterministic.
-func sortCopySlice(cs []subCopy) {
-	slices.SortFunc(cs, func(a, b subCopy) int {
-		switch {
-		case a.arrive < b.arrive:
-			return -1
-		case a.arrive > b.arrive:
-			return 1
-		case a.seq != b.seq:
-			return a.seq - b.seq
-		default:
-			return a.attempt - b.attempt
-		}
-	})
-}
-
 // ringFill refills the pre-draw ring: arrival times and user
 // attributions pulled sequentially from the shared streams, lookup
 // splits computed concurrently. Ring entry i is arrival number r.q+i —
@@ -117,7 +98,7 @@ func (r *openRun) ringFill(parts int) {
 }
 
 // loopParallel is the windowed parallel driver. Each partition owns its
-// own copy-queue backend instance, keyed by the copy's planned node —
+// own copy wheel, keyed by the copy's planned node —
 // storage partitioning only; serving ownership follows the routed node
 // inside serveWindow.
 func (r *openRun) loopParallel(parts int) {
@@ -138,7 +119,7 @@ func (r *openRun) loopParallel(parts int) {
 	var efHist [][]efEntry
 	backlogAt := r.backlog
 	if shed {
-		efStart = arenaFloats(&a.efStart, nodes)
+		efStart = arenaSlice(&a.efStart, nodes)
 		efHist = a.efHistSet(nodes)
 		backlogAt = func(n int, now float64) float64 {
 			ef := efStart[n]
@@ -207,7 +188,7 @@ func (r *openRun) loopParallel(parts int) {
 				}
 			}
 		}
-		sortCopySlice(win)
+		slices.SortFunc(win, copyCmp)
 
 		// Phase A: partitioned copy service with deferred router-state
 		// merges, recording earliest-free histories for admission.

@@ -11,6 +11,8 @@ package cluster
 // windows.
 
 import (
+	"slices"
+
 	"dlrmsim/internal/stats"
 	"dlrmsim/internal/trace"
 )
@@ -32,7 +34,7 @@ func (s *simState) parallelizable() bool {
 // order, identical per-copy arithmetic, with partitions serving
 // disjoint node sets inside each conservative window.
 func (s *simState) runParallel(parts int, scratch []partScratch) {
-	s.sortCopies()
+	slices.SortFunc(s.copies, copyCmp)
 	mit := &s.cfg.Mitigation
 	if mit.HedgeDelayMs <= 0 && mit.TimeoutMs <= 0 {
 		// No conditional copies: nothing ever reads the deferred router

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"dlrmsim/internal/check"
-	"dlrmsim/internal/eventq"
 	"dlrmsim/internal/serve"
 	"dlrmsim/internal/stats"
 	"dlrmsim/internal/trace"
@@ -302,6 +301,9 @@ type simState struct {
 	recycle  bool
 	subSeq   int
 	freeSubs []int
+
+	// seqScratch is the sequential drivers' scratch for serveCopy.
+	seqScratch *partScratch
 }
 
 // schedule plans every copy one sub-request may launch: the primary at
@@ -371,154 +373,35 @@ func (s *simState) schedule(q, home, owner int, served int, svcMs float64, reqBy
 // attempt 0 keeps the legacy jitter stream, so fault-free runs are
 // byte-identical to the pre-fault simulator.
 func (s *simState) run() {
-	// Every copy is known up front, so the native backend is a one-shot
-	// sort. (arrive, sub, attempt) is a total order — no two copies share
-	// a (sub, attempt) pair — so the unstable slices sort is deterministic
-	// and yields exactly the order the reflection-based stable-keyed
-	// sort.Slice produced, at a fraction of the cost: the copies are
-	// nearly sorted already (queries dispatch in arrival order) and
-	// pdqsort exploits that. See DESIGN.md §9 for the alternatives tried.
-	// The eventq backends reproduce the identical order incrementally
-	// (same comparator); the differential suite pins all three.
-	switch eventBackend {
-	case BackendHeap, BackendWheel:
-		s.runEventq()
-		return
-	}
-	s.sortCopies()
-	prevArrive := math.Inf(-1)
+	// Every copy is known up front, so one sort establishes the order:
+	// the copies are nearly sorted already (queries dispatch in arrival
+	// order) and pdqsort exploits that. See DESIGN.md §9 for the
+	// alternatives tried.
+	slices.SortFunc(s.copies, copyCmp)
 	for i := range s.copies {
 		c := &s.copies[i]
 		if check.Enabled {
-			check.Assert(c.arrive >= prevArrive && !math.IsNaN(c.arrive),
-				"cluster: copy arrivals not monotone (%g after %g)", c.arrive, prevArrive)
-			prevArrive = c.arrive
+			check.Assert(!math.IsNaN(c.arrive) && (i == 0 || copyCmp(s.copies[i-1], *c) < 0),
+				"cluster: copy %d (arrive %g, seq %d, attempt %d) out of strict copy order", i, c.arrive, c.seq, c.attempt)
 		}
 		s.serveCopy(c, c.node)
 	}
 }
 
-// sortCopies establishes the canonical (arrive, seq, attempt) total
-// order in place — no two copies share a (seq, attempt) pair, so the
-// unstable sort is deterministic.
-func (s *simState) sortCopies() {
-	slices.SortFunc(s.copies, func(a, b subCopy) int {
-		switch {
-		case a.arrive < b.arrive:
-			return -1
-		case a.arrive > b.arrive:
-			return 1
-		case a.seq != b.seq:
-			return a.seq - b.seq
-		default:
-			return a.attempt - b.attempt
-		}
-	})
-}
-
-// runEventq is run()'s forced-backend variant: the copies drain through
-// an eventq priority queue instead of a pre-sort. Same comparator, same
-// total order, byte-identical results — it exists so the differential
-// suite can exercise the heap and wheel against the sort on the full
-// closed-loop registry.
-func (s *simState) runEventq() {
-	var q copyQueue
-	if eventBackend == BackendHeap {
-		h := eventq.NewHeap(copyLess)
-		h.Grow(len(s.copies))
-		q = h
-	} else {
-		// Size the wheel from the copies' time span so buckets stay small
-		// regardless of the run's horizon.
-		minArr, maxArr := math.Inf(1), math.Inf(-1)
-		for i := range s.copies {
-			if a := s.copies[i].arrive; a < minArr {
-				minArr = a
-			}
-			if a := s.copies[i].arrive; a > maxArr {
-				maxArr = a
-			}
-		}
-		width := (maxArr - minArr) / float64(len(s.copies)+1) * 4
-		if !(width > 0) || math.IsInf(width, 0) {
-			width = 1
-		}
-		q = eventq.NewWheel(width, 1024, minArr, copyArrive, copyLess)
-	}
-	for i := range s.copies {
-		q.Push(s.copies[i])
-	}
-	for q.Len() > 0 {
-		c := q.Pop()
-		s.serveCopy(&c, c.node)
-	}
-}
-
-// serveCopy processes one copy at its node-arrival instant: conditional
-// launch suppression, fault application, jitter, FCFS submission, and the
-// router-side best-response update. node is the effective target — equal
-// to c.node in closed-loop mode, but the open-loop simulator re-routes
+// serveCopy is the sequential drivers' per-copy step: serveCopyDeferred
+// into the run's scratch, merged at once. Every deferred effect
+// merges commutative-exactly (exec.go), so merging after each copy is
+// the sequential arithmetic. node is the effective target — equal to
+// c.node in closed-loop mode, but the open-loop simulator re-routes
 // copies whose planned node was drained from the active set between
-// scheduling and arrival. Callers must invoke it in (arrive, sub, attempt)
-// order, the global node-arrival order the FCFS queues require.
+// scheduling and arrival. Callers must invoke it in copyCmp order, the
+// global node-arrival order the FCFS queues require.
 func (s *simState) serveCopy(c *subCopy, node int) {
-	ad := s.adapt
-	if ad != nil {
-		ad.advanceTo(c.arrive)
-		if c.arrive > ad.lastT {
-			ad.lastT = c.arrive
-		}
+	if s.adapt != nil {
+		s.adapt.advanceTo(c.arrive)
 	}
-	sub := &s.subs[c.sub]
-	if c.kind != copyPrimary && sub.best <= c.launch {
-		return // a response arrived before this deadline; never sent
-	}
-	if ad != nil && c.kind != copyPrimary && !ad.allowCond(node) {
-		// Budget exhausted or breaker open: the copy is never launched,
-		// so it counts in no rate metric (HedgeRate, RetriesPerQuery) —
-		// launched copies count, suppressed ones don't, consistently.
-		return
-	}
-	switch c.kind {
-	case copyHedge:
-		sub.hedged = true
-	case copyRetry:
-		sub.retries++
-	}
-	sub.retries += c.resends
-	cfg := &s.cfg
-	s.faults.applyOutages(node, c.arrive, s.queues[node])
-	s.chaos.applyOutages(node, c.arrive, s.queues[node])
-	svc := sub.svcMs
-	if f := s.faults.slowFactor(node, c.arrive); f != 1 {
-		svc *= f
-	}
-	if f := s.chaos.slowFactor(node, c.arrive); f != 1 {
-		svc *= f
-	}
-	if cfg.JitterFrac > 0 {
-		var draw float64
-		if c.attempt == 0 {
-			j := stats.SeededRNG(stats.SplitSeed(cfg.Seed^0x717E2, uint64(sub.q*s.plan.Nodes+node)))
-			draw = j.NormFloat64()
-		} else {
-			draw = retryJitter(cfg.Seed, sub.q, node, c.attempt, s.plan.Nodes)
-		}
-		svc *= serve.Jitter(cfg.JitterFrac, draw)
-	}
-	start, done := s.queues[node].Submit(c.arrive, svc)
-	if sub.q >= cfg.WarmupQueries && sub.dispatch >= s.warmupMs {
-		if w := start - c.arrive; w > s.maxWait {
-			s.maxWait = w
-		}
-	}
-	back := done + cfg.Net.LatencyMs + cfg.Net.TransferMs(sub.respBytes)
-	if back < sub.best {
-		sub.best = back
-	}
-	if ad != nil {
-		ad.observe(node, c.kind, back-c.launch, &ad.pendPrim, &ad.pendCond)
-	}
+	s.serveCopyDeferred(c, node, s.seqScratch, nil)
+	s.applyScratch(s.seqScratch)
 }
 
 // resolve is the router's join-side view of one sub-request after every
@@ -607,9 +490,9 @@ func Simulate(cfg Config) (Result, error) {
 
 	// Phase 1: draw each query's arrival and lookups, split them by the
 	// plan, and schedule every sub-request copy the router might launch.
-	cold := arenaInts(&a.cold, plan.Nodes) // per-node shard-owned lookups of the current query (drawQuery zeroes)
-	nows := arenaFloats(&a.nows, cfg.Queries)
-	firstSub := arenaInts(&a.firstSub, cfg.Queries+1)
+	cold := arenaSlice(&a.cold, plan.Nodes) // per-node shard-owned lookups of the current query (drawQuery zeroes)
+	nows := arenaSlice(&a.nows, cfg.Queries)
+	firstSub := arenaSlice(&a.firstSub, cfg.Queries+1)
 	if cap(a.latencies) < cfg.Queries-cfg.WarmupQueries {
 		a.latencies = make([]float64, 0, cfg.Queries-cfg.WarmupQueries)
 	}
@@ -639,8 +522,8 @@ func Simulate(cfg Config) (Result, error) {
 	var preHot, preCold []int
 	draws := cfg.SamplesPerQuery * model.LookupsPerSample
 	if useParallel {
-		preHot = arenaInts(&a.preHot, cfg.Queries)
-		preCold = arenaInts(&a.preCold, cfg.Queries*plan.Nodes)
+		preHot = arenaSlice(&a.preHot, cfg.Queries)
+		preCold = arenaSlice(&a.preCold, cfg.Queries*plan.Nodes)
 		st.predrawQueries(zipf, draws, cfg.Queries, parts, preHot, preCold)
 	}
 	for q := 0; q < cfg.Queries; q++ {
@@ -692,6 +575,7 @@ func Simulate(cfg Config) (Result, error) {
 	if useParallel {
 		st.runParallel(parts, a.partScratchSet(parts))
 	} else {
+		st.seqScratch = &a.partScratchSet(1)[0]
 		st.run()
 	}
 

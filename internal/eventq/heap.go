@@ -9,10 +9,9 @@
 //     O(1) amortized push/pop when the bucket width matches the event
 //     density (see wheel.go).
 //
-// Both pop in the exact total order of the supplied comparator, so a
-// simulator can swap backends without perturbing event order: the
-// differential suite in internal/exp pins wheel, heap, and the legacy
-// sort/scan paths byte-identical across the experiment registry.
+// Both pop in the exact total order of the supplied comparator, so
+// either can stand in for a global sort: FuzzEventOrder drives random
+// schedules through heap, wheel, and a reference sort in lockstep.
 package eventq
 
 // Heap is a binary min-heap ordered by a caller-supplied strict

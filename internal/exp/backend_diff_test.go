@@ -9,14 +9,6 @@ import (
 	"dlrmsim/internal/cluster"
 )
 
-// TestEventBackendsRegistryByteIdentical is the event-core differential
-// suite: the full experiment registry — every figure and table, which
-// between them exercise the closed-loop sort path, the open-loop queue,
-// and the hetsched device timers — must render byte-identical (text and
-// CSV) under every cluster event-queue backend, at 1 worker and at 8.
-// The legacy sort/boxed-heap paths are the reference; the wheel and the
-// generic heap reproduce their total order exactly or this fails with
-// the first differing experiment named.
 // renderRegistry runs the given experiments and returns each table's
 // text+CSV rendering — the byte-level artifact the differential suites
 // compare across backends.
@@ -38,43 +30,6 @@ func renderRegistry(t *testing.T, ids []string, workers int) [][]byte {
 		out[i] = buf.Bytes()
 	}
 	return out
-}
-
-func TestEventBackendsRegistryByteIdentical(t *testing.T) {
-	ids := IDs()
-	render := func(workers int) [][]byte { return renderRegistry(t, ids, workers) }
-
-	restore := cluster.SetEventBackend(cluster.BackendLegacy)
-	want := render(1)
-	restore()
-
-	backends := []struct {
-		name string
-		b    cluster.EventBackend
-	}{
-		{"legacy", cluster.BackendLegacy},
-		{"heap", cluster.BackendHeap},
-		{"wheel", cluster.BackendWheel},
-		{"default", cluster.BackendDefault},
-	}
-	for _, bk := range backends {
-		for _, workers := range []int{1, 8} {
-			if bk.b == cluster.BackendLegacy && workers == 1 {
-				continue // the reference run itself
-			}
-			t.Run(fmt.Sprintf("%s/workers%d", bk.name, workers), func(t *testing.T) {
-				restore := cluster.SetEventBackend(bk.b)
-				defer restore()
-				got := render(workers)
-				for i, id := range ids {
-					if !bytes.Equal(got[i], want[i]) {
-						t.Errorf("%s: output differs from legacy/workers1:\n--- legacy ---\n%s--- %s ---\n%s",
-							id, want[i], bk.name, got[i])
-					}
-				}
-			})
-		}
-	}
 }
 
 // TestExecBackendsRegistryByteIdentical is the execution-backend

@@ -1,40 +1,16 @@
 package hetsched
 
-import "dlrmsim/internal/eventq"
+import (
+	"math"
 
-// EventBackend selects how run() finds the earliest device event. The
-// default is an eventq.Heap of device timers; the legacy linear scan
-// over all devices is kept selectable so the differential suite can pin
-// that the two produce byte-identical results.
-type EventBackend int
-
-const (
-	// BackendDefault is the heap-backed timer queue.
-	BackendDefault EventBackend = iota
-	// BackendScan is the original O(devices)-per-event linear scan.
-	BackendScan
-	// BackendHeap names the heap explicitly (same as the default).
-	BackendHeap
+	"dlrmsim/internal/eventq"
 )
-
-var eventBackend = BackendDefault
-
-// SetEventBackend selects the device-event backend for subsequent
-// Simulate calls and returns a func restoring the previous choice.
-// Test-only; not safe for concurrent Simulate calls with different
-// backends.
-func SetEventBackend(b EventBackend) (restore func()) {
-	prev := eventBackend
-	eventBackend = b
-	return func() { eventBackend = prev }
-}
 
 // devTimer is one scheduled device event: a batch completion (busyEnd)
 // or a hold-window deadline (holdAt). Timers are invalidated lazily: a
 // device's generation counter bumps whenever its event changes, and
-// pop skips entries whose gen is stale. The tie order (time, device
-// index) reproduces the legacy scan's strict-less lowest-index-wins
-// exactly.
+// pop skips entries whose gen is stale. The tie order is (time, device
+// index): the lowest index wins, as scanTimer's strict-less scan gives.
 type devTimer struct {
 	t   float64
 	dev int32
@@ -51,9 +27,6 @@ func devTimerLess(a, b devTimer) bool {
 // timerSet schedules device d's (only) live event at time t,
 // invalidating any previously scheduled one.
 func (st *simState) timerSet(d int, t float64) {
-	if st.timers == nil {
-		return
-	}
 	st.devGen[d]++
 	st.timers.Push(devTimer{t: t, dev: int32(d), gen: st.devGen[d]})
 }
@@ -61,14 +34,11 @@ func (st *simState) timerSet(d int, t float64) {
 // timerClear invalidates device d's scheduled event (if any) without
 // scheduling a new one.
 func (st *simState) timerClear(d int) {
-	if st.timers == nil {
-		return
-	}
 	st.devGen[d]++
 }
 
 // nextTimer peeks the earliest live device event, draining stale
-// entries off the front. Returns dev -1 when no device has one.
+// entries off the front. Returns (+Inf, -1) when no device has one.
 func (st *simState) nextTimer() (tE float64, dev int) {
 	for st.timers.Len() > 0 {
 		e := st.timers.Min()
@@ -78,13 +48,32 @@ func (st *simState) nextTimer() (tE float64, dev int) {
 		}
 		return e.t, int(e.dev)
 	}
-	return 0, -1
+	return math.Inf(1), -1
 }
 
-func newDevTimers(b EventBackend, nDev int) *eventq.Heap[devTimer] {
-	if b == BackendScan {
-		return nil
+// scanTimer is nextTimer's check-mode oracle: a linear scan over every
+// device's state for its live event, strict-less so the lowest index
+// wins ties. Returns (+Inf, -1) when no device has one.
+func (st *simState) scanTimer() (tE float64, dev int) {
+	tE, dev = math.Inf(1), -1
+	for d := range st.specs {
+		var cand float64
+		switch {
+		case st.busy[d]:
+			cand = st.busyEnd[d]
+		case st.holdArmed[d]:
+			cand = st.holdAt[d]
+		default:
+			continue
+		}
+		if cand < tE {
+			tE, dev = cand, d
+		}
 	}
+	return tE, dev
+}
+
+func newDevTimers(nDev int) *eventq.Heap[devTimer] {
 	h := eventq.NewHeap(devTimerLess)
 	// Room for one live timer per device plus a stale tail; grows on
 	// demand past this.

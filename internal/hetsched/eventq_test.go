@@ -1,22 +1,28 @@
 package hetsched
 
-import "testing"
+import (
+	"testing"
 
-// TestEventBackendsByteIdentical pins that the heap-backed device-timer
-// queue and the legacy linear scan produce identical Results across
-// every mix and policy, including batching fleets where hold-window
-// timers are armed, re-armed, and cancelled. The (time, device index)
-// order is the contract; the backend must be invisible.
-func TestEventBackendsByteIdentical(t *testing.T) {
+	"dlrmsim/internal/check"
+)
+
+// TestTimerHeapMatchesScan drives every mix and policy, including the
+// batching fleets where hold-window timers are armed, re-armed, and
+// cancelled, with check mode on: run() then re-derives every timer-heap
+// pop with a linear scan over device state, and any disagreement in
+// (time, lowest device index) panics.
+func TestTimerHeapMatchesScan(t *testing.T) {
+	if !check.Enabled {
+		t.Fatal("hetsched tests must run in check mode (TestMain)")
+	}
 	g := testGraph()
-	configs := make([]Config, 0, len(Mixes)*len(AllPolicies))
 	for _, mix := range Mixes {
 		devs, err := NewMix(mix)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, pol := range AllPolicies {
-			configs = append(configs, Config{
+			_, err := Simulate(Config{
 				Graph:         g,
 				Devices:       devs,
 				Policy:        pol,
@@ -25,23 +31,8 @@ func TestEventBackendsByteIdentical(t *testing.T) {
 				JitterFrac:    0.2,
 				Seed:          7,
 			})
-		}
-	}
-	for _, cfg := range configs {
-		var results []Result
-		for _, b := range []EventBackend{BackendDefault, BackendScan, BackendHeap} {
-			restore := SetEventBackend(b)
-			res, err := Simulate(cfg)
-			restore()
 			if err != nil {
-				t.Fatal(err)
-			}
-			results = append(results, res)
-		}
-		for i := 1; i < len(results); i++ {
-			if results[i] != results[0] {
-				t.Fatalf("policy %v: backend %d diverges:\n%+v\n%+v",
-					cfg.Policy, i, results[0], results[i])
+				t.Fatalf("%s/%v: %v", mix, pol, err)
 			}
 		}
 	}

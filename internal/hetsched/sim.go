@@ -115,7 +115,7 @@ type simState struct {
 	devSeed   []uint64  // per-device jitter seed
 	prevEnd   []float64 // invariant: device clocks are monotone
 	busyMs    []float64
-	timers    *eventq.Heap[devTimer] // live device events; nil = legacy scan
+	timers    *eventq.Heap[devTimer] // live device events
 	devGen    []uint32               // per-device timer generation (stale-entry filter)
 	batchOf   [][]int32              // each device's in-flight batch members
 	doneBatch []int32                // completion scratch: batchOf may be re-launched
@@ -169,7 +169,7 @@ func newSimState(cfg Config) (*simState, error) {
 		devSeed:   make([]uint64, nDev),
 		prevEnd:   make([]float64, nDev),
 		busyMs:    make([]float64, nDev),
-		timers:    newDevTimers(eventBackend, nDev),
+		timers:    newDevTimers(nDev),
 		devGen:    make([]uint32, nDev),
 		batchOf:   make([][]int32, nDev),
 	}
@@ -457,35 +457,13 @@ func (st *simState) stealInto(d int) bool {
 func (st *simState) run() {
 	next := 0 // next arrival index
 	for {
-		// Earliest device event: a batch completion or a hold deadline.
-		// Both backends realize the same total order — (time, device
-		// index), lowest index winning ties.
-		tE := math.Inf(1)
-		dev := -1
-		if st.timers != nil {
-			if t, d := st.nextTimer(); d >= 0 {
-				tE, dev = t, d
-				if check.Enabled {
-					live := st.busy[d] && tE == st.busyEnd[d] ||
-						!st.busy[d] && st.holdArmed[d] && tE == st.holdAt[d]
-					check.Assert(live, "hetsched: timer (t %g, dev %d) does not match device state", tE, d)
-				}
-			}
-		} else {
-			for d := range st.specs {
-				var cand float64
-				switch {
-				case st.busy[d]:
-					cand = st.busyEnd[d]
-				case st.holdArmed[d]:
-					cand = st.holdAt[d]
-				default:
-					continue
-				}
-				if cand < tE {
-					tE, dev = cand, d
-				}
-			}
+		// Earliest device event: a batch completion or a hold deadline,
+		// in (time, device index) order, lowest index winning ties.
+		tE, dev := st.nextTimer()
+		if check.Enabled {
+			sT, sD := st.scanTimer()
+			check.Assert(sT == tE && sD == dev,
+				"hetsched: timer heap yields (t %g, dev %d), device scan yields (t %g, dev %d)", tE, dev, sT, sD)
 		}
 		tA := math.Inf(1)
 		if next < len(st.arrivals) {

@@ -100,6 +100,24 @@ var AllHotness = []Hotness{OneItem, HighHot, MediumHot, LowHot, RandomAccess}
 // ProductionHotness lists only the three production-trace classes.
 var ProductionHotness = []Hotness{HighHot, MediumHot, LowHot}
 
+// ParseHotness resolves a class from its CLI spelling: one-item (or
+// oneitem), high, medium (or med), low, or random.
+func ParseHotness(s string) (Hotness, error) {
+	switch s {
+	case "one-item", "oneitem":
+		return OneItem, nil
+	case "high":
+		return HighHot, nil
+	case "medium", "med":
+		return MediumHot, nil
+	case "low":
+		return LowHot, nil
+	case "random":
+		return RandomAccess, nil
+	}
+	return 0, fmt.Errorf("trace: unknown hotness %q (want one-item | high | medium | low | random)", s)
+}
+
 // Config describes one synthetic trace.
 type Config struct {
 	// Hotness selects the access-concentration class.

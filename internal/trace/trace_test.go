@@ -210,6 +210,26 @@ func TestHotnessStrings(t *testing.T) {
 	}
 }
 
+func TestParseHotness(t *testing.T) {
+	for s, want := range map[string]Hotness{
+		"one-item": OneItem, "oneitem": OneItem,
+		"high":   HighHot,
+		"medium": MediumHot, "med": MediumHot,
+		"low":    LowHot,
+		"random": RandomAccess,
+	} {
+		got, err := ParseHotness(s)
+		if err != nil || got != want {
+			t.Errorf("ParseHotness(%q) = %v, %v; want %v", s, got, err, want)
+		}
+	}
+	for _, s := range []string{"scorching", "", "High", "medium-hot"} {
+		if _, err := ParseHotness(s); err == nil {
+			t.Errorf("ParseHotness(%q) accepted an unknown name", s)
+		}
+	}
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
 	cfg := smallConfig(MediumHot)
 	cfg.Tables = 2
