@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"dlrmsim/internal/trace"
@@ -194,5 +196,40 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := SweepReplication(good, nil); err == nil {
 		t.Error("accepted empty sweep")
+	}
+}
+
+// closedLoopPins holds the SHA-256 of fmt.Sprintf("%+v", res) — every
+// Result field, floats at full round-trip precision — for each pinned
+// closed-loop config.
+var closedLoopPins = map[string]string{
+	"plain":          "df4a730f9fb2b8442f5d849502cee13bb432d625fec88e05b12515fc1d707749",
+	"faults":         "016a77d6d4a06be3ca2b3dd216f6ff641ac6d1e86f7a06068775a17368b09d3a",
+	"hedge":          "5fc75703df9730637da41c087f2d47004cecd7206d90b76b2cf73696b4824a73",
+	"retries":        "8655dfa2813e8209d1ee3985e7ff0156c0ca92844415a196b3ddfcfdcc722a43",
+	"chaos":          "3331f80c27d0a8df7b7d7cc56bcf3593c6a2172cbbeaef35bfa2540fb7f70efa",
+	"chaos-adaptive": "cc36d5325dd79ab17eb62e6a773022b21958dec0e14d78c41da1a603b2ba6ab4",
+	"bench-steady":   "d7faaeab5623e093da1c648b3c5d96a1046f9b7d9e4ed5d6ccdacebd1c78be41",
+	"bench-faulted":  "8206b8f3630bb64f0e12f85bd18add017f83cb7584fd0e93d005bdcd7638df48",
+}
+
+// TestClosedLoopResultsPinned pins closed-loop output bit-for-bit on the
+// benchmark fixtures and every exec-suite config. The goldens hold only a
+// few fields to 1e-9, so this is the tier-1 guard that a change to the
+// driver, the copy order, or the summary leaves every Result field exactly
+// where it was.
+func TestClosedLoopResultsPinned(t *testing.T) {
+	cfgs := execConfigs(t)
+	cfgs["bench-steady"] = benchConfig(t, false)
+	cfgs["bench-faulted"] = benchConfig(t, true)
+	for name, cfg := range cfgs {
+		res, err := Simulate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%+v", res))))
+		if want := closedLoopPins[name]; got != want {
+			t.Errorf("%s: result digest %s, pinned %s:\n%+v", name, got, want, res)
+		}
 	}
 }
