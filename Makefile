@@ -72,10 +72,16 @@ bench-compare:
 # against its predecessor before it is committed. Points that predate
 # BenchmarkCalibration (BENCH_0/BENCH_1) can't be ns-gated — benchjson
 # skips the ns gate and still gates allocs when the canary is missing
-# from the older file (DESIGN.md §13.4).
+# from the older file (DESIGN.md §13.4). A BENCH_<n>.bench capture
+# without its BENCH_<n>.json twin (a truncated or abandoned point) fails
+# the gate instead of being silently skipped.
 BENCH_GATE_PCT ?= 10
 bench-gate:
 	@set -e; \
+	for b in BENCH_[0-9]*.bench; do \
+		[ -e "$$b" ] || continue; \
+		if [ ! -e "$${b%.bench}.json" ]; then echo "bench-gate: $$b has no $${b%.bench}.json twin (truncated or abandoned capture)"; exit 1; fi; \
+	done; \
 	files=$$(ls BENCH_[0-9]*.json 2>/dev/null | sort -t_ -k2 -n); \
 	n=$$(echo $$files | wc -w); \
 	if [ $$n -lt 2 ]; then echo "bench-gate: fewer than two committed BENCH_<n>.json points; nothing to gate"; exit 0; fi; \

@@ -26,7 +26,7 @@ package cluster
 //
 // Both drivers settle each boundary b after exactly the copies with
 // arrive < b: the sequential driver advances lazily before each copy;
-// the parallel drivers truncate windows at the next boundary and
+// the parallel driver truncates windows at the next boundary and
 // advance at window starts, so no window spans a boundary and every
 // pre-boundary copy has merged when a window at or past b opens. The
 // result is byte-identical output at any partition and worker count.
@@ -80,8 +80,8 @@ type adaptState struct {
 	breakers     []breakerUnit
 
 	// Pending within the current epoch. pendPrim/pendCond arrive through
-	// partScratch, folded after every copy by the sequential drivers and
-	// at window barriers by the parallel ones. attempts/slow are
+	// partScratch, folded after every copy by the sequential driver and
+	// at window barriers by the parallel one. attempts/slow are
 	// per-node and node-owned, so every driver writes them in place.
 	pendPrim, pendCond int64
 	attempts, slow     []int32

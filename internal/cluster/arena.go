@@ -1,8 +1,8 @@
 package cluster
 
-// Per-run arena reuse (DESIGN.md §14). One closed-loop Simulate call
-// allocates a few dozen slices — the per-node queue set, the sub/copy
-// schedules, and the phase-1/phase-3 scratch — and the callers that
+// Per-run arena reuse (DESIGN.md §14). One Simulate call needs a few
+// dozen slices — the per-node queue set, the sub schedule, the copy
+// wheel, fault timelines, and the join scratch — and the callers that
 // matter (SweepReplication, the experiment registry, parameter sweeps
 // in the CLIs) run thousands of simulations per process, so the
 // steady-state allocation rate is pure churn. The arena keeps one
@@ -10,10 +10,11 @@ package cluster
 // acquire at entry, recapture whatever grew, release at exit.
 //
 // Correctness is the same argument everywhere: a reused buffer is
-// either fully overwritten before it is read (nows, firstSub, the
-// pre-draw splits — drawQuery zeroes its own cold slice), explicitly
-// re-zeroed here (the active set, partition scratch), or re-sliced to
-// length zero and only appended to (subs, copies, latencies, queries).
+// either fully overwritten before it is read (the pre-draw ring —
+// drawArrival zeroes its own cold slice), explicitly re-zeroed or
+// rewound here and in the init methods (the active set, partition
+// scratch, fault tracks, chaos and adaptive state), or re-sliced to
+// length zero and only appended to (subs, firstSub, latencies, queries).
 // Queue and wheel objects reset through their Reset hooks
 // (serve.Queue.Reset, eventq.Wheel.Reset). Nothing observable escapes:
 // the free list is guarded by a mutex, each concurrent run owns its
@@ -35,29 +36,24 @@ import (
 type runArena struct {
 	queues    []*serve.Queue
 	subs      []subState
-	copies    []subCopy
 	cold      []int
-	nows      []float64
 	firstSub  []int
 	latencies []float64
-	preHot    []int
-	preCold   []int
 	scratch   []partScratch
+	queries   []openQuery
+	eff       []int
+	active    []bool
+	violated  map[int]bool
+	ring      []openArrival
+	ringCold  []int
+	win       []subCopy
+	efStart   []float64
+	efHist    [][]efEntry
 
-	// Open-loop extras.
-	queries  []openQuery
-	eff      []int
-	active   []bool
-	violated map[int]bool
-	ring     []openArrival
-	ringCold []int
-	win      []subCopy
-	efStart  []float64
-	efHist   [][]efEntry
-
-	// Robustness-tier state (chaos.go, adapt.go): held by value so the
-	// per-node and per-window slices inside recycle with the arena, and
-	// the recovery-observability minute buckets.
+	// Robustness-tier state (faults.go, chaos.go, adapt.go): held by
+	// value so the per-node and per-window slices inside recycle with the
+	// arena, and the recovery-observability minute buckets.
+	faultSt faultState
 	chaosSt chaosState
 	adaptSt adaptState
 	ttrArr  []int
@@ -103,6 +99,13 @@ func arenaSlice[T any](buf *[]T, n int) []T {
 	}
 	*buf = (*buf)[:n]
 	return *buf
+}
+
+// faultFor rewinds the arena's recycled per-node fault timelines for a
+// validated fault model.
+func (a *runArena) faultFor(model FaultModel, seed uint64, nodes int) *faultState {
+	a.faultSt.init(model, seed, nodes)
+	return &a.faultSt
 }
 
 // chaosFor materializes a chaos schedule into the arena's recycled

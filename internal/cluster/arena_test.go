@@ -30,10 +30,10 @@ func TestArenaReuseDeterministic(t *testing.T) {
 
 // TestSimulateAllocsSteadyState pins the arena's payoff: after a warmup
 // run seeds the free list, a closed-loop run performs a handful of
-// allocations (the run state, the arrival RNG, the shared Zipf sampler,
-// and the percentile summary) instead of the ~40 per-run slices it
-// allocated before arena reuse. The bounds are loose enough to survive
-// incidental churn but fail if per-run pooling regresses wholesale.
+// allocations (the run state, the shared Zipf sampler, and the
+// percentile summary) instead of the ~40 per-run slices it allocated
+// before arena reuse. The bounds are loose enough to survive incidental
+// churn but fail if per-run pooling regresses wholesale.
 func TestSimulateAllocsSteadyState(t *testing.T) {
 	cfg := testConfig(t, 8, RowRange, 0.01, trace.HighHot)
 	if _, err := Simulate(cfg); err != nil {
@@ -53,5 +53,19 @@ func TestSimulateAllocsSteadyState(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(5, func() { Simulate(ocfg) }); allocs > 16 {
 		t.Errorf("open-loop Simulate allocates %.0f objects/run in steady state, want <= 16", allocs)
+	}
+}
+
+// TestFaultedClosedLoopAllocsSteadyState extends the guard to the fault
+// model: the per-node slowdown and outage timelines (each track's RNG and
+// window buffer) recycle through the arena, so a faulted closed-loop run
+// with the full mitigation stack allocates no more than a steady one.
+func TestFaultedClosedLoopAllocsSteadyState(t *testing.T) {
+	cfg := benchConfig(t, true)
+	if _, err := Simulate(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { Simulate(cfg) }); allocs > 10 {
+		t.Errorf("faulted closed-loop Simulate allocates %.0f objects/run in steady state, want <= 10", allocs)
 	}
 }

@@ -1,11 +1,11 @@
 package cluster
 
-// The copy order. Both cluster loops consume sub-request copies in one
-// (arrive, seq, attempt) total order: the closed loop sorts every copy
-// once (all are known up front, and pdqsort exploits the nearly-sorted
-// schedule), the open loop drains an eventq.Wheel because arrivals keep
-// scheduling copies mid-run, and the parallel drivers re-sort each
-// conservative window. copyCmp is the only definition of that order.
+// The copy order. Every run — open or closed loop — consumes
+// sub-request copies in one (arrive, seq, attempt) total order: the
+// sequential driver drains an eventq.Wheel because arrivals keep
+// scheduling copies mid-run, and the parallel driver re-sorts each
+// conservative window gathered from its per-partition wheels. copyCmp is
+// the only definition of that order.
 
 import "dlrmsim/internal/eventq"
 
@@ -26,16 +26,16 @@ func copyCmp(a, b subCopy) int {
 	}
 }
 
-// Wheel geometry for the open-loop copy queue: copies land within a few
-// service times of the current instant, so a quarter-millisecond bucket
-// keeps buckets near-singleton at production QPS while 4096 of them
-// (a ~1s horizon) keep the overflow area essentially empty.
+// Wheel geometry for the copy queue: copies land within a few service
+// times of the current instant, so a quarter-millisecond bucket keeps
+// buckets near-singleton at production QPS while 4096 of them (a ~1s
+// horizon) keep the overflow area essentially empty.
 const (
 	openWheelWidthMs = 0.25
 	openWheelBuckets = 4096
 )
 
-// newCopyWheel returns an empty open-loop copy queue starting at time 0.
+// newCopyWheel returns an empty copy queue starting at time 0.
 func newCopyWheel() *eventq.Wheel[subCopy] {
 	return eventq.NewWheel(openWheelWidthMs, openWheelBuckets, 0,
 		func(c subCopy) float64 { return c.arrive },

@@ -1,10 +1,12 @@
 package cluster
 
 // Execution-backend selection (DESIGN.md §14): HOW one simulation run
-// executes its event processing — one goroutine walking the copyCmp
-// order end to end (Sequential), or the fleet's nodes partitioned into P
-// logical processes that serve disjoint node sets concurrently
-// (Parallel), synchronized with conservative time windows.
+// executes its event processing — one goroutine draining the copy wheel
+// in copyCmp order (Sequential, openloop.go's loop), or the fleet's
+// nodes partitioned into P logical processes that serve disjoint node
+// sets concurrently (Parallel, openparallel.go's loopParallel),
+// synchronized with conservative time windows. Open and closed runs
+// share both drivers.
 //
 // The conservative-window argument: every copy travels a network hop,
 // so a copy launched at router time L arrives at its node no earlier
@@ -29,11 +31,9 @@ package cluster
 // Sequential backend at any partition count, pinned by internal/exp's
 // differential suite across the experiment registry.
 //
-// When the mitigation policy schedules no conditional copies, no
-// decision ever reads the deferred state mid-run and the whole run is
-// one infinite window. When it does and the network hop is free
-// (LatencyMs == 0) there is no lookahead to exploit, and the run falls
-// back to the sequential path regardless of the configured backend.
+// When the network hop is free (LatencyMs == 0) there is no lookahead
+// to exploit, and the run falls back to the sequential path regardless
+// of the configured backend.
 
 import (
 	"sync"
@@ -166,7 +166,7 @@ type efEntry struct {
 // updates are recorded as a delta for applyDeltas. When efHist is
 // non-nil the node's post-submit earliest-free instant is appended to
 // its history. Must be called in copyCmp order per node; the sequential
-// drivers reach it through serveCopy.
+// driver reaches it through serveCopy.
 func (s *simState) serveCopyDeferred(c *subCopy, node int, ps *partScratch, efHist [][]efEntry) {
 	ad := s.adapt
 	if ad != nil && c.arrive > ps.maxT {
@@ -211,7 +211,7 @@ func (s *simState) serveCopyDeferred(c *subCopy, node int, ps *partScratch, efHi
 		svc *= serve.Jitter(cfg.JitterFrac, draw)
 	}
 	start, done := s.queues[node].Submit(c.arrive, svc)
-	if sub.q >= cfg.WarmupQueries && sub.dispatch >= s.warmupMs {
+	if s.scored(sub.q, sub.dispatch) {
 		if w := start - c.arrive; w > ps.maxWait {
 			ps.maxWait = w
 		}
@@ -266,22 +266,17 @@ func (s *simState) applyScratch(ps *partScratch) {
 
 // serveWindow serves one conservative window's copies — win is already
 // in canonical (arrive, seq, attempt) order — under the partitioned
-// deferred-merge discipline, then applies the barrier merge. routeTo,
-// when non-nil, maps a copy's planned node to its serving node (the
-// open loop's active-set routing, frozen for the window); partition
-// ownership follows the routed node, so each node's queue is touched by
-// exactly one goroutine. Small windows are served inline: identical
-// arithmetic, no handoff.
+// deferred-merge discipline, then applies the barrier merge. routeTo
+// maps a copy's planned node to its serving node (the active-set
+// routing, frozen for the window); partition ownership follows the
+// routed node, so each node's queue is touched by exactly one goroutine.
+// Small windows are served inline: identical arithmetic, no handoff.
 func (s *simState) serveWindow(win []subCopy, parts int, scratch []partScratch, routeTo func(int) int, efHist [][]efEntry) {
 	if parts <= 1 || len(win) < execFanOutMin {
 		ps := &scratch[0]
 		for i := range win {
 			c := win[i]
-			node := c.node
-			if routeTo != nil {
-				node = routeTo(node)
-			}
-			s.serveCopyDeferred(&c, node, ps, efHist)
+			s.serveCopyDeferred(&c, routeTo(c.node), ps, efHist)
 		}
 		s.applyDeltas(scratch[:1])
 		return
@@ -291,9 +286,7 @@ func (s *simState) serveWindow(win []subCopy, parts int, scratch []partScratch, 
 	}
 	for i := range win {
 		c := win[i]
-		if routeTo != nil {
-			c.node = routeTo(c.node)
-		}
+		c.node = routeTo(c.node)
 		scratch[c.node%parts].copies = append(scratch[c.node%parts].copies, c)
 	}
 	runParts(parts, func(p int) {

@@ -229,7 +229,7 @@ const (
 // windows are a pure function of (seed, node) no matter when — or in what
 // order — the simulation asks about them.
 type track struct {
-	rng     *stats.RNG
+	rng     stats.RNG
 	gapMean float64
 	durMean float64
 	win     [][2]float64
@@ -237,11 +237,14 @@ type track struct {
 	applied int     // windows already pushed onto the node's queue
 }
 
-func newTrack(seed, salt uint64, node int, gapMean, durMean float64) *track {
-	return &track{
-		rng:     stats.NewRNG(stats.SplitSeed(seed^salt, uint64(node))),
+// init rewinds the track to an empty timeline on (seed, salt, node),
+// keeping the window buffer's capacity.
+func (tr *track) init(seed, salt uint64, node int, gapMean, durMean float64) {
+	*tr = track{
+		rng:     stats.SeededRNG(stats.SplitSeed(seed^salt, uint64(node))),
 		gapMean: gapMean,
 		durMean: durMean,
+		win:     tr.win[:0],
 	}
 }
 
@@ -274,33 +277,38 @@ func (tr *track) inside(t float64) bool {
 }
 
 // faultState carries the per-node fault timelines of one simulation run.
+// It lives in the run arena and recycles its tracks and their window
+// buffers.
 type faultState struct {
 	model FaultModel
 	seed  uint64
-	slow  []*track
-	down  []*track
+	slow  []track // one per node; empty when slowdowns are off
+	down  []track // one per node; empty when outages are off
 }
 
-func newFaultState(model FaultModel, seed uint64, nodes int) *faultState {
-	fs := &faultState{model: model, seed: seed}
-	if model.SlowdownEveryMs > 0 {
-		fs.slow = make([]*track, nodes)
-		for n := range fs.slow {
-			fs.slow[n] = newTrack(seed, saltSlowdown, n, model.SlowdownEveryMs, model.SlowdownMeanMs)
-		}
+// init rewinds the state to fresh timelines for model on nodes nodes.
+func (fs *faultState) init(model FaultModel, seed uint64, nodes int) {
+	fs.model, fs.seed = model, seed
+	fs.slow = initTracks(fs.slow, nodes, seed, saltSlowdown, model.SlowdownEveryMs, model.SlowdownMeanMs)
+	fs.down = initTracks(fs.down, nodes, seed, saltOutage, model.DownEveryMs, model.DownMeanMs)
+}
+
+// initTracks rewinds one track per node, or returns ts emptied when the
+// process is off (gapMean 0).
+func initTracks(ts []track, nodes int, seed, salt uint64, gapMean, durMean float64) []track {
+	if gapMean <= 0 {
+		return ts[:0]
 	}
-	if model.DownEveryMs > 0 {
-		fs.down = make([]*track, nodes)
-		for n := range fs.down {
-			fs.down[n] = newTrack(seed, saltOutage, n, model.DownEveryMs, model.DownMeanMs)
-		}
+	ts = arenaSlice(&ts, nodes)
+	for n := range ts {
+		ts[n].init(seed, salt, n, gapMean, durMean)
 	}
-	return fs
+	return ts
 }
 
 // slowFactor returns the service-time multiplier in effect on node at t.
 func (fs *faultState) slowFactor(node int, t float64) float64 {
-	if fs == nil || fs.slow == nil || !fs.slow[node].inside(t) {
+	if fs == nil || len(fs.slow) == 0 || !fs.slow[node].inside(t) {
 		return 1
 	}
 	return fs.model.SlowdownFactor
@@ -310,10 +318,10 @@ func (fs *faultState) slowFactor(node int, t float64) float64 {
 // queue. Windows are applied in start order as arrivals reach them, per
 // serve.Queue.Unavailable's contract.
 func (fs *faultState) applyOutages(node int, t float64, q *serve.Queue) {
-	if fs == nil || fs.down == nil {
+	if fs == nil || len(fs.down) == 0 {
 		return
 	}
-	tr := fs.down[node]
+	tr := &fs.down[node]
 	tr.extend(t)
 	for tr.applied < len(tr.win) && tr.win[tr.applied][0] <= t {
 		q.Unavailable(tr.win[tr.applied][1])

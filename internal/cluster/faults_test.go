@@ -310,7 +310,8 @@ func TestExplicitZeroWarmupQueries(t *testing.T) {
 // and durations, and membership answers correctly for out-of-order
 // queries below the materialized horizon.
 func TestTrackInside(t *testing.T) {
-	tr := newTrack(7, saltSlowdown, 0, 10, 3)
+	var tr track
+	tr.init(7, saltSlowdown, 0, 10, 3)
 	tr.extend(200)
 	if len(tr.win) == 0 {
 		t.Fatal("no windows materialized over 200 ms with a 10 ms mean gap")

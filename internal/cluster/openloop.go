@@ -9,15 +9,21 @@ package cluster
 // the backlog of the involved nodes exceeds an SLA budget, and an
 // autoscaler that grows and drains the active node set mid-run.
 //
-// The closed-loop simulator pre-schedules every copy and sorts once; here
-// admission decisions must observe queue state at arrival time, so the
+// Admission decisions must observe queue state at arrival time, so the
 // run is a single event loop over three deterministic event sources —
-// autoscaler control ticks, stream arrivals, and a timing wheel of
-// scheduled sub-request copies in the same copyCmp total order the
-// closed-loop sort uses. At equal instants ticks precede arrivals precede
-// copies; every source is a pure function of (Seed, index) via
-// stats.SplitSeed, so open-loop results keep the registry-wide
+// autoscaler control ticks, arrivals, and a timing wheel of scheduled
+// sub-request copies in copyCmp total order. At equal instants ticks
+// precede arrivals precede copies; every source is a pure function of
+// (Seed, index) via stats.SplitSeed, so results keep the registry-wide
 // byte-identical-at-any-worker-count determinism property.
+//
+// This loop is also the closed-loop driver: a closed run is an open run
+// whose arrivals come from a fixed Poisson count (sim.go's poissonCount)
+// with admission, the autoscaler, and stream-stats off and every node
+// active. Nothing then reads queue state at an arrival, so interleaving
+// arrivals with copies cannot perturb the copy order, and the wheel
+// serves exactly the (arrive, seq, attempt) order a one-shot sort of the
+// full schedule would.
 //
 // Autoscaling never re-shards: the plan stays fixed and the autoscaler
 // moves nodes in and out of an *active set*. Sub-requests route to the
@@ -32,7 +38,6 @@ import (
 	"math"
 
 	"dlrmsim/internal/check"
-	"dlrmsim/internal/eventq"
 	"dlrmsim/internal/stats"
 	"dlrmsim/internal/trace"
 	"dlrmsim/internal/traffic"
@@ -312,17 +317,17 @@ type openQuery struct {
 	revisit  bool
 }
 
-// openRun is one open-loop simulation's mutable state, factored out of
-// the historical simulateOpen monolith so the sequential driver (loop)
-// and the conservative-window parallel driver (openparallel.go) share
-// every event handler — tick, arrival, summary — verbatim. Only the
-// driver differs; the handlers are where the semantics live.
+// openRun is one simulation's mutable state, open or closed loop. The
+// sequential driver (loop) and the conservative-window parallel driver
+// (openparallel.go) share every event handler — tick, arrival, summary —
+// verbatim. Only the driver differs; the handlers are where the
+// semantics live.
 type openRun struct {
-	o    *OpenLoop
+	o    *OpenLoop // a closed run gets a stand-in with no horizon and no SLA
 	plan *Plan
 	st   *simState
 
-	stream   *traffic.Stream
+	arrivals interface{ Next() float64 } // traffic stream, or the closed loop's poissonCount
 	visitors *traffic.Visitors
 	pop      traffic.Population
 	zipf     *stats.Zipf
@@ -348,8 +353,6 @@ type openRun struct {
 	violated map[int]bool
 	sj       *streamJoin
 
-	h        *eventq.Wheel[subCopy] // the sequential driver's single copy queue
-	push     func(c subCopy)        // driver-owned: where scheduled copies go
 	queries  []openQuery
 	firstSub []int
 	cold     []int // arrival-scratch: cold lookups per owner node
@@ -369,54 +372,80 @@ type openRun struct {
 
 	// Recovery observability (chaos.go): minute buckets of post-warmup
 	// arrivals and in-SLA completions, and the post-fault (arrive >=
-	// pfThresh) offered/good counters. Nil/zero without a chaos schedule;
-	// the batch join fills them in the summary loop, stream-stats runs
-	// fill them through the streamJoin aliases.
+	// pfThresh) offered/good counters. Nil/zero without a chaos schedule
+	// or in a closed run; the batch join fills them in the summary loop,
+	// stream-stats runs fill them through the streamJoin aliases.
 	ttrArr, ttrGood []int
 	pfThresh        float64
 	pfArr, pfGood   int
 
-	// The run's recycled working set (arena.go); simulateOpen releases
-	// it after the summary.
+	// The run's recycled working set (arena.go); Simulate releases it
+	// after the summary.
 	arena *runArena
+
+	// Storage st, o and arrivals point into, so a run allocates one
+	// object for all of them; closedLoop and closedArrivals are a closed
+	// run's stand-ins.
+	sim            simState
+	closedLoop     OpenLoop
+	closedArrivals poissonCount
 }
 
-// newOpenRun builds the run state. cfg has been default-applied;
-// cfg.Open is non-nil. sketchParts sizes the stream-stats join's
-// per-partition sketch set (1 for the sequential driver).
+// newOpenRun builds the run state. cfg has been default-applied.
+// sketchParts sizes the stream-stats join's per-partition sketch set (1
+// for the sequential driver).
 func newOpenRun(cfg Config, sketchParts int) (*openRun, error) {
-	o := cfg.Open
 	plan := cfg.Plan
 	model := plan.Model
-
-	ar := o.Arrivals
-	ar.Seed = stats.SplitSeed(cfg.Seed^saltOpenArrivals, 0)
-	stream, err := traffic.NewStream(ar)
-	if err != nil {
-		return nil, err
+	r := &openRun{
+		o:           cfg.Open,
+		plan:        plan,
+		nextTick:    math.Inf(1),
+		pendingNode: -1,
+		draws:       cfg.SamplesPerQuery * model.LookupsPerSample,
 	}
-	var visitors *traffic.Visitors
-	var pop traffic.Population
-	if o.Population != nil {
-		pop = *o.Population
-		pop.Seed = stats.SplitSeed(cfg.Seed^saltOpenUsers, 0)
-		visitors, err = traffic.NewVisitors(pop)
+	if r.o == nil {
+		// Closed loop: a finite horizon past every arrival (so the +Inf
+		// no-tick sentinel stays beyond it), and an infinite SLA that
+		// leaves no violation minute.
+		r.closedLoop = OpenLoop{DurationMs: math.MaxFloat64, SLAMs: math.Inf(1), StartNodes: plan.Nodes}
+		r.closedArrivals = poissonCount{
+			rng:    stats.SeededRNG(stats.SplitSeed(cfg.Seed^0xA221, 0)),
+			meanMs: cfg.MeanArrivalMs,
+			left:   cfg.Queries,
+		}
+		r.o, r.arrivals = &r.closedLoop, &r.closedArrivals
+	} else {
+		ar := r.o.Arrivals
+		ar.Seed = stats.SplitSeed(cfg.Seed^saltOpenArrivals, 0)
+		stream, err := traffic.NewStream(ar)
 		if err != nil {
 			return nil, err
 		}
+		r.arrivals = stream
+		if r.o.Population != nil {
+			r.pop = *r.o.Population
+			r.pop.Seed = stats.SplitSeed(cfg.Seed^saltOpenUsers, 0)
+			if r.visitors, err = traffic.NewVisitors(r.pop); err != nil {
+				return nil, err
+			}
+		}
 	}
+	o := r.o
 
 	a := acquireArena()
-	st := &simState{
+	r.arena = a
+	r.sim = simState{
 		cfg:      cfg,
 		plan:     plan,
 		queues:   a.queueSet(plan.Nodes, cfg.ServersPerNode),
+		subs:     a.subs[:0],
 		warmupMs: o.WarmupMs,
 	}
-	st.subs = a.subs[:0]
-	st.copies = a.copies[:0]
+	st := &r.sim
+	r.st = st
 	if cfg.Faults.Active() {
-		st.faults = newFaultState(cfg.Faults, cfg.Seed, plan.Nodes)
+		st.faults = a.faultFor(cfg.Faults, cfg.Seed, plan.Nodes)
 	}
 	if cfg.Chaos.Active() {
 		st.chaos = a.chaosFor(&cfg.Chaos, plan.Nodes)
@@ -425,59 +454,40 @@ func newOpenRun(cfg Config, sketchParts int) (*openRun, error) {
 		st.adapt = a.adaptFor(&cfg.Mitigation, plan.Nodes)
 	}
 
-	active := a.boolSet(plan.Nodes)
+	r.active = a.boolSet(plan.Nodes)
 	for n := 0; n < o.StartNodes; n++ {
-		active[n] = true
+		r.active[n] = true
 	}
+	r.activeCount = o.StartNodes
 
-	var zipf *stats.Zipf
 	switch cfg.Hotness {
 	case trace.OneItem, trace.RandomAccess:
 	default:
-		zipf = stats.NewSharedZipf(model.RowsPerTable, cfg.Hotness.ReferenceExponent())
+		r.zipf = stats.NewSharedZipf(model.RowsPerTable, cfg.Hotness.ReferenceExponent())
 	}
 
 	// SLA-violation minutes bucketize on the configured day when the
 	// stream defines one, else on the run horizon.
-	minuteMs := o.DurationMs / 1440
-	if ar.DayMs > 0 {
-		minuteMs = ar.DayMs / 1440
+	r.minuteMs = o.DurationMs / 1440
+	if o.Arrivals.DayMs > 0 {
+		r.minuteMs = o.Arrivals.DayMs / 1440
 	}
-
-	r := &openRun{
-		o:           o,
-		plan:        plan,
-		st:          st,
-		stream:      stream,
-		visitors:    visitors,
-		pop:         pop,
-		zipf:        zipf,
-		active:      active,
-		activeCount: o.StartNodes,
-		as:          o.Autoscale,
-		nextTick:    math.Inf(1),
-		pendingNode: -1,
-		minuteMs:    minuteMs,
-		violated:    a.violatedMap(),
-		queries:     a.queries[:0],
-		firstSub:    append(a.firstSub[:0], 0),
-		cold:        arenaSlice(&a.cold, plan.Nodes),
-		eff:         arenaSlice(&a.eff, plan.Nodes),
-		draws:       cfg.SamplesPerQuery * model.LookupsPerSample,
-		ring:        a.ring,
-		ringCold:    a.ringCold,
-		arena:       a,
-	}
-	if r.as != nil {
+	r.violated = a.violatedMap()
+	r.queries = a.queries[:0]
+	r.firstSub = append(a.firstSub[:0], 0)
+	r.cold = arenaSlice(&a.cold, plan.Nodes)
+	r.eff = arenaSlice(&a.eff, plan.Nodes)
+	r.ring, r.ringCold = a.ring, a.ringCold
+	if r.as = o.Autoscale; r.as != nil {
 		r.nextTick = r.as.IntervalMs
 	}
-	if st.chaos != nil {
-		r.ttrArr, r.ttrGood = a.ttrBuckets(int(o.DurationMs/minuteMs) + 1)
+	if st.chaos != nil && cfg.Open != nil {
+		r.ttrArr, r.ttrGood = a.ttrBuckets(int(o.DurationMs/r.minuteMs) + 1)
 		clearT := math.Min(st.chaos.clearMs, o.DurationMs)
 		r.pfThresh = math.Max(clearT, o.WarmupMs)
 	}
 	if o.StreamStats {
-		r.sj = newStreamJoin(o, minuteMs, r.violated, sketchParts)
+		r.sj = newStreamJoin(o, r.minuteMs, r.violated, sketchParts)
 		r.sj.denseMs = cfg.Timing.DenseMs
 		r.sj.ttrArr, r.sj.ttrGood = r.ttrArr, r.ttrGood
 		r.sj.pfThreshMs = r.pfThresh
@@ -611,7 +621,7 @@ func (r *openRun) drawArrival(q int, user uint64, visit int, cold []int) (hot, w
 // route the cold work through the active set, decide admission off
 // backlogAt (the live queues sequentially; a reconstructed as-of-now
 // view under the parallel driver), and schedule the sub-request copies
-// through r.push. Advances the arrival counter q.
+// onto the copy wheels. Advances the arrival counter q.
 func (r *openRun) processArrival(now float64, user uint64, visit int, hot, warm int, cold []int, backlogAt func(n int, now float64) float64) {
 	o := r.o
 	plan := r.plan
@@ -660,18 +670,13 @@ func (r *openRun) processArrival(now float64, user uint64, visit int, hot, warm 
 			reqBytes := int64(4*served) + wireHeaderBytes
 			pooled := (served + model.LookupsPerSample - 1) / model.LookupsPerSample
 			respBytes := int64(pooled)*int64(model.EmbDim)*4 + wireHeaderBytes
-			before := len(st.copies)
 			idx := st.schedule(r.q, home, n, served, svcUs/1e3, reqBytes, respBytes, now)
 			if r.sj != nil {
 				st.subs[idx].join = joinSlot
 				r.sj.subAttached(joinSlot)
 			}
-			for _, cp := range st.copies[before:] {
-				r.push(cp)
-			}
-			st.copies = st.copies[:before]
 		}
-		if now >= o.WarmupMs {
+		if st.scored(r.q, now) {
 			r.hotLookups += hot + warm
 			r.totalLookups += hot + warm
 			for _, c := range cold {
@@ -693,10 +698,10 @@ func (r *openRun) processArrival(now float64, user uint64, visit int, hot, warm 
 // instants (strict inequalities below encode the tie-break).
 func (r *openRun) loop() {
 	o := r.o
-	r.h = r.arena.copyQueueSet(1)[0]
-	r.push = r.h.Push
+	r.st.wheels = r.arena.copyQueueSet(1)
+	h := r.st.wheels[0]
 	r.st.seqScratch = &r.arena.partScratchSet(1)[0]
-	r.nextArr = r.stream.Next()
+	r.nextArr = r.arrivals.Next()
 	prev := subCopy{arrive: math.Inf(-1)} // last popped copy (check-mode order assertion)
 	for {
 		now := math.Inf(1)
@@ -707,8 +712,8 @@ func (r *openRun) loop() {
 		if r.nextArr < o.DurationMs && r.nextArr < now {
 			now, kind = r.nextArr, 2
 		}
-		if r.h.Len() > 0 {
-			if min := r.h.Min(); min.arrive < now {
+		if h.Len() > 0 {
+			if min := h.Min(); min.arrive < now {
 				now, kind = min.arrive, 3
 			}
 		}
@@ -726,9 +731,9 @@ func (r *openRun) loop() {
 			}
 			hot, warm := r.drawArrival(r.q, user, visit, r.cold)
 			r.processArrival(now, user, visit, hot, warm, r.cold, r.backlog)
-			r.nextArr = r.stream.Next()
+			r.nextArr = r.arrivals.Next()
 		case 3:
-			cp := r.h.Pop()
+			cp := h.Pop()
 			if check.Enabled {
 				check.Assert(!math.IsNaN(cp.arrive) && copyCmp(prev, cp) < 0,
 					"cluster: popped copy (arrive %g, seq %d, attempt %d) out of strict copy order", cp.arrive, cp.seq, cp.attempt)
@@ -742,54 +747,23 @@ func (r *openRun) loop() {
 	}
 }
 
-// simulateOpen runs the open-loop live-traffic simulation. cfg has been
-// default-applied; cfg.Open is non-nil. The parallel execution backend
-// engages when it has partitions to run and a positive network hop to
-// hide the window barriers behind (with a free network every
-// conservative window is empty and the run stays sequential).
-func simulateOpen(cfg Config) (Result, error) {
-	parts := execParts(cfg.Plan.Nodes)
-	useParallel := parts > 1 && cfg.Net.LatencyMs > 0
-	sketchParts := 1
-	if useParallel {
-		sketchParts = parts
-	}
-	r, err := newOpenRun(cfg, sketchParts)
-	if err != nil {
-		return Result{}, err
-	}
-	if useParallel {
-		r.loopParallel(parts)
-	} else {
-		r.loop()
-	}
-	res := r.summary()
-	a := r.arena
-	a.subs, a.copies = r.st.subs, r.st.copies
-	a.queries, a.firstSub = r.queries, r.firstSub
-	a.ring, a.ringCold = r.ring, r.ringCold
-	a.release()
-	return res, nil
-}
-
 // summary folds the run into a Result — the batch join over retained
 // queries, or the stream join's accumulators — plus the fleet-level
-// accounting shared by both modes.
+// accounting shared by both modes. A closed run's horizon is its last
+// finish instant and its capacity every node over that horizon; the
+// open-loop-only fields stay zero.
 func (r *openRun) summary() Result {
 	o := r.o
 	plan := r.plan
 	st := r.st
 	cfg := &st.cfg
 	sj := r.sj
+	closed := cfg.Open == nil
 	queries, firstSub := r.queries, r.firstSub
 	violated, minuteMs := r.violated, r.minuteMs
-	hotLookups, totalLookups := r.hotLookups, r.totalLookups
-	r.noteActive(o.DurationMs)
-	nodeMsSum := r.nodeMsSum
 
-	window := o.DurationMs - o.WarmupMs
 	var pct []float64
-	var mean float64
+	var mean, simEnd float64
 	var nLat int
 	var fanoutSum, subCount, hedgeCount, retryCount, fullJoins int
 	var postArr, postShed, postRevisit, goodCount int
@@ -824,13 +798,14 @@ func (r *openRun) summary() Result {
 			streamHighWater(sj.maxLiveSubs, sj.maxLiveJoins)
 		}
 	} else {
-		// Batch join: identical to the closed-loop phase 3, over admitted
-		// queries, plus the SLA/goodput/shed accounting. The sample slice
-		// is sized from the admitted post-warmup count (the closed loop
-		// preallocates the same way), so the append loop never reallocates.
+		// Batch join over admitted queries: each joins on its slowest
+		// surviving sub-request (or, degraded, on the deadline the router
+		// abandons the slowest shard at), then pays the dense stages, plus
+		// the SLA/goodput/shed accounting. The sample slice is sized from
+		// the scored admitted count, so the append loop never reallocates.
 		nSamples := 0
-		for _, oq := range queries {
-			if oq.admitted && oq.arrive >= o.WarmupMs {
+		for i, oq := range queries {
+			if oq.admitted && st.scored(i, oq.arrive) {
 				nSamples++
 			}
 		}
@@ -839,7 +814,7 @@ func (r *openRun) summary() Result {
 		}
 		latencies := r.arena.latencies[:0]
 		for i, oq := range queries {
-			post := oq.arrive >= o.WarmupMs
+			post := st.scored(i, oq.arrive)
 			if post {
 				postArr++
 				if oq.revisit {
@@ -880,6 +855,9 @@ func (r *openRun) summary() Result {
 				}
 			}
 			finish := joined + cfg.Timing.DenseMs
+			if finish > simEnd {
+				simEnd = finish
+			}
 			if !post {
 				continue
 			}
@@ -922,12 +900,6 @@ func (r *openRun) summary() Result {
 		MaxQueueWaitMs:      st.maxWait,
 		ReplicaBytesPerNode: plan.ReplicaBytesPerNode(),
 		MaxShardBytes:       plan.MaxShardBytes(),
-		OfferedQPS:          float64(postArr) / (window / 1e3),
-		Goodput:             float64(goodCount) / (window / 1e3),
-		SLAViolationMinutes: float64(len(violated)),
-		MeanActiveNodes:     nodeMsSum / o.DurationMs,
-		ScaleUps:            r.scaleUps,
-		ScaleDowns:          r.scaleDowns,
 	}
 	// An all-shed storm leaves no admitted queries: the ratio metrics are
 	// left zero instead of dividing by zero (Percentile/Mean already
@@ -942,58 +914,16 @@ func (r *openRun) summary() Result {
 	if st.adapt != nil {
 		res.BreakerOpenMinutes = st.adapt.finalize() / 60000
 	}
-	res.DomainAvailability = 1
-	if st.chaos != nil {
-		res.DomainAvailability = 1 - st.chaos.outageMs(o.DurationMs)/(float64(st.chaos.domains)*o.DurationMs)
-		// Time to recover: the earliest minute bucket past the schedule's
-		// clear instant from which every later non-empty bucket keeps an
-		// in-SLA fraction of at least 1-recoverEps. Empty buckets are
-		// neutral; -1 means the fleet never re-entered a sustained good
-		// regime before the horizon (the metastable signature).
-		clearT := math.Min(st.chaos.clearMs, o.DurationMs)
-		recB := -1
-		for b := len(r.ttrArr) - 1; b >= int(clearT/minuteMs)+1; b-- {
-			if r.ttrArr[b] == 0 {
-				continue
-			}
-			if float64(r.ttrGood[b]) >= (1-recoverEps)*float64(r.ttrArr[b]) {
-				recB = b
-			} else {
-				break
-			}
-		}
-		res.TimeToRecoverMs = -1
-		if recB >= 0 {
-			res.TimeToRecoverMs = math.Max(0, float64(recB)*minuteMs-clearT)
-		}
-		if pfWindow := o.DurationMs - r.pfThresh; pfWindow > 0 {
-			res.PostFaultOfferedQPS = float64(r.pfArr) / (pfWindow / 1e3)
-			res.PostFaultGoodput = float64(r.pfGood) / (pfWindow / 1e3)
-		}
-	}
-	if postArr > 0 {
-		res.ShedRate = float64(postShed) / float64(postArr)
-		res.RevisitRate = float64(postRevisit) / float64(postArr)
-	}
 	if subCount > 0 {
 		res.HedgeRate = float64(hedgeCount) / float64(subCount)
 	}
-	if totalLookups > 0 {
-		res.LocalFraction = float64(hotLookups) / float64(totalLookups)
+	if r.totalLookups > 0 {
+		res.LocalFraction = float64(r.hotLookups) / float64(r.totalLookups)
 	}
-	var busySum float64
-	busyByNode := make([]float64, plan.Nodes)
-	for n, qu := range st.queues {
-		busyByNode[n] = qu.BusyMs()
-		busySum += busyByNode[n]
-	}
-	// Capacity is the time-integrated active set (node·ms), not
-	// nodes×horizon — a drained node contributes no capacity.
-	if nodeMsSum > 0 {
-		res.Utilization = busySum / (nodeMsSum * float64(cfg.ServersPerNode))
-	}
-	var busyMax float64
-	for _, b := range busyByNode {
+	var busySum, busyMax float64
+	for _, qu := range st.queues {
+		b := qu.BusyMs()
+		busySum += b
 		if b > busyMax {
 			busyMax = b
 		}
@@ -1001,17 +931,81 @@ func (r *openRun) summary() Result {
 	if busySum > 0 {
 		res.Imbalance = busyMax / (busySum / float64(plan.Nodes))
 	}
+
+	// Capacity: every node over a closed run's horizon; the time-integrated
+	// active set (node·ms) over an open one — a drained node contributes
+	// no capacity.
+	horizon, capMs := simEnd, simEnd*float64(plan.Nodes*cfg.ServersPerNode)
+	if !closed {
+		r.noteActive(o.DurationMs)
+		horizon, capMs = o.DurationMs, r.nodeMsSum*float64(cfg.ServersPerNode)
+		r.openMetrics(&res, postArr, postShed, postRevisit, goodCount)
+	}
+	if capMs > 0 {
+		res.Utilization = busySum / capMs
+	}
+	res.DomainAvailability = 1
+	if st.chaos != nil && horizon > 0 {
+		res.DomainAvailability = 1 - st.chaos.outageMs(horizon)/(float64(st.chaos.domains)*horizon)
+	}
 	if check.Enabled {
 		finite := check.Finite
-		check.Assert(finite(res.P99) && finite(res.Goodput) && finite(res.ShedRate) && finite(res.Utilization),
-			"cluster: non-finite open-loop summary (p99 %g, goodput %g, shed %g, util %g)",
-			res.P99, res.Goodput, res.ShedRate, res.Utilization)
-		check.Assert(res.SLAViolationMinutes >= 0 && res.MeanActiveNodes > 0,
-			"cluster: impossible open-loop accounting (violation minutes %g, active nodes %g)",
-			res.SLAViolationMinutes, res.MeanActiveNodes)
+		check.Assert(finite(res.P50) && finite(res.P99) && finite(res.Mean) && finite(res.Utilization),
+			"cluster: non-finite latency summary (p50 %g, p99 %g, mean %g, util %g)",
+			res.P50, res.P99, res.Mean, res.Utilization)
 		check.Assert(finite(res.RetryAmplification) && finite(res.DomainAvailability) && res.TimeToRecoverMs >= -1,
 			"cluster: impossible recovery accounting (amplification %g, domain availability %g, recover %g ms)",
 			res.RetryAmplification, res.DomainAvailability, res.TimeToRecoverMs)
+		check.Assert(closed || (finite(res.Goodput) && finite(res.ShedRate) && res.SLAViolationMinutes >= 0 && res.MeanActiveNodes > 0),
+			"cluster: impossible open-loop accounting (goodput %g, shed %g, violation minutes %g, active nodes %g)",
+			res.Goodput, res.ShedRate, res.SLAViolationMinutes, res.MeanActiveNodes)
 	}
 	return res
+}
+
+// openMetrics fills the open-loop-only Result fields: offered load,
+// goodput, shedding, SLA minutes, the active set, revisits, and the
+// chaos recovery metrics.
+func (r *openRun) openMetrics(res *Result, postArr, postShed, postRevisit, goodCount int) {
+	o := r.o
+	st := r.st
+	window := o.DurationMs - o.WarmupMs
+	res.OfferedQPS = float64(postArr) / (window / 1e3)
+	res.Goodput = float64(goodCount) / (window / 1e3)
+	res.SLAViolationMinutes = float64(len(r.violated))
+	res.MeanActiveNodes = r.nodeMsSum / o.DurationMs
+	res.ScaleUps, res.ScaleDowns = r.scaleUps, r.scaleDowns
+	if postArr > 0 {
+		res.ShedRate = float64(postShed) / float64(postArr)
+		res.RevisitRate = float64(postRevisit) / float64(postArr)
+	}
+	if st.chaos == nil {
+		return
+	}
+	// Time to recover: the earliest minute bucket past the schedule's
+	// clear instant from which every later non-empty bucket keeps an
+	// in-SLA fraction of at least 1-recoverEps. Empty buckets are neutral;
+	// -1 means the fleet never re-entered a sustained good regime before
+	// the horizon (the metastable signature).
+	minuteMs := r.minuteMs
+	clearT := math.Min(st.chaos.clearMs, o.DurationMs)
+	recB := -1
+	for b := len(r.ttrArr) - 1; b >= int(clearT/minuteMs)+1; b-- {
+		if r.ttrArr[b] == 0 {
+			continue
+		}
+		if float64(r.ttrGood[b]) >= (1-recoverEps)*float64(r.ttrArr[b]) {
+			recB = b
+		} else {
+			break
+		}
+	}
+	res.TimeToRecoverMs = -1
+	if recB >= 0 {
+		res.TimeToRecoverMs = math.Max(0, float64(recB)*minuteMs-clearT)
+	}
+	if pfWindow := o.DurationMs - r.pfThresh; pfWindow > 0 {
+		res.PostFaultOfferedQPS = float64(r.pfArr) / (pfWindow / 1e3)
+		res.PostFaultGoodput = float64(r.pfGood) / (pfWindow / 1e3)
+	}
 }

@@ -1,10 +1,10 @@
 package cluster
 
-// Open-loop half of the parallel execution backend (DESIGN.md §14).
-// The open event loop cannot pre-sort its copies — arrivals keep
-// scheduling new ones, and admission control must observe queue state
-// at each arrival instant — so the conservative discipline here runs
-// window by window:
+// The windowed driver of the parallel execution backend (DESIGN.md §14),
+// for open and closed runs alike. The event loop cannot pre-sort its
+// copies — arrivals keep scheduling new ones, and admission control must
+// observe queue state at each arrival instant — so the conservative
+// discipline runs window by window:
 //
 //   - A window starts at the earliest pending event W and ends at
 //     Wend = min(W + Lat, next autoscaler tick), Lat = Net.LatencyMs.
@@ -14,10 +14,10 @@ package cluster
 //   - Every copy arriving in [W, Wend) was scheduled by an arrival
 //     before W: an arrival at t schedules copies no earlier than
 //     t + Lat >= W + Lat >= Wend. The window's copies are therefore all
-//     queued when it opens, and phase A serves them with the same
-//     partitioned deferred-merge machinery as the closed loop
-//     (exec.go), partition ownership following the routed node — the
-//     active set cannot change mid-window, so routing is frozen.
+//     queued when it opens, and phase A serves them with the
+//     partitioned deferred-merge machinery of exec.go, partition
+//     ownership following the routed node — the active set cannot
+//     change mid-window, so routing is frozen.
 //   - Phase B replays the window's timeline on one goroutine in the
 //     exact sequential order — arrivals interleaved with the served
 //     copies, arrival-before-copy at equal instants — running the
@@ -39,8 +39,8 @@ package cluster
 // The arrival draws — the dominant per-event cost — are pure functions
 // of (Seed, q, user, visit): the driver pulls arrival times and user
 // attributions sequentially into a pre-draw ring a block at a time,
-// then fills every entry's lookup split concurrently (RNG lanes via
-// stats.SplitSeed, as in the closed loop's predrawQueries).
+// then fills every entry's lookup split concurrently (independent RNG
+// lanes via stats.SplitSeed, so any partitioning yields identical draws).
 
 import (
 	"math"
@@ -58,36 +58,37 @@ type openArrival struct {
 	warm  int
 }
 
-// openPredrawBlock is the pre-draw ring's refill granularity. Draws
-// past the horizon are wasted work at most once, at the end of the run.
+// openPredrawBlock is the pre-draw ring's refill granularity.
 var openPredrawBlock = 256
 
 // ringFill refills the pre-draw ring: arrival times and user
 // attributions pulled sequentially from the shared streams, lookup
-// splits computed concurrently. Ring entry i is arrival number r.q+i —
+// splits computed concurrently for the entries before the horizon (the
+// rest are never processed). Ring entry i is arrival number r.q+i —
 // the ring only refills when fully drained, so the base index is the
 // live counter.
 func (r *openRun) ringFill(parts int) {
 	nodes := r.plan.Nodes
 	n := openPredrawBlock
-	if cap(r.ring) < n {
-		r.ring = make([]openArrival, n)
-		r.ringCold = make([]int, n*nodes)
-	}
-	r.ring = r.ring[:n]
+	arenaSlice(&r.ring, n)
+	arenaSlice(&r.ringCold, n*nodes) // sized apart: a recycled ring may come from a smaller fleet
 	qb := r.q
+	live := n
 	for i := range r.ring {
 		a := &r.ring[i]
-		a.t = r.stream.Next()
+		a.t = r.arrivals.Next()
 		a.user, a.visit = uint64(qb+i), 1
 		if r.visitors != nil {
 			a.user, a.visit = r.visitors.Next()
 		}
+		if a.t >= r.o.DurationMs && live == n {
+			live = i
+		}
 	}
-	chunk := (n + parts - 1) / parts
+	chunk := (live + parts - 1) / parts
 	runParts(parts, func(p int) {
 		lo := p * chunk
-		hi := min(lo+chunk, n)
+		hi := min(lo+chunk, live)
 		for i := lo; i < hi; i++ {
 			a := &r.ring[i]
 			a.hot, a.warm = r.drawArrival(qb+i, a.user, a.visit, r.ringCold[i*nodes:(i+1)*nodes])
@@ -98,9 +99,9 @@ func (r *openRun) ringFill(parts int) {
 }
 
 // loopParallel is the windowed parallel driver. Each partition owns its
-// own copy wheel, keyed by the copy's planned node —
-// storage partitioning only; serving ownership follows the routed node
-// inside serveWindow.
+// own copy wheel, keyed by the copy's planned node — storage
+// partitioning only; serving ownership follows the routed node inside
+// serveWindow.
 func (r *openRun) loopParallel(parts int) {
 	o := r.o
 	st := r.st
@@ -108,7 +109,7 @@ func (r *openRun) loopParallel(parts int) {
 	lat := st.cfg.Net.LatencyMs
 	nodes := r.plan.Nodes
 	qs := a.copyQueueSet(parts)
-	r.push = func(c subCopy) { qs[c.node%parts].Push(c) }
+	st.wheels = qs
 	scratch := a.partScratchSet(parts)
 
 	// Admission's as-of-now queue view: window-start snapshots plus the
@@ -166,9 +167,10 @@ func (r *openRun) loopParallel(parts int) {
 			wend = r.nextTick
 		}
 		if ad := st.adapt; ad != nil {
-			// Same discipline as the closed loop (parallel.go): settle
-			// every boundary at or before the window start, truncate the
-			// window at the next one — no window spans an epoch boundary.
+			// Settle every boundary at or before the window start, then
+			// truncate the window at the next one: no window spans an
+			// epoch boundary, so settle() sees exactly the pre-boundary
+			// copies — the same pending set the sequential driver folds.
 			ad.advanceTo(w)
 			if ad.boundary < wend {
 				wend = ad.boundary

@@ -3,9 +3,8 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"slices"
 
-	"dlrmsim/internal/check"
+	"dlrmsim/internal/eventq"
 	"dlrmsim/internal/serve"
 	"dlrmsim/internal/stats"
 	"dlrmsim/internal/trace"
@@ -91,47 +90,27 @@ func (c *Config) applyDefaults() error {
 			return fmt.Errorf("cluster: closed-loop load knobs (mean arrival %g, queries %d, warmup %d) are unused with an open-loop config",
 				c.MeanArrivalMs, c.Queries, c.WarmupQueries)
 		}
-		if err := c.Faults.validate(); err != nil {
-			return err
+	} else {
+		if c.MeanArrivalMs <= 0 {
+			return fmt.Errorf("cluster: non-positive mean arrival %g", c.MeanArrivalMs)
 		}
-		if err := c.Mitigation.validate(); err != nil {
-			return err
+		if c.Queries == 0 {
+			c.Queries = 2000
 		}
-		if err := c.Chaos.validateFirst(c.Plan.Nodes); err != nil {
-			return err
+		if c.Queries < 1 {
+			return fmt.Errorf("cluster: %d queries", c.Queries)
 		}
-		// Clone before resolving defaults: Simulate receives the Config by
-		// value but Open is a pointer, and mutating the caller's struct
-		// would corrupt reuse — in a replication sweep, an explicit-zero
-		// warmup (-1 → 0) would silently turn into the 5% default on the
-		// next point.
-		open := *c.Open
-		if open.Autoscale != nil {
-			as := *open.Autoscale
-			open.Autoscale = &as
+		switch {
+		case c.WarmupQueries == 0:
+			c.WarmupQueries = c.Queries / 20
+		case c.WarmupQueries == -1:
+			c.WarmupQueries = 0
+		case c.WarmupQueries < 0:
+			return fmt.Errorf("cluster: warmup %d (use -1 for explicit zero)", c.WarmupQueries)
 		}
-		c.Open = &open
-		return c.Open.applyDefaults(c.Plan.Nodes)
-	}
-	if c.MeanArrivalMs <= 0 {
-		return fmt.Errorf("cluster: non-positive mean arrival %g", c.MeanArrivalMs)
-	}
-	if c.Queries == 0 {
-		c.Queries = 2000
-	}
-	if c.Queries < 1 {
-		return fmt.Errorf("cluster: %d queries", c.Queries)
-	}
-	switch {
-	case c.WarmupQueries == 0:
-		c.WarmupQueries = c.Queries / 20
-	case c.WarmupQueries == -1:
-		c.WarmupQueries = 0
-	case c.WarmupQueries < 0:
-		return fmt.Errorf("cluster: warmup %d (use -1 for explicit zero)", c.WarmupQueries)
-	}
-	if c.WarmupQueries >= c.Queries {
-		return fmt.Errorf("cluster: warmup %d >= queries %d", c.WarmupQueries, c.Queries)
+		if c.WarmupQueries >= c.Queries {
+			return fmt.Errorf("cluster: warmup %d >= queries %d", c.WarmupQueries, c.Queries)
+		}
 	}
 	if err := c.Faults.validate(); err != nil {
 		return err
@@ -139,7 +118,23 @@ func (c *Config) applyDefaults() error {
 	if err := c.Mitigation.validate(); err != nil {
 		return err
 	}
-	return c.Chaos.validateFirst(c.Plan.Nodes)
+	if err := c.Chaos.validateFirst(c.Plan.Nodes); err != nil {
+		return err
+	}
+	if c.Open == nil {
+		return nil
+	}
+	// Clone before resolving defaults: Simulate receives the Config by
+	// value but Open is a pointer, and mutating the caller's struct would
+	// corrupt reuse — in a replication sweep, an explicit-zero warmup
+	// (-1 → 0) would silently turn into the 5% default on the next point.
+	open := *c.Open
+	if open.Autoscale != nil {
+		as := *open.Autoscale
+		open.Autoscale = &as
+	}
+	c.Open = &open
+	return c.Open.applyDefaults(c.Plan.Nodes)
 }
 
 // Result summarizes one cluster run.
@@ -286,9 +281,9 @@ type simState struct {
 	chaos    *chaosState // materialized chaos schedule (nil = none)
 	adapt    *adaptState // epoch-grid adaptive mitigation (nil = static)
 	subs     []subState
-	copies   []subCopy
-	warmupMs float64 // open-loop warmup horizon (0 in closed-loop mode)
-	maxWait  float64 // worst post-warmup queueing delay (satellite fix:
+	wheels   []*eventq.Wheel[subCopy] // copy queues, one per partition (one sequentially)
+	warmupMs float64                  // open-loop warmup horizon (0 in closed-loop mode)
+	maxWait  float64                  // worst post-warmup queueing delay (satellite fix:
 	// warmup queries' waits are excluded, matching serve.Simulate)
 
 	// Stream-stats recycling (openloop.go). subSeq is the monotone
@@ -302,20 +297,29 @@ type simState struct {
 	subSeq   int
 	freeSubs []int
 
-	// seqScratch is the sequential drivers' scratch for serveCopy.
+	// seqScratch is the sequential driver's scratch for serveCopy.
 	seqScratch *partScratch
 }
 
-// schedule plans every copy one sub-request may launch: the primary at
+// scored reports whether query q, arriving at arrive, counts in the
+// summary: past both warmups — the closed loop's query count and the
+// open loop's horizon, each zero in the other mode. The lookup counters,
+// the batch join, and the queue-wait high-water mark all gate on it.
+func (s *simState) scored(q int, arrive float64) bool {
+	return q >= s.cfg.WarmupQueries && arrive >= s.warmupMs
+}
+
+// schedule plans every copy one sub-request may launch — the primary at
 // dispatch, an optional hedged backup to the shard's standby owner at
 // dispatch+HedgeDelayMs, and timeout retries down the standby chain at
-// dispatch+k·TimeoutMs. Conditional copies are skipped at processing time
-// when a response beat their launch deadline.
-// schedule returns the sub's slot in s.subs so the open-loop
-// stream-stats joiner can attach it to a join record. home is the
-// query's home node — the router's location for chaos partition
-// severance (copies crossing a severed domain pair in transit are lost
-// and re-sent at heal, composed after the transport's drop re-sends).
+// dispatch+k·TimeoutMs — and pushes each onto the wheel of its planned
+// node's partition (storage only: the drivers restore the global copyCmp
+// order across wheels). Conditional copies are skipped at processing
+// time when a response beat their launch deadline. schedule returns the sub's slot in s.subs so the stream-stats joiner
+// can attach it to a join record. home is the query's home node — the
+// router's location for chaos partition severance (copies crossing a
+// severed domain pair in transit are lost and re-sent at heal, composed
+// after the transport's drop re-sends).
 func (s *simState) schedule(q, home, owner int, served int, svcMs float64, reqBytes, respBytes int64, dispatch float64) int {
 	sub := subState{
 		q: q, owner: owner, dispatch: dispatch,
@@ -341,7 +345,8 @@ func (s *simState) schedule(q, home, owner int, served int, svcMs float64, reqBy
 			shift += ps
 			resends += pr
 		}
-		s.copies = append(s.copies, subCopy{
+		s.subs[idx].copiesLeft++
+		s.wheels[node%len(s.wheels)].Push(subCopy{
 			arrive:  launch + shift + transit,
 			launch:  launch,
 			sub:     idx,
@@ -351,7 +356,6 @@ func (s *simState) schedule(q, home, owner int, served int, svcMs float64, reqBy
 			resends: resends,
 			kind:    kind,
 		})
-		s.subs[idx].copiesLeft++
 	}
 	add(copyPrimary, owner, 0, dispatch)
 	mit := &s.cfg.Mitigation
@@ -366,36 +370,17 @@ func (s *simState) schedule(q, home, owner int, served int, svcMs float64, reqBy
 	return idx
 }
 
-// run processes every scheduled copy in node-arrival order. A conditional
-// copy launches only when no response beat its deadline; comparing against
-// resolved copies is exact because an unresolved copy's arrival — and
-// hence its response — is no earlier than the arrival being processed.
-// attempt 0 keeps the legacy jitter stream, so fault-free runs are
-// byte-identical to the pre-fault simulator.
-func (s *simState) run() {
-	// Every copy is known up front, so one sort establishes the order:
-	// the copies are nearly sorted already (queries dispatch in arrival
-	// order) and pdqsort exploits that. See DESIGN.md §9 for the
-	// alternatives tried.
-	slices.SortFunc(s.copies, copyCmp)
-	for i := range s.copies {
-		c := &s.copies[i]
-		if check.Enabled {
-			check.Assert(!math.IsNaN(c.arrive) && (i == 0 || copyCmp(s.copies[i-1], *c) < 0),
-				"cluster: copy %d (arrive %g, seq %d, attempt %d) out of strict copy order", i, c.arrive, c.seq, c.attempt)
-		}
-		s.serveCopy(c, c.node)
-	}
-}
-
-// serveCopy is the sequential drivers' per-copy step: serveCopyDeferred
-// into the run's scratch, merged at once. Every deferred effect
-// merges commutative-exactly (exec.go), so merging after each copy is
-// the sequential arithmetic. node is the effective target — equal to
-// c.node in closed-loop mode, but the open-loop simulator re-routes
-// copies whose planned node was drained from the active set between
-// scheduling and arrival. Callers must invoke it in copyCmp order, the
-// global node-arrival order the FCFS queues require.
+// serveCopy is the sequential driver's per-copy step: serveCopyDeferred
+// into the run's scratch, merged at once. Every deferred effect merges
+// commutative-exactly (exec.go), so merging after each copy is the
+// sequential arithmetic. node is the effective target — the copy's
+// planned node routed through the active set, which re-routes copies
+// whose node was drained between scheduling and arrival. Callers must
+// invoke it in copyCmp order, the global node-arrival order the FCFS
+// queues require. A conditional copy launches only when no response beat
+// its deadline; comparing against resolved copies is exact because an
+// unresolved copy's arrival — and hence its response — is no earlier
+// than the arrival being processed.
 func (s *simState) serveCopy(c *subCopy, node int) {
 	if s.adapt != nil {
 		s.adapt.advanceTo(c.arrive)
@@ -420,6 +405,24 @@ func (s *simState) resolve(sub *subState) (doneAt float64, ok bool) {
 	return sub.best, true
 }
 
+// poissonCount is the closed loop's arrival source: Queries Poisson
+// arrivals at mean gap MeanArrivalMs on the 0xA221 stream, then +Inf.
+type poissonCount struct {
+	rng    stats.RNG
+	meanMs float64
+	now    float64
+	left   int
+}
+
+func (p *poissonCount) Next() float64 {
+	if p.left == 0 {
+		return math.Inf(1)
+	}
+	p.left--
+	p.now += p.rng.ExpFloat64() * p.meanMs
+	return p.now
+}
+
 // Simulate runs the discrete-event cluster simulation: Poisson query
 // arrivals at the router; each query is split by the plan into per-shard
 // sub-lookups (replicated hot rows short-circuit to the query's home
@@ -440,240 +443,41 @@ func (s *simState) resolve(sub *subState) (doneAt float64, ok bool) {
 // and each node's fault timeline are all pure functions of (Seed, index)
 // via stats.SplitSeed, so the result is a pure function of the config.
 //
-// With Open set, the run switches to the open-loop live-traffic mode in
-// openloop.go: a time-driven traffic stream replaces the closed-loop
-// Poisson count, and admission control, the user population, and the
-// autoscaler come into play.
+// Every run is one event loop (openloop.go). Without Open, the closed
+// loop is that loop over a fixed Poisson-count arrival source with
+// everything open-loop switched off: no admission, no autoscaler, every
+// node active. With Open set, a time-driven traffic stream replaces the
+// count, and admission control, the user population, and the autoscaler
+// come into play.
+//
+// The parallel execution backend engages when it has partitions to run
+// and a positive network hop to hide the window barriers behind (with a
+// free network every conservative window is empty and the run stays
+// sequential).
 func Simulate(cfg Config) (Result, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return Result{}, err
 	}
-	if cfg.Open != nil {
-		return simulateOpen(cfg)
-	}
-	plan := cfg.Plan
-	model := plan.Model
-	a := acquireArena()
-	st := &simState{
-		cfg:    cfg,
-		plan:   plan,
-		queues: a.queueSet(plan.Nodes, cfg.ServersPerNode),
-	}
-	if cfg.Faults.Active() {
-		st.faults = newFaultState(cfg.Faults, cfg.Seed, plan.Nodes)
-	}
-	if cfg.Chaos.Active() {
-		st.chaos = a.chaosFor(&cfg.Chaos, plan.Nodes)
-	}
-	if cfg.Mitigation.adaptive() {
-		st.adapt = a.adaptFor(&cfg.Mitigation, plan.Nodes)
-	}
-	// Seed the scheduling scratch: one sub-request per query is the floor
-	// (the home node always serves), and the copy count per sub-request is
-	// fixed by the mitigation policy. Growth beyond this is amortized.
-	copiesPerSub := 1
-	if cfg.Mitigation.HedgeDelayMs > 0 {
-		copiesPerSub++
-	}
-	if cfg.Mitigation.TimeoutMs > 0 {
-		copiesPerSub += cfg.Mitigation.MaxRetries
-	}
-	if cap(a.subs) < cfg.Queries {
-		a.subs = make([]subState, 0, cfg.Queries)
-	}
-	if cap(a.copies) < cfg.Queries*copiesPerSub {
-		a.copies = make([]subCopy, 0, cfg.Queries*copiesPerSub)
-	}
-	st.subs = a.subs[:0]
-	st.copies = a.copies[:0]
-	arrivals := stats.NewRNG(stats.SplitSeed(cfg.Seed^0xA221, 0))
-
-	// Phase 1: draw each query's arrival and lookups, split them by the
-	// plan, and schedule every sub-request copy the router might launch.
-	cold := arenaSlice(&a.cold, plan.Nodes) // per-node shard-owned lookups of the current query (drawQuery zeroes)
-	nows := arenaSlice(&a.nows, cfg.Queries)
-	firstSub := arenaSlice(&a.firstSub, cfg.Queries+1)
-	if cap(a.latencies) < cfg.Queries-cfg.WarmupQueries {
-		a.latencies = make([]float64, 0, cfg.Queries-cfg.WarmupQueries)
-	}
-	latencies := a.latencies[:0]
-	var now, simEnd float64
-	var fanoutSum, hotLookups, totalLookups int
-	var subCount, hedgeCount, retryCount, fullJoins int
-	var completenessSum float64
-
-	// The Zipf sampler's rejection-inversion constants depend only on
-	// (rows, exponent), and construction consumes no generator draws, so
-	// one sampler serves every (query, table) stream; each stream keeps
-	// its own generator below, making the draws byte-identical to the
-	// per-stream samplers this replaces.
-	var zipf *stats.Zipf
-	switch cfg.Hotness {
-	case trace.OneItem, trace.RandomAccess:
-	default:
-		zipf = stats.NewSharedZipf(model.RowsPerTable, cfg.Hotness.ReferenceExponent())
-	}
-
-	// Under the parallel backend, phase 1's draws — the bulk of its cost
-	// — pre-compute concurrently; the arrival stream and copy scheduling
-	// below stay sequential (they are cheap and stateful).
-	parts := execParts(plan.Nodes)
-	useParallel := parts > 1 && st.parallelizable()
-	var preHot, preCold []int
-	draws := cfg.SamplesPerQuery * model.LookupsPerSample
+	parts := execParts(cfg.Plan.Nodes)
+	useParallel := parts > 1 && cfg.Net.LatencyMs > 0
+	sketchParts := 1
 	if useParallel {
-		preHot = arenaSlice(&a.preHot, cfg.Queries)
-		preCold = arenaSlice(&a.preCold, cfg.Queries*plan.Nodes)
-		st.predrawQueries(zipf, draws, cfg.Queries, parts, preHot, preCold)
+		sketchParts = parts
 	}
-	for q := 0; q < cfg.Queries; q++ {
-		now += arrivals.ExpFloat64() * cfg.MeanArrivalMs
-		nows[q] = now
-		firstSub[q] = len(st.subs)
-		home := q % plan.Nodes
-		var hot int
-		coldq := cold
-		if preCold != nil {
-			hot = preHot[q]
-			coldq = preCold[q*plan.Nodes : (q+1)*plan.Nodes]
-		} else {
-			hot = st.drawQuery(zipf, draws, q, coldq)
-		}
-
-		// Fan out: one sub-request per involved node, with a network hop
-		// and message transfer each way.
-		for n := 0; n < plan.Nodes; n++ {
-			served := coldq[n]
-			svcUs := cfg.Timing.SubRequestUs + cfg.Timing.ColdLookupUs*float64(coldq[n])
-			if n == home && hot > 0 {
-				served += hot
-				svcUs += cfg.Timing.HotLookupUs * float64(hot)
-			}
-			if served == 0 {
-				continue
-			}
-			reqBytes := int64(4*served) + wireHeaderBytes
-			// The response carries partial pooled sums: one EmbDim vector
-			// per (sample, table) slice served, fp32 on the wire.
-			pooled := (served + model.LookupsPerSample - 1) / model.LookupsPerSample
-			respBytes := int64(pooled)*int64(model.EmbDim)*4 + wireHeaderBytes
-			st.schedule(q, home, n, served, svcUs/1e3, reqBytes, respBytes, now)
-		}
-		if q >= cfg.WarmupQueries {
-			hotLookups += hot
-			totalLookups += hot
-			for _, c := range coldq {
-				totalLookups += c
-			}
-		}
+	r, err := newOpenRun(cfg, sketchParts)
+	if err != nil {
+		return Result{}, err
 	}
-	firstSub[cfg.Queries] = len(st.subs)
-
-	// Phase 2: serve every copy in node-arrival order, FCFS per node —
-	// partitioned across conservative windows under the parallel backend,
-	// one goroutine otherwise.
 	if useParallel {
-		st.runParallel(parts, a.partScratchSet(parts))
+		r.loopParallel(parts)
 	} else {
-		st.seqScratch = &a.partScratchSet(1)[0]
-		st.run()
+		r.loop()
 	}
-
-	// Phase 3: join each query on its slowest surviving sub-request (or,
-	// degraded, on the deadline the router abandons the slowest shard at),
-	// then charge the dense stages at the router.
-	for q := 0; q < cfg.Queries; q++ {
-		joined := nows[q]
-		queryLookups, servedLookups := 0, 0
-		hedges, retries := 0, 0
-		complete := true
-		for i := firstSub[q]; i < firstSub[q+1]; i++ {
-			sub := &st.subs[i]
-			doneAt, ok := st.resolve(sub)
-			if doneAt > joined {
-				joined = doneAt
-			}
-			queryLookups += sub.served
-			retries += sub.retries
-			if sub.hedged {
-				hedges++
-			}
-			if ok {
-				servedLookups += sub.served
-			} else {
-				complete = false
-			}
-		}
-		finish := joined + cfg.Timing.DenseMs
-		if finish > simEnd {
-			simEnd = finish
-		}
-		if q < cfg.WarmupQueries {
-			continue
-		}
-		latencies = append(latencies, finish-nows[q])
-		fanoutSum += firstSub[q+1] - firstSub[q]
-		subCount += firstSub[q+1] - firstSub[q]
-		hedgeCount += hedges
-		retryCount += retries
-		if complete {
-			fullJoins++
-		}
-		if queryLookups > 0 {
-			completenessSum += float64(servedLookups) / float64(queryLookups)
-		} else {
-			completenessSum++
-		}
-	}
-
-	pct := stats.Percentiles(latencies, 0.50, 0.95, 0.99)
-	res := Result{
-		P50:                 pct[0],
-		P95:                 pct[1],
-		P99:                 pct[2],
-		Mean:                stats.Mean(latencies),
-		MeanFanout:          float64(fanoutSum) / float64(len(latencies)),
-		MaxQueueWaitMs:      st.maxWait,
-		Availability:        float64(fullJoins) / float64(len(latencies)),
-		Completeness:        completenessSum / float64(len(latencies)),
-		RetriesPerQuery:     float64(retryCount) / float64(len(latencies)),
-		ReplicaBytesPerNode: plan.ReplicaBytesPerNode(),
-		MaxShardBytes:       plan.MaxShardBytes(),
-	}
-	res.RetryAmplification = float64(subCount+hedgeCount+retryCount) / float64(len(latencies))
-	if st.adapt != nil {
-		res.BreakerOpenMinutes = st.adapt.finalize() / 60000
-	}
-	res.DomainAvailability = 1
-	if st.chaos != nil && simEnd > 0 {
-		res.DomainAvailability = 1 - st.chaos.outageMs(simEnd)/(float64(st.chaos.domains)*simEnd)
-	}
-	if subCount > 0 {
-		res.HedgeRate = float64(hedgeCount) / float64(subCount)
-	}
-	if totalLookups > 0 {
-		res.LocalFraction = float64(hotLookups) / float64(totalLookups)
-	}
-	var busySum, busyMax float64
-	for _, qu := range st.queues {
-		b := qu.BusyMs()
-		busySum += b
-		if b > busyMax {
-			busyMax = b
-		}
-	}
-	if simEnd > 0 {
-		res.Utilization = busySum / (simEnd * float64(plan.Nodes*cfg.ServersPerNode))
-	}
-	if busySum > 0 {
-		res.Imbalance = busyMax / (busySum / float64(plan.Nodes))
-	}
-	if check.Enabled {
-		check.Assert(check.Finite(res.P50) && check.Finite(res.P99) && check.Finite(res.Mean) && check.Finite(res.Utilization),
-			"cluster: non-finite latency summary (p50 %g, p99 %g, mean %g, util %g)",
-			res.P50, res.P99, res.Mean, res.Utilization)
-	}
-	a.subs, a.copies, a.latencies = st.subs, st.copies, latencies
+	res := r.summary()
+	a := r.arena
+	a.subs = r.st.subs
+	a.queries, a.firstSub = r.queries, r.firstSub
+	a.ring, a.ringCold = r.ring, r.ringCold
 	a.release()
 	return res, nil
 }

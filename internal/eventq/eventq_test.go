@@ -205,6 +205,37 @@ func TestWheelSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestWheelStorageTracksInFlight: a run that sweeps hundreds of buckets
+// with only a few in flight at once keeps storage for the in-flight few,
+// not one backing array per bucket touched — a recycled wheel would
+// otherwise hold every event of its longest run.
+func TestWheelStorageTracksInFlight(t *testing.T) {
+	w := NewWheel(1.0, 1024, 0, evTime, evLess)
+	sub := 0
+	for now := 0; now < 800; now++ {
+		for i := 0; i < 16; i++ {
+			w.Push(ev{t: float64(now) + 0.05*float64(i), sub: sub})
+			sub++
+		}
+		for w.Len() > 0 && w.Min().t < float64(now-4) {
+			w.Pop()
+		}
+	}
+	for w.Len() > 0 {
+		w.Pop()
+	}
+	slots := 0
+	for _, b := range w.buckets {
+		slots += cap(b.events)
+	}
+	for _, s := range w.spare {
+		slots += cap(s)
+	}
+	if slots > 16*16 {
+		t.Fatalf("drained wheel keeps %d event slots for 800 buckets swept with ~6 in flight, want <= %d", slots, 16*16)
+	}
+}
+
 func TestNewWheelValidation(t *testing.T) {
 	for _, bad := range []func(){
 		func() { NewWheel(0, 8, 0, evTime, evLess) },

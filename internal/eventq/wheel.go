@@ -36,6 +36,11 @@ type Wheel[T any] struct {
 	overNew []T   // overflow: events at absolute bucket >= horizon
 	horizon int64 // first absolute index NOT held by the ring
 
+	// Backing arrays of drained buckets, handed to the next empty bucket
+	// that fills: storage tracks the buckets in flight, not every bucket
+	// the ring has touched since it was built.
+	spare [][]T
+
 	maxPopped float64 // high-water mark enforcing the monotone contract
 	popped    bool
 }
@@ -67,7 +72,7 @@ func NewWheel[T any](width float64, buckets int, start float64, time func(T) flo
 func (w *Wheel[T]) Len() int { return w.ringLen + len(w.overNew) }
 
 // Reset empties the wheel and rebases it at time start, keeping every
-// bucket's capacity — the arena-reuse hook for per-run (and, in the
+// bucket's and spare's capacity — the arena-reuse hook for per-run (and, in the
 // parallel cluster backend, per-partition) wheel recycling. Elements
 // are zeroed so a reused wheel retains no references.
 func (w *Wheel[T]) Reset(start float64) {
@@ -134,9 +139,21 @@ func (w *Wheel[T]) Push(v T) {
 		copy(b.events[lo+1:], b.events[lo:])
 		b.events[lo] = v
 	} else {
-		b.events = append(b.events, v)
+		w.appendTo(b, v)
 	}
 	w.ringLen++
+}
+
+// appendTo appends v to b, first giving an empty bucket a spare backing
+// array.
+func (w *Wheel[T]) appendTo(b *bucket[T], v T) {
+	if b.events == nil {
+		if n := len(w.spare); n > 0 {
+			b.events = w.spare[n-1]
+			w.spare = w.spare[:n-1]
+		}
+	}
+	b.events = append(b.events, v)
 }
 
 // Pop removes and returns the least event by the full comparator.
@@ -149,7 +166,8 @@ func (w *Wheel[T]) Pop() T {
 	b.head++
 	w.ringLen--
 	if b.head == len(b.events) {
-		b.events = b.events[:0]
+		w.spare = append(w.spare, b.events[:0])
+		b.events = nil
 		b.head = 0
 		b.sorted = false
 	}
@@ -212,7 +230,7 @@ func (w *Wheel[T]) redistribute() {
 		abs := w.absIndex(w.time(v))
 		if abs < w.horizon {
 			b := &w.buckets[abs%int64(len(w.buckets))]
-			b.events = append(b.events, v)
+			w.appendTo(b, v)
 			b.sorted = false
 			w.ringLen++
 		} else {
