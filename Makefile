@@ -6,11 +6,12 @@ GO ?= go
 # Headline benchmarks captured in BENCH_<n>.json: the parallel-runner
 # sweep, the engine fan-out, a full end-to-end artifact, plus the
 # per-subsystem micro-benches (memsim access path, cpusim step loop,
-# cluster discrete-event run, event-queue backends). BenchmarkCalibration
+# cluster discrete-event run, event-queue backends, the shared Zipf
+# sampler every cluster run draws from). BenchmarkCalibration
 # is the host-speed canary bench-gate normalizes by — keep it in every
 # captured point.
-BENCH_REGEX ?= BenchmarkSweepParallel|BenchmarkEngineCells|BenchmarkFig13EndToEnd|BenchmarkEmbeddingKernel|BenchmarkHierarchyAccess|BenchmarkCacheLookupHit|BenchmarkCacheFillEvict|BenchmarkAccessBatch|BenchmarkAccessSequential|BenchmarkCoreStepLoop|BenchmarkClusterSimulate|BenchmarkOpenLoopParallel|BenchmarkChaosOpenLoop|BenchmarkHetSched|BenchmarkEventQueue|BenchmarkCalibration
-BENCH_PKGS  ?= . ./internal/memsim ./internal/cpusim ./internal/cluster ./internal/hetsched ./internal/eventq
+BENCH_REGEX ?= BenchmarkSweepParallel|BenchmarkEngineCells|BenchmarkFig13EndToEnd|BenchmarkEmbeddingKernel|BenchmarkHierarchyAccess|BenchmarkCacheLookupHit|BenchmarkCacheFillEvict|BenchmarkAccessBatch|BenchmarkAccessSequential|BenchmarkCoreStepLoop|BenchmarkClusterSimulate|BenchmarkOpenLoopParallel|BenchmarkChaosOpenLoop|BenchmarkHetSched|BenchmarkEventQueue|BenchmarkZipfShared|BenchmarkCalibration
+BENCH_PKGS  ?= . ./internal/memsim ./internal/cpusim ./internal/cluster ./internal/hetsched ./internal/eventq ./internal/stats
 BENCHTIME   ?= 2s
 BENCH_N     ?= 0
 # Runs per benchmark in a capture; benchjson folds repeats to the
@@ -100,7 +101,8 @@ golden-update:
 golden: golden-update
 
 # Fuzz the structural invariants: cache residency/accounting, shard-plan
-# row ownership, seed-splitting collision freedom, arrival-stream
+# row ownership, seed-splitting collision freedom, the shared Zipf
+# sampler's head table agreeing with rejection-inversion, arrival-stream
 # monotonicity/determinism, and phase-graph validation-vs-scheduling
 # agreement. Each target gets FUZZTIME; the checked-in corpora under
 # testdata/fuzz run on every plain `make test` as ordinary seed cases.
@@ -109,6 +111,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzShardPlan -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzChaosSchedule -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzSplitSeed -fuzztime $(FUZZTIME) ./internal/stats
+	$(GO) test -run '^$$' -fuzz FuzzZipfHead -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run '^$$' -fuzz FuzzArrivalStream -fuzztime $(FUZZTIME) ./internal/traffic
 	$(GO) test -run '^$$' -fuzz FuzzPhaseGraph -fuzztime $(FUZZTIME) ./internal/hetsched
 	$(GO) test -run '^$$' -fuzz FuzzEventOrder -fuzztime $(FUZZTIME) ./internal/eventq

@@ -13,6 +13,11 @@
 // quantities. Compare mode prints old→new ns/op and allocs/op ratios —
 // a benchstat-shaped summary with no external dependency.
 //
+// Parse mode rejects a capture in which any package's section lacks its
+// closing `PASS`/`ok` trailer: that is what a capture cut off mid-run (or
+// a failed package) looks like, and folding it would commit a point with
+// benchmarks silently missing.
+//
 // Repeated rows for one benchmark (a `-count N` capture) fold to the
 // fastest run: shared hosts suffer episodic noisy-neighbor slowdowns
 // that inflate individual runs by 20–40%, and the minimum is the
@@ -21,13 +26,15 @@
 // this reason.
 //
 // -gate N makes compare exit nonzero when any benchmark regresses more
-// than N% in ns/op or allocs/op — the perf-regression gate CI runs on the
-// committed trajectory. Because successive BENCH_<n> points are captured
-// in different sessions on hosts whose effective speed drifts (turbo,
-// contention, microcode), raw wall-clock gating false-fails; -calibrate
-// names a canary benchmark (first of a comma list present in both files)
-// whose ns/op ratio estimates the host-speed drift, and gated ns/op
-// ratios are normalized by it. The canary must be a fixed pure-CPU
+// than N% in ns/op or allocs/op, or is present in the old file but
+// missing from the new one (printed as "(dropped)") — the
+// perf-regression gate CI runs on the committed trajectory. Because
+// successive BENCH_<n> points are captured in different sessions on
+// hosts whose effective speed drifts (turbo, contention, microcode), raw
+// wall-clock gating false-fails; -calibrate names a canary benchmark
+// (first of a comma list present in both files) whose ns/op ratio
+// estimates the host-speed drift, and gated ns/op ratios are normalized
+// by it. The canary must be a fixed pure-CPU
 // workload no simulator change touches.
 //
 // When -gate and -calibrate are both set but no canary exists in BOTH
@@ -42,6 +49,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"sort"
@@ -76,10 +84,13 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+(.*)$`)
 func parse(r *bufio.Scanner) (*File, error) {
 	f := &File{Schema: schema}
 	pkg := ""
+	open := false // pkg's section has not reached its PASS/ok trailer
 	seen := map[string]int{}
 	for r.Scan() {
 		line := strings.TrimSpace(r.Text())
 		switch {
+		case line == "PASS" || strings.HasPrefix(line, "ok "):
+			open = false
 		case strings.HasPrefix(line, "goos: "):
 			f.Goos = strings.TrimPrefix(line, "goos: ")
 		case strings.HasPrefix(line, "goarch: "):
@@ -87,7 +98,11 @@ func parse(r *bufio.Scanner) (*File, error) {
 		case strings.HasPrefix(line, "cpu: "):
 			f.CPU = strings.TrimPrefix(line, "cpu: ")
 		case strings.HasPrefix(line, "pkg: "):
+			if open {
+				return nil, untrailed(pkg)
+			}
 			pkg = strings.TrimPrefix(line, "pkg: ")
+			open = true
 		}
 		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
@@ -131,10 +146,17 @@ func parse(r *bufio.Scanner) (*File, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
+	if open {
+		return nil, untrailed(pkg)
+	}
 	if len(f.Benchmarks) == 0 {
 		return nil, fmt.Errorf("no benchmark lines found on stdin")
 	}
 	return f, nil
+}
+
+func untrailed(pkg string) error {
+	return fmt.Errorf("package %s: output has no PASS/ok trailer (truncated or failed capture)", pkg)
 }
 
 // trimProcs drops the trailing -GOMAXPROCS suffix so names are stable
@@ -188,7 +210,7 @@ func findCanary(of, nf *File, calibrate string) (string, float64) {
 	return "", 1.0
 }
 
-func compare(oldPath, newPath string, gatePct float64, calibrate string) error {
+func compare(w io.Writer, oldPath, newPath string, gatePct float64, calibrate string) error {
 	of, err := load(oldPath)
 	if err != nil {
 		return err
@@ -201,12 +223,12 @@ func compare(oldPath, newPath string, gatePct float64, calibrate string) error {
 	gateNs := gatePct > 0
 	if calibrate != "" {
 		if canary, scale = findCanary(of, nf, calibrate); canary != "" {
-			fmt.Printf("calibrated by %s: host speed factor %.3f (new/old ns)\n", canary, scale)
+			fmt.Fprintf(w, "calibrated by %s: host speed factor %.3f (new/old ns)\n", canary, scale)
 		} else {
-			fmt.Printf("calibration: no benchmark of %q in both files; ns/op shown raw\n", calibrate)
+			fmt.Fprintf(w, "calibration: no benchmark of %q in both files; ns/op shown raw\n", calibrate)
 			if gateNs {
 				gateNs = false
-				fmt.Printf("gate: ns/op gate skipped (pre-calibration trajectory point); allocs/op still gated\n")
+				fmt.Fprintf(w, "gate: ns/op gate skipped (pre-calibration trajectory point); allocs/op still gated\n")
 			}
 		}
 	}
@@ -220,15 +242,27 @@ func compare(oldPath, newPath string, gatePct float64, calibrate string) error {
 		news[key(b)] = b
 		names = append(names, key(b))
 	}
+	for name := range olds {
+		if _, ok := news[name]; !ok {
+			names = append(names, name)
+		}
+	}
 	sort.Strings(names)
 	var failures []string
-	fmt.Printf("%-52s %14s %14s %8s %12s\n", "benchmark", "old ns/op", "new ns/op", "speedup", "allocs o→n")
-	fmt.Printf("%s\n", strings.Repeat("-", 104))
+	fmt.Fprintf(w, "%-52s %14s %14s %8s %12s\n", "benchmark", "old ns/op", "new ns/op", "speedup", "allocs o→n")
+	fmt.Fprintf(w, "%s\n", strings.Repeat("-", 104))
 	for _, name := range names {
-		nb := news[name]
-		ob, ok := olds[name]
-		if !ok {
-			fmt.Printf("%-52s %14s %14.0f %8s %12.0f\n", name, "(new)", nb.NsPerOp, "", nb.AllocsOp)
+		nb, inNew := news[name]
+		ob, inOld := olds[name]
+		if !inNew {
+			fmt.Fprintf(w, "%-52s %14.0f %14s %8s %12.0f\n", name, ob.NsPerOp, "(dropped)", "", ob.AllocsOp)
+			if gatePct > 0 {
+				failures = append(failures, fmt.Sprintf("%s: dropped (in %s, missing from %s)", name, oldPath, newPath))
+			}
+			continue
+		}
+		if !inOld {
+			fmt.Fprintf(w, "%-52s %14s %14.0f %8s %12.0f\n", name, "(new)", nb.NsPerOp, "", nb.AllocsOp)
 			continue
 		}
 		speed := 0.0
@@ -237,7 +271,7 @@ func compare(oldPath, newPath string, gatePct float64, calibrate string) error {
 			// this is the code's speedup, not the machine's.
 			speed = ob.NsPerOp * scale / nb.NsPerOp
 		}
-		fmt.Printf("%-52s %14.0f %14.0f %7.2fx %6.0f→%.0f\n",
+		fmt.Fprintf(w, "%-52s %14.0f %14.0f %7.2fx %6.0f→%.0f\n",
 			name, ob.NsPerOp, nb.NsPerOp, speed, ob.AllocsOp, nb.AllocsOp)
 		if gatePct <= 0 || nb.Name == canary {
 			continue
@@ -254,11 +288,11 @@ func compare(oldPath, newPath string, gatePct float64, calibrate string) error {
 		}
 	}
 	if len(failures) > 0 {
-		fmt.Println()
+		fmt.Fprintln(w)
 		for _, f := range failures {
-			fmt.Printf("REGRESSION %s\n", f)
+			fmt.Fprintf(w, "REGRESSION %s\n", f)
 		}
-		return fmt.Errorf("%d benchmark(s) regressed beyond %.0f%%", len(failures), gatePct)
+		return fmt.Errorf("%d benchmark(s) dropped or regressed beyond %.0f%%", len(failures), gatePct)
 	}
 	return nil
 }
@@ -275,7 +309,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchjson: -compare needs exactly two files")
 			os.Exit(2)
 		}
-		if err := compare(flag.Arg(0), flag.Arg(1), *gate, *calibrate); err != nil {
+		if err := compare(os.Stdout, flag.Arg(0), flag.Arg(1), *gate, *calibrate); err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
 		}

@@ -30,8 +30,8 @@ func TestArenaReuseDeterministic(t *testing.T) {
 
 // TestSimulateAllocsSteadyState pins the arena's payoff: after a warmup
 // run seeds the free list, a closed-loop run performs a handful of
-// allocations (the run state, the shared Zipf sampler, and the
-// percentile summary) instead of the ~40 per-run slices it allocated
+// allocations (the run state and the percentile summary; the shared
+// Zipf sampler is memoized) instead of the ~40 per-run slices it allocated
 // before arena reuse. The bounds are loose enough to survive incidental
 // churn but fail if per-run pooling regresses wholesale.
 func TestSimulateAllocsSteadyState(t *testing.T) {

@@ -4,12 +4,16 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 )
 
 // Zipf samples ranks in [0, N) with probability proportional to
 // 1/(rank+1)^s. It uses the rejection-inversion method of Hörmann and
 // Derflinger, which needs O(1) time per sample and no O(N) setup, so it
-// works for table sizes in the millions.
+// works for table sizes in the millions. A shared sampler (NewSharedZipf)
+// also carries a decision table for the head ranks that settles most
+// iterations without exp or log, returning the same rank from the same
+// draws as the plain method (zipfHead).
 type Zipf struct {
 	rng *RNG
 	n   float64
@@ -20,16 +24,20 @@ type Zipf struct {
 	hx0          float64
 	hImaxPlus1   float64
 	sCut         float64
+	// head is the shared sampler's head-rank decision table; nil for
+	// NewZipf samplers and where the table is disabled.
+	head *zipfHead
 }
 
 // NewZipf returns a Zipf sampler over ranks [0, n) with exponent s > 0,
 // s != 1 handled exactly and s == 1 via a tiny offset. It panics if n < 1
-// or s <= 0, which indicate a programming error in the caller.
+// or s is not positive (NaN included), which indicate a programming error
+// in the caller.
 func NewZipf(rng *RNG, n int, s float64) *Zipf {
 	if n < 1 {
 		panic(fmt.Sprintf("stats: NewZipf with n=%d", n))
 	}
-	if s <= 0 {
+	if !(s > 0) {
 		panic(fmt.Sprintf("stats: NewZipf with s=%g", s))
 	}
 	if s == 1 {
@@ -47,8 +55,30 @@ func NewZipf(rng *RNG, n int, s float64) *Zipf {
 // NewSharedZipf returns a sampler with no generator of its own, for use
 // with SampleWith only. Construction never draws from the generator, so a
 // shared sampler plus per-stream generators yields exactly the streams
-// that per-stream samplers would.
-func NewSharedZipf(n int, s float64) *Zipf { return NewZipf(nil, n, s) }
+// that per-stream samplers would. The sampler carries the head-rank
+// decision table (zipfHead) and is memoized per (n, s): it is immutable,
+// so every caller, on any goroutine, gets the same one, and a sweep of
+// short runs builds each table once.
+func NewSharedZipf(n int, s float64) *Zipf {
+	key := zipfKey{n, s}
+	if z, ok := sharedZipfs.Load(key); ok {
+		return z.(*Zipf)
+	}
+	z := NewZipf(nil, n, s)
+	z.head = newZipfHead(z)
+	shared, _ := sharedZipfs.LoadOrStore(key, z)
+	return shared.(*Zipf)
+}
+
+// sharedZipfs memoizes NewSharedZipf. Callers use a handful of (table
+// height, exponent) pairs — the hotness classes' reference exponents at
+// the configured table sizes — so the memo stays small.
+var sharedZipfs sync.Map // zipfKey -> *Zipf
+
+type zipfKey struct {
+	n int
+	s float64
+}
 
 // h is the antiderivative of x^-s used by rejection-inversion.
 func (z *Zipf) h(x float64) float64 {
@@ -68,17 +98,41 @@ func (z *Zipf) Sample() int { return z.SampleWith(z.rng) }
 func (z *Zipf) SampleWith(r *RNG) int {
 	for {
 		u := z.hImaxPlus1 + r.Float64()*(z.hx0-z.hImaxPlus1)
-		x := z.hInv(u)
-		k := math.Floor(x + 0.5)
-		if k < 1 {
-			k = 1
-		} else if k > z.n {
-			k = z.n
+		if z.head != nil {
+			if rank := z.head.decide(u); rank >= 0 {
+				return rank
+			} else if rank == headReject {
+				continue
+			}
 		}
-		if k-x <= z.sCut || u >= z.h(k+0.5)-math.Exp(-z.s*math.Log(k)) {
-			return int(k) - 1
+		if rank, ok := z.iterate(u); ok {
+			return rank
 		}
 	}
+}
+
+// iterate is one rejection-inversion iteration for the variate u: it
+// reports the rank and true if u is accepted, false if the sampler must
+// draw again.
+func (z *Zipf) iterate(u float64) (int, bool) {
+	x := z.hInv(u)
+	k := math.Floor(x + 0.5)
+	if k < 1 {
+		k = 1
+	} else if k > z.n {
+		k = z.n
+	}
+	if k-x <= z.sCut || u >= z.accept(k) {
+		return int(k) - 1, true
+	}
+	return 0, false
+}
+
+// accept is the slow acceptance threshold for candidate rank k (1-based):
+// iterate accepts k when u >= accept(k). The head table stores this very
+// value, so its thresholds are bit-identical to the ones iterate computes.
+func (z *Zipf) accept(k float64) float64 {
+	return z.h(k+0.5) - math.Exp(-z.s*math.Log(k))
 }
 
 // UniqueFraction estimates, by simulation, the fraction of distinct ranks
