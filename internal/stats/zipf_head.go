@@ -22,8 +22,9 @@ const (
 // sampler. A rejection-inversion iteration maps its variate u to
 // x = hInv(u), takes the candidate k = floor(x+0.5), and accepts k if
 // k-x <= sCut or u >= accept(k). Since h is increasing, every step is a
-// threshold on u: k = j exactly when h(j-0.5) < u < h(j+0.5), and the
-// shortcut holds exactly when u >= h(k-sCut). The table stores, per rank,
+// threshold on u: k = j exactly when h(j-0.5) < u < h(j+0.5) (k clamps
+// to 1 below h(1.5) and to n above h(n-0.5)), and the shortcut holds
+// exactly when u >= h(k-sCut). The table stores, per rank,
 // those thresholds and the acceptance value accept(k), so an iteration
 // whose u lies clearly inside one rank's interval is settled by a few
 // comparisons, with no exp or log.
