@@ -103,13 +103,14 @@ golden: golden-update
 # Fuzz the structural invariants: cache residency/accounting, shard-plan
 # row ownership, seed-splitting collision freedom, the shared Zipf
 # sampler's head table agreeing with rejection-inversion, arrival-stream
-# monotonicity/determinism, and phase-graph validation-vs-scheduling
-# agreement. Each target gets FUZZTIME; the checked-in corpora under
+# monotonicity/determinism, phase-graph validation-vs-scheduling
+# agreement, and cluster-config validation-vs-simulation agreement. Each target gets FUZZTIME; the checked-in corpora under
 # testdata/fuzz run on every plain `make test` as ordinary seed cases.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCacheAccess -fuzztime $(FUZZTIME) ./internal/memsim
 	$(GO) test -run '^$$' -fuzz FuzzShardPlan -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzChaosSchedule -fuzztime $(FUZZTIME) ./internal/cluster
+	$(GO) test -run '^$$' -fuzz FuzzClusterConfig -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzSplitSeed -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run '^$$' -fuzz FuzzZipfHead -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run '^$$' -fuzz FuzzArrivalStream -fuzztime $(FUZZTIME) ./internal/traffic

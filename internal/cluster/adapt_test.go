@@ -144,6 +144,7 @@ func TestMitigationValidateAdaptive(t *testing.T) {
 	if err := m.validate(); err != nil {
 		t.Fatal(err)
 	}
+	m.applyDefaults()
 	if m.AdaptEpochMs != 12 || m.BreakerMinSamples != 10 || m.BreakerCooldownMs != 48 {
 		t.Errorf("defaults = epoch %g, min %d, cooldown %g; want 12, 10, 48",
 			m.AdaptEpochMs, m.BreakerMinSamples, m.BreakerCooldownMs)

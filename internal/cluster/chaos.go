@@ -163,14 +163,6 @@ func (s *ChaosSchedule) validateErrs(nodes int) []error {
 	return errs
 }
 
-// validateFirst is validateErrs for the fail-fast applyDefaults path.
-func (s *ChaosSchedule) validateFirst(nodes int) error {
-	if errs := s.validateErrs(nodes); len(errs) > 0 {
-		return errs[0]
-	}
-	return nil
-}
-
 // String renders the schedule in the CLI spec grammar; ParseChaosSchedule
 // round-trips it.
 func (s ChaosSchedule) String() string {

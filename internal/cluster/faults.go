@@ -68,7 +68,7 @@ func (f FaultModel) Active() bool {
 	return f.SlowdownEveryMs > 0 || f.DownEveryMs > 0 || f.DropProb > 0
 }
 
-func (f *FaultModel) validate() error {
+func (f FaultModel) validate() error {
 	if f.DropProb < 0 || f.DropProb >= 1 {
 		return fmt.Errorf("cluster: drop probability %g outside [0,1)", f.DropProb)
 	}
@@ -86,10 +86,14 @@ func (f *FaultModel) validate() error {
 	if f.DownEveryMs > 0 && f.DownMeanMs <= 0 {
 		return fmt.Errorf("cluster: unavailability windows need a positive mean duration")
 	}
+	return nil
+}
+
+// applyDefaults resolves the zero-means-default detection delay.
+func (f *FaultModel) applyDefaults() {
 	if f.DropProb > 0 && f.DropDetectMs == 0 {
 		f.DropDetectMs = 1
 	}
-	return nil
 }
 
 // Mitigation is the router-side policy for surviving faults. The zero
@@ -163,10 +167,8 @@ func (m *Mitigation) adaptive() bool {
 	return m.RetryBudget > 0 || m.BreakerTripRate > 0
 }
 
-// validate checks the policy and resolves the adaptive zero-means-
-// default knobs in place (pointer receiver, like FaultModel.validate —
-// Config.Validate copies first to stay mutation-free).
-func (m *Mitigation) validate() error {
+// validate checks the policy.
+func (m Mitigation) validate() error {
 	if m.TimeoutMs < 0 || m.HedgeDelayMs < 0 || m.MaxRetries < 0 {
 		return fmt.Errorf("cluster: negative mitigation parameter")
 	}
@@ -192,11 +194,17 @@ func (m *Mitigation) validate() error {
 		return fmt.Errorf("cluster: breaker knobs (min samples %d, cooldown %g ms) need a trip rate",
 			m.BreakerMinSamples, m.BreakerCooldownMs)
 	}
+	if !m.adaptive() && m.AdaptEpochMs != 0 {
+		return fmt.Errorf("cluster: adaptive epoch %g ms needs a retry budget or breaker trip rate", m.AdaptEpochMs)
+	}
+	return nil
+}
+
+// applyDefaults resolves the adaptive zero-means-default knobs; they stay
+// zero when the adaptive machinery is off.
+func (m *Mitigation) applyDefaults() {
 	if !m.adaptive() {
-		if m.AdaptEpochMs != 0 {
-			return fmt.Errorf("cluster: adaptive epoch %g ms needs a retry budget or breaker trip rate", m.AdaptEpochMs)
-		}
-		return nil
+		return
 	}
 	if m.AdaptEpochMs == 0 {
 		if m.TimeoutMs > 0 {
@@ -213,7 +221,6 @@ func (m *Mitigation) validate() error {
 			m.BreakerCooldownMs = 4 * m.AdaptEpochMs
 		}
 	}
-	return nil
 }
 
 // seed salts for the fault subsystem's independent streams.

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"dlrmsim/internal/check"
 	"dlrmsim/internal/dlrm"
 	"dlrmsim/internal/trace"
 )
@@ -138,6 +139,124 @@ func FuzzChaosSchedule(f *testing.F) {
 		}
 		if _, err := Simulate(cfg); err != nil {
 			t.Fatalf("validated schedule rejected by Simulate: %v", err)
+		}
+	})
+}
+
+// configFromBytes decodes a closed-loop config over one of plans from
+// fuzz bytes, one byte per knob in declaration order (zero once the data
+// runs out). Every numeric knob maps onto a finite range that straddles
+// zero, so both sides of every Validate bound are reachable; a zero byte
+// is a zero knob.
+func configFromBytes(plans []*Plan, data []byte) Config {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	val := func() float64 { return float64(int8(next())) / 8 } // [-16, 15.875]
+	small := func(n int) int { return int(int8(next())) % n }  // (-n, n)
+	cfg := Config{
+		Plan:            plans[int(next())%len(plans)],
+		Hotness:         trace.HighHot,
+		SamplesPerQuery: small(4),
+		MeanArrivalMs:   val(),
+		Queries:         int(next())%209 - 8, // [-8, 200]
+		WarmupQueries:   small(8),
+		ServersPerNode:  small(4),
+		Timing:          Timing{ColdLookupUs: val(), HotLookupUs: val(), SubRequestUs: val(), DenseMs: val()},
+		Net:             Network{LatencyMs: val() / 16, BandwidthGBs: val()},
+		JitterFrac:      val() / 8,
+		Faults: FaultModel{
+			SlowdownEveryMs: val() * 4,
+			SlowdownMeanMs:  val(),
+			SlowdownFactor:  val(),
+			DownEveryMs:     val() * 4,
+			DownMeanMs:      val(),
+			DropProb:        float64(int8(next())) / 128, // [-1, 1)
+			DropDetectMs:    val() / 8,
+		},
+		Mitigation: Mitigation{
+			TimeoutMs:         val(),
+			MaxRetries:        small(4),
+			HedgeDelayMs:      val(),
+			DegradedJoin:      next()&1 == 1,
+			RetryBudget:       val() / 8,
+			AdaptEpochMs:      val(),
+			BreakerTripRate:   val() / 8,
+			BreakerMinSamples: small(16),
+			BreakerCooldownMs: val(),
+		},
+		Seed: uint64(next()),
+	}
+	cfg.Chaos.Domains = small(4)
+	if kind := next(); kind != 0 {
+		cfg.Chaos.Events = []ChaosEvent{{
+			Kind:   ChaosKind(kind%5) - 1, // -1 is an invalid kind
+			Domain: small(4),
+			Peer:   small(4),
+			AtMs:   val() * 16,
+			ForMs:  val() * 4,
+			Factor: val(),
+		}}
+	}
+	return cfg
+}
+
+// FuzzClusterConfig checks that Validate is Simulate's only gate: Simulate
+// errors exactly when Validate does, and every accepted config runs clean
+// under check.Enabled and returns finite percentiles.
+func FuzzClusterConfig(f *testing.F) {
+	// 1–8-node plans of a small model (the plan is FuzzShardPlan's
+	// subject, not this target's), with a replicated hot set so
+	// HotLookupUs is charged.
+	model := dlrm.RM2Small()
+	model.Tables, model.RowsPerTable, model.LookupsPerSample = 4, 1000, 8
+	plans := make([]*Plan, 8)
+	for i := range plans {
+		p, err := NewPlan(model, i+1, RowRange, 0.05, 1)
+		if err != nil {
+			f.Fatal(err)
+		}
+		plans[i] = p
+	}
+	f.Add([]byte{})
+	// 4 nodes, 2 samples, 1 ms arrivals, 100 queries, default warmup, one
+	// server; a plain healthy fleet.
+	f.Add([]byte{3, 2, 8, 108, 0, 0, 16, 1, 8, 1, 1, 80})
+	// Slowdowns, outages and drops, survived by timeouts, retries, hedges,
+	// a retry budget and breakers.
+	f.Add([]byte{7, 1, 4, 58, 255, 2, 16, 1, 8, 1, 1, 80, 8,
+		40, 8, 32, 40, 8, 13, 4,
+		16, 2, 24, 1, 2, 0, 4, 3, 0,
+		9})
+	// A slowdown chaos window over two domains.
+	f.Add([]byte{5, 1, 8, 58, 0, 0, 16, 1, 8, 1, 1, 80, 0,
+		0, 0, 0, 0, 0, 0, 0,
+		0, 0, 0, 0, 0, 0, 0, 0, 0,
+		3, 2, 2, 1, 0, 2, 8, 40})
+	// Negative dense stage, latency, jitter and sub-request cost: Validate
+	// and Simulate must both refuse.
+	f.Add([]byte{3, 2, 8, 108, 0, 0, 16, 1, 255, 255, 255, 80, 255})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		defer func(old bool) { check.Enabled = old }(check.Enabled)
+		check.Enabled = true
+		cfg := configFromBytes(plans, data)
+		verr := cfg.Validate()
+		res, serr := Simulate(cfg)
+		if (verr == nil) != (serr == nil) {
+			t.Fatalf("Validate err %v but Simulate err %v for %+v", verr, serr, cfg)
+		}
+		if verr != nil {
+			return
+		}
+		for _, v := range []float64{res.P50, res.P95, res.P99, res.Mean} {
+			if !check.Finite(v) {
+				t.Fatalf("non-finite percentile in %+v for %+v", res, cfg)
+			}
 		}
 	})
 }

@@ -283,13 +283,9 @@ func (o *OpenLoop) validateErrs(nodes int) []error {
 	return errs
 }
 
-// applyDefaults resolves the zero-means-default fields in place and
-// returns the first validation failure (mirroring Config.applyDefaults;
-// Config.Validate is the collect-all front door).
-func (o *OpenLoop) applyDefaults(nodes int) error {
-	if errs := o.validateErrs(nodes); len(errs) > 0 {
-		return errs[0]
-	}
+// applyDefaults resolves the zero-means-default fields of a validated
+// open loop in place.
+func (o *OpenLoop) applyDefaults(nodes int) {
 	switch o.WarmupMs {
 	case 0:
 		o.WarmupMs = o.DurationMs / 20
@@ -307,7 +303,6 @@ func (o *OpenLoop) applyDefaults(nodes int) error {
 			o.Autoscale.MaxNodes = nodes
 		}
 	}
-	return nil
 }
 
 // openQuery is one arrival's router-side record.

@@ -66,62 +66,27 @@ type Config struct {
 	Seed uint64
 }
 
+// applyDefaults rejects what Validate rejects, then resolves the
+// zero-means-default fields in place.
 func (c *Config) applyDefaults() error {
-	if c.Plan == nil {
-		return fmt.Errorf("cluster: nil plan")
-	}
-	if c.SamplesPerQuery < 1 {
-		return fmt.Errorf("cluster: %d samples per query", c.SamplesPerQuery)
-	}
-	if c.Timing.ColdLookupUs <= 0 {
-		return fmt.Errorf("cluster: non-positive cold lookup cost %g", c.Timing.ColdLookupUs)
+	if err := c.Validate(); err != nil {
+		return err
 	}
 	if c.ServersPerNode == 0 {
 		c.ServersPerNode = 1
 	}
-	if c.ServersPerNode < 1 {
-		return fmt.Errorf("cluster: %d servers per node", c.ServersPerNode)
-	}
-	if c.Open != nil {
-		// Open-loop mode: load comes from the traffic stream, so the
-		// closed-loop knobs must be left zero (a set knob is a config
-		// confusion, not a silent no-op).
-		if c.MeanArrivalMs != 0 || c.Queries != 0 || c.WarmupQueries != 0 {
-			return fmt.Errorf("cluster: closed-loop load knobs (mean arrival %g, queries %d, warmup %d) are unused with an open-loop config",
-				c.MeanArrivalMs, c.Queries, c.WarmupQueries)
-		}
-	} else {
-		if c.MeanArrivalMs <= 0 {
-			return fmt.Errorf("cluster: non-positive mean arrival %g", c.MeanArrivalMs)
-		}
+	c.Faults.applyDefaults()
+	c.Mitigation.applyDefaults()
+	if c.Open == nil {
 		if c.Queries == 0 {
 			c.Queries = 2000
 		}
-		if c.Queries < 1 {
-			return fmt.Errorf("cluster: %d queries", c.Queries)
-		}
-		switch {
-		case c.WarmupQueries == 0:
+		switch c.WarmupQueries {
+		case 0:
 			c.WarmupQueries = c.Queries / 20
-		case c.WarmupQueries == -1:
+		case -1:
 			c.WarmupQueries = 0
-		case c.WarmupQueries < 0:
-			return fmt.Errorf("cluster: warmup %d (use -1 for explicit zero)", c.WarmupQueries)
 		}
-		if c.WarmupQueries >= c.Queries {
-			return fmt.Errorf("cluster: warmup %d >= queries %d", c.WarmupQueries, c.Queries)
-		}
-	}
-	if err := c.Faults.validate(); err != nil {
-		return err
-	}
-	if err := c.Mitigation.validate(); err != nil {
-		return err
-	}
-	if err := c.Chaos.validateFirst(c.Plan.Nodes); err != nil {
-		return err
-	}
-	if c.Open == nil {
 		return nil
 	}
 	// Clone before resolving defaults: Simulate receives the Config by
@@ -134,7 +99,8 @@ func (c *Config) applyDefaults() error {
 		open.Autoscale = &as
 	}
 	c.Open = &open
-	return c.Open.applyDefaults(c.Plan.Nodes)
+	c.Open.applyDefaults(c.Plan.Nodes)
+	return nil
 }
 
 // Result summarizes one cluster run.

@@ -6,16 +6,17 @@ import (
 )
 
 // Validate reports every violation in the cluster configuration at once
-// (errors.Join), without mutating the config. Simulate's applyDefaults
-// enforces the same constraints one at a time while filling defaults;
-// Validate is the CLI-facing front door that lets a user fix every bad
-// flag in one round trip. Zero-means-default fields (ServersPerNode,
-// Queries, WarmupQueries) are accepted as zero.
+// (errors.Join), without mutating the config, so a user can fix every bad
+// flag in one round trip. Simulate runs it before filling defaults.
+// Zero-means-default fields (ServersPerNode, Queries, WarmupQueries) are
+// accepted as zero.
 func (c Config) Validate() error {
 	var errs []error
+	nodes := 0 // 0 skips the node-range checks when there is no plan
 	if c.Plan == nil {
 		errs = append(errs, fmt.Errorf("cluster: nil plan"))
 	} else {
+		nodes = c.Plan.Nodes
 		if c.Plan.Nodes < 1 {
 			errs = append(errs, fmt.Errorf("cluster: %d nodes", c.Plan.Nodes))
 		}
@@ -53,10 +54,6 @@ func (c Config) Validate() error {
 			errs = append(errs, fmt.Errorf("cluster: closed-loop load knobs (mean arrival %g, queries %d, warmup %d) are unused with an open-loop config",
 				c.MeanArrivalMs, c.Queries, c.WarmupQueries))
 		}
-		nodes := 0
-		if c.Plan != nil {
-			nodes = c.Plan.Nodes
-		}
 		errs = append(errs, c.Open.validateErrs(nodes)...)
 	} else {
 		queries := c.Queries
@@ -67,19 +64,11 @@ func (c Config) Validate() error {
 			errs = append(errs, fmt.Errorf("cluster: warmup %d >= queries %d", c.WarmupQueries, queries))
 		}
 	}
-	f := c.Faults
-	if err := f.validate(); err != nil {
+	if err := c.Faults.validate(); err != nil {
 		errs = append(errs, err)
 	}
-	// Copy first: validate resolves adaptive defaults through its pointer
-	// receiver, and Validate's contract is mutation-free.
-	m := c.Mitigation
-	if err := m.validate(); err != nil {
+	if err := c.Mitigation.validate(); err != nil {
 		errs = append(errs, err)
-	}
-	nodes := 0
-	if c.Plan != nil {
-		nodes = c.Plan.Nodes
 	}
 	errs = append(errs, c.Chaos.validateErrs(nodes)...)
 	return errors.Join(errs...)

@@ -22,8 +22,8 @@ func TestConfigValidateCollectsAllViolations(t *testing.T) {
 		Plan:            validPlan(t),
 		SamplesPerQuery: 0,
 		MeanArrivalMs:   -1,
-		Timing:          Timing{ColdLookupUs: -2, DenseMs: -1},
-		Net:             Network{LatencyMs: -1},
+		Timing:          Timing{ColdLookupUs: -2, HotLookupUs: -1, SubRequestUs: -1, DenseMs: -1},
+		Net:             Network{LatencyMs: -1, BandwidthGBs: -1},
 		ServersPerNode:  -3,
 		JitterFrac:      -0.5,
 		Queries:         -7,
@@ -36,14 +36,22 @@ func TestConfigValidateCollectsAllViolations(t *testing.T) {
 	}
 	err := cfg.Validate()
 	if err == nil {
-		t.Fatal("Validate accepted a config with eleven violations")
+		t.Fatal("Validate accepted a config with fourteen violations")
+	}
+	// Simulate gates on the same validator, so it reports the same list.
+	_, serr := Simulate(cfg)
+	if serr == nil {
+		t.Fatal("Simulate accepted a config Validate rejects")
 	}
 	for _, want := range []string{
 		"samples per query",
 		"mean arrival",
 		"cold lookup",
+		"hot lookup",
+		"sub-request overhead",
 		"dense-stage",
-		"network parameters",
+		"latency -1 ms",
+		"bandwidth -1 GB/s",
 		"-3 servers per node",
 		"jitter fraction",
 		"-7 queries",
@@ -54,6 +62,9 @@ func TestConfigValidateCollectsAllViolations(t *testing.T) {
 	} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error missing %q:\n%v", want, err)
+		}
+		if !strings.Contains(serr.Error(), want) {
+			t.Errorf("Simulate error missing %q:\n%v", want, serr)
 		}
 	}
 }

@@ -68,16 +68,14 @@ type Options struct {
 	EmbeddingOnly bool
 }
 
+// applyDefaults rejects what Validate rejects, then resolves the
+// zero-means-default fields in place.
 func (o *Options) applyDefaults() error {
+	if err := o.Validate(); err != nil {
+		return err
+	}
 	if o.CPU.Name == "" {
 		o.CPU = platform.CascadeLake()
-	}
-	// Reject what no default can repair. Negative batch geometry used to
-	// slip through (zero means default, so only == 0 was checked) and
-	// surfaced as empty work lists and zero-division NaNs downstream.
-	if o.BatchSize < 0 || o.Batches < 0 || o.BandwidthIterations < 0 {
-		return fmt.Errorf("core: negative run geometry (batch %d, batches %d, bwiters %d)",
-			o.BatchSize, o.Batches, o.BandwidthIterations)
 	}
 	if o.BatchSize == 0 {
 		o.BatchSize = 64
@@ -88,16 +86,10 @@ func (o *Options) applyDefaults() error {
 	if o.Cores == 0 {
 		o.Cores = o.CPU.Cores
 	}
-	if o.Cores < 1 || o.Cores > o.CPU.Cores {
-		return fmt.Errorf("core: %d cores on a %d-core %s", o.Cores, o.CPU.Cores, o.CPU.Name)
-	}
 	if o.Scheme.UsesSWPrefetch() && !o.Prefetch.Enabled() {
 		o.Prefetch = embedding.PrefetchConfig{Dist: o.CPU.TunedPFDist, Blocks: o.CPU.TunedPFBlocks}
 	}
-	if o.EmbeddingOnly && o.Scheme.UsesSMT() {
-		return fmt.Errorf("core: embedding-only runs are sequential; %v uses SMT", o.Scheme)
-	}
-	return o.Model.Validate()
+	return nil
 }
 
 // Report is the engine's output for one (model, platform, dataset, scheme)

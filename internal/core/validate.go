@@ -8,11 +8,11 @@ import (
 )
 
 // Validate reports every violation in the options at once (errors.Join),
-// under the same zero-means-default convention applyDefaults uses: zero
-// fields are fine, values that no default can repair are not. The CLIs
-// call this on every cell before a sweep starts, so a bad flag fails in
-// milliseconds with an actionable list instead of surfacing as a NaN
-// table — or a panic — hours into the grid.
+// under the zero-means-default convention: zero fields are fine, values
+// that no default can repair are not. Run calls it before filling
+// defaults, and the CLIs call it on every cell before a sweep starts, so a
+// bad flag fails in milliseconds with an actionable list instead of
+// surfacing as a NaN table — or a panic — hours into the grid.
 func (o Options) Validate() error {
 	var errs []error
 	if err := o.Model.Validate(); err != nil {

@@ -20,19 +20,33 @@ func TestValidateCollectsAllViolations(t *testing.T) {
 		Scheme:              Scheme(99),
 		BandwidthIterations: -3,
 	}
-	err := opts.Validate()
-	if err == nil {
-		t.Fatal("Validate accepted a config with five violations")
-	}
-	for _, want := range []string{
+	wants := []string{
 		"negative batch size -1",
 		"negative batch count -2",
 		"1000 cores",
 		"invalid scheme 99",
 		"negative bandwidth iterations -3",
-	} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error missing %q:\n%v", want, err)
+	}
+	// A named but zeroed CPU is not defaulted: Run must refuse it rather
+	// than hand the core model a zero issue width.
+	zeroCPU := Options{Model: dlrm.RM2Small().Scaled(20), CPU: platform.CPU{Name: "zeroed"}}
+	zeroWants := []string{"zeroed: 0 cores", "non-positive frequency", "IssueWidth"}
+	for _, tc := range []struct {
+		opts  Options
+		wants []string
+	}{{opts, wants}, {zeroCPU, zeroWants}} {
+		verr := tc.opts.Validate()
+		_, rerr := Run(tc.opts)
+		if verr == nil || rerr == nil {
+			t.Fatalf("Validate err %v, Run err %v: both must reject %+v", verr, rerr, tc.opts)
+		}
+		for _, want := range tc.wants {
+			if !strings.Contains(verr.Error(), want) {
+				t.Errorf("Validate error missing %q:\n%v", want, verr)
+			}
+			if !strings.Contains(rerr.Error(), want) {
+				t.Errorf("Run error missing %q:\n%v", want, rerr)
+			}
 		}
 	}
 }
@@ -57,14 +71,15 @@ func TestValidateEmbeddingOnlySMT(t *testing.T) {
 // TestRunRejectsNegativeGeometry is the flag-audit regression: negative
 // batch geometry used to slip through applyDefaults (only == 0 was
 // checked) and surfaced as empty work lists and NaN throughput downstream.
+// Run rejects each field with its own Validate message.
 func TestRunRejectsNegativeGeometry(t *testing.T) {
-	for _, opts := range []Options{
-		{Model: dlrm.RM2Small().Scaled(20), BatchSize: -8},
-		{Model: dlrm.RM2Small().Scaled(20), Batches: -1},
-		{Model: dlrm.RM2Small().Scaled(20), BandwidthIterations: -2},
+	for want, opts := range map[string]Options{
+		"negative batch size":           {Model: dlrm.RM2Small().Scaled(20), BatchSize: -8},
+		"negative batch count":          {Model: dlrm.RM2Small().Scaled(20), Batches: -1},
+		"negative bandwidth iterations": {Model: dlrm.RM2Small().Scaled(20), BandwidthIterations: -2},
 	} {
-		if _, err := Run(opts); err == nil || !strings.Contains(err.Error(), "negative run geometry") {
-			t.Errorf("Run(%+v) err = %v, want negative-geometry rejection", opts, err)
+		if _, err := Run(opts); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Run(%+v) err = %v, want %q", opts, err, want)
 		}
 	}
 }

@@ -59,12 +59,11 @@ type Pool struct {
 	queues [][]Task // one per group (or a single global queue)
 	closed bool
 
-	wg sync.WaitGroup
-
-	// execMu guards execCount; per-group execution counts let tests
-	// verify placement.
-	execMu    sync.Mutex
+	// execCount is the per-group count of started tasks (guarded by mu);
+	// it lets tests verify placement.
 	execCount []int64
+
+	wg sync.WaitGroup
 }
 
 // NewPool starts a pool with `groups` core groups of two workers each.
@@ -142,19 +141,19 @@ func (p *Pool) worker(g int) {
 		}
 		task := p.queues[q][0]
 		p.queues[q] = p.queues[q][1:]
+		// Count at dequeue: a task may signal its own completion, and the
+		// caller it wakes must already see it counted.
+		p.execCount[g]++
 		p.mu.Unlock()
 
 		task()
-		p.execMu.Lock()
-		p.execCount[g]++
-		p.execMu.Unlock()
 	}
 }
 
-// ExecCounts returns how many tasks each group's workers have completed.
+// ExecCounts returns how many tasks each group's workers have started.
 func (p *Pool) ExecCounts() []int64 {
-	p.execMu.Lock()
-	defer p.execMu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	return append([]int64(nil), p.execCount...)
 }
 

@@ -68,6 +68,29 @@ func TestPerCoreQueueNoStealing(t *testing.T) {
 	}
 }
 
+// TestExecCountsSeeSignalledTasks: a task that signals its own completion
+// must already be counted when the signal is observed, so a caller that
+// waits on the task and then reads ExecCounts sees it. Counting after the
+// task returns let the read overtake the increment.
+func TestExecCountsSeeSignalledTasks(t *testing.T) {
+	p, err := NewPool(PerCoreQueue, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for i := int64(1); i <= 2000; i++ {
+		var wg sync.WaitGroup
+		wg.Add(1)
+		if err := p.Submit(0, wg.Done); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		if got := p.ExecCounts()[0]; got != i {
+			t.Fatalf("after %d signalled tasks ExecCounts reports %d", i, got)
+		}
+	}
+}
+
 func TestGlobalQueueMigratesWork(t *testing.T) {
 	p, err := NewPool(GlobalQueue, 4)
 	if err != nil {

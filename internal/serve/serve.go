@@ -40,29 +40,20 @@ type Config struct {
 	Seed uint64
 }
 
+// applyDefaults rejects what Validate rejects, then resolves the
+// zero-means-default fields in place.
 func (c *Config) applyDefaults() error {
-	if c.Cores < 1 {
-		return fmt.Errorf("serve: %d cores", c.Cores)
-	}
-	if c.MeanArrivalMs <= 0 || c.ServiceMs <= 0 {
-		return fmt.Errorf("serve: non-positive times (arrival %g, service %g)", c.MeanArrivalMs, c.ServiceMs)
+	if err := c.Validate(); err != nil {
+		return err
 	}
 	if c.Requests == 0 {
 		c.Requests = 2000
 	}
-	if c.Requests < 1 {
-		return fmt.Errorf("serve: %d requests", c.Requests)
-	}
-	switch {
-	case c.WarmupRequests == 0:
+	switch c.WarmupRequests {
+	case 0:
 		c.WarmupRequests = c.Requests / 20
-	case c.WarmupRequests == -1:
+	case -1:
 		c.WarmupRequests = 0
-	case c.WarmupRequests < 0:
-		return fmt.Errorf("serve: warmup %d (use -1 for explicit zero)", c.WarmupRequests)
-	}
-	if c.WarmupRequests >= c.Requests {
-		return fmt.Errorf("serve: warmup %d >= requests %d", c.WarmupRequests, c.Requests)
 	}
 	return nil
 }

@@ -6,10 +6,9 @@ import (
 )
 
 // Validate reports every violation in the serving config at once
-// (errors.Join), without mutating it. Simulate's applyDefaults enforces
-// the same constraints one at a time while filling defaults; Validate is
-// the CLI-facing front door. Zero-means-default fields (Requests,
-// WarmupRequests) are accepted as zero.
+// (errors.Join), without mutating it. Simulate runs it before filling
+// defaults. Zero-means-default fields (Requests, WarmupRequests) are
+// accepted as zero.
 func (c Config) Validate() error {
 	var errs []error
 	if c.Cores < 1 {

@@ -19,6 +19,11 @@ func TestConfigValidateCollectsAllViolations(t *testing.T) {
 	if err == nil {
 		t.Fatal("Validate accepted a config with six violations")
 	}
+	// Simulate gates on the same validator, so it reports the same list.
+	_, serr := Simulate(cfg)
+	if serr == nil {
+		t.Fatal("Simulate accepted a config Validate rejects")
+	}
 	for _, want := range []string{
 		"0 cores",
 		"non-positive times",
@@ -29,6 +34,9 @@ func TestConfigValidateCollectsAllViolations(t *testing.T) {
 	} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error missing %q:\n%v", want, err)
+		}
+		if !strings.Contains(serr.Error(), want) {
+			t.Errorf("Simulate error missing %q:\n%v", want, serr)
 		}
 	}
 }
