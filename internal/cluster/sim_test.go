@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dlrmsim/internal/trace"
+	"dlrmsim/internal/traffic"
 )
 
 func testTiming() Timing {
@@ -211,6 +212,33 @@ var closedLoopPins = map[string]string{
 	"chaos-adaptive": "cc36d5325dd79ab17eb62e6a773022b21958dec0e14d78c41da1a603b2ba6ab4",
 	"bench-steady":   "d7faaeab5623e093da1c648b3c5d96a1046f9b7d9e4ed5d6ccdacebd1c78be41",
 	"bench-faulted":  "8206b8f3630bb64f0e12f85bd18add017f83cb7584fd0e93d005bdcd7638df48",
+	"chaos-overlap":  "1fed61727399ca18abf7b90a6353211ee6d6bc5d9e9af068edd2071f2201a535",
+}
+
+// overlapSchedule spans a run horizon with chaos windows that overlap on
+// one domain: two slowdowns with different factors (the higher one
+// first, so the overlap must take the max, not the latest) and two
+// outages, plus a partition between the domains. No other pinned config
+// overlaps chaos slowdowns.
+func overlapSchedule(horizon float64) ChaosSchedule {
+	h := horizon
+	return ChaosSchedule{Domains: 2, Events: []ChaosEvent{
+		{Kind: DomainSlowdown, Domain: 0, AtMs: 0.1 * h, ForMs: 0.4 * h, Factor: 5},
+		{Kind: DomainOutage, Domain: 1, AtMs: 0.2 * h, ForMs: 0.2 * h},
+		{Kind: DomainSlowdown, Domain: 0, AtMs: 0.3 * h, ForMs: 0.3 * h, Factor: 3},
+		{Kind: DomainOutage, Domain: 1, AtMs: 0.3 * h, ForMs: 0.2 * h},
+		{Kind: Partition, Domain: 0, Peer: 1, AtMs: 0.35 * h, ForMs: 0.1 * h},
+	}}
+}
+
+// chaosOverlapConfig layers overlapSchedule over the stochastic fault
+// model's slowdowns, outages and drops, with hedging.
+func chaosOverlapConfig(t *testing.T) Config {
+	t.Helper()
+	cfg := faultConfig(t, trace.MediumHot)
+	cfg.Mitigation = Mitigation{HedgeDelayMs: hedgeDelay(t, trace.MediumHot)}
+	cfg.Chaos = overlapSchedule(cfg.MeanArrivalMs * float64(cfg.Queries))
+	return cfg
 }
 
 // TestClosedLoopResultsPinned pins closed-loop output bit-for-bit on the
@@ -222,6 +250,7 @@ func TestClosedLoopResultsPinned(t *testing.T) {
 	cfgs := execConfigs(t)
 	cfgs["bench-steady"] = benchConfig(t, false)
 	cfgs["bench-faulted"] = benchConfig(t, true)
+	cfgs["chaos-overlap"] = chaosOverlapConfig(t)
 	for name, cfg := range cfgs {
 		res, err := Simulate(cfg)
 		if err != nil {
@@ -229,6 +258,46 @@ func TestClosedLoopResultsPinned(t *testing.T) {
 		}
 		got := fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%+v", res))))
 		if want := closedLoopPins[name]; got != want {
+			t.Errorf("%s: result digest %s, pinned %s:\n%+v", name, got, want, res)
+		}
+	}
+}
+
+// openLoopPins holds the SHA-256 of fmt.Sprintf("%+v", res) for each
+// pinned open-loop config, as closedLoopPins does for the closed loop.
+var openLoopPins = map[string]string{
+	"plain":          "936cb76d8b9d0a5c528219a0e195d5e63f01d5a0c93f5c4463b69558f6d26d59",
+	"shed":           "936cb76d8b9d0a5c528219a0e195d5e63f01d5a0c93f5c4463b69558f6d26d59",
+	"burst-shed":     "6523240e44cdd422dfc26bd2ab471ee6458981e3ae8b9fe58c353e2a2b517395",
+	"autoscale":      "3fd2679a04a15c866816505c19e9f533fb0333db98bf5c9d68057458c26d22c9",
+	"population":     "cf3a81efd02a4a8eb5451ca255bdea40ad211fda84fb6ffcba0104553ee22fdd",
+	"faults":         "e51377b07657005d0cac212eee78ea210f890f5485cdca76c9beab921c57d06d",
+	"chaos-adaptive": "a76a518585e5d791df18ce013d8df5c71e465c87b63759c1d1fbafdf2bf65b71",
+	"faults-chaos":   "d7ae69eff43c2e920dc7c610fa86e38579070053e548a292e14f0ee3e7a2474b",
+}
+
+// TestOpenLoopResultsPinned pins open-loop output bit-for-bit on every
+// exec-suite config plus one that layers the stochastic fault model
+// under a chaos schedule with overlapping windows — the open-loop
+// counterpart of TestClosedLoopResultsPinned.
+func TestOpenLoopResultsPinned(t *testing.T) {
+	cfgs := openExecConfigs(t)
+	mixed := openTestConfig(t, 4, &OpenLoop{
+		Arrivals:   traffic.Config{Model: traffic.Poisson, RatePerMs: openRate(t, 4, 0.5)},
+		DurationMs: 500,
+		SLAMs:      50,
+	})
+	mixed.Faults = testFaults()
+	mixed.Chaos = overlapSchedule(500)
+	mixed.Mitigation = Mitigation{TimeoutMs: hedgeDelay(t, trace.HighHot) * 2, MaxRetries: 1, DegradedJoin: true}
+	cfgs["faults-chaos"] = mixed
+	for name, cfg := range cfgs {
+		res, err := Simulate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%+v", res))))
+		if want := openLoopPins[name]; got != want {
 			t.Errorf("%s: result digest %s, pinned %s:\n%+v", name, got, want, res)
 		}
 	}
