@@ -13,7 +13,7 @@ package cluster
 // either fully overwritten before it is read (the pre-draw ring —
 // drawArrival zeroes its own cold slice), explicitly re-zeroed or
 // rewound here and in the init methods (the active set, partition
-// scratch, fault tracks, chaos and adaptive state), or re-sliced to
+// scratch, fault timelines, adaptive state), or re-sliced to
 // length zero and only appended to (subs, firstSub, latencies, queries).
 // Queue and wheel objects reset through their Reset hooks
 // (serve.Queue.Reset, eventq.Wheel.Reset). Nothing observable escapes:
@@ -54,7 +54,6 @@ type runArena struct {
 	// value so the per-node and per-window slices inside recycle with the
 	// arena, and the recovery-observability minute buckets.
 	faultSt faultState
-	chaosSt chaosState
 	adaptSt adaptState
 	ttrArr  []int
 	ttrGood []int
@@ -102,17 +101,10 @@ func arenaSlice[T any](buf *[]T, n int) []T {
 }
 
 // faultFor rewinds the arena's recycled per-node fault timelines for a
-// validated fault model.
-func (a *runArena) faultFor(model FaultModel, seed uint64, nodes int) *faultState {
-	a.faultSt.init(model, seed, nodes)
+// validated config's fault model and chaos schedule.
+func (a *runArena) faultFor(cfg *Config, nodes int) *faultState {
+	a.faultSt.init(cfg, nodes)
 	return &a.faultSt
-}
-
-// chaosFor materializes a chaos schedule into the arena's recycled
-// chaos state.
-func (a *runArena) chaosFor(sched *ChaosSchedule, nodes int) *chaosState {
-	a.chaosSt.init(sched, nodes)
-	return &a.chaosSt
 }
 
 // adaptFor resets the arena's recycled adaptive-mitigation state for a

@@ -57,7 +57,7 @@ func TestSimulateAllocsSteadyState(t *testing.T) {
 }
 
 // TestFaultedClosedLoopAllocsSteadyState extends the guard to the fault
-// model: the per-node slowdown and outage timelines (each track's RNG and
+// model: the per-node slowdown and outage timelines (each timeline's RNG and
 // window buffer) recycle through the arena, so a faulted closed-loop run
 // with the full mitigation stack allocates no more than a steady one.
 func TestFaultedClosedLoopAllocsSteadyState(t *testing.T) {

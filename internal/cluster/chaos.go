@@ -10,18 +10,17 @@ package cluster
 // works identically in Simulate and the open event loop.
 //
 // Determinism: the schedule is static — no RNG, no new seed salt. At
-// run start every event is materialized into per-domain outage and
-// slowdown windows and per-domain-pair severance windows (a Recover
-// event truncates the windows of its domain that are open at its
-// instant). Outage windows reach a node's queue through the same
-// serve.Queue.Unavailable max-raise path the fault model uses, applied
-// in start order by a per-node cursor, so composition with stochastic
-// outages is order-independent. Partition severance folds into each
-// copy's node-arrival instant at scheduling time (transitShift): a copy
-// in flight across a severed domain pair is lost and re-sent when the
-// partition heals, exactly like the transport's drop re-sends. All of
-// it is a pure function of the config, keeping the byte-identical-at-
-// any-worker-count property: nothing here reads mid-window state.
+// run start every event is materialized onto the fault model's per-node
+// timelines (faults.go): each domain's outage and slowdown windows are
+// copied onto every node in it, beside the stochastic ones, and
+// severance windows are kept per domain pair (a Recover event truncates
+// the windows of its domain that are open at its instant). One apply
+// path then serves both sources, and partition severance folds into
+// each copy's node-arrival instant at scheduling time, after the
+// transport's drop re-sends: a copy in flight across a severed domain
+// pair is lost and re-sent when the partition heals. All of it is a
+// pure function of the config, keeping the byte-identical-at-any-
+// worker-count property: nothing here reads mid-window state.
 //
 // Substitution statement: real chaos tooling (and real incidents) drive
 // correlated faults through orchestration APIs with jittered delivery;
@@ -34,8 +33,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-
-	"dlrmsim/internal/serve"
 )
 
 // ChaosKind names one scheduled chaos event type.
@@ -281,225 +278,137 @@ func ParseChaosSchedule(spec string) (ChaosSchedule, error) {
 	return s, nil
 }
 
-// chaosWin is one materialized window: [start, end), with the slowdown
-// factor for DomainSlowdown windows.
-type chaosWin struct {
-	start, end, factor float64
-}
-
-// chaosRaw is one window during materialization, keyed by domain (out,
-// slow) or pair index (part).
+// chaosRaw is one window during materialization, keyed by domain
+// (outage, slowdown) or pair index (partition).
 type chaosRaw struct {
-	kind uint8 // 0 outage, 1 slowdown, 2 partition
+	kind ChaosKind
 	key  int32
-	win  chaosWin
+	win  faultWin
 }
 
-// chaosState is one run's materialized schedule: per-domain window
-// lists in CSR layout (windows of domain d at out[outIdx[d]:outIdx[d+1]],
-// start-sorted because events are AtMs-ordered), a per-node cursor for
-// the outage→queue application, and the fault-clear instant the
-// recovery metrics measure from. Lives in the run arena and recycles
-// all of its slices.
-type chaosState struct {
-	domains int
-	nodeDom []int32
-	out     []chaosWin
-	outIdx  []int32
-	slow    []chaosWin
-	slowIdx []int32
-	part    []chaosWin
-	partIdx []int32
-	pairs   [][2]int32 // normalized (lo, hi) severed pairs
-	// outApplied is the per-node count of outage windows already pushed
-	// onto the node's queue; like faults.track.applied it relies on each
-	// node seeing its submissions in arrival order.
-	outApplied []int32
-	clearMs    float64 // last window end: the fault-clear instant
-
-	raws []chaosRaw // build scratch
+// severance is one severed domain pair, either way round, with its
+// start-ordered windows.
+type severance struct {
+	a, b int32
+	win  []faultWin
 }
 
-// init materializes a validated schedule for a fleet. Recover events
-// truncate the open windows of their domain in event order; zero-length
-// (fully recovered) windows are dropped.
-func (cs *chaosState) init(sched *ChaosSchedule, nodes int) {
+// initChaos materializes a validated schedule onto the fault state (an
+// inactive one leaves no domains). Recover events truncate the open
+// windows of their domain in event order; zero-length (fully recovered)
+// windows are dropped. Each domain's outage windows are copied onto
+// each of its nodes in start order (events are AtMs-ordered). Its
+// slowdown windows are first cut at every window boundary into disjoint
+// segments carrying the max factor over each — exactly the factor the
+// overlapping windows give at every instant — so one binary search
+// answers it.
+func (fs *faultState) initChaos(sched *ChaosSchedule, nodes int) {
+	fs.domains, fs.clearMs = 0, 0
+	fs.pairs, fs.raws, fs.cuts = fs.pairs[:0], fs.raws[:0], fs.cuts[:0]
+	if !sched.Active() {
+		return
+	}
 	d := sched.Domains
 	if d <= 0 {
 		d = nodes
 	}
-	cs.domains = d
-	cs.nodeDom = arenaSlice(&cs.nodeDom, nodes)
-	for n := range cs.nodeDom {
-		cs.nodeDom[n] = int32(int64(n) * int64(d) / int64(nodes))
+	fs.domains = d
+	fs.nodeDom = arenaSlice(&fs.nodeDom, nodes)
+	for n := range fs.nodeDom {
+		fs.nodeDom[n] = int32(int64(n) * int64(d) / int64(nodes))
 	}
-	cs.pairs = cs.pairs[:0]
-	cs.raws = cs.raws[:0]
 	for _, e := range sched.Events {
-		switch e.Kind {
-		case DomainOutage:
-			cs.raws = append(cs.raws, chaosRaw{kind: 0, key: int32(e.Domain),
-				win: chaosWin{start: e.AtMs, end: e.AtMs + e.ForMs}})
-		case DomainSlowdown:
-			cs.raws = append(cs.raws, chaosRaw{kind: 1, key: int32(e.Domain),
-				win: chaosWin{start: e.AtMs, end: e.AtMs + e.ForMs, factor: e.Factor}})
-		case Partition:
-			lo, hi := int32(e.Domain), int32(e.Peer)
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			key := int32(-1)
-			for i, p := range cs.pairs {
-				if p[0] == lo && p[1] == hi {
-					key = int32(i)
-					break
-				}
-			}
-			if key < 0 {
-				key = int32(len(cs.pairs))
-				cs.pairs = append(cs.pairs, [2]int32{lo, hi})
-			}
-			cs.raws = append(cs.raws, chaosRaw{kind: 2, key: key,
-				win: chaosWin{start: e.AtMs, end: e.AtMs + e.ForMs}})
-		case Recover:
+		if e.Kind == Recover {
 			dom := int32(e.Domain)
-			for i := range cs.raws {
-				r := &cs.raws[i]
+			for i := range fs.raws {
+				r := &fs.raws[i]
 				hit := r.key == dom
-				if r.kind == 2 {
-					p := cs.pairs[r.key]
-					hit = p[0] == dom || p[1] == dom
+				if r.kind == Partition {
+					hit = fs.pairs[r.key].a == dom || fs.pairs[r.key].b == dom
 				}
 				if hit && r.win.start <= e.AtMs && e.AtMs < r.win.end {
 					r.win.end = e.AtMs
 				}
 			}
+			continue
+		}
+		key := int32(e.Domain)
+		if e.Kind == Partition {
+			if key = int32(fs.pairIndex(key, int32(e.Peer))); key < 0 {
+				key = int32(len(fs.pairs))
+				fs.pairs = slices.Grow(fs.pairs, 1)[:key+1] // recycles the pair's buffer
+				p := &fs.pairs[key]
+				p.a, p.b, p.win = int32(e.Domain), int32(e.Peer), p.win[:0]
+			}
+		}
+		fs.raws = append(fs.raws, chaosRaw{e.Kind, key, faultWin{e.AtMs, e.AtMs + e.ForMs, e.Factor}})
+	}
+	// spread appends w to one chaos timeline of every node in dom.
+	spread := func(dom int32, slow bool, w faultWin) {
+		for n, nd := range fs.nodeDom {
+			if nd != dom {
+				continue
+			}
+			tl := &fs.nodes[n].down[srcChaos]
+			if slow {
+				tl = &fs.nodes[n].slow[srcChaos]
+			}
+			tl.win = append(tl.win, w)
 		}
 	}
-	live := cs.raws[:0]
-	cs.clearMs = 0
-	for _, r := range cs.raws {
-		if r.win.end > r.win.start {
-			live = append(live, r)
-			if r.win.end > cs.clearMs {
-				cs.clearMs = r.win.end
+	for _, r := range fs.raws {
+		if r.win.end <= r.win.start {
+			continue
+		}
+		fs.clearMs = max(fs.clearMs, r.win.end)
+		switch r.kind {
+		case DomainOutage:
+			spread(r.key, false, r.win)
+		case DomainSlowdown:
+			fs.cuts = append(fs.cuts, r.win.start, r.win.end)
+		case Partition:
+			fs.pairs[r.key].win = append(fs.pairs[r.key].win, r.win)
+		}
+	}
+	slices.Sort(fs.cuts)
+	for i := 0; i+1 < len(fs.cuts); i++ {
+		for dom := int32(0); dom < int32(d); dom++ {
+			seg := faultWin{start: fs.cuts[i], end: fs.cuts[i+1]}
+			for _, r := range fs.raws {
+				if r.kind == DomainSlowdown && r.key == dom && r.win.start <= seg.start && seg.start < r.win.end {
+					seg.factor = max(seg.factor, r.win.factor)
+				}
+			}
+			if seg.factor > 0 && seg.end > seg.start { // not a gap or a repeated cut
+				spread(dom, true, seg)
 			}
 		}
 	}
-	cs.raws = live
-	// Group by (kind, key); the stable sort preserves the event order,
-	// which is start order, so each CSR segment stays start-sorted.
-	slices.SortStableFunc(cs.raws, func(a, b chaosRaw) int {
-		if a.kind != b.kind {
-			return int(a.kind) - int(b.kind)
-		}
-		return int(a.key) - int(b.key)
-	})
-	cs.outIdx = arenaSlice(&cs.outIdx, d+1)
-	cs.slowIdx = arenaSlice(&cs.slowIdx, d+1)
-	cs.partIdx = arenaSlice(&cs.partIdx, len(cs.pairs)+1)
-	for i := range cs.outIdx {
-		cs.outIdx[i] = 0
-	}
-	for i := range cs.slowIdx {
-		cs.slowIdx[i] = 0
-	}
-	for i := range cs.partIdx {
-		cs.partIdx[i] = 0
-	}
-	cs.out, cs.slow, cs.part = cs.out[:0], cs.slow[:0], cs.part[:0]
-	for _, r := range cs.raws {
-		switch r.kind {
-		case 0:
-			cs.out = append(cs.out, r.win)
-			cs.outIdx[r.key+1]++
-		case 1:
-			cs.slow = append(cs.slow, r.win)
-			cs.slowIdx[r.key+1]++
-		case 2:
-			cs.part = append(cs.part, r.win)
-			cs.partIdx[r.key+1]++
-		}
-	}
-	for i := 1; i < len(cs.outIdx); i++ {
-		cs.outIdx[i] += cs.outIdx[i-1]
-	}
-	for i := 1; i < len(cs.slowIdx); i++ {
-		cs.slowIdx[i] += cs.slowIdx[i-1]
-	}
-	for i := 1; i < len(cs.partIdx); i++ {
-		cs.partIdx[i] += cs.partIdx[i-1]
-	}
-	cs.outApplied = arenaSlice(&cs.outApplied, nodes)
-	for i := range cs.outApplied {
-		cs.outApplied[i] = 0
-	}
 }
 
-// applyOutages pushes every scheduled outage window of the node's
-// domain opening by t onto its queue, in start order — the same
-// max-raise Unavailable path the stochastic fault model drives, so the
-// two outage sources compose in either order.
-func (cs *chaosState) applyOutages(node int, t float64, q *serve.Queue) {
-	if cs == nil {
-		return
-	}
-	d := cs.nodeDom[node]
-	wins := cs.out[cs.outIdx[d]:cs.outIdx[d+1]]
-	for cs.outApplied[node] < int32(len(wins)) && wins[cs.outApplied[node]].start <= t {
-		q.Unavailable(wins[cs.outApplied[node]].end)
-		cs.outApplied[node]++
-	}
-}
-
-// slowFactor returns the scheduled service-time multiplier in effect on
-// the node's domain at t (the max over overlapping windows; 1 clear).
-func (cs *chaosState) slowFactor(node int, t float64) float64 {
-	if cs == nil {
-		return 1
-	}
-	d := cs.nodeDom[node]
-	f := 1.0
-	for _, w := range cs.slow[cs.slowIdx[d]:cs.slowIdx[d+1]] {
-		if w.start > t {
-			break
-		}
-		if t < w.end && w.factor > f {
-			f = w.factor
+// pairIndex returns the index of the severed pair {a, b}, or -1.
+func (fs *faultState) pairIndex(a, b int32) int {
+	for i, p := range fs.pairs {
+		if (p.a == a && p.b == b) || (p.a == b && p.b == a) {
+			return i
 		}
 	}
-	return f
+	return -1
 }
 
-// transitShift returns the extra delay (and re-send count) a copy
+// severShift returns the extra delay (and re-send count) a copy
 // departing home's domain for target's domain at depart, with transit
 // ms in flight, suffers from scheduled partitions: a copy whose flight
 // overlaps a severance window is lost and re-sent when the partition
 // heals. Applied to the request leg at scheduling time (the planned
 // target's domain — the open loop's drain re-routing does not re-sever).
-func (cs *chaosState) transitShift(home, target int, depart, transit float64) (shift float64, resends int) {
-	if cs == nil || len(cs.pairs) == 0 {
-		return 0, 0
-	}
-	lo, hi := cs.nodeDom[home], cs.nodeDom[target]
-	if lo == hi {
-		return 0, 0
-	}
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	pair := -1
-	for i, p := range cs.pairs {
-		if p[0] == lo && p[1] == hi {
-			pair = i
-			break
-		}
-	}
+func (fs *faultState) severShift(home, target int, depart, transit float64) (shift float64, resends int) {
+	pair := fs.pairIndex(fs.nodeDom[home], fs.nodeDom[target]) // never a domain with itself
 	if pair < 0 {
 		return 0, 0
 	}
 	t := depart
-	for _, w := range cs.part[cs.partIdx[pair]:cs.partIdx[pair+1]] {
+	for _, w := range fs.pairs[pair].win {
 		if t+transit <= w.start {
 			break
 		}
@@ -515,13 +424,17 @@ func (cs *chaosState) transitShift(home, target int, depart, transit float64) (s
 // outageMs returns total scheduled domain-down time over the horizon:
 // the per-domain union of outage windows (overlaps merged), clipped to
 // [0, horizon], summed across domains — the numerator of the
-// DomainAvailability metric.
-func (cs *chaosState) outageMs(horizon float64) float64 {
+// DomainAvailability metric. Domains are contiguous node groups, so
+// each is read off its first node's chaos outage list.
+func (fs *faultState) outageMs(horizon float64) float64 {
 	var total float64
-	for d := 0; d < cs.domains; d++ {
+	for n, dom := range fs.nodeDom {
+		if n > 0 && dom == fs.nodeDom[n-1] {
+			continue
+		}
 		var curS, curE float64
 		open := false
-		for _, w := range cs.out[cs.outIdx[d]:cs.outIdx[d+1]] {
+		for _, w := range fs.nodes[n].down[srcChaos].win {
 			s, e := w.start, w.end
 			if e > horizon {
 				e = horizon

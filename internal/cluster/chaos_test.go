@@ -113,12 +113,20 @@ func TestChaosScheduleValidate(t *testing.T) {
 	}
 }
 
+// chaosFaults materializes a schedule alone — no stochastic faults —
+// into a fresh fault state for nodes nodes.
+func chaosFaults(sched ChaosSchedule, nodes int) *faultState {
+	var fs faultState
+	fs.init(&Config{Chaos: sched}, nodes)
+	return &fs
+}
+
 // TestChaosRecoverTruncation: a recover event cuts the open windows of
 // its domain — including partition windows involving it — at its
-// instant, and fully recovered (zero-length) windows are dropped.
+// instant, and fully recovered (zero-length) windows are dropped. Every
+// node of a domain carries the domain's windows.
 func TestChaosRecoverTruncation(t *testing.T) {
-	var cs chaosState
-	cs.init(&ChaosSchedule{Domains: 2, Events: []ChaosEvent{
+	fs := chaosFaults(ChaosSchedule{Domains: 2, Events: []ChaosEvent{
 		{Kind: DomainSlowdown, Domain: 0, AtMs: 50, ForMs: 100, Factor: 3},
 		{Kind: DomainOutage, Domain: 1, AtMs: 100, ForMs: 200},
 		{Kind: Partition, Domain: 0, Peer: 1, AtMs: 150, ForMs: 200},
@@ -126,33 +134,64 @@ func TestChaosRecoverTruncation(t *testing.T) {
 		{Kind: DomainOutage, Domain: 0, AtMs: 400, ForMs: 50},
 		{Kind: Recover, Domain: 0, AtMs: 400},
 	}}, 4)
-	d0out := cs.out[cs.outIdx[0]:cs.outIdx[1]]
-	d1out := cs.out[cs.outIdx[1]:cs.outIdx[2]]
-	if len(d0out) != 0 {
-		t.Errorf("domain 0 outage recovered at its start must vanish, got %+v", d0out)
+	for n := 0; n < 4; n++ {
+		out, slow := fs.nodes[n].down[srcChaos].win, fs.nodes[n].slow[srcChaos].win
+		if n < 2 { // domain 0
+			if len(out) != 0 {
+				t.Errorf("node %d: domain 0 outage recovered at its start must vanish, got %+v", n, out)
+			}
+			if len(slow) != 1 || slow[0] != (faultWin{start: 50, end: 150, factor: 3}) {
+				t.Errorf("node %d: slowdown window = %+v, want [50,150) x3", n, slow)
+			}
+			continue
+		}
+		if len(out) != 1 || out[0] != (faultWin{start: 100, end: 180}) {
+			t.Errorf("node %d: domain 1 outage = %+v, want [100,180)", n, out)
+		}
+		if len(slow) != 0 {
+			t.Errorf("node %d: domain 1 has slowdown windows %+v", n, slow)
+		}
 	}
-	if len(d1out) != 1 || d1out[0] != (chaosWin{start: 100, end: 180}) {
-		t.Errorf("domain 1 outage = %+v, want [100,180)", d1out)
+	if len(fs.pairs) != 1 || len(fs.pairs[0].win) != 1 || fs.pairs[0].win[0] != (faultWin{start: 150, end: 180}) {
+		t.Errorf("partition windows = %+v, want one pair with [150,180)", fs.pairs)
 	}
-	part := cs.part[cs.partIdx[0]:cs.partIdx[1]]
-	if len(part) != 1 || part[0] != (chaosWin{start: 150, end: 180}) {
-		t.Errorf("partition window = %+v, want [150,180)", part)
+	if fs.clearMs != 180 {
+		t.Errorf("clearMs = %g, want 180 (last surviving window end)", fs.clearMs)
 	}
-	slow := cs.slow[cs.slowIdx[0]:cs.slowIdx[1]]
-	if len(slow) != 1 || slow[0] != (chaosWin{start: 50, end: 150, factor: 3}) {
-		t.Errorf("slowdown window = %+v, want [50,150) x3", slow)
+	if f := fs.nodes[0].slow[srcChaos].factorAt(100); f != 3 {
+		t.Errorf("slow factor(domain 0 node, mid-window) = %g, want 3", f)
 	}
-	if cs.clearMs != 180 {
-		t.Errorf("clearMs = %g, want 180 (last surviving window end)", cs.clearMs)
+	if f := fs.nodes[0].slow[srcChaos].factorAt(150); f != 1 {
+		t.Errorf("slow factor at window end = %g, want 1 (half-open interval)", f)
 	}
-	if f := cs.slowFactor(0, 100); f != 3 {
-		t.Errorf("slowFactor(domain 0 node, mid-window) = %g, want 3", f)
+	if f := fs.nodes[2].slow[srcChaos].factorAt(100); f != 1 {
+		t.Errorf("slow factor(domain 1 node) = %g, want 1", f)
 	}
-	if f := cs.slowFactor(0, 150); f != 1 {
-		t.Errorf("slowFactor at window end = %g, want 1 (half-open interval)", f)
+}
+
+// TestChaosOverlappingSlowdowns: overlapping slowdown windows on one
+// domain are cut into disjoint segments, each carrying the max factor
+// over it, so the binary-searched factor equals the max over the
+// windows open at every instant.
+func TestChaosOverlappingSlowdowns(t *testing.T) {
+	fs := chaosFaults(ChaosSchedule{Domains: 1, Events: []ChaosEvent{
+		{Kind: DomainSlowdown, AtMs: 10, ForMs: 40, Factor: 5}, // [10,50)
+		{Kind: DomainSlowdown, AtMs: 20, ForMs: 10, Factor: 2}, // [20,30), inside the first
+		{Kind: DomainSlowdown, AtMs: 40, ForMs: 30, Factor: 3}, // [40,70)
+		{Kind: DomainSlowdown, AtMs: 80, ForMs: 10, Factor: 1}, // [80,90), a no-op factor
+	}}, 2)
+	want := []faultWin{{10, 20, 5}, {20, 30, 5}, {30, 40, 5}, {40, 50, 5}, {50, 70, 3}, {80, 90, 1}}
+	for n := 0; n < 2; n++ {
+		if got := fs.nodes[n].slow[srcChaos].win; !slices.Equal(got, want) {
+			t.Errorf("node %d segments = %+v, want %+v", n, got, want)
+		}
 	}
-	if f := cs.slowFactor(2, 100); f != 1 {
-		t.Errorf("slowFactor(domain 1 node) = %g, want 1", f)
+	for _, tc := range []struct{ t, f float64 }{
+		{0, 1}, {10, 5}, {25, 5}, {49.9, 5}, {50, 3}, {69, 3}, {70, 1}, {85, 1}, {90, 1},
+	} {
+		if f := fs.nodes[1].slow[srcChaos].factorAt(tc.t); f != tc.f {
+			t.Errorf("factor at %g = %g, want %g", tc.t, f, tc.f)
+		}
 	}
 }
 
@@ -160,8 +199,7 @@ func TestChaosRecoverTruncation(t *testing.T) {
 // is lost and re-sent when the partition heals; back-to-back windows
 // compound.
 func TestChaosTransitShift(t *testing.T) {
-	var cs chaosState
-	cs.init(&ChaosSchedule{Domains: 2, Events: []ChaosEvent{
+	fs := chaosFaults(ChaosSchedule{Domains: 2, Events: []ChaosEvent{
 		{Kind: Partition, Domain: 0, Peer: 1, AtMs: 100, ForMs: 100},
 		{Kind: Partition, Domain: 1, Peer: 0, AtMs: 250, ForMs: 50},
 	}}, 4)
@@ -180,9 +218,16 @@ func TestChaosTransitShift(t *testing.T) {
 		{0, 2, 240, 5, 0, 0},   // gap between windows, short flight
 		{0, 2, 240, 20, 60, 1}, // gap departure, flight overlaps the second window
 	} {
-		shift, resends := cs.transitShift(tc.home, tc.target, tc.depart, tc.transit)
+		shift, resends := fs.severShift(tc.home, tc.target, tc.depart, tc.transit)
 		if shift != tc.shift || resends != tc.resends {
-			t.Errorf("transitShift(%d→%d, depart %g, transit %g) = (%g, %d), want (%g, %d)",
+			t.Errorf("severShift(%d→%d, depart %g, transit %g) = (%g, %d), want (%g, %d)",
+				tc.home, tc.target, tc.depart, tc.transit, shift, resends, tc.shift, tc.resends)
+		}
+		// Without drops, the one transit entry point is the severance
+		// alone (attempt and query do not matter).
+		shift, resends = fs.transit(0, tc.home, tc.target, 0, tc.depart, tc.transit)
+		if shift != tc.shift || resends != tc.resends {
+			t.Errorf("transit(%d→%d, launch %g, transit %g) = (%g, %d), want (%g, %d)",
 				tc.home, tc.target, tc.depart, tc.transit, shift, resends, tc.shift, tc.resends)
 		}
 	}
@@ -191,17 +236,16 @@ func TestChaosTransitShift(t *testing.T) {
 // TestChaosOutageMs: the availability numerator merges overlapping
 // windows per domain and clips to the horizon.
 func TestChaosOutageMs(t *testing.T) {
-	var cs chaosState
-	cs.init(&ChaosSchedule{Domains: 2, Events: []ChaosEvent{
+	fs := chaosFaults(ChaosSchedule{Domains: 2, Events: []ChaosEvent{
 		{Kind: DomainOutage, Domain: 0, AtMs: 0, ForMs: 100},
 		{Kind: DomainOutage, Domain: 0, AtMs: 50, ForMs: 100},
 		{Kind: DomainOutage, Domain: 1, AtMs: 60, ForMs: 20},
 		{Kind: DomainOutage, Domain: 0, AtMs: 200, ForMs: 50},
 	}}, 4)
-	if got := cs.outageMs(220); got != 190 {
+	if got := fs.outageMs(220); got != 190 {
 		t.Errorf("outageMs(220) = %g, want 190 ([0,150)+[200,220) on domain 0, [60,80) on domain 1)", got)
 	}
-	if got := cs.outageMs(100); got != 120 {
+	if got := fs.outageMs(100); got != 120 {
 		t.Errorf("outageMs(100) = %g, want 120 (clipped)", got)
 	}
 }

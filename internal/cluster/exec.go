@@ -158,8 +158,8 @@ type efEntry struct {
 }
 
 // serveCopyDeferred processes one copy at its node-arrival instant on
-// node: conditional launch suppression, fault and chaos application,
-// jitter, and FCFS submission. Every cross-partition write is deferred
+// node: conditional launch suppression, fault application, jitter, and
+// FCFS submission. Every cross-partition write is deferred
 // into ps: the suppression check reads the barrier-merged sub.best
 // (exact, per the window argument above), the node's queue and fault
 // timelines are partition-owned and mutated directly, and the sub-state
@@ -191,15 +191,7 @@ func (s *simState) serveCopyDeferred(c *subCopy, node int, ps *partScratch, efHi
 	}
 	d.retries += int32(c.resends)
 	cfg := &s.cfg
-	s.faults.applyOutages(node, c.arrive, s.queues[node])
-	s.chaos.applyOutages(node, c.arrive, s.queues[node])
-	svc := sub.svcMs
-	if f := s.faults.slowFactor(node, c.arrive); f != 1 {
-		svc *= f
-	}
-	if f := s.chaos.slowFactor(node, c.arrive); f != 1 {
-		svc *= f
-	}
+	svc := s.faults.apply(node, c.arrive, s.queues[node], sub.svcMs)
 	if cfg.JitterFrac > 0 {
 		var draw float64
 		if c.attempt == 0 {

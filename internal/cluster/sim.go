@@ -243,8 +243,7 @@ type simState struct {
 	cfg      Config
 	plan     *Plan
 	queues   []*serve.Queue
-	faults   *faultState
-	chaos    *chaosState // materialized chaos schedule (nil = none)
+	faults   *faultState // stochastic and chaos faults (nil = none)
 	adapt    *adaptState // epoch-grid adaptive mitigation (nil = static)
 	subs     []subState
 	wheels   []*eventq.Wheel[subCopy] // copy queues, one per partition (one sequentially)
@@ -305,12 +304,7 @@ func (s *simState) schedule(q, home, owner int, served int, svcMs float64, reqBy
 	}
 	transit := s.cfg.Net.LatencyMs + s.cfg.Net.TransferMs(reqBytes)
 	add := func(kind copyKind, node, attempt int, launch float64) {
-		shift, resends := s.faults.dropShift(q, node, attempt, s.plan.Nodes)
-		if s.chaos != nil {
-			ps, pr := s.chaos.transitShift(home, node, launch+shift, transit)
-			shift += ps
-			resends += pr
-		}
+		shift, resends := s.faults.transit(q, home, node, attempt, launch, transit)
 		s.subs[idx].copiesLeft++
 		s.wheels[node%len(s.wheels)].Push(subCopy{
 			arrive:  launch + shift + transit,
