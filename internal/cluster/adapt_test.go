@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -118,7 +119,7 @@ func TestMitigationValidateAdaptive(t *testing.T) {
 		"budget-hedge":      {Mitigation{HedgeDelayMs: 1, RetryBudget: 0.2}, ""},
 		"budget-retries":    {Mitigation{TimeoutMs: 2, MaxRetries: 1, RetryBudget: 0.2}, ""},
 		"breaker":           {Mitigation{TimeoutMs: 2, BreakerTripRate: 0.5}, ""},
-		"neg-budget":        {Mitigation{HedgeDelayMs: 1, RetryBudget: -0.1}, "negative adaptive"},
+		"neg-budget":        {Mitigation{HedgeDelayMs: 1, RetryBudget: -0.1}, "retry budget -0.1"},
 		"budget-nothing":    {Mitigation{RetryBudget: 0.2}, "needs retries or hedges"},
 		"trip-too-big":      {Mitigation{TimeoutMs: 2, BreakerTripRate: 1.5}, "outside (0,1]"},
 		"trip-no-timeout":   {Mitigation{HedgeDelayMs: 1, BreakerTripRate: 0.5}, "need a timeout"},
@@ -127,7 +128,7 @@ func TestMitigationValidateAdaptive(t *testing.T) {
 		"degraded-alone":    {Mitigation{DegradedJoin: true}, "degraded joins need a timeout"},
 	} {
 		m := tc.m
-		err := m.validate()
+		err := errors.Join(m.validateErrs()...)
 		if tc.want == "" {
 			if err != nil {
 				t.Errorf("%s: rejected: %v", name, err)
@@ -141,7 +142,7 @@ func TestMitigationValidateAdaptive(t *testing.T) {
 
 	// Default resolution: epoch from the timeout, cooldown from the epoch.
 	m := Mitigation{TimeoutMs: 3, MaxRetries: 1, RetryBudget: 0.2, BreakerTripRate: 0.5}
-	if err := m.validate(); err != nil {
+	if err := errors.Join(m.validateErrs()...); err != nil {
 		t.Fatal(err)
 	}
 	m.applyDefaults()

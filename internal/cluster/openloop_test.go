@@ -393,6 +393,25 @@ func TestOpenLoopValidate(t *testing.T) {
 			c.Open.Autoscale = &Autoscaler{IntervalMs: 10, UpBacklogMs: 5, MinNodes: 2}
 		}, "below autoscaler floor"},
 		{"bad arrivals", func(c *Config) { c.Open.Arrivals.RatePerMs = 0 }, "arrival rate"},
+		{"NaN duration", func(c *Config) { c.Open.DurationMs = math.NaN() }, "positive duration"},
+		{"infinite duration", func(c *Config) { c.Open.DurationMs = math.Inf(1) }, "positive duration"},
+		{"NaN warmup", func(c *Config) { c.Open.WarmupMs = math.NaN() }, "use -1"},
+		{"NaN SLA", func(c *Config) { c.Open.SLAMs = math.NaN() }, "SLA target"},
+		{"infinite queue budget", func(c *Config) {
+			c.Open.Admission = Admission{Policy: ShedOverBudget, QueueBudgetMs: math.Inf(1)}
+		}, "positive queue budget"},
+		{"NaN autoscaler interval", func(c *Config) {
+			c.Open.Autoscale = &Autoscaler{IntervalMs: math.NaN(), UpBacklogMs: 5}
+		}, "control interval"},
+		{"NaN scale-up threshold", func(c *Config) {
+			c.Open.Autoscale = &Autoscaler{IntervalMs: 10, UpBacklogMs: math.NaN()}
+		}, "scale-up backlog"},
+		{"NaN scale-down threshold", func(c *Config) {
+			c.Open.Autoscale = &Autoscaler{IntervalMs: 10, UpBacklogMs: 5, DownBacklogMs: math.NaN()}
+		}, "scale-down threshold"},
+		{"infinite provisioning", func(c *Config) {
+			c.Open.Autoscale = &Autoscaler{IntervalMs: 10, UpBacklogMs: 5, ProvisionMs: math.Inf(1)}
+		}, "provisioning delay"},
 	} {
 		cfg := openTestConfig(t, 4, &OpenLoop{
 			Arrivals:   traffic.Config{Model: traffic.Poisson, RatePerMs: 1},

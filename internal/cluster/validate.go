@@ -3,7 +3,14 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 )
+
+// nonNeg and positive are the range checks every float knob uses: NaN
+// fails every ordered comparison and +Inf is rejected outright, so a
+// config that passes them keeps the simulation's arithmetic finite.
+func nonNeg(x float64) bool   { return x >= 0 && !math.IsInf(x, 1) }
+func positive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // Validate reports every violation in the cluster configuration at once
 // (errors.Join), without mutating the config, so a user can fix every bad
@@ -27,21 +34,21 @@ func (c Config) Validate() error {
 	if c.SamplesPerQuery < 1 {
 		errs = append(errs, fmt.Errorf("cluster: %d samples per query", c.SamplesPerQuery))
 	}
-	if c.Open == nil && c.MeanArrivalMs <= 0 {
-		errs = append(errs, fmt.Errorf("cluster: non-positive mean arrival %g ms", c.MeanArrivalMs))
+	if c.Open == nil && !positive(c.MeanArrivalMs) {
+		errs = append(errs, fmt.Errorf("cluster: mean arrival %g ms (need finite > 0)", c.MeanArrivalMs))
 	}
 	if err := c.Timing.Validate(); err != nil {
 		errs = append(errs, err)
 	}
-	if c.Net.LatencyMs < 0 || c.Net.BandwidthGBs < 0 {
-		errs = append(errs, fmt.Errorf("cluster: negative network parameters (latency %g ms, bandwidth %g GB/s)",
+	if !nonNeg(c.Net.LatencyMs) || !nonNeg(c.Net.BandwidthGBs) {
+		errs = append(errs, fmt.Errorf("cluster: non-finite or negative network parameters (latency %g ms, bandwidth %g GB/s)",
 			c.Net.LatencyMs, c.Net.BandwidthGBs))
 	}
 	if c.ServersPerNode < 0 {
 		errs = append(errs, fmt.Errorf("cluster: %d servers per node", c.ServersPerNode))
 	}
-	if c.JitterFrac < 0 {
-		errs = append(errs, fmt.Errorf("cluster: negative jitter fraction %g", c.JitterFrac))
+	if !nonNeg(c.JitterFrac) {
+		errs = append(errs, fmt.Errorf("cluster: jitter fraction %g (need finite >= 0)", c.JitterFrac))
 	}
 	if c.Queries < 0 {
 		errs = append(errs, fmt.Errorf("cluster: %d queries", c.Queries))
@@ -64,12 +71,8 @@ func (c Config) Validate() error {
 			errs = append(errs, fmt.Errorf("cluster: warmup %d >= queries %d", c.WarmupQueries, queries))
 		}
 	}
-	if err := c.Faults.validate(); err != nil {
-		errs = append(errs, err)
-	}
-	if err := c.Mitigation.validate(); err != nil {
-		errs = append(errs, err)
-	}
+	errs = append(errs, c.Faults.validateErrs()...)
+	errs = append(errs, c.Mitigation.validateErrs()...)
 	errs = append(errs, c.Chaos.validateErrs(nodes)...)
 	return errors.Join(errs...)
 }
@@ -77,17 +80,17 @@ func (c Config) Validate() error {
 // Validate reports every violation in the per-node service model.
 func (t Timing) Validate() error {
 	var errs []error
-	if t.ColdLookupUs <= 0 {
-		errs = append(errs, fmt.Errorf("cluster: non-positive cold lookup cost %g µs", t.ColdLookupUs))
+	if !positive(t.ColdLookupUs) {
+		errs = append(errs, fmt.Errorf("cluster: cold lookup cost %g µs (need finite > 0)", t.ColdLookupUs))
 	}
-	if t.HotLookupUs < 0 {
-		errs = append(errs, fmt.Errorf("cluster: negative hot lookup cost %g µs", t.HotLookupUs))
+	if !nonNeg(t.HotLookupUs) {
+		errs = append(errs, fmt.Errorf("cluster: hot lookup cost %g µs (need finite >= 0)", t.HotLookupUs))
 	}
-	if t.SubRequestUs < 0 {
-		errs = append(errs, fmt.Errorf("cluster: negative sub-request overhead %g µs", t.SubRequestUs))
+	if !nonNeg(t.SubRequestUs) {
+		errs = append(errs, fmt.Errorf("cluster: sub-request overhead %g µs (need finite >= 0)", t.SubRequestUs))
 	}
-	if t.DenseMs < 0 {
-		errs = append(errs, fmt.Errorf("cluster: negative dense-stage time %g ms", t.DenseMs))
+	if !nonNeg(t.DenseMs) {
+		errs = append(errs, fmt.Errorf("cluster: dense-stage time %g ms (need finite >= 0)", t.DenseMs))
 	}
 	return errors.Join(errs...)
 }

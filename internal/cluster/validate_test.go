@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -27,8 +28,10 @@ func TestConfigValidateCollectsAllViolations(t *testing.T) {
 		ServersPerNode:  -3,
 		JitterFrac:      -0.5,
 		Queries:         -7,
-		Faults:          FaultModel{DropProb: 2},
-		Mitigation:      Mitigation{MaxRetries: 3},
+		// Four fault-model and two mitigation violations, each reported.
+		Faults: FaultModel{DropProb: 2, SlowdownEveryMs: 10, SlowdownMeanMs: 1, SlowdownFactor: 0.5,
+			DownEveryMs: 5, DropDetectMs: math.NaN()},
+		Mitigation: Mitigation{MaxRetries: 3, DegradedJoin: true},
 		Chaos: ChaosSchedule{
 			Domains: 9,
 			Events:  []ChaosEvent{{Kind: DomainOutage, Domain: 2, AtMs: 10, ForMs: -5}},
@@ -36,7 +39,7 @@ func TestConfigValidateCollectsAllViolations(t *testing.T) {
 	}
 	err := cfg.Validate()
 	if err == nil {
-		t.Fatal("Validate accepted a config with fourteen violations")
+		t.Fatal("Validate accepted a config with nineteen violations")
 	}
 	// Simulate gates on the same validator, so it reports the same list.
 	_, serr := Simulate(cfg)
@@ -56,7 +59,11 @@ func TestConfigValidateCollectsAllViolations(t *testing.T) {
 		"jitter fraction",
 		"-7 queries",
 		"drop probability",
+		"slowdown factor 0.5",
+		"unavailability windows need a positive mean duration",
+		"drop detection delay NaN",
 		"retries need a timeout",
+		"degraded joins need a timeout",
 		"chaos domains exceed",
 		"window length -5",
 	} {
@@ -65,6 +72,59 @@ func TestConfigValidateCollectsAllViolations(t *testing.T) {
 		}
 		if !strings.Contains(serr.Error(), want) {
 			t.Errorf("Simulate error missing %q:\n%v", want, serr)
+		}
+	}
+}
+
+// TestConfigValidateRejectsNonFinite: NaN passes every x < 0 check, so
+// each float knob must be range-checked in a form NaN fails, and +Inf
+// rejected outright. One case per field, each run with NaN and +Inf;
+// Simulate must refuse what Validate does.
+func TestConfigValidateRejectsNonFinite(t *testing.T) {
+	for _, tc := range []struct {
+		want string
+		set  func(*Config, float64)
+	}{
+		{"mean arrival", func(c *Config, v float64) { c.MeanArrivalMs = v }},
+		{"jitter fraction", func(c *Config, v float64) { c.JitterFrac = v }},
+		{"network parameters", func(c *Config, v float64) { c.Net.LatencyMs = v }},
+		{"network parameters", func(c *Config, v float64) { c.Net.BandwidthGBs = v }},
+		{"cold lookup", func(c *Config, v float64) { c.Timing.ColdLookupUs = v }},
+		{"hot lookup", func(c *Config, v float64) { c.Timing.HotLookupUs = v }},
+		{"sub-request overhead", func(c *Config, v float64) { c.Timing.SubRequestUs = v }},
+		{"dense-stage", func(c *Config, v float64) { c.Timing.DenseMs = v }},
+		{"slowdown interval", func(c *Config, v float64) { c.Faults.SlowdownEveryMs = v }},
+		{"slowdown duration", func(c *Config, v float64) { c.Faults.SlowdownMeanMs = v }},
+		{"slowdown factor", func(c *Config, v float64) {
+			c.Faults = FaultModel{SlowdownEveryMs: 10, SlowdownMeanMs: 1, SlowdownFactor: v}
+		}},
+		{"outage interval", func(c *Config, v float64) { c.Faults.DownEveryMs = v }},
+		{"outage duration", func(c *Config, v float64) { c.Faults.DownMeanMs = v }},
+		{"drop probability", func(c *Config, v float64) { c.Faults.DropProb = v }},
+		{"drop detection delay", func(c *Config, v float64) { c.Faults = FaultModel{DropProb: 0.1, DropDetectMs: v} }},
+		{"mitigation timeout", func(c *Config, v float64) { c.Mitigation.TimeoutMs = v }},
+		{"hedge delay", func(c *Config, v float64) { c.Mitigation.HedgeDelayMs = v }},
+		{"retry budget", func(c *Config, v float64) { c.Mitigation.RetryBudget = v }},
+		{"adaptive epoch", func(c *Config, v float64) { c.Mitigation.AdaptEpochMs = v }},
+		{"breaker trip rate", func(c *Config, v float64) { c.Mitigation.BreakerTripRate = v }},
+		{"breaker cooldown", func(c *Config, v float64) { c.Mitigation.BreakerCooldownMs = v }},
+	} {
+		for _, v := range []float64{math.NaN(), math.Inf(1)} {
+			cfg := Config{
+				Plan:            validPlan(t),
+				SamplesPerQuery: 4,
+				MeanArrivalMs:   1,
+				Queries:         50,
+				Timing:          Timing{ColdLookupUs: 0.5},
+			}
+			tc.set(&cfg, v)
+			err := cfg.Validate()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s = %g: err %v, want mention of %q", tc.want, v, err, tc.want)
+			}
+			if _, serr := Simulate(cfg); serr == nil {
+				t.Errorf("%s = %g: Simulate accepted what Validate rejects", tc.want, v)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Validate reports every violation in the serving config at once
@@ -14,12 +15,14 @@ func (c Config) Validate() error {
 	if c.Cores < 1 {
 		errs = append(errs, fmt.Errorf("serve: %d cores", c.Cores))
 	}
-	if c.MeanArrivalMs <= 0 || c.ServiceMs <= 0 {
-		errs = append(errs, fmt.Errorf("serve: non-positive times (arrival %g ms, service %g ms)",
+	// NaN fails every ordered comparison, so each range check is written
+	// to fail on it; +Inf is rejected separately.
+	if !(c.MeanArrivalMs > 0 && c.ServiceMs > 0) || math.IsInf(c.MeanArrivalMs, 1) || math.IsInf(c.ServiceMs, 1) {
+		errs = append(errs, fmt.Errorf("serve: non-finite or non-positive times (arrival %g ms, service %g ms)",
 			c.MeanArrivalMs, c.ServiceMs))
 	}
-	if c.JitterFrac < 0 {
-		errs = append(errs, fmt.Errorf("serve: negative jitter fraction %g", c.JitterFrac))
+	if !(c.JitterFrac >= 0) || math.IsInf(c.JitterFrac, 1) {
+		errs = append(errs, fmt.Errorf("serve: jitter fraction %g (need finite >= 0)", c.JitterFrac))
 	}
 	if c.Requests < 0 {
 		errs = append(errs, fmt.Errorf("serve: %d requests", c.Requests))
@@ -34,8 +37,8 @@ func (c Config) Validate() error {
 	if c.WarmupRequests >= requests {
 		errs = append(errs, fmt.Errorf("serve: warmup %d >= requests %d", c.WarmupRequests, requests))
 	}
-	if c.SLATargetMs < 0 {
-		errs = append(errs, fmt.Errorf("serve: negative SLA target %g ms", c.SLATargetMs))
+	if !(c.SLATargetMs >= 0) || math.IsInf(c.SLATargetMs, 1) {
+		errs = append(errs, fmt.Errorf("serve: SLA target %g ms (need finite >= 0)", c.SLATargetMs))
 	}
 	return errors.Join(errs...)
 }

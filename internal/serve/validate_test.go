@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -37,6 +38,33 @@ func TestConfigValidateCollectsAllViolations(t *testing.T) {
 		}
 		if !strings.Contains(serr.Error(), want) {
 			t.Errorf("Simulate error missing %q:\n%v", want, serr)
+		}
+	}
+}
+
+// TestConfigValidateRejectsNonFinite: NaN passes every x < 0 check and
+// +Inf every lower bound, so each float field is checked in a form both
+// fail. One case per field, each run with NaN and +Inf.
+func TestConfigValidateRejectsNonFinite(t *testing.T) {
+	for _, tc := range []struct {
+		want string
+		set  func(*Config, float64)
+	}{
+		{"times", func(c *Config, v float64) { c.MeanArrivalMs = v }},
+		{"times", func(c *Config, v float64) { c.ServiceMs = v }},
+		{"jitter fraction", func(c *Config, v float64) { c.JitterFrac = v }},
+		{"SLA target", func(c *Config, v float64) { c.SLATargetMs = v }},
+	} {
+		for _, v := range []float64{math.NaN(), math.Inf(1)} {
+			cfg := Config{Cores: 2, MeanArrivalMs: 1, ServiceMs: 0.5, Requests: 50}
+			tc.set(&cfg, v)
+			err := cfg.Validate()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s = %g: err %v, want mention of %q", tc.want, v, err, tc.want)
+			}
+			if _, serr := Simulate(cfg); serr == nil {
+				t.Errorf("%s = %g: Simulate accepted what Validate rejects", tc.want, v)
+			}
 		}
 	}
 }
