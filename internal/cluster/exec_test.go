@@ -117,11 +117,13 @@ func openExecConfigs(t *testing.T) map[string]Config {
 	})
 	cfgs["plain"] = plain
 
+	// A budget tight enough that the fixture sheds (about 2% of
+	// arrivals), so admission reads reconstructed queue state here too.
 	shed := openTestConfig(t, 4, &OpenLoop{
 		Arrivals:   traffic.Config{Model: traffic.Poisson, RatePerMs: openRate(t, 4, 0.5)},
 		DurationMs: 400,
 		SLAMs:      50,
-		Admission:  Admission{Policy: ShedOverBudget, QueueBudgetMs: 10},
+		Admission:  Admission{Policy: ShedOverBudget, QueueBudgetMs: 0.005},
 	})
 	cfgs["shed"] = shed
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"crypto/sha256"
 	"fmt"
+	"strings"
 	"testing"
 
 	"dlrmsim/internal/trace"
@@ -267,19 +268,30 @@ func TestClosedLoopResultsPinned(t *testing.T) {
 // pinned open-loop config, as closedLoopPins does for the closed loop.
 var openLoopPins = map[string]string{
 	"plain":          "936cb76d8b9d0a5c528219a0e195d5e63f01d5a0c93f5c4463b69558f6d26d59",
-	"shed":           "936cb76d8b9d0a5c528219a0e195d5e63f01d5a0c93f5c4463b69558f6d26d59",
+	"shed":           "4052965c3ec68abac7bdaa849a41d13aac9c2dea323bf943cfd46a188114cef7",
 	"burst-shed":     "6523240e44cdd422dfc26bd2ab471ee6458981e3ae8b9fe58c353e2a2b517395",
 	"autoscale":      "3fd2679a04a15c866816505c19e9f533fb0333db98bf5c9d68057458c26d22c9",
 	"population":     "cf3a81efd02a4a8eb5451ca255bdea40ad211fda84fb6ffcba0104553ee22fdd",
 	"faults":         "e51377b07657005d0cac212eee78ea210f890f5485cdca76c9beab921c57d06d",
 	"chaos-adaptive": "a76a518585e5d791df18ce013d8df5c71e465c87b63759c1d1fbafdf2bf65b71",
 	"faults-chaos":   "d7ae69eff43c2e920dc7c610fa86e38579070053e548a292e14f0ee3e7a2474b",
+
+	"plain-stream":          "872e423ade27d96350d276637d49e413d77a19cbf1dc300e92f52f93b3cb6326",
+	"shed-stream":           "07f1a4e0b505913e960e0f3f292a19db8adbc34cafcc53e6c1f325d087e302b3",
+	"burst-shed-stream":     "876616102fea8d22f2b3a6c611e9c7c225e25202f4e496ee208a6d232f5a2ab2",
+	"autoscale-stream":      "454e0d798b63ae5be8c1d3808d4385b27a1441f33601f5f08bfbe6567d4a12e7",
+	"population-stream":     "734713654caac349ba55bd7a1bd15da6789f6610ea484cbb61d6fa29824d3577",
+	"faults-stream":         "9972fd756ede120f7f5fc05c7d3b217663f15538c7a7da405793796a39758ffa",
+	"chaos-adaptive-stream": "c9fde44c9542321a28aaac1952624b2327da51ecb91fe18ba62f5fb6265250fb",
+	"faults-chaos-stream":   "629b85ec6c88f4b0630c46d0f80c842bc0ebeb2f3f59d430579e2ac85b6caab4",
 }
 
 // TestOpenLoopResultsPinned pins open-loop output bit-for-bit on every
 // exec-suite config plus one that layers the stochastic fault model
 // under a chaos schedule with overlapping windows — the open-loop
-// counterpart of TestClosedLoopResultsPinned.
+// counterpart of TestClosedLoopResultsPinned. Each config is pinned in
+// both summary modes: the batch join and, as "<name>-stream", the
+// stream-stats join.
 func TestOpenLoopResultsPinned(t *testing.T) {
 	cfgs := openExecConfigs(t)
 	mixed := openTestConfig(t, 4, &OpenLoop{
@@ -291,6 +303,17 @@ func TestOpenLoopResultsPinned(t *testing.T) {
 	mixed.Chaos = overlapSchedule(500)
 	mixed.Mitigation = Mitigation{TimeoutMs: hedgeDelay(t, trace.HighHot) * 2, MaxRetries: 1, DegradedJoin: true}
 	cfgs["faults-chaos"] = mixed
+	names := make([]string, 0, len(cfgs))
+	for name := range cfgs {
+		names = append(names, name)
+	}
+	for _, name := range names {
+		stream := cfgs[name]
+		o := *stream.Open
+		o.StreamStats = true
+		stream.Open = &o
+		cfgs[name+"-stream"] = stream
+	}
 	for name, cfg := range cfgs {
 		res, err := Simulate(cfg)
 		if err != nil {
@@ -299,6 +322,9 @@ func TestOpenLoopResultsPinned(t *testing.T) {
 		got := fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%+v", res))))
 		if want := openLoopPins[name]; got != want {
 			t.Errorf("%s: result digest %s, pinned %s:\n%+v", name, got, want, res)
+		}
+		if strings.HasPrefix(name, "shed") && res.ShedRate == 0 {
+			t.Errorf("%s: fixture never sheds, so it does not exercise admission", name)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"dlrmsim/internal/trace"
@@ -30,62 +31,57 @@ func streamTestOpen(t *testing.T, stream bool) Config {
 	return cfg
 }
 
-// TestStreamStatsMatchesBatch pins the stream-stats accuracy contract:
-// every counter metric is EXACTLY the batch join's value; the
-// percentiles sit within the sketch's error bound; Mean differs only
+// TestStreamStatsMatchesBatch pins the stream-stats accuracy contract
+// on every open-loop exec config plus streamTestOpen: every Result field
+// except the percentiles and the mean is EXACTLY the batch join's value;
+// the percentiles sit within the sketch's error bound; Mean differs only
 // by float summation order.
 func TestStreamStatsMatchesBatch(t *testing.T) {
-	batch, err := Simulate(streamTestOpen(t, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream, err := Simulate(streamTestOpen(t, true))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfgs := openExecConfigs(t)
+	cfgs["stream-test"] = streamTestOpen(t, false)
+	for name, cfg := range cfgs {
+		t.Run(name, func(t *testing.T) {
+			batch, err := Simulate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := *cfg.Open
+			o.StreamStats = true
+			cfg.Open = &o
+			stream, err := Simulate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	// Exact: everything except the three percentiles and the mean.
-	exact := []struct {
-		name string
-		b, s float64
-	}{
-		{"MaxQueueWaitMs", batch.MaxQueueWaitMs, stream.MaxQueueWaitMs},
-		{"MeanFanout", batch.MeanFanout, stream.MeanFanout},
-		{"Availability", batch.Availability, stream.Availability},
-		{"Completeness", batch.Completeness, stream.Completeness},
-		{"RetriesPerQuery", batch.RetriesPerQuery, stream.RetriesPerQuery},
-		{"HedgeRate", batch.HedgeRate, stream.HedgeRate},
-		{"OfferedQPS", batch.OfferedQPS, stream.OfferedQPS},
-		{"Goodput", batch.Goodput, stream.Goodput},
-		{"ShedRate", batch.ShedRate, stream.ShedRate},
-		{"RevisitRate", batch.RevisitRate, stream.RevisitRate},
-		{"SLAViolationMinutes", batch.SLAViolationMinutes, stream.SLAViolationMinutes},
-		{"MeanActiveNodes", batch.MeanActiveNodes, stream.MeanActiveNodes},
-		{"Utilization", batch.Utilization, stream.Utilization},
-		{"Imbalance", batch.Imbalance, stream.Imbalance},
-		{"LocalFraction", batch.LocalFraction, stream.LocalFraction},
-	}
-	for _, e := range exact {
-		if e.b != e.s {
-			t.Errorf("%s: batch %v, stream %v (must be exact)", e.name, e.b, e.s)
-		}
-	}
-	if batch.Goodput == 0 || batch.ShedRate == 0 || batch.SLAViolationMinutes == 0 {
-		t.Fatalf("fixture too tame to exercise the contract: %+v", batch)
-	}
+			// Exact: everything except the three percentiles and the mean.
+			bv, sv := reflect.ValueOf(batch), reflect.ValueOf(stream)
+			for i := 0; i < bv.NumField(); i++ {
+				switch f := bv.Type().Field(i).Name; f {
+				case "P50", "P95", "P99", "Mean":
+				default:
+					if b, s := bv.Field(i).Interface(), sv.Field(i).Interface(); b != s {
+						t.Errorf("%s: batch %v, stream %v (must be exact)", f, b, s)
+					}
+				}
+			}
+			if name == "stream-test" && (batch.Goodput == 0 || batch.ShedRate == 0 || batch.SLAViolationMinutes == 0) {
+				t.Fatalf("fixture too tame to exercise the contract: %+v", batch)
+			}
 
-	// Bounded: percentiles within twice the sketch's half-bucket bound.
-	relTol := 2.0 / 128
-	for _, p := range []struct {
-		name string
-		b, s float64
-	}{{"P50", batch.P50, stream.P50}, {"P95", batch.P95, stream.P95}, {"P99", batch.P99, stream.P99}} {
-		if rel := math.Abs(p.s-p.b) / p.b; rel > relTol {
-			t.Errorf("%s: batch %g, stream %g (rel err %.4f > %.4f)", p.name, p.b, p.s, rel, relTol)
-		}
-	}
-	if rel := math.Abs(stream.Mean-batch.Mean) / batch.Mean; rel > 1e-9 {
-		t.Errorf("Mean: batch %g, stream %g (beyond FP reassociation)", batch.Mean, stream.Mean)
+			// Bounded: percentiles within twice the sketch's half-bucket bound.
+			relTol := 2.0 / 128
+			for _, p := range []struct {
+				name string
+				b, s float64
+			}{{"P50", batch.P50, stream.P50}, {"P95", batch.P95, stream.P95}, {"P99", batch.P99, stream.P99}} {
+				if rel := math.Abs(p.s-p.b) / p.b; rel > relTol {
+					t.Errorf("%s: batch %g, stream %g (rel err %.4f > %.4f)", p.name, p.b, p.s, rel, relTol)
+				}
+			}
+			if rel := math.Abs(stream.Mean-batch.Mean) / batch.Mean; rel > 1e-9 {
+				t.Errorf("Mean: batch %g, stream %g (beyond FP reassociation)", batch.Mean, stream.Mean)
+			}
+		})
 	}
 }
 
@@ -94,20 +90,23 @@ func TestStreamStatsMatchesBatch(t *testing.T) {
 // tracks in-flight work, not run length.
 func TestStreamStatsFlatMemory(t *testing.T) {
 	run := func(durationMs float64) (liveSubs, liveJoins, arrivals int) {
-		defer func() { streamHighWater = nil }()
-		streamHighWater = func(s, j int) { liveSubs, liveJoins = s, j }
 		cfg := openTestConfig(t, 4, &OpenLoop{
 			Arrivals:    traffic.Config{Model: traffic.Poisson, RatePerMs: openRate(t, 4, 0.6)},
 			DurationMs:  durationMs,
 			SLAMs:       5,
 			StreamStats: true,
 		})
-		res, err := Simulate(cfg)
+		if err := cfg.applyDefaults(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := newOpenRun(cfg, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
+		r.loop()
+		res := r.summary()
 		arrivals = int(res.OfferedQPS * (durationMs - durationMs/20) / 1e3)
-		return
+		return r.sj.maxLiveSubs, r.sj.maxLiveJoins, arrivals
 	}
 	s1, j1, n1 := run(500)
 	s4, j4, n4 := run(2000)
@@ -115,7 +114,7 @@ func TestStreamStatsFlatMemory(t *testing.T) {
 		t.Fatalf("fixture broken: 4x duration saw %d vs %d arrivals", n4, n1)
 	}
 	if s1 == 0 || j1 == 0 {
-		t.Fatal("high-water hook never fired")
+		t.Fatal("high-water marks never rose")
 	}
 	// The in-flight population is set by load, not horizon: allow noise
 	// but reject anything resembling linear growth.
