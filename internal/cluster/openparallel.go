@@ -229,7 +229,7 @@ func (r *openRun) loopParallel(parts int) {
 				c := &win[wi]
 				wi++
 				if r.sj != nil {
-					r.sj.copyDone(st, c.sub, r.route(c.node)%parts)
+					r.sj.copyDone(st, &r.tally, c.sub, r.route(c.node)%parts)
 				}
 			}
 		}

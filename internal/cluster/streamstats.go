@@ -12,10 +12,12 @@ package cluster
 // record is recycled too. Live state is bounded by the in-flight
 // high-water mark, not the run length.
 //
-// Accuracy contract: every counter metric (goodput, shed rate,
-// violation minutes, fanout, retries, availability, completeness) is
-// EXACT — the same per-query quantities fold in the same warmup gate as
-// the batch join, merely earlier. P50/P95/P99 carry the sketch's
+// Accuracy contract: both summary modes fold every query through the
+// one joinTally (openloop.go) — the same openJoinRec.addSub per sub and
+// joinTally.finish per query — so every counter metric (goodput, shed
+// rate, violation minutes, fanout, retries, availability, completeness,
+// recovery) is EXACT; the stream join merely folds each query at its
+// last copy instead of in the summary. P50/P95/P99 carry the sketch's
 // bounded relative error (~0.8%, stats.QuantileSketch), and Mean can
 // differ only by float summation order. The default mode keeps the
 // exact batch join, so golden files are untouched.
@@ -27,100 +29,27 @@ package cluster
 
 import "dlrmsim/internal/stats"
 
-// openJoinRec is one in-flight query's incremental join state.
-type openJoinRec struct {
-	arrive        float64
-	joined        float64 // max sub resolution time so far
-	subsLeft      int
-	queryLookups  int
-	servedLookups int
-	hedges        int
-	retries       int
-	fanout        int
-	complete      bool
-	post          bool // arrived at/after the warmup horizon
-}
-
-// streamJoin owns the incremental join: recycled records, the latency
-// sketches, and the exact counters the batch join would produce.
+// streamJoin owns the incremental join's storage: recycled records, the
+// latency sketches, and the live-record high-water marks.
 //
 // Under the parallel execution backend each partition owns one sketch
 // and the summary merges them (stats.QuantileSketch.Merge — integer
 // bucket addition, so the partition assignment is unobservable in the
-// quantiles); the sequential driver runs with a single sketch. latSum
-// accumulates every folded latency in canonical completion order —
-// shared by both drivers, it keeps Result.Mean bit-for-bit identical
-// whatever partition each query's sketch entry landed in.
+// quantiles); the sequential driver runs with a single sketch. The
+// tally's latSum accumulates every folded latency in canonical
+// completion order — shared by both drivers, it keeps Result.Mean
+// bit-for-bit identical whatever partition each query's sketch entry
+// landed in.
 type streamJoin struct {
 	sketches  []stats.QuantileSketch // one per execution partition
-	latSum    float64
 	joins     []openJoinRec
 	freeJoins []int
-
-	warmupMs float64
-	slaMs    float64
-	denseMs  float64
-	minuteMs float64
-	violated map[int]bool
-
-	postArr, postShed, postRevisit    int
-	goodCount                         int
-	fanoutSum, subCount               int
-	hedgeCount, retryCount, fullJoins int
-	completenessSum                   float64
-
-	// Recovery observability (chaos.go): the minute buckets and
-	// post-fault counters the batch join fills in its summary loop,
-	// accumulated here at arrival/finalize time instead. ttrArr nil when
-	// the run has no chaos schedule. All integer increments keyed by the
-	// query's arrival instant, so the parallel driver's fold order is
-	// unobservable.
-	ttrArr, ttrGood []int
-	pfThreshMs      float64
-	pfArr, pfGood   int
 
 	maxLiveJoins, maxLiveSubs int
 }
 
-// streamHighWater, when non-nil, receives the run's live-record
-// high-water marks after a stream-stats run. Test hook for the
-// flat-memory guarantee.
-var streamHighWater func(liveSubs, liveJoins int)
-
-func newStreamJoin(o *OpenLoop, minuteMs float64, violated map[int]bool, parts int) *streamJoin {
-	return &streamJoin{
-		sketches: make([]stats.QuantileSketch, parts),
-		warmupMs: o.WarmupMs,
-		slaMs:    o.SLAMs,
-		denseMs:  0, // set by caller (needs cfg.Timing)
-		minuteMs: minuteMs,
-		violated: violated,
-	}
-}
-
-// arrival records one arrival's router-side outcome and, when admitted,
-// opens a join record. Returns the record's slot (-1 when none needed).
-func (sj *streamJoin) arrival(now float64, admitted, revisit bool) int {
-	post := now >= sj.warmupMs
-	if post {
-		sj.postArr++
-		if revisit {
-			sj.postRevisit++
-		}
-		if !admitted {
-			sj.postShed++
-		}
-		if sj.ttrArr != nil {
-			sj.ttrArr[int(now/sj.minuteMs)]++
-			if now >= sj.pfThreshMs {
-				sj.pfArr++
-			}
-		}
-	}
-	if !admitted {
-		return -1
-	}
-	rec := openJoinRec{arrive: now, joined: now, complete: true, post: post}
+// open stores an admitted query's join record and returns its slot.
+func (sj *streamJoin) open(rec openJoinRec) int {
 	var slot int
 	if n := len(sj.freeJoins); n > 0 {
 		slot = sj.freeJoins[n-1]
@@ -136,29 +65,23 @@ func (sj *streamJoin) arrival(now float64, admitted, revisit bool) int {
 	return slot
 }
 
-// subAttached notes one scheduled sub on a join record.
-func (sj *streamJoin) subAttached(slot int) {
-	sj.joins[slot].subsLeft++
-	sj.joins[slot].fanout++
-}
-
 // finalizeIfEmpty closes a join record that attached no subs (an
 // admitted query whose every lookup short-circuited): it joins at its
 // own arrival, exactly as the batch loop scores it. No copy served it,
 // so its latency folds into partition 0's sketch.
-func (sj *streamJoin) finalizeIfEmpty(slot int) {
-	if slot >= 0 && sj.joins[slot].subsLeft == 0 {
-		sj.finalize(slot, 0)
+func (sj *streamJoin) finalizeIfEmpty(t *joinTally, slot int) {
+	if sj.joins[slot].subsLeft == 0 {
+		sj.finalize(t, slot, 0)
 	}
 }
 
 // copyDone is called after every processed copy, in canonical copy
 // order. part is the execution partition that served the copy (0 under
 // the sequential driver) — the sketch a finalizing query folds into.
-// When it was the sub's last outstanding copy, the sub resolves into
-// its join record and its slot is recycled; when that was the query's
-// last sub, the query finalizes.
-func (sj *streamJoin) copyDone(st *simState, subIdx int, part int) {
+// When it was the sub's last outstanding copy, the sub folds into its
+// join record and its slot is recycled; when that was the query's last
+// sub, the query finalizes.
+func (sj *streamJoin) copyDone(st *simState, t *joinTally, subIdx int, part int) {
 	sub := &st.subs[subIdx]
 	sub.copiesLeft--
 	if sub.copiesLeft > 0 {
@@ -168,60 +91,20 @@ func (sj *streamJoin) copyDone(st *simState, subIdx int, part int) {
 		sj.maxLiveSubs = live
 	}
 	rec := &sj.joins[sub.join]
-	doneAt, ok := st.resolve(sub)
-	if doneAt > rec.joined {
-		rec.joined = doneAt
-	}
-	rec.queryLookups += sub.served
-	rec.retries += sub.retries
-	if sub.hedged {
-		rec.hedges++
-	}
-	if ok {
-		rec.servedLookups += sub.served
-	} else {
-		rec.complete = false
-	}
+	rec.addSub(st, sub)
 	st.freeSubs = append(st.freeSubs, subIdx)
 	rec.subsLeft--
 	if rec.subsLeft == 0 {
-		sj.finalize(sub.join, part)
+		sj.finalize(t, sub.join, part)
 	}
 }
 
-// finalize folds one joined query into the summary accumulators —
-// the exact statements the batch join loop runs, minus the slice
-// append — and recycles the record. part selects the sketch the
-// latency lands in; every other accumulator is partition-blind.
-func (sj *streamJoin) finalize(slot int, part int) {
-	rec := &sj.joins[slot]
-	if rec.post {
-		lat := rec.joined + sj.denseMs - rec.arrive
+// finalize folds one joined query into the tally and recycles the
+// record. part selects the sketch a scored latency lands in; the tally
+// itself is partition-blind.
+func (sj *streamJoin) finalize(t *joinTally, slot int, part int) {
+	if lat, scored := t.finish(&sj.joins[slot]); scored {
 		sj.sketches[part].Add(lat)
-		sj.latSum += lat
-		if lat <= sj.slaMs {
-			sj.goodCount++
-			if sj.ttrArr != nil {
-				sj.ttrGood[int(rec.arrive/sj.minuteMs)]++
-				if rec.arrive >= sj.pfThreshMs {
-					sj.pfGood++
-				}
-			}
-		} else {
-			sj.violated[int(rec.arrive/sj.minuteMs)] = true
-		}
-		sj.fanoutSum += rec.fanout
-		sj.subCount += rec.fanout
-		sj.hedgeCount += rec.hedges
-		sj.retryCount += rec.retries
-		if rec.complete {
-			sj.fullJoins++
-		}
-		if rec.queryLookups > 0 {
-			sj.completenessSum += float64(rec.servedLookups) / float64(rec.queryLookups)
-		} else {
-			sj.completenessSum++
-		}
 	}
 	sj.freeJoins = append(sj.freeJoins, slot)
 }
