@@ -22,15 +22,13 @@ type NUMAOptions struct {
 	BatchSize int
 	Seed      uint64
 
-	// Sockets (1 or 2) and CoresPerSocket shape the node.
+	// Sockets (1 or 2; 0 means 1) and CoresPerSocket shape the node.
 	Sockets        int
 	CoresPerSocket int
 	// ActiveCores run one batch each (socket-major placement); the rest
 	// idle. This is how "pinned to socket 0" (ActiveCores ≤
 	// CoresPerSocket) versus "spread" is expressed.
 	ActiveCores int
-	// RemotePenaltyCyc is the interconnect penalty (default 150).
-	RemotePenaltyCyc int64
 	// Prefetch enables Algorithm 3 in the embedding streams.
 	Prefetch embedding.PrefetchConfig
 	// BandwidthIterations bounds the per-socket fixed point.
@@ -47,14 +45,15 @@ type NUMAReport struct {
 }
 
 // RunNUMA executes the embedding stage of one batch per active core on a
-// (possibly) multi-socket Cascade Lake node.
+// (possibly) multi-socket Cascade Lake node. It runs on the engine's
+// pooled cpusim.System, like Run.
 func RunNUMA(opts NUMAOptions) (NUMAReport, error) {
+	if err := opts.Validate(); err != nil {
+		return NUMAReport{}, err
+	}
 	cpu := platform.CascadeLake()
 	if opts.BatchSize == 0 {
 		opts.BatchSize = 64
-	}
-	if opts.Sockets == 0 {
-		opts.Sockets = 1
 	}
 	if opts.CoresPerSocket == 0 {
 		opts.CoresPerSocket = cpu.Cores
@@ -62,14 +61,8 @@ func RunNUMA(opts NUMAOptions) (NUMAReport, error) {
 	if opts.ActiveCores == 0 {
 		opts.ActiveCores = opts.CoresPerSocket
 	}
-	if opts.RemotePenaltyCyc == 0 {
-		opts.RemotePenaltyCyc = 150
-	}
-	if opts.ActiveCores > opts.Sockets*opts.CoresPerSocket {
-		return NUMAReport{}, fmt.Errorf("core: %d active cores on %d", opts.ActiveCores, opts.Sockets*opts.CoresPerSocket)
-	}
-	if err := opts.Model.Validate(); err != nil {
-		return NUMAReport{}, err
+	if total := max(opts.Sockets, 1) * opts.CoresPerSocket; opts.ActiveCores > total {
+		return NUMAReport{}, fmt.Errorf("core: %d active cores on %d", opts.ActiveCores, total)
 	}
 	model, err := dlrm.New(opts.Model, opts.Seed)
 	if err != nil {
@@ -87,14 +80,15 @@ func RunNUMA(opts NUMAOptions) (NUMAReport, error) {
 	if err != nil {
 		return NUMAReport{}, err
 	}
-	sys := cpusim.NewNUMASystem(cpusim.NUMAParams{
+	sysParams := cpusim.SystemParams{
 		Core:                cpu.Core,
 		Mem:                 cpu.Mem,
+		Cores:               opts.CoresPerSocket,
 		Sockets:             opts.Sockets,
-		CoresPerSocket:      opts.CoresPerSocket,
-		RemotePenaltyCyc:    opts.RemotePenaltyCyc,
 		BandwidthIterations: opts.BandwidthIterations,
-	})
+	}
+	sys := acquireSystem(sysParams)
+	defer releaseSystem(sysParams, sys)
 	work := make([]cpusim.CoreWork, opts.ActiveCores)
 	for c := 0; c < opts.ActiveCores; c++ {
 		c := c
@@ -111,7 +105,7 @@ func RunNUMA(opts NUMAOptions) (NUMAReport, error) {
 	}
 	res := sys.Run(work)
 	rep := NUMAReport{
-		BatchLatencyCycles: meanCoreCycles(res.PerCore),
+		BatchLatencyCycles: res.MeanCoreCycles(),
 		AvgLoadLatency:     res.AvgLoadLatency,
 		RemoteFillFraction: res.RemoteFillFraction,
 	}
@@ -120,15 +114,4 @@ func RunNUMA(opts NUMAOptions) (NUMAReport, error) {
 		rep.SocketBandwidthGBs = append(rep.SocketBandwidthGBs, b*cpu.FrequencyGHz)
 	}
 	return rep, nil
-}
-
-func meanCoreCycles(per []cpusim.CoreRunResult) float64 {
-	if len(per) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, c := range per {
-		sum += c.Cycles
-	}
-	return sum / float64(len(per))
 }

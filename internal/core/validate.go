@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"dlrmsim/internal/memsim"
 	"dlrmsim/internal/platform"
 )
 
@@ -46,6 +47,32 @@ func (o Options) Validate() error {
 	}
 	if o.EmbeddingOnly && o.Scheme.UsesSMT() {
 		errs = append(errs, fmt.Errorf("core: embedding-only runs are sequential; %v uses SMT", o.Scheme))
+	}
+	return errors.Join(errs...)
+}
+
+// Validate reports every violation in the NUMA options at once
+// (errors.Join), under the same zero-means-default convention as
+// Options.Validate. RunNUMA calls it before filling defaults.
+func (o NUMAOptions) Validate() error {
+	var errs []error
+	if err := o.Model.Validate(); err != nil {
+		errs = append(errs, err)
+	}
+	if o.Sockets < 0 || o.Sockets > memsim.MaxSockets {
+		errs = append(errs, fmt.Errorf("core: %d sockets outside [0, %d]", o.Sockets, memsim.MaxSockets))
+	}
+	if o.CoresPerSocket < 0 {
+		errs = append(errs, fmt.Errorf("core: negative cores per socket %d", o.CoresPerSocket))
+	}
+	if o.ActiveCores < 0 {
+		errs = append(errs, fmt.Errorf("core: negative active cores %d", o.ActiveCores))
+	}
+	if o.BatchSize < 0 {
+		errs = append(errs, fmt.Errorf("core: negative batch size %d", o.BatchSize))
+	}
+	if o.BandwidthIterations < 0 {
+		errs = append(errs, fmt.Errorf("core: negative bandwidth iterations %d", o.BandwidthIterations))
 	}
 	return errors.Join(errs...)
 }

@@ -83,3 +83,46 @@ func TestRunRejectsNegativeGeometry(t *testing.T) {
 		}
 	}
 }
+
+// TestRunNUMARejectsEachViolation: RunNUMA validates before any work, so
+// each bad field fails with its own message — a third socket no longer
+// runs unwired, negative geometry no longer surfaces as a trace error,
+// and a negative fixed-point budget is no longer read as the default.
+func TestRunNUMARejectsEachViolation(t *testing.T) {
+	for want, mutate := range map[string]func(*NUMAOptions){
+		"3 sockets":                     func(o *NUMAOptions) { o.Sockets = 3 },
+		"-1 sockets":                    func(o *NUMAOptions) { o.Sockets = -1 },
+		"negative cores per socket":     func(o *NUMAOptions) { o.CoresPerSocket = -2 },
+		"negative active cores":         func(o *NUMAOptions) { o.ActiveCores = -1 },
+		"negative batch size":           func(o *NUMAOptions) { o.BatchSize = -16 },
+		"negative bandwidth iterations": func(o *NUMAOptions) { o.BandwidthIterations = -1 },
+	} {
+		o := numaOpts()
+		mutate(&o)
+		if _, err := RunNUMA(o); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: RunNUMA err = %v", want, err)
+		}
+	}
+}
+
+// TestNUMAValidateCollectsAllViolations is the NUMA counterpart of
+// TestValidateCollectsAllViolations.
+func TestNUMAValidateCollectsAllViolations(t *testing.T) {
+	o := numaOpts()
+	o.Model.Tables = 0
+	o.Sockets, o.CoresPerSocket, o.ActiveCores = 3, -2, -1
+	o.BatchSize, o.BandwidthIterations = -16, -1
+	err := o.Validate()
+	if err == nil {
+		t.Fatal("accepted every violation at once")
+	}
+	for _, want := range []string{"dlrm:", "3 sockets", "negative cores per socket -2",
+		"negative active cores -1", "negative batch size -16", "negative bandwidth iterations -1"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("Validate error missing %q:\n%v", want, err)
+		}
+	}
+	if err := (NUMAOptions{Model: dlrm.RM2Small()}).Validate(); err != nil {
+		t.Errorf("zero-valued options rejected: %v", err)
+	}
+}

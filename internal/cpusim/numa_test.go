@@ -1,32 +1,19 @@
 package cpusim
 
 import (
+	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"dlrmsim/internal/memsim"
 )
 
-func numaParams(sockets, coresPer int) NUMAParams {
-	return NUMAParams{
-		Core:             testCoreParams(),
-		Mem:              testMemParams(false),
-		Sockets:          sockets,
-		CoresPerSocket:   coresPer,
-		RemotePenaltyCyc: 150,
-	}
-}
-
-func TestNUMASingleSocketMatchesSystem(t *testing.T) {
-	work := []CoreWork{SingleWork(loadFactory(200, 0))}
-	numa := NewNUMASystem(numaParams(1, 2)).Run(work)
-	flat := NewSystem(testSystemParams(2)).Run(work)
-	ratio := numa.Cycles / flat.Cycles
-	if ratio < 0.99 || ratio > 1.01 {
-		t.Fatalf("1-socket NUMA (%g) != flat system (%g)", numa.Cycles, flat.Cycles)
-	}
-	if numa.RemoteFillFraction != 0 {
-		t.Fatalf("1-socket run reported %g remote fills", numa.RemoteFillFraction)
-	}
+// numaParams is testSystemParams on a 2-socket node.
+func numaParams(coresPer int) SystemParams {
+	p := testSystemParams(coresPer)
+	p.Sockets = 2
+	return p
 }
 
 func TestNUMARemoteAccessesCostMore(t *testing.T) {
@@ -42,7 +29,7 @@ func TestNUMARemoteAccessesCostMore(t *testing.T) {
 		return NewSliceStream(ops)
 	}
 	work := []CoreWork{SingleWork(func() Stream { return pageLoads() })}
-	numa := NewNUMASystem(numaParams(2, 1)).Run(work)
+	numa := NewSystem(numaParams(1)).Run(work)
 	flat := NewSystem(testSystemParams(1)).Run(work)
 	if numa.Cycles <= flat.Cycles {
 		t.Fatalf("NUMA run (%g) not slower than UMA (%g)", numa.Cycles, flat.Cycles)
@@ -65,7 +52,7 @@ func TestNUMATwoSocketsDoubleBandwidth(t *testing.T) {
 		}
 		return w
 	}
-	two := NewNUMASystem(numaParams(2, 2)).Run(mk(4))
+	two := NewSystem(numaParams(2)).Run(mk(4))
 	var bwTwo float64
 	for _, b := range two.SocketBandwidthBytesPerCyc {
 		bwTwo += b
@@ -77,13 +64,25 @@ func TestNUMATwoSocketsDoubleBandwidth(t *testing.T) {
 	if len(two.PerCore) != 4 {
 		t.Fatalf("per-core results = %d", len(two.PerCore))
 	}
+	if math.Abs(bwTwo-two.BandwidthBytesPerCyc) > 1e-9*bwTwo {
+		t.Fatalf("socket bandwidths sum to %g, node total %g", bwTwo, two.BandwidthBytesPerCyc)
+	}
+	// Both sockets' cores ran, so the requester split is unknown.
+	if two.RemoteFillFraction != 0 {
+		t.Fatalf("spread run reported %g remote fills", two.RemoteFillFraction)
+	}
 }
 
 func TestNUMAPanics(t *testing.T) {
+	three := numaParams(1)
+	three.Sockets = 3
+	negative := numaParams(1)
+	negative.Sockets = -1
 	for _, f := range []func(){
-		func() { NewNUMASystem(numaParams(0, 1)) },
-		func() { NewNUMASystem(numaParams(1, 0)) },
-		func() { NewNUMASystem(numaParams(1, 1)).Run(make([]CoreWork, 5)) },
+		func() { NewSystem(three) },
+		func() { NewSystem(negative) },
+		func() { NewSystem(numaParams(0)) },
+		func() { NewSystem(numaParams(1)).Run(make([]CoreWork, 3)) },
 	} {
 		func() {
 			defer func() {
@@ -96,16 +95,33 @@ func TestNUMAPanics(t *testing.T) {
 	}
 }
 
+func TestSystemParamsValidateSockets(t *testing.T) {
+	for _, sockets := range []int{0, 1, 2} {
+		p := numaParams(1)
+		p.Sockets = sockets
+		if err := p.Validate(); err != nil {
+			t.Errorf("%d sockets rejected: %v", sockets, err)
+		}
+	}
+	for _, sockets := range []int{-1, 3} {
+		p := numaParams(1)
+		p.Sockets = sockets
+		if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "sockets") {
+			t.Errorf("%d sockets: err = %v, want a socket-count error", sockets, err)
+		}
+	}
+}
+
 func TestNUMADeterministic(t *testing.T) {
-	run := func() NUMAResult {
-		return NewNUMASystem(numaParams(2, 2)).Run([]CoreWork{
+	run := func() SystemResult {
+		return NewSystem(numaParams(2)).Run([]CoreWork{
 			SingleWork(loadFactory(100, 0)),
 			SingleWork(loadFactory(100, 1<<32)),
 			SingleWork(loadFactory(100, 2<<32)),
 		})
 	}
 	a, b := run(), run()
-	if a.Cycles != b.Cycles || a.AvgLoadLatency != b.AvgLoadLatency {
+	if !reflect.DeepEqual(a, b) {
 		t.Fatal("NUMA run not deterministic")
 	}
 }

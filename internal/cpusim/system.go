@@ -12,25 +12,30 @@ import (
 type SystemParams struct {
 	Core CoreParams
 	Mem  memsim.MemParams
-	// Cores is the number of physical cores to instantiate.
+	// Cores is the number of physical cores to instantiate per socket.
 	Cores int
+	// Sockets is the socket count, 1 or 2; 0 means 1. Each socket has its
+	// own LLC and DRAM. On two sockets memory is page-interleaved and a
+	// fill homed on the other socket pays memsim.RemotePenaltyCyc and
+	// consumes that socket's bandwidth (see memsim.Shared).
+	Sockets int
 	// BandwidthIterations is how many fixed-point refinements of the DRAM
 	// utilization to run (see DESIGN.md §5). 0 means the default of 3.
 	BandwidthIterations int
-	// InitialUtilization seeds the fixed point; useful when the caller
-	// already knows the run is bandwidth-bound.
-	InitialUtilization float64
 }
 
 // Validate reports every problem with the system parameters at once
 // (errors.Join): the core's microarchitectural knobs, the full memory
-// geometry, the core count, and the fixed-point controls. NewSystem
-// panics on the same conditions; Validate is the fail-fast front door for
-// config layers and CLIs.
+// geometry, the core and socket counts, and the fixed-point controls.
+// NewSystem panics on the same conditions; Validate is the fail-fast front
+// door for config layers and CLIs.
 func (p SystemParams) Validate() error {
 	var errs []error
 	if p.Cores < 1 {
 		errs = append(errs, fmt.Errorf("cpusim: %d cores", p.Cores))
+	}
+	if p.Sockets < 0 || p.Sockets > memsim.MaxSockets {
+		errs = append(errs, fmt.Errorf("cpusim: %d sockets outside [0, %d]", p.Sockets, memsim.MaxSockets))
 	}
 	if err := p.Core.Validate(); err != nil {
 		errs = append(errs, err)
@@ -40,9 +45,6 @@ func (p SystemParams) Validate() error {
 	}
 	if p.BandwidthIterations < 0 {
 		errs = append(errs, fmt.Errorf("cpusim: negative bandwidth iterations %d", p.BandwidthIterations))
-	}
-	if p.InitialUtilization < 0 || p.InitialUtilization >= 1 {
-		errs = append(errs, fmt.Errorf("cpusim: initial utilization %g outside [0,1)", p.InitialUtilization))
 	}
 	return errors.Join(errs...)
 }
@@ -119,12 +121,20 @@ type SystemResult struct {
 	DRAMBytes uint64
 	// BandwidthBytesPerCyc is realized DRAM bandwidth (bytes/cycle).
 	BandwidthBytesPerCyc float64
-	// BandwidthUtilization is realized bandwidth over the platform peak.
+	// BandwidthUtilization is realized bandwidth over the node's peak
+	// (the per-socket peak times the socket count).
 	BandwidthUtilization float64
+	// SocketBandwidthBytesPerCyc is realized DRAM bandwidth per socket.
+	SocketBandwidthBytesPerCyc []float64
+	// RemoteFillFraction is the fraction of DRAM fills served by the
+	// other socket. DRAM counters do not record the requester, so it is
+	// measured only when every worked core sits on socket 0 (then each
+	// fill socket 1 served is remote) and is 0 otherwise.
+	RemoteFillFraction float64
 	// AvgLoadLatency is the demand-load latency averaged over all cores.
 	AvgLoadLatency float64
 	// L1HitRate, L2HitRate, L3HitRate are demand hit rates aggregated
-	// over all cores.
+	// over all cores (and, for L3, all sockets).
 	L1HitRate, L2HitRate, L3HitRate float64
 	// SWPrefetches counts software prefetch ops issued across cores.
 	SWPrefetches uint64
@@ -162,18 +172,19 @@ func (r SystemResult) MeanCoreCycles() float64 {
 	return total / float64(len(r.PerCore))
 }
 
-// System owns the cores and shared memory of one simulated socket.
+// System owns the cores and shared memory of one simulated node: one or
+// two sockets of params.Cores cores each.
 type System struct {
-	params SystemParams
-	shared *memsim.Shared
-	cores  []*Core
+	params  SystemParams
+	sockets []*memsim.Shared
+	cores   []*Core // socket-major: cores[s*params.Cores + i]
 }
 
-// NewSystem builds a socket with params.Cores cores. It panics on invalid
-// configuration.
+// NewSystem builds a node of params.Sockets sockets with params.Cores
+// cores each. It panics on invalid configuration.
 func NewSystem(params SystemParams) *System {
-	if params.Cores < 1 {
-		panic(fmt.Sprintf("cpusim: %d cores", params.Cores))
+	if params.Cores < 1 || params.Sockets < 0 || params.Sockets > memsim.MaxSockets {
+		panic(fmt.Sprintf("cpusim: %d sockets x %d cores", params.Sockets, params.Cores))
 	}
 	if err := params.Core.Validate(); err != nil {
 		panic(err)
@@ -181,50 +192,59 @@ func NewSystem(params SystemParams) *System {
 	if params.BandwidthIterations <= 0 {
 		params.BandwidthIterations = 3
 	}
-	s := &System{params: params, shared: memsim.NewShared(params.Mem)}
-	for i := 0; i < params.Cores; i++ {
-		hier := memsim.NewHierarchy(params.Mem, s.shared)
-		s.cores = append(s.cores, NewCore(params.Core, hier))
+	s := &System{params: params, sockets: memsim.NewSockets(params.Mem, max(params.Sockets, 1))}
+	for _, shared := range s.sockets {
+		for i := 0; i < params.Cores; i++ {
+			hier := memsim.NewHierarchy(params.Mem, shared)
+			s.cores = append(s.cores, NewCore(params.Core, hier))
+		}
 	}
 	return s
 }
 
-// Shared exposes the socket's LLC and DRAM.
-func (s *System) Shared() *memsim.Shared { return s.shared }
-
-// Cores returns the core count.
+// Cores returns the total core count (socket-major indexing).
 func (s *System) Cores() int { return len(s.cores) }
 
 // Core returns core i (for counter inspection after a run).
 func (s *System) Core(i int) *Core { return s.cores[i] }
 
 // Run simulates the given per-core work to completion. len(work) must not
-// exceed the core count; unassigned cores stay idle. Cores interleave
-// earliest-first in simulated time, so shared-LLC interactions
-// (constructive and destructive) happen in causal order.
+// exceed the core count; work[i] runs on core i in socket-major order and
+// unassigned cores stay idle. Cores interleave earliest-first in simulated
+// time, so shared-LLC interactions (constructive and destructive) happen
+// in causal order.
 //
-// DRAM bandwidth is resolved by fixed point: the run is simulated with a
-// guessed utilization ρ, the realized utilization is measured, and the
-// guess is updated (damped) until the iteration budget is spent or the
-// guess converges. The final iteration's state is returned.
+// DRAM bandwidth is resolved by fixed point, one utilization ρ per socket:
+// the run is simulated with guessed utilizations, each socket's realized
+// utilization is measured, and the guesses are updated (damped) until the
+// iteration budget is spent or every socket's guess converges. The final
+// iteration's state is returned.
 func (s *System) Run(work []CoreWork) SystemResult {
 	if len(work) > len(s.cores) {
 		panic(fmt.Sprintf("cpusim: %d work items for %d cores", len(work), len(s.cores)))
 	}
-	rho := s.params.InitialUtilization
+	var rho [memsim.MaxSockets]float64
 	var res SystemResult
 	for iter := 0; iter < s.params.BandwidthIterations; iter++ {
-		s.shared.Reset()
-		s.shared.DRAM.SetUtilization(rho)
+		for i, shared := range s.sockets {
+			shared.Reset()
+			shared.DRAM.SetUtilization(rho[i])
+		}
 		res = s.runOnce(work)
 		if res.Cycles <= 0 {
 			break
 		}
-		realized := res.BandwidthUtilization
-		if math.Abs(realized-rho) < 0.01 {
+		converged := true
+		for i, bw := range res.SocketBandwidthBytesPerCyc {
+			realized := bw / s.params.Mem.DRAM.PeakBandwidthBytesPerCyc
+			if math.Abs(realized-rho[i]) >= 0.01 {
+				converged = false
+			}
+			rho[i] = (rho[i] + realized) / 2
+		}
+		if converged {
 			break
 		}
-		rho = (rho + realized) / 2
 	}
 	return res
 }
@@ -300,10 +320,26 @@ func (s *System) runOnce(work []CoreWork) SystemResult {
 		l2h += cs.core.Hierarchy().L2.Stats.DemandHits
 		l2m += cs.core.Hierarchy().L2.Stats.DemandMisses
 	}
-	res.DRAMBytes = s.shared.DRAM.Stats.BytesRead
+	var fills, l3h, l3m uint64
+	for _, shared := range s.sockets {
+		res.DRAMBytes += shared.DRAM.Stats.BytesRead
+		fills += shared.DRAM.Stats.LineFills
+		l3h += shared.L3.Stats.DemandHits
+		l3m += shared.L3.Stats.DemandMisses
+	}
+	res.SocketBandwidthBytesPerCyc = make([]float64, len(s.sockets))
 	if res.Cycles > 0 {
 		res.BandwidthBytesPerCyc = float64(res.DRAMBytes) / res.Cycles
-		res.BandwidthUtilization = res.BandwidthBytesPerCyc / s.params.Mem.DRAM.PeakBandwidthBytesPerCyc
+		peak := s.params.Mem.DRAM.PeakBandwidthBytesPerCyc * float64(len(s.sockets))
+		res.BandwidthUtilization = res.BandwidthBytesPerCyc / peak
+		for i, shared := range s.sockets {
+			res.SocketBandwidthBytesPerCyc[i] = float64(shared.DRAM.Stats.BytesRead) / res.Cycles
+		}
+		// Work only on socket 0's cores: every fill socket 1 served is
+		// remote.
+		if len(s.sockets) == 2 && len(work) <= s.params.Cores && fills > 0 {
+			res.RemoteFillFraction = float64(s.sockets[1].DRAM.Stats.LineFills) / float64(fills)
+		}
 	}
 	if loads > 0 {
 		res.AvgLoadLatency = float64(latSum) / float64(loads)
@@ -311,8 +347,7 @@ func (s *System) runOnce(work []CoreWork) SystemResult {
 	res.L1HitRate = rate(l1h, l1m)
 	res.L2HitRate = rate(l2h, l2m)
 	res.SWPrefetches = swpf
-	l3 := s.shared.L3.Stats
-	res.L3HitRate = rate(l3.DemandHits, l3.DemandMisses)
+	res.L3HitRate = rate(l3h, l3m)
 	return res
 }
 

@@ -97,26 +97,45 @@ func TestNextLinePrefetcherReset(t *testing.T) {
 
 func TestSharedRemoteHoming(t *testing.T) {
 	p := smallParams(false)
-	local := NewShared(p)
-	remote := NewShared(p)
-	local.Remote = remote.DRAM
-	local.RemotePenaltyCyc = 123
-	local.HomeLocal = func(a Addr) bool { return a < 0x1000 }
-	// Local line: base latency.
+	sockets := NewSockets(p, 2)
+	local, remote := sockets[0], sockets[1]
+	// Pages interleave: 0x100 is on page 0 (socket 0), 0x1100 on page 1.
 	if got := local.memLatency(0x100); got != 200 {
 		t.Fatalf("local latency = %d", got)
 	}
 	// Remote line: remote DRAM latency + penalty.
-	if got := local.memLatency(0x2000); got != 200+123 {
+	if got := local.memLatency(0x1100); got != 200+RemotePenaltyCyc {
 		t.Fatalf("remote latency = %d", got)
 	}
+	// Socket 1 sees the same homing from the other side.
+	if got := remote.memLatency(0x1100); got != 200 {
+		t.Fatalf("socket 1 local latency = %d", got)
+	}
 	local.recordFill(0x100, false)
-	local.recordFill(0x2000, true)
+	local.recordFill(0x1100, true)
 	if local.DRAM.Stats.LineFills != 1 || remote.DRAM.Stats.LineFills != 1 {
 		t.Fatalf("fills recorded wrong: local=%d remote=%d",
 			local.DRAM.Stats.LineFills, remote.DRAM.Stats.LineFills)
 	}
 	if remote.DRAM.Stats.PrefetchFills != 1 {
 		t.Fatal("remote prefetch fill not counted")
+	}
+	// A 1-socket node homes every line locally.
+	single := NewSockets(p, 1)[0]
+	if got := single.memLatency(0x1100); got != 200 {
+		t.Fatalf("1-socket latency = %d", got)
+	}
+}
+
+func TestNewSocketsRejectsCount(t *testing.T) {
+	for _, n := range []int{0, MaxSockets + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("NewSockets(%d) did not panic", n)
+				}
+			}()
+			NewSockets(smallParams(false), n)
+		}()
 	}
 }
