@@ -6,11 +6,11 @@ GO ?= go
 # Headline benchmarks captured in BENCH_<n>.json: the parallel-runner
 # sweep, the engine fan-out, a full end-to-end artifact, plus the
 # per-subsystem micro-benches (memsim access path, cpusim step loop,
-# cluster discrete-event run, event-queue backends, the shared Zipf
+# cluster discrete-event run, copy wheel, the shared Zipf
 # sampler every cluster run draws from). BenchmarkCalibration
 # is the host-speed canary bench-gate normalizes by — keep it in every
 # captured point.
-BENCH_REGEX ?= BenchmarkSweepParallel|BenchmarkEngineCells|BenchmarkFig13EndToEnd|BenchmarkEmbeddingKernel|BenchmarkHierarchyAccess|BenchmarkCacheLookupHit|BenchmarkCacheFillEvict|BenchmarkAccessBatch|BenchmarkAccessSequential|BenchmarkCoreStepLoop|BenchmarkClusterSimulate|BenchmarkOpenLoopParallel|BenchmarkChaosOpenLoop|BenchmarkHetSched|BenchmarkEventQueue|BenchmarkZipfShared|BenchmarkCalibration
+BENCH_REGEX ?= BenchmarkSweepParallel|BenchmarkEngineCells|BenchmarkFig13EndToEnd|BenchmarkEmbeddingKernel|BenchmarkHierarchyAccess|BenchmarkCacheLookupHit|BenchmarkCacheFillEvict|BenchmarkAccessSequential|BenchmarkCoreStepLoop|BenchmarkClusterSimulate|BenchmarkOpenLoopParallel|BenchmarkChaosOpenLoop|BenchmarkHetSched|BenchmarkEventQueue|BenchmarkZipfShared|BenchmarkCalibration
 BENCH_PKGS  ?= . ./internal/memsim ./internal/cpusim ./internal/cluster ./internal/hetsched ./internal/eventq ./internal/stats
 BENCHTIME   ?= 2s
 BENCH_N     ?= 0

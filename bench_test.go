@@ -120,8 +120,9 @@ func BenchmarkSweepParallel(b *testing.B) {
 	b.ReportMetric(float64(workers), "workers")
 }
 
-// BenchmarkEngineCells times the engine-level fan-out primitive on a
-// scheme × hotness grid, sequential vs pooled.
+// BenchmarkEngineCells times the engine cell fan-out (exp.Context's
+// RunMany) on a scheme × hotness grid, sequential vs pooled. Each
+// iteration gets a fresh context, so no cell is served from the memo.
 func BenchmarkEngineCells(b *testing.B) {
 	var cells []core.Options
 	for _, s := range []core.Scheme{core.Baseline, core.SWPF, core.MPHT, core.Integrated} {
@@ -136,7 +137,8 @@ func BenchmarkEngineCells(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.RunCells(context.Background(), cells, bc.workers); err != nil {
+				x := benchContext().WithParallelism(context.Background(), bc.workers)
+				if _, err := x.RunMany(cells); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"dlrmsim/internal/check"
@@ -13,7 +12,6 @@ import (
 	"dlrmsim/internal/embedding"
 	"dlrmsim/internal/memsim"
 	"dlrmsim/internal/platform"
-	"dlrmsim/internal/stats"
 	"dlrmsim/internal/trace"
 )
 
@@ -359,64 +357,4 @@ func (r Report) Speedup(base Report) float64 {
 		return 0
 	}
 	return base.BatchLatencyCycles / r.BatchLatencyCycles
-}
-
-// RunCells executes independent design points over a pool of workers and
-// returns the reports index-aligned with cells. workers <= 0 uses
-// GOMAXPROCS. A cell whose Seed is zero gets a per-cell seed split from
-// its index (stats.SplitSeed(1, i)) — the derivation depends only on the
-// cell's position, never on worker count or scheduling, so the reports
-// are identical for every worker count, including 1. The first failing
-// cell cancels the remainder; the lowest-index error is returned.
-func RunCells(ctx context.Context, cells []Options, workers int) ([]Report, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	seeded := func(i int) Options {
-		c := cells[i]
-		if c.Seed == 0 {
-			c.Seed = stats.SplitSeed(1, uint64(i))
-		}
-		return c
-	}
-	reps := make([]Report, len(cells))
-	if workers == 1 || len(cells) < 2 {
-		for i := range cells {
-			rep, err := RunContext(ctx, seeded(i))
-			if err != nil {
-				return nil, fmt.Errorf("cell %d: %w", i, err)
-			}
-			reps[i] = rep
-		}
-		return reps, nil
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	errs := make([]error, len(cells))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i := range cells {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-				defer func() { <-sem }()
-			case <-ctx.Done():
-				errs[i] = ctx.Err()
-				return
-			}
-			reps[i], errs[i] = RunContext(ctx, seeded(i))
-			if errs[i] != nil {
-				cancel()
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("cell %d: %w", i, err)
-		}
-	}
-	return reps, nil
 }

@@ -51,55 +51,49 @@ func randomEvents(rng *rand.Rand, n int) []ev {
 	return out
 }
 
-func TestHeapPopsInOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{0, 1, 2, 7, 100, 2048} {
-		events := randomEvents(rng, n)
-		h := NewHeap(evLess)
-		h.Grow(len(events))
-		for _, e := range events {
-			h.Push(e)
-		}
-		want := slices.Clone(events)
-		slices.SortFunc(want, evCmp)
-		got := make([]ev, 0, n)
-		for h.Len() > 0 {
-			if h.Min() != h.s[0] {
-				t.Fatal("Min disagrees with root")
-			}
-			got = append(got, h.Pop())
-		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("n=%d: heap order diverges from sort", n)
+// minScan is the tests' reference queue: a slice popped by a linear
+// scan for the comparator's least element, too simple to get wrong.
+type minScan []ev
+
+func (q *minScan) push(e ev) { *q = append(*q, e) }
+
+func (q *minScan) pop() ev {
+	m := 0
+	for i, e := range *q {
+		if evLess(e, (*q)[m]) {
+			m = i
 		}
 	}
+	e := (*q)[m]
+	*q = slices.Delete(*q, m, m+1)
+	return e
 }
 
-func TestHeapInterleavedMonotone(t *testing.T) {
+func TestWheelInterleavedMonotone(t *testing.T) {
 	// Push/pop interleaving with the monotone-time pattern the
 	// simulators use: every push's time >= the last popped time.
 	rng := rand.New(rand.NewSource(2))
-	h := NewHeap(evLess)
+	var ref minScan
 	w := NewWheel(0.5, 16, 0, evTime, evLess)
 	now := 0.0
 	sub := 0
 	for step := 0; step < 5000; step++ {
-		if rng.Intn(3) > 0 || h.Len() == 0 {
+		if rng.Intn(3) > 0 || len(ref) == 0 {
 			e := ev{t: now + float64(rng.Intn(40))*0.25, sub: sub}
 			sub++
-			h.Push(e)
+			ref.push(e)
 			w.Push(e)
 		} else {
-			a, b := h.Pop(), w.Pop()
+			a, b := ref.pop(), w.Pop()
 			if a != b {
-				t.Fatalf("step %d: heap %+v wheel %+v", step, a, b)
+				t.Fatalf("step %d: reference %+v wheel %+v", step, a, b)
 			}
 			now = a.t
 		}
 	}
-	for h.Len() > 0 {
-		if a, b := h.Pop(), w.Pop(); a != b {
-			t.Fatalf("drain: heap %+v wheel %+v", a, b)
+	for len(ref) > 0 {
+		if a, b := ref.pop(), w.Pop(); a != b {
+			t.Fatalf("drain: reference %+v wheel %+v", a, b)
 		}
 	}
 	if w.Len() != 0 {
@@ -165,22 +159,6 @@ func TestWheelMonotoneViolationPanics(t *testing.T) {
 		}
 	}()
 	w.Push(ev{t: 1})
-}
-
-func TestHeapPushPopAllocs(t *testing.T) {
-	h := NewHeap(evLess)
-	h.Grow(64)
-	allocs := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 64; i++ {
-			h.Push(ev{t: float64(i % 7), sub: i})
-		}
-		for h.Len() > 0 {
-			h.Pop()
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("heap push/pop allocated %.0f times, want 0 (container/heap boxes every element)", allocs)
-	}
 }
 
 func TestWheelSteadyStateAllocs(t *testing.T) {

@@ -1,3 +1,10 @@
+// Package eventq is the event-scheduling core of the cluster tiers'
+// copy queues (closed and open loop): Wheel[T], a calendar-queue timing
+// wheel for monotone event time, O(1) amortized push/pop when the bucket
+// width matches the event density. It pops in the exact total order of
+// the supplied comparator, so it can stand in for a global sort:
+// FuzzEventOrder drives random schedules through the wheel and a linear
+// min-scan reference in lockstep.
 package eventq
 
 import (

@@ -56,26 +56,29 @@ func TestRunCellPanicCaptured(t *testing.T) {
 	}
 }
 
-// TestRunManyAttributesCellIndex: RunMany stamps the failing cell's index
+// TestRunManyAttributesCellIndex: a failing cell fails RunMany's batch,
+// sequential or pooled, and RunMany stamps the failing cell's index
 // without mutating the memoized original (two batches sharing the failed
 // memo cell each see their own index).
 func TestRunManyAttributesCellIndex(t *testing.T) {
-	x := tinyContext().WithParallelism(context.Background(), 1)
-	good := x.complete(core.Options{Model: x.Cfg.model(dlrm.RM2Small()), Hotness: trace.LowHot, Cores: 2})
-	_, err := x.RunMany([]core.Options{good, panicOptions(x)})
-	var ce *CellError
-	if !errors.As(err, &ce) {
-		t.Fatalf("err = %v, want *CellError", err)
-	}
-	if ce.CellIndex != 1 {
-		t.Errorf("CellIndex = %d, want 1", ce.CellIndex)
-	}
-	_, err = x.RunMany([]core.Options{panicOptions(x)})
-	if !errors.As(err, &ce) {
-		t.Fatal("memoized failure not replayed")
-	}
-	if ce.CellIndex != 0 {
-		t.Errorf("second batch CellIndex = %d, want 0 (original mutated?)", ce.CellIndex)
+	for _, workers := range []int{1, 4} {
+		x := tinyContext().WithParallelism(context.Background(), workers)
+		good := x.complete(core.Options{Model: x.Cfg.model(dlrm.RM2Small()), Hotness: trace.LowHot, Cores: 2})
+		_, err := x.RunMany([]core.Options{good, panicOptions(x)})
+		var ce *CellError
+		if !errors.As(err, &ce) {
+			t.Fatalf("workers=%d: err = %v, want *CellError", workers, err)
+		}
+		if ce.CellIndex != 1 {
+			t.Errorf("workers=%d: CellIndex = %d, want 1", workers, ce.CellIndex)
+		}
+		_, err = x.RunMany([]core.Options{panicOptions(x)})
+		if !errors.As(err, &ce) {
+			t.Fatalf("workers=%d: memoized failure not replayed", workers)
+		}
+		if ce.CellIndex != 0 {
+			t.Errorf("workers=%d: second batch CellIndex = %d, want 0 (original mutated?)", workers, ce.CellIndex)
+		}
 	}
 }
 

@@ -38,12 +38,6 @@ func allocState(t testing.TB, policy Policy) *simState {
 	for i := 0; i < 1024; i++ {
 		st.ready(0, 1)
 	}
-	// The measurements below push device timers without ever draining
-	// the run loop, so settle the heap's capacity up front — in a real
-	// run pops balance pushes and the warm capacity is tiny.
-	if st.timers != nil {
-		st.timers.Grow(4096)
-	}
 	for d := range st.pend {
 		st.pend[d] = st.pend[d][:0]
 		st.pendEstMs[d] = 0

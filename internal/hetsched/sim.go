@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"dlrmsim/internal/check"
-	"dlrmsim/internal/eventq"
 	"dlrmsim/internal/serve"
 	"dlrmsim/internal/stats"
 )
@@ -115,10 +114,8 @@ type simState struct {
 	devSeed   []uint64  // per-device jitter seed
 	prevEnd   []float64 // invariant: device clocks are monotone
 	busyMs    []float64
-	timers    *eventq.Heap[devTimer] // live device events
-	devGen    []uint32               // per-device timer generation (stale-entry filter)
-	batchOf   [][]int32              // each device's in-flight batch members
-	doneBatch []int32                // completion scratch: batchOf may be re-launched
+	batchOf   [][]int32 // each device's in-flight batch members
+	doneBatch []int32   // completion scratch: batchOf may be re-launched
 	// (and its backing array reused) by the dispatches a completion
 	// triggers, so the finished members are copied out first.
 
@@ -169,8 +166,6 @@ func newSimState(cfg Config) (*simState, error) {
 		devSeed:   make([]uint64, nDev),
 		prevEnd:   make([]float64, nDev),
 		busyMs:    make([]float64, nDev),
-		timers:    newDevTimers(nDev),
-		devGen:    make([]uint32, nDev),
 		batchOf:   make([][]int32, nDev),
 	}
 	st.succ = make([][]int32, nPh)
@@ -291,7 +286,6 @@ func (st *simState) maybeStart(d int, t float64) {
 		if t < deadline {
 			st.holdArmed[d] = true
 			st.holdAt[d] = deadline
-			st.timerSet(d, deadline)
 			return
 		}
 	}
@@ -360,7 +354,6 @@ func (st *simState) startBatch(d int, t float64, k PhaseKind, n int) {
 	st.busy[d] = true
 	st.busyStart[d] = t
 	st.busyEnd[d] = t + svcMs
-	st.timerSet(d, st.busyEnd[d])
 	st.busyKind[d] = k
 	st.prevEnd[d] = t + svcMs
 	st.busyMs[d] += svcMs
@@ -385,7 +378,6 @@ func (st *simState) startBatch(d int, t float64, k PhaseKind, n int) {
 // its next batch (stealing one if the policy allows).
 func (st *simState) complete(d int, t float64) {
 	st.busy[d] = false
-	st.timerClear(d)
 	st.doneBatch = append(st.doneBatch[:0], st.batchOf[d]...)
 	st.batchOf[d] = st.batchOf[d][:0]
 	for _, p := range st.doneBatch {
@@ -453,25 +445,50 @@ func (st *simState) stealInto(d int) bool {
 	return false
 }
 
+// nextTimer finds the earliest device event, a batch completion
+// (busyEnd) or a hold-window deadline (holdAt), by scanning every
+// device's state. The scan is strict-less, so the lowest device index
+// wins ties. Returns (+Inf, -1) when no device has one. NewMix fleets
+// have at most five devices, so the scan is a few compares per event
+// and there is no event queue to keep in step with the device state.
+func (st *simState) nextTimer() (tE float64, dev int) {
+	tE, dev = math.Inf(1), -1
+	for d := range st.specs {
+		var cand float64
+		switch {
+		case st.busy[d]:
+			cand = st.busyEnd[d]
+		case st.holdArmed[d]:
+			cand = st.holdAt[d]
+		default:
+			continue
+		}
+		if cand < tE {
+			tE, dev = cand, d
+		}
+	}
+	return tE, dev
+}
+
 // run processes arrivals and device events in global time order.
 func (st *simState) run() {
-	next := 0 // next arrival index
+	next := 0       // next arrival index
+	var now float64 // instant of the last processed event (check mode)
 	for {
-		// Earliest device event: a batch completion or a hold deadline,
-		// in (time, device index) order, lowest index winning ties.
 		tE, dev := st.nextTimer()
-		if check.Enabled {
-			sT, sD := st.scanTimer()
-			check.Assert(sT == tE && sD == dev,
-				"hetsched: timer heap yields (t %g, dev %d), device scan yields (t %g, dev %d)", tE, dev, sT, sD)
-		}
 		tA := math.Inf(1)
 		if next < len(st.arrivals) {
 			tA = st.arrivals[next]
 		}
-		switch {
-		case dev < 0 && math.IsInf(tA, 1):
+		if dev < 0 && math.IsInf(tA, 1) {
 			return
+		}
+		if check.Enabled {
+			t := math.Min(tA, tE)
+			check.Assert(t >= now, "hetsched: event at %g processed after one at %g", t, now)
+			now = t
+		}
+		switch {
 		case tA <= tE:
 			base := next * st.nPh
 			for i := range st.cfg.Graph.Phases {
@@ -484,7 +501,6 @@ func (st *simState) run() {
 			st.complete(dev, tE)
 		default: // hold window expired: launch with what is queued
 			st.holdArmed[dev] = false
-			st.timerClear(dev)
 			q := st.pend[dev]
 			if len(q) > 0 {
 				k := st.cfg.Graph.Phases[int(q[0])%st.nPh].Kind

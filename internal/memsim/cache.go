@@ -136,8 +136,8 @@ func (c *Cache) Lookup(a Addr, demand bool, now int64) (readyAt int64, hit bool)
 // lookupAt is Lookup with the set probe (base, want) already computed —
 // Hierarchy.Access probes each level once and reuses the probe for the
 // fill on the way back. On a hit it also returns the line's index, which
-// fillAt and touchAt accept. The probe must come from setBase in the
-// same logical access (no Reset in between).
+// refreshAt accepts. The probe must come from setBase in the same
+// logical access (no Reset in between).
 func (c *Cache) lookupAt(base int, want uint64, demand bool, now int64) (idx int, readyAt int64, hit bool) {
 	for i := base; i < base+c.ways; i++ {
 		if c.tags[i] != want {
@@ -163,30 +163,6 @@ func (c *Cache) lookupAt(base int, want uint64, demand bool, now int64) (idx int
 	return -1, 0, false
 }
 
-// touchAt re-touches a line known to be resident at index idx as a
-// demand hit, with exactly a Lookup hit's recency and counter effects,
-// and returns the line's readyAt. AccessBatch's same-line fast path:
-// the previous access left the line resident and nothing between two
-// accesses of one hierarchy can evict it.
-func (c *Cache) touchAt(idx int, a Addr, now int64) int64 {
-	if check.Enabled {
-		_, want := c.setBase(a)
-		check.Assert(c.tags[idx] == want,
-			"memsim: %s: touchAt(%d) for %#x but slot holds tag %#x", c.cfg.Name, idx, a, c.tags[idx])
-	}
-	c.clock++
-	c.used[idx] = c.clock
-	c.Stats.DemandHits++
-	if c.pref[idx] {
-		c.Stats.PrefetchHits++
-		c.pref[idx] = false
-	}
-	if c.ready[idx] > now {
-		c.Stats.InFlightHits++
-	}
-	return c.ready[idx]
-}
-
 // Fill installs the line containing a, with its data becoming available at
 // readyAt. The LRU line of the set is evicted if the set is full. prefetch
 // marks the fill as speculative for useless-prefetch accounting.
@@ -198,9 +174,8 @@ func (c *Cache) Fill(a Addr, readyAt int64, prefetch bool) {
 // fillAt is Fill with the probe precomputed (see lookupAt). One pass
 // over the set finds the resident line, the first invalid way, and the
 // LRU victim together — the fill path runs on every miss, and the old
-// match-scan-then-victim-scan walked the set twice. Returns the index
-// the line now occupies.
-func (c *Cache) fillAt(base int, want uint64, readyAt int64, prefetch bool) int {
+// match-scan-then-victim-scan walked the set twice.
+func (c *Cache) fillAt(base int, want uint64, readyAt int64, prefetch bool) {
 	c.clock++
 	victim := base
 	invalid := -1
@@ -215,7 +190,7 @@ func (c *Cache) fillAt(base int, want uint64, readyAt int64, prefetch bool) int 
 				c.ready[i] = readyAt
 			}
 			c.used[i] = c.clock
-			return i
+			return
 		case c.tags[i] == 0:
 			if invalid < 0 {
 				invalid = i
@@ -251,7 +226,6 @@ func (c *Cache) fillAt(base int, want uint64, readyAt int64, prefetch bool) int 
 		}
 		check.Assert(dup == 1, "memsim: %s: tag %#x resident %d times in one set", c.cfg.Name, want, dup)
 	}
-	return victim
 }
 
 // refreshAt re-installs a line already known resident at idx — exactly

@@ -192,49 +192,7 @@ func (h *Hierarchy) Access(now int64, a Addr, kind AccessKind) AccessResult {
 	if kind.IsPrefetch() {
 		return h.prefetch(now, a, kind)
 	}
-	res, _ := h.demandAccess(now, a, kind)
-	return res
-}
-
-// AccessBatch performs the demand accesses in addrs, in order, all at
-// cycle now, appending one result per address to out (which it returns,
-// grown). It is observably identical to calling Access per element —
-// same results, same cache state, same counters — but amortizes the
-// hierarchy walk: a run of addresses falling in one line (the shape of
-// an embedding-row gather, where a row spans several sequential lines
-// and each line several values) touches the L1 slot the previous
-// access pinned instead of re-probing every level. Prefetch kinds take
-// the per-element path unchanged.
-func (h *Hierarchy) AccessBatch(now int64, addrs []Addr, kind AccessKind, out []AccessResult) []AccessResult {
-	if kind.IsPrefetch() {
-		for _, a := range addrs {
-			out = append(out, h.Access(now, a, kind))
-		}
-		return out
-	}
-	prevIdx := -1
-	var prevLine Addr
-	for _, a := range addrs {
-		la := LineAddr(a)
-		if prevIdx >= 0 && la == prevLine {
-			// The previous access left la resident in L1 at prevIdx, and
-			// nothing between two accesses of one hierarchy evicts it.
-			if kind == KindLoad {
-				h.Stats.Loads++
-			} else {
-				h.Stats.Stores++
-			}
-			readyAt := h.L1.touchAt(prevIdx, la, now)
-			lat := residual(now, readyAt, h.L1.cfg.LatencyCyc)
-			h.record(kind, LevelL1, lat)
-			out = append(out, AccessResult{Level: LevelL1, Latency: lat, InFlightHit: readyAt > now})
-			continue
-		}
-		res, idx := h.demandAccess(now, la, kind)
-		out = append(out, res)
-		prevIdx, prevLine = idx, la
-	}
-	return out
+	return h.demandAccess(now, a, kind)
 }
 
 // demandAccess walks the hierarchy for one demand access to the
@@ -244,9 +202,7 @@ func (h *Hierarchy) AccessBatch(now int64, addrs []Addr, kind AccessKind, out []
 // geometry, fillAt rescans the set's current contents, and only a
 // Reset (impossible mid-access) could stale the lazy set validation,
 // so prefetch fills interleaved between probe and fill are safe.
-// Returns the L1 index now holding the line (every demand access ends
-// with the line in L1).
-func (h *Hierarchy) demandAccess(now int64, a Addr, kind AccessKind) (AccessResult, int) {
+func (h *Hierarchy) demandAccess(now int64, a Addr, kind AccessKind) AccessResult {
 	if kind == KindLoad {
 		h.Stats.Loads++
 	} else {
@@ -255,10 +211,10 @@ func (h *Hierarchy) demandAccess(now int64, a Addr, kind AccessKind) (AccessResu
 
 	// L1 probe.
 	b1, w1 := h.L1.setBase(a)
-	if idx, readyAt, hit := h.L1.lookupAt(b1, w1, true, now); hit {
+	if _, readyAt, hit := h.L1.lookupAt(b1, w1, true, now); hit {
 		lat := residual(now, readyAt, h.L1.cfg.LatencyCyc)
 		h.record(kind, LevelL1, lat)
-		return AccessResult{Level: LevelL1, Latency: lat, InFlightHit: readyAt > now}, idx
+		return AccessResult{Level: LevelL1, Latency: lat, InFlightHit: readyAt > now}
 	}
 	// L1 miss: train the L1 hardware prefetcher. Like Intel's DCU
 	// prefetcher, its fills land in L2 — strong enough to help streaming
@@ -274,9 +230,9 @@ func (h *Hierarchy) demandAccess(now int64, a Addr, kind AccessKind) (AccessResu
 	b2, w2 := h.L2.setBase(a)
 	if _, readyAt, hit := h.L2.lookupAt(b2, w2, true, now); hit {
 		lat := residual(now, readyAt, h.L2.cfg.LatencyCyc)
-		idx := h.L1.fillAt(b1, w1, now+lat, false)
+		h.L1.fillAt(b1, w1, now+lat, false)
 		h.record(kind, LevelL2, lat)
-		return AccessResult{Level: LevelL2, Latency: lat, InFlightHit: readyAt > now}, idx
+		return AccessResult{Level: LevelL2, Latency: lat, InFlightHit: readyAt > now}
 	}
 	if h.HWPrefetchEnabled {
 		h.pfBuf = h.l2pf.OnDemandMiss(a, h.pfBuf[:0])
@@ -290,9 +246,9 @@ func (h *Hierarchy) demandAccess(now int64, a Addr, kind AccessKind) (AccessResu
 	if _, readyAt, hit := h.shared.L3.lookupAt(b3, w3, true, now); hit {
 		lat := residual(now, readyAt, h.shared.L3.cfg.LatencyCyc)
 		h.L2.fillAt(b2, w2, now+lat, false)
-		idx := h.L1.fillAt(b1, w1, now+lat, false)
+		h.L1.fillAt(b1, w1, now+lat, false)
 		h.record(kind, LevelL3, lat)
-		return AccessResult{Level: LevelL3, Latency: lat, InFlightHit: readyAt > now}, idx
+		return AccessResult{Level: LevelL3, Latency: lat, InFlightHit: readyAt > now}
 	}
 
 	// DRAM (local or remote-socket per line homing).
@@ -300,9 +256,9 @@ func (h *Hierarchy) demandAccess(now int64, a Addr, kind AccessKind) (AccessResu
 	h.shared.recordFill(a, false)
 	h.shared.L3.fillAt(b3, w3, now+lat, false)
 	h.L2.fillAt(b2, w2, now+lat, false)
-	idx := h.L1.fillAt(b1, w1, now+lat, false)
+	h.L1.fillAt(b1, w1, now+lat, false)
 	h.record(kind, LevelDRAM, lat)
-	return AccessResult{Level: LevelDRAM, Latency: lat}, idx
+	return AccessResult{Level: LevelDRAM, Latency: lat}
 }
 
 func (h *Hierarchy) record(kind AccessKind, lvl Level, lat int64) {

@@ -121,12 +121,12 @@ func MixFloat01(x uint64) float64 {
 	return float64(Mix64(x)>>11) / (1 << 53)
 }
 
-// SplitSeed derives the seed for parallel cell i of a run seeded with
-// seed. Each cell gets a decorrelated splitmix64 stream that is a pure
-// function of (seed, cell) — no generator state is shared between cells,
-// so neither worker count nor scheduling order can change which random
-// stream a cell consumes. This is the seed-splitting scheme the parallel
-// experiment runner's determinism guarantee rests on.
+// SplitSeed derives the seed for stream `cell` of a run seeded with
+// seed (a node's fault timeline, a device's jitter, a query's draw).
+// Each stream is a decorrelated splitmix64 stream that is a pure
+// function of (seed, cell) — no generator state is shared between
+// streams, so neither worker count nor scheduling order can change
+// which random stream a consumer draws from.
 func SplitSeed(seed, cell uint64) uint64 {
 	return Mix64(seed ^ (cell+1)*0x517CC1B727220A95)
 }
