@@ -33,7 +33,7 @@ import (
 // validation and open-loop assembly are plain functions a test can drive
 // without an engine run or an os.Exit.
 type mainFlags struct {
-	hotness                                      string
+	modelName, scheme, policy, hotness           string
 	scale, nodes, batch, servers, cores, queries int
 	arrival, util, netLat, netBW                 float64
 	shardWorkers                                 int
@@ -81,6 +81,15 @@ var openOnlyFlags = []string{
 // only wired through when their enabling flag is present.
 func (o mainFlags) validate(isSet func(string) bool) error {
 	var errs []error
+	if _, err := dlrm.ByName(o.modelName); err != nil {
+		errs = append(errs, err)
+	}
+	if _, err := core.ParseScheme(o.scheme); err != nil {
+		errs = append(errs, err)
+	}
+	if _, err := cluster.ParsePolicy(o.policy); err != nil {
+		errs = append(errs, err)
+	}
 	if h, err := trace.ParseHotness(o.hotness); err != nil {
 		errs = append(errs, err)
 	} else if !slices.Contains(trace.ProductionHotness, h) {
@@ -262,11 +271,8 @@ func (o mainFlags) openLoop() (*cluster.OpenLoop, error) {
 func main() {
 	var o mainFlags
 	var (
-		modelName  = flag.String("model", "rm2_1", "rm1 | rm2_1 | rm2_2 | rm2_3")
-		schemeName = flag.String("scheme", "baseline", "per-node design point: baseline | swpf | mpht | integrated")
-		policyName = flag.String("policy", "rowrange", "sharding policy: tablewise | rowrange")
-		replicate  = flag.String("replicate", "0,0.001,0.01,0.05,0.2", "comma-separated hot-row replication fractions to sweep")
-		seed       = flag.Uint64("seed", 1, "random seed")
+		replicate = flag.String("replicate", "0,0.001,0.01,0.05,0.2", "comma-separated hot-row replication fractions to sweep")
+		seed      = flag.Uint64("seed", 1, "random seed")
 
 		slowEvery  = flag.Float64("slowdown-every", 0, "mean ms between per-node slowdown episodes (0 = none)")
 		slowDur    = flag.Float64("slowdown-dur", 0, "mean slowdown episode duration (ms)")
@@ -283,6 +289,9 @@ func main() {
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
+	flag.StringVar(&o.modelName, "model", "rm2_1", "rm1 | rm2_1 | rm2_2 | rm2_3")
+	flag.StringVar(&o.scheme, "scheme", "baseline", "per-node design point: baseline | swpf | mpht | integrated")
+	flag.StringVar(&o.policy, "policy", "rowrange", "sharding policy: tablewise | rowrange")
 	flag.StringVar(&o.hotness, "hotness", "high", "high | medium | low")
 	flag.IntVar(&o.scale, "scale", 8, "model scale-down divisor")
 	flag.IntVar(&o.nodes, "nodes", 8, "cluster size")
@@ -353,7 +362,7 @@ func main() {
 		}
 	}()
 
-	base, err := dlrm.ByName(*modelName)
+	base, err := dlrm.ByName(o.modelName)
 	if err != nil {
 		fatal(err)
 	}
@@ -361,11 +370,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	scheme, err := core.ParseScheme(*schemeName)
+	scheme, err := core.ParseScheme(o.scheme)
 	if err != nil {
 		fatal(err)
 	}
-	policy, err := cluster.ParsePolicy(*policyName)
+	policy, err := cluster.ParsePolicy(o.policy)
 	if err != nil {
 		fatal(err)
 	}

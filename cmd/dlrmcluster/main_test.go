@@ -11,8 +11,8 @@ import (
 // goodFlags mirrors the flag defaults relevant to validation.
 func goodFlags() mainFlags {
 	return mainFlags{
-		hotness: "high",
-		scale:   8, nodes: 8, batch: 8, servers: 2, queries: 4000,
+		modelName: "rm2_1", scheme: "baseline", policy: "rowrange", hotness: "high",
+		scale: 8, nodes: 8, batch: 8, servers: 2, queries: 4000,
 		util: 0.55, netBW: 10, shardWorkers: 1,
 		arrivals: "poisson", admit: "none",
 		burstFactor: 2, flashFactor: 3, revisit: 0.6, affinity: 0.5,
@@ -33,6 +33,10 @@ func TestValidateBadInputs(t *testing.T) {
 		want string
 	}{
 		{"unknown hotness", func(o *mainFlags) { o.hotness = "scorching" }, nil, "unknown hotness"},
+		{"unknown model", func(o *mainFlags) { o.modelName = "bogus" }, nil, `unknown model "bogus"`},
+		{"unknown scheme", func(o *mainFlags) { o.scheme = "turbo" }, nil, `unknown scheme "turbo"`},
+		{"unknown policy", func(o *mainFlags) { o.policy = "hashed" }, nil, `unknown sharding policy "hashed"`},
+		{"unknown model with zero nodes", func(o *mainFlags) { o.modelName = "bogus"; o.nodes = 0 }, nil, `unknown model "bogus"`},
 		{"synthetic hotness", func(o *mainFlags) { o.hotness = "oneitem" }, nil, "-hotness oneitem"},
 		{"random hotness", func(o *mainFlags) { o.hotness = "random" }, nil, "-hotness random"},
 		{"negative scale", func(o *mainFlags) { o.scale = -1 }, nil, "-scale"},

@@ -77,6 +77,12 @@ func (o mainFlags) validate(isSet func(string) bool) error {
 		if o.cores < 0 {
 			errs = append(errs, fmt.Errorf("-cores %d (want >= 0)", o.cores))
 		}
+		if _, err := dlrm.ByName(o.modelName); err != nil {
+			errs = append(errs, err)
+		}
+		if _, err := core.ParseScheme(o.scheme); err != nil {
+			errs = append(errs, err)
+		}
 		if h, err := trace.ParseHotness(o.hotness); err != nil {
 			errs = append(errs, err)
 		} else if !slices.Contains(trace.ProductionHotness, h) {

@@ -32,6 +32,9 @@ func TestValidateBadInputs(t *testing.T) {
 		{"zero batch", func(o *mainFlags) { o.batch = 0 }, nil, "-batch"},
 		{"negative cores", func(o *mainFlags) { o.cores = -2 }, nil, "-cores"},
 		{"unknown hotness", func(o *mainFlags) { o.hotness = "scorching" }, nil, "unknown hotness"},
+		{"unknown model", func(o *mainFlags) { o.modelName = "bogus" }, nil, `unknown model "bogus"`},
+		{"unknown scheme", func(o *mainFlags) { o.scheme = "turbo" }, nil, `unknown scheme "turbo"`},
+		{"unknown model with zero requests", func(o *mainFlags) { o.modelName = "bogus"; o.requests = 0 }, nil, `unknown model "bogus"`},
 		{"synthetic hotness", func(o *mainFlags) { o.hotness = "one-item" }, nil, "-hotness one-item"},
 		{"random hotness", func(o *mainFlags) { o.hotness = "random" }, nil, "-hotness random"},
 		{"zero requests", func(o *mainFlags) { o.requests = 0 }, nil, "-requests"},
