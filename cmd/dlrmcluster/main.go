@@ -75,6 +75,16 @@ var openOnlyFlags = []string{
 	"min-nodes", "max-nodes",
 }
 
+// nodeTiming runs the one engine design point that sets the per-node
+// service model, on -cores cores at the -batch samples a query carries.
+func (o mainFlags) nodeTiming(model dlrm.Config, h trace.Hotness, scheme core.Scheme, seed uint64) (cluster.Timing, error) {
+	rep, err := core.Run(core.Options{Model: model, Hotness: h, Scheme: scheme, BatchSize: o.batch, Cores: o.cores, Seed: seed})
+	if err != nil {
+		return cluster.Timing{}, err
+	}
+	return cluster.TimingFromReport(rep, platform.CascadeLake()), nil
+}
+
 // validate reports every bad flag at once, before the engine run starts.
 // isSet reports whether a flag was given explicitly on the command line —
 // needed because several flags have meaningful non-zero defaults that are
@@ -107,8 +117,8 @@ func (o mainFlags) validate(isSet func(string) bool) error {
 	if o.servers < 1 {
 		errs = append(errs, fmt.Errorf("-servers %d (want >= 1)", o.servers))
 	}
-	if o.cores < 0 {
-		errs = append(errs, fmt.Errorf("-cores %d (want >= 0)", o.cores))
+	if n := platform.CascadeLake().Cores; o.cores < 0 || o.cores > n {
+		errs = append(errs, fmt.Errorf("-cores %d outside [0,%d] (0 = all platform cores)", o.cores, n))
 	}
 	if o.shardWorkers < 1 {
 		errs = append(errs, fmt.Errorf("-shard-workers %d (want >= 1)", o.shardWorkers))
@@ -382,20 +392,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cpu := platform.CascadeLake()
-	n := cpu.Cores
-	if o.cores > 0 && o.cores <= cpu.Cores {
-		n = o.cores
-	}
 	model := base.Scaled(o.scale)
-
-	// One memoizable engine run sets the per-node service model.
-	rep, err := core.Run(core.Options{Model: model, Hotness: h, Scheme: scheme, Cores: n, Seed: *seed})
+	tm, err := o.nodeTiming(model, h, scheme, *seed)
 	if err != nil {
 		fatal(err)
 	}
-	lookups := o.batch * model.Tables * model.LookupsPerSample
-	tm := cluster.TimingFromReport(rep, cpu, lookups)
 
 	plan, err := cluster.NewPlan(model, o.nodes, policy, 0, *seed)
 	if err != nil {

@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"dlrmsim/internal/cluster"
+	"dlrmsim/internal/core"
+	"dlrmsim/internal/dlrm"
+	"dlrmsim/internal/trace"
 	"dlrmsim/internal/traffic"
 )
 
@@ -44,6 +47,7 @@ func TestValidateBadInputs(t *testing.T) {
 		{"zero batch", func(o *mainFlags) { o.batch = 0 }, nil, "-batch"},
 		{"zero servers", func(o *mainFlags) { o.servers = 0 }, nil, "-servers"},
 		{"negative cores", func(o *mainFlags) { o.cores = -2 }, nil, "-cores"},
+		{"cores above platform", func(o *mainFlags) { o.cores = 100 }, nil, "-cores 100 outside [0,24]"},
 		{"zero shard workers", func(o *mainFlags) { o.shardWorkers = 0 }, nil, "-shard-workers"},
 		{"zero queries closed", func(o *mainFlags) { o.queries = 0 }, nil, "-queries"},
 		{"negative arrival", func(o *mainFlags) { o.arrival = -0.5 }, nil, "-arrival"},
@@ -241,5 +245,33 @@ func TestParseFractions(t *testing.T) {
 	}
 	if len(got) != 3 || got[0] != 0 || got[1] != 0.01 || got[2] != 1 {
 		t.Fatalf("parsed %v", got)
+	}
+}
+
+// TestNodeTimingFollowsBatch: the engine run that sets the service model
+// runs at -batch. The per-lookup cost it derives then barely moves with the
+// batch size, while a query's dense time shrinks with its sample count.
+// When the engine ran its default 64 samples and the embedding time was
+// divided by -batch's lookups, -batch 8 charged each lookup 8× too much
+// and every query the dense time of 64 samples.
+func TestNodeTimingFollowsBatch(t *testing.T) {
+	model := dlrm.RM2Small().Scaled(40)
+	tms := map[int]cluster.Timing{}
+	for _, batch := range []int{8, 64} {
+		o := goodFlags()
+		o.batch, o.cores = batch, 2
+		tm, err := o.nodeTiming(model, trace.HighHot, core.Baseline, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tms[batch] = tm
+	}
+	small, big := tms[8], tms[64]
+	if r := small.ColdLookupUs / big.ColdLookupUs; r < 0.5 || r > 2 {
+		t.Errorf("cold µs/lookup %g at -batch 8, %g at -batch 64: ratio %.2f, want within 2×",
+			small.ColdLookupUs, big.ColdLookupUs, r)
+	}
+	if small.DenseMs >= big.DenseMs/2 {
+		t.Errorf("dense %g ms at -batch 8, %g ms at -batch 64: want under half", small.DenseMs, big.DenseMs)
 	}
 }

@@ -74,8 +74,8 @@ func (o mainFlags) validate(isSet func(string) bool) error {
 		if o.batch < 1 {
 			errs = append(errs, fmt.Errorf("-batch %d (want >= 1)", o.batch))
 		}
-		if o.cores < 0 {
-			errs = append(errs, fmt.Errorf("-cores %d (want >= 0)", o.cores))
+		if n := platform.CascadeLake().Cores; o.cores < 0 || o.cores > n {
+			errs = append(errs, fmt.Errorf("-cores %d outside [0,%d] (0 = all platform cores)", o.cores, n))
 		}
 		if _, err := dlrm.ByName(o.modelName); err != nil {
 			errs = append(errs, err)
@@ -183,19 +183,14 @@ func main() {
 			fatal(err)
 		}
 		cpu := platform.CascadeLake()
-		n := cpu.Cores
-		if o.cores > 0 && o.cores <= cpu.Cores {
-			n = o.cores
-		}
 		model := base.Scaled(o.scale)
 		// One memoizable engine run calibrates the per-phase CPU costs.
-		rep, err := core.Run(core.Options{Model: model, Hotness: h, Scheme: scheme, Cores: n, Seed: *seed})
+		rep, err := core.Run(core.Options{Model: model, Hotness: h, Scheme: scheme, BatchSize: o.batch, Cores: o.cores, Seed: *seed})
 		if err != nil {
 			fatal(err)
 		}
-		lookups := o.batch * model.Tables * model.LookupsPerSample
-		tm := cluster.TimingFromReport(rep, cpu, lookups)
-		g = hetsched.DLRMGraph(tm.ColdLookupUs*float64(lookups), tm.DenseMs*1e3)
+		tm := cluster.TimingFromReport(rep, cpu)
+		g = hetsched.DLRMGraph(tm.ColdLookupUs*float64(rep.LookupsPerBatch), tm.DenseMs*1e3)
 		fmt.Printf("dlrmhetsched: %s (scale 1/%d), %v, %s design, %d-sample requests\n",
 			base.Name, o.scale, h, scheme, o.batch)
 	}

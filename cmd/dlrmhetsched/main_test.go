@@ -31,6 +31,7 @@ func TestValidateBadInputs(t *testing.T) {
 		{"negative scale", func(o *mainFlags) { o.scale = -1 }, nil, "-scale"},
 		{"zero batch", func(o *mainFlags) { o.batch = 0 }, nil, "-batch"},
 		{"negative cores", func(o *mainFlags) { o.cores = -2 }, nil, "-cores"},
+		{"cores above platform", func(o *mainFlags) { o.cores = 100 }, nil, "-cores 100 outside [0,24]"},
 		{"unknown hotness", func(o *mainFlags) { o.hotness = "scorching" }, nil, "unknown hotness"},
 		{"unknown model", func(o *mainFlags) { o.modelName = "bogus" }, nil, `unknown model "bogus"`},
 		{"unknown scheme", func(o *mainFlags) { o.scheme = "turbo" }, nil, `unknown scheme "turbo"`},

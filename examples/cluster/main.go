@@ -31,12 +31,12 @@ func main() {
 	// 1. One single-node engine run sets the per-lookup service model.
 	rep, err := core.Run(core.Options{
 		Model: model, Hotness: trace.HighHot, Scheme: core.Baseline,
-		Cores: cpu.Cores, Seed: seed,
+		BatchSize: batch, Cores: cpu.Cores, Seed: seed,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	tm := cluster.TimingFromReport(rep, cpu, batch*model.Tables*model.LookupsPerSample)
+	tm := cluster.TimingFromReport(rep, cpu)
 	fmt.Printf("%s sharded over %d nodes: %.3f µs/cold lookup, %.3f µs when cache-resident\n\n",
 		model.Name, nodes, tm.ColdLookupUs, tm.HotLookupUs)
 

@@ -13,6 +13,7 @@ import (
 
 	"dlrmsim/internal/core"
 	"dlrmsim/internal/dlrm"
+	"dlrmsim/internal/embedding"
 	"dlrmsim/internal/platform"
 	"dlrmsim/internal/trace"
 )
@@ -29,15 +30,12 @@ func main() {
 		Model:   dlrm.RM2Small().Scaled(8),
 		CPU:     cpu,
 		Hotness: trace.LowHot,
+		Scheme:  core.SWPF,
 		Cores:   4,
 		Seed:    1,
 	}
 	dists := []int{1, 2, 4, 8, 16}
 	blocks := []int{1, 2, 4, 8}
-	points, best, err := core.TunePrefetch(opts, dists, blocks)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	fmt.Printf("Algorithm 3 tuning surface on %s (batch latency, cycles):\n\n", cpu.FullName)
 	fmt.Printf("%8s", "dist\\blk")
@@ -45,16 +43,24 @@ func main() {
 		fmt.Printf("%12d", b)
 	}
 	fmt.Println()
-	i := 0
+	var best core.Report
+	var bestPF embedding.PrefetchConfig
 	for _, d := range dists {
 		fmt.Printf("%8d", d)
-		for range blocks {
-			fmt.Printf("%12.0f", points[i].BatchLatencyCycles)
-			i++
+		for _, b := range blocks {
+			opts.Prefetch = embedding.PrefetchConfig{Dist: d, Blocks: b}
+			rep, err := core.Run(opts)
+			if err != nil {
+				log.Fatal(err)
+			}
+			fmt.Printf("%12.0f", rep.BatchLatencyCycles)
+			if !bestPF.Enabled() || rep.BatchLatencyCycles < best.BatchLatencyCycles {
+				best, bestPF = rep, opts.Prefetch
+			}
 		}
 		fmt.Println()
 	}
 	fmt.Printf("\nbest: dist=%d blocks=%d (%.0f cycles, L1D hit %.1f%%)\n",
-		best.Dist, best.Blocks, best.BatchLatencyCycles, 100*best.L1HitRate)
+		bestPF.Dist, bestPF.Blocks, best.BatchLatencyCycles, 100*best.L1HitRate)
 	fmt.Printf("platform's shipped tuning: dist=%d blocks=%d\n", cpu.TunedPFDist, cpu.TunedPFBlocks)
 }

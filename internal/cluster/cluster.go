@@ -80,9 +80,8 @@ type Timing struct {
 // the dense part charged once per query at the router, and replicated hot
 // rows are served at the platform's L2 latency instead of the report's
 // average load latency (they are cache-resident by construction — that is
-// what replication buys). lookupsPerBatch is the report's total lookups
-// per batch (batch size × tables × lookups/sample).
-func TimingFromReport(rep core.Report, cpu platform.CPU, lookupsPerBatch int) Timing {
+// what replication buys).
+func TimingFromReport(rep core.Report, cpu platform.CPU) Timing {
 	embMs := cpu.CyclesToMs(rep.EmbeddingStageCycles())
 	if embMs > rep.BatchLatencyMs {
 		embMs = rep.BatchLatencyMs
@@ -91,7 +90,7 @@ func TimingFromReport(rep core.Report, cpu platform.CPU, lookupsPerBatch int) Ti
 	if dense < 0 {
 		dense = 0
 	}
-	cold := embMs * 1e3 / float64(lookupsPerBatch)
+	cold := embMs * 1e3 / float64(rep.LookupsPerBatch)
 	ratio := 1.0
 	if rep.AvgLoadLatency > 0 {
 		ratio = float64(cpu.Mem.L2.LatencyCyc) / rep.AvgLoadLatency

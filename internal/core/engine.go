@@ -45,8 +45,16 @@ type Options struct {
 	BatchSize int
 	// Batches is the number of batches measured per core (default 1).
 	Batches int
-	// Cores is the number of cores used; 0 means all of CPU.Cores.
+	// Cores is the number of cores per socket; 0 means all of CPU.Cores.
 	Cores int
+	// Sockets is the socket count, 1 or 2; 0 means 1. On two sockets
+	// memory is page-interleaved and a remote fill pays the interconnect
+	// (see cpusim.SystemParams.Sockets).
+	Sockets int
+	// ActiveCores is how many cores get work, placed socket-major; the
+	// rest idle. 0 means Cores. Two sockets with ActiveCores ≤ Cores run
+	// on socket 0 against interleaved memory; more spread across both.
+	ActiveCores int
 	// Prefetch overrides the platform-tuned Algorithm 3 knobs for
 	// SWPF/Integrated runs. Zero means use CPU.TunedPFDist/TunedPFBlocks.
 	Prefetch embedding.PrefetchConfig
@@ -55,7 +63,7 @@ type Options struct {
 	// Trace, when non-nil, supplies the embedding_bag inputs instead of
 	// a synthesized dataset — e.g. a trace.StoredTrace written by
 	// cmd/tracegen, for replaying one input set across design points or
-	// machines. It must cover Batches×Cores batches (2x for DP-HT) of
+	// machines. It must cover Batches×ActiveCores batches (2x for DP-HT) of
 	// Model.Tables tables at BatchSize samples.
 	Trace BatchProvider
 	// BandwidthIterations bounds the DRAM fixed point (0 = cpusim's
@@ -83,6 +91,9 @@ func (o *Options) applyDefaults() error {
 	}
 	if o.Cores == 0 {
 		o.Cores = o.CPU.Cores
+	}
+	if o.ActiveCores == 0 {
+		o.ActiveCores = o.Cores
 	}
 	if o.Scheme.UsesSWPrefetch() && !o.Prefetch.Enabled() {
 		o.Prefetch = embedding.PrefetchConfig{Dist: o.CPU.TunedPFDist, Blocks: o.CPU.TunedPFBlocks}
@@ -118,6 +129,16 @@ type Report struct {
 	BandwidthGBs         float64
 	BandwidthUtilization float64
 	SWPrefetches         uint64
+
+	// RemoteFillFraction is the share of DRAM fills served by the other
+	// socket, measured when every active core sits on socket 0 (see
+	// cpusim.SystemResult); SocketBandwidthGBs is realized DRAM bandwidth
+	// per socket.
+	RemoteFillFraction float64
+	SocketBandwidthGBs []float64
+	// LookupsPerBatch is one batch's embedding lookups (batch size ×
+	// tables × lookups per sample).
+	LookupsPerBatch int
 }
 
 // batchRegion spaces per-batch buffer regions; inputs+outputs per batch
@@ -192,7 +213,7 @@ func RunContext(ctx context.Context, opts Options) (Report, error) {
 			Tables:           opts.Model.Tables,
 			BatchSize:        opts.BatchSize,
 			LookupsPerSample: opts.Model.LookupsPerSample,
-			Batches:          opts.Batches * opts.Cores * instances,
+			Batches:          opts.Batches * opts.ActiveCores * instances,
 			Seed:             opts.Seed ^ 0xDA7A,
 		})
 		if err != nil {
@@ -210,6 +231,7 @@ func RunContext(ctx context.Context, opts Options) (Report, error) {
 		Core:                opts.CPU.Core,
 		Mem:                 mem,
 		Cores:               opts.Cores,
+		Sockets:             opts.Sockets,
 		BandwidthIterations: opts.BandwidthIterations,
 	}
 	sys := acquireSystem(sysParams)
@@ -252,15 +274,16 @@ func RunContext(ctx context.Context, opts Options) (Report, error) {
 		pf = opts.Prefetch
 	}
 
-	work := make([]cpusim.CoreWork, opts.Cores)
-	for c := 0; c < opts.Cores; c++ {
+	active := opts.ActiveCores
+	work := make([]cpusim.CoreWork, active)
+	for c := 0; c < active; c++ {
 		var phases []cpusim.Phase
 		for b := 0; b < perCore; b++ {
 			// Round-robin batch assignment: batch index advances across
 			// cores first, then rounds.
 			switch opts.Scheme {
 			case Baseline, NoHWPF, SWPF:
-				bi := b*opts.Cores + c
+				bi := b*active + c
 				phases = append(phases, cpusim.Phase{
 					Label:   StageEmbedding,
 					Streams: []cpusim.StreamFactory{embStream(c, 0, bi, pf)},
@@ -272,7 +295,7 @@ func RunContext(ctx context.Context, opts Options) (Report, error) {
 					)
 				}
 			case DPHT:
-				b0 := (b*opts.Cores + c) * 2
+				b0 := (b*active + c) * 2
 				phases = append(phases, cpusim.Phase{
 					Label: StageInference,
 					Streams: []cpusim.StreamFactory{
@@ -281,7 +304,7 @@ func RunContext(ctx context.Context, opts Options) (Report, error) {
 					},
 				})
 			case MPHT, Integrated:
-				bi := b*opts.Cores + c
+				bi := b*active + c
 				phases = append(phases,
 					cpusim.Phase{
 						Label: StageSMTPair,
@@ -317,14 +340,19 @@ func RunContext(ctx context.Context, opts Options) (Report, error) {
 		DRAMBytes:            res.DRAMBytes,
 		BandwidthUtilization: res.BandwidthUtilization,
 		SWPrefetches:         res.SWPrefetches,
+		RemoteFillFraction:   res.RemoteFillFraction,
 		StageCycles:          map[string]float64{},
+		LookupsPerBatch:      opts.BatchSize * opts.Model.Tables * opts.Model.LookupsPerSample,
 	}
 	rep.BatchLatencyCycles = res.MeanCoreCycles() / float64(perCore)
 	rep.BatchLatencyMs = opts.CPU.CyclesToMs(rep.BatchLatencyCycles)
 	if res.Cycles > 0 {
 		secs := res.Cycles / (opts.CPU.FrequencyGHz * 1e9)
-		rep.ThroughputBatchesPerSec = float64(perCore*instances*opts.Cores) / secs
+		rep.ThroughputBatchesPerSec = float64(perCore*instances*active) / secs
 		rep.BandwidthGBs = res.BandwidthBytesPerCyc * opts.CPU.FrequencyGHz
+	}
+	for _, b := range res.SocketBandwidthBytesPerCyc {
+		rep.SocketBandwidthGBs = append(rep.SocketBandwidthGBs, b*opts.CPU.FrequencyGHz)
 	}
 	for _, label := range []string{StageEmbedding, StageBottom, StageTop, StageSMTPair, StageInference} {
 		if v := res.MeanPhaseCycles(label); v > 0 {

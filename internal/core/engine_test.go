@@ -196,23 +196,6 @@ func TestSchemeStringsAndParse(t *testing.T) {
 	}
 }
 
-func TestTunePrefetchFindsBest(t *testing.T) {
-	o := testOptions(SWPF, trace.LowHot)
-	o.Cores = 1
-	points, best, err := TunePrefetch(o, []int{1, 4}, []int{1, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 4 {
-		t.Fatalf("points = %d", len(points))
-	}
-	for _, p := range points {
-		if p.BatchLatencyCycles < best.BatchLatencyCycles {
-			t.Fatalf("best (%+v) is not minimal vs %+v", best, p)
-		}
-	}
-}
-
 func TestExplicitPrefetchOverride(t *testing.T) {
 	o := testOptions(SWPF, trace.LowHot)
 	o.Prefetch = embedding.PrefetchConfig{Dist: 2, Blocks: 1}

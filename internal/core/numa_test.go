@@ -8,24 +8,32 @@ import (
 	"dlrmsim/internal/trace"
 )
 
-func numaOpts() NUMAOptions {
-	return NUMAOptions{
+// numaOpts is ext4's embedding-only cell at test scale: one socket of two
+// cores, both active.
+func numaOpts() Options {
+	return Options{
 		Model:               dlrm.RM2Small().Scaled(16),
 		Hotness:             trace.MediumHot,
 		BatchSize:           16,
 		Seed:                1,
 		Sockets:             1,
-		CoresPerSocket:      2,
+		Cores:               2,
 		ActiveCores:         2,
 		BandwidthIterations: 2,
+		EmbeddingOnly:       true,
 	}
 }
 
-func TestRunNUMAPinnedBaseline(t *testing.T) {
-	rep, err := RunNUMA(numaOpts())
-	if err != nil {
-		t.Fatal(err)
+// withPrefetch switches a numaOpts cell to SW-PF with explicit knobs.
+func withPrefetch(o Options, pf embedding.PrefetchConfig) Options {
+	if pf.Enabled() {
+		o.Scheme, o.Prefetch = SWPF, pf
 	}
+	return o
+}
+
+func TestRunNUMAPinnedBaseline(t *testing.T) {
+	rep := mustRun(t, numaOpts())
 	if rep.BatchLatencyCycles <= 0 || rep.BatchLatencyMs <= 0 {
 		t.Fatalf("latency = %g cyc / %g ms", rep.BatchLatencyCycles, rep.BatchLatencyMs)
 	}
@@ -38,16 +46,10 @@ func TestRunNUMAPinnedBaseline(t *testing.T) {
 }
 
 func TestRunNUMAInterleavedIsSlower(t *testing.T) {
-	pinned, err := RunNUMA(numaOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	pinned := mustRun(t, numaOpts())
 	o := numaOpts()
 	o.Sockets = 2
-	inter, err := RunNUMA(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inter := mustRun(t, o)
 	if inter.BatchLatencyCycles <= pinned.BatchLatencyCycles {
 		t.Fatalf("interleaved (%g) not slower than pinned (%g)",
 			inter.BatchLatencyCycles, pinned.BatchLatencyCycles)
@@ -63,15 +65,8 @@ func TestRunNUMAInterleavedIsSlower(t *testing.T) {
 func TestRunNUMAPrefetchHelpsRemote(t *testing.T) {
 	o := numaOpts()
 	o.Sockets = 2
-	base, err := RunNUMA(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.Prefetch = embedding.PrefetchConfig{Dist: 4, Blocks: 8}
-	swpf, err := RunNUMA(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := mustRun(t, o)
+	swpf := mustRun(t, withPrefetch(o, embedding.PrefetchConfig{Dist: 4, Blocks: 8}))
 	if swpf.BatchLatencyCycles >= base.BatchLatencyCycles {
 		t.Fatalf("SW-PF (%g) did not help interleaved run (%g)",
 			swpf.BatchLatencyCycles, base.BatchLatencyCycles)
@@ -81,27 +76,25 @@ func TestRunNUMAPrefetchHelpsRemote(t *testing.T) {
 func TestRunNUMAValidation(t *testing.T) {
 	o := numaOpts()
 	o.ActiveCores = 100
-	if _, err := RunNUMA(o); err == nil {
+	if _, err := Run(o); err == nil {
 		t.Fatal("accepted more active cores than exist")
 	}
 	o = numaOpts()
 	o.Model.Tables = 0
-	if _, err := RunNUMA(o); err == nil {
+	if _, err := Run(o); err == nil {
 		t.Fatal("accepted invalid model")
 	}
 }
 
 func TestRunNUMADefaults(t *testing.T) {
-	rep, err := RunNUMA(NUMAOptions{
+	rep := mustRun(t, Options{
 		Model:   dlrm.RM2Small().Scaled(20),
 		Hotness: trace.HighHot,
 		Seed:    2,
-		// everything else defaulted: 1 socket, all 24 CSL cores active
-		CoresPerSocket: 2, // keep the test fast
+		// everything else defaulted: 1 socket, every core active
+		Cores:         2, // keep the test fast
+		EmbeddingOnly: true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if rep.BatchLatencyCycles <= 0 {
 		t.Fatal("empty report")
 	}

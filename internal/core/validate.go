@@ -35,6 +35,16 @@ func (o Options) Validate() error {
 	if o.Cores < 0 || o.Cores > cpu.Cores {
 		errs = append(errs, fmt.Errorf("core: %d cores on a %d-core %s", o.Cores, cpu.Cores, cpu.Name))
 	}
+	if o.Sockets < 0 || o.Sockets > memsim.MaxSockets {
+		errs = append(errs, fmt.Errorf("core: %d sockets outside [0, %d]", o.Sockets, memsim.MaxSockets))
+	}
+	cores := o.Cores
+	if cores == 0 {
+		cores = cpu.Cores
+	}
+	if total := max(o.Sockets, 1) * cores; o.ActiveCores < 0 || o.ActiveCores > total {
+		errs = append(errs, fmt.Errorf("core: %d active cores outside [0, %d]", o.ActiveCores, total))
+	}
 	if o.Scheme < Baseline || o.Scheme > Integrated {
 		errs = append(errs, fmt.Errorf("core: invalid scheme %d", int(o.Scheme)))
 	}
@@ -47,32 +57,6 @@ func (o Options) Validate() error {
 	}
 	if o.EmbeddingOnly && o.Scheme.UsesSMT() {
 		errs = append(errs, fmt.Errorf("core: embedding-only runs are sequential; %v uses SMT", o.Scheme))
-	}
-	return errors.Join(errs...)
-}
-
-// Validate reports every violation in the NUMA options at once
-// (errors.Join), under the same zero-means-default convention as
-// Options.Validate. RunNUMA calls it before filling defaults.
-func (o NUMAOptions) Validate() error {
-	var errs []error
-	if err := o.Model.Validate(); err != nil {
-		errs = append(errs, err)
-	}
-	if o.Sockets < 0 || o.Sockets > memsim.MaxSockets {
-		errs = append(errs, fmt.Errorf("core: %d sockets outside [0, %d]", o.Sockets, memsim.MaxSockets))
-	}
-	if o.CoresPerSocket < 0 {
-		errs = append(errs, fmt.Errorf("core: negative cores per socket %d", o.CoresPerSocket))
-	}
-	if o.ActiveCores < 0 {
-		errs = append(errs, fmt.Errorf("core: negative active cores %d", o.ActiveCores))
-	}
-	if o.BatchSize < 0 {
-		errs = append(errs, fmt.Errorf("core: negative batch size %d", o.BatchSize))
-	}
-	if o.BandwidthIterations < 0 {
-		errs = append(errs, fmt.Errorf("core: negative bandwidth iterations %d", o.BandwidthIterations))
 	}
 	return errors.Join(errs...)
 }

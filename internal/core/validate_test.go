@@ -84,45 +84,49 @@ func TestRunRejectsNegativeGeometry(t *testing.T) {
 	}
 }
 
-// TestRunNUMARejectsEachViolation: RunNUMA validates before any work, so
-// each bad field fails with its own message — a third socket no longer
-// runs unwired, negative geometry no longer surfaces as a trace error,
-// and a negative fixed-point budget is no longer read as the default.
+// TestRunNUMARejectsEachViolation: Run validates the socket fields before
+// any work, so each bad one fails with its own message — a third socket
+// does not run unwired and a negative active-core count does not surface
+// as an empty work list.
 func TestRunNUMARejectsEachViolation(t *testing.T) {
-	for want, mutate := range map[string]func(*NUMAOptions){
-		"3 sockets":                     func(o *NUMAOptions) { o.Sockets = 3 },
-		"-1 sockets":                    func(o *NUMAOptions) { o.Sockets = -1 },
-		"negative cores per socket":     func(o *NUMAOptions) { o.CoresPerSocket = -2 },
-		"negative active cores":         func(o *NUMAOptions) { o.ActiveCores = -1 },
-		"negative batch size":           func(o *NUMAOptions) { o.BatchSize = -16 },
-		"negative bandwidth iterations": func(o *NUMAOptions) { o.BandwidthIterations = -1 },
+	for want, mutate := range map[string]func(*Options){
+		"3 sockets":                       func(o *Options) { o.Sockets = 3 },
+		"-1 sockets":                      func(o *Options) { o.Sockets = -1 },
+		"-1 active cores":                 func(o *Options) { o.ActiveCores = -1 },
+		"3 active cores outside [0, 2]":   func(o *Options) { o.ActiveCores = 3 },
+		"5 active cores outside [0, 4]":   func(o *Options) { o.Sockets, o.ActiveCores = 2, 5 },
+		"negative batch size":             func(o *Options) { o.BatchSize = -16 },
+		"negative bandwidth iterations":   func(o *Options) { o.BandwidthIterations = -1 },
+		"49 active cores outside [0, 48]": func(o *Options) { o.Sockets, o.Cores, o.ActiveCores = 2, 0, 49 },
 	} {
 		o := numaOpts()
 		mutate(&o)
-		if _, err := RunNUMA(o); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("%s: RunNUMA err = %v", want, err)
+		if _, err := Run(o); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: Run err = %v", want, err)
 		}
 	}
 }
 
-// TestNUMAValidateCollectsAllViolations is the NUMA counterpart of
-// TestValidateCollectsAllViolations.
+// TestNUMAValidateCollectsAllViolations: the socket checks join the other
+// Options violations in one collect-all error.
 func TestNUMAValidateCollectsAllViolations(t *testing.T) {
 	o := numaOpts()
 	o.Model.Tables = 0
-	o.Sockets, o.CoresPerSocket, o.ActiveCores = 3, -2, -1
+	o.Sockets, o.Cores, o.ActiveCores = 3, -2, -1
 	o.BatchSize, o.BandwidthIterations = -16, -1
 	err := o.Validate()
 	if err == nil {
 		t.Fatal("accepted every violation at once")
 	}
-	for _, want := range []string{"dlrm:", "3 sockets", "negative cores per socket -2",
-		"negative active cores -1", "negative batch size -16", "negative bandwidth iterations -1"} {
+	for _, want := range []string{"dlrm:", "3 sockets", "-2 cores",
+		"-1 active cores", "negative batch size -16", "negative bandwidth iterations -1"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("Validate error missing %q:\n%v", want, err)
 		}
 	}
-	if err := (NUMAOptions{Model: dlrm.RM2Small()}).Validate(); err != nil {
-		t.Errorf("zero-valued options rejected: %v", err)
+	for _, sockets := range []int{0, 1, 2} {
+		if err := (Options{Model: dlrm.RM2Small(), Sockets: sockets}).Validate(); err != nil {
+			t.Errorf("%d sockets rejected: %v", sockets, err)
+		}
 	}
 }

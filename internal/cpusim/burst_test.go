@@ -149,7 +149,7 @@ func TestBurstMatchesPerLineSystem(t *testing.T) {
 				}})
 				continue
 			}
-			ws = append(ws, SingleWork(mk))
+			ws = append(ws, singleWork(mk))
 		}
 		return ws
 	}

@@ -28,7 +28,7 @@ func TestNUMARemoteAccessesCostMore(t *testing.T) {
 		}
 		return NewSliceStream(ops)
 	}
-	work := []CoreWork{SingleWork(func() Stream { return pageLoads() })}
+	work := []CoreWork{singleWork(func() Stream { return pageLoads() })}
 	numa := NewSystem(numaParams(1)).Run(work)
 	flat := NewSystem(testSystemParams(1)).Run(work)
 	if numa.Cycles <= flat.Cycles {
@@ -48,7 +48,7 @@ func TestNUMATwoSocketsDoubleBandwidth(t *testing.T) {
 	mk := func(n int) []CoreWork {
 		w := make([]CoreWork, n)
 		for i := range w {
-			w[i] = SingleWork(loadFactory(400, memsim.Addr(i)<<32))
+			w[i] = singleWork(loadFactory(400, memsim.Addr(i)<<32))
 		}
 		return w
 	}
@@ -115,9 +115,9 @@ func TestSystemParamsValidateSockets(t *testing.T) {
 func TestNUMADeterministic(t *testing.T) {
 	run := func() SystemResult {
 		return NewSystem(numaParams(2)).Run([]CoreWork{
-			SingleWork(loadFactory(100, 0)),
-			SingleWork(loadFactory(100, 1<<32)),
-			SingleWork(loadFactory(100, 2<<32)),
+			singleWork(loadFactory(100, 0)),
+			singleWork(loadFactory(100, 1<<32)),
+			singleWork(loadFactory(100, 2<<32)),
 		})
 	}
 	a, b := run(), run()

@@ -76,12 +76,6 @@ type CoreWork struct {
 	Phases []Phase
 }
 
-// SingleWork wraps plain streams as a one-phase CoreWork (convenience for
-// workloads without stage structure).
-func SingleWork(streams ...StreamFactory) CoreWork {
-	return CoreWork{Phases: []Phase{{Label: "work", Streams: streams}}}
-}
-
 // PhaseResult reports one executed phase on one core.
 type PhaseResult struct {
 	Label string

@@ -14,13 +14,19 @@ func testSystemParams(cores int) SystemParams {
 	}
 }
 
+// singleWork wraps plain streams as a one-phase CoreWork, for workloads
+// without stage structure.
+func singleWork(streams ...StreamFactory) CoreWork {
+	return CoreWork{Phases: []Phase{{Label: "work", Streams: streams}}}
+}
+
 func loadFactory(n int, base memsim.Addr) StreamFactory {
 	return func() Stream { return NewSliceStream(coldLoads(n, base)) }
 }
 
 func TestSystemSingleCoreMatchesCore(t *testing.T) {
 	sys := NewSystem(testSystemParams(1))
-	res := sys.Run([]CoreWork{SingleWork(loadFactory(100, 0))})
+	res := sys.Run([]CoreWork{singleWork(loadFactory(100, 0))})
 	solo := newTestCore(false).Run(NewSliceStream(coldLoads(100, 0)))
 	// Same workload; the system run resolves bandwidth (utilization is
 	// tiny for one core) so the times should agree within a few percent.
@@ -35,7 +41,7 @@ func TestSystemMoreCoresMoreBandwidth(t *testing.T) {
 		w := make([]CoreWork, n)
 		for i := range w {
 			// Disjoint address regions per core: pure bandwidth demand.
-			w[i] = SingleWork(loadFactory(400, memsim.Addr(i)<<32))
+			w[i] = singleWork(loadFactory(400, memsim.Addr(i)<<32))
 		}
 		return w
 	}
@@ -57,7 +63,7 @@ func TestSystemBandwidthUtilizationBounded(t *testing.T) {
 	sys := NewSystem(testSystemParams(8))
 	w := make([]CoreWork, 8)
 	for i := range w {
-		w[i] = SingleWork(loadFactory(500, memsim.Addr(i)<<32))
+		w[i] = singleWork(loadFactory(500, memsim.Addr(i)<<32))
 	}
 	res := sys.Run(w)
 	if res.BandwidthUtilization < 0 || res.BandwidthUtilization > 1.01 {
@@ -70,12 +76,12 @@ func TestSystemConstructiveSharing(t *testing.T) {
 	// them in the shared L3, cutting total DRAM traffic versus disjoint
 	// working sets.
 	shared := NewSystem(testSystemParams(2)).Run([]CoreWork{
-		SingleWork(loadFactory(200, 0)),
-		SingleWork(loadFactory(200, 0)),
+		singleWork(loadFactory(200, 0)),
+		singleWork(loadFactory(200, 0)),
 	})
 	disjoint := NewSystem(testSystemParams(2)).Run([]CoreWork{
-		SingleWork(loadFactory(200, 0)),
-		SingleWork(loadFactory(200, 1<<32)),
+		singleWork(loadFactory(200, 0)),
+		singleWork(loadFactory(200, 1<<32)),
 	})
 	if shared.DRAMBytes >= disjoint.DRAMBytes {
 		t.Fatalf("no constructive sharing: shared=%d disjoint=%d", shared.DRAMBytes, disjoint.DRAMBytes)
@@ -85,8 +91,8 @@ func TestSystemConstructiveSharing(t *testing.T) {
 func TestSystemPerCoreResults(t *testing.T) {
 	sys := NewSystem(testSystemParams(3))
 	res := sys.Run([]CoreWork{
-		SingleWork(loadFactory(10, 0)),
-		SingleWork(loadFactory(100, 1<<32)),
+		singleWork(loadFactory(10, 0)),
+		singleWork(loadFactory(100, 1<<32)),
 	})
 	if len(res.PerCore) != 2 {
 		t.Fatalf("per-core results = %d", len(res.PerCore))
@@ -109,7 +115,7 @@ func TestSystemHitRateCounters(t *testing.T) {
 		}
 		return NewSliceStream(ops)
 	}
-	res := sys.Run([]CoreWork{SingleWork(f)})
+	res := sys.Run([]CoreWork{singleWork(f)})
 	if res.L1HitRate < 0.98 {
 		t.Fatalf("L1 hit rate = %g", res.L1HitRate)
 	}
@@ -132,7 +138,7 @@ func TestSystemRunIsDeterministic(t *testing.T) {
 		sys := NewSystem(testSystemParams(4))
 		w := make([]CoreWork, 4)
 		for i := range w {
-			w[i] = SingleWork(loadFactory(100, memsim.Addr(i)<<32))
+			w[i] = singleWork(loadFactory(100, memsim.Addr(i)<<32))
 		}
 		return sys.Run(w)
 	}

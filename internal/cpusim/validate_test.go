@@ -79,7 +79,7 @@ func TestValidateStreamingBandwidthBounded(t *testing.T) {
 	// limit min(peak, MLP×64/latency).
 	mp := testMemParams(false)
 	sys := NewSystem(SystemParams{Core: testCoreParams(), Mem: mp, Cores: 1})
-	res := sys.Run([]CoreWork{SingleWork(loadFactory(4000, 0))})
+	res := sys.Run([]CoreWork{singleWork(loadFactory(4000, 0))})
 	peak := mp.DRAM.PeakBandwidthBytesPerCyc
 	if res.BandwidthBytesPerCyc > peak {
 		t.Fatalf("realized %.2f B/cyc exceeds peak %.2f", res.BandwidthBytesPerCyc, peak)
@@ -127,7 +127,7 @@ func TestValidateRooflineLowerBound(t *testing.T) {
 	mp := testMemParams(false)
 	sys := NewSystem(SystemParams{Core: testCoreParams(), Mem: mp, Cores: 2})
 	mk := func(core int) CoreWork {
-		return SingleWork(loadFactory(2000, memsim.Addr(core)<<32))
+		return singleWork(loadFactory(2000, memsim.Addr(core)<<32))
 	}
 	res := sys.Run([]CoreWork{mk(0), mk(1)})
 	bwBound := float64(res.DRAMBytes) / mp.DRAM.PeakBandwidthBytesPerCyc

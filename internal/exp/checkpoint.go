@@ -45,7 +45,7 @@ import (
 // checkpointVersion tags the on-disk entry format and the canonical key
 // derivation. Bump it when either changes; stale entries then read as
 // misses instead of being misinterpreted.
-const checkpointVersion = 1
+const checkpointVersion = 2
 
 // manifestName is the append-only audit log of committed entries.
 const manifestName = "MANIFEST"

@@ -17,7 +17,7 @@ import (
 
 // ckptIDs is the sweep slice the resume tests run: small enough to finish
 // in seconds, large enough to span several distinct design-point cells.
-var ckptIDs = []string{"fig1", "fig10b", "fig12", "clu6", "clu7", "clu9"}
+var ckptIDs = []string{"fig1", "fig10b", "fig12", "ext4", "clu6", "clu7", "clu9"}
 
 // renderAll concatenates text+CSV renderings of a table slice.
 func renderAll(t *testing.T, tables []*Table) []byte {

@@ -33,8 +33,7 @@ func clusterTiming(x *Context, model dlrm.Config, h trace.Hotness, scheme core.S
 	if err != nil {
 		return cluster.Timing{}, err
 	}
-	lookups := x.Cfg.BatchSize * model.Tables * model.LookupsPerSample
-	return cluster.TimingFromReport(rep, platform.CascadeLake(), lookups), nil
+	return cluster.TimingFromReport(rep, platform.CascadeLake()), nil
 }
 
 // cluConfig assembles the shared simulation config: the offered load is
@@ -146,16 +145,15 @@ func runClu3(x *Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	lookups := x.Cfg.BatchSize * model.Tables * model.LookupsPerSample
 	plan, err := cluster.NewPlan(model, 8, cluster.RowRange, 0.01, x.Cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	baseTiming := cluster.TimingFromReport(reps[0], platform.CascadeLake(), lookups)
+	baseTiming := cluster.TimingFromReport(reps[0], platform.CascadeLake())
 	arrival := cluster.ArrivalForUtilization(plan, baseTiming, x.Cfg.BatchSize, cores, 0.55)
 	var baseP95 float64
 	for i, s := range schemes {
-		tm := cluster.TimingFromReport(reps[i], platform.CascadeLake(), lookups)
+		tm := cluster.TimingFromReport(reps[i], platform.CascadeLake())
 		cfg := cluConfig(x, plan, trace.LowHot, tm, cores, 0.55)
 		cfg.MeanArrivalMs = arrival // identical offered load for every scheme
 		res, err := cluster.Simulate(cfg)

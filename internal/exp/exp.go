@@ -154,9 +154,10 @@ func (x *Context) complete(opts core.Options) core.Options {
 }
 
 func cellKey(opts core.Options) string {
-	return fmt.Sprintf("%s|%v|%s|%v|%v|%d|%d|%d|%v|%v|%d",
+	return fmt.Sprintf("%s|%v|%s|%v|%v|%d|%d|%d|%d|%d|%v|%v|%d",
 		opts.Model.Name, opts.Model.EmbDType, opts.CPU.Name, opts.Hotness, opts.Scheme,
-		opts.BatchSize, opts.Batches, opts.Cores, opts.Prefetch, opts.EmbeddingOnly, opts.Seed)
+		opts.BatchSize, opts.Batches, opts.Cores, opts.Sockets, opts.ActiveCores,
+		opts.Prefetch, opts.EmbeddingOnly, opts.Seed)
 }
 
 // Run executes (or recalls) one engine design point. With a checkpoint

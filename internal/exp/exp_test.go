@@ -2,8 +2,13 @@ package exp
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
+
+	"dlrmsim/internal/core"
+	"dlrmsim/internal/dlrm"
+	"dlrmsim/internal/trace"
 )
 
 // tinyContext returns a context small enough that every experiment runs in
@@ -115,6 +120,38 @@ func TestContextMemoization(t *testing.T) {
 	}
 	if len(x.memo) != n {
 		t.Fatalf("second run added memo entries: %d → %d", n, len(x.memo))
+	}
+}
+
+// TestContextKeepsPlacementsApart: ext4's pinned, interleaved and spread
+// cells differ only in Sockets and ActiveCores, so one Context must key,
+// run and return them as three distinct design points.
+func TestContextKeepsPlacementsApart(t *testing.T) {
+	x := tinyContext()
+	base := core.Options{
+		Model: x.Cfg.model(dlrm.RM2Small()), Hotness: trace.MediumHot,
+		Cores: 2, EmbeddingOnly: true,
+	}
+	var cells []core.Options
+	for _, pl := range []struct{ sockets, active int }{{1, 2}, {2, 2}, {2, 4}} {
+		o := base
+		o.Sockets, o.ActiveCores = pl.sockets, pl.active
+		cells = append(cells, o)
+	}
+	reps, err := x.RunMany(cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(x.memo) != len(cells) {
+		t.Errorf("%d memo entries for %d placements", len(x.memo), len(cells))
+	}
+	seen := map[string]int{}
+	for i, rep := range reps {
+		key := fmt.Sprintf("%+v", rep)
+		if j, dup := seen[key]; dup {
+			t.Errorf("placements %d and %d returned the same report:\n%s", j, i, key)
+		}
+		seen[key] = i
 	}
 }
 

@@ -38,36 +38,39 @@ func runExt4(x *Context) (*Table, error) {
 		{"interleaved: 1 socket's cores, 2 sockets' memory", 2, cores},
 		{"spread: both sockets' cores", 2, 2 * cores},
 	}
+	pfs := []embedding.PrefetchConfig{{}, {Dist: 4, Blocks: 8}}
+	var cells []core.Options
 	for _, pl := range placements {
-		for _, pf := range []embedding.PrefetchConfig{{}, {Dist: 4, Blocks: 8}} {
-			rep, err := core.RunNUMA(core.NUMAOptions{
-				Model:               model,
-				Hotness:             trace.MediumHot,
-				BatchSize:           x.Cfg.BatchSize,
-				Seed:                x.Cfg.Seed,
-				Sockets:             pl.sockets,
-				CoresPerSocket:      cores,
-				ActiveCores:         pl.activeCores,
-				Prefetch:            pf,
-				BandwidthIterations: x.Cfg.BandwidthIterations,
-			})
-			if err != nil {
-				return nil, err
+		for _, pf := range pfs {
+			o := core.Options{
+				Model: model, Hotness: trace.MediumHot,
+				Cores: cores, Sockets: pl.sockets, ActiveCores: pl.activeCores,
+				EmbeddingOnly: true,
 			}
-			pfName := "off"
 			if pf.Enabled() {
-				pfName = "SW-PF"
+				o.Scheme, o.Prefetch = core.SWPF, pf
 			}
-			bw := ""
-			for i, b := range rep.SocketBandwidthGBs {
-				if i > 0 {
-					bw += " / "
-				}
-				bw += fmt.Sprintf("%.1f", b)
-			}
-			t.AddRow(pl.name, pfName, f2(rep.BatchLatencyMs), f1(rep.AvgLoadLatency),
-				pct(rep.RemoteFillFraction), bw)
+			cells = append(cells, o)
 		}
+	}
+	reps, err := x.RunMany(cells)
+	if err != nil {
+		return nil, err
+	}
+	for i, rep := range reps {
+		pfName := "off"
+		if cells[i].Prefetch.Enabled() {
+			pfName = "SW-PF"
+		}
+		bw := ""
+		for j, b := range rep.SocketBandwidthGBs {
+			if j > 0 {
+				bw += " / "
+			}
+			bw += fmt.Sprintf("%.1f", b)
+		}
+		t.AddRow(placements[i/len(pfs)].name, pfName, f2(rep.BatchLatencyMs), f1(rep.AvgLoadLatency),
+			pct(rep.RemoteFillFraction), bw)
 	}
 	t.AddNote("pinning avoids the interconnect penalty on every remote fill; SW-PF hides part of the remote latency too, making interleaved placement less painful")
 	return t, nil
