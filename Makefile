@@ -53,8 +53,10 @@ bench:
 # Emit the perf-trajectory point BENCH_$(BENCH_N).json (plus the raw
 # go-bench text as BENCH_$(BENCH_N).bench for benchstat). Run on an idle
 # machine; bump BENCH_N per committed point (0 = pre-optimization seed).
+# benchjson fails when any benchmark named in BENCH_REGEX is missing from
+# the capture.
 bench-json:
-	$(GO) test -run '^$$' -bench '$(BENCH_REGEX)' -benchmem -benchtime $(BENCHTIME) -count $(BENCH_COUNT) $(BENCH_PKGS) | tee BENCH_$(BENCH_N).bench | $(GO) run ./cmd/benchjson -out BENCH_$(BENCH_N).json
+	$(GO) test -run '^$$' -bench '$(BENCH_REGEX)' -benchmem -benchtime $(BENCHTIME) -count $(BENCH_COUNT) $(BENCH_PKGS) | tee BENCH_$(BENCH_N).bench | $(GO) run ./cmd/benchjson -bench '$(BENCH_REGEX)' -out BENCH_$(BENCH_N).json
 	@echo "wrote BENCH_$(BENCH_N).json"
 
 # Compare two committed trajectory points. Uses benchstat on the raw

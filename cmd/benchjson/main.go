@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	go test -bench ... -benchmem ./... | benchjson -out BENCH_1.json
+//	go test -bench "$RE" -benchmem ./... | benchjson -bench "$RE" -out BENCH_1.json
 //	benchjson -compare BENCH_0.json BENCH_1.json
 //	benchjson -compare -gate 10 -calibrate BenchmarkCalibration BENCH_1.json BENCH_2.json
 //
@@ -16,7 +16,10 @@
 // Parse mode rejects a capture in which any package's section lacks its
 // closing `PASS`/`ok` trailer: that is what a capture cut off mid-run (or
 // a failed package) looks like, and folding it would commit a point with
-// benchmarks silently missing.
+// benchmarks silently missing. Given -bench, the regex the capture was run
+// with, it also rejects a capture in which one of the regex's top-level
+// alternatives matches no row: a benchmark the point is meant to hold was
+// deleted, renamed, or left out of the captured packages.
 //
 // Repeated rows for one benchmark (a `-count N` capture) fold to the
 // fastest run: shared hosts suffer episodic noisy-neighbor slowdowns
@@ -52,6 +55,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -81,7 +85,10 @@ const schema = "dlrmsim-bench/v1"
 
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+(.*)$`)
 
-func parse(r *bufio.Scanner) (*File, error) {
+// parse reads a `go test -bench` capture. benchRegex, when not empty, is
+// the -bench regex it was run with; every top-level alternative of it must
+// match at least one row.
+func parse(r *bufio.Scanner, benchRegex string) (*File, error) {
 	f := &File{Schema: schema}
 	pkg := ""
 	open := false // pkg's section has not reached its PASS/ok trailer
@@ -152,7 +159,44 @@ func parse(r *bufio.Scanner) (*File, error) {
 	if len(f.Benchmarks) == 0 {
 		return nil, fmt.Errorf("no benchmark lines found on stdin")
 	}
+	for _, alt := range alternatives(benchRegex) {
+		re, err := regexp.Compile(alt)
+		if err != nil {
+			return nil, fmt.Errorf("-bench alternative %q: %w", alt, err)
+		}
+		if !slices.ContainsFunc(f.Benchmarks, func(b Benchmark) bool { return re.MatchString(b.Name) }) {
+			return nil, fmt.Errorf("no benchmark in the capture matches %q of the -bench regex (deleted, renamed, or its package not captured)", alt)
+		}
+	}
 	return f, nil
+}
+
+// alternatives splits a regex at its top-level '|'s, those outside any
+// group or character class. It returns nil for an empty regex.
+func alternatives(re string) []string {
+	if re == "" {
+		return nil
+	}
+	var alts []string
+	depth, start, inClass := 0, 0, false
+	for i := 0; i < len(re); i++ {
+		switch c := re[i]; {
+		case c == '\\':
+			i++
+		case inClass:
+			inClass = c != ']'
+		case c == '[':
+			inClass = true
+		case c == '(':
+			depth++
+		case c == ')':
+			depth--
+		case c == '|' && depth == 0:
+			alts = append(alts, re[start:i])
+			start = i + 1
+		}
+	}
+	return append(alts, re[start:])
 }
 
 func untrailed(pkg string) error {
@@ -302,6 +346,7 @@ func main() {
 	cmp := flag.Bool("compare", false, "compare two BENCH_<n>.json files instead of parsing stdin")
 	gate := flag.Float64("gate", 0, "with -compare: exit nonzero on any >N%% ns/op or allocs/op regression")
 	calibrate := flag.String("calibrate", "", "with -compare: comma list of canary benchmark names for host-speed normalization")
+	benchRegex := flag.String("bench", "", "when parsing: the -bench regex of the capture; fail if any of its top-level alternatives matches no row")
 	flag.Parse()
 
 	if *cmp {
@@ -318,7 +363,7 @@ func main() {
 
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	f, err := parse(sc)
+	f, err := parse(sc, *benchRegex)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)

@@ -31,7 +31,7 @@ ok  	dlrmsim/internal/cluster	4.528s
 
 func parseString(t *testing.T, s string) (*File, error) {
 	t.Helper()
-	return parse(bufio.NewScanner(strings.NewReader(s)))
+	return parse(bufio.NewScanner(strings.NewReader(s)), "")
 }
 
 func TestParseFoldsRepeatsToFastest(t *testing.T) {
@@ -65,6 +65,31 @@ func TestParseRejectsTruncatedCapture(t *testing.T) {
 		if _, err := parseString(t, in); err == nil || !strings.Contains(err.Error(), "trailer") {
 			t.Errorf("%s: parse error %v, want a missing-trailer error", name, err)
 		}
+	}
+}
+
+// TestParseRejectsMissingBenchmark checks the capture against the -bench
+// regex it was run with: every top-level alternative must match a row.
+func TestParseRejectsMissingBenchmark(t *testing.T) {
+	parseWith := func(re string) error {
+		_, err := parse(bufio.NewScanner(strings.NewReader(capture)), re)
+		return err
+	}
+	for _, re := range []string{
+		"BenchmarkSweepParallel|BenchmarkClusterSimulate|BenchmarkCalibration",
+		"Benchmark(SweepParallel|Calibration)|BenchmarkClusterSimulate",
+		"BenchmarkSweep[A-Z|]|Calibration",
+	} {
+		if err := parseWith(re); err != nil {
+			t.Errorf("complete capture rejected under %q: %v", re, err)
+		}
+	}
+	err := parseWith("BenchmarkSweepParallel|BenchmarkZipfShared|BenchmarkCalibration")
+	if err == nil || !strings.Contains(err.Error(), `"BenchmarkZipfShared"`) {
+		t.Fatalf("capture missing BenchmarkZipfShared: parse error %v, want one naming it", err)
+	}
+	if err := parseWith("Benchmark(Sweep"); err == nil {
+		t.Fatalf("malformed -bench regex accepted")
 	}
 }
 

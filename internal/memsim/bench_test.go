@@ -51,6 +51,31 @@ func BenchmarkHierarchyAccess(b *testing.B) {
 	}
 }
 
+// BenchmarkHierarchyAccessCold measures the same demand path in the
+// regime every engine cell runs in: the hierarchy is Reset every few
+// thousand accesses, as each cell's pooled System is, so most fills land
+// in sets not yet full — where BenchmarkHierarchyAccess's 64 MB footprint
+// keeps every set full.
+func BenchmarkHierarchyAccessCold(b *testing.B) {
+	const resetEvery = 4096
+	p := benchParams()
+	sh := NewShared(p)
+	h := NewHierarchy(p, sh)
+	addrs := benchAddrs(1 << 14)
+	mask := len(addrs) - 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	var now int64
+	for i := 0; i < b.N; i++ {
+		if i%resetEvery == 0 {
+			h.Reset()
+			sh.Reset()
+		}
+		h.Access(now, addrs[i&mask], KindLoad)
+		now += 4
+	}
+}
+
 // BenchmarkCacheLookupHit isolates the tag-scan hit path of one level.
 func BenchmarkCacheLookupHit(b *testing.B) {
 	c := NewCache(CacheConfig{Name: "L2", SizeBytes: 1 << 20, Ways: 16, LatencyCyc: 14})

@@ -65,13 +65,12 @@ func FuzzCacheAccess(f *testing.F) {
 // lineOf truncates an address to its line base.
 func lineOf(a Addr) Addr { return a &^ (LineSize - 1) }
 
-// countResident counts valid lines by scanning every possible set slot.
+// countResident counts valid lines: the sum of every set's valid-way
+// count, whatever leftover tags the ways beyond it hold.
 func countResident(c *Cache) int64 {
 	var n int64
-	for _, tag := range c.tags {
-		if tag != 0 {
-			n++
-		}
+	for _, v := range c.valid {
+		n += int64(v)
 	}
 	return n
 }

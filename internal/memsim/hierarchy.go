@@ -196,12 +196,13 @@ func (h *Hierarchy) Access(now int64, a Addr, kind AccessKind) AccessResult {
 }
 
 // demandAccess walks the hierarchy for one demand access to the
-// line-aligned address a. Each level's set probe (base, encoded tag) is
-// computed once and shared between the lookup on the way down and the
-// fill on the way back — a probe is a pure function of the address and
-// geometry, fillAt rescans the set's current contents, and only a
-// Reset (impossible mid-access) could stale the lazy set validation,
-// so prefetch fills interleaved between probe and fill are safe.
+// line-aligned address a. Each level's probe is computed once and carried
+// from the lookup on the way down to the fill on the way back; a probe's
+// set and tag are a pure function of the address and geometry, and only a
+// Reset (impossible mid-access) could empty a set under it. The
+// hardware prefetch walks this access issues between a level's lookup and
+// its fill may hit or fill that level's set; the probe's recorded clock
+// tells fillAt when that happened, and fillAt then rescans the set.
 func (h *Hierarchy) demandAccess(now int64, a Addr, kind AccessKind) AccessResult {
 	if kind == KindLoad {
 		h.Stats.Loads++
@@ -210,8 +211,8 @@ func (h *Hierarchy) demandAccess(now int64, a Addr, kind AccessKind) AccessResul
 	}
 
 	// L1 probe.
-	b1, w1 := h.L1.setBase(a)
-	if _, readyAt, hit := h.L1.lookupAt(b1, w1, true, now); hit {
+	p1 := h.L1.setBase(a)
+	if _, readyAt, hit := h.L1.lookupAt(p1, true, now); hit {
 		lat := residual(now, readyAt, h.L1.cfg.LatencyCyc)
 		h.record(kind, LevelL1, lat)
 		return AccessResult{Level: LevelL1, Latency: lat, InFlightHit: readyAt > now}
@@ -227,10 +228,10 @@ func (h *Hierarchy) demandAccess(now int64, a Addr, kind AccessKind) AccessResul
 	}
 
 	// L2 probe.
-	b2, w2 := h.L2.setBase(a)
-	if _, readyAt, hit := h.L2.lookupAt(b2, w2, true, now); hit {
+	p2 := h.L2.setBase(a)
+	if _, readyAt, hit := h.L2.lookupAt(p2, true, now); hit {
 		lat := residual(now, readyAt, h.L2.cfg.LatencyCyc)
-		h.L1.fillAt(b1, w1, now+lat, false)
+		h.L1.fillAt(p1, now+lat, false)
 		h.record(kind, LevelL2, lat)
 		return AccessResult{Level: LevelL2, Latency: lat, InFlightHit: readyAt > now}
 	}
@@ -242,11 +243,11 @@ func (h *Hierarchy) demandAccess(now int64, a Addr, kind AccessKind) AccessResul
 	}
 
 	// L3 probe.
-	b3, w3 := h.shared.L3.setBase(a)
-	if _, readyAt, hit := h.shared.L3.lookupAt(b3, w3, true, now); hit {
+	p3 := h.shared.L3.setBase(a)
+	if _, readyAt, hit := h.shared.L3.lookupAt(p3, true, now); hit {
 		lat := residual(now, readyAt, h.shared.L3.cfg.LatencyCyc)
-		h.L2.fillAt(b2, w2, now+lat, false)
-		h.L1.fillAt(b1, w1, now+lat, false)
+		h.L2.fillAt(p2, now+lat, false)
+		h.L1.fillAt(p1, now+lat, false)
 		h.record(kind, LevelL3, lat)
 		return AccessResult{Level: LevelL3, Latency: lat, InFlightHit: readyAt > now}
 	}
@@ -254,9 +255,9 @@ func (h *Hierarchy) demandAccess(now int64, a Addr, kind AccessKind) AccessResul
 	// DRAM (local or remote-socket per line homing).
 	lat := h.shared.L3.cfg.LatencyCyc + h.shared.memLatency(a)
 	h.shared.recordFill(a, false)
-	h.shared.L3.fillAt(b3, w3, now+lat, false)
-	h.L2.fillAt(b2, w2, now+lat, false)
-	h.L1.fillAt(b1, w1, now+lat, false)
+	h.shared.L3.fillAt(p3, now+lat, false)
+	h.L2.fillAt(p2, now+lat, false)
+	h.L1.fillAt(p1, now+lat, false)
 	h.record(kind, LevelDRAM, lat)
 	return AccessResult{Level: LevelDRAM, Latency: lat}
 }
@@ -300,12 +301,12 @@ func (h *Hierarchy) hwPrefetchInto(now int64, a Addr, target Level) {
 // no-op, since the requester never waits on a prefetch that is already
 // close enough.
 func (h *Hierarchy) pfAccess(now int64, a Addr, target Level) (Level, int64) {
-	b1, w1 := h.L1.setBase(a)
-	if _, _, hit := h.L1.lookupAt(b1, w1, false, now); hit {
+	p1 := h.L1.setBase(a)
+	if _, _, hit := h.L1.lookupAt(p1, false, now); hit {
 		return LevelL1, 0 // already as close as any hint asks
 	}
-	b2, w2 := h.L2.setBase(a)
-	if i2, readyAt, hit := h.L2.lookupAt(b2, w2, false, now); hit {
+	p2 := h.L2.setBase(a)
+	if i2, readyAt, hit := h.L2.lookupAt(p2, false, now); hit {
 		if target >= LevelL2 {
 			return LevelL2, 0
 		}
@@ -313,11 +314,11 @@ func (h *Hierarchy) pfAccess(now int64, a Addr, target Level) (Level, int64) {
 		fill := now + lat
 		h.shared.L3.Fill(a, fill, true)
 		h.L2.refreshAt(i2, fill)
-		h.L1.fillAt(b1, w1, fill, true)
+		h.L1.fillAt(p1, fill, true)
 		return LevelL2, lat
 	}
-	b3, w3 := h.shared.L3.setBase(a)
-	if i3, readyAt, hit := h.shared.L3.lookupAt(b3, w3, false, now); hit {
+	p3 := h.shared.L3.setBase(a)
+	if i3, readyAt, hit := h.shared.L3.lookupAt(p3, false, now); hit {
 		if target >= LevelL3 {
 			return LevelL3, 0
 		}
@@ -325,22 +326,22 @@ func (h *Hierarchy) pfAccess(now int64, a Addr, target Level) (Level, int64) {
 		fill := now + lat
 		h.shared.L3.refreshAt(i3, fill)
 		if target <= LevelL2 {
-			h.L2.fillAt(b2, w2, fill, true)
+			h.L2.fillAt(p2, fill, true)
 		}
 		if target == LevelL1 {
-			h.L1.fillAt(b1, w1, fill, true)
+			h.L1.fillAt(p1, fill, true)
 		}
 		return LevelL3, lat
 	}
 	h.shared.recordFill(a, true)
 	lat := h.shared.L3.cfg.LatencyCyc + h.shared.memLatency(a)
 	fill := now + lat
-	h.shared.L3.fillAt(b3, w3, fill, true)
+	h.shared.L3.fillAt(p3, fill, true)
 	if target <= LevelL2 {
-		h.L2.fillAt(b2, w2, fill, true)
+		h.L2.fillAt(p2, fill, true)
 	}
 	if target == LevelL1 {
-		h.L1.fillAt(b1, w1, fill, true)
+		h.L1.fillAt(p1, fill, true)
 	}
 	return LevelDRAM, lat
 }
