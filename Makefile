@@ -6,12 +6,13 @@ GO ?= go
 # Headline benchmarks captured in BENCH_<n>.json: the parallel-runner
 # sweep, the engine fan-out, a full end-to-end artifact, plus the
 # per-subsystem micro-benches (memsim access path, cpusim step loop,
-# cluster discrete-event run, copy wheel, the shared Zipf
-# sampler every cluster run draws from). BenchmarkCalibration
+# cluster discrete-event run, the shared Zipf sampler every cluster run
+# draws from). Rows whose code was deleted are listed in cmd/benchjson's
+# retired table. BenchmarkCalibration
 # is the host-speed canary bench-gate normalizes by — keep it in every
 # captured point.
-BENCH_REGEX ?= BenchmarkSweepParallel|BenchmarkEngineCells|BenchmarkFig13EndToEnd|BenchmarkEmbeddingKernel|BenchmarkHierarchyAccess|BenchmarkCacheLookupHit|BenchmarkCacheFillEvict|BenchmarkAccessSequential|BenchmarkCoreStepLoop|BenchmarkClusterSimulate|BenchmarkOpenLoopParallel|BenchmarkChaosOpenLoop|BenchmarkHetSched|BenchmarkEventQueue|BenchmarkZipfShared|BenchmarkCalibration
-BENCH_PKGS  ?= . ./internal/memsim ./internal/cpusim ./internal/cluster ./internal/hetsched ./internal/eventq ./internal/stats
+BENCH_REGEX ?= BenchmarkSweepParallel|BenchmarkEngineCells|BenchmarkFig13EndToEnd|BenchmarkEmbeddingKernel|BenchmarkHierarchyAccess|BenchmarkCacheLookupHit|BenchmarkCacheFillEvict|BenchmarkAccessSequential|BenchmarkCoreStepLoop|BenchmarkClusterSimulate|BenchmarkOpenLoopParallel|BenchmarkChaosOpenLoop|BenchmarkHetSched|BenchmarkZipfShared|BenchmarkCalibration
+BENCH_PKGS  ?= . ./internal/memsim ./internal/cpusim ./internal/cluster ./internal/hetsched ./internal/stats
 BENCHTIME   ?= 2s
 BENCH_N     ?= 0
 # Runs per benchmark in a capture; benchjson folds repeats to the
@@ -106,7 +107,8 @@ golden: golden-update
 # row ownership, seed-splitting collision freedom, the shared Zipf
 # sampler's head table agreeing with rejection-inversion, arrival-stream
 # monotonicity/determinism, phase-graph validation-vs-scheduling
-# agreement, and cluster-config validation-vs-simulation agreement. Each target gets FUZZTIME; the checked-in corpora under
+# agreement, cluster-config validation-vs-simulation agreement, and the
+# copy heap's pop order against a sort. Each target gets FUZZTIME; the checked-in corpora under
 # testdata/fuzz run on every plain `make test` as ordinary seed cases.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCacheAccess -fuzztime $(FUZZTIME) ./internal/memsim
@@ -117,7 +119,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzZipfHead -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run '^$$' -fuzz FuzzArrivalStream -fuzztime $(FUZZTIME) ./internal/traffic
 	$(GO) test -run '^$$' -fuzz FuzzPhaseGraph -fuzztime $(FUZZTIME) ./internal/hetsched
-	$(GO) test -run '^$$' -fuzz FuzzEventOrder -fuzztime $(FUZZTIME) ./internal/eventq
-	$(GO) test -run '^$$' -fuzz FuzzWheelGeometry -fuzztime $(FUZZTIME) ./internal/eventq
+	$(GO) test -run '^$$' -fuzz FuzzCopyOrder -fuzztime $(FUZZTIME) ./internal/cluster
 
 verify: build vet test race bench-test

@@ -31,7 +31,10 @@
 // -gate N makes compare exit nonzero when any benchmark regresses more
 // than N% in ns/op or allocs/op, or is present in the old file but
 // missing from the new one (printed as "(dropped)") — the
-// perf-regression gate CI runs on the committed trajectory. Because
+// perf-regression gate CI runs on the committed trajectory. The one
+// exception is a row on the committed retired list (retiredBy below):
+// its code was deleted on purpose, so compare prints it as "(retired)"
+// with the deletion that retired it, and the gate passes it. Because
 // successive BENCH_<n> points are captured in different sessions on
 // hosts whose effective speed drifts (turbo, contention, microcode), raw
 // wall-clock gating false-fails; -calibrate names a canary benchmark
@@ -228,6 +231,23 @@ func load(path string) (*File, error) {
 
 func key(b Benchmark) string { return b.Pkg + "." + b.Name }
 
+// retiredBy returns the deletion that retired a benchmark row (by key)
+// whose code was deleted on purpose. Committed BENCH points still hold
+// these rows, and the first point captured after the deletion cannot;
+// listing them here keeps that drop in the open. A dropped row that is
+// not listed still fails the gate.
+func retiredBy(key string) (string, bool) {
+	switch key {
+	case "dlrmsim/internal/memsim.BenchmarkAccessBatch":
+		return "memsim.AccessBatch deleted in 75a451f (one access path)", true
+	case "dlrmsim/internal/eventq.BenchmarkEventQueue/heap":
+		return "eventq.Heap deleted in 75a451f (hetsched scans its devices)", true
+	case "dlrmsim/internal/eventq.BenchmarkEventQueue/boxed", "dlrmsim/internal/eventq.BenchmarkEventQueue/wheel":
+		return "internal/eventq deleted (one cluster copy heap)", true
+	}
+	return "", false
+}
+
 // findCanary returns the host-speed scale factor new/old from the first
 // calibration benchmark (comma list, matched on bare Name) present in
 // both files, plus its name ("" and 1.0 when none matches).
@@ -299,6 +319,10 @@ func compare(w io.Writer, oldPath, newPath string, gatePct float64, calibrate st
 		nb, inNew := news[name]
 		ob, inOld := olds[name]
 		if !inNew {
+			if why, ok := retiredBy(name); ok {
+				fmt.Fprintf(w, "%-52s %14.0f %14s   %s\n", name, ob.NsPerOp, "(retired)", why)
+				continue
+			}
 			fmt.Fprintf(w, "%-52s %14.0f %14s %8s %12.0f\n", name, ob.NsPerOp, "(dropped)", "", ob.AllocsOp)
 			if gatePct > 0 {
 				failures = append(failures, fmt.Sprintf("%s: dropped (in %s, missing from %s)", name, oldPath, newPath))

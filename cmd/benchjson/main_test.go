@@ -164,3 +164,31 @@ func TestCompareGate(t *testing.T) {
 		}
 	})
 }
+
+// TestCompareRetiredRows: a dropped row on the retired list is printed
+// with the deletion that retired it and passes the gate; a dropped row
+// off the list still fails it.
+func TestCompareRetiredRows(t *testing.T) {
+	canary := bench("BenchmarkCalibration", 1000, 0)
+	steady := bench("BenchmarkSteady", 100, 10)
+	wheel := Benchmark{Pkg: "dlrmsim/internal/eventq", Name: "BenchmarkEventQueue/wheel", Iterations: 1, NsPerOp: 5e6}
+	next := writeFile(t, "new.json", canary, steady)
+
+	out, err := compareOutput(t, writeFile(t, "old.json", canary, steady, wheel), next, 10)
+	if err != nil {
+		t.Fatalf("gate failed on a retired row: %v\n%s", err, out)
+	}
+	why, _ := retiredBy(key(wheel))
+	want := "(retired)   " + why
+	if !strings.Contains(out, key(wheel)) || !strings.Contains(out, want) {
+		t.Fatalf("output does not report the retired row with its deletion %q:\n%s", want, out)
+	}
+
+	out, err = compareOutput(t, writeFile(t, "old.json", canary, steady, wheel, bench("BenchmarkGone", 50, 1)), next, 10)
+	if err == nil || !strings.Contains(out, "REGRESSION dlrmsim.BenchmarkGone: dropped") {
+		t.Fatalf("gate passed an unlisted dropped row: %v\n%s", err, out)
+	}
+	if strings.Contains(out, "REGRESSION "+key(wheel)) {
+		t.Fatalf("retired row reported as a regression:\n%s", out)
+	}
+}

@@ -2,7 +2,7 @@ package cluster
 
 // Per-run arena reuse (DESIGN.md §14). One Simulate call needs a few
 // dozen slices — the per-node queue set, the sub schedule, the copy
-// wheel, fault timelines, and the join scratch — and the callers that
+// heap, fault timelines, and the join scratch — and the callers that
 // matter (SweepReplication, the experiment registry, parameter sweeps
 // in the CLIs) run thousands of simulations per process, so the
 // steady-state allocation rate is pure churn. The arena keeps one
@@ -15,8 +15,8 @@ package cluster
 // rewound here and in the init methods (the active set, partition
 // scratch, fault timelines, adaptive state), or re-sliced to
 // length zero and only appended to (subs, firstSub, latencies, queries).
-// Queue and wheel objects reset through their Reset hooks
-// (serve.Queue.Reset, eventq.Wheel.Reset). Nothing observable escapes:
+// Queue objects reset through serve.Queue.Reset and the copy heap
+// through copyHeap.reset. Nothing observable escapes:
 // the free list is guarded by a mutex, each concurrent run owns its
 // arena exclusively between acquire and release, and a run that errors
 // out simply never releases (the arena is garbage-collected).
@@ -26,7 +26,6 @@ package cluster
 import (
 	"sync"
 
-	"dlrmsim/internal/eventq"
 	"dlrmsim/internal/serve"
 )
 
@@ -47,6 +46,7 @@ type runArena struct {
 	ring      []openArrival
 	ringCold  []int
 	win       []subCopy
+	copies    copyHeap
 	efStart   []float64
 	efHist    [][]efEntry
 
@@ -57,10 +57,6 @@ type runArena struct {
 	adaptSt adaptState
 	ttrArr  []int
 	ttrGood []int
-
-	// Recycled copy wheels (their 4096 buckets dominate the open loop's
-	// fixed cost).
-	copyQueues []*eventq.Wheel[subCopy]
 }
 
 var (
@@ -199,23 +195,9 @@ func (a *runArena) efHistSet(nodes int) [][]efEntry {
 	return a.efHist
 }
 
-// copyQueueSet returns n empty copy wheels, recycling instances. Both
-// drivers drain their wheels completely before finishing, so a recycled
-// wheel is already empty; Reset rebases it to time zero because its
-// monotone-pop watermark survives draining.
-func (a *runArena) copyQueueSet(n int) []*eventq.Wheel[subCopy] {
-	if cap(a.copyQueues) < n {
-		old := a.copyQueues
-		a.copyQueues = make([]*eventq.Wheel[subCopy], n)
-		copy(a.copyQueues, old)
-	}
-	a.copyQueues = a.copyQueues[:n]
-	for i, w := range a.copyQueues {
-		if w == nil {
-			a.copyQueues[i] = newCopyWheel()
-		} else {
-			w.Reset(0)
-		}
-	}
-	return a.copyQueues
+// copyQueue returns the recycled copy heap, emptied and with its
+// monotone-pop watermark cleared.
+func (a *runArena) copyQueue() *copyHeap {
+	a.copies.reset()
+	return &a.copies
 }

@@ -69,3 +69,35 @@ func TestFaultedClosedLoopAllocsSteadyState(t *testing.T) {
 		t.Errorf("faulted closed-loop Simulate allocates %.0f objects/run in steady state, want <= 10", allocs)
 	}
 }
+
+// TestParallelAllocsSteadyState pins the windowed parallel driver's
+// steady-state allocations on the two day-scale bench fixtures: the
+// open-loop day under Parallel(2) and the chaos day under Parallel(4).
+// Nearly all of them are runParts' per-window goroutines (exec.go), so a
+// new allocation per window — there are thousands per day — trips the
+// bound. Each bound is the count measured before the copy queue became
+// one heap (2,648 and 77,883 allocations per run, at any GOMAXPROCS)
+// plus a little slack for the runtime's goroutine bookkeeping.
+func TestParallelAllocsSteadyState(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		parts int
+		bound float64
+	}{
+		{"open day", openBenchConfig(t), 2, 2700},
+		{"chaos day", chaosBenchConfig(t), 4, 78000},
+	} {
+		restore := SetExecBackend(Parallel(tc.parts))
+		// AllocsPerRun's warmup run seeds the arena free list.
+		allocs := testing.AllocsPerRun(1, func() {
+			if _, err := Simulate(tc.cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		restore()
+		if allocs > tc.bound {
+			t.Errorf("%s under Parallel(%d) allocates %.0f objects/run in steady state, want <= %.0f", tc.name, tc.parts, allocs, tc.bound)
+		}
+	}
+}

@@ -1,18 +1,19 @@
 package cluster
 
 // The copy order. Every run — open or closed loop — consumes
-// sub-request copies in one (arrive, seq, attempt) total order: the
-// sequential driver drains an eventq.Wheel because arrivals keep
-// scheduling copies mid-run, and the parallel driver re-sorts each
-// conservative window gathered from its per-partition wheels. copyCmp is
-// the only definition of that order.
+// sub-request copies in one (arrive, seq, attempt) total order from one
+// copyHeap: the sequential driver pops it copy by copy because arrivals
+// keep scheduling copies mid-run, and the parallel driver pops each
+// conservative window off it whole. copyCmp is the only definition of
+// that order.
 
-import "dlrmsim/internal/eventq"
+import "math"
 
 // copyCmp is the (arrive, seq, attempt) total order. The tie key is the
 // sub's monotone creation seq, which equals the slot index except under
 // stream-stats slot recycling (sim.go); no two copies share (seq,
-// attempt), so unstable sorts over it are deterministic.
+// attempt), so the order is strict and any correct priority queue or
+// unstable sort over it is deterministic.
 func copyCmp(a, b subCopy) int {
 	switch {
 	case a.arrive < b.arrive:
@@ -26,18 +27,76 @@ func copyCmp(a, b subCopy) int {
 	}
 }
 
-// Wheel geometry for the copy queue: copies land within a few service
-// times of the current instant, so a quarter-millisecond bucket keeps
-// buckets near-singleton at production QPS while 4096 of them (a ~1s
-// horizon) keep the overflow area essentially empty.
-const (
-	openWheelWidthMs = 0.25
-	openWheelBuckets = 4096
-)
+// copyHeap is the copy queue: a binary min-heap of subCopy in copyCmp
+// order. It is deliberately not generic — copyCmp is called directly so
+// the comparison inlines — and sifts by moving a hole rather than
+// swapping. Every tier schedules a copy no earlier than the last one it
+// processed, and Push enforces that monotone contract rather than
+// silently misordering the simulation. The zero value is not ready; call
+// reset first.
+type copyHeap struct {
+	h     []subCopy
+	floor float64 // arrive of the last popped copy (-Inf before any pop)
+}
 
-// newCopyWheel returns an empty copy queue starting at time 0.
-func newCopyWheel() *eventq.Wheel[subCopy] {
-	return eventq.NewWheel(openWheelWidthMs, openWheelBuckets, 0,
-		func(c subCopy) float64 { return c.arrive },
-		func(a, b subCopy) bool { return copyCmp(a, b) < 0 })
+// reset empties the heap, keeping its capacity. subCopy holds no
+// pointers, so nothing needs zeroing.
+func (q *copyHeap) reset() {
+	q.h = q.h[:0]
+	q.floor = math.Inf(-1)
+}
+
+// Len returns the number of queued copies.
+func (q *copyHeap) Len() int { return len(q.h) }
+
+// Min returns the least copy without removing it. Panics when empty.
+func (q *copyHeap) Min() subCopy { return q.h[0] }
+
+// Push queues c. Panics when c arrives before the last popped copy.
+func (q *copyHeap) Push(c subCopy) {
+	if c.arrive < q.floor {
+		panic("cluster: copy push violates monotone-time contract")
+	}
+	q.h = append(q.h, c)
+	h := q.h
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if copyCmp(c, h[p]) >= 0 {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = c
+}
+
+// Pop removes and returns the least copy. Panics when empty.
+func (q *copyHeap) Pop() subCopy {
+	h := q.h
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	q.h = h
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && copyCmp(h[r], h[c]) < 0 {
+			c = r
+		}
+		if copyCmp(last, h[c]) <= 0 {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if n > 0 {
+		h[i] = last
+	}
+	q.floor = top.arrive
+	return top
 }

@@ -1,7 +1,7 @@
 package cluster
 
 // Execution-backend selection (DESIGN.md §14): HOW one simulation run
-// executes its event processing — one goroutine draining the copy wheel
+// executes its event processing — one goroutine draining the copy heap
 // in copyCmp order (Sequential, openloop.go's loop), or the fleet's
 // nodes partitioned into P logical processes that serve disjoint node
 // sets concurrently (Parallel, openparallel.go's loopParallel),

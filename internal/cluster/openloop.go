@@ -11,7 +11,7 @@ package cluster
 //
 // Admission decisions must observe queue state at arrival time, so the
 // run is a single event loop over three deterministic event sources —
-// autoscaler control ticks, arrivals, and a timing wheel of scheduled
+// autoscaler control ticks, arrivals, and a heap of scheduled
 // sub-request copies in copyCmp total order. At equal instants ticks
 // precede arrivals precede copies; every source is a pure function of
 // (Seed, index) via stats.SplitSeed, so results keep the registry-wide
@@ -21,7 +21,7 @@ package cluster
 // whose arrivals come from a fixed Poisson count (sim.go's poissonCount)
 // with admission, the autoscaler, and stream-stats off and every node
 // active. Nothing then reads queue state at an arrival, so interleaving
-// arrivals with copies cannot perturb the copy order, and the wheel
+// arrivals with copies cannot perturb the copy order, and the heap
 // serves exactly the (arrive, seq, attempt) order a one-shot sort of the
 // full schedule would.
 //
@@ -722,7 +722,7 @@ func (r *openRun) drawArrival(q int, user uint64, visit int, cold []int) (hot, w
 // route the cold work through the active set, decide admission off
 // backlogAt (the live queues sequentially; a reconstructed as-of-now
 // view under the parallel driver), and schedule the sub-request copies
-// onto the copy wheels. Advances the arrival counter q.
+// onto the copy heap. Advances the arrival counter q.
 func (r *openRun) processArrival(now float64, user uint64, visit int, hot, warm int, cold []int, backlogAt func(n int, now float64) float64) {
 	o := r.o
 	plan := r.plan
@@ -801,8 +801,8 @@ func (r *openRun) processArrival(now float64, user uint64, visit int, hot, warm 
 // instants (strict inequalities below encode the tie-break).
 func (r *openRun) loop() {
 	o := r.o
-	r.st.wheels = r.arena.copyQueueSet(1)
-	h := r.st.wheels[0]
+	h := r.arena.copyQueue()
+	r.st.copies = h
 	r.st.seqScratch = &r.arena.partScratchSet(1)[0]
 	r.nextArr = r.arrivals.Next()
 	prev := subCopy{arrive: math.Inf(-1)} // last popped copy (check-mode order assertion)

@@ -42,10 +42,7 @@ package cluster
 // then fills every entry's lookup split concurrently (independent RNG
 // lanes via stats.SplitSeed, so any partitioning yields identical draws).
 
-import (
-	"math"
-	"slices"
-)
+import "math"
 
 // openArrival is one pre-drawn ring entry: the arrival's instant, user
 // attribution, and lookup split (its per-owner cold counts live in the
@@ -98,9 +95,8 @@ func (r *openRun) ringFill(parts int) {
 	r.nextArr = r.ring[0].t
 }
 
-// loopParallel is the windowed parallel driver. Each partition owns its
-// own copy wheel, keyed by the copy's planned node — storage
-// partitioning only; serving ownership follows the routed node inside
+// loopParallel is the windowed parallel driver. All copies wait in the
+// run's one copy heap; serving ownership follows the routed node inside
 // serveWindow.
 func (r *openRun) loopParallel(parts int) {
 	o := r.o
@@ -108,8 +104,8 @@ func (r *openRun) loopParallel(parts int) {
 	a := r.arena
 	lat := st.cfg.Net.LatencyMs
 	nodes := r.plan.Nodes
-	qs := a.copyQueueSet(parts)
-	st.wheels = qs
+	h := a.copyQueue()
+	st.copies = h
 	scratch := a.partScratchSet(parts)
 
 	// Admission's as-of-now queue view: window-start snapshots plus the
@@ -148,12 +144,8 @@ func (r *openRun) loopParallel(parts int) {
 		if r.nextArr < o.DurationMs {
 			w = r.nextArr
 		}
-		for p := range qs {
-			if qs[p].Len() > 0 {
-				if t := qs[p].Min().arrive; t < w {
-					w = t
-				}
-			}
+		if h.Len() > 0 && h.Min().arrive < w {
+			w = h.Min().arrive
 		}
 		if r.nextTick <= o.DurationMs && r.nextTick <= w {
 			r.tick(r.nextTick)
@@ -178,19 +170,11 @@ func (r *openRun) loopParallel(parts int) {
 		}
 
 		// Collect the window's copies — complete by the conservative
-		// argument above — and restore the canonical global order across
-		// the per-partition queues (each yields a sorted run).
+		// argument above — in the heap's canonical pop order.
 		win = win[:0]
-		for p := range qs {
-			for qs[p].Len() > 0 {
-				if m := qs[p].Min(); m.arrive < wend {
-					win = append(win, qs[p].Pop())
-				} else {
-					break
-				}
-			}
+		for h.Len() > 0 && h.Min().arrive < wend {
+			win = append(win, h.Pop())
 		}
-		slices.SortFunc(win, copyCmp)
 
 		// Phase A: partitioned copy service with deferred router-state
 		// merges, recording earliest-free histories for admission.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"dlrmsim/internal/eventq"
 	"dlrmsim/internal/serve"
 	"dlrmsim/internal/stats"
 	"dlrmsim/internal/trace"
@@ -246,9 +245,9 @@ type simState struct {
 	faults   *faultState // stochastic and chaos faults (nil = none)
 	adapt    *adaptState // epoch-grid adaptive mitigation (nil = static)
 	subs     []subState
-	wheels   []*eventq.Wheel[subCopy] // copy queues, one per partition (one sequentially)
-	warmupMs float64                  // open-loop warmup horizon (0 in closed-loop mode)
-	maxWait  float64                  // worst post-warmup queueing delay (satellite fix:
+	copies   *copyHeap // scheduled copies, drained in copyCmp order
+	warmupMs float64   // open-loop warmup horizon (0 in closed-loop mode)
+	maxWait  float64   // worst post-warmup queueing delay (satellite fix:
 	// warmup queries' waits are excluded, matching serve.Simulate)
 
 	// Stream-stats recycling (openloop.go). subSeq is the monotone
@@ -277,10 +276,9 @@ func (s *simState) scored(q int, arrive float64) bool {
 // schedule plans every copy one sub-request may launch — the primary at
 // dispatch, an optional hedged backup to the shard's standby owner at
 // dispatch+HedgeDelayMs, and timeout retries down the standby chain at
-// dispatch+k·TimeoutMs — and pushes each onto the wheel of its planned
-// node's partition (storage only: the drivers restore the global copyCmp
-// order across wheels). Conditional copies are skipped at processing
-// time when a response beat their launch deadline. schedule returns the sub's slot in s.subs so the stream-stats joiner
+// dispatch+k·TimeoutMs — and pushes each onto the run's copy heap.
+// Conditional copies are skipped at processing time when a response
+// beat their launch deadline. schedule returns the sub's slot in s.subs so the stream-stats joiner
 // can attach it to a join record. home is the query's home node — the
 // router's location for chaos partition severance (copies crossing a
 // severed domain pair in transit are lost and re-sent at heal, composed
@@ -306,7 +304,7 @@ func (s *simState) schedule(q, home, owner int, served int, svcMs float64, reqBy
 	add := func(kind copyKind, node, attempt int, launch float64) {
 		shift, resends := s.faults.transit(q, home, node, attempt, launch, transit)
 		s.subs[idx].copiesLeft++
-		s.wheels[node%len(s.wheels)].Push(subCopy{
+		s.copies.Push(subCopy{
 			arrive:  launch + shift + transit,
 			launch:  launch,
 			sub:     idx,

@@ -129,4 +129,7 @@ func TestNUMAValidateCollectsAllViolations(t *testing.T) {
 			t.Errorf("%d sockets rejected: %v", sockets, err)
 		}
 	}
+	if err := (Options{Model: dlrm.RM2Small(), Sockets: -1}).Validate(); err == nil || !strings.Contains(err.Error(), "-1 sockets") {
+		t.Errorf("-1 sockets: err = %v, want a socket-count error", err)
+	}
 }

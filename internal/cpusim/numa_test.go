@@ -1,6 +1,7 @@
 package cpusim
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -74,13 +75,7 @@ func TestNUMATwoSocketsDoubleBandwidth(t *testing.T) {
 }
 
 func TestNUMAPanics(t *testing.T) {
-	three := numaParams(1)
-	three.Sockets = 3
-	negative := numaParams(1)
-	negative.Sockets = -1
 	for _, f := range []func(){
-		func() { NewSystem(three) },
-		func() { NewSystem(negative) },
 		func() { NewSystem(numaParams(0)) },
 		func() { NewSystem(numaParams(1)).Run(make([]CoreWork, 3)) },
 	} {
@@ -95,20 +90,27 @@ func TestNUMAPanics(t *testing.T) {
 	}
 }
 
-func TestSystemParamsValidateSockets(t *testing.T) {
+// TestNewSystemSocketRange: NewSystem builds 0 (one socket), 1 and 2
+// sockets and panics, naming the socket count, outside that range.
+func TestNewSystemSocketRange(t *testing.T) {
 	for _, sockets := range []int{0, 1, 2} {
 		p := numaParams(1)
 		p.Sockets = sockets
-		if err := p.Validate(); err != nil {
-			t.Errorf("%d sockets rejected: %v", sockets, err)
+		if got, want := NewSystem(p).Cores(), max(sockets, 1); got != want {
+			t.Errorf("%d sockets built %d cores, want %d", sockets, got, want)
 		}
 	}
 	for _, sockets := range []int{-1, 3} {
 		p := numaParams(1)
 		p.Sockets = sockets
-		if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "sockets") {
-			t.Errorf("%d sockets: err = %v, want a socket-count error", sockets, err)
-		}
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "sockets") {
+					t.Errorf("%d sockets: panic %v, want a socket-count panic", sockets, r)
+				}
+			}()
+			NewSystem(p)
+		}()
 	}
 }
 

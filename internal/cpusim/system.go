@@ -1,7 +1,6 @@
 package cpusim
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -22,42 +21,6 @@ type SystemParams struct {
 	// BandwidthIterations is how many fixed-point refinements of the DRAM
 	// utilization to run (see DESIGN.md §5). 0 means the default of 3.
 	BandwidthIterations int
-}
-
-// Validate reports every problem with the system parameters at once
-// (errors.Join): the core's microarchitectural knobs, the full memory
-// geometry, the core and socket counts, and the fixed-point controls.
-// NewSystem panics on the same conditions; Validate is the fail-fast front
-// door for config layers and CLIs.
-func (p SystemParams) Validate() error {
-	var errs []error
-	if p.Cores < 1 {
-		errs = append(errs, fmt.Errorf("cpusim: %d cores", p.Cores))
-	}
-	if p.Sockets < 0 || p.Sockets > memsim.MaxSockets {
-		errs = append(errs, fmt.Errorf("cpusim: %d sockets outside [0, %d]", p.Sockets, memsim.MaxSockets))
-	}
-	if err := p.Core.Validate(); err != nil {
-		errs = append(errs, err)
-	}
-	if err := p.Mem.Validate(); err != nil {
-		errs = append(errs, err)
-	}
-	if p.BandwidthIterations < 0 {
-		errs = append(errs, fmt.Errorf("cpusim: negative bandwidth iterations %d", p.BandwidthIterations))
-	}
-	return errors.Join(errs...)
-}
-
-// Validate rejects SMT shapes the core cannot execute: every phase must
-// run one or two streams (one hardware context or an SMT sibling pair).
-func (w CoreWork) Validate() error {
-	for i, ph := range w.Phases {
-		if len(ph.Streams) < 1 || len(ph.Streams) > 2 {
-			return fmt.Errorf("cpusim: phase %d (%q) has %d streams; SMT contexts are 1 or 2", i, ph.Label, len(ph.Streams))
-		}
-	}
-	return nil
 }
 
 // Phase is one stage of a core's pipeline: one stream runs the phase

@@ -35,13 +35,15 @@ type BatchingConfig struct {
 }
 
 func (c *BatchingConfig) applyDefaults() error {
-	if c.Cores < 1 || c.MaxBatch < 1 {
+	if c.Cores < 1 || c.MaxBatch < 1 || c.Queries < 0 {
 		return fmt.Errorf("serve: bad batching config %+v", *c)
 	}
-	if c.MeanArrivalMs <= 0 || c.MaxWaitMs <= 0 {
-		return fmt.Errorf("serve: non-positive times in %+v", *c)
+	// NaN fails every ordered comparison, so each range check is written
+	// to fail on it; +Inf is rejected separately (as in Config.Validate).
+	if !(c.MeanArrivalMs > 0 && c.MaxWaitMs > 0) || math.IsInf(c.MeanArrivalMs, 1) || math.IsInf(c.MaxWaitMs, 1) {
+		return fmt.Errorf("serve: non-finite or non-positive times in %+v", *c)
 	}
-	if c.ServiceBaseMs < 0 || c.ServicePerQueryMs <= 0 {
+	if !(c.ServiceBaseMs >= 0 && c.ServicePerQueryMs > 0) || math.IsInf(c.ServiceBaseMs, 1) || math.IsInf(c.ServicePerQueryMs, 1) {
 		return fmt.Errorf("serve: bad service model in %+v", *c)
 	}
 	if c.Queries == 0 {
@@ -77,23 +79,15 @@ func SimulateBatching(cfg BatchingConfig) (BatchingResult, error) {
 		now += rng.ExpFloat64() * cfg.MeanArrivalMs
 		arrivals[i] = now
 	}
-	free := make([]float64, cfg.Cores)
+	q := NewQueue(cfg.Cores)
 	latencies := make([]float64, 0, cfg.Queries)
 	var batchStart int // index of the first query in the forming batch
 	var totalBatch, nBatches int
 	var lastFinish float64
 
+	// A flushed batch is one FCFS request on the earliest-free core.
 	flush := func(members []float64, flushAt float64) {
-		best := 0
-		for s := 1; s < len(free); s++ {
-			if free[s] < free[best] {
-				best = s
-			}
-		}
-		start := math.Max(flushAt, free[best])
-		service := cfg.ServiceBaseMs + cfg.ServicePerQueryMs*float64(len(members))
-		done := start + service
-		free[best] = done
+		_, done := q.Submit(flushAt, cfg.ServiceBaseMs+cfg.ServicePerQueryMs*float64(len(members)))
 		if done > lastFinish {
 			lastFinish = done
 		}

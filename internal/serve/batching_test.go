@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"testing"
 )
 
@@ -112,6 +113,32 @@ func TestBatchingValidation(t *testing.T) {
 	bad.MaxWaitMs = 0
 	if _, err := SimulateBatching(bad); err == nil {
 		t.Fatal("accepted zero wait")
+	}
+	bad = batchCfg()
+	bad.Queries = -1
+	if _, err := SimulateBatching(bad); err == nil {
+		t.Fatal("accepted a negative query count")
+	}
+}
+
+// TestBatchingRejectsNonFinite puts NaN and +Inf into each float field:
+// every one must be rejected up front instead of yielding NaN or +Inf
+// percentiles.
+func TestBatchingRejectsNonFinite(t *testing.T) {
+	fields := map[string]func(c *BatchingConfig) *float64{
+		"MeanArrivalMs":     func(c *BatchingConfig) *float64 { return &c.MeanArrivalMs },
+		"MaxWaitMs":         func(c *BatchingConfig) *float64 { return &c.MaxWaitMs },
+		"ServiceBaseMs":     func(c *BatchingConfig) *float64 { return &c.ServiceBaseMs },
+		"ServicePerQueryMs": func(c *BatchingConfig) *float64 { return &c.ServicePerQueryMs },
+	}
+	for name, field := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1)} {
+			cfg := batchCfg()
+			*field(&cfg) = v
+			if res, err := SimulateBatching(cfg); err == nil {
+				t.Errorf("%s = %g accepted: %+v", name, v, res)
+			}
+		}
 	}
 }
 
