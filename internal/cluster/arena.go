@@ -2,19 +2,21 @@ package cluster
 
 // Per-run arena reuse (DESIGN.md §14). One Simulate call needs a few
 // dozen slices — the per-node queue set, the sub schedule, the copy
-// heap, fault timelines, and the join scratch — and the callers that
-// matter (SweepReplication, the experiment registry, parameter sweeps
-// in the CLIs) run thousands of simulations per process, so the
-// steady-state allocation rate is pure churn. The arena keeps one
-// run's working set alive on a free list and the next run re-slices it:
-// acquire at entry, recapture whatever grew, release at exit.
+// heap and its chains, fault timelines, and the join scratch — and the
+// callers that matter (SweepReplication, the experiment registry,
+// parameter sweeps in the CLIs) run thousands of simulations per
+// process, so the steady-state allocation rate is pure churn. The arena
+// keeps one run's working set alive on a free list and the next run
+// re-slices it: acquire at entry, recapture whatever grew, release at
+// exit.
 //
 // Correctness is the same argument everywhere: a reused buffer is
 // either fully overwritten before it is read (the pre-draw ring —
 // drawArrival zeroes its own cold slice), explicitly re-zeroed or
 // rewound here and in the init methods (the active set, partition
 // scratch, fault timelines, adaptive state), or re-sliced to
-// length zero and only appended to (subs, firstSub, latencies, queries).
+// length zero and only appended to (subs, firstSub, latencies, queries,
+// copy chains and their free list, the window buffers).
 // Queue objects reset through serve.Queue.Reset and the copy heap
 // through copyHeap.reset. Nothing observable escapes:
 // the free list is guarded by a mutex, each concurrent run owns its
@@ -46,7 +48,10 @@ type runArena struct {
 	ring      []openArrival
 	ringCold  []int
 	win       []subCopy
+	waiting   []int
 	copies    copyHeap
+	chain     []subCopy
+	freeChain []int32
 	efStart   []float64
 	efHist    [][]efEntry
 

@@ -4,7 +4,9 @@ package cluster
 // sub-request copies in one (arrive, seq, attempt) total order from one
 // copyHeap: the sequential driver pops it copy by copy because arrivals
 // keep scheduling copies mid-run, and the parallel driver pops each
-// conservative window off it whole. copyCmp is the only definition of
+// conservative window off it whole. The heap holds each sub-request's
+// next live copy only; the rest wait in the sub's chain (sim.go) until
+// their predecessor is processed. copyCmp is the only definition of
 // that order.
 
 import "math"
@@ -32,11 +34,13 @@ func copyCmp(a, b subCopy) int {
 // the comparison inlines — and sifts by moving a hole rather than
 // swapping. Every tier schedules a copy no earlier than the last one it
 // processed, and Push enforces that monotone contract rather than
-// silently misordering the simulation. The zero value is not ready; call
-// reset first.
+// silently misordering the simulation. pops counts the copies a run
+// processed (tests pin it). The zero value is not ready; call reset
+// first.
 type copyHeap struct {
 	h     []subCopy
 	floor float64 // arrive of the last popped copy (-Inf before any pop)
+	pops  int     // copies popped since reset
 }
 
 // reset empties the heap, keeping its capacity. subCopy holds no
@@ -44,6 +48,7 @@ type copyHeap struct {
 func (q *copyHeap) reset() {
 	q.h = q.h[:0]
 	q.floor = math.Inf(-1)
+	q.pops = 0
 }
 
 // Len returns the number of queued copies.
@@ -98,5 +103,6 @@ func (q *copyHeap) Pop() subCopy {
 		h[i] = last
 	}
 	q.floor = top.arrive
+	q.pops++
 	return top
 }

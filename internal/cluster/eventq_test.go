@@ -163,3 +163,41 @@ func FuzzCopyOrder(f *testing.F) {
 		}
 	})
 }
+
+// TestCopyHeapPopsPinned pins how many copies a run pops off its copy
+// heap on two bench fixtures: the chaos day under the windowed driver and
+// the faulted closed loop under both drivers. A sub-request's hedge and
+// retries enter the heap only while no response has beaten their launch
+// deadline (sim.go's queueNext), so each count is the primaries, each
+// query's last copy, and the conditional copies still live when their
+// predecessor was processed. Queuing every planned copy popped 1,829,793
+// and 39,476 copies; a change that queues beaten copies again fails here.
+func TestCopyHeapPopsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		parts int
+		want  int
+	}{
+		{"chaos day", chaosBenchConfig(t), 2, 732221},
+		{"faulted closed loop", benchConfig(t, true), 1, 11497},
+		{"faulted closed loop", benchConfig(t, true), 2, 11497},
+	} {
+		cfg := tc.cfg
+		if err := cfg.applyDefaults(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := newOpenRun(cfg, tc.parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.parts > 1 {
+			r.loopParallel(tc.parts)
+		} else {
+			r.loop()
+		}
+		if got := r.st.copies.pops; got != tc.want {
+			t.Errorf("%s on %d partitions popped %d copies, want %d", tc.name, tc.parts, got, tc.want)
+		}
+	}
+}

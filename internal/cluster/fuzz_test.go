@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"dlrmsim/internal/check"
 	"dlrmsim/internal/dlrm"
 	"dlrmsim/internal/trace"
+	"dlrmsim/internal/traffic"
 )
 
 // FuzzShardPlan checks the sharding invariant every router decision rests
@@ -165,12 +167,14 @@ func FuzzChaosSchedule(f *testing.F) {
 	})
 }
 
-// configFromBytes decodes a closed-loop config over one of plans from
-// fuzz bytes, one byte per knob in declaration order (zero once the data
-// runs out). Every numeric knob maps onto a finite range that straddles
-// zero, so both sides of every Validate bound are reachable; a zero byte
-// is a zero knob, and the float knobs' three extreme bytes are NaN, +Inf
-// and -Inf.
+// configFromBytes decodes a config over one of plans from fuzz bytes,
+// one byte per knob in declaration order (zero once the data runs out).
+// Every numeric knob maps onto a finite range that straddles zero, so
+// both sides of every Validate bound are reachable; a zero byte is a zero
+// knob, and the float knobs' three extreme bytes are NaN, +Inf and -Inf.
+// An odd last byte turns the closed loop into an open-loop run with
+// stream stats: Poisson arrivals at the closed loop's mean gap over the
+// horizon its query count spans.
 func configFromBytes(plans []*Plan, data []byte) Config {
 	next := func() byte {
 		if len(data) == 0 {
@@ -237,12 +241,23 @@ func configFromBytes(plans []*Plan, data []byte) Config {
 			Factor: val(),
 		}}
 	}
+	if next()&1 == 1 {
+		cfg.Open = &OpenLoop{
+			Arrivals:    traffic.Config{Model: traffic.Poisson, RatePerMs: 1 / cfg.MeanArrivalMs},
+			DurationMs:  float64(cfg.Queries) * cfg.MeanArrivalMs,
+			SLAMs:       50,
+			StreamStats: true,
+		}
+		cfg.MeanArrivalMs, cfg.Queries, cfg.WarmupQueries = 0, 0, 0
+	}
 	return cfg
 }
 
 // FuzzClusterConfig checks that Validate is Simulate's only gate: Simulate
 // errors exactly when Validate does, and every accepted config runs clean
-// under check.Enabled and returns finite percentiles.
+// under check.Enabled and returns finite percentiles. An accepted config
+// with a network hop also runs under the windowed parallel driver, which
+// must return the same Result to the last bit.
 func FuzzClusterConfig(f *testing.F) {
 	// 1–8-node plans of a small model (the plan is FuzzShardPlan's
 	// subject, not this target's), with a replicated hot set so
@@ -277,6 +292,11 @@ func FuzzClusterConfig(f *testing.F) {
 	f.Add([]byte{3, 2, 8, 108, 0, 0, 16, 1, 255, 255, 255, 80, 255})
 	// NaN latency, +Inf dense stage, -Inf jitter: refused too.
 	f.Add([]byte{3, 2, 8, 108, 0, 0, 16, 1, 8, 127, 128, 80, 129})
+	// The faulted fleet as an open-loop run with stream stats.
+	f.Add([]byte{7, 1, 4, 58, 255, 2, 16, 1, 8, 1, 1, 80, 8,
+		40, 8, 32, 40, 8, 13, 4,
+		16, 2, 24, 1, 2, 0, 4, 3, 0,
+		9, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		defer func(old bool) { check.Enabled = old }(check.Enabled)
 		check.Enabled = true
@@ -292,6 +312,17 @@ func FuzzClusterConfig(f *testing.F) {
 		for _, v := range []float64{res.P50, res.P95, res.P99, res.Mean} {
 			if !check.Finite(v) {
 				t.Fatalf("non-finite percentile in %+v for %+v", res, cfg)
+			}
+		}
+		if cfg.Net.LatencyMs > 0 {
+			restore := SetExecBackend(Parallel(2))
+			par, err := Simulate(cfg)
+			restore()
+			if err != nil {
+				t.Fatalf("Parallel(2) rejected a config Sequential ran: %v", err)
+			}
+			if want, got := fmt.Sprintf("%+v", res), fmt.Sprintf("%+v", par); got != want {
+				t.Fatalf("Parallel(2) diverged from Sequential for %+v:\nseq %s\npar %s", cfg, want, got)
 			}
 		}
 	})

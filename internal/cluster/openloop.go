@@ -11,10 +11,10 @@ package cluster
 //
 // Admission decisions must observe queue state at arrival time, so the
 // run is a single event loop over three deterministic event sources —
-// autoscaler control ticks, arrivals, and a heap of scheduled
-// sub-request copies in copyCmp total order. At equal instants ticks
-// precede arrivals precede copies; every source is a pure function of
-// (Seed, index) via stats.SplitSeed, so results keep the registry-wide
+// autoscaler control ticks, arrivals, and a heap of queued sub-request
+// copies in copyCmp total order. At equal instants ticks precede
+// arrivals precede copies; every source is a pure function of (Seed,
+// index) via stats.SplitSeed, so results keep the registry-wide
 // byte-identical-at-any-worker-count determinism property.
 //
 // This loop is also the closed-loop driver: a closed run is an open run
@@ -22,8 +22,9 @@ package cluster
 // with admission, the autoscaler, and stream-stats off and every node
 // active. Nothing then reads queue state at an arrival, so interleaving
 // arrivals with copies cannot perturb the copy order, and the heap
-// serves exactly the (arrive, seq, attempt) order a one-shot sort of the
-// full schedule would.
+// serves its copies in exactly the (arrive, seq, attempt) order a
+// one-shot sort of the full schedule would; the copies it never sees
+// are the beaten hedges and retries a sorted schedule would skip.
 //
 // Autoscaling never re-shards: the plan stays fixed and the autoscaler
 // moves nodes in and out of an *active set*. Sub-requests route to the
@@ -543,11 +544,15 @@ func newOpenRun(cfg Config, sketchParts int) (*openRun, error) {
 	a := acquireArena()
 	r.arena = a
 	r.sim = simState{
-		cfg:      cfg,
-		plan:     plan,
-		queues:   a.queueSet(plan.Nodes, cfg.ServersPerNode),
-		subs:     a.subs[:0],
-		warmupMs: o.WarmupMs,
+		cfg:         cfg,
+		plan:        plan,
+		queues:      a.queueSet(plan.Nodes, cfg.ServersPerNode),
+		subs:        a.subs[:0],
+		warmupMs:    o.WarmupMs,
+		chain:       a.chain[:0],
+		freeChains:  a.freeChain[:0],
+		chainStride: copiesPerSub(&cfg.Mitigation),
+		queryLast:   -1,
 	}
 	st := &r.sim
 	r.st = st
@@ -690,14 +695,21 @@ func (r *openRun) drawArrival(q int, user uint64, visit int, cold []int) (hot, w
 	for n := range cold {
 		cold[n] = 0
 	}
+	// The user's profile key and knobs, derived once per arrival.
+	var prof traffic.UserProfile
+	affinity, profSize := 0.0, 0
+	if r.visitors != nil {
+		prof = r.pop.Profile(user)
+		affinity, profSize = r.visitors.Affinity(), r.visitors.ProfileSize()
+	}
 	for t := 0; t < model.Tables; t++ {
 		rng := stats.SeededRNG(stats.SplitSeed(cfg.Seed^0x100C, uint64(q*model.Tables+t)))
 		for l := 0; l < r.draws; l++ {
 			var rk int
 			fromProfile := false
-			if r.visitors != nil && rng.Float64() < r.visitors.Affinity() {
-				slot := rng.Intn(r.visitors.ProfileSize())
-				pr := r.pop.ProfileStream(user, t, slot)
+			if r.visitors != nil && rng.Float64() < affinity {
+				slot := rng.Intn(profSize)
+				pr := prof.Stream(t, slot)
 				rk = r.sampleRank(&pr)
 				fromProfile = true
 			} else {
@@ -721,8 +733,9 @@ func (r *openRun) drawArrival(q int, user uint64, visit int, cold []int) (hot, w
 // processArrival handles one arrival whose lookups are already drawn:
 // route the cold work through the active set, decide admission off
 // backlogAt (the live queues sequentially; a reconstructed as-of-now
-// view under the parallel driver), and schedule the sub-request copies
-// onto the copy heap. Advances the arrival counter q.
+// view under the parallel driver), and schedule the sub-request copies:
+// each sub's first copy onto the copy heap, the rest into its chain.
+// Advances the arrival counter q.
 func (r *openRun) processArrival(now float64, user uint64, visit int, hot, warm int, cold []int, backlogAt func(n int, now float64) float64) {
 	o := r.o
 	plan := r.plan
@@ -779,6 +792,7 @@ func (r *openRun) processArrival(now float64, user uint64, visit int, hot, warm 
 				r.sj.joins[joinSlot].subsLeft++
 			}
 		}
+		st.markQueryLast()
 		if post {
 			r.hotLookups += hot + warm
 			r.totalLookups += hot + warm

@@ -13,9 +13,12 @@ package cluster
 //     tick-precedes-everything tie rule exactly.
 //   - Every copy arriving in [W, Wend) was scheduled by an arrival
 //     before W: an arrival at t schedules copies no earlier than
-//     t + Lat >= W + Lat >= Wend. The window's copies are therefore all
-//     queued when it opens, and phase A serves them with the
-//     partitioned deferred-merge machinery of exec.go, partition
+//     t + Lat >= W + Lat >= Wend. Each such copy is either on the heap
+//     when the window opens or waits in its sub's chain behind a copy
+//     that is: collecting a copy queues the successor that arrives
+//     before Wend, and the barrier queues the later ones against the
+//     merged best responses. Phase A serves the collected copies with
+//     the partitioned deferred-merge machinery of exec.go, partition
 //     ownership following the routed node — the active set cannot
 //     change mid-window, so routing is frozen.
 //   - Phase B replays the window's timeline on one goroutine in the
@@ -134,8 +137,8 @@ func (r *openRun) loopParallel(parts int) {
 		}
 	}
 
-	win := a.win[:0]
-	defer func() { a.win = win }()
+	win, waiting := a.win[:0], a.waiting[:0]
+	defer func() { a.win, a.waiting = win, waiting }()
 	r.ringFill(parts)
 	for {
 		// Window start: the earliest pending event. Ticks win ties and
@@ -170,10 +173,18 @@ func (r *openRun) loopParallel(parts int) {
 		}
 
 		// Collect the window's copies — complete by the conservative
-		// argument above — in the heap's canonical pop order.
-		win = win[:0]
+		// argument above — in the heap's canonical pop order. A popped
+		// copy's successor that arrives inside the window is queued now,
+		// checked against the best responses of the previous barrier —
+		// exactly what its suppression check reads in phase A; any later
+		// successor waits for this window's merge.
+		win, waiting = win[:0], waiting[:0]
 		for h.Len() > 0 && h.Min().arrive < wend {
-			win = append(win, h.Pop())
+			c := h.Pop()
+			win = append(win, c)
+			if st.queueNext(c.sub, wend) {
+				waiting = append(waiting, c.sub)
+			}
 		}
 
 		// Phase A: partitioned copy service with deferred router-state
@@ -185,6 +196,9 @@ func (r *openRun) loopParallel(parts int) {
 			}
 		}
 		st.serveWindow(win, parts, scratch, r.route, efHist)
+		for _, sub := range waiting {
+			st.queueNext(sub, math.Inf(1))
+		}
 
 		// Phase B: sequential canonical replay of the window's timeline.
 		wi := 0

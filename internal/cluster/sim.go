@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"dlrmsim/internal/serve"
 	"dlrmsim/internal/stats"
@@ -197,19 +198,22 @@ const recoverEps = 0.1
 // unit whose copies (primary, hedge, retries) race to produce a response.
 type subState struct {
 	q         int
-	owner     int
 	dispatch  float64
 	served    int     // lookups this sub-request covers
 	svcMs     float64 // service time of one copy (pre-jitter, pre-slowdown)
 	respBytes int64
 	best      float64 // earliest response at the router so far
 	retries   int     // timeout retries plus transport re-sends
-	hedged    bool
 	// Stream-stats bookkeeping (openloop.go): the owning join record's
-	// slot and the count of scheduled copies not yet processed. Unused
-	// (zero) in the default batch-join modes.
+	// slot and the count of planned copies neither processed nor dropped.
+	// Unused in the default batch-join modes.
 	join       int
 	copiesLeft int32
+	// The sub's copies not yet queued: simState.chain[chainAt:chainEnd],
+	// in copyCmp order (both 0 once every copy is queued or dropped and
+	// the block is freed).
+	chainAt, chainEnd int32
+	hedged            bool
 }
 
 // copyKind distinguishes how a sub-request copy got launched.
@@ -235,6 +239,7 @@ type subCopy struct {
 	attempt int     // jitter/drop stream id: 0 primary, 1 hedge, ≥2 retries
 	resends int     // transport re-sends folded into arrive
 	kind    copyKind
+	last    bool // its query's last copy in copyCmp order: always queued
 }
 
 // simState is one Simulate run's mutable state.
@@ -261,6 +266,15 @@ type simState struct {
 	subSeq   int
 	freeSubs []int
 
+	// Copy chains (schedule): each sub's planned copies wait in one
+	// chainStride-long block of chain until queueNext moves them onto
+	// the heap; freeChains recycles exhausted blocks. queryLast is the
+	// chain offset of the current arrival's last copy so far (-1 none).
+	chain       []subCopy
+	freeChains  []int32
+	chainStride int
+	queryLast   int32
+
 	// seqScratch is the sequential driver's scratch for serveCopy.
 	seqScratch *partScratch
 }
@@ -276,35 +290,44 @@ func (s *simState) scored(q int, arrive float64) bool {
 // schedule plans every copy one sub-request may launch — the primary at
 // dispatch, an optional hedged backup to the shard's standby owner at
 // dispatch+HedgeDelayMs, and timeout retries down the standby chain at
-// dispatch+k·TimeoutMs — and pushes each onto the run's copy heap.
-// Conditional copies are skipped at processing time when a response
-// beat their launch deadline. schedule returns the sub's slot in s.subs so the stream-stats joiner
-// can attach it to a join record. home is the query's home node — the
-// router's location for chaos partition severance (copies crossing a
-// severed domain pair in transit are lost and re-sent at heal, composed
-// after the transport's drop re-sends).
+// dispatch+k·TimeoutMs — into the sub's chain, sorted in copyCmp order,
+// and queues the first. The rest wait in the chain: queueNext pushes the
+// next one only after its predecessor has been processed, and drops a
+// conditional copy instead once a response has beaten its launch
+// deadline, so the heap holds one copy per sub. Every copy's arrival is
+// still computed here, with the same fault draws. schedule returns the
+// sub's slot in s.subs so the stream-stats joiner can attach it to a
+// join record. home is the query's home node — the router's location
+// for chaos partition severance (copies crossing a severed domain pair
+// in transit are lost and re-sent at heal, composed after the
+// transport's drop re-sends).
 func (s *simState) schedule(q, home, owner int, served int, svcMs float64, reqBytes, respBytes int64, dispatch float64) int {
+	n := s.chainStride
+	at := s.chainBlock()
 	sub := subState{
-		q: q, owner: owner, dispatch: dispatch,
+		q: q, dispatch: dispatch,
 		served: served, svcMs: svcMs, respBytes: respBytes,
-		best: math.Inf(1),
+		best:       math.Inf(1),
+		copiesLeft: int32(n),
+		chainAt:    at, chainEnd: at + int32(n),
 	}
 	seq := s.subSeq
 	s.subSeq++
 	var idx int
-	if n := len(s.freeSubs); s.recycle && n > 0 {
-		idx = s.freeSubs[n-1]
-		s.freeSubs = s.freeSubs[:n-1]
+	if k := len(s.freeSubs); s.recycle && k > 0 {
+		idx = s.freeSubs[k-1]
+		s.freeSubs = s.freeSubs[:k-1]
 		s.subs[idx] = sub
 	} else {
 		idx = len(s.subs)
 		s.subs = append(s.subs, sub)
 	}
+	chain := s.chain[at : at+int32(n)]
+	planned := 0
 	transit := s.cfg.Net.LatencyMs + s.cfg.Net.TransferMs(reqBytes)
 	add := func(kind copyKind, node, attempt int, launch float64) {
 		shift, resends := s.faults.transit(q, home, node, attempt, launch, transit)
-		s.subs[idx].copiesLeft++
-		s.copies.Push(subCopy{
+		c := subCopy{
 			arrive:  launch + shift + transit,
 			launch:  launch,
 			sub:     idx,
@@ -313,7 +336,15 @@ func (s *simState) schedule(q, home, owner int, served int, svcMs float64, reqBy
 			attempt: attempt,
 			resends: resends,
 			kind:    kind,
-		})
+		}
+		// Insertion sort: drop re-sends and severance can make a later
+		// attempt arrive first.
+		i := planned
+		for ; i > 0 && copyCmp(c, chain[i-1]) < 0; i-- {
+			chain[i] = chain[i-1]
+		}
+		chain[i] = c
+		planned++
 	}
 	add(copyPrimary, owner, 0, dispatch)
 	mit := &s.cfg.Mitigation
@@ -325,11 +356,90 @@ func (s *simState) schedule(q, home, owner int, served int, svcMs float64, reqBy
 			add(copyRetry, (owner+k)%s.plan.Nodes, k+1, dispatch+float64(k)*mit.TimeoutMs)
 		}
 	}
+	if n > 1 {
+		if last := at + int32(n) - 1; s.queryLast < 0 || copyCmp(s.chain[last], s.chain[s.queryLast]) > 0 {
+			s.queryLast = last
+		}
+	}
+	s.queueNext(idx, math.Inf(1))
 	return idx
 }
 
+// copiesPerSub is how many copies schedule plans for every sub-request
+// under m: the primary, the hedge, and the timeout retries.
+func copiesPerSub(m *Mitigation) int {
+	n := 1
+	if m.HedgeDelayMs > 0 {
+		n++
+	}
+	if m.TimeoutMs > 0 {
+		n += m.MaxRetries
+	}
+	return n
+}
+
+// chainBlock returns the offset of a free chainStride-long block of
+// s.chain.
+func (s *simState) chainBlock() int32 {
+	if k := len(s.freeChains); k > 0 {
+		at := s.freeChains[k-1]
+		s.freeChains = s.freeChains[:k-1]
+		return at
+	}
+	at := int32(len(s.chain))
+	s.chain = slices.Grow(s.chain, s.chainStride)[:int(at)+s.chainStride]
+	return at
+}
+
+// markQueryLast flags the last copy, in copyCmp order, of the subs
+// scheduled since the previous call — one admitted query's — so
+// queueNext never drops it. Popping that copy is what finalizes the
+// query in the stream join, in the order the full schedule would, and
+// the run's very last copy is one of these: its pop is the adaptive
+// controller's final settle point (adapt.go). A query whose subs each
+// plan one copy needs no flag: every copy is queued.
+func (s *simState) markQueryLast() {
+	if s.queryLast >= 0 {
+		s.chain[s.queryLast].last = true
+		s.queryLast = -1
+	}
+}
+
+// queueNext advances sub idx's chain once its queued copy has been
+// processed (or, at schedule, to queue the first): it drops each next
+// conditional copy whose launch deadline the best response so far has
+// already met — best only falls, so the copy would be suppressed at pop
+// anyway — counting it off copiesLeft, then pushes the first surviving
+// copy if it arrives before limit. It reports whether a surviving copy
+// still waits (arrive >= limit); the windowed driver passes its window
+// end and finishes the advance at the barrier. An exhausted chain
+// returns its block to the free list.
+func (s *simState) queueNext(idx int, limit float64) (waiting bool) {
+	sub := &s.subs[idx]
+	for sub.chainAt < sub.chainEnd {
+		c := &s.chain[sub.chainAt]
+		if c.kind != copyPrimary && !c.last && sub.best <= c.launch {
+			sub.chainAt++
+			sub.copiesLeft--
+			continue
+		}
+		if c.arrive >= limit {
+			return true
+		}
+		s.copies.Push(*c)
+		sub.chainAt++
+		break
+	}
+	if sub.chainEnd > 0 && sub.chainAt == sub.chainEnd {
+		s.freeChains = append(s.freeChains, sub.chainEnd-int32(s.chainStride))
+		sub.chainAt, sub.chainEnd = 0, 0
+	}
+	return false
+}
+
 // serveCopy is the sequential driver's per-copy step: serveCopyDeferred
-// into the run's scratch, merged at once. Every deferred effect merges
+// into the run's scratch, merged at once, then the sub's chain advanced
+// against the merged best response. Every deferred effect merges
 // commutative-exactly (exec.go), so merging after each copy is the
 // sequential arithmetic. node is the effective target — the copy's
 // planned node routed through the active set, which re-routes copies
@@ -345,6 +455,7 @@ func (s *simState) serveCopy(c *subCopy, node int) {
 	}
 	s.serveCopyDeferred(c, node, s.seqScratch, nil)
 	s.applyScratch(s.seqScratch)
+	s.queueNext(c.sub, math.Inf(1))
 }
 
 // resolve is the router's join-side view of one sub-request after every
@@ -434,6 +545,7 @@ func Simulate(cfg Config) (Result, error) {
 	res := r.summary()
 	a := r.arena
 	a.subs = r.st.subs
+	a.chain, a.freeChain = r.st.chain, r.st.freeChains
 	a.queries, a.firstSub = r.queries, r.firstSub
 	a.ring, a.ringCold = r.ring, r.ringCold
 	a.release()

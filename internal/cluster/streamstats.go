@@ -5,7 +5,8 @@ package cluster
 // record per admitted query — O(queries) memory that makes a
 // day-in-the-life run at production QPS (billions of events)
 // impossible — the join happens INCREMENTALLY. Every sub-request counts
-// its outstanding copies; when the last copy is processed the sub folds
+// its outstanding copies, processed or dropped unqueued once beaten
+// (sim.go's queueNext); when the last copy is processed the sub folds
 // its resolution into its query's join record and returns its slot to a
 // freelist, and when a query's last sub folds, the query finalizes:
 // its latency goes into a fixed-memory stats.QuantileSketch and its
@@ -80,7 +81,12 @@ func (sj *streamJoin) finalizeIfEmpty(t *joinTally, slot int) {
 // the sequential driver) — the sketch a finalizing query folds into.
 // When it was the sub's last outstanding copy, the sub folds into its
 // join record and its slot is recycled; when that was the query's last
-// sub, the query finalizes.
+// sub, the query finalizes. Both drivers advance a sub's chain before
+// calling copyDone for the copy that preceded it, so the drops have
+// been counted and the last decrement is always a processed copy —
+// for the query's final sub, its flagged last copy, which is never
+// dropped: queries finalize in the order the full schedule would pop
+// them.
 func (sj *streamJoin) copyDone(st *simState, t *joinTally, subIdx int, part int) {
 	sub := &st.subs[subIdx]
 	sub.copiesLeft--

@@ -147,7 +147,24 @@ func (v *Visitors) Affinity() float64 { return v.pop.Affinity }
 // of profile lookups matches fresh lookups while staying a pure function
 // of (Seed, user, table, slot).
 func (p Population) ProfileStream(user uint64, table, slot int) stats.RNG {
+	return p.Profile(user).Stream(table, slot)
+}
+
+// UserProfile is one user's profile streams with the per-user key
+// derived once, for callers that draw many profile lookups per arrival.
+type UserProfile struct {
+	key  uint64
+	size int
+}
+
+// Profile returns user's profile; its Stream(table, slot) equals
+// ProfileStream(user, table, slot).
+func (p Population) Profile(user uint64) UserProfile {
 	p = p.withDefaults()
-	key := stats.SplitSeed(p.Seed^saltProfile, user)
-	return stats.SeededRNG(stats.SplitSeed(key, uint64(table*p.ProfileSize+slot)))
+	return UserProfile{key: stats.SplitSeed(p.Seed^saltProfile, user), size: p.ProfileSize}
+}
+
+// Stream returns the generator of the profile slot (table, slot).
+func (u UserProfile) Stream(table, slot int) stats.RNG {
+	return stats.SeededRNG(stats.SplitSeed(u.key, uint64(table*u.size+slot)))
 }

@@ -92,6 +92,18 @@ func TestProfileStreamPure(t *testing.T) {
 			t.Error("neighboring profile key reproduced the draw")
 		}
 	}
+	// A UserProfile derives the per-user key once; its streams are
+	// ProfileStream's, with the default profile size and an explicit one.
+	for _, p := range []Population{pop, {Users: 100, ProfileSize: 3, Seed: 9}} {
+		prof := p.Profile(42)
+		for table := 0; table < 3; table++ {
+			for slot := 0; slot < 5; slot++ {
+				if a, b := first(prof.Stream(table, slot)), first(p.ProfileStream(42, table, slot)); a != b {
+					t.Fatalf("profile size %d: Profile(42).Stream(%d, %d) drew %d, ProfileStream %d", p.ProfileSize, table, slot, a, b)
+				}
+			}
+		}
+	}
 }
 
 // TestPopulationValidate: all violations in one report; the zero-means-
