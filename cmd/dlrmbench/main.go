@@ -48,7 +48,7 @@ func main() {
 		seed      = flag.Uint64("seed", 1, "random seed")
 		bwIters   = flag.Int("bwiters", 2, "DRAM bandwidth fixed-point iterations")
 		workers   = flag.Int("workers", runtime.NumCPU(), "parallel simulation workers (1 = sequential)")
-		shardW    = flag.Int("shard-workers", 1, "logical processes per cluster simulation (conservative parallel DES; 1 = sequential, byte-identical at any value)")
+		shardW    = flag.Int("shard-workers", 1, "goroutines that pre-draw each cluster simulation's arrivals (1 = inline; byte-identical at any value)")
 		format    = flag.String("format", "text", "output format: text | csv")
 		list      = flag.Bool("list", false, "list experiment IDs and exit")
 		quietTime = flag.Bool("notime", false, "suppress timing output")

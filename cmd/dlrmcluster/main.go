@@ -123,8 +123,8 @@ func (o mainFlags) validate(isSet func(string) bool) error {
 	if o.shardWorkers < 1 {
 		errs = append(errs, fmt.Errorf("-shard-workers %d (want >= 1)", o.shardWorkers))
 	}
-	if o.netLat < 0 || o.netBW < 0 {
-		errs = append(errs, fmt.Errorf("negative network parameters (-netlat %g, -netbw %g)", o.netLat, o.netBW))
+	if !(o.netLat >= 0) || !(o.netBW >= 0) { // NaN fails !(x >= 0) checks too
+		errs = append(errs, fmt.Errorf("bad network parameters (-netlat %g, -netbw %g; want >= 0)", o.netLat, o.netBW))
 	}
 	// Chaos and adaptive-mitigation gating applies in both loop modes.
 	if o.chaos == "" {
@@ -156,10 +156,10 @@ func (o mainFlags) validate(isSet func(string) bool) error {
 		if o.queries < 1 {
 			errs = append(errs, fmt.Errorf("-queries %d (want >= 1)", o.queries))
 		}
-		if o.arrival < 0 {
+		if !(o.arrival >= 0) {
 			errs = append(errs, fmt.Errorf("-arrival %g (want >= 0)", o.arrival))
 		}
-		if o.arrival == 0 && (o.util <= 0 || o.util >= 1) {
+		if o.arrival == 0 && !(o.util > 0 && o.util < 1) {
 			errs = append(errs, fmt.Errorf("-util %g outside (0,1)", o.util))
 		}
 		return errors.Join(errs...)
@@ -171,19 +171,19 @@ func (o mainFlags) validate(isSet func(string) bool) error {
 			errs = append(errs, fmt.Errorf("-%s is a closed-loop flag, unused with -open", name))
 		}
 	}
-	if o.rate < 0 {
+	if !(o.rate >= 0) {
 		errs = append(errs, fmt.Errorf("-rate %g (want >= 0; 0 derives from -util)", o.rate))
 	}
-	if o.rate == 0 && o.util <= 0 {
+	if o.rate == 0 && !(o.util > 0) {
 		errs = append(errs, fmt.Errorf("-util %g (want > 0 to derive the open-loop rate)", o.util))
 	}
-	if o.duration < 0 {
+	if !(o.duration >= 0) {
 		errs = append(errs, fmt.Errorf("-duration %g ms (want >= 0; 0 runs 1000 mean arrival periods)", o.duration))
 	}
-	if o.openWarmup < 0 && o.openWarmup != -1 {
+	if !(o.openWarmup >= 0) && o.openWarmup != -1 {
 		errs = append(errs, fmt.Errorf("-open-warmup %g ms (use -1 for explicitly no warmup)", o.openWarmup))
 	}
-	if o.sla < 0 {
+	if !(o.sla >= 0) {
 		errs = append(errs, fmt.Errorf("-sla %g ms (want >= 0; 0 derives from the per-query work)", o.sla))
 	}
 	if o.arrivals != "mmpp" {
@@ -308,7 +308,7 @@ func main() {
 	flag.IntVar(&o.batch, "batch", 8, "samples per query batch (also the engine batch size)")
 	flag.IntVar(&o.servers, "servers", 2, "concurrent servers per node")
 	flag.IntVar(&o.cores, "cores", 0, "engine cores for the timing run (0 = all platform cores)")
-	flag.IntVar(&o.shardWorkers, "shard-workers", 1, "logical processes per simulation run (conservative parallel DES; 1 = sequential, byte-identical at any value)")
+	flag.IntVar(&o.shardWorkers, "shard-workers", 1, "goroutines that pre-draw each simulation run's arrivals (1 = inline; byte-identical at any value)")
 	flag.IntVar(&o.queries, "queries", 4000, "closed-loop queries to simulate per sweep point")
 	flag.Float64Var(&o.arrival, "arrival", 0, "closed-loop mean query inter-arrival time in ms (0 = derive from -util)")
 	flag.Float64Var(&o.util, "util", 0.55, "target per-node utilization when -arrival/-rate is 0 (may exceed 1 with -open)")
@@ -605,7 +605,7 @@ func parseFractions(s string) ([]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad replication fraction %q", part)
 		}
-		if f < 0 || f > 1 {
+		if !(f >= 0 && f <= 1) { // NaN fails too
 			return nil, fmt.Errorf("replication fraction %g out of [0,1]", f)
 		}
 		out = append(out, f)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -53,6 +54,15 @@ func TestValidateBadInputs(t *testing.T) {
 		{"negative arrival", func(o *mainFlags) { o.arrival = -0.5 }, nil, "-arrival"},
 		{"util at 1 closed", func(o *mainFlags) { o.util = 1 }, nil, "-util"},
 		{"negative netlat", func(o *mainFlags) { o.netLat = -1 }, nil, "-netlat"},
+		{"NaN netlat", func(o *mainFlags) { o.netLat = math.NaN() }, nil, "-netlat"},
+		{"NaN netbw", func(o *mainFlags) { o.netBW = math.NaN() }, nil, "-netbw"},
+		{"NaN arrival", func(o *mainFlags) { o.arrival = math.NaN() }, nil, "-arrival"},
+		{"NaN util closed", func(o *mainFlags) { o.util = math.NaN() }, nil, "-util"},
+		{"NaN util open", func(o *mainFlags) { o.open = true; o.util = math.NaN() }, nil, "-util"},
+		{"NaN rate", func(o *mainFlags) { o.open = true; o.rate = math.NaN() }, nil, "-rate"},
+		{"NaN duration", func(o *mainFlags) { o.open = true; o.duration = math.NaN() }, nil, "-duration"},
+		{"NaN open warmup", func(o *mainFlags) { o.open = true; o.openWarmup = math.NaN() }, nil, "-open-warmup"},
+		{"NaN sla", func(o *mainFlags) { o.open = true; o.sla = math.NaN() }, nil, "-sla"},
 		{"open flag without -open", func(o *mainFlags) {}, []string{"rate"}, "-rate needs -open"},
 		{"admit without -open", func(o *mainFlags) { o.admit = "shed" }, []string{"admit"}, "-admit needs -open"},
 		{"users without -open", func(o *mainFlags) { o.users = 1000 }, []string{"users"}, "-users needs -open"},
@@ -238,6 +248,9 @@ func TestParseFractions(t *testing.T) {
 	}
 	if _, err := parseFractions("1.5"); err == nil {
 		t.Fatal("accepted fraction above 1")
+	}
+	if got, err := parseFractions("NaN"); err == nil {
+		t.Fatalf("accepted a NaN fraction: %v", got)
 	}
 	got, err := parseFractions(" 0, 0.01 ,1")
 	if err != nil {

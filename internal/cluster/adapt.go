@@ -7,29 +7,20 @@ package cluster
 // copies at a fraction of primary traffic and suppressing copies to
 // broken nodes lets the backlog drain.
 //
-// The hard constraint is determinism under the conservative-window
-// parallel backend (DESIGN.md §14): a token bucket read at every copy
-// would make suppression decisions depend on the order copies are
-// served *within* a window, which the partitioned backend does not
-// preserve. Instead all adaptive state evolves on a fixed epoch grid
-// (k·epochMs):
+// All adaptive state evolves on a fixed epoch grid (k·epochMs), so a
+// suppression decision does not depend on where in its epoch a copy
+// sits (DESIGN.md §15). The grid defines the output:
 //
 //   - During an epoch, observations accumulate as pending *integer*
 //     counters that nothing reads: primaries/conditionals served (the
 //     budget's traffic measure) and per-node attempt/slow counts (the
-//     breaker's timeout-rate window). Integer sums merge commutative-
-//     exactly at window barriers; per-node counters are written
-//     directly because each node is owned by one partition.
+//     breaker's timeout-rate window).
 //   - At each boundary, settle() folds pending into settled state and
 //     runs the breaker transitions in node order. Suppression decisions
 //     (allowCond) read settled state only.
 //
-// Both drivers settle each boundary b after exactly the copies with
-// arrive < b: the sequential driver advances lazily before each copy;
-// the parallel driver truncates windows at the next boundary and
-// advance at window starts, so no window spans a boundary and every
-// pre-boundary copy has merged when a window at or past b opens. The
-// result is byte-identical output at any partition and worker count.
+// The event loop settles each boundary b after exactly the copies with
+// arrive < b: it advances lazily before each copy.
 //
 // Budget: a conditional copy (hedge or timeout retry) launches only
 // while settled condLaunched < RetryBudget·primServed — a cumulative
@@ -79,10 +70,8 @@ type adaptState struct {
 	condLaunched int64
 	breakers     []breakerUnit
 
-	// Pending within the current epoch. pendPrim/pendCond arrive through
-	// partScratch, folded after every copy by the sequential driver and
-	// at window barriers by the parallel one. attempts/slow are
-	// per-node and node-owned, so every driver writes them in place.
+	// Pending within the current epoch: launch counts, and per-node
+	// attempt/slow counts for the breakers.
 	pendPrim, pendCond int64
 	attempts, slow     []int32
 
@@ -112,8 +101,8 @@ func (ad *adaptState) init(m *Mitigation, nodes int) {
 	}
 }
 
-// advanceTo settles every epoch boundary at or before t. Drivers call
-// it at sequential points only (before a copy, or at a window start).
+// advanceTo settles every epoch boundary at or before t. The loop calls
+// it before each copy.
 func (ad *adaptState) advanceTo(t float64) {
 	for ad.boundary <= t {
 		ad.settle()
@@ -176,13 +165,12 @@ func (ad *adaptState) allowCond(node int) bool {
 
 // observe records one launched copy's outcome into the pending epoch:
 // respMs is the router-observed response time past the copy's launch
-// (back − launch), the quantity the router's timeout fires on. prim/
-// cond go to the out-params, the caller's partScratch counters.
-func (ad *adaptState) observe(node int, kind copyKind, respMs float64, pendPrim, pendCond *int64) {
+// (back − launch), the quantity the router's timeout fires on.
+func (ad *adaptState) observe(node int, kind copyKind, respMs float64) {
 	if kind == copyPrimary {
-		*pendPrim++
+		ad.pendPrim++
 	} else {
-		*pendCond++
+		ad.pendCond++
 	}
 	if ad.breakerOn {
 		ad.attempts[node]++
@@ -194,8 +182,8 @@ func (ad *adaptState) observe(node int, kind copyKind, respMs float64, pendPrim,
 
 // finalize accrues the open-breaker time of the final partial epoch and
 // returns total breaker-open node·ms. Every boundary at or before the
-// last processed copy has settled in either driver (windows never span
-// a boundary), so only the tail [boundary−epochMs, lastT] is pending.
+// last processed copy has settled, so only the tail
+// [boundary−epochMs, lastT] is pending.
 func (ad *adaptState) finalize() float64 {
 	if check.Enabled {
 		check.Assert(ad.boundary > ad.lastT,

@@ -28,7 +28,7 @@ func TestAdaptEpochGrid(t *testing.T) {
 
 	// Node 0 answers 4 primaries, all past the timeout.
 	for i := 0; i < 4; i++ {
-		ad.observe(0, copyPrimary, 25, &ad.pendPrim, &ad.pendCond)
+		ad.observe(0, copyPrimary, 25)
 	}
 	ad.advanceTo(100) // settles the [0,100) epoch
 	if !ad.allowCond(1) {
@@ -43,8 +43,8 @@ func TestAdaptEpochGrid(t *testing.T) {
 
 	// Budget: two conditionals against four primaries hits 0.5 exactly —
 	// the comparison is >=, so the budget is spent.
-	ad.observe(1, copyHedge, 5, &ad.pendPrim, &ad.pendCond)
-	ad.observe(1, copyRetry, 5, &ad.pendPrim, &ad.pendCond)
+	ad.observe(1, copyHedge, 5)
+	ad.observe(1, copyRetry, 5)
 	ad.advanceTo(200) // boundary 200 settles; 200 < until, breaker stays open
 	if ad.allowCond(1) {
 		t.Error("budget allows past RetryBudget·primaries")
@@ -55,7 +55,7 @@ func TestAdaptEpochGrid(t *testing.T) {
 
 	// More primaries re-arm the budget; boundary 300 >= until half-opens.
 	for i := 0; i < 8; i++ {
-		ad.observe(1, copyPrimary, 5, &ad.pendPrim, &ad.pendCond)
+		ad.observe(1, copyPrimary, 5)
 	}
 	ad.advanceTo(300)
 	if ad.breakers[0].state != breakerHalfOpen {
@@ -66,7 +66,7 @@ func TestAdaptEpochGrid(t *testing.T) {
 	}
 
 	// A fast probe closes it at the next boundary.
-	ad.observe(0, copyHedge, 5, &ad.pendPrim, &ad.pendCond)
+	ad.observe(0, copyHedge, 5)
 	ad.advanceTo(400)
 	if ad.breakers[0].state != breakerClosed {
 		t.Errorf("breaker 0 state %d after a fast probe epoch, want closed", ad.breakers[0].state)

@@ -13,10 +13,10 @@ package cluster
 // Correctness is the same argument everywhere: a reused buffer is
 // either fully overwritten before it is read (the pre-draw ring —
 // drawArrival zeroes its own cold slice), explicitly re-zeroed or
-// rewound here and in the init methods (the active set, partition
-// scratch, fault timelines, adaptive state), or re-sliced to
-// length zero and only appended to (subs, firstSub, latencies, queries,
-// copy chains and their free list, the window buffers).
+// rewound here and in the init methods (the active set, fault
+// timelines, adaptive state), or re-sliced to length zero and only
+// appended to (subs, firstSub, latencies, queries, copy chains and
+// their free list).
 // Queue objects reset through serve.Queue.Reset and the copy heap
 // through copyHeap.reset. Nothing observable escapes:
 // the free list is guarded by a mutex, each concurrent run owns its
@@ -37,27 +37,21 @@ import (
 type runArena struct {
 	queues    []*serve.Queue
 	subs      []subState
-	cold      []int
 	firstSub  []int
 	latencies []float64
-	scratch   []partScratch
 	queries   []openQuery
 	eff       []int
 	active    []bool
 	violated  map[int]bool
 	ring      []openArrival
 	ringCold  []int
-	win       []subCopy
-	waiting   []int
 	copies    copyHeap
 	chain     []subCopy
 	freeChain []int32
-	efStart   []float64
-	efHist    [][]efEntry
 
 	// Robustness-tier state (faults.go, chaos.go, adapt.go): held by
-	// value so the per-node and per-window slices inside recycle with the
-	// arena, and the recovery-observability minute buckets.
+	// value so the per-node slices inside recycle with the arena, and
+	// the recovery-observability minute buckets.
 	faultSt faultState
 	adaptSt adaptState
 	ttrArr  []int
@@ -145,25 +139,6 @@ func (a *runArena) queueSet(nodes, servers int) []*serve.Queue {
 	return a.queues
 }
 
-// partScratchSet returns parts partition-scratch slots with their
-// grown delta/copy buffers intact and their per-window state cleared.
-func (a *runArena) partScratchSet(parts int) []partScratch {
-	if cap(a.scratch) < parts {
-		old := a.scratch
-		a.scratch = make([]partScratch, parts)
-		copy(a.scratch, old)
-	}
-	a.scratch = a.scratch[:parts]
-	for p := range a.scratch {
-		ps := &a.scratch[p]
-		ps.copies = ps.copies[:0]
-		ps.deltas = ps.deltas[:0]
-		ps.maxWait = 0
-		ps.pendPrim, ps.pendCond, ps.maxT = 0, 0, 0
-	}
-	return a.scratch
-}
-
 // boolSet returns an n-length all-false slice.
 func (a *runArena) boolSet(n int) []bool {
 	if cap(a.active) < n {
@@ -185,19 +160,6 @@ func (a *runArena) violatedMap() map[int]bool {
 		clear(a.violated)
 	}
 	return a.violated
-}
-
-// efHistSet returns nodes earliest-free history slots, keeping each
-// node's grown entry buffer. Every window truncates each history before
-// appending, so stale entries are never read.
-func (a *runArena) efHistSet(nodes int) [][]efEntry {
-	if cap(a.efHist) < nodes {
-		old := a.efHist
-		a.efHist = make([][]efEntry, nodes)
-		copy(a.efHist, old)
-	}
-	a.efHist = a.efHist[:nodes]
-	return a.efHist
 }
 
 // copyQueue returns the recycled copy heap, emptied and with its

@@ -73,12 +73,12 @@ func openBenchConfig(tb testing.TB) Config {
 	}
 }
 
-// BenchmarkOpenLoopParallel measures the open-loop day-scale run under
-// the conservative-window parallel backend at 1, 2, 4, and 8 logical
-// processes (p1 = the sequential driver; the output is byte-identical
-// at every P, so this is a pure execution-cost curve). Speedup over p1
-// requires free hardware cores — on a single-CPU host the curve is
-// flat and the windowing overhead is what's being measured.
+// BenchmarkOpenLoopParallel measures the open-loop day-scale run with
+// its arrivals pre-drawn on 1, 2, 4, and 8 goroutines (p1 = inline; the
+// output is byte-identical at every P, so this is a pure execution-cost
+// curve). Speedup over p1 requires free hardware cores — on a
+// single-CPU host the curve is flat and the goroutine hand-off is what's
+// being measured.
 func BenchmarkOpenLoopParallel(b *testing.B) {
 	for _, p := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {

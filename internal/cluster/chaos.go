@@ -20,7 +20,7 @@ package cluster
 // transport's drop re-sends: a copy in flight across a severed domain
 // pair is lost and re-sent when the partition heals. All of it is a
 // pure function of the config, keeping the byte-identical-at-any-
-// worker-count property: nothing here reads mid-window state.
+// worker-count property.
 //
 // Substitution statement: real chaos tooling (and real incidents) drive
 // correlated faults through orchestration APIs with jittered delivery;

@@ -319,7 +319,6 @@ func TestChaosClosedLoopDeterministic(t *testing.T) {
 // counterpart of the generic exec-backend families; it exists so the
 // chaos/budget/breaker path is pinned by name.
 func TestChaosAdaptiveByteIdentical(t *testing.T) {
-	forceFanOut(t)
 	closed := execConfigs(t)
 	open := openExecConfigs(t)
 	cfgs := map[string]Config{

@@ -2,9 +2,8 @@ package cluster
 
 // The copy order. Every run — open or closed loop — consumes
 // sub-request copies in one (arrive, seq, attempt) total order from one
-// copyHeap: the sequential driver pops it copy by copy because arrivals
-// keep scheduling copies mid-run, and the parallel driver pops each
-// conservative window off it whole. The heap holds each sub-request's
+// copyHeap, popped copy by copy because arrivals keep scheduling copies
+// mid-run. The heap holds each sub-request's
 // next live copy only; the rest wait in the sub's chain (sim.go) until
 // their predecessor is processed. copyCmp is the only definition of
 // that order.

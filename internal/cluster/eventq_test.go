@@ -165,8 +165,9 @@ func FuzzCopyOrder(f *testing.F) {
 }
 
 // TestCopyHeapPopsPinned pins how many copies a run pops off its copy
-// heap on two bench fixtures: the chaos day under the windowed driver and
-// the faulted closed loop under both drivers. A sub-request's hedge and
+// heap on two bench fixtures, the chaos day and the faulted closed loop,
+// each with its arrivals drawn inline and on two goroutines: the pops
+// must not depend on the pre-draw. A sub-request's hedge and
 // retries enter the heap only while no response has beaten their launch
 // deadline (sim.go's queueNext), so each count is the primaries, each
 // query's last copy, and the conditional copies still live when their
@@ -179,6 +180,7 @@ func TestCopyHeapPopsPinned(t *testing.T) {
 		parts int
 		want  int
 	}{
+		{"chaos day", chaosBenchConfig(t), 1, 732221},
 		{"chaos day", chaosBenchConfig(t), 2, 732221},
 		{"faulted closed loop", benchConfig(t, true), 1, 11497},
 		{"faulted closed loop", benchConfig(t, true), 2, 11497},
@@ -187,17 +189,13 @@ func TestCopyHeapPopsPinned(t *testing.T) {
 		if err := cfg.applyDefaults(); err != nil {
 			t.Fatal(err)
 		}
-		r, err := newOpenRun(cfg, tc.parts)
+		r, err := newOpenRun(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tc.parts > 1 {
-			r.loopParallel(tc.parts)
-		} else {
-			r.loop()
-		}
+		r.loop(tc.parts)
 		if got := r.st.copies.pops; got != tc.want {
-			t.Errorf("%s on %d partitions popped %d copies, want %d", tc.name, tc.parts, got, tc.want)
+			t.Errorf("%s with %d pre-draw goroutines popped %d copies, want %d", tc.name, tc.parts, got, tc.want)
 		}
 	}
 }

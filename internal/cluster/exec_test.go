@@ -7,22 +7,11 @@ import (
 	"dlrmsim/internal/traffic"
 )
 
-// forceFanOut makes every non-trivial window take the goroutine path so
-// the tests exercise the real partitioned serving, not the inline
-// fallback.
-func forceFanOut(t *testing.T) {
-	t.Helper()
-	prev := execFanOutMin
-	execFanOutMin = 0
-	t.Cleanup(func() { execFanOutMin = prev })
-}
-
 // execConfigs spans the closed-loop behavior space the parallel backend
 // must reproduce bitwise: the plain path, the fault-injected path, each
-// conditional-copy mitigation (hedging and timeout retries) whose
-// suppression logic the conservative windows defer, a chaos schedule
-// severing domains mid-run, and the adaptive overload controls whose
-// epoch-grid state the windows must settle identically.
+// conditional-copy mitigation (hedging and timeout retries), a free
+// network, a chaos schedule severing domains mid-run, and the adaptive
+// overload controls' epoch-grid state.
 func execConfigs(t *testing.T) map[string]Config {
 	t.Helper()
 	plain := testConfig(t, 8, RowRange, 0.01, trace.HighHot)
@@ -40,11 +29,15 @@ func execConfigs(t *testing.T) map[string]Config {
 		RetryBudget: 0.25, BreakerTripRate: 0.5, BreakerMinSamples: 4,
 	}
 	adaptive.Chaos = chaosTestSchedule(adaptive.MeanArrivalMs * float64(adaptive.Queries))
+	free := faultConfig(t, trace.HighHot)
+	free.Net = Network{}
+	free.Mitigation = Mitigation{HedgeDelayMs: hedgeDelay(t, trace.HighHot)}
 	return map[string]Config{
 		"plain":          plain,
 		"faults":         faulted,
 		"hedge":          hedged,
 		"retries":        retried,
+		"free-network":   free,
 		"chaos":          chaotic,
 		"chaos-adaptive": adaptive,
 	}
@@ -56,7 +49,6 @@ func hedgeDelay(t *testing.T, h trace.Hotness) float64 {
 }
 
 func TestParallelBackendByteIdenticalClosedLoop(t *testing.T) {
-	forceFanOut(t)
 	for name, cfg := range execConfigs(t) {
 		t.Run(name, func(t *testing.T) {
 			want, err := Simulate(cfg)
@@ -78,34 +70,11 @@ func TestParallelBackendByteIdenticalClosedLoop(t *testing.T) {
 	}
 }
 
-// TestParallelFallsBackOnFreeNetwork pins the documented degradation:
-// conditional copies with zero network latency leave no lookahead, so
-// the run must take the sequential path (and still match it exactly).
-func TestParallelFallsBackOnFreeNetwork(t *testing.T) {
-	forceFanOut(t)
-	cfg := faultConfig(t, trace.HighHot)
-	cfg.Net = Network{}
-	cfg.Mitigation = Mitigation{HedgeDelayMs: hedgeDelay(t, trace.HighHot)}
-	want, err := Simulate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restore := SetExecBackend(Parallel(4))
-	defer restore()
-	got, err := Simulate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("zero-latency fallback diverged:\nseq %+v\npar %+v", want, got)
-	}
-}
-
-// openExecConfigs spans the open-loop behavior space the windowed
-// parallel driver must reproduce bitwise: the plain admit-all path,
-// admission control reading reconstructed queue state, bursty overload,
-// autoscaler ticks truncating windows, population revisits flowing
-// through the pre-draw ring, and fault injection with hedging.
+// openExecConfigs spans the open-loop behavior space the parallel
+// backend must reproduce bitwise: the plain admit-all path, admission
+// control reading queue state, bursty overload, autoscaler ticks,
+// population revisits flowing through the pre-draw ring, and fault
+// injection with hedging.
 func openExecConfigs(t *testing.T) map[string]Config {
 	t.Helper()
 	cfgs := map[string]Config{}
@@ -118,7 +87,7 @@ func openExecConfigs(t *testing.T) map[string]Config {
 	cfgs["plain"] = plain
 
 	// A budget tight enough that the fixture sheds (about 2% of
-	// arrivals), so admission reads reconstructed queue state here too.
+	// arrivals), so admission reads queue state here too.
 	shed := openTestConfig(t, 4, &OpenLoop{
 		Arrivals:   traffic.Config{Model: traffic.Poisson, RatePerMs: openRate(t, 4, 0.5)},
 		DurationMs: 400,
@@ -187,13 +156,12 @@ func openExecConfigs(t *testing.T) map[string]Config {
 	return cfgs
 }
 
-// TestParallelBackendByteIdenticalOpenLoop: the windowed driver is
-// bit-for-bit the sequential event loop at every shard count, in both
-// the batch-join and stream-stats summaries. The tiny pre-draw block
-// forces ring refills mid-window, exercising the refill path's
-// sequential/concurrent split.
+// TestParallelBackendByteIdenticalOpenLoop: the event loop with its
+// arrivals pre-drawn on several goroutines is bit-for-bit the
+// sequential run at every shard count, in both the batch-join and
+// stream-stats summaries. The tiny pre-draw block forces frequent ring
+// refills, exercising the refill path's sequential/concurrent split.
 func TestParallelBackendByteIdenticalOpenLoop(t *testing.T) {
-	forceFanOut(t)
 	prevBlock := openPredrawBlock
 	openPredrawBlock = 7
 	t.Cleanup(func() { openPredrawBlock = prevBlock })

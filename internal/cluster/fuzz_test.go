@@ -255,8 +255,8 @@ func configFromBytes(plans []*Plan, data []byte) Config {
 
 // FuzzClusterConfig checks that Validate is Simulate's only gate: Simulate
 // errors exactly when Validate does, and every accepted config runs clean
-// under check.Enabled and returns finite percentiles. An accepted config
-// with a network hop also runs under the windowed parallel driver, which
+// under check.Enabled and returns finite percentiles. Every accepted
+// config also runs with its arrivals pre-drawn on two goroutines, which
 // must return the same Result to the last bit.
 func FuzzClusterConfig(f *testing.F) {
 	// 1–8-node plans of a small model (the plan is FuzzShardPlan's
@@ -314,16 +314,14 @@ func FuzzClusterConfig(f *testing.F) {
 				t.Fatalf("non-finite percentile in %+v for %+v", res, cfg)
 			}
 		}
-		if cfg.Net.LatencyMs > 0 {
-			restore := SetExecBackend(Parallel(2))
-			par, err := Simulate(cfg)
-			restore()
-			if err != nil {
-				t.Fatalf("Parallel(2) rejected a config Sequential ran: %v", err)
-			}
-			if want, got := fmt.Sprintf("%+v", res), fmt.Sprintf("%+v", par); got != want {
-				t.Fatalf("Parallel(2) diverged from Sequential for %+v:\nseq %s\npar %s", cfg, want, got)
-			}
+		restore := SetExecBackend(Parallel(2))
+		par, err := Simulate(cfg)
+		restore()
+		if err != nil {
+			t.Fatalf("Parallel(2) rejected a config Sequential ran: %v", err)
+		}
+		if want, got := fmt.Sprintf("%+v", res), fmt.Sprintf("%+v", par); got != want {
+			t.Fatalf("Parallel(2) diverged from Sequential for %+v:\nseq %s\npar %s", cfg, want, got)
 		}
 	})
 }

@@ -37,6 +37,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"dlrmsim/internal/check"
 	"dlrmsim/internal/stats"
@@ -435,11 +436,7 @@ func (t *joinTally) finish(rec *openJoinRec) (lat float64, scored bool) {
 	return lat, true
 }
 
-// openRun is one simulation's mutable state, open or closed loop. The
-// sequential driver (loop) and the conservative-window parallel driver
-// (openparallel.go) share every event handler — tick, arrival, summary —
-// verbatim. Only the driver differs; the handlers are where the
-// semantics live.
+// openRun is one simulation's mutable state, open or closed loop.
 type openRun struct {
 	o    *OpenLoop // a closed run gets a stand-in with no horizon and no SLA
 	plan *Plan
@@ -472,7 +469,6 @@ type openRun struct {
 
 	queries  []openQuery
 	firstSub []int
-	cold     []int // arrival-scratch: cold lookups per owner node
 	eff      []int // arrival-scratch: cold work per effective node
 	draws    int
 
@@ -481,11 +477,12 @@ type openRun struct {
 	nextArr float64
 	q       int
 
-	// Pre-draw ring (openparallel.go): arrivals whose lookup draws were
-	// computed ahead, in parallel, as pure functions of (Seed, q, user).
+	// Pre-draw ring (exec.go): arrivals whose lookup draws were computed
+	// ahead, as pure functions of (Seed, q, user, visit).
 	ring     []openArrival
 	ringCold []int
 	ringHead int
+	ringWG   sync.WaitGroup // the refill's draw goroutines
 
 	// The run's recycled working set (arena.go); Simulate releases it
 	// after the summary.
@@ -500,9 +497,7 @@ type openRun struct {
 }
 
 // newOpenRun builds the run state. cfg has been default-applied.
-// sketchParts sizes the stream-stats join's per-partition sketch set (1
-// for the sequential driver).
-func newOpenRun(cfg Config, sketchParts int) (*openRun, error) {
+func newOpenRun(cfg Config) (*openRun, error) {
 	plan := cfg.Plan
 	model := plan.Model
 	r := &openRun{
@@ -584,7 +579,6 @@ func newOpenRun(cfg Config, sketchParts int) (*openRun, error) {
 	}
 	r.queries = a.queries[:0]
 	r.firstSub = append(a.firstSub[:0], 0)
-	r.cold = arenaSlice(&a.cold, plan.Nodes)
 	r.eff = arenaSlice(&a.eff, plan.Nodes)
 	r.ring, r.ringCold = a.ring, a.ringCold
 	if r.as = o.Autoscale; r.as != nil {
@@ -596,7 +590,7 @@ func newOpenRun(cfg Config, sketchParts int) (*openRun, error) {
 		t.pfThreshMs = math.Max(clearT, o.WarmupMs)
 	}
 	if o.StreamStats {
-		r.sj = &streamJoin{sketches: make([]stats.QuantileSketch, sketchParts)}
+		r.sj = &streamJoin{}
 		st.recycle = true
 	}
 	return r, nil
@@ -687,7 +681,8 @@ func (r *openRun) tick(now float64) {
 // receives per-OWNER cold counts — routing through the active set
 // happens at processing time — and hot/warm are the replicated and
 // profile-warm counts. A pure function of (Seed, q, user, visit), so
-// the parallel driver pre-computes it concurrently (openparallel.go).
+// the pre-draw ring computes it ahead, concurrently under Parallel
+// (exec.go).
 func (r *openRun) drawArrival(q int, user uint64, visit int, cold []int) (hot, warm int) {
 	cfg := &r.st.cfg
 	plan := r.plan
@@ -731,18 +726,18 @@ func (r *openRun) drawArrival(q int, user uint64, visit int, cold []int) (hot, w
 }
 
 // processArrival handles one arrival whose lookups are already drawn:
-// route the cold work through the active set, decide admission off
-// backlogAt (the live queues sequentially; a reconstructed as-of-now
-// view under the parallel driver), and schedule the sub-request copies:
-// each sub's first copy onto the copy heap, the rest into its chain.
-// Advances the arrival counter q.
-func (r *openRun) processArrival(now float64, user uint64, visit int, hot, warm int, cold []int, backlogAt func(n int, now float64) float64) {
+// route the cold work through the active set, decide admission off the
+// live queue backlogs, and schedule the sub-request copies: each sub's
+// first copy onto the copy heap, the rest into its chain. Advances the
+// arrival counter q.
+func (r *openRun) processArrival(now float64, a *openArrival, cold []int) {
 	o := r.o
 	plan := r.plan
 	model := plan.Model
 	cfg := &r.st.cfg
 	st := r.st
-	home := r.route(int(user % uint64(plan.Nodes)))
+	local := a.hot + a.warm // lookups served at home: replicated or profile-warm
+	home := r.route(int(a.user % uint64(plan.Nodes)))
 	// Route each owner through the active set and merge the cold
 	// work per effective node; hot and warm lookups serve at home.
 	for n := range r.eff {
@@ -757,17 +752,17 @@ func (r *openRun) processArrival(now float64, user uint64, visit int, hot, warm 
 	if o.Admission.Policy == ShedOverBudget {
 		worst := 0.0
 		for n, c := range r.eff {
-			if c == 0 && !(n == home && hot+warm > 0) {
+			if c == 0 && !(n == home && local > 0) {
 				continue
 			}
-			if b := backlogAt(n, now); b > worst {
+			if b := r.backlog(n, now); b > worst {
 				worst = b
 			}
 		}
 		admitted = !o.Admission.shed(worst)
 	}
 	post := st.scored(r.q, now)
-	r.tally.arrival(now, post, admitted, visit > 1)
+	r.tally.arrival(now, post, admitted, a.visit > 1)
 	if admitted {
 		joinSlot := -1
 		if r.sj != nil {
@@ -776,9 +771,9 @@ func (r *openRun) processArrival(now float64, user uint64, visit int, hot, warm 
 		for n, c := range r.eff {
 			served := c
 			svcUs := cfg.Timing.SubRequestUs + cfg.Timing.ColdLookupUs*float64(c)
-			if n == home && hot+warm > 0 {
-				served += hot + warm
-				svcUs += cfg.Timing.HotLookupUs * float64(hot+warm)
+			if n == home && local > 0 {
+				served += local
+				svcUs += cfg.Timing.HotLookupUs * float64(local)
 			}
 			if served == 0 {
 				continue
@@ -794,8 +789,8 @@ func (r *openRun) processArrival(now float64, user uint64, visit int, hot, warm 
 		}
 		st.markQueryLast()
 		if post {
-			r.hotLookups += hot + warm
-			r.totalLookups += hot + warm
+			r.hotLookups += local
+			r.totalLookups += local
 			for _, c := range cold {
 				r.totalLookups += c
 			}
@@ -810,15 +805,18 @@ func (r *openRun) processArrival(now float64, user uint64, visit int, hot, warm 
 	r.q++
 }
 
-// loop is the sequential driver: one event loop over the three
-// deterministic sources. Ticks precede arrivals precede copies at equal
-// instants (strict inequalities below encode the tie-break).
-func (r *openRun) loop() {
+// loop is the run's one event loop over the three deterministic
+// sources. Ticks precede arrivals precede copies at equal instants
+// (strict inequalities below encode the tie-break). Arrivals come from
+// the pre-draw ring, refilled on parts goroutines (exec.go); copies are
+// served one by one in copyCmp order.
+func (r *openRun) loop(parts int) {
 	o := r.o
+	st := r.st
+	nodes := r.plan.Nodes
 	h := r.arena.copyQueue()
-	r.st.copies = h
-	r.st.seqScratch = &r.arena.partScratchSet(1)[0]
-	r.nextArr = r.arrivals.Next()
+	st.copies = h
+	r.ringFill(parts)
 	prev := subCopy{arrive: math.Inf(-1)} // last popped copy (check-mode order assertion)
 	for {
 		now := math.Inf(1)
@@ -840,15 +838,16 @@ func (r *openRun) loop() {
 		case 1:
 			r.tick(now)
 		case 2:
-			// Arrival: attribute it, draw its lookups, decide admission,
-			// and schedule its sub-request copies.
-			user, visit := uint64(r.q), 1
-			if r.visitors != nil {
-				user, visit = r.visitors.Next()
+			// Arrival: decide admission and schedule its sub-request
+			// copies, then step the ring.
+			i := r.ringHead
+			r.processArrival(now, &r.ring[i], r.ringCold[i*nodes:(i+1)*nodes])
+			r.ringHead++
+			if r.ringHead == len(r.ring) {
+				r.ringFill(parts)
+			} else {
+				r.nextArr = r.ring[r.ringHead].t
 			}
-			hot, warm := r.drawArrival(r.q, user, visit, r.cold)
-			r.processArrival(now, user, visit, hot, warm, r.cold, r.backlog)
-			r.nextArr = r.arrivals.Next()
 		case 3:
 			cp := h.Pop()
 			if check.Enabled {
@@ -856,9 +855,10 @@ func (r *openRun) loop() {
 					"cluster: popped copy (arrive %g, seq %d, attempt %d) out of strict copy order", cp.arrive, cp.seq, cp.attempt)
 				prev = cp
 			}
-			r.st.serveCopy(&cp, r.route(cp.node))
+			st.serveCopy(&cp, r.route(cp.node))
+			st.queueNext(cp.sub)
 			if r.sj != nil {
-				r.sj.copyDone(r.st, &r.tally, cp.sub, 0)
+				r.sj.copyDone(st, &r.tally, cp.sub)
 			}
 		}
 	}
@@ -885,14 +885,7 @@ func (r *openRun) summary() Result {
 			check.Assert(len(sj.freeJoins) == len(sj.joins),
 				"cluster: %d stream joins still open after drain", len(sj.joins)-len(sj.freeJoins))
 		}
-		// Quantiles come from the merged per-partition sketches — the
-		// merge is integer bucket addition, so the result is identical
-		// whatever partition each query folded into.
-		merged := &sj.sketches[0]
-		for i := 1; i < len(sj.sketches); i++ {
-			merged.Merge(&sj.sketches[i])
-		}
-		pct = []float64{merged.Quantile(0.50), merged.Quantile(0.95), merged.Quantile(0.99)}
+		pct = []float64{sj.sketch.Quantile(0.50), sj.sketch.Quantile(0.95), sj.sketch.Quantile(0.99)}
 	} else {
 		// Batch join: replay the admitted queries through the tally in
 		// arrival order (shed arrivals were counted at arrival and never

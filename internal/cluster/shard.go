@@ -81,7 +81,7 @@ func NewPlan(model dlrm.Config, nodes int, policy Policy, replicateFrac float64,
 	if nodes < 1 {
 		return nil, fmt.Errorf("cluster: %d nodes", nodes)
 	}
-	if replicateFrac < 0 || replicateFrac > 1 {
+	if !(replicateFrac >= 0 && replicateFrac <= 1) { // NaN fails too
 		return nil, fmt.Errorf("cluster: replication fraction %g outside [0,1]", replicateFrac)
 	}
 	if policy != TableWise && policy != RowRange {

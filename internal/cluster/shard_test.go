@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 
 	"dlrmsim/internal/dlrm"
@@ -138,6 +139,9 @@ func TestNewPlanValidation(t *testing.T) {
 	}
 	if _, err := NewPlan(model, 4, TableWise, 1.5, 1); err == nil {
 		t.Error("accepted replication > 1")
+	}
+	if p, err := NewPlan(model, 4, TableWise, math.NaN(), 1); err == nil {
+		t.Errorf("accepted NaN replication (HotRows %d)", p.HotRows)
 	}
 	if _, err := NewPlan(model, 4, Policy(99), 0, 1); err == nil {
 		t.Error("accepted invalid policy")

@@ -274,9 +274,6 @@ type simState struct {
 	freeChains  []int32
 	chainStride int
 	queryLast   int32
-
-	// seqScratch is the sequential driver's scratch for serveCopy.
-	seqScratch *partScratch
 }
 
 // scored reports whether query q, arriving at arrive, counts in the
@@ -361,7 +358,7 @@ func (s *simState) schedule(q, home, owner int, served int, svcMs float64, reqBy
 			s.queryLast = last
 		}
 	}
-	s.queueNext(idx, math.Inf(1))
+	s.queueNext(idx)
 	return idx
 }
 
@@ -410,52 +407,88 @@ func (s *simState) markQueryLast() {
 // conditional copy whose launch deadline the best response so far has
 // already met — best only falls, so the copy would be suppressed at pop
 // anyway — counting it off copiesLeft, then pushes the first surviving
-// copy if it arrives before limit. It reports whether a surviving copy
-// still waits (arrive >= limit); the windowed driver passes its window
-// end and finishes the advance at the barrier. An exhausted chain
-// returns its block to the free list.
-func (s *simState) queueNext(idx int, limit float64) (waiting bool) {
+// copy. An exhausted chain returns its block to the free list.
+func (s *simState) queueNext(idx int) {
 	sub := &s.subs[idx]
 	for sub.chainAt < sub.chainEnd {
 		c := &s.chain[sub.chainAt]
+		sub.chainAt++
 		if c.kind != copyPrimary && !c.last && sub.best <= c.launch {
-			sub.chainAt++
 			sub.copiesLeft--
 			continue
 		}
-		if c.arrive >= limit {
-			return true
-		}
 		s.copies.Push(*c)
-		sub.chainAt++
 		break
 	}
 	if sub.chainEnd > 0 && sub.chainAt == sub.chainEnd {
 		s.freeChains = append(s.freeChains, sub.chainEnd-int32(s.chainStride))
 		sub.chainAt, sub.chainEnd = 0, 0
 	}
-	return false
 }
 
-// serveCopy is the sequential driver's per-copy step: serveCopyDeferred
-// into the run's scratch, merged at once, then the sub's chain advanced
-// against the merged best response. Every deferred effect merges
-// commutative-exactly (exec.go), so merging after each copy is the
-// sequential arithmetic. node is the effective target — the copy's
-// planned node routed through the active set, which re-routes copies
-// whose node was drained between scheduling and arrival. Callers must
-// invoke it in copyCmp order, the global node-arrival order the FCFS
-// queues require. A conditional copy launches only when no response beat
-// its deadline; comparing against resolved copies is exact because an
+// serveCopy processes one popped copy at its node-arrival instant:
+// conditional launch suppression, fault application, jitter, FCFS
+// submission, and the router-side updates — the sub's best response,
+// its retry and hedge counts, the queue-wait high-water mark, and the
+// adaptive controller's observation. node is the effective target — the
+// copy's planned node routed through the active set, which re-routes
+// copies whose node was drained between scheduling and arrival. Callers
+// must invoke it in copyCmp order, the global node-arrival order the
+// FCFS queues require, and advance the sub's chain (queueNext) after
+// it. A conditional copy launches only when no response beat its
+// deadline; comparing against resolved copies is exact because an
 // unresolved copy's arrival — and hence its response — is no earlier
 // than the arrival being processed.
 func (s *simState) serveCopy(c *subCopy, node int) {
-	if s.adapt != nil {
-		s.adapt.advanceTo(c.arrive)
+	ad := s.adapt
+	if ad != nil {
+		ad.advanceTo(c.arrive)
+		if c.arrive > ad.lastT {
+			ad.lastT = c.arrive
+		}
 	}
-	s.serveCopyDeferred(c, node, s.seqScratch, nil)
-	s.applyScratch(s.seqScratch)
-	s.queueNext(c.sub, math.Inf(1))
+	sub := &s.subs[c.sub]
+	if c.kind != copyPrimary && sub.best <= c.launch {
+		return // a response arrived before this deadline; never sent
+	}
+	if ad != nil && c.kind != copyPrimary && !ad.allowCond(node) {
+		// Budget exhausted or breaker open: the copy is never launched,
+		// so it counts in no rate metric (HedgeRate, RetriesPerQuery) —
+		// launched copies count, suppressed ones don't, consistently.
+		return
+	}
+	switch c.kind {
+	case copyHedge:
+		sub.hedged = true
+	case copyRetry:
+		sub.retries++
+	}
+	sub.retries += c.resends
+	cfg := &s.cfg
+	svc := s.faults.apply(node, c.arrive, s.queues[node], sub.svcMs)
+	if cfg.JitterFrac > 0 {
+		var draw float64
+		if c.attempt == 0 {
+			j := stats.SeededRNG(stats.SplitSeed(cfg.Seed^0x717E2, uint64(sub.q*s.plan.Nodes+node)))
+			draw = j.NormFloat64()
+		} else {
+			draw = retryJitter(cfg.Seed, sub.q, node, c.attempt, s.plan.Nodes)
+		}
+		svc *= serve.Jitter(cfg.JitterFrac, draw)
+	}
+	start, done := s.queues[node].Submit(c.arrive, svc)
+	if s.scored(sub.q, sub.dispatch) {
+		if w := start - c.arrive; w > s.maxWait {
+			s.maxWait = w
+		}
+	}
+	back := done + cfg.Net.LatencyMs + cfg.Net.TransferMs(sub.respBytes)
+	if back < sub.best {
+		sub.best = back
+	}
+	if ad != nil {
+		ad.observe(node, c.kind, back-c.launch)
+	}
 }
 
 // resolve is the router's join-side view of one sub-request after every
@@ -517,31 +550,17 @@ func (p *poissonCount) Next() float64 {
 // everything open-loop switched off: no admission, no autoscaler, every
 // node active. With Open set, a time-driven traffic stream replaces the
 // count, and admission control, the user population, and the autoscaler
-// come into play.
-//
-// The parallel execution backend engages when it has partitions to run
-// and a positive network hop to hide the window barriers behind (with a
-// free network every conservative window is empty and the run stays
-// sequential).
+// come into play. The execution backend only sets how many goroutines
+// pre-draw the arrivals (exec.go).
 func Simulate(cfg Config) (Result, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return Result{}, err
 	}
-	parts := execParts(cfg.Plan.Nodes)
-	useParallel := parts > 1 && cfg.Net.LatencyMs > 0
-	sketchParts := 1
-	if useParallel {
-		sketchParts = parts
-	}
-	r, err := newOpenRun(cfg, sketchParts)
+	r, err := newOpenRun(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	if useParallel {
-		r.loopParallel(parts)
-	} else {
-		r.loop()
-	}
+	r.loop(execParts(cfg.Plan.Nodes))
 	res := r.summary()
 	a := r.arena
 	a.subs = r.st.subs

@@ -209,6 +209,7 @@ var closedLoopPins = map[string]string{
 	"faults":         "016a77d6d4a06be3ca2b3dd216f6ff641ac6d1e86f7a06068775a17368b09d3a",
 	"hedge":          "5fc75703df9730637da41c087f2d47004cecd7206d90b76b2cf73696b4824a73",
 	"retries":        "8655dfa2813e8209d1ee3985e7ff0156c0ca92844415a196b3ddfcfdcc722a43",
+	"free-network":   "97d21e34ebe2d0b76d3433b0e3afebaedd354751bbcb7aff6dd1d6223eed66dd",
 	"chaos":          "3331f80c27d0a8df7b7d7cc56bcf3593c6a2172cbbeaef35bfa2540fb7f70efa",
 	"chaos-adaptive": "cc36d5325dd79ab17eb62e6a773022b21958dec0e14d78c41da1a603b2ba6ab4",
 	"bench-steady":   "d7faaeab5623e093da1c648b3c5d96a1046f9b7d9e4ed5d6ccdacebd1c78be41",

@@ -31,18 +31,9 @@ package cluster
 import "dlrmsim/internal/stats"
 
 // streamJoin owns the incremental join's storage: recycled records, the
-// latency sketches, and the live-record high-water marks.
-//
-// Under the parallel execution backend each partition owns one sketch
-// and the summary merges them (stats.QuantileSketch.Merge — integer
-// bucket addition, so the partition assignment is unobservable in the
-// quantiles); the sequential driver runs with a single sketch. The
-// tally's latSum accumulates every folded latency in canonical
-// completion order — shared by both drivers, it keeps Result.Mean
-// bit-for-bit identical whatever partition each query's sketch entry
-// landed in.
+// latency sketch, and the live-record high-water marks.
 type streamJoin struct {
-	sketches  []stats.QuantileSketch // one per execution partition
+	sketch    stats.QuantileSketch
 	joins     []openJoinRec
 	freeJoins []int
 
@@ -68,26 +59,23 @@ func (sj *streamJoin) open(rec openJoinRec) int {
 
 // finalizeIfEmpty closes a join record that attached no subs (an
 // admitted query whose every lookup short-circuited): it joins at its
-// own arrival, exactly as the batch loop scores it. No copy served it,
-// so its latency folds into partition 0's sketch.
+// own arrival, exactly as the batch loop scores it.
 func (sj *streamJoin) finalizeIfEmpty(t *joinTally, slot int) {
 	if sj.joins[slot].subsLeft == 0 {
-		sj.finalize(t, slot, 0)
+		sj.finalize(t, slot)
 	}
 }
 
 // copyDone is called after every processed copy, in canonical copy
-// order. part is the execution partition that served the copy (0 under
-// the sequential driver) — the sketch a finalizing query folds into.
-// When it was the sub's last outstanding copy, the sub folds into its
-// join record and its slot is recycled; when that was the query's last
-// sub, the query finalizes. Both drivers advance a sub's chain before
-// calling copyDone for the copy that preceded it, so the drops have
-// been counted and the last decrement is always a processed copy —
-// for the query's final sub, its flagged last copy, which is never
-// dropped: queries finalize in the order the full schedule would pop
-// them.
-func (sj *streamJoin) copyDone(st *simState, t *joinTally, subIdx int, part int) {
+// order. When it was the sub's last outstanding copy, the sub folds
+// into its join record and its slot is recycled; when that was the
+// query's last sub, the query finalizes. The loop advances a sub's
+// chain before calling copyDone for the copy that preceded it, so the
+// drops have been counted and the last decrement is always a processed
+// copy — for the query's final sub, its flagged last copy, which is
+// never dropped: queries finalize in the order the full schedule would
+// pop them.
+func (sj *streamJoin) copyDone(st *simState, t *joinTally, subIdx int) {
 	sub := &st.subs[subIdx]
 	sub.copiesLeft--
 	if sub.copiesLeft > 0 {
@@ -101,16 +89,15 @@ func (sj *streamJoin) copyDone(st *simState, t *joinTally, subIdx int, part int)
 	st.freeSubs = append(st.freeSubs, subIdx)
 	rec.subsLeft--
 	if rec.subsLeft == 0 {
-		sj.finalize(t, sub.join, part)
+		sj.finalize(t, sub.join)
 	}
 }
 
 // finalize folds one joined query into the tally and recycles the
-// record. part selects the sketch a scored latency lands in; the tally
-// itself is partition-blind.
-func (sj *streamJoin) finalize(t *joinTally, slot int, part int) {
+// record, its scored latency into the sketch.
+func (sj *streamJoin) finalize(t *joinTally, slot int) {
 	if lat, scored := t.finish(&sj.joins[slot]); scored {
-		sj.sketches[part].Add(lat)
+		sj.sketch.Add(lat)
 	}
 	sj.freeJoins = append(sj.freeJoins, slot)
 }

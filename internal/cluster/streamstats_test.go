@@ -99,11 +99,11 @@ func TestStreamStatsFlatMemory(t *testing.T) {
 		if err := cfg.applyDefaults(); err != nil {
 			t.Fatal(err)
 		}
-		r, err := newOpenRun(cfg, 1)
+		r, err := newOpenRun(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.loop()
+		r.loop(1)
 		res := r.summary()
 		arrivals = int(res.OfferedQPS * (durationMs - durationMs/20) / 1e3)
 		return r.sj.maxLiveSubs, r.sj.maxLiveJoins, arrivals

@@ -35,11 +35,11 @@ func renderRegistry(t *testing.T, ids []string, workers int) [][]byte {
 // TestExecBackendsRegistryByteIdentical is the execution-backend
 // differential suite (DESIGN.md §14): the full registry — including the
 // fault-injected cluster sweeps (clu4/clu5) and the open-loop tiers
-// (clu6/clu7) — must render byte-identical under the conservative
-// parallel backend at 2 and 8 partitions, at 1 worker and at 8, against
-// the sequential reference. This is the tentpole's non-negotiable
-// pinned end to end: any lost window event, mis-merged router delta, or
-// reordered stream-join fold shows up here with the experiment named.
+// (clu6/clu7) — must render byte-identical under the parallel backend
+// at 2 and 8 pre-draw goroutines, at 1 worker and at 8, against the
+// sequential reference. Any pre-drawn arrival that differs from its
+// inline draw, or a ring refill that skips or repeats an arrival, shows
+// up here with the experiment named.
 func TestExecBackendsRegistryByteIdentical(t *testing.T) {
 	ids := IDs()
 	want := renderRegistry(t, ids, 1) // sequential reference
