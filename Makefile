@@ -19,7 +19,7 @@ BENCH_N     ?= 0
 # fastest run, rejecting episodic noisy-neighbor slowdowns.
 BENCH_COUNT ?= 3
 
-.PHONY: build vet test race bench-test bench bench-json bench-compare bench-gate golden golden-update fuzz verify
+.PHONY: build vet test race bench-test bench bench-json bench-compare bench-gate golden golden-update fuzz loc verify
 
 # Per-target budget for `make fuzz` (matches CI's fuzz-smoke job).
 FUZZTIME ?= 20s
@@ -107,8 +107,9 @@ golden: golden-update
 # row ownership, seed-splitting collision freedom, the shared Zipf
 # sampler's head table agreeing with rejection-inversion, arrival-stream
 # monotonicity/determinism, phase-graph validation-vs-scheduling
-# agreement, cluster-config validation-vs-simulation agreement, and the
-# copy heap's pop order against a sort. Each target gets FUZZTIME; the checked-in corpora under
+# agreement, cluster-config validation-vs-simulation agreement, the
+# copy heap's pop order against a sort, and the trace-file reader's
+# checks and round trip. Each target gets FUZZTIME; the checked-in corpora under
 # testdata/fuzz run on every plain `make test` as ordinary seed cases.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCacheAccess -fuzztime $(FUZZTIME) ./internal/memsim
@@ -120,5 +121,14 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzArrivalStream -fuzztime $(FUZZTIME) ./internal/traffic
 	$(GO) test -run '^$$' -fuzz FuzzPhaseGraph -fuzztime $(FUZZTIME) ./internal/hetsched
 	$(GO) test -run '^$$' -fuzz FuzzCopyOrder -fuzztime $(FUZZTIME) ./internal/cluster
+	$(GO) test -run '^$$' -fuzz FuzzTraceRead -fuzztime $(FUZZTIME) ./internal/trace
+
+# Non-test Go lines per package under internal/ and cmd/, then their
+# total: the size score a simplicity change reports.
+loc:
+	@for d in $$(find internal cmd -name '*.go' ! -name '*_test.go' -exec dirname {} \; | sort -u); do \
+		printf '%6d %s\n' $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $$d; \
+	done
+	@printf '%6d total\n' $$(find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 
 verify: build vet test race bench-test

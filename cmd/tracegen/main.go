@@ -5,10 +5,11 @@
 //
 //	tracegen -hotness low -rows 1000000 -tables 4 -o trace.bin   # write
 //	tracegen -hotness high -stats                                # inspect
-//	tracegen -in trace.bin -stats                                # re-read
+//	tracegen -in trace.bin                                       # re-read
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -16,24 +17,61 @@ import (
 	"dlrmsim/internal/trace"
 )
 
-func main() {
-	var (
-		hotness = flag.String("hotness", "medium", "one-item | high | medium | low | random")
-		rows    = flag.Int("rows", 1_000_000, "rows per embedding table")
-		tables  = flag.Int("tables", 4, "number of tables")
-		batch   = flag.Int("batch", 64, "batch size")
-		lookups = flag.Int("lookups", 120, "lookups per sample")
-		batches = flag.Int("batches", 8, "number of batches")
-		seed    = flag.Uint64("seed", 1, "random seed")
-		out     = flag.String("o", "", "write the trace to this file")
-		in      = flag.String("in", "", "read and inspect an existing trace file")
-		stats   = flag.Bool("stats", false, "print hotness statistics (Fig. 5 data)")
-		topN    = flag.Int("top", 10, "how many top access counts to print with -stats")
-	)
-	flag.Parse()
+// options holds the parsed command line.
+type options struct {
+	hotness                               string
+	rows, tables, batch, lookups, batches int
+	seed                                  uint64
+	out, in                               string
+	stats                                 bool
+	top                                   int
+}
 
-	if *in != "" {
-		f, err := os.Open(*in)
+// validate reports every bad flag at once. isSet reports whether a flag
+// was given explicitly: -in reads the trace's shape from the file, so
+// the flags that shape or inspect a generated trace are rejected with it
+// instead of silently ignored.
+func (o options) validate(isSet func(string) bool) error {
+	var errs []error
+	if o.top < 0 {
+		errs = append(errs, fmt.Errorf("-top %d (want >= 0)", o.top))
+	}
+	if o.in == "" {
+		if _, err := trace.ParseHotness(o.hotness); err != nil {
+			errs = append(errs, err)
+		}
+		return errors.Join(errs...)
+	}
+	for _, name := range []string{"hotness", "rows", "tables", "batch", "lookups", "batches", "seed", "o", "stats"} {
+		if isSet(name) {
+			errs = append(errs, fmt.Errorf("-%s applies to a generated trace, not to -in", name))
+		}
+	}
+	return errors.Join(errs...)
+}
+
+func main() {
+	var o options
+	flag.StringVar(&o.hotness, "hotness", "medium", "one-item | high | medium | low | random")
+	flag.IntVar(&o.rows, "rows", 1_000_000, "rows per embedding table")
+	flag.IntVar(&o.tables, "tables", 4, "number of tables")
+	flag.IntVar(&o.batch, "batch", 64, "batch size")
+	flag.IntVar(&o.lookups, "lookups", 120, "lookups per sample")
+	flag.IntVar(&o.batches, "batches", 8, "number of batches")
+	flag.Uint64Var(&o.seed, "seed", 1, "random seed")
+	flag.StringVar(&o.out, "o", "", "write the trace to this file")
+	flag.StringVar(&o.in, "in", "", "read an existing trace file and print its header")
+	flag.BoolVar(&o.stats, "stats", false, "print hotness statistics (Fig. 5 data)")
+	flag.IntVar(&o.top, "top", 10, "how many top access counts to print with -stats")
+	flag.Parse()
+	setFlags := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
+	if err := o.validate(func(name string) bool { return setFlags[name] }); err != nil {
+		fatal(err)
+	}
+
+	if o.in != "" {
+		f, err := os.Open(o.in)
 		if err != nil {
 			fatal(err)
 		}
@@ -48,22 +86,22 @@ func main() {
 		return
 	}
 
-	h, err := trace.ParseHotness(*hotness)
+	h, err := trace.ParseHotness(o.hotness)
 	if err != nil {
 		fatal(err)
 	}
 	ds, err := trace.NewDataset(trace.Config{
-		Hotness: h, Rows: *rows, Tables: *tables,
-		BatchSize: *batch, LookupsPerSample: *lookups, Batches: *batches, Seed: *seed,
+		Hotness: h, Rows: o.rows, Tables: o.tables,
+		BatchSize: o.batch, LookupsPerSample: o.lookups, Batches: o.batches, Seed: o.seed,
 	})
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("dataset: %v, %d tables x %d rows, %d batches x %d samples x %d lookups (zipf s=%.3f)\n",
-		h, *tables, *rows, *batches, *batch, *lookups, ds.Exponent())
+		h, o.tables, o.rows, o.batches, o.batch, o.lookups, ds.Exponent())
 
-	if *stats {
-		for t := 0; t < min(*tables, 3); t++ {
+	if o.stats {
+		for t := 0; t < min(o.tables, 3); t++ {
 			counts := ds.AccessCounts(t)
 			total := 0
 			for _, c := range counts {
@@ -71,7 +109,7 @@ func main() {
 			}
 			fmt.Printf("table %d: unique=%.3f distinct=%d accesses=%d\n",
 				t, ds.UniqueFraction(t), len(counts), total)
-			n := min(*topN, len(counts))
+			n := min(o.top, len(counts))
 			fmt.Printf("  top-%d counts:", n)
 			for i := 0; i < n; i++ {
 				fmt.Printf(" %d", counts[i])
@@ -80,28 +118,26 @@ func main() {
 		}
 	}
 
-	if *out != "" {
-		f, err := os.Create(*out)
+	if o.out != "" {
+		f, err := os.Create(o.out)
 		if err != nil {
 			fatal(err)
 		}
-		defer f.Close()
 		if err := trace.Write(f, ds); err != nil {
 			fatal(err)
 		}
-		info, _ := f.Stat()
-		fmt.Printf("wrote %s (%d bytes)\n", *out, info.Size())
+		info, err := f.Stat()
+		if err != nil {
+			fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("wrote %s (%d bytes)\n", o.out, info.Size())
 	}
 }
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "tracegen:", err)
 	os.Exit(1)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -14,9 +14,9 @@ package cluster
 // either fully overwritten before it is read (the pre-draw ring —
 // drawArrival zeroes its own cold slice), explicitly re-zeroed or
 // rewound here and in the init methods (the active set, fault
-// timelines, adaptive state), or re-sliced to length zero and only
-// appended to (subs, firstSub, latencies, queries, copy chains and
-// their free list).
+// timelines, adaptive state, the latency sketch), or re-sliced to length
+// zero and only appended to (subs, join records, samples, copy chains
+// and their free lists).
 // Queue objects reset through serve.Queue.Reset and the copy heap
 // through copyHeap.reset. Nothing observable escapes:
 // the free list is guarded by a mutex, each concurrent run owns its
@@ -29,6 +29,7 @@ import (
 	"sync"
 
 	"dlrmsim/internal/serve"
+	"dlrmsim/internal/stats"
 )
 
 // runArena is one simulation run's recyclable working set. Fields are
@@ -37,9 +38,12 @@ import (
 type runArena struct {
 	queues    []*serve.Queue
 	subs      []subState
-	firstSub  []int
+	freeSubs  []int
+	joins     []openJoinRec
+	freeJoins []int
 	latencies []float64
-	queries   []openQuery
+	shares    []float64
+	sketch    stats.QuantileSketch
 	eff       []int
 	active    []bool
 	violated  map[int]bool

@@ -76,10 +76,10 @@ func TestFaultedClosedLoopAllocsSteadyState(t *testing.T) {
 // a run makes at P = 1, nearly all of them are the pre-draw goroutines
 // (exec.go's ringFill), P−1 per 256-arrival block, so a new allocation
 // per block — there are hundreds per day — trips the bound. Each bound
-// is the count measured with one event loop (835 and 1,918 allocations
-// per run, at any GOMAXPROCS; 2,646 and 5,071 under the windowed
-// parallel driver it replaced) plus a little slack for the runtime's
-// goroutine bookkeeping.
+// is the count measured with one query join (820 and 1,888 allocations
+// per run, at any GOMAXPROCS; 835 and 1,918 with a per-run stream join,
+// 2,646 and 5,071 under the windowed parallel driver) plus a little
+// slack for the runtime's goroutine bookkeeping.
 func TestParallelAllocsSteadyState(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -87,8 +87,8 @@ func TestParallelAllocsSteadyState(t *testing.T) {
 		parts int
 		bound float64
 	}{
-		{"open day", openBenchConfig(t), 2, 860},
-		{"chaos day", chaosBenchConfig(t), 4, 1970},
+		{"open day", openBenchConfig(t), 2, 845},
+		{"chaos day", chaosBenchConfig(t), 4, 1940},
 	} {
 		restore := SetExecBackend(Parallel(tc.parts))
 		// AllocsPerRun's warmup run seeds the arena free list.

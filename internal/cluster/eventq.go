@@ -11,10 +11,10 @@ package cluster
 import "math"
 
 // copyCmp is the (arrive, seq, attempt) total order. The tie key is the
-// sub's monotone creation seq, which equals the slot index except under
-// stream-stats slot recycling (sim.go); no two copies share (seq,
-// attempt), so the order is strict and any correct priority queue or
-// unstable sort over it is deterministic.
+// sub's monotone creation seq, which sub slot recycling never reuses
+// (openRun.subs); no two copies share (seq, attempt), so the order is
+// strict and any correct priority queue or unstable sort over it is
+// deterministic.
 func copyCmp(a, b subCopy) int {
 	switch {
 	case a.arrive < b.arrive:

@@ -194,7 +194,7 @@ func TestCopyHeapPopsPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.loop(tc.parts)
-		if got := r.st.copies.pops; got != tc.want {
+		if got := r.copies.pops; got != tc.want {
 			t.Errorf("%s with %d pre-draw goroutines popped %d copies, want %d", tc.name, tc.parts, got, tc.want)
 		}
 	}

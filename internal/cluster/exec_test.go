@@ -158,7 +158,7 @@ func openExecConfigs(t *testing.T) map[string]Config {
 
 // TestParallelBackendByteIdenticalOpenLoop: the event loop with its
 // arrivals pre-drawn on several goroutines is bit-for-bit the
-// sequential run at every shard count, in both the batch-join and
+// sequential run at every shard count, in both the exact and
 // stream-stats summaries. The tiny pre-draw block forces frequent ring
 // refills, exercising the refill path's sequential/concurrent split.
 func TestParallelBackendByteIdenticalOpenLoop(t *testing.T) {

@@ -40,6 +40,7 @@ import (
 	"sync"
 
 	"dlrmsim/internal/check"
+	"dlrmsim/internal/serve"
 	"dlrmsim/internal/stats"
 	"dlrmsim/internal/trace"
 	"dlrmsim/internal/traffic"
@@ -212,12 +213,14 @@ type OpenLoop struct {
 	// the autoscaler brings them in; their work routes down the standby
 	// chain, so a deliberately zero-capacity owner is expressible.
 	StartNodes int
-	// StreamStats switches the summary to the incremental flat-memory
-	// join (streamstats.go): live state bounded by the in-flight
-	// high-water mark instead of O(queries), counters exact,
-	// percentiles within the stats.QuantileSketch error bound (~0.8%).
-	// Off by default — the batch join's exact nearest-rank percentiles
-	// are the golden baseline.
+	// StreamStats sends each scored query's latency to a fixed-memory
+	// stats.QuantileSketch instead of keeping it (streamstats.go): no
+	// per-query state at all, counters exact, percentiles within the
+	// sketch's error bound (~0.8%). Off by default — the default mode
+	// keeps 16 bytes per scored query for exact nearest-rank
+	// percentiles, the golden baseline. Both modes join each query at
+	// its last copy, so live join state is bounded by the in-flight
+	// high-water mark either way.
 	StreamStats bool
 }
 
@@ -307,20 +310,13 @@ func (o *OpenLoop) applyDefaults(nodes int) {
 	}
 }
 
-// openQuery is one admitted query, retained for the batch join; its
-// subs are st.subs[firstSub[i]:firstSub[i+1]].
-type openQuery struct {
-	arrive float64
-	post   bool // scored: past the warmup
-}
-
-// openJoinRec is one admitted query's join state: the batch join builds
-// it in the summary, the stream join (streamstats.go) while the query's
-// copies are in flight.
+// openJoinRec is one admitted query's join state (streamstats.go), open
+// from its admission to its last copy.
 type openJoinRec struct {
 	arrive        float64
 	joined        float64 // max sub resolution time so far
-	subsLeft      int     // stream join only: subs still in flight
+	subsLeft      int     // subs still in flight
+	sample        int     // exact mode: the scored query's slot in the join's samples
 	queryLookups  int
 	servedLookups int
 	hedges        int
@@ -333,8 +329,8 @@ type openJoinRec struct {
 // addSub folds one resolved sub-request into the query's join: the
 // query joins on its slowest surviving sub (or, degraded, on the
 // deadline the router abandons the slowest shard at).
-func (rec *openJoinRec) addSub(st *simState, sub *subState) {
-	doneAt, ok := st.resolve(sub)
+func (rec *openJoinRec) addSub(r *openRun, sub *subState) {
+	doneAt, ok := r.resolve(sub)
 	if doneAt > rec.joined {
 		rec.joined = doneAt
 	}
@@ -351,13 +347,12 @@ func (rec *openJoinRec) addSub(st *simState, sub *subState) {
 	rec.fanout++
 }
 
-// joinTally is the one per-query fold behind both summary modes: the
-// router-side counters at each arrival, and each joined query's latency,
-// SLA, fanout, retry and completeness accounting at finish. Both modes
-// call it in their own canonical order (arrival order for the batch
-// join, completion order for the stream join); every field but the two
-// float sums is an integer count or a max, so only Mean and
-// Completeness can see the order.
+// joinTally is the per-query fold behind both summary modes: the
+// router-side counters at each arrival, and each joined query's SLA,
+// fanout and retry accounting at finish, in completion order. Every
+// field but the two float sums is an integer count or a max, which no
+// order can change; the sums are added where the mode sends a scored
+// query (streamJoin.finalize, or the exact mode's summary).
 type joinTally struct {
 	slaMs, denseMs, minuteMs float64
 	violated                 map[int]bool // minute buckets with an out-of-SLA query
@@ -399,17 +394,17 @@ func (t *joinTally) arrival(now float64, post, admitted, revisit bool) {
 }
 
 // finish folds one fully joined query — it pays the dense stages after
-// its join — and returns its latency and whether it is scored.
-func (t *joinTally) finish(rec *openJoinRec) (lat float64, scored bool) {
+// its join — and returns its latency, the share of its lookups the join
+// included, and whether it is scored.
+func (t *joinTally) finish(rec *openJoinRec) (lat, share float64, scored bool) {
 	finish := rec.joined + t.denseMs
 	if finish > t.simEnd {
 		t.simEnd = finish
 	}
 	if !rec.post {
-		return 0, false
+		return 0, 0, false
 	}
 	lat = finish - rec.arrive
-	t.latSum += lat
 	t.nLat++
 	if lat <= t.slaMs {
 		t.good++
@@ -428,19 +423,43 @@ func (t *joinTally) finish(rec *openJoinRec) (lat float64, scored bool) {
 	if rec.complete {
 		t.fullJoins++
 	}
+	share = 1
 	if rec.queryLookups > 0 {
-		t.completenessSum += float64(rec.servedLookups) / float64(rec.queryLookups)
-	} else {
-		t.completenessSum++
+		share = float64(rec.servedLookups) / float64(rec.queryLookups)
 	}
-	return lat, true
+	return lat, share, true
 }
 
 // openRun is one simulation's mutable state, open or closed loop.
 type openRun struct {
-	o    *OpenLoop // a closed run gets a stand-in with no horizon and no SLA
-	plan *Plan
-	st   *simState
+	cfg    Config
+	o      *OpenLoop // a closed run gets a stand-in with no horizon and no SLA
+	plan   *Plan
+	queues []*serve.Queue
+	faults *faultState // stochastic and chaos faults (nil = none)
+	adapt  *adaptState // epoch-grid adaptive mitigation (nil = static)
+	copies *copyHeap   // queued copies, drained in copyCmp order
+	// maxWait is the worst scored queueing delay; warmup queries' waits
+	// are excluded, matching serve.Simulate.
+	maxWait float64
+
+	// Sub-request slots (sim.go's schedule): a sub's slot returns to
+	// freeSubs once its last copy is processed, so the live set stays at
+	// the in-flight high-water mark. subSeq is the monotone creation
+	// counter copies carry as their tie key; the freelist never reuses
+	// it, so the copy order does not depend on slot reuse.
+	subs     []subState
+	freeSubs []int
+	subSeq   int
+
+	// Copy chains (schedule): each sub's planned copies wait in one
+	// chainStride-long block of chain until queueNext moves them onto
+	// the heap; freeChains recycles exhausted blocks. queryLast is the
+	// chain offset of the current arrival's last copy so far (-1 none).
+	chain       []subCopy
+	freeChains  []int32
+	chainStride int
+	queryLast   int32
 
 	arrivals interface{ Next() float64 } // traffic stream, or the closed loop's poissonCount
 	visitors *traffic.Visitors
@@ -465,12 +484,10 @@ type openRun struct {
 	scaleDowns   int
 
 	tally joinTally
-	sj    *streamJoin
+	sj    streamJoin
 
-	queries  []openQuery
-	firstSub []int
-	eff      []int // arrival-scratch: cold work per effective node
-	draws    int
+	eff   []int // arrival-scratch: cold work per effective node
+	draws int
 
 	hotLookups, totalLookups int
 
@@ -488,10 +505,8 @@ type openRun struct {
 	// after the summary.
 	arena *runArena
 
-	// Storage st, o and arrivals point into, so a run allocates one
-	// object for all of them; closedLoop and closedArrivals are a closed
-	// run's stand-ins.
-	sim            simState
+	// Storage o and arrivals point into, so a run allocates one object
+	// for all of them: a closed run's stand-ins.
 	closedLoop     OpenLoop
 	closedArrivals poissonCount
 }
@@ -501,11 +516,14 @@ func newOpenRun(cfg Config) (*openRun, error) {
 	plan := cfg.Plan
 	model := plan.Model
 	r := &openRun{
+		cfg:         cfg,
 		o:           cfg.Open,
 		plan:        plan,
 		nextTick:    math.Inf(1),
 		pendingNode: -1,
 		draws:       cfg.SamplesPerQuery * model.LookupsPerSample,
+		chainStride: copiesPerSub(&cfg.Mitigation),
+		queryLast:   -1,
 	}
 	if r.o == nil {
 		// Closed loop: a finite horizon past every arrival (so the +Inf
@@ -538,24 +556,14 @@ func newOpenRun(cfg Config) (*openRun, error) {
 
 	a := acquireArena()
 	r.arena = a
-	r.sim = simState{
-		cfg:         cfg,
-		plan:        plan,
-		queues:      a.queueSet(plan.Nodes, cfg.ServersPerNode),
-		subs:        a.subs[:0],
-		warmupMs:    o.WarmupMs,
-		chain:       a.chain[:0],
-		freeChains:  a.freeChain[:0],
-		chainStride: copiesPerSub(&cfg.Mitigation),
-		queryLast:   -1,
-	}
-	st := &r.sim
-	r.st = st
+	r.queues = a.queueSet(plan.Nodes, cfg.ServersPerNode)
+	r.subs, r.freeSubs = a.subs[:0], a.freeSubs[:0]
+	r.chain, r.freeChains = a.chain[:0], a.freeChain[:0]
 	if cfg.Faults.Active() || cfg.Chaos.Active() {
-		st.faults = a.faultFor(&cfg, plan.Nodes)
+		r.faults = a.faultFor(&cfg, plan.Nodes)
 	}
 	if cfg.Mitigation.adaptive() {
-		st.adapt = a.adaptFor(&cfg.Mitigation, plan.Nodes)
+		r.adapt = a.adaptFor(&cfg.Mitigation, plan.Nodes)
 	}
 
 	r.active = a.boolSet(plan.Nodes)
@@ -577,8 +585,11 @@ func newOpenRun(cfg Config) (*openRun, error) {
 	if o.Arrivals.DayMs > 0 {
 		t.minuteMs = o.Arrivals.DayMs / 1440
 	}
-	r.queries = a.queries[:0]
-	r.firstSub = append(a.firstSub[:0], 0)
+	r.sj = streamJoin{joins: a.joins[:0], freeJoins: a.freeJoins[:0], lats: a.latencies[:0], shares: a.shares[:0]}
+	if o.StreamStats {
+		a.sketch.Reset()
+		r.sj.sketch = &a.sketch
+	}
 	r.eff = arenaSlice(&a.eff, plan.Nodes)
 	r.ring, r.ringCold = a.ring, a.ringCold
 	if r.as = o.Autoscale; r.as != nil {
@@ -586,12 +597,8 @@ func newOpenRun(cfg Config) (*openRun, error) {
 	}
 	if cfg.Chaos.Active() && cfg.Open != nil {
 		t.ttrArr, t.ttrGood = a.ttrBuckets(int(o.DurationMs/t.minuteMs) + 1)
-		clearT := math.Min(st.faults.clearMs, o.DurationMs)
+		clearT := math.Min(r.faults.clearMs, o.DurationMs)
 		t.pfThreshMs = math.Max(clearT, o.WarmupMs)
-	}
-	if o.StreamStats {
-		r.sj = &streamJoin{}
-		st.recycle = true
 	}
 	return r, nil
 }
@@ -606,7 +613,7 @@ func (r *openRun) route(n int) int {
 }
 
 func (r *openRun) backlog(n int, now float64) float64 {
-	if b := r.st.queues[n].EarliestFree() - now; b > 0 {
+	if b := r.queues[n].EarliestFree() - now; b > 0 {
 		return b
 	}
 	return 0
@@ -622,7 +629,7 @@ func (r *openRun) noteActive(now float64) {
 // stream for profile lookups, so profile slots keep the marginal
 // hotness distribution while pinning each slot to one row.
 func (r *openRun) sampleRank(rng *stats.RNG) int {
-	switch r.st.cfg.Hotness {
+	switch r.cfg.Hotness {
 	case trace.OneItem:
 		return 0
 	case trace.RandomAccess:
@@ -659,7 +666,7 @@ func (r *openRun) tick(now float64) {
 			}
 		}
 		r.pendingReady = now + as.ProvisionMs
-		r.st.queues[r.pendingNode].Unavailable(r.pendingReady)
+		r.queues[r.pendingNode].Unavailable(r.pendingReady)
 		r.scaleUps++
 	} else if mean < as.DownBacklogMs && r.activeCount > as.MinNodes {
 		// Drain the highest-index active node: pure route-away —
@@ -684,7 +691,7 @@ func (r *openRun) tick(now float64) {
 // the pre-draw ring computes it ahead, concurrently under Parallel
 // (exec.go).
 func (r *openRun) drawArrival(q int, user uint64, visit int, cold []int) (hot, warm int) {
-	cfg := &r.st.cfg
+	cfg := &r.cfg
 	plan := r.plan
 	model := plan.Model
 	for n := range cold {
@@ -734,8 +741,7 @@ func (r *openRun) processArrival(now float64, a *openArrival, cold []int) {
 	o := r.o
 	plan := r.plan
 	model := plan.Model
-	cfg := &r.st.cfg
-	st := r.st
+	cfg := &r.cfg
 	local := a.hot + a.warm // lookups served at home: replicated or profile-warm
 	home := r.route(int(a.user % uint64(plan.Nodes)))
 	// Route each owner through the active set and merge the cold
@@ -761,13 +767,10 @@ func (r *openRun) processArrival(now float64, a *openArrival, cold []int) {
 		}
 		admitted = !o.Admission.shed(worst)
 	}
-	post := st.scored(r.q, now)
+	post := r.scored(r.q, now)
 	r.tally.arrival(now, post, admitted, a.visit > 1)
 	if admitted {
-		joinSlot := -1
-		if r.sj != nil {
-			joinSlot = r.sj.open(openJoinRec{arrive: now, joined: now, complete: true, post: post})
-		}
+		join := r.sj.open(openJoinRec{arrive: now, joined: now, complete: true, post: post})
 		for n, c := range r.eff {
 			served := c
 			svcUs := cfg.Timing.SubRequestUs + cfg.Timing.ColdLookupUs*float64(c)
@@ -781,13 +784,9 @@ func (r *openRun) processArrival(now float64, a *openArrival, cold []int) {
 			reqBytes := int64(4*served) + wireHeaderBytes
 			pooled := (served + model.LookupsPerSample - 1) / model.LookupsPerSample
 			respBytes := int64(pooled)*int64(model.EmbDim)*4 + wireHeaderBytes
-			idx := st.schedule(r.q, home, n, served, svcUs/1e3, reqBytes, respBytes, now)
-			if r.sj != nil {
-				st.subs[idx].join = joinSlot
-				r.sj.joins[joinSlot].subsLeft++
-			}
+			r.schedule(r.q, join, home, n, served, svcUs/1e3, reqBytes, respBytes, now)
 		}
-		st.markQueryLast()
+		r.markQueryLast()
 		if post {
 			r.hotLookups += local
 			r.totalLookups += local
@@ -795,11 +794,10 @@ func (r *openRun) processArrival(now float64, a *openArrival, cold []int) {
 				r.totalLookups += c
 			}
 		}
-		if r.sj != nil {
-			r.sj.finalizeIfEmpty(&r.tally, joinSlot)
-		} else {
-			r.queries = append(r.queries, openQuery{arrive: now, post: post})
-			r.firstSub = append(r.firstSub, len(st.subs))
+		if r.sj.joins[join].subsLeft == 0 {
+			// Every lookup short-circuited: the query joins at its own
+			// arrival.
+			r.sj.finalize(&r.tally, join)
 		}
 	}
 	r.q++
@@ -812,10 +810,9 @@ func (r *openRun) processArrival(now float64, a *openArrival, cold []int) {
 // served one by one in copyCmp order.
 func (r *openRun) loop(parts int) {
 	o := r.o
-	st := r.st
 	nodes := r.plan.Nodes
 	h := r.arena.copyQueue()
-	st.copies = h
+	r.copies = h
 	r.ringFill(parts)
 	prev := subCopy{arrive: math.Inf(-1)} // last popped copy (check-mode order assertion)
 	for {
@@ -855,60 +852,42 @@ func (r *openRun) loop(parts int) {
 					"cluster: popped copy (arrive %g, seq %d, attempt %d) out of strict copy order", cp.arrive, cp.seq, cp.attempt)
 				prev = cp
 			}
-			st.serveCopy(&cp, r.route(cp.node))
-			st.queueNext(cp.sub)
-			if r.sj != nil {
-				r.sj.copyDone(st, &r.tally, cp.sub)
-			}
+			r.serveCopy(&cp, r.route(cp.node))
+			r.queueNext(cp.sub)
+			r.copyDone(cp.sub)
 		}
 	}
 }
 
-// summary folds the run into a Result — the batch join over retained
-// queries, or the stream join's sketches, both through the one tally —
-// plus the fleet-level accounting shared by both modes. A closed run's
-// horizon is its last finish instant and its capacity every node over
-// that horizon; the open-loop-only fields stay zero.
+// summary folds the run into a Result — the join's samples or its
+// sketch, and the tally — plus the fleet-level accounting shared by both
+// modes. A closed run's horizon is its last finish instant and its
+// capacity every node over that horizon; the open-loop-only fields stay
+// zero.
 func (r *openRun) summary() Result {
 	o := r.o
 	plan := r.plan
-	st := r.st
-	cfg := &st.cfg
-	sj := r.sj
+	cfg := &r.cfg
+	sj := &r.sj
 	t := &r.tally
 	closed := cfg.Open == nil
 
+	if check.Enabled {
+		check.Assert(len(sj.freeJoins) == len(sj.joins),
+			"cluster: %d joins still open after drain", len(sj.joins)-len(sj.freeJoins))
+	}
 	var pct []float64
-	if sj != nil {
-		// Stream-stats: every query already folded at its last copy.
-		if check.Enabled {
-			check.Assert(len(sj.freeJoins) == len(sj.joins),
-				"cluster: %d stream joins still open after drain", len(sj.joins)-len(sj.freeJoins))
-		}
+	if sj.sketch != nil {
 		pct = []float64{sj.sketch.Quantile(0.50), sj.sketch.Quantile(0.95), sj.sketch.Quantile(0.99)}
 	} else {
-		// Batch join: replay the admitted queries through the tally in
-		// arrival order (shed arrivals were counted at arrival and never
-		// retained). The sample slice is sized from the scored admitted
-		// count, so the append loop never reallocates.
-		firstSub := r.firstSub
-		if n := t.postArr - t.postShed; cap(r.arena.latencies) < n {
-			r.arena.latencies = make([]float64, 0, n)
+		// Exact mode: sum the samples in scored-admission order, so Mean
+		// is stats.Mean of them bit for bit.
+		for i, lat := range sj.lats {
+			t.latSum += lat
+			t.completenessSum += sj.shares[i]
 		}
-		latencies := r.arena.latencies[:0]
-		for i, oq := range r.queries {
-			rec := openJoinRec{arrive: oq.arrive, joined: oq.arrive, complete: true, post: oq.post}
-			for s := firstSub[i]; s < firstSub[i+1]; s++ {
-				rec.addSub(st, &st.subs[s])
-			}
-			if lat, scored := t.finish(&rec); scored {
-				latencies = append(latencies, lat)
-			}
-		}
-		pct = stats.Percentiles(latencies, 0.50, 0.95, 0.99)
+		pct = stats.Percentiles(sj.lats, 0.50, 0.95, 0.99)
 	}
-	// latSum sums the scored latencies in the order the join finished
-	// them, so in the batch join this is stats.Mean bit for bit.
 	var mean float64
 	if t.nLat > 0 {
 		mean = t.latSum / float64(t.nLat)
@@ -919,7 +898,7 @@ func (r *openRun) summary() Result {
 		P95:                 pct[1],
 		P99:                 pct[2],
 		Mean:                mean,
-		MaxQueueWaitMs:      st.maxWait,
+		MaxQueueWaitMs:      r.maxWait,
 		ReplicaBytesPerNode: plan.ReplicaBytesPerNode(),
 		MaxShardBytes:       plan.MaxShardBytes(),
 	}
@@ -933,8 +912,8 @@ func (r *openRun) summary() Result {
 		res.RetriesPerQuery = float64(t.retries) / float64(n)
 		res.RetryAmplification = float64(t.subCount+t.hedges+t.retries) / float64(n)
 	}
-	if st.adapt != nil {
-		res.BreakerOpenMinutes = st.adapt.finalize() / 60000
+	if r.adapt != nil {
+		res.BreakerOpenMinutes = r.adapt.finalize() / 60000
 	}
 	if t.subCount > 0 {
 		res.HedgeRate = float64(t.hedges) / float64(t.subCount)
@@ -943,7 +922,7 @@ func (r *openRun) summary() Result {
 		res.LocalFraction = float64(r.hotLookups) / float64(r.totalLookups)
 	}
 	var busySum, busyMax float64
-	for _, qu := range st.queues {
+	for _, qu := range r.queues {
 		b := qu.BusyMs()
 		busySum += b
 		if b > busyMax {
@@ -968,7 +947,7 @@ func (r *openRun) summary() Result {
 	}
 	res.DomainAvailability = 1
 	if cfg.Chaos.Active() && horizon > 0 {
-		res.DomainAvailability = 1 - st.faults.outageMs(horizon)/(float64(st.faults.domains)*horizon)
+		res.DomainAvailability = 1 - r.faults.outageMs(horizon)/(float64(r.faults.domains)*horizon)
 	}
 	if check.Enabled {
 		finite := check.Finite
@@ -990,7 +969,6 @@ func (r *openRun) summary() Result {
 // chaos recovery metrics.
 func (r *openRun) openMetrics(res *Result) {
 	o := r.o
-	st := r.st
 	t := &r.tally
 	window := o.DurationMs - o.WarmupMs
 	res.OfferedQPS = float64(t.postArr) / (window / 1e3)
@@ -1002,7 +980,7 @@ func (r *openRun) openMetrics(res *Result) {
 		res.ShedRate = float64(t.postShed) / float64(t.postArr)
 		res.RevisitRate = float64(t.postRevisit) / float64(t.postArr)
 	}
-	if !st.cfg.Chaos.Active() {
+	if !r.cfg.Chaos.Active() {
 		return
 	}
 	// Time to recover: the earliest minute bucket past the schedule's
@@ -1011,7 +989,7 @@ func (r *openRun) openMetrics(res *Result) {
 	// -1 means the fleet never re-entered a sustained good regime before
 	// the horizon (the metastable signature).
 	minuteMs := t.minuteMs
-	clearT := math.Min(st.faults.clearMs, o.DurationMs)
+	clearT := math.Min(r.faults.clearMs, o.DurationMs)
 	recB := -1
 	for b := len(t.ttrArr) - 1; b >= int(clearT/minuteMs)+1; b-- {
 		if t.ttrArr[b] == 0 {

@@ -204,12 +204,11 @@ type subState struct {
 	respBytes int64
 	best      float64 // earliest response at the router so far
 	retries   int     // timeout retries plus transport re-sends
-	// Stream-stats bookkeeping (openloop.go): the owning join record's
-	// slot and the count of planned copies neither processed nor dropped.
-	// Unused in the default batch-join modes.
+	// Join bookkeeping (streamstats.go): the owning join record's slot
+	// and the count of planned copies neither processed nor dropped.
 	join       int
 	copiesLeft int32
-	// The sub's copies not yet queued: simState.chain[chainAt:chainEnd],
+	// The sub's copies not yet queued: openRun.chain[chainAt:chainEnd],
 	// in copyCmp order (both 0 once every copy is queued or dropped and
 	// the block is freed).
 	chainAt, chainEnd int32
@@ -233,7 +232,7 @@ const (
 type subCopy struct {
 	arrive  float64 // at the node: launch + drop re-sends + request hop
 	launch  float64 // router-side launch deadline (condition reference)
-	sub     int     // index into simState.subs
+	sub     int     // index into openRun.subs
 	seq     int     // monotone creation order of the sub — the tie key
 	node    int     // target node (owner, or a standby for hedge/retry)
 	attempt int     // jitter/drop stream id: 0 primary, 1 hedge, ≥2 retries
@@ -242,46 +241,12 @@ type subCopy struct {
 	last    bool // its query's last copy in copyCmp order: always queued
 }
 
-// simState is one Simulate run's mutable state.
-type simState struct {
-	cfg      Config
-	plan     *Plan
-	queues   []*serve.Queue
-	faults   *faultState // stochastic and chaos faults (nil = none)
-	adapt    *adaptState // epoch-grid adaptive mitigation (nil = static)
-	subs     []subState
-	copies   *copyHeap // scheduled copies, drained in copyCmp order
-	warmupMs float64   // open-loop warmup horizon (0 in closed-loop mode)
-	maxWait  float64   // worst post-warmup queueing delay (satellite fix:
-	// warmup queries' waits are excluded, matching serve.Simulate)
-
-	// Stream-stats recycling (openloop.go). subSeq is the monotone
-	// creation counter copies carry as their tie key; with recycle set,
-	// finalized sub slots return to freeSubs and the live set stays at
-	// the in-flight high-water mark instead of growing with the run.
-	// Without recycling seq always equals the slot index, so the
-	// (arrive, seq, attempt) order is bit-for-bit the historical
-	// (arrive, sub, attempt) order.
-	recycle  bool
-	subSeq   int
-	freeSubs []int
-
-	// Copy chains (schedule): each sub's planned copies wait in one
-	// chainStride-long block of chain until queueNext moves them onto
-	// the heap; freeChains recycles exhausted blocks. queryLast is the
-	// chain offset of the current arrival's last copy so far (-1 none).
-	chain       []subCopy
-	freeChains  []int32
-	chainStride int
-	queryLast   int32
-}
-
 // scored reports whether query q, arriving at arrive, counts in the
 // summary: past both warmups — the closed loop's query count and the
 // open loop's horizon, each zero in the other mode. The lookup counters,
-// the batch join, and the queue-wait high-water mark all gate on it.
-func (s *simState) scored(q int, arrive float64) bool {
-	return q >= s.cfg.WarmupQueries && arrive >= s.warmupMs
+// the join's samples, and the queue-wait high-water mark all gate on it.
+func (r *openRun) scored(q int, arrive float64) bool {
+	return q >= r.cfg.WarmupQueries && arrive >= r.o.WarmupMs
 }
 
 // schedule plans every copy one sub-request may launch — the primary at
@@ -292,38 +257,39 @@ func (s *simState) scored(q int, arrive float64) bool {
 // next one only after its predecessor has been processed, and drops a
 // conditional copy instead once a response has beaten its launch
 // deadline, so the heap holds one copy per sub. Every copy's arrival is
-// still computed here, with the same fault draws. schedule returns the
-// sub's slot in s.subs so the stream-stats joiner can attach it to a
-// join record. home is the query's home node — the router's location
-// for chaos partition severance (copies crossing a severed domain pair
-// in transit are lost and re-sent at heal, composed after the
-// transport's drop re-sends).
-func (s *simState) schedule(q, home, owner int, served int, svcMs float64, reqBytes, respBytes int64, dispatch float64) int {
-	n := s.chainStride
-	at := s.chainBlock()
+// still computed here, with the same fault draws. The sub attaches to
+// join record join (streamstats.go). home is the query's home node —
+// the router's location for chaos partition severance (copies crossing
+// a severed domain pair in transit are lost and re-sent at heal,
+// composed after the transport's drop re-sends).
+func (r *openRun) schedule(q, join, home, owner int, served int, svcMs float64, reqBytes, respBytes int64, dispatch float64) {
+	n := r.chainStride
+	at := r.chainBlock()
 	sub := subState{
 		q: q, dispatch: dispatch,
 		served: served, svcMs: svcMs, respBytes: respBytes,
 		best:       math.Inf(1),
+		join:       join,
 		copiesLeft: int32(n),
 		chainAt:    at, chainEnd: at + int32(n),
 	}
-	seq := s.subSeq
-	s.subSeq++
+	r.sj.joins[join].subsLeft++
+	seq := r.subSeq
+	r.subSeq++
 	var idx int
-	if k := len(s.freeSubs); s.recycle && k > 0 {
-		idx = s.freeSubs[k-1]
-		s.freeSubs = s.freeSubs[:k-1]
-		s.subs[idx] = sub
+	if k := len(r.freeSubs); k > 0 {
+		idx = r.freeSubs[k-1]
+		r.freeSubs = r.freeSubs[:k-1]
+		r.subs[idx] = sub
 	} else {
-		idx = len(s.subs)
-		s.subs = append(s.subs, sub)
+		idx = len(r.subs)
+		r.subs = append(r.subs, sub)
 	}
-	chain := s.chain[at : at+int32(n)]
+	chain := r.chain[at : at+int32(n)]
 	planned := 0
-	transit := s.cfg.Net.LatencyMs + s.cfg.Net.TransferMs(reqBytes)
+	transit := r.cfg.Net.LatencyMs + r.cfg.Net.TransferMs(reqBytes)
 	add := func(kind copyKind, node, attempt int, launch float64) {
-		shift, resends := s.faults.transit(q, home, node, attempt, launch, transit)
+		shift, resends := r.faults.transit(q, home, node, attempt, launch, transit)
 		c := subCopy{
 			arrive:  launch + shift + transit,
 			launch:  launch,
@@ -344,22 +310,21 @@ func (s *simState) schedule(q, home, owner int, served int, svcMs float64, reqBy
 		planned++
 	}
 	add(copyPrimary, owner, 0, dispatch)
-	mit := &s.cfg.Mitigation
+	mit := &r.cfg.Mitigation
 	if mit.HedgeDelayMs > 0 {
-		add(copyHedge, (owner+1)%s.plan.Nodes, 1, dispatch+mit.HedgeDelayMs)
+		add(copyHedge, (owner+1)%r.plan.Nodes, 1, dispatch+mit.HedgeDelayMs)
 	}
 	if mit.TimeoutMs > 0 {
 		for k := 1; k <= mit.MaxRetries; k++ {
-			add(copyRetry, (owner+k)%s.plan.Nodes, k+1, dispatch+float64(k)*mit.TimeoutMs)
+			add(copyRetry, (owner+k)%r.plan.Nodes, k+1, dispatch+float64(k)*mit.TimeoutMs)
 		}
 	}
 	if n > 1 {
-		if last := at + int32(n) - 1; s.queryLast < 0 || copyCmp(s.chain[last], s.chain[s.queryLast]) > 0 {
-			s.queryLast = last
+		if last := at + int32(n) - 1; r.queryLast < 0 || copyCmp(r.chain[last], r.chain[r.queryLast]) > 0 {
+			r.queryLast = last
 		}
 	}
-	s.queueNext(idx)
-	return idx
+	r.queueNext(idx)
 }
 
 // copiesPerSub is how many copies schedule plans for every sub-request
@@ -376,29 +341,29 @@ func copiesPerSub(m *Mitigation) int {
 }
 
 // chainBlock returns the offset of a free chainStride-long block of
-// s.chain.
-func (s *simState) chainBlock() int32 {
-	if k := len(s.freeChains); k > 0 {
-		at := s.freeChains[k-1]
-		s.freeChains = s.freeChains[:k-1]
+// r.chain.
+func (r *openRun) chainBlock() int32 {
+	if k := len(r.freeChains); k > 0 {
+		at := r.freeChains[k-1]
+		r.freeChains = r.freeChains[:k-1]
 		return at
 	}
-	at := int32(len(s.chain))
-	s.chain = slices.Grow(s.chain, s.chainStride)[:int(at)+s.chainStride]
+	at := int32(len(r.chain))
+	r.chain = slices.Grow(r.chain, r.chainStride)[:int(at)+r.chainStride]
 	return at
 }
 
 // markQueryLast flags the last copy, in copyCmp order, of the subs
 // scheduled since the previous call — one admitted query's — so
 // queueNext never drops it. Popping that copy is what finalizes the
-// query in the stream join, in the order the full schedule would, and
+// query in the join, in the order the full schedule would, and
 // the run's very last copy is one of these: its pop is the adaptive
 // controller's final settle point (adapt.go). A query whose subs each
 // plan one copy needs no flag: every copy is queued.
-func (s *simState) markQueryLast() {
-	if s.queryLast >= 0 {
-		s.chain[s.queryLast].last = true
-		s.queryLast = -1
+func (r *openRun) markQueryLast() {
+	if r.queryLast >= 0 {
+		r.chain[r.queryLast].last = true
+		r.queryLast = -1
 	}
 }
 
@@ -408,20 +373,20 @@ func (s *simState) markQueryLast() {
 // already met — best only falls, so the copy would be suppressed at pop
 // anyway — counting it off copiesLeft, then pushes the first surviving
 // copy. An exhausted chain returns its block to the free list.
-func (s *simState) queueNext(idx int) {
-	sub := &s.subs[idx]
+func (r *openRun) queueNext(idx int) {
+	sub := &r.subs[idx]
 	for sub.chainAt < sub.chainEnd {
-		c := &s.chain[sub.chainAt]
+		c := &r.chain[sub.chainAt]
 		sub.chainAt++
 		if c.kind != copyPrimary && !c.last && sub.best <= c.launch {
 			sub.copiesLeft--
 			continue
 		}
-		s.copies.Push(*c)
+		r.copies.Push(*c)
 		break
 	}
 	if sub.chainEnd > 0 && sub.chainAt == sub.chainEnd {
-		s.freeChains = append(s.freeChains, sub.chainEnd-int32(s.chainStride))
+		r.freeChains = append(r.freeChains, sub.chainEnd-int32(r.chainStride))
 		sub.chainAt, sub.chainEnd = 0, 0
 	}
 }
@@ -439,15 +404,15 @@ func (s *simState) queueNext(idx int) {
 // deadline; comparing against resolved copies is exact because an
 // unresolved copy's arrival — and hence its response — is no earlier
 // than the arrival being processed.
-func (s *simState) serveCopy(c *subCopy, node int) {
-	ad := s.adapt
+func (r *openRun) serveCopy(c *subCopy, node int) {
+	ad := r.adapt
 	if ad != nil {
 		ad.advanceTo(c.arrive)
 		if c.arrive > ad.lastT {
 			ad.lastT = c.arrive
 		}
 	}
-	sub := &s.subs[c.sub]
+	sub := &r.subs[c.sub]
 	if c.kind != copyPrimary && sub.best <= c.launch {
 		return // a response arrived before this deadline; never sent
 	}
@@ -464,22 +429,22 @@ func (s *simState) serveCopy(c *subCopy, node int) {
 		sub.retries++
 	}
 	sub.retries += c.resends
-	cfg := &s.cfg
-	svc := s.faults.apply(node, c.arrive, s.queues[node], sub.svcMs)
+	cfg := &r.cfg
+	svc := r.faults.apply(node, c.arrive, r.queues[node], sub.svcMs)
 	if cfg.JitterFrac > 0 {
 		var draw float64
 		if c.attempt == 0 {
-			j := stats.SeededRNG(stats.SplitSeed(cfg.Seed^0x717E2, uint64(sub.q*s.plan.Nodes+node)))
+			j := stats.SeededRNG(stats.SplitSeed(cfg.Seed^0x717E2, uint64(sub.q*r.plan.Nodes+node)))
 			draw = j.NormFloat64()
 		} else {
-			draw = retryJitter(cfg.Seed, sub.q, node, c.attempt, s.plan.Nodes)
+			draw = retryJitter(cfg.Seed, sub.q, node, c.attempt, r.plan.Nodes)
 		}
 		svc *= serve.Jitter(cfg.JitterFrac, draw)
 	}
-	start, done := s.queues[node].Submit(c.arrive, svc)
-	if s.scored(sub.q, sub.dispatch) {
-		if w := start - c.arrive; w > s.maxWait {
-			s.maxWait = w
+	start, done := r.queues[node].Submit(c.arrive, svc)
+	if r.scored(sub.q, sub.dispatch) {
+		if w := start - c.arrive; w > r.maxWait {
+			r.maxWait = w
 		}
 	}
 	back := done + cfg.Net.LatencyMs + cfg.Net.TransferMs(sub.respBytes)
@@ -496,8 +461,8 @@ func (s *simState) serveCopy(c *subCopy, node int) {
 // got a response. With degraded joins the router abandons the sub-request
 // at the retry budget's final deadline, dispatch+(MaxRetries+1)·TimeoutMs;
 // otherwise it waits out the slowest copy.
-func (s *simState) resolve(sub *subState) (doneAt float64, ok bool) {
-	mit := &s.cfg.Mitigation
+func (r *openRun) resolve(sub *subState) (doneAt float64, ok bool) {
+	mit := &r.cfg.Mitigation
 	if mit.DegradedJoin {
 		deadline := sub.dispatch + float64(mit.MaxRetries+1)*mit.TimeoutMs
 		if sub.best > deadline {
@@ -563,9 +528,10 @@ func Simulate(cfg Config) (Result, error) {
 	r.loop(execParts(cfg.Plan.Nodes))
 	res := r.summary()
 	a := r.arena
-	a.subs = r.st.subs
-	a.chain, a.freeChain = r.st.chain, r.st.freeChains
-	a.queries, a.firstSub = r.queries, r.firstSub
+	a.subs, a.freeSubs = r.subs, r.freeSubs
+	a.chain, a.freeChain = r.chain, r.freeChains
+	a.joins, a.freeJoins = r.sj.joins, r.sj.freeJoins
+	a.latencies, a.shares = r.sj.lats, r.sj.shares
 	a.ring, a.ringCold = r.ring, r.ringCold
 	a.release()
 	return res, nil

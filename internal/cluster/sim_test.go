@@ -291,8 +291,8 @@ var openLoopPins = map[string]string{
 // exec-suite config plus one that layers the stochastic fault model
 // under a chaos schedule with overlapping windows — the open-loop
 // counterpart of TestClosedLoopResultsPinned. Each config is pinned in
-// both summary modes: the batch join and, as "<name>-stream", the
-// stream-stats join.
+// both summary modes: the exact samples and, as "<name>-stream", the
+// stream-stats sketch.
 func TestOpenLoopResultsPinned(t *testing.T) {
 	cfgs := openExecConfigs(t)
 	mixed := openTestConfig(t, 4, &OpenLoop{

@@ -1,47 +1,57 @@
 package cluster
 
-// Stream-stats mode for the open-loop tier (-stream-stats in
-// cmd/dlrmcluster): instead of retaining one latency sample and one sub
-// record per admitted query — O(queries) memory that makes a
-// day-in-the-life run at production QPS (billions of events)
-// impossible — the join happens INCREMENTALLY. Every sub-request counts
-// its outstanding copies, processed or dropped unqueued once beaten
-// (sim.go's queueNext); when the last copy is processed the sub folds
-// its resolution into its query's join record and returns its slot to a
-// freelist, and when a query's last sub folds, the query finalizes:
-// its latency goes into a fixed-memory stats.QuantileSketch and its
-// record is recycled too. Live state is bounded by the in-flight
-// high-water mark, not the run length.
+// The query join. Every admitted query opens a join record at admission
+// and every sub-request counts its outstanding copies, processed or
+// dropped unqueued once beaten (sim.go's queueNext); when the last copy
+// is processed the sub folds its resolution into its query's record and
+// returns its slot to a freelist, and when a query's last sub folds, the
+// query finalizes through the joinTally (openloop.go) and its record is
+// recycled too. Live join state is bounded by the in-flight high-water
+// mark, not the run length, in both summary modes.
 //
-// Accuracy contract: both summary modes fold every query through the
-// one joinTally (openloop.go) — the same openJoinRec.addSub per sub and
-// joinTally.finish per query — so every counter metric (goodput, shed
-// rate, violation minutes, fanout, retries, availability, completeness,
-// recovery) is EXACT; the stream join merely folds each query at its
-// last copy instead of in the summary. P50/P95/P99 carry the sketch's
-// bounded relative error (~0.8%, stats.QuantileSketch), and Mean can
-// differ only by float summation order. The default mode keeps the
-// exact batch join, so golden files are untouched.
+// The modes differ only in where a scored query's latency and
+// completeness share go. The default (exact) mode keeps the pair in two
+// slices indexed by scored-admission order — 16 bytes per scored query
+// — and the summary sums them in that order and takes exact
+// nearest-rank percentiles, the golden baseline. Stream-stats mode
+// (-stream-stats in cmd/dlrmcluster) adds the latency to a fixed-memory
+// stats.QuantileSketch and the pair to running sums, so a
+// day-in-the-life run at production QPS (billions of events) keeps no
+// per-query state at all.
 //
-// Event order under recycling: the copy comparator keys ties on the
-// sub's monotone creation seq (sim.go), which the freelist does not
-// reuse, so admission, queueing, and service times are bit-for-bit
-// identical to the batch-join run — only the summary differs.
+// Accuracy contract: both modes fold every query through the same
+// openJoinRec.addSub per sub and joinTally.finish per query, so every
+// counter metric (goodput, shed rate, violation minutes, fanout,
+// retries, availability, recovery) is identical. Stream-stats P50/P95/P99
+// carry the sketch's bounded relative error (~0.8%,
+// stats.QuantileSketch), and its Mean and Completeness can differ only
+// by float summation order (completion instead of admission order).
 
 import "dlrmsim/internal/stats"
 
-// streamJoin owns the incremental join's storage: recycled records, the
-// latency sketch, and the live-record high-water marks.
+// streamJoin owns the join's storage: recycled records, where scored
+// queries go, and the live-record high-water marks.
 type streamJoin struct {
-	sketch    stats.QuantileSketch
 	joins     []openJoinRec
 	freeJoins []int
+
+	// sketch receives the scored latencies under StreamStats (nil in
+	// exact mode); lats and shares hold the exact mode's scored
+	// (latency, completeness share) pairs by scored-admission order.
+	sketch       *stats.QuantileSketch
+	lats, shares []float64
 
 	maxLiveJoins, maxLiveSubs int
 }
 
-// open stores an admitted query's join record and returns its slot.
+// open stores an admitted query's join record and returns its slot; in
+// exact mode a scored query also reserves its sample slot.
 func (sj *streamJoin) open(rec openJoinRec) int {
+	if rec.post && sj.sketch == nil {
+		rec.sample = len(sj.lats)
+		sj.lats = append(sj.lats, 0)
+		sj.shares = append(sj.shares, 0)
+	}
 	var slot int
 	if n := len(sj.freeJoins); n > 0 {
 		slot = sj.freeJoins[n-1]
@@ -57,15 +67,6 @@ func (sj *streamJoin) open(rec openJoinRec) int {
 	return slot
 }
 
-// finalizeIfEmpty closes a join record that attached no subs (an
-// admitted query whose every lookup short-circuited): it joins at its
-// own arrival, exactly as the batch loop scores it.
-func (sj *streamJoin) finalizeIfEmpty(t *joinTally, slot int) {
-	if sj.joins[slot].subsLeft == 0 {
-		sj.finalize(t, slot)
-	}
-}
-
 // copyDone is called after every processed copy, in canonical copy
 // order. When it was the sub's last outstanding copy, the sub folds
 // into its join record and its slot is recycled; when that was the
@@ -75,29 +76,38 @@ func (sj *streamJoin) finalizeIfEmpty(t *joinTally, slot int) {
 // copy — for the query's final sub, its flagged last copy, which is
 // never dropped: queries finalize in the order the full schedule would
 // pop them.
-func (sj *streamJoin) copyDone(st *simState, t *joinTally, subIdx int) {
-	sub := &st.subs[subIdx]
+func (r *openRun) copyDone(subIdx int) {
+	sub := &r.subs[subIdx]
 	sub.copiesLeft--
 	if sub.copiesLeft > 0 {
 		return
 	}
-	if live := len(st.subs) - len(st.freeSubs); live > sj.maxLiveSubs {
+	sj := &r.sj
+	if live := len(r.subs) - len(r.freeSubs); live > sj.maxLiveSubs {
 		sj.maxLiveSubs = live
 	}
 	rec := &sj.joins[sub.join]
-	rec.addSub(st, sub)
-	st.freeSubs = append(st.freeSubs, subIdx)
+	rec.addSub(r, sub)
+	r.freeSubs = append(r.freeSubs, subIdx)
 	rec.subsLeft--
 	if rec.subsLeft == 0 {
-		sj.finalize(t, sub.join)
+		sj.finalize(&r.tally, sub.join)
 	}
 }
 
-// finalize folds one joined query into the tally and recycles the
-// record, its scored latency into the sketch.
+// finalize folds one joined query into the tally, sends a scored
+// query's latency and completeness share to the mode's sink, and
+// recycles the record.
 func (sj *streamJoin) finalize(t *joinTally, slot int) {
-	if lat, scored := t.finish(&sj.joins[slot]); scored {
-		sj.sketch.Add(lat)
+	rec := &sj.joins[slot]
+	if lat, share, scored := t.finish(rec); scored {
+		if sj.sketch != nil {
+			sj.sketch.Add(lat)
+			t.latSum += lat
+			t.completenessSum += share
+		} else {
+			sj.lats[rec.sample], sj.shares[rec.sample] = lat, share
+		}
 	}
 	sj.freeJoins = append(sj.freeJoins, slot)
 }

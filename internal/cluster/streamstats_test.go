@@ -85,16 +85,17 @@ func TestStreamStatsMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestStreamStatsFlatMemory pins the O(1)-sample guarantee: quadrupling
-// the run length must not grow the live-record high-water mark, which
-// tracks in-flight work, not run length.
+// TestStreamStatsFlatMemory pins the flat live state in both summary
+// modes: quadrupling the run length must not grow the live-record
+// high-water marks, which track in-flight work, not run length. The
+// exact mode keeps only its two floats per scored query past the join.
 func TestStreamStatsFlatMemory(t *testing.T) {
-	run := func(durationMs float64) (liveSubs, liveJoins, arrivals int) {
+	run := func(stream bool, durationMs float64) (liveSubs, liveJoins, arrivals, samples, scored int) {
 		cfg := openTestConfig(t, 4, &OpenLoop{
 			Arrivals:    traffic.Config{Model: traffic.Poisson, RatePerMs: openRate(t, 4, 0.6)},
 			DurationMs:  durationMs,
 			SLAMs:       5,
-			StreamStats: true,
+			StreamStats: stream,
 		})
 		if err := cfg.applyDefaults(); err != nil {
 			t.Fatal(err)
@@ -106,24 +107,29 @@ func TestStreamStatsFlatMemory(t *testing.T) {
 		r.loop(1)
 		res := r.summary()
 		arrivals = int(res.OfferedQPS * (durationMs - durationMs/20) / 1e3)
-		return r.sj.maxLiveSubs, r.sj.maxLiveJoins, arrivals
+		return r.sj.maxLiveSubs, r.sj.maxLiveJoins, arrivals, len(r.sj.lats), r.tally.nLat
 	}
-	s1, j1, n1 := run(500)
-	s4, j4, n4 := run(2000)
-	if n4 < 3*n1 {
-		t.Fatalf("fixture broken: 4x duration saw %d vs %d arrivals", n4, n1)
-	}
-	if s1 == 0 || j1 == 0 {
-		t.Fatal("high-water marks never rose")
-	}
-	// The in-flight population is set by load, not horizon: allow noise
-	// but reject anything resembling linear growth.
-	if float64(s4) > 2*float64(s1) || float64(j4) > 2*float64(j1) {
-		t.Fatalf("live records grew with run length: subs %d -> %d, joins %d -> %d (arrivals %d -> %d)",
-			s1, s4, j1, j4, n1, n4)
-	}
-	if s4 > n4/4 || j4 > n4/4 {
-		t.Fatalf("high-water %d subs / %d joins not small against %d arrivals", s4, j4, n4)
+	for _, stream := range []bool{true, false} {
+		s1, j1, n1, _, _ := run(stream, 500)
+		s4, j4, n4, samples, scored := run(stream, 2000)
+		if n4 < 3*n1 {
+			t.Fatalf("stream %v: fixture broken: 4x duration saw %d vs %d arrivals", stream, n4, n1)
+		}
+		if s1 == 0 || j1 == 0 {
+			t.Fatalf("stream %v: high-water marks never rose", stream)
+		}
+		// The in-flight population is set by load, not horizon: allow
+		// noise but reject anything resembling linear growth.
+		if float64(s4) > 2*float64(s1) || float64(j4) > 2*float64(j1) {
+			t.Fatalf("stream %v: live records grew with run length: subs %d -> %d, joins %d -> %d (arrivals %d -> %d)",
+				stream, s1, s4, j1, j4, n1, n4)
+		}
+		if s4 > n4/4 || j4 > n4/4 {
+			t.Fatalf("stream %v: high-water %d subs / %d joins not small against %d arrivals", stream, s4, j4, n4)
+		}
+		if stream && samples != 0 || !stream && samples != scored {
+			t.Fatalf("stream %v: %d retained samples for %d scored queries", stream, samples, scored)
+		}
 	}
 }
 

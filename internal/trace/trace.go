@@ -145,6 +145,9 @@ type Config struct {
 
 // Validate reports whether the configuration is generatable.
 func (c Config) Validate() error {
+	if c.Hotness < OneItem || c.Hotness > RandomAccess {
+		return fmt.Errorf("trace: unknown hotness class %d", int(c.Hotness))
+	}
 	if c.Rows < 1 || c.Tables < 1 || c.BatchSize < 1 || c.LookupsPerSample < 1 || c.Batches < 1 {
 		return fmt.Errorf("trace: non-positive dimension in %+v", c)
 	}

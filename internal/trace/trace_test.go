@@ -37,6 +37,15 @@ func TestConfigValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Fatal("accepted zero rows")
 	}
+	// An unknown class would reach stats.NewZipf with s = 0 and panic in
+	// the first Batch.
+	for _, h := range []Hotness{OneItem - 1, RandomAccess + 1} {
+		bad = good
+		bad.Hotness = h
+		if bad.Validate() == nil {
+			t.Errorf("accepted hotness %d", int(h))
+		}
+	}
 }
 
 func TestBatchShape(t *testing.T) {
