@@ -50,8 +50,9 @@ type breakerUnit struct {
 	until float64 // open: first boundary at/past this half-opens
 }
 
-// adaptState is one run's adaptive-mitigation state. It lives in the
-// run arena and recycles its per-node slices.
+// adaptState is one run's adaptive-mitigation state. The run holds it
+// by value (openRun.adaptSt), so its per-node slices recycle with the
+// run.
 type adaptState struct {
 	// Policy (from Mitigation, defaults resolved).
 	epochMs    float64

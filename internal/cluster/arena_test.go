@@ -1,15 +1,16 @@
 package cluster
 
 import (
+	"sync"
 	"testing"
 
 	"dlrmsim/internal/trace"
 	"dlrmsim/internal/traffic"
 )
 
-// TestArenaReuseDeterministic: repeated runs through the recycled arena
-// are byte-identical — a reused buffer that leaked state between runs
-// would perturb the Result bit-for-bit.
+// TestArenaReuseDeterministic: repeated runs through one recycled
+// openRun are byte-identical — a reused buffer that leaked state between
+// runs would perturb the Result bit-for-bit.
 func TestArenaReuseDeterministic(t *testing.T) {
 	for name, cfg := range execConfigs(t) {
 		want, err := Simulate(cfg)
@@ -22,17 +23,77 @@ func TestArenaReuseDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got != want {
-				t.Fatalf("%s: rerun %d through the arena diverged:\n%+v\n%+v", name, i, want, got)
+				t.Fatalf("%s: rerun %d through a recycled run diverged:\n%+v\n%+v", name, i, want, got)
 			}
 		}
 	}
 }
 
-// TestSimulateAllocsSteadyState pins the arena's payoff: after a warmup
+// TestRunReuseAcrossConfigsConcurrent: runs recycled across fleet sizes
+// and modes, from several goroutines at once, equal their sequential
+// references. Each goroutine walks the configs from its own offset, so
+// the openRun it pops was last used by a different fleet size or mode:
+// its buffers shrink and grow, and state a rebuild failed to reset
+// (the violated minutes, the sketch, the recovery buckets, the fault
+// and adaptive state) would leak into the next result.
+func TestRunReuseAcrossConfigsConcurrent(t *testing.T) {
+	var cfgs []Config
+	for _, nodes := range []int{2, 8, 16} {
+		closed := testConfig(t, nodes, RowRange, 0.01, trace.HighHot)
+		closed.Queries = 400
+		open := func() *OpenLoop {
+			return &OpenLoop{
+				Arrivals:   traffic.Config{Model: traffic.Poisson, RatePerMs: openRate(t, nodes, 0.6)},
+				DurationMs: 150,
+				SLAMs:      5,
+			}
+		}
+		stream := openTestConfig(t, nodes, open())
+		stream.Open.StreamStats = true
+		chaos := openTestConfig(t, nodes, open())
+		chaos.Faults = testFaults()
+		chaos.Mitigation = Mitigation{
+			TimeoutMs: 2, MaxRetries: 2, HedgeDelayMs: 1,
+			RetryBudget: 0.1, AdaptEpochMs: 4, BreakerTripRate: 0.5, BreakerMinSamples: 4,
+		}
+		chaos.Chaos = chaosTestSchedule(150)
+		cfgs = append(cfgs, closed, stream, chaos)
+	}
+	want := make([]Result, len(cfgs))
+	for i, cfg := range cfgs {
+		var err error
+		if want[i], err = Simulate(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const workers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < 2*len(cfgs); k++ {
+				i := (w*5 + k) % len(cfgs)
+				got, err := Simulate(cfgs[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got != want[i] {
+					t.Errorf("worker %d, config %d (%d nodes): recycled run diverged from its sequential reference:\n%+v\n%+v",
+						w, i, cfgs[i].Plan.Nodes, want[i], got)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// TestSimulateAllocsSteadyState pins run reuse's payoff: after a warmup
 // run seeds the free list, a closed-loop run performs a handful of
-// allocations (the run state and the percentile summary; the shared
-// Zipf sampler is memoized) instead of the ~40 per-run slices it allocated
-// before arena reuse. The bounds are loose enough to survive incidental
+// allocations (the percentile summary; the run state is recycled and the
+// shared Zipf sampler is memoized) instead of the ~40 per-run slices it
+// allocated before runs were recycled. The bounds are loose enough to survive incidental
 // churn but fail if per-run pooling regresses wholesale.
 func TestSimulateAllocsSteadyState(t *testing.T) {
 	cfg := testConfig(t, 8, RowRange, 0.01, trace.HighHot)
@@ -58,7 +119,7 @@ func TestSimulateAllocsSteadyState(t *testing.T) {
 
 // TestFaultedClosedLoopAllocsSteadyState extends the guard to the fault
 // model: the per-node slowdown and outage timelines (each timeline's RNG and
-// window buffer) recycle through the arena, so a faulted closed-loop run
+// window buffer) recycle with the run, so a faulted closed-loop run
 // with the full mitigation stack allocates no more than a steady one.
 func TestFaultedClosedLoopAllocsSteadyState(t *testing.T) {
 	cfg := benchConfig(t, true)
@@ -91,7 +152,7 @@ func TestParallelAllocsSteadyState(t *testing.T) {
 		{"chaos day", chaosBenchConfig(t), 4, 1940},
 	} {
 		restore := SetExecBackend(Parallel(tc.parts))
-		// AllocsPerRun's warmup run seeds the arena free list.
+		// AllocsPerRun's warmup run seeds the free list.
 		allocs := testing.AllocsPerRun(1, func() {
 			if _, err := Simulate(tc.cfg); err != nil {
 				t.Fatal(err)

@@ -85,7 +85,7 @@ func BenchmarkOpenLoopParallel(b *testing.B) {
 			cfg := openBenchConfig(b)
 			restore := SetExecBackend(Parallel(p))
 			defer restore()
-			// One untimed run seeds the arena free list so allocs/op
+			// One untimed run seeds the recycled-run free list so allocs/op
 			// reports the steady state, not one-time pool growth.
 			if _, err := Simulate(cfg); err != nil {
 				b.Fatal(err)
@@ -147,7 +147,7 @@ func BenchmarkChaosOpenLoop(b *testing.B) {
 	}
 }
 
-// TestChaosOpenLoopAllocsSteadyState extends the arena's steady-state
+// TestChaosOpenLoopAllocsSteadyState extends run reuse's steady-state
 // allocation guard to the robustness tier: once a warmup run has seeded
 // the free list, an open-loop run with an active chaos schedule, retry
 // budget, and breakers must reuse the recycled chaos/adaptive state

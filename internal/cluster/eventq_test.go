@@ -13,13 +13,13 @@ import (
 // earlier than the last pop — and are built to hit every tie: arrivals
 // quantized onto a coarse grid (arrive ties across subs), attempts
 // sharing one instant (seq ties broken by attempt), and pushes at
-// exactly the last popped instant. One arena recycles the heap across
+// exactly the last popped instant. One heap is reset and reused across
 // seeds, so its reset is covered too.
 func TestCopyHeapOrderMatchesSort(t *testing.T) {
-	a := &runArena{}
+	var q copyHeap
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		q := a.copyQueue()
+		q.reset()
 		var pushed, popped []subCopy
 		now, seq := 0.0, 0
 		for step := 0; step < 400; step++ {

@@ -348,7 +348,8 @@ type nodeFaults struct {
 // faultState is one run's fault model: every source's outage and
 // slowdown windows on one per-node timeline set, plus the transport's
 // drop coin and the chaos schedule's partition and recovery data
-// (chaos.go). It lives in the run arena and recycles its buffers.
+// (chaos.go). The run holds it by value (openRun.faultSt), so its
+// buffers recycle with the run.
 type faultState struct {
 	model FaultModel
 	seed  uint64

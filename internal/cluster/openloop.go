@@ -365,7 +365,7 @@ type joinTally struct {
 
 	// Recovery observability (chaos.go): minute buckets of post-warmup
 	// arrivals and in-SLA completions, and the post-fault (arrive >=
-	// pfThreshMs) offered/good counters. Nil/zero without a chaos
+	// pfThreshMs) offered/good counters. Empty/zero without a chaos
 	// schedule or in a closed run.
 	ttrArr, ttrGood []int
 	pfThreshMs      float64
@@ -385,7 +385,7 @@ func (t *joinTally) arrival(now float64, post, admitted, revisit bool) {
 	if !admitted {
 		t.postShed++
 	}
-	if t.ttrArr != nil {
+	if len(t.ttrArr) > 0 {
 		t.ttrArr[int(now/t.minuteMs)]++
 		if now >= t.pfThreshMs {
 			t.pfArr++
@@ -408,7 +408,7 @@ func (t *joinTally) finish(rec *openJoinRec) (lat, share float64, scored bool) {
 	t.nLat++
 	if lat <= t.slaMs {
 		t.good++
-		if t.ttrArr != nil {
+		if len(t.ttrArr) > 0 {
 			t.ttrGood[int(rec.arrive/t.minuteMs)]++
 			if rec.arrive >= t.pfThreshMs {
 				t.pfGood++
@@ -430,15 +430,17 @@ func (t *joinTally) finish(rec *openJoinRec) (lat, share float64, scored bool) {
 	return lat, share, true
 }
 
-// openRun is one simulation's mutable state, open or closed loop.
+// openRun is one simulation's mutable state, open or closed loop. A
+// finished run is recycled whole (arena.go): newOpenRun rebuilds it
+// keeping only its buffers' capacity.
 type openRun struct {
 	cfg    Config
 	o      *OpenLoop // a closed run gets a stand-in with no horizon and no SLA
 	plan   *Plan
 	queues []*serve.Queue
-	faults *faultState // stochastic and chaos faults (nil = none)
-	adapt  *adaptState // epoch-grid adaptive mitigation (nil = static)
-	copies *copyHeap   // queued copies, drained in copyCmp order
+	faults *faultState // &faultSt when the config injects faults (nil = none)
+	adapt  *adaptState // &adaptSt under adaptive mitigation (nil = static)
+	copies copyHeap    // queued copies, drained in copyCmp order
 	// maxWait is the worst scored queueing delay; warmup queries' waits
 	// are excluded, matching serve.Simulate.
 	maxWait float64
@@ -501,21 +503,22 @@ type openRun struct {
 	ringHead int
 	ringWG   sync.WaitGroup // the refill's draw goroutines
 
-	// The run's recycled working set (arena.go); Simulate releases it
-	// after the summary.
-	arena *runArena
-
-	// Storage o and arrivals point into, so a run allocates one object
-	// for all of them: a closed run's stand-ins.
+	// Storage faults, adapt, o and arrivals point into: the fault and
+	// adaptive state, held by value so their per-node slices recycle
+	// with the run, and a closed run's stand-ins.
+	faultSt        faultState
+	adaptSt        adaptState
 	closedLoop     OpenLoop
 	closedArrivals poissonCount
 }
 
-// newOpenRun builds the run state. cfg has been default-applied.
+// newOpenRun builds the run state on a recycled run. cfg has been
+// default-applied.
 func newOpenRun(cfg Config) (*openRun, error) {
 	plan := cfg.Plan
 	model := plan.Model
-	r := &openRun{
+	r := acquireRun()
+	*r = openRun{
 		cfg:         cfg,
 		o:           cfg.Open,
 		plan:        plan,
@@ -524,7 +527,28 @@ func newOpenRun(cfg Config) (*openRun, error) {
 		draws:       cfg.SamplesPerQuery * model.LookupsPerSample,
 		chainStride: copiesPerSub(&cfg.Mitigation),
 		queryLast:   -1,
+
+		// The recycled buffers, kept for their capacity: each is emptied
+		// here or rewound below.
+		queues:     resetQueues(r.queues, plan.Nodes, cfg.ServersPerNode),
+		copies:     r.copies,
+		subs:       r.subs[:0],
+		freeSubs:   r.freeSubs[:0],
+		chain:      r.chain[:0],
+		freeChains: r.freeChains[:0],
+		active:     arenaSlice(&r.active, plan.Nodes),
+		tally:      joinTally{violated: r.tally.violated, ttrArr: r.tally.ttrArr[:0], ttrGood: r.tally.ttrGood[:0]},
+		sj: streamJoin{
+			joins: r.sj.joins[:0], freeJoins: r.sj.freeJoins[:0],
+			sketch: r.sj.sketch, lats: r.sj.lats[:0], shares: r.sj.shares[:0],
+		},
+		eff:      arenaSlice(&r.eff, plan.Nodes),
+		ring:     r.ring,
+		ringCold: r.ringCold,
+		faultSt:  r.faultSt,
+		adaptSt:  r.adaptSt,
 	}
+	r.copies.reset()
 	if r.o == nil {
 		// Closed loop: a finite horizon past every arrival (so the +Inf
 		// no-tick sentinel stays beyond it), and an infinite SLA that
@@ -554,21 +578,16 @@ func newOpenRun(cfg Config) (*openRun, error) {
 	}
 	o := r.o
 
-	a := acquireArena()
-	r.arena = a
-	r.queues = a.queueSet(plan.Nodes, cfg.ServersPerNode)
-	r.subs, r.freeSubs = a.subs[:0], a.freeSubs[:0]
-	r.chain, r.freeChains = a.chain[:0], a.freeChain[:0]
 	if cfg.Faults.Active() || cfg.Chaos.Active() {
-		r.faults = a.faultFor(&cfg, plan.Nodes)
+		r.faultSt.init(&r.cfg, plan.Nodes)
+		r.faults = &r.faultSt
 	}
 	if cfg.Mitigation.adaptive() {
-		r.adapt = a.adaptFor(&cfg.Mitigation, plan.Nodes)
+		r.adaptSt.init(&r.cfg.Mitigation, plan.Nodes)
+		r.adapt = &r.adaptSt
 	}
-
-	r.active = a.boolSet(plan.Nodes)
-	for n := 0; n < o.StartNodes; n++ {
-		r.active[n] = true
+	for n := range r.active {
+		r.active[n] = n < o.StartNodes
 	}
 	r.activeCount = o.StartNodes
 
@@ -581,22 +600,28 @@ func newOpenRun(cfg Config) (*openRun, error) {
 	// SLA-violation minutes bucketize on the configured day when the
 	// stream defines one, else on the run horizon.
 	t := &r.tally
-	*t = joinTally{slaMs: o.SLAMs, denseMs: cfg.Timing.DenseMs, minuteMs: o.DurationMs / 1440, violated: a.violatedMap()}
+	t.slaMs, t.denseMs, t.minuteMs = o.SLAMs, cfg.Timing.DenseMs, o.DurationMs/1440
 	if o.Arrivals.DayMs > 0 {
 		t.minuteMs = o.Arrivals.DayMs / 1440
 	}
-	r.sj = streamJoin{joins: a.joins[:0], freeJoins: a.freeJoins[:0], lats: a.latencies[:0], shares: a.shares[:0]}
-	if o.StreamStats {
-		a.sketch.Reset()
-		r.sj.sketch = &a.sketch
+	if t.violated == nil {
+		t.violated = make(map[int]bool)
 	}
-	r.eff = arenaSlice(&a.eff, plan.Nodes)
-	r.ring, r.ringCold = a.ring, a.ringCold
+	clear(t.violated)
+	if o.StreamStats {
+		if r.sj.sketch == nil {
+			r.sj.sketch = new(stats.QuantileSketch)
+		}
+		r.sj.sketch.Reset()
+		r.sj.stream = true
+	}
 	if r.as = o.Autoscale; r.as != nil {
 		r.nextTick = r.as.IntervalMs
 	}
 	if cfg.Chaos.Active() && cfg.Open != nil {
-		t.ttrArr, t.ttrGood = a.ttrBuckets(int(o.DurationMs/t.minuteMs) + 1)
+		n := int(o.DurationMs/t.minuteMs) + 1
+		clear(arenaSlice(&t.ttrArr, n))
+		clear(arenaSlice(&t.ttrGood, n))
 		clearT := math.Min(r.faults.clearMs, o.DurationMs)
 		t.pfThreshMs = math.Max(clearT, o.WarmupMs)
 	}
@@ -811,8 +836,7 @@ func (r *openRun) processArrival(now float64, a *openArrival, cold []int) {
 func (r *openRun) loop(parts int) {
 	o := r.o
 	nodes := r.plan.Nodes
-	h := r.arena.copyQueue()
-	r.copies = h
+	h := &r.copies
 	r.ringFill(parts)
 	prev := subCopy{arrive: math.Inf(-1)} // last popped copy (check-mode order assertion)
 	for {
@@ -877,7 +901,7 @@ func (r *openRun) summary() Result {
 			"cluster: %d joins still open after drain", len(sj.joins)-len(sj.freeJoins))
 	}
 	var pct []float64
-	if sj.sketch != nil {
+	if sj.stream {
 		pct = []float64{sj.sketch.Quantile(0.50), sj.sketch.Quantile(0.95), sj.sketch.Quantile(0.99)}
 	} else {
 		// Exact mode: sum the samples in scored-admission order, so Mean

@@ -527,13 +527,7 @@ func Simulate(cfg Config) (Result, error) {
 	}
 	r.loop(execParts(cfg.Plan.Nodes))
 	res := r.summary()
-	a := r.arena
-	a.subs, a.freeSubs = r.subs, r.freeSubs
-	a.chain, a.freeChain = r.chain, r.freeChains
-	a.joins, a.freeJoins = r.sj.joins, r.sj.freeJoins
-	a.latencies, a.shares = r.sj.lats, r.sj.shares
-	a.ring, a.ringCold = r.ring, r.ringCold
-	a.release()
+	r.release()
 	return res, nil
 }
 

@@ -35,9 +35,12 @@ type streamJoin struct {
 	joins     []openJoinRec
 	freeJoins []int
 
-	// sketch receives the scored latencies under StreamStats (nil in
-	// exact mode); lats and shares hold the exact mode's scored
-	// (latency, completeness share) pairs by scored-admission order.
+	// stream selects the sink: under StreamStats, sketch receives the
+	// scored latencies (it is allocated at a run's first use and
+	// recycled after); otherwise lats and shares hold the exact mode's
+	// scored (latency, completeness share) pairs by scored-admission
+	// order.
+	stream       bool
 	sketch       *stats.QuantileSketch
 	lats, shares []float64
 
@@ -47,7 +50,7 @@ type streamJoin struct {
 // open stores an admitted query's join record and returns its slot; in
 // exact mode a scored query also reserves its sample slot.
 func (sj *streamJoin) open(rec openJoinRec) int {
-	if rec.post && sj.sketch == nil {
+	if rec.post && !sj.stream {
 		rec.sample = len(sj.lats)
 		sj.lats = append(sj.lats, 0)
 		sj.shares = append(sj.shares, 0)
@@ -101,7 +104,7 @@ func (r *openRun) copyDone(subIdx int) {
 func (sj *streamJoin) finalize(t *joinTally, slot int) {
 	rec := &sj.joins[slot]
 	if lat, share, scored := t.finish(rec); scored {
-		if sj.sketch != nil {
+		if sj.stream {
 			sj.sketch.Add(lat)
 			t.latSum += lat
 			t.completenessSum += share

@@ -55,7 +55,7 @@ func (e *CellError) Error() string {
 		b.WriteString("design point")
 	}
 	if e.Options.Model.Name != "" {
-		fmt.Fprintf(&b, " (%s)", cellKey(e.Options))
+		fmt.Fprintf(&b, " (%s)", cellLabel(e.Options))
 	}
 	fmt.Fprintf(&b, ": %v", e.Panic)
 	return b.String()

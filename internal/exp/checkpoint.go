@@ -262,7 +262,7 @@ func (c *Checkpoint) put(key []byte, opts core.Options, rep core.Report) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.manifest != nil {
-		fmt.Fprintf(c.manifest, "%s %s\n", hash, cellKey(opts))
+		fmt.Fprintf(c.manifest, "%s %s\n", hash, cellLabel(opts))
 		if err := c.manifest.Sync(); err != nil {
 			return err
 		}

@@ -153,25 +153,38 @@ func (x *Context) complete(opts core.Options) core.Options {
 	return opts
 }
 
-func cellKey(opts core.Options) string {
+// cellLabel is a short human-readable name for a cell, for error
+// messages and the checkpoint manifest. It names only the fields people
+// tell cells apart by, so it is not a key: Run memoizes on
+// canonicalOptions.
+func cellLabel(opts core.Options) string {
 	return fmt.Sprintf("%s|%v|%s|%v|%v|%d|%d|%d|%d|%d|%v|%v|%d",
 		opts.Model.Name, opts.Model.EmbDType, opts.CPU.Name, opts.Hotness, opts.Scheme,
 		opts.BatchSize, opts.Batches, opts.Cores, opts.Sockets, opts.ActiveCores,
 		opts.Prefetch, opts.EmbeddingOnly, opts.Seed)
 }
 
-// Run executes (or recalls) one engine design point. With a checkpoint
-// armed, a cell already in the store is returned without simulating, and
-// a freshly simulated cell is committed before Run returns; a panic inside
-// the engine is captured as a *CellError rather than propagated.
+// Run executes (or recalls) one engine design point. The memo is keyed
+// on the cell's canonical encoding (canonicalOptions), the same bytes
+// the checkpoint hashes, so two cells share a report only when every
+// option is equal; a cell driven by an in-memory trace has no such
+// encoding and runs unmemoized. With a checkpoint armed, a cell already
+// in the store is returned without simulating, and a freshly simulated
+// cell is committed before Run returns; a panic inside the engine is
+// captured as a *CellError rather than propagated.
 func (x *Context) Run(opts core.Options) (core.Report, error) {
 	opts = x.complete(opts)
-	key := cellKey(opts)
+	key, ok := canonicalOptions(opts)
+	if !ok {
+		release := x.acquire()
+		defer release()
+		return runCell(x.ctx, opts)
+	}
 	x.mu.Lock()
-	cell, ok := x.memo[key]
+	cell, ok := x.memo[string(key)]
 	if !ok {
 		cell = &memoCell{}
-		x.memo[key] = cell
+		x.memo[string(key)] = cell
 	}
 	x.mu.Unlock()
 	cell.once.Do(func() {

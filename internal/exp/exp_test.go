@@ -3,11 +3,13 @@ package exp
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"dlrmsim/internal/core"
 	"dlrmsim/internal/dlrm"
+	"dlrmsim/internal/platform"
 	"dlrmsim/internal/trace"
 )
 
@@ -120,6 +122,42 @@ func TestContextMemoization(t *testing.T) {
 	}
 	if len(x.memo) != n {
 		t.Fatalf("second run added memo entries: %d → %d", n, len(x.memo))
+	}
+}
+
+// TestContextKeysEveryOption: cells that differ in any option — here
+// the DRAM fixed point's iteration bound, a CPU field other than Name,
+// and a model field other than Name and EmbDType — are distinct design
+// points. Each must read what a fresh context computes for it, not the
+// report of a cell that differs only in a field the memo key left out.
+func TestContextKeysEveryOption(t *testing.T) {
+	x := tinyContext()
+	base := core.Options{
+		Model: x.Cfg.model(dlrm.RM2Small()), CPU: platform.CascadeLake(),
+		Hotness: trace.MediumHot, Cores: 2,
+	}
+	iters := base
+	iters.BandwidthIterations = 6
+	cpu := base
+	cpu.CPU.Mem.DRAM.BaseLatencyCyc *= 2
+	model := base
+	model.Model.LookupsPerSample *= 2
+	for _, tc := range []struct {
+		name string
+		opts core.Options
+	}{{"base", base}, {"bandwidth iterations", iters}, {"cpu", cpu}, {"model", model}} {
+		got, err := x.Run(tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := tinyContext().Run(tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: shared context returned batch latency %.2f cycles, a fresh one %.2f",
+				tc.name, got.BatchLatencyCycles, want.BatchLatencyCycles)
+		}
 	}
 }
 

@@ -107,10 +107,10 @@ type Hierarchy struct {
 	L2     *Cache
 	shared *Shared
 
-	l1pf HWPrefetcher
-	l2pf HWPrefetcher
+	l1pf *NextLinePrefetcher
+	l2pf *StridePrefetcher
 	// pfBuf is the scratch the prefetch engines append candidates into,
-	// reused across accesses (see HWPrefetcher.OnDemandMiss).
+	// reused across accesses (see hwprefetch.go).
 	pfBuf []Addr
 	// HWPrefetchEnabled gates the hardware engines at run time so the
 	// same hierarchy can be reused across design points.

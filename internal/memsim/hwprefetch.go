@@ -7,17 +7,13 @@ package memsim
 // the row-to-row indirection — which is why the paper finds toggling them
 // nearly irrelevant for the embedding stage (Fig. 10a, "w/o HW-PF").
 
-// HWPrefetcher is the interface the hierarchy drives on every demand miss
-// (training) to obtain addresses worth prefetching.
-type HWPrefetcher interface {
-	// OnDemandMiss observes a demand miss to line address a and appends
-	// the line addresses worth prefetching (possibly none) to out,
-	// returning the extended slice. The caller owns out's backing array,
-	// so a steady-state miss stream allocates nothing.
-	OnDemandMiss(a Addr, out []Addr) []Addr
-	// Reset clears training state.
-	Reset()
-}
+// Each engine has one hierarchy slot — NextLinePrefetcher at L1,
+// StridePrefetcher at L2 — and the hierarchy holds the concrete types,
+// so a demand miss trains its engine without dynamic dispatch. An
+// engine's OnDemandMiss observes a demand miss to line address a and
+// appends the line addresses worth prefetching (possibly none) to out,
+// returning the extended slice. The caller owns out's backing array,
+// so a steady-state miss stream allocates nothing.
 
 // NextLinePrefetcher fetches the next sequential line on every demand
 // miss — the classic L1 "adjacent line" prefetcher.

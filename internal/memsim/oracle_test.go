@@ -141,7 +141,8 @@ func (c *refCache) reset() {
 type refHierarchy struct {
 	l1, l2, l3 *refCache
 	mem        *Shared
-	l1pf, l2pf HWPrefetcher
+	l1pf       *NextLinePrefetcher
+	l2pf       *StridePrefetcher
 	pfBuf      []Addr
 	hwPrefetch bool
 	Stats      HierStats
