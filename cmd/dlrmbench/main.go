@@ -42,7 +42,7 @@ func main() {
 	var (
 		expFlag   = flag.String("exp", "all", "comma-separated experiment IDs, or 'all'")
 		scale     = flag.Int("scale", 8, "model scale-down divisor (1 = paper scale)")
-		cores     = flag.Int("cores", 0, "override multi-core core count (0 = all platform cores)")
+		cores     = flag.Int("cores", 0, "override multi-core core count (0 = all platform cores; above a platform's own count, all of that platform's cores)")
 		batch     = flag.Int("batch", 64, "batch size")
 		batches   = flag.Int("batches", 1, "measured batches per core")
 		seed      = flag.Uint64("seed", 1, "random seed")

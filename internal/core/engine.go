@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
+	"slices"
 	"sync"
 
 	"dlrmsim/internal/check"
@@ -145,29 +145,53 @@ type Report struct {
 // stay far below this.
 const batchRegion memsim.Addr = 1 << 28
 
-// systemPools recycles cpusim.System instances between design points with
-// identical parameters. Building a System dominates a cell's allocations —
-// the LLC model alone is tens of megabytes — while System.Run already
-// resets every piece of state it reads: the shared LLC+DRAM at each
-// bandwidth fixed-point iteration, each worked core's hierarchy at
-// runOnce, and the core-local pools/thread contexts at phase start. A
-// recycled System is therefore observably identical to a fresh one.
-// cpusim.SystemParams is a comparable value type, so it keys the map
-// directly; sweeps run the same few parameter sets thousands of times.
-var systemPools sync.Map // cpusim.SystemParams -> *sync.Pool of *cpusim.System
+// Systems are reused through one free list of idle Systems. A System is
+// tens of MB of cache model and building one dominates a cell's
+// allocations, while System.Run resets every piece of state it reads (the
+// shared LLC+DRAM at each fixed-point iteration, each worked core's
+// hierarchy, the core-local pools), so a reused System is observably
+// fresh. The key is what NewSystem allocates: the HW-PF gate is set per
+// run, and Sockets 0 and 1 share a key. A run takes the most recently
+// released System of its key; a release parks its System as the newest
+// and, once the list is full, evicts the oldest.
+//
+// maxIdleSystems caps the list. Replaying the acquire/release trace of a
+// bench-size render (Scale 40, Cores 4, 2 workers: 333 runs over 12 keys)
+// against caps 4, 8 and 16 built 34, 28 and 26 Systems in a first render
+// and 34, 23 and 15 in a second, with at most 5, 9 and 17 alive at once:
+// 8 rebuilds a third fewer than 4 for about half of 16's peak.
+const maxIdleSystems = 8
 
-func acquireSystem(p cpusim.SystemParams) *cpusim.System {
-	if v, ok := systemPools.Load(p); ok {
-		if s, _ := v.(*sync.Pool).Get().(*cpusim.System); s != nil {
-			return s
-		}
-	}
-	return cpusim.NewSystem(p)
+type idleSystem struct {
+	key cpusim.SystemParams
+	sys *cpusim.System
 }
 
-func releaseSystem(p cpusim.SystemParams, s *cpusim.System) {
-	v, _ := systemPools.LoadOrStore(p, &sync.Pool{})
-	v.(*sync.Pool).Put(s)
+var (
+	sysMu   sync.Mutex
+	sysFree []idleSystem // oldest first
+)
+
+func acquireSystem(key cpusim.SystemParams) *cpusim.System {
+	sysMu.Lock()
+	for i := len(sysFree) - 1; i >= 0; i-- {
+		if e := sysFree[i]; e.key == key {
+			sysFree = slices.Delete(sysFree, i, i+1)
+			sysMu.Unlock()
+			return e.sys
+		}
+	}
+	sysMu.Unlock()
+	return cpusim.NewSystem(key)
+}
+
+func releaseSystem(key cpusim.SystemParams, s *cpusim.System) {
+	sysMu.Lock()
+	if len(sysFree) == maxIdleSystems {
+		sysFree = slices.Delete(sysFree, 0, 1)
+	}
+	sysFree = append(sysFree, idleSystem{key, s})
+	sysMu.Unlock()
 }
 
 // bufBase returns the private buffer region for a (core, instance) slot.
@@ -225,53 +249,36 @@ func RunContext(ctx context.Context, opts Options) (Report, error) {
 		return Report{}, err
 	}
 
-	mem := opts.CPU.Mem
-	mem.HWPrefetch = opts.Scheme != NoHWPF
-	sysParams := cpusim.SystemParams{
+	sysKey := cpusim.SystemParams{
 		Core:                opts.CPU.Core,
-		Mem:                 mem,
+		Mem:                 opts.CPU.Mem,
 		Cores:               opts.Cores,
-		Sockets:             opts.Sockets,
+		Sockets:             max(opts.Sockets, 1),
 		BandwidthIterations: opts.BandwidthIterations,
 	}
-	sys := acquireSystem(sysParams)
-	defer releaseSystem(sysParams, sys)
-
-	sp := func(core, instance int, pf embedding.PrefetchConfig) dlrm.StreamParams {
-		return dlrm.StreamParams{
-			FlopsPerCycle: opts.CPU.FlopsPerCycle,
-			Batch:         opts.BatchSize,
-			BufBase:       bufBase(core, instance),
-			Prefetch:      pf,
-		}
-	}
-	src := func(batchIdx int) embedding.BatchSource {
-		return func(tableID int) trace.TableBatch { return provider.Batch(batchIdx, tableID) }
-	}
-	embStream := func(core, instance, batchIdx int, pf embedding.PrefetchConfig) cpusim.StreamFactory {
-		return func() cpusim.Stream {
-			return model.EmbeddingStream(src(batchIdx), sp(core, instance, pf))
-		}
-	}
-	bottomStream := func(core, instance int) cpusim.StreamFactory {
-		return func() cpusim.Stream { return model.BottomStream(sp(core, instance, embedding.PrefetchConfig{})) }
-	}
-	topStream := func(core, instance int) cpusim.StreamFactory {
-		return func() cpusim.Stream { return model.TopStream(sp(core, instance, embedding.PrefetchConfig{})) }
-	}
-	fullInference := func(core, instance, batchIdx int, pf embedding.PrefetchConfig) cpusim.StreamFactory {
-		return func() cpusim.Stream {
-			return cpusim.NewConcatStream(
-				model.EmbeddingStream(src(batchIdx), sp(core, instance, pf)),
-				model.BottomStream(sp(core, instance, pf)),
-				model.TopStream(sp(core, instance, pf)),
-			)
-		}
+	sys := acquireSystem(sysKey)
+	defer releaseSystem(sysKey, sys)
+	for i := 0; i < sys.Cores(); i++ {
+		sys.Core(i).Hierarchy().HWPrefetchEnabled = opts.Scheme != NoHWPF
 	}
 
 	pf := embedding.PrefetchConfig{}
 	if opts.Scheme.UsesSWPrefetch() {
 		pf = opts.Prefetch
+	}
+	// The MLP streams read only the FLOP rate and batch size.
+	mlp := dlrm.StreamParams{FlopsPerCycle: opts.CPU.FlopsPerCycle, Batch: opts.BatchSize}
+	embStream := func(core, instance, batchIdx int) cpusim.StreamFactory {
+		p := mlp
+		p.BufBase, p.Prefetch = bufBase(core, instance), pf
+		src := func(tableID int) trace.TableBatch { return provider.Batch(batchIdx, tableID) }
+		return func() cpusim.Stream { return model.EmbeddingStream(src, p) }
+	}
+	bottomStream := func() cpusim.Stream { return model.BottomStream(mlp) }
+	topStream := func() cpusim.Stream { return model.TopStream(mlp) }
+	fullInference := func(core, instance, batchIdx int) cpusim.StreamFactory {
+		emb := embStream(core, instance, batchIdx)
+		return func() cpusim.Stream { return cpusim.NewConcatStream(emb(), bottomStream(), topStream()) }
 	}
 
 	active := opts.ActiveCores
@@ -281,39 +288,28 @@ func RunContext(ctx context.Context, opts Options) (Report, error) {
 		for b := 0; b < perCore; b++ {
 			// Round-robin batch assignment: batch index advances across
 			// cores first, then rounds.
+			bi := b*active + c
 			switch opts.Scheme {
 			case Baseline, NoHWPF, SWPF:
-				bi := b*active + c
 				phases = append(phases, cpusim.Phase{
 					Label:   StageEmbedding,
-					Streams: []cpusim.StreamFactory{embStream(c, 0, bi, pf)},
+					Streams: []cpusim.StreamFactory{embStream(c, 0, bi)},
 				})
 				if !opts.EmbeddingOnly {
 					phases = append(phases,
-						cpusim.Phase{Label: StageBottom, Streams: []cpusim.StreamFactory{bottomStream(c, 0)}},
-						cpusim.Phase{Label: StageTop, Streams: []cpusim.StreamFactory{topStream(c, 0)}},
+						cpusim.Phase{Label: StageBottom, Streams: []cpusim.StreamFactory{bottomStream}},
+						cpusim.Phase{Label: StageTop, Streams: []cpusim.StreamFactory{topStream}},
 					)
 				}
 			case DPHT:
-				b0 := (b*active + c) * 2
 				phases = append(phases, cpusim.Phase{
-					Label: StageInference,
-					Streams: []cpusim.StreamFactory{
-						fullInference(c, 0, b0, pf),
-						fullInference(c, 1, b0+1, pf),
-					},
+					Label:   StageInference,
+					Streams: []cpusim.StreamFactory{fullInference(c, 0, 2*bi), fullInference(c, 1, 2*bi+1)},
 				})
 			case MPHT, Integrated:
-				bi := b*active + c
 				phases = append(phases,
-					cpusim.Phase{
-						Label: StageSMTPair,
-						Streams: []cpusim.StreamFactory{
-							embStream(c, 0, bi, pf),
-							bottomStream(c, 1),
-						},
-					},
-					cpusim.Phase{Label: StageTop, Streams: []cpusim.StreamFactory{topStream(c, 0)}},
+					cpusim.Phase{Label: StageSMTPair, Streams: []cpusim.StreamFactory{embStream(c, 0, bi), bottomStream}},
+					cpusim.Phase{Label: StageTop, Streams: []cpusim.StreamFactory{topStream}},
 				)
 			default:
 				return Report{}, fmt.Errorf("core: unhandled scheme %v", opts.Scheme)
@@ -360,10 +356,9 @@ func RunContext(ctx context.Context, opts Options) (Report, error) {
 		}
 	}
 	if check.Enabled {
-		finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-		check.Assert(finite(rep.BatchLatencyCycles) && finite(rep.BatchLatencyMs) &&
-			finite(rep.ThroughputBatchesPerSec) && finite(rep.AvgLoadLatency) &&
-			finite(rep.BandwidthGBs) && finite(rep.BandwidthUtilization),
+		check.Assert(check.Finite(rep.BatchLatencyCycles) && check.Finite(rep.BatchLatencyMs) &&
+			check.Finite(rep.ThroughputBatchesPerSec) && check.Finite(rep.AvgLoadLatency) &&
+			check.Finite(rep.BandwidthGBs) && check.Finite(rep.BandwidthUtilization),
 			"core: non-finite report for %s/%v/%v", rep.ModelName, rep.Scheme, rep.Hotness)
 	}
 	return rep, nil

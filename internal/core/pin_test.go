@@ -75,7 +75,7 @@ var engineReportPins = map[string]string{
 // TestEngineReportsPinned pins every Report field bit-for-bit for each
 // design point. The goldens hold a few fields to 1e-9; this is the
 // tier-1 guard that a change to cpusim's driver, its DRAM fixed point or
-// the engine's System pool leaves engine output exactly where it was.
+// the engine's System free list leaves engine output exactly where it was.
 func TestEngineReportsPinned(t *testing.T) {
 	for _, s := range AllSchemes {
 		for _, embOnly := range []bool{false, true} {

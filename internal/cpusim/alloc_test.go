@@ -1,10 +1,6 @@
 package cpusim
 
-import (
-	"testing"
-
-	"dlrmsim/internal/memsim"
-)
+import "testing"
 
 // TestCoreStepLoopSteadyStateZeroAlloc pins the per-op step path to zero
 // heap allocations once the core is warm: Begin reuses the thread store
@@ -15,8 +11,7 @@ import (
 // result slice is a deliberate per-run allocation.
 func TestCoreStepLoopSteadyStateZeroAlloc(t *testing.T) {
 	ops := benchOps(1 << 10)
-	mp := benchMemParams()
-	c := NewCore(benchCoreParams(), memsim.NewHierarchy(mp, memsim.NewShared(mp)))
+	c := newCoreOver(benchCoreParams(), benchMemParams(), true)
 	s := NewSliceStream(ops)
 	c.Run(s) // warm-up: grows pools, load FIFOs, and prefetcher state
 
@@ -41,8 +36,7 @@ func TestCoreStepLoopSteadyStateZeroAlloc(t *testing.T) {
 func TestCoreSMTStepLoopSteadyStateZeroAlloc(t *testing.T) {
 	ops := benchOps(1 << 10)
 	half := len(ops) / 2
-	mp := benchMemParams()
-	c := NewCore(benchCoreParams(), memsim.NewHierarchy(mp, memsim.NewShared(mp)))
+	c := newCoreOver(benchCoreParams(), benchMemParams(), true)
 	s0, s1 := NewSliceStream(ops[:half]), NewSliceStream(ops[half:])
 	c.Run(s0, s1)
 

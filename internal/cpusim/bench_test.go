@@ -18,11 +18,10 @@ func benchCoreParams() CoreParams {
 
 func benchMemParams() memsim.MemParams {
 	return memsim.MemParams{
-		L1:         memsim.CacheConfig{Name: "L1D", SizeBytes: 32 << 10, Ways: 8, LatencyCyc: 5},
-		L2:         memsim.CacheConfig{Name: "L2", SizeBytes: 1 << 20, Ways: 16, LatencyCyc: 14},
-		L3:         memsim.CacheConfig{Name: "L3", SizeBytes: 8 << 20, Ways: 11, LatencyCyc: 50},
-		DRAM:       memsim.DRAMConfig{BaseLatencyCyc: 220, PeakBandwidthBytesPerCyc: 58, QueueSensitivity: 1},
-		HWPrefetch: true,
+		L1:   memsim.CacheConfig{Name: "L1D", SizeBytes: 32 << 10, Ways: 8, LatencyCyc: 5},
+		L2:   memsim.CacheConfig{Name: "L2", SizeBytes: 1 << 20, Ways: 16, LatencyCyc: 14},
+		L3:   memsim.CacheConfig{Name: "L3", SizeBytes: 8 << 20, Ways: 11, LatencyCyc: 50},
+		DRAM: memsim.DRAMConfig{BaseLatencyCyc: 220, PeakBandwidthBytesPerCyc: 58, QueueSensitivity: 1},
 	}
 }
 
@@ -56,8 +55,7 @@ func BenchmarkCoreStepLoop(b *testing.B) {
 	ops := benchOps(1 << 14)
 	half := len(ops) / 2
 	b.Run("st", func(b *testing.B) {
-		mp := benchMemParams()
-		c := NewCore(benchCoreParams(), memsim.NewHierarchy(mp, memsim.NewShared(mp)))
+		c := newCoreOver(benchCoreParams(), benchMemParams(), true)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -65,8 +63,7 @@ func BenchmarkCoreStepLoop(b *testing.B) {
 		}
 	})
 	b.Run("smt", func(b *testing.B) {
-		mp := benchMemParams()
-		c := NewCore(benchCoreParams(), memsim.NewHierarchy(mp, memsim.NewShared(mp)))
+		c := newCoreOver(benchCoreParams(), benchMemParams(), true)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -74,9 +74,8 @@ func hierStats(h *memsim.Hierarchy) [4]memsim.CacheStats {
 func TestBurstMatchesPerLineSingleThread(t *testing.T) {
 	for _, hwpf := range []bool{false, true} {
 		ops := gatherOps(0x9E3779B97F4A7C15, 400, 8)
-		mp := testMemParams(hwpf)
-		cb := NewCore(testCoreParams(), memsim.NewHierarchy(mp, memsim.NewShared(mp)))
-		cl := NewCore(testCoreParams(), memsim.NewHierarchy(mp, memsim.NewShared(mp)))
+		cb := newCoreOver(testCoreParams(), testMemParams(), hwpf)
+		cl := newCoreOver(testCoreParams(), testMemParams(), hwpf)
 		rb := cb.Run(NewSliceStream(ops))
 		rl := cl.Run(NewSliceStream(expandBursts(ops)))
 		// Bursts count issue per covered line, so even Issued must match.
@@ -99,9 +98,8 @@ func TestBurstMatchesPerLineSingleThread(t *testing.T) {
 func TestBurstMatchesPerLineSMT(t *testing.T) {
 	gather := gatherOps(0xA5A5A5A55A5A5A5A, 300, 8)
 	sibling := gatherOps(0xDEADBEEFCAFEF00D, 200, 4)
-	mp := testMemParams(true)
-	cb := NewCore(testCoreParams(), memsim.NewHierarchy(mp, memsim.NewShared(mp)))
-	cl := NewCore(testCoreParams(), memsim.NewHierarchy(mp, memsim.NewShared(mp)))
+	cb := newCoreOver(testCoreParams(), testMemParams(), true)
+	cl := newCoreOver(testCoreParams(), testMemParams(), true)
 	rb := cb.Run(NewSliceStream(gather), NewSliceStream(sibling))
 	rl := cl.Run(NewSliceStream(expandBursts(gather)), NewSliceStream(expandBursts(sibling)))
 	if !reflect.DeepEqual(rb, rl) {
@@ -153,9 +151,9 @@ func TestBurstMatchesPerLineSystem(t *testing.T) {
 		}
 		return ws
 	}
-	params := SystemParams{Core: testCoreParams(), Mem: testMemParams(true), Cores: len(seeds)}
-	rb := NewSystem(params).Run(work(false))
-	rl := NewSystem(params).Run(work(true))
+	params := SystemParams{Core: testCoreParams(), Mem: testMemParams(), Cores: len(seeds)}
+	rb := withHWPF(NewSystem(params)).Run(work(false))
+	rl := withHWPF(NewSystem(params)).Run(work(true))
 	if !reflect.DeepEqual(rb, rl) {
 		t.Fatalf("system results diverge:\nburst    %+v\nper-line %+v", rb, rl)
 	}

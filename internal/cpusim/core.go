@@ -220,9 +220,6 @@ func NewCore(params CoreParams, hier *memsim.Hierarchy) *Core {
 // Hierarchy returns the core's private memory hierarchy.
 func (c *Core) Hierarchy() *memsim.Hierarchy { return c.hier }
 
-// Params returns the core's microarchitectural parameters.
-func (c *Core) Params() CoreParams { return c.params }
-
 // Run executes one or two streams to completion on the core's SMT
 // contexts, starting at cycle 0, and returns the timing summary. It is a
 // convenience wrapper for single-core experiments; multi-core runs are

@@ -6,13 +6,12 @@ import (
 	"dlrmsim/internal/memsim"
 )
 
-func testMemParams(hwpf bool) memsim.MemParams {
+func testMemParams() memsim.MemParams {
 	return memsim.MemParams{
-		L1:         memsim.CacheConfig{Name: "L1D", SizeBytes: 32 << 10, Ways: 8, LatencyCyc: 5},
-		L2:         memsim.CacheConfig{Name: "L2", SizeBytes: 1 << 20, Ways: 16, LatencyCyc: 14},
-		L3:         memsim.CacheConfig{Name: "L3", SizeBytes: 8 << 20, Ways: 11, LatencyCyc: 50},
-		DRAM:       memsim.DRAMConfig{BaseLatencyCyc: 200, PeakBandwidthBytesPerCyc: 58, QueueSensitivity: 1},
-		HWPrefetch: hwpf,
+		L1:   memsim.CacheConfig{Name: "L1D", SizeBytes: 32 << 10, Ways: 8, LatencyCyc: 5},
+		L2:   memsim.CacheConfig{Name: "L2", SizeBytes: 1 << 20, Ways: 16, LatencyCyc: 14},
+		L3:   memsim.CacheConfig{Name: "L3", SizeBytes: 8 << 20, Ways: 11, LatencyCyc: 50},
+		DRAM: memsim.DRAMConfig{BaseLatencyCyc: 200, PeakBandwidthBytesPerCyc: 58, QueueSensitivity: 1},
 	}
 }
 
@@ -27,8 +26,23 @@ func testCoreParams() CoreParams {
 }
 
 func newTestCore(hwpf bool) *Core {
-	mp := testMemParams(hwpf)
-	return NewCore(testCoreParams(), memsim.NewHierarchy(mp, memsim.NewShared(mp)))
+	return newCoreOver(testCoreParams(), testMemParams(), hwpf)
+}
+
+// newCoreOver builds a core over a fresh one-core hierarchy of mp, with
+// the hardware prefetchers on or off.
+func newCoreOver(p CoreParams, mp memsim.MemParams, hwpf bool) *Core {
+	h := memsim.NewHierarchy(mp, memsim.NewShared(mp))
+	h.HWPrefetchEnabled = hwpf
+	return NewCore(p, h)
+}
+
+// withHWPF turns the hardware prefetchers of every core of s on.
+func withHWPF(s *System) *System {
+	for _, c := range s.cores {
+		c.hier.HWPrefetchEnabled = true
+	}
+	return s
 }
 
 func computeOps(n int, cost float64) []Op {
@@ -88,7 +102,7 @@ func TestMissOverlapWithinMLP(t *testing.T) {
 }
 
 func TestDemandMLPCapMatters(t *testing.T) {
-	mp := testMemParams(false)
+	mp := testMemParams()
 	wide := testCoreParams()
 	narrow := testCoreParams()
 	narrow.DemandMLP = 1
@@ -102,7 +116,7 @@ func TestDemandMLPCapMatters(t *testing.T) {
 }
 
 func TestWindowLimitsMLP(t *testing.T) {
-	mp := testMemParams(false)
+	mp := testMemParams()
 	small := testCoreParams()
 	small.WindowSize = 2
 	cs := NewCore(small, memsim.NewHierarchy(mp, memsim.NewShared(mp)))
@@ -140,7 +154,7 @@ func TestTimelyPrefetchHidesMissLatency(t *testing.T) {
 }
 
 func TestPrefetchPoolBackpressure(t *testing.T) {
-	mp := testMemParams(false)
+	mp := testMemParams()
 	p := testCoreParams()
 	p.DemandMLP = 1
 	p.FillBuffers = 1

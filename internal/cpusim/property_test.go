@@ -39,7 +39,7 @@ func TestMoreWorkNeverFaster(t *testing.T) {
 // anomalies (familiar from real out-of-order machines) can cost a few
 // cycles.
 func TestWiderIssueNotMeaningfullySlower(t *testing.T) {
-	mp := testMemParams(false)
+	mp := testMemParams()
 	run := func(width float64, ops []Op) float64 {
 		p := testCoreParams()
 		p.IssueWidth = width
@@ -66,7 +66,7 @@ func TestWiderIssueNotMeaningfullySlower(t *testing.T) {
 // TestMoreMLPNeverSlower: raising DemandMLP (with FillBuffers along)
 // cannot slow a load-only stream down.
 func TestMoreMLPNeverSlower(t *testing.T) {
-	mp := testMemParams(false)
+	mp := testMemParams()
 	run := func(mlp int, n int) float64 {
 		p := testCoreParams()
 		p.DemandMLP = mlp

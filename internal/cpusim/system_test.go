@@ -9,7 +9,7 @@ import (
 func testSystemParams(cores int) SystemParams {
 	return SystemParams{
 		Core:  testCoreParams(),
-		Mem:   testMemParams(false),
+		Mem:   testMemParams(),
 		Cores: cores,
 	}
 }

@@ -25,7 +25,7 @@ func chaseCore(mp memsim.MemParams) *Core {
 func TestValidateDRAMLatencyRecovered(t *testing.T) {
 	// A single cold load followed by the stream-end drain measures the
 	// full miss latency: L3 (50) + DRAM base (200).
-	mp := testMemParams(false)
+	mp := testMemParams()
 	res := chaseCore(mp).Run(NewSliceStream(coldLoads(1, 0)))
 	if res.Cycles < 250 || res.Cycles > 252 {
 		t.Fatalf("cold-load completion = %.2f cycles, configured 250", res.Cycles)
@@ -37,7 +37,7 @@ func TestValidateWindow2ChaseFloorsAtHalfLatency(t *testing.T) {
 	// *then* the window stall applies, so the tightest serialization a
 	// WindowSize=2 core can express keeps two misses in flight —
 	// latency/2 per step. This pins down that documented behavior.
-	mp := testMemParams(false)
+	mp := testMemParams()
 	const n = 200
 	var ops []Op
 	for i := 0; i < n; i++ {
@@ -53,7 +53,7 @@ func TestValidateWindow2ChaseFloorsAtHalfLatency(t *testing.T) {
 }
 
 func TestValidateL1LatencyRecovered(t *testing.T) {
-	mp := testMemParams(false)
+	mp := testMemParams()
 	core := chaseCore(mp)
 	// Warm a line then chase it: per-access cost ≈ issue only (hits are
 	// pipelined below PipelinedLatency).
@@ -77,7 +77,7 @@ func TestValidateStreamingBandwidthBounded(t *testing.T) {
 	// A pure streaming read at full MLP cannot exceed the configured
 	// DRAM peak, and should get reasonably close to the per-core fill
 	// limit min(peak, MLP×64/latency).
-	mp := testMemParams(false)
+	mp := testMemParams()
 	sys := NewSystem(SystemParams{Core: testCoreParams(), Mem: mp, Cores: 1})
 	res := sys.Run([]CoreWork{singleWork(loadFactory(4000, 0))})
 	peak := mp.DRAM.PeakBandwidthBytesPerCyc
@@ -94,7 +94,7 @@ func TestValidateStreamingBandwidthBounded(t *testing.T) {
 func TestValidateMLPRecovered(t *testing.T) {
 	// With a huge window and independent misses, sustained misses per
 	// unit time ≈ DemandMLP / missLatency.
-	mp := testMemParams(false)
+	mp := testMemParams()
 	p := testCoreParams()
 	p.DemandMLP = 8
 	p.FillBuffers = 10
@@ -108,7 +108,7 @@ func TestValidateMLPRecovered(t *testing.T) {
 }
 
 func TestValidateIssueWidthRecovered(t *testing.T) {
-	mp := testMemParams(false)
+	mp := testMemParams()
 	p := testCoreParams()
 	p.IssueWidth = 4
 	core := NewCore(p, memsim.NewHierarchy(mp, memsim.NewShared(mp)))
@@ -124,7 +124,7 @@ func TestValidateIssueWidthRecovered(t *testing.T) {
 // take at least max(bytes/peakBW, issueTime) — the roofline bound. If the
 // simulator ever beats it, the timing model is broken.
 func TestValidateRooflineLowerBound(t *testing.T) {
-	mp := testMemParams(false)
+	mp := testMemParams()
 	sys := NewSystem(SystemParams{Core: testCoreParams(), Mem: mp, Cores: 2})
 	mk := func(core int) CoreWork {
 		return singleWork(loadFactory(2000, memsim.Addr(core)<<32))

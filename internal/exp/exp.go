@@ -31,7 +31,9 @@ type Config struct {
 	// Batches measured per core (default 1; the paper averages 120).
 	Batches int
 	// Cores overrides the "multi-core" core count (0 = all platform
-	// cores). Single-core panels always use 1.
+	// cores); a platform with fewer cores than this uses all of its own.
+	// Values above every platform's count are rejected. Single-core
+	// panels always use 1.
 	Cores int
 	// Seed drives everything.
 	Seed uint64
@@ -55,6 +57,13 @@ func (c Config) Validate() error {
 	}
 	if c.Cores < 0 {
 		errs = append(errs, fmt.Errorf("exp: negative core count %d", c.Cores))
+	}
+	most := 0 // the largest platform's core count
+	for _, cpu := range platform.All() {
+		most = max(most, cpu.Cores)
+	}
+	if c.Cores > most {
+		errs = append(errs, fmt.Errorf("exp: core count %d above the largest platform's %d", c.Cores, most))
 	}
 	if c.BandwidthIterations < 0 {
 		errs = append(errs, fmt.Errorf("exp: negative bandwidth iterations %d", c.BandwidthIterations))

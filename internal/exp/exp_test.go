@@ -199,3 +199,31 @@ func TestConfigDefaults(t *testing.T) {
 		t.Fatalf("defaults = %+v", c)
 	}
 }
+
+// TestConfigValidate pins what Validate rejects: each negative field, and
+// a core count above every platform's (64, Zen3's), which multiCores would
+// otherwise silently clamp to each platform's own count.
+func TestConfigValidate(t *testing.T) {
+	for name, tc := range map[string]struct {
+		cfg  Config
+		want string // "" means valid
+	}{
+		"zero value":                    {Config{}, ""},
+		"largest platform's cores":      {Config{Cores: 64}, ""},
+		"negative scale":                {Config{Scale: -1}, "negative scale"},
+		"negative batch size":           {Config{BatchSize: -8}, "negative batch size"},
+		"negative batches":              {Config{Batches: -1}, "negative batch count"},
+		"negative cores":                {Config{Cores: -2}, "negative core count"},
+		"negative bandwidth iterations": {Config{BandwidthIterations: -3}, "negative bandwidth iterations"},
+		"cores above every platform":    {Config{Cores: 65}, "above the largest platform's 64"},
+		"cores far above":               {Config{Cores: 1000}, "core count 1000"},
+	} {
+		err := tc.cfg.Validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: error %v, want one containing %q", name, err, tc.want)
+		}
+	}
+}

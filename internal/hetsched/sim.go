@@ -94,7 +94,6 @@ type simState struct {
 	// per phase instance
 	depsLeft []int8
 	readyAt  []float64
-	doneAt   []float64
 
 	// per request
 	arrivals   []float64
@@ -105,28 +104,26 @@ type simState struct {
 	pend      [][]int32 // ready-phase FIFO (index 0 is the head)
 	pendEstMs []float64 // summed service estimates of the queue (EFT)
 	busy      []bool
-	busyStart []float64
-	busyEnd   []float64
+	busyEnd   []float64 // end of the last launch; device clocks are monotone
 	busyKind  []PhaseKind
 	holdArmed []bool
 	holdAt    []float64
-	svcSeq    []uint64  // per-device jitter stream position
-	devSeed   []uint64  // per-device jitter seed
-	prevEnd   []float64 // invariant: device clocks are monotone
+	svcSeq    []uint64 // per-device jitter stream position
+	devSeed   []uint64 // per-device jitter seed
 	busyMs    []float64
 	batchOf   [][]int32 // each device's in-flight batch members
 	doneBatch []int32   // completion scratch: batchOf may be re-launched
 	// (and its backing array reused) by the dispatches a completion
 	// triggers, so the finished members are copied out first.
 
-	steals               int
-	batches, batchItems  int // launches/items on MaxBatch>1 devices
-	waitSumMs            float64
-	waitCount            int
-	crossOverlap         float64
-	sameOverlap          float64
-	completed, postCount int
-	lastFinish           float64
+	steals              int
+	batches, batchItems int // launches/items on MaxBatch>1 devices
+	waitSumMs           float64
+	waitCount           int
+	crossOverlap        float64
+	sameOverlap         float64
+	completed           int
+	lastFinish          float64
 }
 
 const (
@@ -148,7 +145,6 @@ func newSimState(cfg Config) (*simState, error) {
 
 		depsLeft: make([]int8, cfg.Requests*nPh),
 		readyAt:  make([]float64, cfg.Requests*nPh),
-		doneAt:   make([]float64, cfg.Requests*nPh),
 
 		arrivals:   make([]float64, cfg.Requests),
 		phasesLeft: make([]int8, cfg.Requests),
@@ -157,14 +153,12 @@ func newSimState(cfg Config) (*simState, error) {
 		pend:      make([][]int32, nDev),
 		pendEstMs: make([]float64, nDev),
 		busy:      make([]bool, nDev),
-		busyStart: make([]float64, nDev),
 		busyEnd:   make([]float64, nDev),
 		busyKind:  make([]PhaseKind, nDev),
 		holdArmed: make([]bool, nDev),
 		holdAt:    make([]float64, nDev),
 		svcSeq:    make([]uint64, nDev),
 		devSeed:   make([]uint64, nDev),
-		prevEnd:   make([]float64, nDev),
 		busyMs:    make([]float64, nDev),
 		batchOf:   make([][]int32, nDev),
 	}
@@ -348,14 +342,12 @@ func (st *simState) startBatch(d int, t float64, k PhaseKind, n int) {
 	st.svcSeq[d]++
 
 	if check.Enabled {
-		check.Assert(t >= st.prevEnd[d] && !math.IsNaN(svcMs),
-			"hetsched: device %d clock moved backwards (start %g before end %g)", d, t, st.prevEnd[d])
+		check.Assert(t >= st.busyEnd[d] && !math.IsNaN(svcMs),
+			"hetsched: device %d clock moved backwards (start %g before end %g)", d, t, st.busyEnd[d])
 	}
 	st.busy[d] = true
-	st.busyStart[d] = t
 	st.busyEnd[d] = t + svcMs
 	st.busyKind[d] = k
-	st.prevEnd[d] = t + svcMs
 	st.busyMs[d] += svcMs
 	if spec.maxBatch() > 1 {
 		st.batches++
@@ -393,7 +385,6 @@ func (st *simState) complete(d int, t float64) {
 }
 
 func (st *simState) finishPhase(p int32, t float64) {
-	st.doneAt[p] = t
 	req := int(p) / st.nPh
 	base := req * st.nPh
 	for _, s := range st.succ[int(p)%st.nPh] {

@@ -12,6 +12,7 @@ import "testing"
 func TestHierarchyAccessSteadyStateZeroAlloc(t *testing.T) {
 	p := benchParams()
 	h := NewHierarchy(p, NewShared(p))
+	h.HWPrefetchEnabled = true
 	addrs := benchAddrs(1 << 12)
 	mask := len(addrs) - 1
 

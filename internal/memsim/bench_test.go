@@ -7,11 +7,10 @@ import "testing"
 // dominating setup.
 func benchParams() MemParams {
 	return MemParams{
-		L1:         CacheConfig{Name: "L1D", SizeBytes: 32 << 10, Ways: 8, LatencyCyc: 5},
-		L2:         CacheConfig{Name: "L2", SizeBytes: 1 << 20, Ways: 16, LatencyCyc: 14},
-		L3:         CacheConfig{Name: "L3", SizeBytes: 8 << 20, Ways: 11, LatencyCyc: 50},
-		DRAM:       DRAMConfig{BaseLatencyCyc: 220, PeakBandwidthBytesPerCyc: 58, QueueSensitivity: 1},
-		HWPrefetch: true,
+		L1:   CacheConfig{Name: "L1D", SizeBytes: 32 << 10, Ways: 8, LatencyCyc: 5},
+		L2:   CacheConfig{Name: "L2", SizeBytes: 1 << 20, Ways: 16, LatencyCyc: 14},
+		L3:   CacheConfig{Name: "L3", SizeBytes: 8 << 20, Ways: 11, LatencyCyc: 50},
+		DRAM: DRAMConfig{BaseLatencyCyc: 220, PeakBandwidthBytesPerCyc: 58, QueueSensitivity: 1},
 	}
 }
 
@@ -40,6 +39,7 @@ func BenchmarkHierarchyAccess(b *testing.B) {
 	p := benchParams()
 	sh := NewShared(p)
 	h := NewHierarchy(p, sh)
+	h.HWPrefetchEnabled = true
 	addrs := benchAddrs(1 << 14)
 	mask := len(addrs) - 1
 	b.ReportAllocs()
@@ -53,7 +53,7 @@ func BenchmarkHierarchyAccess(b *testing.B) {
 
 // BenchmarkHierarchyAccessCold measures the same demand path in the
 // regime every engine cell runs in: the hierarchy is Reset every few
-// thousand accesses, as each cell's pooled System is, so most fills land
+// thousand accesses, as each cell's reused System is, so most fills land
 // in sets not yet full — where BenchmarkHierarchyAccess's 64 MB footprint
 // keeps every set full.
 func BenchmarkHierarchyAccessCold(b *testing.B) {
@@ -61,6 +61,7 @@ func BenchmarkHierarchyAccessCold(b *testing.B) {
 	p := benchParams()
 	sh := NewShared(p)
 	h := NewHierarchy(p, sh)
+	h.HWPrefetchEnabled = true
 	addrs := benchAddrs(1 << 14)
 	mask := len(addrs) - 1
 	b.ReportAllocs()
@@ -128,6 +129,7 @@ func gatherAddrs(n, run int) []Addr {
 func BenchmarkAccessSequential(b *testing.B) {
 	p := benchParams()
 	h := NewHierarchy(p, NewShared(p))
+	h.HWPrefetchEnabled = true
 	addrs := gatherAddrs(1<<13, 8)
 	b.ReportAllocs()
 	b.ResetTimer()

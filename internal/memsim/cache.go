@@ -104,11 +104,7 @@ func NewCache(cfg CacheConfig) *Cache {
 	if cfg.SizeBytes <= 0 || cfg.Ways <= 0 || cfg.Ways > math.MaxUint8 {
 		panic(fmt.Sprintf("memsim: invalid cache config %+v", cfg))
 	}
-	numSets := cfg.SizeBytes / (LineSize * int64(cfg.Ways))
-	if numSets < 1 {
-		numSets = 1
-	}
-	numSets = 1 << (bits.Len64(uint64(numSets)) - 1)
+	numSets := cfg.Sets()
 	lines := int(numSets) * cfg.Ways
 	return &Cache{
 		cfg:      cfg,

@@ -10,9 +10,6 @@ type MemParams struct {
 	L3   CacheConfig // shared; size is the whole LLC
 	DRAM DRAMConfig
 
-	// HWPrefetch enables the next-line (L1) and stride (L2) hardware
-	// prefetchers, the paper's "baseline"; disable for "w/o HW-PF".
-	HWPrefetch bool
 	// L1PrefetchDegree and L2PrefetchDegree set engine aggressiveness.
 	L1PrefetchDegree int
 	L2PrefetchDegree int
@@ -112,7 +109,9 @@ type Hierarchy struct {
 	// pfBuf is the scratch the prefetch engines append candidates into,
 	// reused across accesses (see hwprefetch.go).
 	pfBuf []Addr
-	// HWPrefetchEnabled gates the hardware engines at run time so the
+	// HWPrefetchEnabled gates the next-line (L1) and stride (L2) hardware
+	// prefetchers: on is the paper's "baseline", off (as built) is "w/o
+	// HW-PF". It is a run-time switch, not a geometry parameter, so the
 	// same hierarchy can be reused across design points.
 	HWPrefetchEnabled bool
 
@@ -149,12 +148,11 @@ func NewHierarchy(p MemParams, shared *Shared) *Hierarchy {
 		l2deg = 2
 	}
 	return &Hierarchy{
-		L1:                NewCache(p.L1),
-		L2:                NewCache(p.L2),
-		shared:            shared,
-		l1pf:              NewNextLinePrefetcher(l1deg),
-		l2pf:              NewStridePrefetcher(l2deg, 32),
-		HWPrefetchEnabled: p.HWPrefetch,
+		L1:     NewCache(p.L1),
+		L2:     NewCache(p.L2),
+		shared: shared,
+		l1pf:   NewNextLinePrefetcher(l1deg),
+		l2pf:   NewStridePrefetcher(l2deg, 32),
 	}
 }
 

@@ -6,19 +6,20 @@ import (
 
 // smallParams builds a downsized hierarchy for fast tests: L1 1 KiB, L2
 // 4 KiB, L3 16 KiB.
-func smallParams(hwpf bool) MemParams {
+func smallParams() MemParams {
 	return MemParams{
-		L1:         CacheConfig{Name: "L1D", SizeBytes: 1 << 10, Ways: 2, LatencyCyc: 5},
-		L2:         CacheConfig{Name: "L2", SizeBytes: 4 << 10, Ways: 4, LatencyCyc: 14},
-		L3:         CacheConfig{Name: "L3", SizeBytes: 16 << 10, Ways: 8, LatencyCyc: 50},
-		DRAM:       DRAMConfig{BaseLatencyCyc: 200, PeakBandwidthBytesPerCyc: 58, QueueSensitivity: 1},
-		HWPrefetch: hwpf,
+		L1:   CacheConfig{Name: "L1D", SizeBytes: 1 << 10, Ways: 2, LatencyCyc: 5},
+		L2:   CacheConfig{Name: "L2", SizeBytes: 4 << 10, Ways: 4, LatencyCyc: 14},
+		L3:   CacheConfig{Name: "L3", SizeBytes: 16 << 10, Ways: 8, LatencyCyc: 50},
+		DRAM: DRAMConfig{BaseLatencyCyc: 200, PeakBandwidthBytesPerCyc: 58, QueueSensitivity: 1},
 	}
 }
 
 func newTestHier(hwpf bool) *Hierarchy {
-	p := smallParams(hwpf)
-	return NewHierarchy(p, NewShared(p))
+	p := smallParams()
+	h := NewHierarchy(p, NewShared(p))
+	h.HWPrefetchEnabled = hwpf
+	return h
 }
 
 func TestColdLoadGoesToDRAM(t *testing.T) {
@@ -180,7 +181,7 @@ func TestDRAMQueueingLatency(t *testing.T) {
 }
 
 func TestSharedL3AcrossHierarchies(t *testing.T) {
-	p := smallParams(false)
+	p := smallParams()
 	sh := NewShared(p)
 	h1 := NewHierarchy(p, sh)
 	h2 := NewHierarchy(p, sh)

@@ -30,9 +30,10 @@ func TestLevelAndKindStrings(t *testing.T) {
 }
 
 func TestAccessorsAndResets(t *testing.T) {
-	p := smallParams(true)
+	p := smallParams()
 	sh := NewShared(p)
 	h := NewHierarchy(p, sh)
+	h.HWPrefetchEnabled = true
 	if h.Shared() != sh {
 		t.Fatal("Shared accessor")
 	}
@@ -96,7 +97,7 @@ func TestNextLinePrefetcherReset(t *testing.T) {
 }
 
 func TestSharedRemoteHoming(t *testing.T) {
-	p := smallParams(false)
+	p := smallParams()
 	sockets := NewSockets(p, 2)
 	local, remote := sockets[0], sockets[1]
 	// Pages interleave: 0x100 is on page 0 (socket 0), 0x1100 on page 1.
@@ -135,7 +136,7 @@ func TestNewSocketsRejectsCount(t *testing.T) {
 					t.Fatalf("NewSockets(%d) did not panic", n)
 				}
 			}()
-			NewSockets(smallParams(false), n)
+			NewSockets(smallParams(), n)
 		}()
 	}
 }

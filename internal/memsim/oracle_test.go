@@ -158,7 +158,7 @@ func newRefHierarchy(p MemParams) *refHierarchy {
 		mem:        NewShared(p),
 		l1pf:       NewNextLinePrefetcher(l1deg),
 		l2pf:       NewStridePrefetcher(l2deg, 32),
-		hwPrefetch: p.HWPrefetch,
+		hwPrefetch: true,
 	}
 }
 
@@ -297,7 +297,9 @@ type oraclePair struct {
 }
 
 func newOraclePair(t *testing.T, p MemParams) *oraclePair {
-	return &oraclePair{t: t, h: NewHierarchy(p, NewShared(p)), ref: newRefHierarchy(p)}
+	h := NewHierarchy(p, NewShared(p))
+	h.HWPrefetchEnabled = true
+	return &oraclePair{t: t, h: h, ref: newRefHierarchy(p)}
 }
 
 // access issues one access to both and compares every level's state.
@@ -364,7 +366,6 @@ func oracleParams() MemParams {
 		L2:               CacheConfig{Name: "L2", SizeBytes: 4 * 4 * LineSize, Ways: 4, LatencyCyc: 14},
 		L3:               CacheConfig{Name: "L3", SizeBytes: 4 * 11 * LineSize, Ways: 11, LatencyCyc: 50},
 		DRAM:             DRAMConfig{BaseLatencyCyc: 220, PeakBandwidthBytesPerCyc: 58, QueueSensitivity: 1},
-		HWPrefetch:       true,
 		L1PrefetchDegree: 2,
 	}
 }
@@ -429,8 +430,8 @@ func TestFullSetEvictionAfterReset(t *testing.T) {
 	defer func(old bool) { check.Enabled = old }(check.Enabled)
 	check.Enabled = true
 	p := oracleParams()
-	p.HWPrefetch = false
 	o := newOraclePair(t, p)
+	o.h.HWPrefetchEnabled, o.ref.hwPrefetch = false, false
 	l3 := o.h.shared.L3
 	stride := Addr(l3.NumSets()) * LineSize // same set every step
 	for i := 0; i < l3.ways; i++ {

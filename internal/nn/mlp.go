@@ -47,12 +47,6 @@ func NewMLP(name string, dims []int, seed uint64, sigmoidOut bool) (*MLP, error)
 	return m, nil
 }
 
-// Name returns the MLP's name.
-func (m *MLP) Name() string { return m.name }
-
-// Dims returns the dimension chain (input first).
-func (m *MLP) Dims() []int { return append([]int(nil), m.dims...) }
-
 // InputDim and OutputDim return the end dimensions.
 func (m *MLP) InputDim() int { return m.dims[0] }
 

@@ -29,8 +29,7 @@ type CPU struct {
 	FrequencyGHz float64
 	// Core holds the timing-model parameters.
 	Core cpusim.CoreParams
-	// Mem holds the cache/DRAM geometry. HWPrefetch defaults to on
-	// (the paper's baseline).
+	// Mem holds the cache/DRAM geometry.
 	Mem memsim.MemParams
 	// FlopsPerCycle is the effective fp32 throughput of the SIMD units.
 	FlopsPerCycle float64
@@ -100,11 +99,10 @@ func CascadeLake() CPU {
 			PipelinedLatency: 6,
 		},
 		Mem: memsim.MemParams{
-			L1:         memsim.CacheConfig{Name: "L1D", SizeBytes: 32 << 10, Ways: 8, LatencyCyc: 5},
-			L2:         memsim.CacheConfig{Name: "L2", SizeBytes: 1 << 20, Ways: 16, LatencyCyc: 14},
-			L3:         memsim.CacheConfig{Name: "L3", SizeBytes: 35_750_000, Ways: 11, LatencyCyc: 50},
-			DRAM:       memsim.DRAMConfig{BaseLatencyCyc: 220, PeakBandwidthBytesPerCyc: bw(140, ghz), QueueSensitivity: 1},
-			HWPrefetch: true,
+			L1:   memsim.CacheConfig{Name: "L1D", SizeBytes: 32 << 10, Ways: 8, LatencyCyc: 5},
+			L2:   memsim.CacheConfig{Name: "L2", SizeBytes: 1 << 20, Ways: 16, LatencyCyc: 14},
+			L3:   memsim.CacheConfig{Name: "L3", SizeBytes: 35_750_000, Ways: 11, LatencyCyc: 50},
+			DRAM: memsim.DRAMConfig{BaseLatencyCyc: 220, PeakBandwidthBytesPerCyc: bw(140, ghz), QueueSensitivity: 1},
 		},
 		FlopsPerCycle: 32,
 		TunedPFDist:   4,
@@ -129,11 +127,10 @@ func Skylake() CPU {
 			PipelinedLatency: 6,
 		},
 		Mem: memsim.MemParams{
-			L1:         memsim.CacheConfig{Name: "L1D", SizeBytes: 32 << 10, Ways: 8, LatencyCyc: 5},
-			L2:         memsim.CacheConfig{Name: "L2", SizeBytes: 1 << 20, Ways: 16, LatencyCyc: 14},
-			L3:         memsim.CacheConfig{Name: "L3", SizeBytes: 24_750_000, Ways: 11, LatencyCyc: 48},
-			DRAM:       memsim.DRAMConfig{BaseLatencyCyc: 250, PeakBandwidthBytesPerCyc: bw(119, ghz), QueueSensitivity: 1},
-			HWPrefetch: true,
+			L1:   memsim.CacheConfig{Name: "L1D", SizeBytes: 32 << 10, Ways: 8, LatencyCyc: 5},
+			L2:   memsim.CacheConfig{Name: "L2", SizeBytes: 1 << 20, Ways: 16, LatencyCyc: 14},
+			L3:   memsim.CacheConfig{Name: "L3", SizeBytes: 24_750_000, Ways: 11, LatencyCyc: 48},
+			DRAM: memsim.DRAMConfig{BaseLatencyCyc: 250, PeakBandwidthBytesPerCyc: bw(119, ghz), QueueSensitivity: 1},
 		},
 		FlopsPerCycle: 32,
 		TunedPFDist:   4,
@@ -159,11 +156,10 @@ func IceLake() CPU {
 			PipelinedLatency: 6,
 		},
 		Mem: memsim.MemParams{
-			L1:         memsim.CacheConfig{Name: "L1D", SizeBytes: 48 << 10, Ways: 12, LatencyCyc: 5},
-			L2:         memsim.CacheConfig{Name: "L2", SizeBytes: 1280 << 10, Ways: 20, LatencyCyc: 16},
-			L3:         memsim.CacheConfig{Name: "L3", SizeBytes: 24 << 20, Ways: 12, LatencyCyc: 52},
-			DRAM:       memsim.DRAMConfig{BaseLatencyCyc: 230, PeakBandwidthBytesPerCyc: bw(166, ghz), QueueSensitivity: 1},
-			HWPrefetch: true,
+			L1:   memsim.CacheConfig{Name: "L1D", SizeBytes: 48 << 10, Ways: 12, LatencyCyc: 5},
+			L2:   memsim.CacheConfig{Name: "L2", SizeBytes: 1280 << 10, Ways: 20, LatencyCyc: 16},
+			L3:   memsim.CacheConfig{Name: "L3", SizeBytes: 24 << 20, Ways: 12, LatencyCyc: 52},
+			DRAM: memsim.DRAMConfig{BaseLatencyCyc: 230, PeakBandwidthBytesPerCyc: bw(166, ghz), QueueSensitivity: 1},
 		},
 		FlopsPerCycle: 32,
 		TunedPFDist:   4,
@@ -188,11 +184,10 @@ func SapphireRapids() CPU {
 			PipelinedLatency: 6,
 		},
 		Mem: memsim.MemParams{
-			L1:         memsim.CacheConfig{Name: "L1D", SizeBytes: 48 << 10, Ways: 12, LatencyCyc: 5},
-			L2:         memsim.CacheConfig{Name: "L2", SizeBytes: 2 << 20, Ways: 16, LatencyCyc: 16},
-			L3:         memsim.CacheConfig{Name: "L3", SizeBytes: 105 << 20, Ways: 15, LatencyCyc: 56},
-			DRAM:       memsim.DRAMConfig{BaseLatencyCyc: 240, PeakBandwidthBytesPerCyc: bw(307, ghz), QueueSensitivity: 1},
-			HWPrefetch: true,
+			L1:   memsim.CacheConfig{Name: "L1D", SizeBytes: 48 << 10, Ways: 12, LatencyCyc: 5},
+			L2:   memsim.CacheConfig{Name: "L2", SizeBytes: 2 << 20, Ways: 16, LatencyCyc: 16},
+			L3:   memsim.CacheConfig{Name: "L3", SizeBytes: 105 << 20, Ways: 15, LatencyCyc: 56},
+			DRAM: memsim.DRAMConfig{BaseLatencyCyc: 240, PeakBandwidthBytesPerCyc: bw(307, ghz), QueueSensitivity: 1},
 		},
 		FlopsPerCycle: 64,
 		TunedPFDist:   4,
@@ -218,11 +213,10 @@ func Zen3() CPU {
 			PipelinedLatency: 6,
 		},
 		Mem: memsim.MemParams{
-			L1:         memsim.CacheConfig{Name: "L1D", SizeBytes: 32 << 10, Ways: 8, LatencyCyc: 4},
-			L2:         memsim.CacheConfig{Name: "L2", SizeBytes: 512 << 10, Ways: 8, LatencyCyc: 12},
-			L3:         memsim.CacheConfig{Name: "L3", SizeBytes: 32 << 20, Ways: 16, LatencyCyc: 46},
-			DRAM:       memsim.DRAMConfig{BaseLatencyCyc: 260, PeakBandwidthBytesPerCyc: bw(204, ghz), QueueSensitivity: 1.2},
-			HWPrefetch: true,
+			L1:   memsim.CacheConfig{Name: "L1D", SizeBytes: 32 << 10, Ways: 8, LatencyCyc: 4},
+			L2:   memsim.CacheConfig{Name: "L2", SizeBytes: 512 << 10, Ways: 8, LatencyCyc: 12},
+			L3:   memsim.CacheConfig{Name: "L3", SizeBytes: 32 << 20, Ways: 16, LatencyCyc: 46},
+			DRAM: memsim.DRAMConfig{BaseLatencyCyc: 260, PeakBandwidthBytesPerCyc: bw(204, ghz), QueueSensitivity: 1.2},
 		},
 		FlopsPerCycle: 32,
 		TunedPFDist:   4,

@@ -13,9 +13,6 @@ func TestAllPlatformsValidate(t *testing.T) {
 		if c.Cores < 1 || c.FrequencyGHz <= 0 || c.FlopsPerCycle <= 0 {
 			t.Errorf("%s: bad top-level params", c.Name)
 		}
-		if !c.Mem.HWPrefetch {
-			t.Errorf("%s: baseline must have HW prefetch on", c.Name)
-		}
 		if c.TunedPFDist < 1 || c.TunedPFBlocks < 1 {
 			t.Errorf("%s: missing tuned prefetch settings", c.Name)
 		}

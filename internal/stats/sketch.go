@@ -108,43 +108,6 @@ func (s *QuantileSketch) Add(v float64) {
 	}
 }
 
-// Merge folds every sample recorded in o into s, as if each of o's Add
-// calls had been made on s instead. Because the bucket layout is a
-// compile-time constant, merging is an element-wise sum of the count
-// arrays plus exact min/max/count updates — the merged sketch's bucket
-// state (and therefore every Quantile) is IDENTICAL to the sketch of
-// the concatenated stream, and the half-bucket error bound is
-// preserved. Only Mean can differ from the concatenated stream's, and
-// only by float summation order (sum is accumulated per sketch, then
-// added once here).
-//
-// The parallel cluster backend relies on this: each partition feeds its
-// own sketch and the barrier merges them, so the merged quantiles are
-// byte-identical to the sequential single-sketch run. o is unchanged.
-func (s *QuantileSketch) Merge(o *QuantileSketch) {
-	if o.count == 0 {
-		return
-	}
-	if s.count == 0 {
-		*s = *o
-		return
-	}
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	s.count += o.count
-	s.sum += o.sum
-	s.zero += o.zero
-	s.low += o.low
-	s.high += o.high
-	for i := range s.counts {
-		s.counts[i] += o.counts[i]
-	}
-}
-
 // Reset returns the sketch to its zero state, ready for reuse.
 func (s *QuantileSketch) Reset() { *s = QuantileSketch{} }
 

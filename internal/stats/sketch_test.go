@@ -109,6 +109,10 @@ func TestQuantileSketchExactStats(t *testing.T) {
 	if got := sk.Quantile(1); got != 100 {
 		t.Fatalf("q1 = %g", got)
 	}
+	sk.Reset()
+	if sk.Count() != 0 || sk.Quantile(0.5) != 0 || sk.Sum() != 0 {
+		t.Fatal("Reset did not zero the sketch")
+	}
 }
 
 func TestQuantileSketchEmpty(t *testing.T) {
@@ -186,106 +190,6 @@ func TestSketchIndexMonotone(t *testing.T) {
 			t.Fatalf("rep %g too far from %g (rel %.4f)", rep, v, rel)
 		}
 		prevV, prevI = v, i
-	}
-}
-
-// TestQuantileSketchMergeEqualsConcatenated is the merge property test:
-// splitting one stream into k disjoint sub-streams, sketching each, and
-// merging must reproduce the concatenated stream's sketch EXACTLY —
-// same count, min, max, and bit-identical quantiles at every cut point
-// (bucket counts are integers, so no tolerance is needed). Mean may
-// differ only by float summation order.
-func TestQuantileSketchMergeEqualsConcatenated(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial, parts := range []int{1, 2, 3, 8} {
-		n := 500 + trial*1700
-		var whole QuantileSketch
-		shards := make([]QuantileSketch, parts)
-		for i := 0; i < n; i++ {
-			v := math.Exp(rng.NormFloat64()*2 + 1)
-			if i%7 == 0 {
-				v = 0 // exercise the zero bucket
-			}
-			whole.Add(v)
-			shards[i%parts].Add(v)
-		}
-		var merged QuantileSketch
-		for p := range shards {
-			merged.Merge(&shards[p])
-		}
-		if merged.Count() != whole.Count() {
-			t.Fatalf("parts=%d: merged count %d != %d", parts, merged.Count(), whole.Count())
-		}
-		if merged.Min() != whole.Min() || merged.Max() != whole.Max() {
-			t.Fatalf("parts=%d: merged min/max %g/%g != %g/%g",
-				parts, merged.Min(), merged.Max(), whole.Min(), whole.Max())
-		}
-		for _, p := range []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1} {
-			if got, want := merged.Quantile(p), whole.Quantile(p); got != want {
-				t.Fatalf("parts=%d p=%g: merged quantile %g != concatenated %g", parts, p, got, want)
-			}
-		}
-		if math.Abs(merged.Mean()-whole.Mean()) > 1e-9*whole.Mean() {
-			t.Fatalf("parts=%d: merged mean %g vs %g", parts, merged.Mean(), whole.Mean())
-		}
-	}
-}
-
-// TestQuantileSketchMergePreservesErrorBound: the merged sketch's
-// quantiles must stay within the advertised relative error of the exact
-// nearest-rank over the full sample set — merging must not widen the
-// bound.
-func TestQuantileSketchMergePreservesErrorBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	n := 6000
-	samples := make([]float64, n)
-	shards := make([]QuantileSketch, 4)
-	for i := range samples {
-		v := math.Exp(rng.NormFloat64()*1.5 + 3)
-		samples[i] = v
-		shards[i%len(shards)].Add(v)
-	}
-	var merged QuantileSketch
-	for p := range shards {
-		merged.Merge(&shards[p])
-	}
-	bound := merged.RelativeError() * 2
-	for _, p := range []float64{0.5, 0.9, 0.95, 0.99, 0.999} {
-		exact := Percentile(samples, p)
-		got := merged.Quantile(p)
-		if rel := math.Abs(got-exact) / exact; rel > bound {
-			t.Fatalf("p=%g: merged=%g exact=%g rel err %.4f > %.4f", p, got, exact, rel, bound)
-		}
-	}
-}
-
-// TestQuantileSketchMergeEdgeCases: merging with empty sketches in
-// either position, clamp counters, and self-reset reuse.
-func TestQuantileSketchMergeEdgeCases(t *testing.T) {
-	var empty, filled QuantileSketch
-	filled.Add(2)
-	filled.Add(math.Inf(1))
-	filled.Add(math.Ldexp(1, sketchMinExp-3)) // low clamp
-
-	var dst QuantileSketch
-	dst.Merge(&empty) // no-op
-	if dst.Count() != 0 {
-		t.Fatalf("merge of empty changed count: %d", dst.Count())
-	}
-	dst.Merge(&filled) // empty dst adopts o wholesale
-	if dst.Count() != 3 || dst.Min() != filled.Min() || !math.IsInf(dst.Max(), 1) {
-		t.Fatalf("empty-dst merge: count %d min %g max %g", dst.Count(), dst.Min(), dst.Max())
-	}
-	dst.Merge(&filled) // non-empty merge doubles every counter
-	if dst.Count() != 6 {
-		t.Fatalf("count = %d, want 6", dst.Count())
-	}
-	if filled.Count() != 3 {
-		t.Fatalf("merge mutated its argument: count %d", filled.Count())
-	}
-	dst.Reset()
-	if dst.Count() != 0 || dst.Quantile(0.5) != 0 || dst.Sum() != 0 {
-		t.Fatal("Reset did not zero the sketch")
 	}
 }
 
