@@ -182,14 +182,20 @@ func TestChaosOpenLoopAllocsSteadyState(t *testing.T) {
 
 // BenchmarkClusterSimulate measures one full discrete-event cluster run —
 // query synthesis, copy scheduling, per-node FCFS service, and the join —
-// on a steady fleet and under the fault+mitigation model.
+// on a steady fleet and under the fault+mitigation model, inline and
+// with its arrivals pre-drawn on 2 goroutines (output is byte-identical
+// either way, so each p2 row against its p1 row is a pure
+// execution-cost ratio).
 func BenchmarkClusterSimulate(b *testing.B) {
 	for _, bc := range []struct {
 		name    string
 		faulted bool
-	}{{"steady", false}, {"faulted", true}} {
+		p       int
+	}{{"steady", false, 1}, {"faulted", true, 1}, {"steady_p2", false, 2}, {"faulted_p2", true, 2}} {
 		b.Run(bc.name, func(b *testing.B) {
 			cfg := benchConfig(b, bc.faulted)
+			restore := SetExecBackend(Parallel(bc.p))
+			defer restore()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

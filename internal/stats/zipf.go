@@ -11,8 +11,10 @@ import (
 // 1/(rank+1)^s. It uses the rejection-inversion method of Hörmann and
 // Derflinger, which needs O(1) time per sample and no O(N) setup, so it
 // works for table sizes in the millions. A shared sampler (NewSharedZipf)
-// also carries a decision table for the head ranks that settles most
-// iterations without exp or log, returning the same rank from the same
+// also carries a head table: a verdict for each bucket of the
+// generator's top mantissa bits, which settles most iterations with one
+// lookup, and per-rank thresholds that settle most of the rest. Neither
+// needs exp or log, and the sampler returns the same rank from the same
 // draws as the plain method (zipfHead).
 type Zipf struct {
 	rng *RNG
@@ -24,8 +26,8 @@ type Zipf struct {
 	hx0          float64
 	hImaxPlus1   float64
 	sCut         float64
-	// head is the shared sampler's head-rank decision table; nil for
-	// NewZipf samplers and where the table is disabled.
+	// head is the shared sampler's head table (verdicts and rank rows);
+	// nil for NewZipf samplers and where the table is disabled.
 	head *zipfHead
 }
 
@@ -55,10 +57,12 @@ func NewZipf(rng *RNG, n int, s float64) *Zipf {
 // NewSharedZipf returns a sampler with no generator of its own, for use
 // with SampleWith only. Construction never draws from the generator, so a
 // shared sampler plus per-stream generators yields exactly the streams
-// that per-stream samplers would. The sampler carries the head-rank
-// decision table (zipfHead) and is memoized per (n, s): it is immutable,
-// so every caller, on any goroutine, gets the same one, and a sweep of
-// short runs builds each table once.
+// that per-stream samplers would. The sampler carries the head table
+// (zipfHead: a 32 KB verdict table over the draw's top mantissa bits
+// and rows for the first 1024 ranks) and is memoized per (n, s): it is
+// built before it is published and never written after, so every
+// caller, on any goroutine, gets the same one, and a sweep of short
+// runs builds each table once.
 func NewSharedZipf(n int, s float64) *Zipf {
 	key := zipfKey{n, s}
 	if z, ok := sharedZipfs.Load(key); ok {
@@ -94,12 +98,27 @@ func (z *Zipf) Sample() int { return z.SampleWith(z.rng) }
 
 // SampleWith draws a rank using r instead of the sampler's own stream.
 // The sampler's constants depend only on (n, s), so one Zipf can serve
-// many independent streams — construction is the expensive part.
+// many independent streams — construction is the expensive part. Each
+// iteration takes one 53-bit mantissa m from r, the value r.Float64()
+// would scale, so the generator is consumed exactly as by Float64; a
+// shared sampler first looks up m's verdict in its head table.
 func (z *Zipf) SampleWith(r *RNG) int {
+	h := z.head
 	for {
-		u := z.hImaxPlus1 + r.Float64()*(z.hx0-z.hImaxPlus1)
-		if z.head != nil {
-			if rank := z.head.decide(u); rank >= 0 {
+		m := r.Uint64() >> 11
+		start := 0
+		if h != nil {
+			v := int(h.verdict[m>>(53-fastBits)])
+			if v >= 0 {
+				return v
+			} else if v == headReject {
+				continue
+			}
+			start = headFallback - v
+		}
+		u := z.variate(m)
+		if h != nil {
+			if rank := h.decide(u, start); rank >= 0 {
 				return rank
 			} else if rank == headReject {
 				continue
@@ -109,6 +128,13 @@ func (z *Zipf) SampleWith(r *RNG) int {
 			return rank
 		}
 	}
+}
+
+// variate maps a draw's 53-bit mantissa m to the iteration's variate:
+// u = hImaxPlus1 + F*(hx0-hImaxPlus1) with F = m/2^53, the uniform
+// r.Float64() returns for m.
+func (z *Zipf) variate(m uint64) float64 {
+	return z.hImaxPlus1 + float64(m)/(1<<53)*(z.hx0-z.hImaxPlus1)
 }
 
 // iterate is one rejection-inversion iteration for the variate u: it

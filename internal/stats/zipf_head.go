@@ -4,15 +4,18 @@ import "math"
 
 // Head-table geometry. headRanks bounds the ranks the table covers (the
 // bench's HighHot tables draw 93.6% of their ranks from the first 1024),
-// headBuckets sizes the guide over u, and headGuard is the relative
-// no-decision band around every boundary.
+// fastBits is how many top bits of a draw's 53-bit mantissa index the
+// verdict table (2^14 int16 entries, 32 KB per sampler), and headGuard
+// is the relative no-decision band around every boundary.
 const (
-	headRanks   = 1024
-	headBuckets = 4096
-	headGuard   = 1e-9
+	headRanks = 1024
+	fastBits  = 14
+	headGuard = 1e-9
 )
 
-// Verdicts of zipfHead.decide other than an accepted rank (>= 0).
+// Verdicts other than an accepted rank (>= 0). A verdict-table entry
+// below headReject is unsettled: headFallback-entry is the rank its
+// scan starts from.
 const (
 	headReject   = -1 // iterate would reject u: draw again
 	headFallback = -2 // too close to a boundary, or past the table: run iterate
@@ -24,15 +27,15 @@ const (
 // k-x <= sCut or u >= accept(k). Since h is increasing, every step is a
 // threshold on u: k = j exactly when h(j-0.5) < u < h(j+0.5) (k clamps
 // to 1 below h(1.5) and to n above h(n-0.5)), and the shortcut holds
-// exactly when u >= h(k-sCut). The table stores, per rank,
-// those thresholds and the acceptance value accept(k), so an iteration
-// whose u lies clearly inside one rank's interval is settled by a few
+// exactly when u >= h(k-sCut). The rows store, per rank, those
+// thresholds and the acceptance value accept(k), so an iteration whose
+// u lies clearly inside one rank's interval is settled by a few
 // comparisons, with no exp or log.
 //
-// Exactness. decide returns a verdict only when u is at least
-// headGuard·|b| away from every rank and shortcut boundary b it relies
-// on; otherwise it falls back to iterate itself. The computed hInv(u) =
-// exp(log((1-s)u)/(1-s)) has relative error below about
+// Exactness of the rows. decide returns a verdict only when u is at
+// least headGuard·|b| away from every rank and shortcut boundary b it
+// relies on; otherwise it falls back to iterate itself. The computed
+// hInv(u) = exp(log((1-s)u)/(1-s)) has relative error below about
 // (1/|1-s| + ln x + 4)·2^-52 ≈ 1e-13 over the covered ranks, and the
 // stored boundaries h(j±0.5), h(k-sCut) are within a few ulps of exact.
 // A relative gap of 1e-9 in u is a relative gap of at least
@@ -43,18 +46,23 @@ const (
 // only for |1-s| >= 1e-3 (which excludes s = 1, sampled as 1+1e-9) so
 // that the 1/|1-s| error term stays bounded, and only for n >= 2.
 //
-// Finding the rank: a uniform guide over the covered u range names, per
-// bucket, the first rank whose interval reaches the bucket's start; a
-// short forward scan over the rows finishes the search, and a sentinel
-// row past the last rank stops it for u beyond the table. The guide only
-// picks where the scan starts — decide re-checks that u lies inside the
-// found rank's safe interval, so a rounding slip at a bucket edge costs
-// a fallback, never a wrong rank.
+// The verdict table. A draw's variate is u(m) = variate(m) for the
+// 53-bit mantissa m the generator yields, and verdict is indexed by the
+// top fastBits bits of m. u(m) is monotone (non-increasing) in m,
+// because float64(m)/2^53 is exact and IEEE rounding of the multiply
+// and the add is monotone, so a bucket's variates lie exactly in
+// [u(last m), u(first m)], both computed by the same variate the draw
+// calls. A bucket holds decide's verdict when that whole closed range
+// gets one verdict from decide: it lies strictly inside one row's
+// (lo, hi), and either at or above cutHi (accept), or at or below cutLo
+// and wholly on one side of acc (accept or reject).
+// Every other bucket is unsettled and stores the first row whose hi
+// exceeds u(last m), which is where decide's forward scan starts for
+// every variate in the bucket; a sentinel row past the last rank stops
+// the scan for u beyond the table.
 type zipfHead struct {
-	rows  []headRow // one per covered rank, then the sentinel
-	guide [headBuckets + 1]uint16
-	base  float64 // lower end of the guide's u range
-	scale float64 // guide buckets per unit of u
+	rows    []headRow // one per covered rank, then the sentinel
+	verdict [1 << fastBits]int16
 }
 
 // headRow is the decision data for 0-based rank r (candidate k = r+1).
@@ -89,34 +97,41 @@ func newZipfHead(z *Zipf) *zipfHead {
 	}
 	inf := math.Inf(1)
 	h.rows[ranks] = headRow{lo: inf, hi: inf}
-	// u ranges over [hImaxPlus1 + (hx0-hImaxPlus1), hImaxPlus1], whose
-	// computed lower end may sit an ulp below hx0.
-	h.base = math.Min(z.hx0, z.hImaxPlus1+(z.hx0-z.hImaxPlus1))
-	end := math.Min(h.rows[ranks-1].hi, z.hImaxPlus1)
-	width := (end - h.base) / headBuckets
-	h.scale = 1 / width
+	// Walk the buckets in rising u, so the scan's start only moves forward.
+	const shift = 53 - fastBits
 	r := 0
-	for i := range h.guide {
-		// Start each bucket's scan a hair below its edge, so the guide
-		// errs towards lower ranks, which the forward scan corrects.
-		start := h.base + (float64(i)-1e-3)*width
-		for r < ranks-1 && h.rows[r].hi <= start {
+	for b := len(h.verdict) - 1; b >= 0; b-- {
+		uLo, uHi := z.variate(uint64(b+1)<<shift-1), z.variate(uint64(b)<<shift)
+		for h.rows[r].hi <= uLo {
 			r++
 		}
-		h.guide[i] = uint16(r)
+		h.verdict[b] = h.settle(r, uLo, uHi)
 	}
 	return h
 }
 
-// decide settles the iteration for variate u from the table alone: it
-// returns the rank iterate would accept, headReject, or headFallback when
-// iterate must run.
-func (h *zipfHead) decide(u float64) int {
-	i := int((u - h.base) * h.scale)
-	if uint(i) > headBuckets {
-		return headFallback
+// settle returns the verdict decide reaches for every u in [uLo, uHi],
+// given r, the first row whose hi exceeds uLo; where decide does not
+// reach one rank or headReject for the whole range, it returns the
+// unsettled entry naming r.
+func (h *zipfHead) settle(r int, uLo, uHi float64) int16 {
+	row := &h.rows[r]
+	if uLo > row.lo && uHi < row.hi {
+		switch {
+		case uLo >= row.cutHi, uHi <= row.cutLo && uLo >= row.acc:
+			return int16(r)
+		case uHi <= row.cutLo && uHi < row.acc:
+			return headReject
+		}
 	}
-	r := int(h.guide[i])
+	return int16(headFallback - r)
+}
+
+// decide settles the iteration for variate u from the rows alone,
+// scanning forward from rank r, which must not lie past u's row: it
+// returns the rank iterate would accept, headReject, or headFallback
+// when iterate must run.
+func (h *zipfHead) decide(u float64, r int) int {
 	for u >= h.rows[r].hi {
 		r++
 	}

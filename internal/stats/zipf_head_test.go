@@ -2,25 +2,35 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"sync"
 	"testing"
 )
 
-// headTally counts how a head table settled the variates it was shown.
-type headTally struct{ decided, fallback int }
+// headTally counts how a head table settled the variates it was shown:
+// by a verdict-table entry, by decide, or by falling back to iterate.
+type headTally struct{ settled, decided, fallback int }
 
-// checkHead asserts that the head table's verdict for u is the one the
+func (tally *headTally) add(verdict int, settled bool) {
+	switch {
+	case settled:
+		tally.settled++
+	case verdict == headFallback:
+		tally.fallback++
+	default:
+		tally.decided++
+	}
+}
+
+// checkVerdict asserts that a head-table verdict for u is the one the
 // reference iteration reaches: the same rank when it accepts, a draw
 // again when it rejects. A fallback defers to iterate and always holds.
 // (No t.Helper: it runs millions of times, and every failure message
 // names the variate.)
-func checkHead(t *testing.T, z *Zipf, u float64, tally *headTally) {
-	got := z.head.decide(u)
+func checkVerdict(t *testing.T, z *Zipf, u float64, got int) {
 	if got == headFallback {
-		tally.fallback++
 		return
 	}
-	tally.decided++
 	rank, ok := z.iterate(u)
 	switch {
 	case got == headReject && ok:
@@ -30,6 +40,37 @@ func checkHead(t *testing.T, z *Zipf, u float64, tally *headTally) {
 	case got >= 0 && rank != got:
 		t.Fatalf("n=%g s=%g u=%v: table accepts rank %d, iterate rank %d", z.n, z.s, u, got, rank)
 	}
+}
+
+// headStart is the first row whose hi exceeds u: where a scan from rank
+// 0 stops, so decide from there needs no scan at all.
+func headStart(z *Zipf, u float64) int {
+	return sort.Search(len(z.head.rows), func(i int) bool { return u < z.head.rows[i].hi })
+}
+
+// checkHead checks decide's verdict for an arbitrary variate u.
+func checkHead(t *testing.T, z *Zipf, u float64, tally *headTally) {
+	got := z.head.decide(u, headStart(z, u))
+	tally.add(got, false)
+	checkVerdict(t, z, u, got)
+}
+
+// headVerdict is the verdict SampleWith's table path reaches for the
+// mantissa m: the verdict-table entry where it is settled, else decide
+// from the entry's start rank. settled reports which.
+func headVerdict(z *Zipf, m uint64) (verdict int, settled bool) {
+	e := int(z.head.verdict[m>>(53-fastBits)])
+	if e >= headReject {
+		return e, true
+	}
+	return z.head.decide(z.variate(m), headFallback-e), false
+}
+
+// checkMantissa checks the table path's verdict for the mantissa m.
+func checkMantissa(t *testing.T, z *Zipf, m uint64, tally *headTally) {
+	got, settled := headVerdict(z, m)
+	tally.add(got, settled)
+	checkVerdict(t, z, z.variate(m), got)
 }
 
 // checkHeadAround probes u at b and the ulps either side of it.
@@ -54,11 +95,11 @@ func unsharedZipf(n int, s float64) *Zipf {
 }
 
 // TestZipfHeadMatchesIterate drives the head table and the reference
-// iteration over the stream-pin grid: 1M variates drawn exactly as
-// SampleWith draws them, then every boundary the table stores — each
-// rank boundary h(k+0.5), shortcut boundary h(k-sCut) and acceptance
-// threshold, and each guard edge — walked ±300 ulps and probed at
-// ±1e-9 and ±2e-9 relative.
+// iteration over the stream-pin grid: 1M mantissas drawn exactly as
+// SampleWith draws them, through the verdict table and decide, then
+// every boundary the rows store — each rank boundary h(k+0.5), shortcut
+// boundary h(k-sCut) and acceptance threshold, and each guard edge —
+// walked ±300 ulps and probed at ±1e-9 and ±2e-9 relative.
 func TestZipfHeadMatchesIterate(t *testing.T) {
 	cell := uint64(0)
 	for _, n := range zipfPinRows {
@@ -73,8 +114,9 @@ func TestZipfHeadMatchesIterate(t *testing.T) {
 			}
 			var random, edges headTally
 			r := NewRNG(SplitSeed(0x4EAD, cell))
-			for i := 0; i < 1_000_000; i++ {
-				checkHead(t, z, z.hImaxPlus1+r.Float64()*(z.hx0-z.hImaxPlus1), &random)
+			const draws = 1_000_000
+			for i := 0; i < draws; i++ {
+				checkMantissa(t, z, r.Uint64()>>11, &random)
 			}
 			for i, row := range z.head.rows[:len(z.head.rows)-1] {
 				k := float64(i + 1)
@@ -90,14 +132,67 @@ func TestZipfHeadMatchesIterate(t *testing.T) {
 					}
 				}
 			}
-			share := float64(random.decided) / float64(random.decided+random.fallback)
-			t.Logf("n=%d s=%g: table decides %.1f%% of iterations, %d boundary probes decided",
-				n, s, 100*share, edges.decided)
+			settled := float64(random.settled) / draws
+			decided := float64(random.settled+random.decided) / draws
+			t.Logf("n=%d s=%g: verdict table settles %.1f%% of iterations, rows decide %.1f%%, %d boundary probes decided",
+				n, s, 100*settled, 100*decided, edges.decided)
 			// The bench table (50,000 rows, HighHot) draws ~95% of its
-			// variates inside the head's covered range.
-			if n == 50_000 && s == 1.326 && share < 0.9 {
-				t.Errorf("n=%d s=%g: table decides only %.1f%% of iterations", n, s, 100*share)
+			// variates inside the head's covered range, and ~89% of them
+			// from buckets that lie wholly inside one verdict.
+			if n == 50_000 && s == 1.326 {
+				if decided < 0.9 {
+					t.Errorf("n=%d s=%g: table decides only %.1f%% of iterations", n, s, 100*decided)
+				}
+				if settled < 0.85 {
+					t.Errorf("n=%d s=%g: verdict table settles only %.1f%% of iterations", n, s, 100*settled)
+				}
 			}
+		}
+	}
+}
+
+// TestZipfVerdictTableExact checks every verdict-table bucket over the
+// stream-pin grid at its first and last mantissa and at random ones
+// inside it. A settled bucket must hold decide's verdict there, and
+// that verdict must match the reference iteration; an unsettled bucket
+// must start decide's scan at or before the variate's row.
+func TestZipfVerdictTableExact(t *testing.T) {
+	const shift = 53 - fastBits
+	cell := uint64(0)
+	for _, n := range zipfPinRows {
+		for _, s := range zipfPinExponents {
+			cell++
+			z := unsharedZipf(n, s)
+			if z.head == nil {
+				continue
+			}
+			r := NewRNG(SplitSeed(0x7AB1E, cell))
+			settled := 0
+			for b, e := range z.head.verdict {
+				first := uint64(b) << shift
+				ms := []uint64{first, first + 1<<shift - 1}
+				for range 6 {
+					ms = append(ms, first+r.Uint64()>>(64-shift))
+				}
+				if e >= headReject {
+					settled++
+				}
+				for _, m := range ms {
+					u := z.variate(m)
+					at := headStart(z, u)
+					if e < headReject {
+						if start := headFallback - int(e); start > at {
+							t.Fatalf("n=%d s=%g bucket %d: scan starts at rank %d, past u=%v in row %d", n, s, b, start, u, at)
+						}
+						continue
+					}
+					if want := z.head.decide(u, at); int(e) != want {
+						t.Fatalf("n=%d s=%g bucket %d: table settles %d, decide reaches %d at u=%v", n, s, b, e, want, u)
+					}
+					checkVerdict(t, z, u, int(e))
+				}
+			}
+			t.Logf("n=%d s=%g: %d of %d buckets settled", n, s, settled, len(z.head.verdict))
 		}
 	}
 }
@@ -159,16 +254,17 @@ func TestSharedZipfConcurrent(t *testing.T) {
 }
 
 // FuzzZipfHead asserts the head table's verdicts equal the reference
-// iteration's for arbitrary table heights, exponents and variates: at
-// the variate v maps to, at the ulps beside it, and around the
-// boundaries of the row v selects.
+// iteration's for arbitrary table heights, exponents, variates and
+// mantissas: at the variate v maps to, at the ulps beside it, around
+// the boundaries of the row v selects, and along the table path for
+// the mantissa m, its neighbours and its bucket's first and last.
 func FuzzZipfHead(f *testing.F) {
-	f.Add(50_000, 1.326, 0.5)
-	f.Add(50_000, 0.893, 0.25)
-	f.Add(2, 2.5, 0.999)
-	f.Add(1024, 1.001, 0.0)
-	f.Add(1025, 0.999, 0.75)
-	f.Fuzz(func(t *testing.T, n int, s, v float64) {
+	f.Add(50_000, 1.326, 0.5, uint64(0))
+	f.Add(50_000, 0.893, 0.25, uint64(1)<<53-1)
+	f.Add(2, 2.5, 0.999, uint64(0x1F_FFFF_FFFF_FFFF))
+	f.Add(1024, 1.001, 0.0, uint64(0x10_0000_0000_0000))
+	f.Add(1025, 0.999, 0.75, uint64(0x1F_F800_0000_0000))
+	f.Fuzz(func(t *testing.T, n int, s, v float64, m uint64) {
 		n = 2 + int(uint(n)%2_000_000)
 		if !(s > 0 && s <= 8) || math.IsNaN(v) || math.IsInf(v, 0) {
 			return
@@ -191,6 +287,12 @@ func FuzzZipfHead(f *testing.F) {
 			if !math.IsInf(b, 0) {
 				checkHeadAround(t, z, b, 4, &tally)
 			}
+		}
+		const mask, shift = 1<<53 - 1, 53 - fastBits
+		m &= mask
+		first := m >> shift << shift
+		for _, p := range []uint64{m, m - 1, m + 1, first, first + 1<<shift - 1} {
+			checkMantissa(t, z, p&mask, &tally)
 		}
 	})
 }
