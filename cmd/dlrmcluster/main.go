@@ -210,6 +210,18 @@ func (o mainFlags) validate(isSet func(string) bool) error {
 			}
 		}
 	}
+	// The traffic tier owns the arrival and population knobs' ranges;
+	// check them before any engine work, at a stand-in rate (the real
+	// one may derive from the service model, and -rate is checked above).
+	if open, err := o.openLoop(); err != nil {
+		errs = append(errs, err)
+	} else {
+		open.Arrivals.RatePerMs = 1
+		errs = append(errs, open.Arrivals.Validate())
+		if open.Population != nil {
+			errs = append(errs, open.Population.Validate())
+		}
+	}
 	return errors.Join(errs...)
 }
 

@@ -63,6 +63,9 @@ func TestValidateBadInputs(t *testing.T) {
 		{"NaN duration", func(o *mainFlags) { o.open = true; o.duration = math.NaN() }, nil, "-duration"},
 		{"NaN open warmup", func(o *mainFlags) { o.open = true; o.openWarmup = math.NaN() }, nil, "-open-warmup"},
 		{"NaN sla", func(o *mainFlags) { o.open = true; o.sla = math.NaN() }, nil, "-sla"},
+		{"NaN diurnal", func(o *mainFlags) { o.open = true; o.day = 100; o.diurnal = math.NaN() }, nil, "diurnal amplitude NaN"},
+		{"NaN revisit", func(o *mainFlags) { o.open = true; o.users = 20; o.revisit = math.NaN() }, nil, "revisit probability NaN"},
+		{"+Inf flash factor", func(o *mainFlags) { o.open = true; o.flashEvery = 50; o.flashDur = 5; o.flashFactor = math.Inf(1) }, nil, "flash factor +Inf"},
 		{"open flag without -open", func(o *mainFlags) {}, []string{"rate"}, "-rate needs -open"},
 		{"admit without -open", func(o *mainFlags) { o.admit = "shed" }, []string{"admit"}, "-admit needs -open"},
 		{"users without -open", func(o *mainFlags) { o.users = 1000 }, []string{"users"}, "-users needs -open"},

@@ -56,11 +56,11 @@ func (o mainFlags) validate(isSet func(string) bool) error {
 		if !isSet("gather") || !isSet("dense") {
 			errs = append(errs, fmt.Errorf("-gather and -dense set the synthetic phase graph together"))
 		}
-		if isSet("gather") && o.gather <= 0 {
-			errs = append(errs, fmt.Errorf("-gather %g µs (want > 0)", o.gather))
+		if isSet("gather") && !check.Positive(o.gather) {
+			errs = append(errs, fmt.Errorf("-gather %g µs (want finite > 0)", o.gather))
 		}
-		if isSet("dense") && o.dense <= 0 {
-			errs = append(errs, fmt.Errorf("-dense %g µs (want > 0)", o.dense))
+		if isSet("dense") && !check.Positive(o.dense) {
+			errs = append(errs, fmt.Errorf("-dense %g µs (want finite > 0)", o.dense))
 		}
 		for _, name := range engineFlags {
 			if isSet(name) {
@@ -102,20 +102,20 @@ func (o mainFlags) validate(isSet func(string) bool) error {
 	if o.requests < 1 {
 		errs = append(errs, fmt.Errorf("-requests %d (want >= 1)", o.requests))
 	}
-	if o.arrival < 0 {
-		errs = append(errs, fmt.Errorf("-arrival %g ms (want >= 0; 0 derives from -util)", o.arrival))
+	if !check.NonNeg(o.arrival) {
+		errs = append(errs, fmt.Errorf("-arrival %g ms (want finite >= 0; 0 derives from -util)", o.arrival))
 	}
-	if o.arrival == 0 && (o.util <= 0 || o.util >= 1) {
+	if o.arrival == 0 && !(o.util > 0 && o.util < 1) { // NaN fails too
 		errs = append(errs, fmt.Errorf("-util %g outside (0,1)", o.util))
 	}
-	if o.jitter < 0 || o.jitter > 2 {
+	if !(o.jitter >= 0 && o.jitter <= 2) {
 		errs = append(errs, fmt.Errorf("-jitter %g outside [0,2]", o.jitter))
 	}
 	if o.maxBatch < 0 {
 		errs = append(errs, fmt.Errorf("-maxbatch %d (want >= 0)", o.maxBatch))
 	}
-	if o.hold < 0 {
-		errs = append(errs, fmt.Errorf("-hold %g µs (want >= 0)", o.hold))
+	if !check.NonNeg(o.hold) {
+		errs = append(errs, fmt.Errorf("-hold %g µs (want finite >= 0)", o.hold))
 	}
 	if isSet("maxbatch") || isSet("hold") {
 		hasGPU := false

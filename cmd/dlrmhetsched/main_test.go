@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -55,6 +56,12 @@ func TestValidateBadInputs(t *testing.T) {
 			[]string{"gather", "dense", "scale"}, "-scale is an engine-calibration flag"},
 		{"negative maxbatch", func(o *mainFlags) { o.maxBatch = -4 }, nil, "-maxbatch"},
 		{"negative hold", func(o *mainFlags) { o.hold = -1 }, nil, "-hold"},
+		{"NaN gather", func(o *mainFlags) { o.gather = math.NaN(); o.dense = 30 }, []string{"gather", "dense"}, "-gather NaN"},
+		{"+Inf dense", func(o *mainFlags) { o.gather = 40; o.dense = math.Inf(1) }, []string{"gather", "dense"}, "-dense +Inf"},
+		{"NaN util", func(o *mainFlags) { o.util = math.NaN() }, nil, "-util NaN"},
+		{"NaN arrival", func(o *mainFlags) { o.arrival = math.NaN() }, nil, "-arrival NaN"},
+		{"NaN jitter", func(o *mainFlags) { o.jitter = math.NaN() }, nil, "-jitter NaN"},
+		{"NaN hold", func(o *mainFlags) { o.hold = math.NaN() }, nil, "-hold NaN"},
 		{"maxbatch without a gpu", func(o *mainFlags) { o.mix = "cpu4"; o.maxBatch = 64 },
 			[]string{"maxbatch"}, "need a single mix containing one"},
 		{"hold with mix all", func(o *mainFlags) { o.mix = "all"; o.hold = 40 },

@@ -38,3 +38,10 @@ func Assert(cond bool, format string, args ...any) {
 func Finite(v float64) bool {
 	return !math.IsNaN(v) && !math.IsInf(v, 0)
 }
+
+// NonNeg and Positive are the range checks every float knob's
+// validation uses: NaN fails every ordered comparison and +Inf is
+// rejected outright, so a config that passes them keeps a simulation's
+// arithmetic finite.
+func NonNeg(x float64) bool   { return x >= 0 && !math.IsInf(x, 1) }
+func Positive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -24,4 +25,20 @@ func TestAssertEnabledPanicsWithMessage(t *testing.T) {
 	}()
 	Assert(false, "x=%d", 7)
 	t.Fatal("Assert(false) did not panic with Enabled set")
+}
+
+func TestRangeChecksRejectNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		x                float64
+		nonNeg, positive bool
+	}{
+		{0, true, false}, {1e300, true, true}, {-1, false, false},
+		{nan, false, false}, {inf, false, false}, {-inf, false, false},
+	} {
+		if NonNeg(tc.x) != tc.nonNeg || Positive(tc.x) != tc.positive {
+			t.Errorf("NonNeg(%g), Positive(%g) = %v, %v; want %v, %v",
+				tc.x, tc.x, NonNeg(tc.x), Positive(tc.x), tc.nonNeg, tc.positive)
+		}
+	}
 }

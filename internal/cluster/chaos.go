@@ -33,6 +33,9 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+
+	"dlrmsim/internal/check"
+	"dlrmsim/internal/stats"
 )
 
 // ChaosKind names one scheduled chaos event type.
@@ -116,7 +119,7 @@ func (s *ChaosSchedule) validateErrs(nodes int) []error {
 	}
 	prevAt := math.Inf(-1)
 	for i, e := range s.Events {
-		if !(e.AtMs >= 0) || math.IsInf(e.AtMs, 0) {
+		if !check.NonNeg(e.AtMs) {
 			errs = append(errs, fmt.Errorf("cluster: chaos event %d at non-finite or negative instant %g ms", i, e.AtMs))
 			continue
 		}
@@ -128,11 +131,11 @@ func (s *ChaosSchedule) validateErrs(nodes int) []error {
 			if e.ForMs != 0 {
 				errs = append(errs, fmt.Errorf("cluster: chaos recover event %d has a window length %g ms", i, e.ForMs))
 			}
-		} else if !(e.ForMs > 0) || math.IsInf(e.AtMs+e.ForMs, 0) {
+		} else if !check.Positive(e.ForMs) || !check.Finite(e.AtMs+e.ForMs) {
 			errs = append(errs, fmt.Errorf("cluster: chaos event %d window length %g ms (need finite > 0)", i, e.ForMs))
 		}
 		if e.Kind == DomainSlowdown {
-			if !(e.Factor >= 1) || math.IsInf(e.Factor, 0) {
+			if !(e.Factor >= 1 && check.Finite(e.Factor)) {
 				errs = append(errs, fmt.Errorf("cluster: chaos slowdown event %d factor %g < 1", i, e.Factor))
 			}
 		} else if e.Factor != 0 {
@@ -283,14 +286,14 @@ func ParseChaosSchedule(spec string) (ChaosSchedule, error) {
 type chaosRaw struct {
 	kind ChaosKind
 	key  int32
-	win  faultWin
+	win  stats.Window
 }
 
 // severance is one severed domain pair, either way round, with its
 // start-ordered windows.
 type severance struct {
 	a, b int32
-	win  []faultWin
+	win  []stats.Window
 }
 
 // initChaos materializes a validated schedule onto the fault state (an
@@ -326,8 +329,8 @@ func (fs *faultState) initChaos(sched *ChaosSchedule, nodes int) {
 				if r.kind == Partition {
 					hit = fs.pairs[r.key].a == dom || fs.pairs[r.key].b == dom
 				}
-				if hit && r.win.start <= e.AtMs && e.AtMs < r.win.end {
-					r.win.end = e.AtMs
+				if hit && r.win.Start <= e.AtMs && e.AtMs < r.win.End {
+					r.win.End = e.AtMs
 				}
 			}
 			continue
@@ -341,10 +344,10 @@ func (fs *faultState) initChaos(sched *ChaosSchedule, nodes int) {
 				p.a, p.b, p.win = int32(e.Domain), int32(e.Peer), p.win[:0]
 			}
 		}
-		fs.raws = append(fs.raws, chaosRaw{e.Kind, key, faultWin{e.AtMs, e.AtMs + e.ForMs, e.Factor}})
+		fs.raws = append(fs.raws, chaosRaw{e.Kind, key, stats.Window{Start: e.AtMs, End: e.AtMs + e.ForMs, Factor: e.Factor}})
 	}
 	// spread appends w to one chaos timeline of every node in dom.
-	spread := func(dom int32, slow bool, w faultWin) {
+	spread := func(dom int32, slow bool, w stats.Window) {
 		for n, nd := range fs.nodeDom {
 			if nd != dom {
 				continue
@@ -353,19 +356,19 @@ func (fs *faultState) initChaos(sched *ChaosSchedule, nodes int) {
 			if slow {
 				tl = &fs.nodes[n].slow[srcChaos]
 			}
-			tl.win = append(tl.win, w)
+			tl.Win = append(tl.Win, w)
 		}
 	}
 	for _, r := range fs.raws {
-		if r.win.end <= r.win.start {
+		if r.win.End <= r.win.Start {
 			continue
 		}
-		fs.clearMs = max(fs.clearMs, r.win.end)
+		fs.clearMs = max(fs.clearMs, r.win.End)
 		switch r.kind {
 		case DomainOutage:
 			spread(r.key, false, r.win)
 		case DomainSlowdown:
-			fs.cuts = append(fs.cuts, r.win.start, r.win.end)
+			fs.cuts = append(fs.cuts, r.win.Start, r.win.End)
 		case Partition:
 			fs.pairs[r.key].win = append(fs.pairs[r.key].win, r.win)
 		}
@@ -373,13 +376,13 @@ func (fs *faultState) initChaos(sched *ChaosSchedule, nodes int) {
 	slices.Sort(fs.cuts)
 	for i := 0; i+1 < len(fs.cuts); i++ {
 		for dom := int32(0); dom < int32(d); dom++ {
-			seg := faultWin{start: fs.cuts[i], end: fs.cuts[i+1]}
+			seg := stats.Window{Start: fs.cuts[i], End: fs.cuts[i+1]}
 			for _, r := range fs.raws {
-				if r.kind == DomainSlowdown && r.key == dom && r.win.start <= seg.start && seg.start < r.win.end {
-					seg.factor = max(seg.factor, r.win.factor)
+				if r.kind == DomainSlowdown && r.key == dom && r.win.Start <= seg.Start && seg.Start < r.win.End {
+					seg.Factor = max(seg.Factor, r.win.Factor)
 				}
 			}
-			if seg.factor > 0 && seg.end > seg.start { // not a gap or a repeated cut
+			if seg.Factor > 0 && seg.End > seg.Start { // not a gap or a repeated cut
 				spread(dom, true, seg)
 			}
 		}
@@ -409,12 +412,12 @@ func (fs *faultState) severShift(home, target int, depart, transit float64) (shi
 	}
 	t := depart
 	for _, w := range fs.pairs[pair].win {
-		if t+transit <= w.start {
+		if t+transit <= w.Start {
 			break
 		}
-		if t < w.end {
-			shift += w.end - t
-			t = w.end
+		if t < w.End {
+			shift += w.End - t
+			t = w.End
 			resends++
 		}
 	}
@@ -434,8 +437,8 @@ func (fs *faultState) outageMs(horizon float64) float64 {
 		}
 		var curS, curE float64
 		open := false
-		for _, w := range fs.nodes[n].down[srcChaos].win {
-			s, e := w.start, w.end
+		for _, w := range fs.nodes[n].down[srcChaos].Win {
+			s, e := w.Start, w.End
 			if e > horizon {
 				e = horizon
 			}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"dlrmsim/internal/stats"
 	"dlrmsim/internal/trace"
 	"dlrmsim/internal/traffic"
 )
@@ -135,36 +136,36 @@ func TestChaosRecoverTruncation(t *testing.T) {
 		{Kind: Recover, Domain: 0, AtMs: 400},
 	}}, 4)
 	for n := 0; n < 4; n++ {
-		out, slow := fs.nodes[n].down[srcChaos].win, fs.nodes[n].slow[srcChaos].win
+		out, slow := fs.nodes[n].down[srcChaos].Win, fs.nodes[n].slow[srcChaos].Win
 		if n < 2 { // domain 0
 			if len(out) != 0 {
 				t.Errorf("node %d: domain 0 outage recovered at its start must vanish, got %+v", n, out)
 			}
-			if len(slow) != 1 || slow[0] != (faultWin{start: 50, end: 150, factor: 3}) {
+			if len(slow) != 1 || slow[0] != (stats.Window{Start: 50, End: 150, Factor: 3}) {
 				t.Errorf("node %d: slowdown window = %+v, want [50,150) x3", n, slow)
 			}
 			continue
 		}
-		if len(out) != 1 || out[0] != (faultWin{start: 100, end: 180}) {
+		if len(out) != 1 || out[0] != (stats.Window{Start: 100, End: 180}) {
 			t.Errorf("node %d: domain 1 outage = %+v, want [100,180)", n, out)
 		}
 		if len(slow) != 0 {
 			t.Errorf("node %d: domain 1 has slowdown windows %+v", n, slow)
 		}
 	}
-	if len(fs.pairs) != 1 || len(fs.pairs[0].win) != 1 || fs.pairs[0].win[0] != (faultWin{start: 150, end: 180}) {
+	if len(fs.pairs) != 1 || len(fs.pairs[0].win) != 1 || fs.pairs[0].win[0] != (stats.Window{Start: 150, End: 180}) {
 		t.Errorf("partition windows = %+v, want one pair with [150,180)", fs.pairs)
 	}
 	if fs.clearMs != 180 {
 		t.Errorf("clearMs = %g, want 180 (last surviving window end)", fs.clearMs)
 	}
-	if f := fs.nodes[0].slow[srcChaos].factorAt(100); f != 3 {
+	if f := factorAt(&fs.nodes[0].slow[srcChaos], 100); f != 3 {
 		t.Errorf("slow factor(domain 0 node, mid-window) = %g, want 3", f)
 	}
-	if f := fs.nodes[0].slow[srcChaos].factorAt(150); f != 1 {
+	if f := factorAt(&fs.nodes[0].slow[srcChaos], 150); f != 1 {
 		t.Errorf("slow factor at window end = %g, want 1 (half-open interval)", f)
 	}
-	if f := fs.nodes[2].slow[srcChaos].factorAt(100); f != 1 {
+	if f := factorAt(&fs.nodes[2].slow[srcChaos], 100); f != 1 {
 		t.Errorf("slow factor(domain 1 node) = %g, want 1", f)
 	}
 }
@@ -180,16 +181,17 @@ func TestChaosOverlappingSlowdowns(t *testing.T) {
 		{Kind: DomainSlowdown, AtMs: 40, ForMs: 30, Factor: 3}, // [40,70)
 		{Kind: DomainSlowdown, AtMs: 80, ForMs: 10, Factor: 1}, // [80,90), a no-op factor
 	}}, 2)
-	want := []faultWin{{10, 20, 5}, {20, 30, 5}, {30, 40, 5}, {40, 50, 5}, {50, 70, 3}, {80, 90, 1}}
+	want := []stats.Window{{Start: 10, End: 20, Factor: 5}, {Start: 20, End: 30, Factor: 5}, {Start: 30, End: 40, Factor: 5},
+		{Start: 40, End: 50, Factor: 5}, {Start: 50, End: 70, Factor: 3}, {Start: 80, End: 90, Factor: 1}}
 	for n := 0; n < 2; n++ {
-		if got := fs.nodes[n].slow[srcChaos].win; !slices.Equal(got, want) {
+		if got := fs.nodes[n].slow[srcChaos].Win; !slices.Equal(got, want) {
 			t.Errorf("node %d segments = %+v, want %+v", n, got, want)
 		}
 	}
 	for _, tc := range []struct{ t, f float64 }{
 		{0, 1}, {10, 5}, {25, 5}, {49.9, 5}, {50, 3}, {69, 3}, {70, 1}, {85, 1}, {90, 1},
 	} {
-		if f := fs.nodes[1].slow[srcChaos].factorAt(tc.t); f != tc.f {
+		if f := factorAt(&fs.nodes[1].slow[srcChaos], tc.t); f != tc.f {
 			t.Errorf("factor at %g = %g, want %g", tc.t, f, tc.f)
 		}
 	}

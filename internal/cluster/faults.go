@@ -29,8 +29,8 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 
+	"dlrmsim/internal/check"
 	"dlrmsim/internal/serve"
 	"dlrmsim/internal/stats"
 )
@@ -85,7 +85,7 @@ func (f FaultModel) validateErrs() []error {
 		{"outage interval", f.DownEveryMs}, {"outage duration", f.DownMeanMs},
 		{"drop detection delay", f.DropDetectMs},
 	} {
-		if !nonNeg(k.ms) {
+		if !check.NonNeg(k.ms) {
 			errs = append(errs, fmt.Errorf("cluster: fault %s %g ms (need finite >= 0)", k.name, k.ms))
 		}
 	}
@@ -93,7 +93,7 @@ func (f FaultModel) validateErrs() []error {
 		if f.SlowdownMeanMs == 0 {
 			errs = append(errs, fmt.Errorf("cluster: slowdown episodes need a positive mean duration"))
 		}
-		if !(f.SlowdownFactor >= 1) || math.IsInf(f.SlowdownFactor, 1) {
+		if !(f.SlowdownFactor >= 1 && check.Finite(f.SlowdownFactor)) {
 			errs = append(errs, fmt.Errorf("cluster: slowdown factor %g (need finite >= 1)", f.SlowdownFactor))
 		}
 	}
@@ -192,7 +192,7 @@ func (m Mitigation) validateErrs() []error {
 		{"timeout", m.TimeoutMs}, {"hedge delay", m.HedgeDelayMs}, {"retry budget", m.RetryBudget},
 		{"adaptive epoch", m.AdaptEpochMs}, {"breaker cooldown", m.BreakerCooldownMs},
 	} {
-		if !nonNeg(k.v) {
+		if !check.NonNeg(k.v) {
 			errs = append(errs, fmt.Errorf("cluster: mitigation %s %g (need finite >= 0)", k.name, k.v))
 		}
 	}
@@ -256,83 +256,6 @@ const (
 	saltRetry    uint64 = 0x9ED6E
 )
 
-// faultWin is one window [start, end) of a node's fault timeline;
-// factor is a slowdown window's service-time multiplier.
-type faultWin struct {
-	start, end, factor float64
-}
-
-// timeline is one node's start-ordered window list for one effect from
-// one source. The stochastic source materializes it lazily from its own
-// split stream — alternating exponential gaps and durations — so the
-// windows are a pure function of (seed, node) no matter when, or in
-// what order, the simulation asks about them; chaos fills it whole at
-// init. Slowdown timelines are disjoint, so factorAt binary-searches
-// them; outage windows are pushed onto the node's queue in start order.
-type timeline struct {
-	win     []faultWin
-	applied int // outage windows already pushed onto the node's queue
-
-	// The lazy source; gapMean 0 means the list is complete.
-	rng                      stats.RNG
-	gapMean, durMean, factor float64
-	horizon                  float64 // materialized through this instant
-}
-
-// init rewinds the timeline to empty, keeping the window buffer's
-// capacity, and arms the lazy stream on (seed, salt, node) when gapMean
-// is positive.
-func (tl *timeline) init(seed, salt uint64, node int, gapMean, durMean, factor float64) {
-	*tl = timeline{win: tl.win[:0]}
-	if gapMean > 0 {
-		tl.rng = stats.SeededRNG(stats.SplitSeed(seed^salt, uint64(node)))
-		tl.gapMean, tl.durMean, tl.factor = gapMean, durMean, factor
-	}
-}
-
-// extend materializes lazy windows until the timeline covers t.
-func (tl *timeline) extend(t float64) {
-	for tl.gapMean > 0 && tl.horizon <= t {
-		start := tl.horizon + tl.rng.ExpFloat64()*tl.gapMean
-		end := start + tl.rng.ExpFloat64()*tl.durMean
-		tl.win = append(tl.win, faultWin{start, end, tl.factor})
-		tl.horizon = end
-	}
-}
-
-// factorAt returns the slowdown factor in effect at t (1 outside every
-// window). Retries and hedges launch later than subsequently dispatched
-// queries, so lookups are not monotone in t; the materialized list
-// answers any t below the horizon.
-func (tl *timeline) factorAt(t float64) float64 {
-	tl.extend(t)
-	lo, hi := 0, len(tl.win)
-	for lo < hi { // first window with start > t
-		mid := (lo + hi) / 2
-		if tl.win[mid].start <= t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo > 0 && t < tl.win[lo-1].end {
-		return tl.win[lo-1].factor
-	}
-	return 1
-}
-
-// pushOutages pushes every window opening by t onto q, in start order as
-// arrivals reach them, per serve.Queue.Unavailable's contract. Windows
-// are never merged: a union would raise the queue past a window's own
-// end for a copy that arrives before the next one opens.
-func (tl *timeline) pushOutages(t float64, q *serve.Queue) {
-	tl.extend(t)
-	for tl.applied < len(tl.win) && tl.win[tl.applied].start <= t {
-		q.Unavailable(tl.win[tl.applied].end)
-		tl.applied++
-	}
-}
-
 // Fault sources, in the order their effects compose on a copy.
 const (
 	srcStochastic = iota // FaultModel's seeded episodes
@@ -340,9 +263,15 @@ const (
 	numSources
 )
 
-// nodeFaults is one node's timelines, one per effect and source.
+// nodeFaults is one node's fault timelines, one per effect and source.
+// The stochastic source seeds its timelines lazily on (seed, node), so
+// the windows are a pure function of both no matter when, or in what
+// order, the simulation asks about them; chaos fills its own whole at
+// init. Slowdown timelines are disjoint, so one binary search answers
+// them; outage windows are pushed onto the node's queue in start order.
 type nodeFaults struct {
-	down, slow [numSources]timeline
+	down, slow [numSources]stats.Timeline
+	pushed     [numSources]int // outage windows already pushed onto the node's queue
 }
 
 // faultState is one run's fault model: every source's outage and
@@ -373,10 +302,11 @@ func (fs *faultState) init(cfg *Config, nodes int) {
 	fs.nodes = arenaSlice(&fs.nodes, nodes)
 	for n := range fs.nodes {
 		nf := &fs.nodes[n]
-		nf.slow[srcStochastic].init(cfg.Seed, saltSlowdown, n, m.SlowdownEveryMs, m.SlowdownMeanMs, m.SlowdownFactor)
-		nf.down[srcStochastic].init(cfg.Seed, saltOutage, n, m.DownEveryMs, m.DownMeanMs, 0)
-		nf.slow[srcChaos] = timeline{win: nf.slow[srcChaos].win[:0]} // filled by initChaos
-		nf.down[srcChaos] = timeline{win: nf.down[srcChaos].win[:0]}
+		nf.slow[srcStochastic].Seed(cfg.Seed^saltSlowdown, uint64(n), m.SlowdownEveryMs, m.SlowdownMeanMs, m.SlowdownFactor)
+		nf.down[srcStochastic].Seed(cfg.Seed^saltOutage, uint64(n), m.DownEveryMs, m.DownMeanMs, 0)
+		nf.slow[srcChaos].Reset() // filled by initChaos
+		nf.down[srcChaos].Reset()
+		nf.pushed = [numSources]int{}
 	}
 	fs.initChaos(&cfg.Chaos, nodes)
 }
@@ -384,18 +314,27 @@ func (fs *faultState) init(cfg *Config, nodes int) {
 // apply is the one place a copy meets the fault model at its node:
 // every source's outage windows opening by t are pushed onto q, and svc
 // comes back stretched by each source's slowdown factor at t — one
-// multiplication per source, stochastic first.
+// multiplication per source, stochastic first. Outages are pushed in
+// start order as arrivals reach them, per serve.Queue.Unavailable's
+// contract, and never merged: a union would raise the queue past a
+// window's own end for a copy that arrives before the next one opens.
+// Retries and hedges launch later than subsequently dispatched queries,
+// so slowdown lookups are not monotone in t.
 func (fs *faultState) apply(node int, t float64, q *serve.Queue, svc float64) float64 {
 	if fs == nil {
 		return svc
 	}
 	nf := &fs.nodes[node]
 	for src := range nf.down {
-		nf.down[src].pushOutages(t, q)
+		tl := &nf.down[src]
+		tl.Extend(t)
+		for ; nf.pushed[src] < len(tl.Win) && tl.Win[nf.pushed[src]].Start <= t; nf.pushed[src]++ {
+			q.Unavailable(tl.Win[nf.pushed[src]].End)
+		}
 	}
 	for src := range nf.slow {
-		if f := nf.slow[src].factorAt(t); f != 1 {
-			svc *= f
+		if w, in := nf.slow[src].At(t); in && w.Factor != 1 {
+			svc *= w.Factor
 		}
 	}
 	return svc

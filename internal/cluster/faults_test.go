@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dlrmsim/internal/serve"
+	"dlrmsim/internal/stats"
 	"dlrmsim/internal/trace"
 )
 
@@ -307,44 +308,13 @@ func TestExplicitZeroWarmupQueries(t *testing.T) {
 	}
 }
 
-// TestTrackInside pins the lazy episode timeline: windows alternate gaps
-// and durations, and membership answers correctly for out-of-order
-// queries below the materialized horizon.
-func TestTrackInside(t *testing.T) {
-	var tl timeline
-	tl.init(7, saltSlowdown, 0, 10, 3, 4)
-	tl.extend(200)
-	if len(tl.win) == 0 {
-		t.Fatal("no windows materialized over 200 ms with a 10 ms mean gap")
+// factorAt returns the slowdown factor a timeline applies at t (1
+// outside every window).
+func factorAt(tl *stats.Timeline, t float64) float64 {
+	if w, in := tl.At(t); in {
+		return w.Factor
 	}
-	prevEnd := 0.0
-	for i, w := range tl.win {
-		if w.start < prevEnd || w.end <= w.start || w.factor != 4 {
-			t.Fatalf("window %d malformed: [%g, %g) x%g after end %g", i, w.start, w.end, w.factor, prevEnd)
-		}
-		prevEnd = w.end
-	}
-	inside := func(p float64) bool { return tl.factorAt(p) != 1 }
-	// Probe forwards then backwards: answers must agree with the windows.
-	probes := []float64{0, 5, 50, 150, 199, 120, 3}
-	for _, p := range probes {
-		want := false
-		for _, w := range tl.win {
-			if p >= w.start && p < w.end {
-				want = true
-			}
-		}
-		if got := inside(p); got != want {
-			t.Errorf("inside(%g) = %v, want %v", p, got, want)
-		}
-	}
-	mid := tl.win[0].start + (tl.win[0].end-tl.win[0].start)/2
-	if !inside(mid) {
-		t.Error("midpoint of first window reported outside")
-	}
-	if inside(tl.win[0].end) && tl.win[0].end != tl.win[1].start {
-		t.Error("window end (exclusive) reported inside")
-	}
+	return 1
 }
 
 // TestFaultApplyComposition pins how one copy meets both fault sources:
@@ -363,8 +333,8 @@ func TestFaultApplyComposition(t *testing.T) {
 		Seed: 1,
 	}, 2)
 	tl := &fs.nodes[0].slow[srcStochastic]
-	tl.extend(100)
-	at := (tl.win[0].start + tl.win[0].end) / 2
+	tl.Extend(100)
+	at := (tl.Win[0].Start + tl.Win[0].End) / 2
 	svc := 0.1
 	for (svc*6)*5 == svc*30 {
 		svc = math.Nextafter(svc, 1)

@@ -40,7 +40,7 @@ func FuzzShardPlan(f *testing.F) {
 		for tb := 0; tb < model.Tables; tb++ {
 			seen := make([]int, model.RowsPerTable) // rank count per row
 			for rank := 0; rank < model.RowsPerTable; rank++ {
-				row := plan.rowOfRank(tb, rank)
+				row := plan.perms[tb].Row(rank)
 				if row < 0 || int(row) >= model.RowsPerTable {
 					t.Fatalf("table %d rank %d: row %d out of range [0,%d)", tb, rank, row, model.RowsPerTable)
 				}
@@ -106,7 +106,7 @@ func FuzzChaosSchedule(f *testing.F) {
 		a, b := chaosFaults(sched, nodes), chaosFaults(sched, nodes)
 		for n := 0; n < nodes; n++ {
 			na, nb := &a.nodes[n], &b.nodes[n]
-			if !slices.Equal(na.down[srcChaos].win, nb.down[srcChaos].win) || !slices.Equal(na.slow[srcChaos].win, nb.slow[srcChaos].win) {
+			if !slices.Equal(na.down[srcChaos].Win, nb.down[srcChaos].Win) || !slices.Equal(na.slow[srcChaos].Win, nb.slow[srcChaos].Win) {
 				t.Fatal("chaos materialization is not deterministic")
 			}
 		}
@@ -121,17 +121,17 @@ func FuzzChaosSchedule(f *testing.F) {
 			// instants: the disjoint segments must give exactly the max
 			// factor over the (recover-truncated) windows open at t.
 			probes := []float64{0, 1, 100, 1e6}
-			for _, w := range slow.win {
-				probes = append(probes, w.start, w.end, w.start+(w.end-w.start)/2)
+			for _, w := range slow.Win {
+				probes = append(probes, w.Start, w.End, w.Start+(w.End-w.Start)/2)
 			}
 			for _, at := range probes {
 				want := 1.0
 				for _, r := range a.raws {
-					if r.kind == DomainSlowdown && r.key == a.nodeDom[n] && r.win.start <= at && at < r.win.end && r.win.factor > want {
-						want = r.win.factor
+					if r.kind == DomainSlowdown && r.key == a.nodeDom[n] && r.win.Start <= at && at < r.win.End && r.win.Factor > want {
+						want = r.win.Factor
 					}
 				}
-				if fct := slow.factorAt(at); fct != want {
+				if fct := factorAt(slow, at); fct != want {
 					t.Fatalf("node %d slow factor at %g = %g, want the overlapping windows' max %g", n, at, fct, want)
 				}
 				shift, resends := a.transit(0, 0, n, 0, at, 1)

@@ -114,7 +114,7 @@ func (a Admission) validateErrs() []error {
 			errs = append(errs, fmt.Errorf("cluster: queue budget %g ms needs the shed admission policy", a.QueueBudgetMs))
 		}
 	case ShedOverBudget:
-		if !positive(a.QueueBudgetMs) {
+		if !check.Positive(a.QueueBudgetMs) {
 			errs = append(errs, fmt.Errorf("cluster: shed admission needs a finite positive queue budget (got %g ms)", a.QueueBudgetMs))
 		}
 	default:
@@ -147,20 +147,20 @@ type Autoscaler struct {
 
 func (a *Autoscaler) validateErrs(nodes int) []error {
 	var errs []error
-	if !positive(a.IntervalMs) {
+	if !check.Positive(a.IntervalMs) {
 		errs = append(errs, fmt.Errorf("cluster: autoscaler needs a finite positive control interval (got %g ms)", a.IntervalMs))
 	}
-	if !positive(a.UpBacklogMs) {
+	if !check.Positive(a.UpBacklogMs) {
 		errs = append(errs, fmt.Errorf("cluster: autoscaler needs a finite positive scale-up backlog threshold (got %g ms)", a.UpBacklogMs))
 	}
-	if !nonNeg(a.DownBacklogMs) {
+	if !check.NonNeg(a.DownBacklogMs) {
 		errs = append(errs, fmt.Errorf("cluster: scale-down threshold %g ms (need finite >= 0)", a.DownBacklogMs))
 	}
 	if a.UpBacklogMs > 0 && a.DownBacklogMs >= a.UpBacklogMs {
 		errs = append(errs, fmt.Errorf("cluster: scale-down threshold %g ms must sit below scale-up threshold %g ms",
 			a.DownBacklogMs, a.UpBacklogMs))
 	}
-	if !nonNeg(a.ProvisionMs) {
+	if !check.NonNeg(a.ProvisionMs) {
 		errs = append(errs, fmt.Errorf("cluster: provisioning delay %g ms (need finite >= 0)", a.ProvisionMs))
 	}
 	if a.MinNodes < 0 || a.MinNodes > nodes {
@@ -246,25 +246,16 @@ func (o *OpenLoop) validateErrs(nodes int) []error {
 			errs = append(errs, err)
 		}
 	}
-	if !positive(o.DurationMs) {
+	if !check.Positive(o.DurationMs) {
 		errs = append(errs, fmt.Errorf("cluster: open-loop runs need a finite positive duration (got %g ms)", o.DurationMs))
 	}
-	if !nonNeg(o.WarmupMs) && o.WarmupMs != -1 {
+	if !check.NonNeg(o.WarmupMs) && o.WarmupMs != -1 {
 		errs = append(errs, fmt.Errorf("cluster: warmup %g ms (need finite >= 0; use -1 for explicit zero)", o.WarmupMs))
 	}
-	if positive(o.DurationMs) {
-		w := o.WarmupMs
-		switch w {
-		case 0:
-			w = o.DurationMs / 20
-		case -1:
-			w = 0
-		}
-		if w >= o.DurationMs {
-			errs = append(errs, fmt.Errorf("cluster: warmup %g ms >= duration %g ms", w, o.DurationMs))
-		}
+	if w := serve.Warmup(o.DurationMs, o.WarmupMs); check.Positive(o.DurationMs) && w >= o.DurationMs {
+		errs = append(errs, fmt.Errorf("cluster: warmup %g ms >= duration %g ms", w, o.DurationMs))
 	}
-	if !positive(o.SLAMs) {
+	if !check.Positive(o.SLAMs) {
 		errs = append(errs, fmt.Errorf("cluster: open-loop runs need a finite positive SLA target (got %g ms)", o.SLAMs))
 	}
 	if o.StartNodes < 0 || o.StartNodes > nodes {
@@ -291,12 +282,7 @@ func (o *OpenLoop) validateErrs(nodes int) []error {
 // applyDefaults resolves the zero-means-default fields of a validated
 // open loop in place.
 func (o *OpenLoop) applyDefaults(nodes int) {
-	switch o.WarmupMs {
-	case 0:
-		o.WarmupMs = o.DurationMs / 20
-	case -1:
-		o.WarmupMs = 0
-	}
+	o.WarmupMs = serve.Warmup(o.DurationMs, o.WarmupMs)
 	if o.StartNodes == 0 {
 		o.StartNodes = nodes
 	}
@@ -750,7 +736,7 @@ func (r *openRun) drawArrival(q int, user uint64, visit int, cold []int) (hot, w
 				// profile row through the home node — warm there.
 				warm++
 			default:
-				cold[plan.Owner(t, plan.rowOfRank(t, rk))]++
+				cold[plan.Owner(t, plan.perms[t].Row(rk))]++
 			}
 		}
 	}

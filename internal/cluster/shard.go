@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"dlrmsim/internal/dlrm"
-	"dlrmsim/internal/stats"
+	"dlrmsim/internal/trace"
 )
 
 // Policy selects how a model's embedding tables are sharded across nodes.
@@ -63,14 +63,14 @@ type Plan struct {
 	// ShardBytes is each node's owned (non-replica) embedding footprint.
 	ShardBytes []int64
 
-	// perms holds the per-table rank→row affine bijections.
-	perms []perm
+	// perms maps each table's Zipf ranks to its rows through the same
+	// bijection trace.Dataset draws with, so each table's hot rows land
+	// at different row offsets — without it, RowRange would place every
+	// table's hottest rows on node 0.
+	perms []trace.RowPerm
 	// chunk is the row-range size per node (RowRange only).
 	chunk int
 }
-
-// perm is one table's rank→row affine bijection: row = (rank·mult+add) mod rows.
-type perm struct{ mult, add uint64 }
 
 // NewPlan shards model across nodes under policy, replicating the top
 // replicateFrac of every table's rows (by hotness rank) onto every node.
@@ -94,24 +94,15 @@ func NewPlan(model dlrm.Config, nodes int, policy Policy, replicateFrac float64,
 		HotRows: int(replicateFrac * float64(model.RowsPerTable)),
 		chunk:   (model.RowsPerTable + nodes - 1) / nodes,
 	}
-	p.perms = make([]perm, model.Tables)
-	rows := uint64(model.RowsPerTable)
+	p.perms = make([]trace.RowPerm, model.Tables)
 	for t := range p.perms {
-		h := stats.Mix64(seed ^ uint64(t)*0x9E37)
-		mult := h%rows | 1
-		for gcd(mult, rows) != 1 {
-			mult += 2
-			if mult >= rows {
-				mult = 1
-			}
-		}
-		p.perms[t] = perm{mult: mult, add: stats.Mix64(h) % rows}
+		p.perms[t] = trace.NewRowPerm(seed, t, model.RowsPerTable)
 	}
 	if replicateFrac > 0 && p.HotRows == 0 {
 		p.HotRows = 1
 	}
 	perTable := model.PerTableBytes()
-	rowBytes := perTable / int64(model.RowsPerTable)
+	rowBytes := int64(model.EmbDType.RowBytes(model.EmbDim))
 	p.ShardBytes = make([]int64, nodes)
 	switch policy {
 	case TableWise:
@@ -145,28 +136,11 @@ func (p *Plan) Owner(table int, row int32) int {
 // the replicated hot-row set (ranks are 0-based, hottest first).
 func (p *Plan) Replicated(rank int) bool { return rank < p.HotRows }
 
-// rowOfRank maps a Zipf rank to a table-specific row id via the same
-// affine bijection trace.Dataset uses, so each table's hot rows land at
-// different row offsets — without it, RowRange would place every table's
-// hottest rows on node 0.
-func (p *Plan) rowOfRank(table, rank int) int32 {
-	pm := p.perms[table]
-	return int32((uint64(rank)*pm.mult + pm.add) % uint64(p.Model.RowsPerTable))
-}
-
-func gcd(a, b uint64) uint64 {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
 // ReplicaBytesPerNode returns the replication memory overhead each node
 // carries: the hot rows of every table, minus the ~1/Nodes share the node
 // already owns as shard data.
 func (p *Plan) ReplicaBytesPerNode() int64 {
-	rowBytes := p.Model.PerTableBytes() / int64(p.Model.RowsPerTable)
-	total := int64(p.HotRows) * rowBytes * int64(p.Model.Tables)
+	total := int64(p.HotRows) * int64(p.Model.EmbDType.RowBytes(p.Model.EmbDim)) * int64(p.Model.Tables)
 	return total * int64(p.Nodes-1) / int64(p.Nodes)
 }
 

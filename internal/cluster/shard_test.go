@@ -45,7 +45,7 @@ func TestOwnerInRange(t *testing.T) {
 		}
 		for tab := 0; tab < model.Tables; tab++ {
 			for rank := 0; rank < model.RowsPerTable; rank += 97 {
-				n := p.Owner(tab, p.rowOfRank(tab, rank))
+				n := p.Owner(tab, p.perms[tab].Row(rank))
 				if n < 0 || n >= p.Nodes {
 					t.Fatalf("%v: owner(%d, rank %d) = %d outside [0,%d)", policy, tab, rank, n, p.Nodes)
 				}
@@ -62,7 +62,7 @@ func TestRowPermutationIsBijective(t *testing.T) {
 	}
 	seen := make(map[int32]bool, model.RowsPerTable)
 	for rank := 0; rank < model.RowsPerTable; rank++ {
-		r := p.rowOfRank(0, rank)
+		r := p.perms[0].Row(rank)
 		if seen[r] {
 			t.Fatalf("rank %d collides at row %d", rank, r)
 		}

@@ -78,15 +78,7 @@ func (c *Config) applyDefaults() error {
 	c.Faults.applyDefaults()
 	c.Mitigation.applyDefaults()
 	if c.Open == nil {
-		if c.Queries == 0 {
-			c.Queries = 2000
-		}
-		switch c.WarmupQueries {
-		case 0:
-			c.WarmupQueries = c.Queries / 20
-		case -1:
-			c.WarmupQueries = 0
-		}
+		c.Queries, c.WarmupQueries = serve.Defaults(c.Queries, c.WarmupQueries)
 		return nil
 	}
 	// Clone before resolving defaults: Simulate receives the Config by

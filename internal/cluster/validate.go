@@ -3,14 +3,10 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"math"
-)
 
-// nonNeg and positive are the range checks every float knob uses: NaN
-// fails every ordered comparison and +Inf is rejected outright, so a
-// config that passes them keeps the simulation's arithmetic finite.
-func nonNeg(x float64) bool   { return x >= 0 && !math.IsInf(x, 1) }
-func positive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+	"dlrmsim/internal/check"
+	"dlrmsim/internal/serve"
+)
 
 // Validate reports every violation in the cluster configuration at once
 // (errors.Join), without mutating the config, so a user can fix every bad
@@ -34,20 +30,20 @@ func (c Config) Validate() error {
 	if c.SamplesPerQuery < 1 {
 		errs = append(errs, fmt.Errorf("cluster: %d samples per query", c.SamplesPerQuery))
 	}
-	if c.Open == nil && !positive(c.MeanArrivalMs) {
+	if c.Open == nil && !check.Positive(c.MeanArrivalMs) {
 		errs = append(errs, fmt.Errorf("cluster: mean arrival %g ms (need finite > 0)", c.MeanArrivalMs))
 	}
 	if err := c.Timing.Validate(); err != nil {
 		errs = append(errs, err)
 	}
-	if !nonNeg(c.Net.LatencyMs) || !nonNeg(c.Net.BandwidthGBs) {
+	if !check.NonNeg(c.Net.LatencyMs) || !check.NonNeg(c.Net.BandwidthGBs) {
 		errs = append(errs, fmt.Errorf("cluster: non-finite or negative network parameters (latency %g ms, bandwidth %g GB/s)",
 			c.Net.LatencyMs, c.Net.BandwidthGBs))
 	}
 	if c.ServersPerNode < 0 {
 		errs = append(errs, fmt.Errorf("cluster: %d servers per node", c.ServersPerNode))
 	}
-	if !nonNeg(c.JitterFrac) {
+	if !check.NonNeg(c.JitterFrac) {
 		errs = append(errs, fmt.Errorf("cluster: jitter fraction %g (need finite >= 0)", c.JitterFrac))
 	}
 	if c.Queries < 0 {
@@ -63,12 +59,8 @@ func (c Config) Validate() error {
 		}
 		errs = append(errs, c.Open.validateErrs(nodes)...)
 	} else {
-		queries := c.Queries
-		if queries == 0 {
-			queries = 2000
-		}
-		if c.WarmupQueries >= queries && queries > 0 {
-			errs = append(errs, fmt.Errorf("cluster: warmup %d >= queries %d", c.WarmupQueries, queries))
+		if n, w := serve.Defaults(c.Queries, c.WarmupQueries); w >= n && n > 0 {
+			errs = append(errs, fmt.Errorf("cluster: warmup %d >= queries %d", c.WarmupQueries, n))
 		}
 	}
 	errs = append(errs, c.Faults.validateErrs()...)
@@ -80,16 +72,16 @@ func (c Config) Validate() error {
 // Validate reports every violation in the per-node service model.
 func (t Timing) Validate() error {
 	var errs []error
-	if !positive(t.ColdLookupUs) {
+	if !check.Positive(t.ColdLookupUs) {
 		errs = append(errs, fmt.Errorf("cluster: cold lookup cost %g µs (need finite > 0)", t.ColdLookupUs))
 	}
-	if !nonNeg(t.HotLookupUs) {
+	if !check.NonNeg(t.HotLookupUs) {
 		errs = append(errs, fmt.Errorf("cluster: hot lookup cost %g µs (need finite >= 0)", t.HotLookupUs))
 	}
-	if !nonNeg(t.SubRequestUs) {
+	if !check.NonNeg(t.SubRequestUs) {
 		errs = append(errs, fmt.Errorf("cluster: sub-request overhead %g µs (need finite >= 0)", t.SubRequestUs))
 	}
-	if !nonNeg(t.DenseMs) {
+	if !check.NonNeg(t.DenseMs) {
 		errs = append(errs, fmt.Errorf("cluster: dense-stage time %g ms (need finite >= 0)", t.DenseMs))
 	}
 	return errors.Join(errs...)

@@ -99,16 +99,7 @@ func (c Config) EmbeddingBytes() int64 {
 // PerTableBytes returns one table's footprint (the paper's "per table
 // capacity" column).
 func (c Config) PerTableBytes() int64 {
-	rowBytes := int64(c.EmbDim)*int64(c.EmbDType.ElemBytes()) + int64(rowOverhead(c.EmbDType))
-	return int64(c.RowsPerTable) * rowBytes
-}
-
-// rowOverhead mirrors the per-row metadata embedding.Table stores.
-func rowOverhead(d embedding.DType) int {
-	if d == embedding.Int8 {
-		return 4
-	}
-	return 0
+	return int64(c.RowsPerTable) * int64(c.EmbDType.RowBytes(c.EmbDim))
 }
 
 // RM2Small returns rm2_1: the small RMC2 model (60 tables × 1M × 128,

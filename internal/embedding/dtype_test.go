@@ -39,6 +39,11 @@ func TestQuantizedRowGeometry(t *testing.T) {
 	if i8.DType() != Int8 {
 		t.Fatal("DType accessor")
 	}
+	for _, tb := range []*Table{f32, f16, i8} {
+		if got := tb.DType().RowBytes(128); got != tb.RowBytes() {
+			t.Errorf("%v: DType.RowBytes(128) = %d, table row = %d", tb.DType(), got, tb.RowBytes())
+		}
+	}
 }
 
 func TestQuantizedValuesApproximateF32(t *testing.T) {

@@ -51,12 +51,14 @@ func (d DType) ElemBytes() int {
 	}
 }
 
-// rowOverheadBytes returns per-row metadata (the int8 dequant scale).
-func (d DType) rowOverheadBytes() int {
+// RowBytes returns the size of one stored row of dim elements, including
+// any per-row quantization metadata.
+func (d DType) RowBytes(dim int) int {
+	b := dim * d.ElemBytes()
 	if d == Int8 {
-		return 4
+		b += 4 // the fp32 dequant scale
 	}
-	return 0
+	return b
 }
 
 // String names the type.
@@ -112,9 +114,8 @@ func (t *Table) Rows() int { return t.rows }
 // Dim returns the embedding dimension.
 func (t *Table) Dim() int { return t.dim }
 
-// RowBytes returns the size of one stored row in bytes, including any
-// per-row quantization metadata.
-func (t *Table) RowBytes() int { return t.dim*t.dtype.ElemBytes() + t.dtype.rowOverheadBytes() }
+// RowBytes returns the size of one stored row in bytes.
+func (t *Table) RowBytes() int { return t.dtype.RowBytes(t.dim) }
 
 // RowLines returns the number of cache lines one row spans.
 func (t *Table) RowLines() int { return (t.RowBytes() + memsim.LineSize - 1) / memsim.LineSize }

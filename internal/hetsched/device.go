@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+
+	"dlrmsim/internal/check"
 )
 
 // DeviceClass is the coarse hardware family a device belongs to; the
@@ -118,11 +120,11 @@ func (d DeviceSpec) validate(i, fleet int) error {
 	}
 	capable := false
 	for k := 0; k < NumKinds; k++ {
-		if d.Speed[k] < 0 {
-			errs = append(errs, fmt.Errorf("hetsched: device %d has negative %s speed %g", i, PhaseKind(k), d.Speed[k]))
+		if !check.NonNeg(d.Speed[k]) {
+			errs = append(errs, fmt.Errorf("hetsched: device %d has non-finite or negative %s speed %g", i, PhaseKind(k), d.Speed[k]))
 		}
-		if d.FixedUs[k] < 0 {
-			errs = append(errs, fmt.Errorf("hetsched: device %d has negative %s fixed cost %g", i, PhaseKind(k), d.FixedUs[k]))
+		if !check.NonNeg(d.FixedUs[k]) {
+			errs = append(errs, fmt.Errorf("hetsched: device %d has non-finite or negative %s fixed cost %g", i, PhaseKind(k), d.FixedUs[k]))
 		}
 		if d.Speed[k] > 0 {
 			capable = true
@@ -134,8 +136,8 @@ func (d DeviceSpec) validate(i, fleet int) error {
 	if d.MaxBatch < 0 {
 		errs = append(errs, fmt.Errorf("hetsched: device %d has negative max batch %d", i, d.MaxBatch))
 	}
-	if d.HoldUs < 0 {
-		errs = append(errs, fmt.Errorf("hetsched: device %d has negative hold window %g", i, d.HoldUs))
+	if !check.NonNeg(d.HoldUs) {
+		errs = append(errs, fmt.Errorf("hetsched: device %d has non-finite or negative hold window %g", i, d.HoldUs))
 	}
 	if d.HoldUs > 0 && d.maxBatch() == 1 {
 		errs = append(errs, fmt.Errorf("hetsched: device %d holds %g µs for batches but MaxBatch is 1", i, d.HoldUs))
@@ -145,11 +147,11 @@ func (d DeviceSpec) validate(i, fleet int) error {
 	} else if d.SMTSibling == i {
 		errs = append(errs, fmt.Errorf("hetsched: device %d is its own SMT sibling", i))
 	}
-	if d.SMTSameKind < 0 || (d.SMTSameKind > 0 && d.SMTSameKind < 1) {
-		errs = append(errs, fmt.Errorf("hetsched: device %d SMT same-kind factor %g < 1", i, d.SMTSameKind))
+	if !check.NonNeg(d.SMTSameKind) || (d.SMTSameKind > 0 && d.SMTSameKind < 1) {
+		errs = append(errs, fmt.Errorf("hetsched: device %d SMT same-kind factor %g (want 0 or finite >= 1)", i, d.SMTSameKind))
 	}
-	if d.SMTCrossKind < 0 || (d.SMTCrossKind > 0 && d.SMTCrossKind < 1) {
-		errs = append(errs, fmt.Errorf("hetsched: device %d SMT cross-kind factor %g < 1", i, d.SMTCrossKind))
+	if !check.NonNeg(d.SMTCrossKind) || (d.SMTCrossKind > 0 && d.SMTCrossKind < 1) {
+		errs = append(errs, fmt.Errorf("hetsched: device %d SMT cross-kind factor %g (want 0 or finite >= 1)", i, d.SMTCrossKind))
 	}
 	return errors.Join(errs...)
 }

@@ -1,6 +1,7 @@
 package hetsched
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -71,9 +72,10 @@ func TestDLRMGraphShape(t *testing.T) {
 
 // graphFromBytes decodes an arbitrary byte string into a (frequently
 // invalid) phase graph: per phase one kind byte (invalid kind 3 included),
-// one work byte biased slightly negative, and two dependency nibbles that
-// can point out of range, at the phase itself, or forward (building
-// cycles). The fuzz target feeds this to Validate and Simulate.
+// one work byte biased slightly negative (0x80, 0x7F and 0x81 decode to
+// NaN, +Inf and -Inf, as FuzzClusterConfig's do), and two dependency
+// nibbles that can point out of range, at the phase itself, or forward
+// (building cycles). The fuzz target feeds this to Validate and Simulate.
 func graphFromBytes(data []byte) Graph {
 	if len(data) == 0 {
 		return Graph{}
@@ -87,10 +89,22 @@ func graphFromBytes(data []byte) Graph {
 		}
 		return 0
 	}
+	work := func(b byte) float64 { // [-8, 247], NaN, ±Inf
+		switch b {
+		case 0x80:
+			return math.NaN()
+		case 0x7F:
+			return math.Inf(1)
+		case 0x81:
+			return math.Inf(-1)
+		default:
+			return float64(int(b) - 8)
+		}
+	}
 	for i := 0; i < n; i++ {
 		p := Phase{
 			Kind:   PhaseKind(get(i*4) % 4),
-			WorkUs: float64(int(get(i*4+1)) - 8),
+			WorkUs: work(get(i*4 + 1)),
 		}
 		for _, db := range []byte{get(i*4 + 2), get(i*4 + 3)} {
 			if db%4 != 0 {
@@ -112,6 +126,9 @@ func FuzzPhaseGraph(f *testing.F) {
 	f.Add([]byte{2, 0, 10, 6, 0, 1, 10, 5, 0})                           // mutual deps → cycle
 	f.Add([]byte{3, 3, 200, 15, 1, 1, 0, 9, 9})                          // invalid kind + junk deps
 	f.Add([]byte{6, 1, 0, 0, 0, 2, 0, 0, 0})                             // zero-work phases
+	f.Add([]byte{0, 0, 0x80, 0, 0})                                      // NaN gather work
+	f.Add([]byte{0, 2, 0x7F, 0, 0})                                      // +Inf MLP work
+	f.Add([]byte{1, 0, 0x81, 0, 0, 2, 30, 5, 0})                         // -Inf gather work
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := graphFromBytes(data)
 		verr := g.Validate()

@@ -35,6 +35,8 @@ package hetsched
 import (
 	"errors"
 	"fmt"
+
+	"dlrmsim/internal/check"
 )
 
 // PhaseKind types the work a phase performs; the scheduler routes on it.
@@ -95,8 +97,8 @@ func (g Graph) Validate() error {
 		if p.Kind >= NumKinds {
 			errs = append(errs, fmt.Errorf("hetsched: phase %d has invalid kind %d", i, p.Kind))
 		}
-		if p.WorkUs < 0 {
-			errs = append(errs, fmt.Errorf("hetsched: phase %d has negative work %g", i, p.WorkUs))
+		if !check.NonNeg(p.WorkUs) {
+			errs = append(errs, fmt.Errorf("hetsched: phase %d has non-finite or negative work %g", i, p.WorkUs))
 		}
 		for _, d := range p.Deps {
 			if d < 0 || d >= len(g.Phases) {

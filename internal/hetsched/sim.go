@@ -40,15 +40,7 @@ func (c *Config) applyDefaults() error {
 	if err := c.Validate(); err != nil {
 		return err
 	}
-	if c.Requests == 0 {
-		c.Requests = 2000
-	}
-	switch {
-	case c.WarmupRequests == 0:
-		c.WarmupRequests = c.Requests / 20
-	case c.WarmupRequests == -1:
-		c.WarmupRequests = 0
-	}
+	c.Requests, c.WarmupRequests = serve.Defaults(c.Requests, c.WarmupRequests)
 	return nil
 }
 

@@ -209,6 +209,48 @@ func TestConfigValidateIncapableFleet(t *testing.T) {
 	}
 }
 
+// TestConfigValidateRejectsNonFinite: every float knob must reject NaN
+// and ±Inf. A NaN phase work or arrival gap once passed Validate and
+// panicked inside Simulate; a NaN jitter or hold passed silently.
+func TestConfigValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"NaN work", func(c *Config) { c.Graph.Phases[0].WorkUs = nan }},
+		{"+Inf work", func(c *Config) { c.Graph.Phases[0].WorkUs = inf }},
+		{"NaN speed", func(c *Config) { c.Devices[0].Speed[Gather] = nan }},
+		{"+Inf speed", func(c *Config) { c.Devices[0].Speed[Gather] = inf }},
+		{"NaN fixed cost", func(c *Config) { c.Devices[0].FixedUs[MLP] = nan }},
+		{"+Inf fixed cost", func(c *Config) { c.Devices[0].FixedUs[MLP] = inf }},
+		{"NaN hold", func(c *Config) { c.Devices[2].HoldUs = nan }},
+		{"+Inf hold", func(c *Config) { c.Devices[2].HoldUs = inf }},
+		{"NaN SMT same-kind", func(c *Config) { c.Devices[0].SMTSameKind = nan }},
+		{"+Inf SMT same-kind", func(c *Config) { c.Devices[0].SMTSameKind = inf }},
+		{"NaN SMT cross-kind", func(c *Config) { c.Devices[0].SMTCrossKind = nan }},
+		{"+Inf SMT cross-kind", func(c *Config) { c.Devices[0].SMTCrossKind = inf }},
+		{"NaN arrival", func(c *Config) { c.MeanArrivalMs = nan }},
+		{"+Inf arrival", func(c *Config) { c.MeanArrivalMs = inf }},
+		{"NaN jitter", func(c *Config) { c.JitterFrac = nan }},
+		{"-Inf jitter", func(c *Config) { c.JitterFrac = -inf }},
+	} {
+		cfg := Config{
+			Graph:         testGraph(),
+			Devices:       mustMix(t, "cpu2gpu1"),
+			MeanArrivalMs: 0.2,
+			Requests:      40,
+		}
+		if cfg.Devices[2].Class != GPUClass {
+			t.Fatalf("cpu2gpu1 device 2 is %v, want the GPU", cfg.Devices[2].Class)
+		}
+		tc.mut(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted it", tc.name)
+		}
+	}
+}
+
 func TestWarmupConventions(t *testing.T) {
 	base := Config{
 		Graph:         testGraph(),

@@ -3,6 +3,9 @@ package hetsched
 import (
 	"errors"
 	"fmt"
+
+	"dlrmsim/internal/check"
+	"dlrmsim/internal/serve"
 )
 
 // Validate reports every problem with the config at once (collect-all,
@@ -44,8 +47,8 @@ func (c Config) Validate() error {
 	if c.Policy >= numPolicies {
 		errs = append(errs, fmt.Errorf("hetsched: invalid policy %d", c.Policy))
 	}
-	if c.MeanArrivalMs <= 0 {
-		errs = append(errs, fmt.Errorf("hetsched: mean arrival %g ms must be positive", c.MeanArrivalMs))
+	if !check.Positive(c.MeanArrivalMs) {
+		errs = append(errs, fmt.Errorf("hetsched: mean arrival %g ms must be finite and positive", c.MeanArrivalMs))
 	}
 	if c.Requests < 0 {
 		errs = append(errs, fmt.Errorf("hetsched: negative request count %d", c.Requests))
@@ -53,14 +56,10 @@ func (c Config) Validate() error {
 	if c.WarmupRequests < -1 {
 		errs = append(errs, fmt.Errorf("hetsched: warmup %d must be ≥ -1 (-1 means explicitly zero)", c.WarmupRequests))
 	}
-	reqs := c.Requests
-	if reqs == 0 {
-		reqs = 2000
+	if n, w := serve.Defaults(c.Requests, c.WarmupRequests); w > 0 && w >= n {
+		errs = append(errs, fmt.Errorf("hetsched: warmup %d leaves no measured requests (of %d)", c.WarmupRequests, n))
 	}
-	if c.WarmupRequests > 0 && c.WarmupRequests >= reqs {
-		errs = append(errs, fmt.Errorf("hetsched: warmup %d leaves no measured requests (of %d)", c.WarmupRequests, reqs))
-	}
-	if c.JitterFrac < 0 || c.JitterFrac > 2 {
+	if !(c.JitterFrac >= 0 && c.JitterFrac <= 2) { // NaN fails too
 		errs = append(errs, fmt.Errorf("hetsched: jitter fraction %g outside [0, 2]", c.JitterFrac))
 	}
 	return errors.Join(errs...)

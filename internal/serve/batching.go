@@ -2,8 +2,8 @@ package serve
 
 import (
 	"fmt"
-	"math"
 
+	"dlrmsim/internal/check"
 	"dlrmsim/internal/stats"
 )
 
@@ -38,12 +38,10 @@ func (c *BatchingConfig) applyDefaults() error {
 	if c.Cores < 1 || c.MaxBatch < 1 || c.Queries < 0 {
 		return fmt.Errorf("serve: bad batching config %+v", *c)
 	}
-	// NaN fails every ordered comparison, so each range check is written
-	// to fail on it; +Inf is rejected separately (as in Config.Validate).
-	if !(c.MeanArrivalMs > 0 && c.MaxWaitMs > 0) || math.IsInf(c.MeanArrivalMs, 1) || math.IsInf(c.MaxWaitMs, 1) {
+	if !check.Positive(c.MeanArrivalMs) || !check.Positive(c.MaxWaitMs) {
 		return fmt.Errorf("serve: non-finite or non-positive times in %+v", *c)
 	}
-	if !(c.ServiceBaseMs >= 0 && c.ServicePerQueryMs > 0) || math.IsInf(c.ServiceBaseMs, 1) || math.IsInf(c.ServicePerQueryMs, 1) {
+	if !check.NonNeg(c.ServiceBaseMs) || !check.Positive(c.ServicePerQueryMs) {
 		return fmt.Errorf("serve: bad service model in %+v", *c)
 	}
 	if c.Queries == 0 {

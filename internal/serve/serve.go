@@ -46,16 +46,31 @@ func (c *Config) applyDefaults() error {
 	if err := c.Validate(); err != nil {
 		return err
 	}
-	if c.Requests == 0 {
-		c.Requests = 2000
-	}
-	switch c.WarmupRequests {
-	case 0:
-		c.WarmupRequests = c.Requests / 20
-	case -1:
-		c.WarmupRequests = 0
-	}
+	c.Requests, c.WarmupRequests = Defaults(c.Requests, c.WarmupRequests)
 	return nil
+}
+
+// Defaults resolves the zero-means-default run length every request
+// loop shares (serve, the closed-loop cluster, hetsched): 0 requests
+// means 2000, and the warmup resolves as Warmup does.
+func Defaults(requests, warmup int) (int, int) {
+	if requests == 0 {
+		requests = 2000
+	}
+	return requests, Warmup(requests, warmup)
+}
+
+// Warmup resolves a zero-means-default warmup against a run of n
+// requests (or ms, for the open loop): 0 means 5% of n, -1 means none,
+// and any other value stands.
+func Warmup[T int | float64](n, warmup T) T {
+	switch warmup {
+	case 0:
+		return n / 20
+	case -1:
+		return 0
+	}
+	return warmup
 }
 
 // Result summarizes one serving run.

@@ -203,6 +203,28 @@ func TestExplicitZeroWarmup(t *testing.T) {
 	}
 }
 
+// TestDefaults pins the run-length rule every request loop shares: 0
+// requests means 2000; warmup 0 means 5% of the run, -1 none, and any
+// other value stands — in requests and in open-loop ms alike.
+func TestDefaults(t *testing.T) {
+	for _, tc := range []struct{ n, w, wantN, wantW int }{
+		{0, 0, 2000, 100}, {400, 0, 400, 20}, {400, -1, 400, 0}, {400, 7, 400, 7}, {0, -1, 2000, 0},
+	} {
+		if n, w := Defaults(tc.n, tc.w); n != tc.wantN || w != tc.wantW {
+			t.Errorf("Defaults(%d, %d) = %d, %d; want %d, %d", tc.n, tc.w, n, w, tc.wantN, tc.wantW)
+		}
+	}
+	if w := Warmup(1000.0, 0); w != 50 {
+		t.Errorf("Warmup(1000 ms, 0) = %g, want 50", w)
+	}
+	if w := Warmup(1000.0, -1); w != 0 {
+		t.Errorf("Warmup(1000 ms, -1) = %g, want 0", w)
+	}
+	if w := Warmup(1000.0, 12.5); w != 12.5 {
+		t.Errorf("Warmup(1000 ms, 12.5) = %g, want 12.5", w)
+	}
+}
+
 // TestQueueNonMonotonicArrivals pins the documented earliest-free-server
 // semantics when submissions arrive out of dispatch order: requests are
 // served in submission order, never re-sorted by arrival, so an early

@@ -3,7 +3,8 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"math"
+
+	"dlrmsim/internal/check"
 )
 
 // Validate reports every violation in the serving config at once
@@ -15,13 +16,11 @@ func (c Config) Validate() error {
 	if c.Cores < 1 {
 		errs = append(errs, fmt.Errorf("serve: %d cores", c.Cores))
 	}
-	// NaN fails every ordered comparison, so each range check is written
-	// to fail on it; +Inf is rejected separately.
-	if !(c.MeanArrivalMs > 0 && c.ServiceMs > 0) || math.IsInf(c.MeanArrivalMs, 1) || math.IsInf(c.ServiceMs, 1) {
+	if !check.Positive(c.MeanArrivalMs) || !check.Positive(c.ServiceMs) {
 		errs = append(errs, fmt.Errorf("serve: non-finite or non-positive times (arrival %g ms, service %g ms)",
 			c.MeanArrivalMs, c.ServiceMs))
 	}
-	if !(c.JitterFrac >= 0) || math.IsInf(c.JitterFrac, 1) {
+	if !check.NonNeg(c.JitterFrac) {
 		errs = append(errs, fmt.Errorf("serve: jitter fraction %g (need finite >= 0)", c.JitterFrac))
 	}
 	if c.Requests < 0 {
@@ -30,14 +29,10 @@ func (c Config) Validate() error {
 	if c.WarmupRequests < -1 {
 		errs = append(errs, fmt.Errorf("serve: warmup %d (use -1 for explicit zero)", c.WarmupRequests))
 	}
-	requests := c.Requests
-	if requests == 0 {
-		requests = 2000
+	if n, w := Defaults(c.Requests, c.WarmupRequests); w >= n {
+		errs = append(errs, fmt.Errorf("serve: warmup %d >= requests %d", c.WarmupRequests, n))
 	}
-	if c.WarmupRequests >= requests {
-		errs = append(errs, fmt.Errorf("serve: warmup %d >= requests %d", c.WarmupRequests, requests))
-	}
-	if !(c.SLATargetMs >= 0) || math.IsInf(c.SLATargetMs, 1) {
+	if !check.NonNeg(c.SLATargetMs) {
 		errs = append(errs, fmt.Errorf("serve: SLA target %g ms (need finite >= 0)", c.SLATargetMs))
 	}
 	return errors.Join(errs...)

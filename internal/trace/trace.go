@@ -201,21 +201,30 @@ func (d *Dataset) Config() Config { return d.cfg }
 // Exponent returns the calibrated Zipf exponent (0 for OneItem/Random).
 func (d *Dataset) Exponent() float64 { return d.exponent }
 
-// rowPerm maps a Zipf rank to a table-specific row id via an affine
-// bijection, so each table has its own set of hot rows (the paper notes
-// hotness varies across tables within a dataset).
-func (d *Dataset) rowPerm(table int) (mult, add uint64) {
-	rows := uint64(d.cfg.Rows)
-	h := stats.Mix64(d.cfg.Seed ^ uint64(table)*0x9E37)
-	mult = h%rows | 1 // odd-ish start
-	for gcd(mult, rows) != 1 {
+// RowPerm is one table's rank→row affine bijection, row = (rank·mult +
+// add) mod rows. Each table gets its own from (seed, table), so each has
+// its own set of hot rows (the paper notes hotness varies across tables
+// within a dataset). The cluster tier replicates rows through the same
+// map, so the rows it treats as hot are the rows the trace makes hot.
+type RowPerm struct{ mult, add, rows uint64 }
+
+// NewRowPerm returns table's bijection over rows rows under seed.
+func NewRowPerm(seed uint64, table, rows int) RowPerm {
+	n := uint64(rows)
+	h := stats.Mix64(seed ^ uint64(table)*0x9E37)
+	mult := h%n | 1 // odd-ish start
+	for gcd(mult, n) != 1 {
 		mult += 2
-		if mult >= rows {
+		if mult >= n {
 			mult = 1
 		}
 	}
-	add = stats.Mix64(h) % rows
-	return mult, add
+	return RowPerm{mult: mult, add: stats.Mix64(h) % n, rows: n}
+}
+
+// Row maps a Zipf rank (0-based, hottest first) to its row id.
+func (p RowPerm) Row(rank int) int32 {
+	return int32((uint64(rank)*p.mult + p.add) % p.rows)
 }
 
 func gcd(a, b uint64) uint64 {
@@ -234,7 +243,7 @@ func (d *Dataset) Batch(batchIdx, tableIdx int) TableBatch {
 		Offsets: make([]int32, c.BatchSize+1),
 		Indices: make([]int32, 0, n),
 	}
-	mult, add := d.rowPerm(tableIdx)
+	perm := NewRowPerm(c.Seed, tableIdx, c.Rows)
 	var sample func() int32
 	switch c.Hotness {
 	case OneItem:
@@ -243,10 +252,7 @@ func (d *Dataset) Batch(batchIdx, tableIdx int) TableBatch {
 		sample = func() int32 { return int32(rng.Intn(c.Rows)) }
 	default:
 		z := stats.NewZipf(rng, c.Rows, d.exponent)
-		sample = func() int32 {
-			rank := uint64(z.Sample())
-			return int32((rank*mult + add) % uint64(c.Rows))
-		}
+		sample = func() int32 { return perm.Row(z.Sample()) }
 	}
 	for s := 0; s < c.BatchSize; s++ {
 		tb.Offsets[s] = int32(len(tb.Indices))

@@ -278,17 +278,17 @@ func TestReadRejectsGarbage(t *testing.T) {
 }
 
 func TestRowPermIsBijectionSample(t *testing.T) {
-	d := mustDataset(t, Config{
-		Hotness: HighHot, Rows: 101, Tables: 1, BatchSize: 4,
-		LookupsPerSample: 4, Batches: 1, Seed: 9,
-	})
-	mult, add := d.rowPerm(0)
-	seen := make(map[uint64]bool, 101)
-	for r := uint64(0); r < 101; r++ {
-		v := (r*mult + add) % 101
-		if seen[v] {
-			t.Fatalf("row permutation collides at rank %d", r)
+	for _, rows := range []int{1, 2, 101, 128, 1000} {
+		for table := 0; table < 4; table++ {
+			p := NewRowPerm(9, table, rows)
+			seen := make([]bool, rows)
+			for r := 0; r < rows; r++ {
+				v := p.Row(r)
+				if v < 0 || int(v) >= rows || seen[v] {
+					t.Fatalf("rows %d table %d: row permutation collides or escapes at rank %d (row %d)", rows, table, r, v)
+				}
+				seen[v] = true
+			}
 		}
-		seen[v] = true
 	}
 }

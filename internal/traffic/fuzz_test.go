@@ -3,6 +3,8 @@ package traffic
 import (
 	"math"
 	"testing"
+
+	"dlrmsim/internal/stats"
 )
 
 // FuzzArrivalStream throws arbitrary knob combinations at the stream
@@ -15,6 +17,12 @@ func FuzzArrivalStream(f *testing.F) {
 	f.Add(uint8(1), 4.0, 4.0, 120.0, 60.0, 0.0, 0.0, 0.0, 0.0, 0.0, uint64(7))
 	f.Add(uint8(0), 1.0, 0.0, 0.0, 0.0, 2000.0, 0.6, 500.0, 40.0, 5.0, uint64(0xBEEF))
 	f.Add(uint8(1), 0.5, 8.0, 50.0, 10.0, 1000.0, 0.9, 300.0, 20.0, 2.0, uint64(42))
+	// Non-finite knobs must be rejected: a NaN amplitude once hung Next.
+	nan, inf := math.NaN(), math.Inf(1)
+	f.Add(uint8(0), 1.0, 0.0, 0.0, 0.0, 100.0, nan, 0.0, 0.0, 0.0, uint64(3))
+	f.Add(uint8(1), 1.0, 4.0, nan, 60.0, 0.0, 0.0, 0.0, 0.0, 0.0, uint64(3))
+	f.Add(uint8(0), 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, nan, 40.0, 5.0, uint64(3))
+	f.Add(uint8(1), 1.0, inf, 120.0, 60.0, 0.0, 0.0, 0.0, 0.0, 0.0, uint64(3))
 	f.Fuzz(func(t *testing.T, model uint8, rate, bFactor, bEvery, bMean,
 		day, amp, fEvery, fMean, fFactor float64, seed uint64) {
 		cfg := Config{
@@ -46,13 +54,13 @@ func FuzzArrivalStream(f *testing.F) {
 			}
 			prev = a
 		}
-		for _, win := range [][][2]float64{s.BurstWindows(prev), s.FlashWindows(prev)} {
+		for _, win := range [][]stats.Window{s.BurstWindows(prev), s.FlashWindows(prev)} {
 			end := 0.0
 			for i, w := range win {
-				if w[1] <= w[0] || w[0] < end {
+				if w.End <= w.Start || w.Start < end {
 					t.Fatalf("window %d not positive/disjoint: %v (prev end %g)", i, w, end)
 				}
-				end = w[1]
+				end = w.End
 			}
 		}
 	})

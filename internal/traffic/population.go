@@ -65,7 +65,7 @@ func (p Population) Validate() error {
 	if p.Users < 1 {
 		errs = append(errs, fmt.Errorf("traffic: %d users", p.Users))
 	}
-	if p.RevisitProb < 0 || p.RevisitProb > 1 {
+	if !(p.RevisitProb >= 0 && p.RevisitProb <= 1) { // NaN fails too
 		errs = append(errs, fmt.Errorf("traffic: revisit probability %g outside [0,1]", p.RevisitProb))
 	}
 	if p.RecentWindow < 0 {
@@ -74,7 +74,7 @@ func (p Population) Validate() error {
 	if p.ProfileSize < 0 {
 		errs = append(errs, fmt.Errorf("traffic: negative profile size %d", p.ProfileSize))
 	}
-	if p.Affinity < 0 || p.Affinity > 1 {
+	if !(p.Affinity >= 0 && p.Affinity <= 1) {
 		errs = append(errs, fmt.Errorf("traffic: profile affinity %g outside [0,1]", p.Affinity))
 	}
 	return errors.Join(errs...)

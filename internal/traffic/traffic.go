@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 
+	"dlrmsim/internal/check"
 	"dlrmsim/internal/stats"
 )
 
@@ -108,25 +109,27 @@ const (
 	saltFlash   uint64 = 0xF1A58
 )
 
-// Validate reports every violation in the stream config at once. Fields
-// of disabled features must be zero, so a flag typo (burst knobs without
-// -arrivals mmpp, flash duration without a flash interval) surfaces as an
-// error instead of being silently ignored.
+// Validate reports every violation in the stream config at once. Every
+// float must be finite: a NaN or infinite knob would leave the thinning
+// loop in Next unable to accept a candidate. Fields of disabled features
+// must be zero, so a flag typo (burst knobs without -arrivals mmpp,
+// flash duration without a flash interval) surfaces as an error instead
+// of being silently ignored.
 func (c Config) Validate() error {
 	var errs []error
 	if c.Model != Poisson && c.Model != MMPP {
 		errs = append(errs, fmt.Errorf("traffic: invalid arrival model %d", c.Model))
 	}
-	if c.RatePerMs <= 0 || math.IsInf(c.RatePerMs, 0) || math.IsNaN(c.RatePerMs) {
-		errs = append(errs, fmt.Errorf("traffic: non-positive arrival rate %g/ms", c.RatePerMs))
+	if !check.Positive(c.RatePerMs) {
+		errs = append(errs, fmt.Errorf("traffic: arrival rate %g/ms (need finite > 0)", c.RatePerMs))
 	}
 	switch c.Model {
 	case MMPP:
-		if c.BurstFactor <= 1 {
-			errs = append(errs, fmt.Errorf("traffic: MMPP burst factor %g (want > 1)", c.BurstFactor))
+		if !(c.BurstFactor > 1 && check.Finite(c.BurstFactor)) {
+			errs = append(errs, fmt.Errorf("traffic: MMPP burst factor %g (want finite > 1)", c.BurstFactor))
 		}
-		if c.BurstEveryMs <= 0 || c.BurstMeanMs <= 0 {
-			errs = append(errs, fmt.Errorf("traffic: MMPP dwell times must be positive (calm %g ms, burst %g ms)",
+		if !check.Positive(c.BurstEveryMs) || !check.Positive(c.BurstMeanMs) {
+			errs = append(errs, fmt.Errorf("traffic: MMPP dwell times must be finite and positive (calm %g ms, burst %g ms)",
 				c.BurstEveryMs, c.BurstMeanMs))
 		}
 	default:
@@ -134,88 +137,29 @@ func (c Config) Validate() error {
 			errs = append(errs, fmt.Errorf("traffic: burst parameters need the mmpp arrival model"))
 		}
 	}
-	if c.DiurnalAmp < 0 || c.DiurnalAmp >= 1 {
+	if !(c.DiurnalAmp >= 0 && c.DiurnalAmp < 1) {
 		errs = append(errs, fmt.Errorf("traffic: diurnal amplitude %g outside [0,1)", c.DiurnalAmp))
 	}
-	if c.DayMs < 0 {
-		errs = append(errs, fmt.Errorf("traffic: negative diurnal period %g ms", c.DayMs))
+	if !check.NonNeg(c.DayMs) {
+		errs = append(errs, fmt.Errorf("traffic: diurnal period %g ms (need finite >= 0)", c.DayMs))
 	}
 	if c.DiurnalAmp > 0 && c.DayMs <= 0 {
 		errs = append(errs, fmt.Errorf("traffic: diurnal amplitude needs a positive day period"))
 	}
-	if c.FlashEveryMs < 0 {
-		errs = append(errs, fmt.Errorf("traffic: negative flash interval %g ms", c.FlashEveryMs))
+	if !check.NonNeg(c.FlashEveryMs) {
+		errs = append(errs, fmt.Errorf("traffic: flash interval %g ms (need finite >= 0)", c.FlashEveryMs))
 	}
 	if c.FlashEveryMs > 0 {
-		if c.FlashMeanMs <= 0 {
-			errs = append(errs, fmt.Errorf("traffic: flash crowds need a positive mean duration"))
+		if !check.Positive(c.FlashMeanMs) {
+			errs = append(errs, fmt.Errorf("traffic: flash crowds need a finite positive mean duration"))
 		}
-		if c.FlashFactor < 1 {
-			errs = append(errs, fmt.Errorf("traffic: flash factor %g < 1", c.FlashFactor))
+		if !(c.FlashFactor >= 1 && check.Finite(c.FlashFactor)) {
+			errs = append(errs, fmt.Errorf("traffic: flash factor %g (want finite >= 1)", c.FlashFactor))
 		}
 	} else if c.FlashMeanMs != 0 || c.FlashFactor != 0 {
 		errs = append(errs, fmt.Errorf("traffic: flash parameters need a positive flash interval"))
 	}
 	return errors.Join(errs...)
-}
-
-// episodes is a lazily materialized alternating on/off window timeline —
-// the same machinery the cluster fault model uses for slowdown and outage
-// tracks, rebuilt here so episode boundaries are a pure function of
-// (seed, salt) independent of any consumer.
-type episodes struct {
-	rng     stats.RNG
-	gapMean float64
-	durMean float64
-	win     [][2]float64
-	horizon float64
-}
-
-func newEpisodes(seed, salt uint64, gapMean, durMean float64) *episodes {
-	return &episodes{
-		rng:     stats.SeededRNG(stats.SplitSeed(seed^salt, 0)),
-		gapMean: gapMean,
-		durMean: durMean,
-	}
-}
-
-// extend materializes windows until the timeline covers t.
-func (e *episodes) extend(t float64) {
-	for e.horizon <= t {
-		start := e.horizon + e.rng.ExpFloat64()*e.gapMean
-		end := start + e.rng.ExpFloat64()*e.durMean
-		e.win = append(e.win, [2]float64{start, end})
-		e.horizon = end
-	}
-}
-
-// inside reports whether t falls in an episode window (binary search over
-// the materialized timeline, so non-monotone queries are answered too).
-func (e *episodes) inside(t float64) bool {
-	e.extend(t)
-	lo, hi := 0, len(e.win)
-	for lo < hi { // first window with start > t
-		mid := (lo + hi) / 2
-		if e.win[mid][0] <= t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo > 0 && t < e.win[lo-1][1]
-}
-
-// windows returns every episode window starting before until.
-func (e *episodes) windows(until float64) [][2]float64 {
-	e.extend(until)
-	out := make([][2]float64, 0, len(e.win))
-	for _, w := range e.win {
-		if w[0] >= until {
-			break
-		}
-		out = append(out, w)
-	}
-	return out
 }
 
 // Stream draws one arrival sequence. Not safe for concurrent use; build
@@ -225,8 +169,8 @@ type Stream struct {
 	rng   stats.RNG // candidate gaps and thinning coins
 	now   float64
 	peak  float64
-	burst *episodes // nil unless MMPP
-	flash *episodes // nil unless flash crowds are on
+	burst stats.Timeline // empty unless MMPP
+	flash stats.Timeline // empty unless flash crowds are on
 }
 
 // NewStream validates cfg and returns a fresh stream positioned at t = 0.
@@ -241,11 +185,11 @@ func NewStream(cfg Config) (*Stream, error) {
 	}
 	if cfg.Model == MMPP {
 		s.peak *= cfg.BurstFactor
-		s.burst = newEpisodes(cfg.Seed, saltBurst, cfg.BurstEveryMs, cfg.BurstMeanMs)
+		s.burst.Seed(cfg.Seed^saltBurst, 0, cfg.BurstEveryMs, cfg.BurstMeanMs, 0)
 	}
 	if cfg.FlashEveryMs > 0 {
 		s.peak *= cfg.FlashFactor
-		s.flash = newEpisodes(cfg.Seed, saltFlash, cfg.FlashEveryMs, cfg.FlashMeanMs)
+		s.flash.Seed(cfg.Seed^saltFlash, 0, cfg.FlashEveryMs, cfg.FlashMeanMs, 0)
 	}
 	return s, nil
 }
@@ -256,10 +200,10 @@ func (s *Stream) RateAt(t float64) float64 {
 	if s.cfg.DiurnalAmp > 0 {
 		rate *= 1 - s.cfg.DiurnalAmp*math.Cos(2*math.Pi*t/s.cfg.DayMs)
 	}
-	if s.burst != nil && s.burst.inside(t) {
+	if _, on := s.burst.At(t); on {
 		rate *= s.cfg.BurstFactor
 	}
-	if s.flash != nil && s.flash.inside(t) {
+	if _, on := s.flash.At(t); on {
 		rate *= s.cfg.FlashFactor
 	}
 	return rate
@@ -283,18 +227,12 @@ func (s *Stream) Next() float64 {
 // BurstWindows returns the MMPP burst episodes starting before until
 // (nil for Poisson streams). The windows are a pure function of the
 // config seed — "bursts occur exactly where seeded".
-func (s *Stream) BurstWindows(until float64) [][2]float64 {
-	if s.burst == nil {
-		return nil
-	}
-	return s.burst.windows(until)
+func (s *Stream) BurstWindows(until float64) []stats.Window {
+	return s.burst.Before(until)
 }
 
 // FlashWindows returns the flash-crowd episodes starting before until
 // (nil when flash crowds are off).
-func (s *Stream) FlashWindows(until float64) [][2]float64 {
-	if s.flash == nil {
-		return nil
-	}
-	return s.flash.windows(until)
+func (s *Stream) FlashWindows(until float64) []stats.Window {
+	return s.flash.Before(until)
 }

@@ -68,7 +68,7 @@ func TestMMPPEmpiricalRates(t *testing.T) {
 			if a >= horizon {
 				break
 			}
-			if s.burst.inside(a) {
+			if _, on := s.burst.At(a); on {
 				inside++
 			} else {
 				outside++
@@ -76,9 +76,9 @@ func TestMMPPEmpiricalRates(t *testing.T) {
 		}
 		var burstMs float64
 		for _, w := range s.BurstWindows(horizon) {
-			end := math.Min(w[1], horizon)
-			if end > w[0] {
-				burstMs += end - w[0]
+			end := math.Min(w.End, horizon)
+			if end > w.Start {
+				burstMs += end - w.Start
 			}
 		}
 		calmMs := horizon - burstMs
@@ -122,10 +122,10 @@ func TestBurstWindowsSeeded(t *testing.T) {
 		if wa[i] != wb[i] {
 			t.Errorf("window %d differs between same-seed streams: %v vs %v", i, wa[i], wb[i])
 		}
-		if wa[i][0] < prevEnd || wa[i][1] <= wa[i][0] {
+		if wa[i].Start < prevEnd || wa[i].End <= wa[i].Start {
 			t.Errorf("window %d not ordered/positive: %v (prev end %g)", i, wa[i], prevEnd)
 		}
-		prevEnd = wa[i][1]
+		prevEnd = wa[i].End
 	}
 	cfg.Seed = 10
 	c, err := NewStream(cfg)
@@ -261,6 +261,55 @@ func TestConfigValidate(t *testing.T) {
 		DayMs: 100, DiurnalAmp: 0.3, FlashEveryMs: 50, FlashMeanMs: 5, FlashFactor: 3}
 	if err := good.Validate(); err != nil {
 		t.Errorf("full valid config rejected: %v", err)
+	}
+}
+
+// TestConfigValidateRejectsNonFinite: a NaN or infinite knob must be
+// rejected, not accepted — a NaN rate left Next's thinning loop unable
+// to accept any candidate, so the stream never returned.
+func TestConfigValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	good := Config{Model: MMPP, RatePerMs: 1, BurstFactor: 2, BurstEveryMs: 10, BurstMeanMs: 5,
+		DayMs: 100, DiurnalAmp: 0.3, FlashEveryMs: 50, FlashMeanMs: 5, FlashFactor: 3}
+	for _, tc := range []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"NaN rate", func(c *Config) { c.RatePerMs = nan }},
+		{"+Inf rate", func(c *Config) { c.RatePerMs = inf }},
+		{"NaN burst factor", func(c *Config) { c.BurstFactor = nan }},
+		{"+Inf burst factor", func(c *Config) { c.BurstFactor = inf }},
+		{"NaN burst every", func(c *Config) { c.BurstEveryMs = nan }},
+		{"+Inf burst every", func(c *Config) { c.BurstEveryMs = inf }},
+		{"NaN burst mean", func(c *Config) { c.BurstMeanMs = nan }},
+		{"+Inf burst mean", func(c *Config) { c.BurstMeanMs = inf }},
+		{"NaN day", func(c *Config) { c.DayMs = nan }},
+		{"+Inf day", func(c *Config) { c.DayMs = inf }},
+		{"NaN diurnal amplitude", func(c *Config) { c.DiurnalAmp = nan }},
+		{"-Inf diurnal amplitude", func(c *Config) { c.DiurnalAmp = -inf }},
+		{"NaN flash every", func(c *Config) { c.FlashEveryMs = nan }},
+		{"+Inf flash every", func(c *Config) { c.FlashEveryMs = inf }},
+		{"NaN flash every, flash off", func(c *Config) { c.FlashEveryMs, c.FlashMeanMs, c.FlashFactor = nan, 0, 0 }},
+		{"NaN flash mean", func(c *Config) { c.FlashMeanMs = nan }},
+		{"+Inf flash mean", func(c *Config) { c.FlashMeanMs = inf }},
+		{"NaN flash factor", func(c *Config) { c.FlashFactor = nan }},
+		{"+Inf flash factor", func(c *Config) { c.FlashFactor = inf }},
+	} {
+		cfg := good
+		tc.mut(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: accepted %+v", tc.name, cfg)
+		}
+	}
+	for _, pop := range []Population{
+		{Users: 10, RevisitProb: nan},
+		{Users: 10, RevisitProb: inf},
+		{Users: 10, Affinity: nan},
+		{Users: 10, Affinity: -inf},
+	} {
+		if err := pop.Validate(); err == nil {
+			t.Errorf("accepted population %+v", pop)
+		}
 	}
 }
 
