@@ -1,0 +1,32 @@
+#!/usr/bin/env bash
+# Runs each CLI once on a small accepted config, and once with a known-bad
+# flag that must exit non-zero. Usage: bash .github/cli-smoke.sh
+set -euo pipefail
+bin=$(mktemp -d)
+trap 'rm -rf "$bin"' EXIT
+go build -o "$bin/" ./cmd/...
+
+while read -r cmd; do
+	echo "== $cmd"
+	"$bin"/$cmd > /dev/null
+done <<'OK'
+dlrmcluster -scale 40 -queries 200
+dlrmhetsched -gather 40 -dense 30 -requests 200
+dlrmserve -scale 40 -schemes baseline -requests 200
+tracegen -rows 1000 -stats
+dlrmbench -exp fig1 -scale 40
+OK
+
+while read -r cmd; do
+	echo "== $cmd (must fail)"
+	if "$bin"/$cmd > /dev/null 2>&1; then
+		echo "accepted a bad flag: $cmd"
+		exit 1
+	fi
+done <<'BAD'
+dlrmcluster -drop 2
+dlrmhetsched -mix cpu2gpu1 -maxbatch 1 -hold 40
+dlrmserve -cores 999
+tracegen -rows 0
+dlrmbench -exp nosuch
+BAD

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"slices"
 	"strconv"
@@ -29,21 +30,23 @@ import (
 	"dlrmsim/internal/traffic"
 )
 
-// mainFlags carries every load-geometry and traffic flag so that flag
-// validation and open-loop assembly are plain functions a test can drive
-// without an engine run or an os.Exit.
+// mainFlags carries every flag, so that validation and config assembly
+// are plain functions a test can drive without an engine run or an
+// os.Exit. The fault and mitigation flags bind straight to the cluster
+// tier's configs.
 type mainFlags struct {
 	modelName, scheme, policy, hotness           string
 	scale, nodes, batch, servers, cores, queries int
 	arrival, util, netLat, netBW                 float64
 	shardWorkers                                 int
+	replicate                                    string
+	seed                                         uint64
+	faults                                       cluster.FaultModel
+	mit                                          cluster.Mitigation
 
-	// Chaos schedule and adaptive overload control (both loop modes).
-	chaos                        string
-	domains                      int
-	retryBudget, adaptEpoch      float64
-	breakerTrip, breakerCooldown float64
-	breakerMin                   int
+	// Chaos schedule (both loop modes).
+	chaos   string
+	domains int
 
 	// Open-loop live-traffic mode (-open).
 	open                              bool
@@ -63,9 +66,9 @@ type mainFlags struct {
 	minNodes, maxNodes                int
 }
 
-// openOnlyFlags maps each open-loop flag name to a short reason it is
-// meaningless without -open; validate uses it to reject misplaced knobs
-// in one pass instead of silently ignoring them.
+// openOnlyFlags lists the flags that are meaningless without -open;
+// validate uses it to reject misplaced knobs in one pass instead of
+// silently ignoring them.
 var openOnlyFlags = []string{
 	"rate", "duration", "open-warmup", "sla", "arrivals", "stream-stats",
 	"burst-factor", "burst-every", "burst-dur",
@@ -75,76 +78,72 @@ var openOnlyFlags = []string{
 	"min-nodes", "max-nodes",
 }
 
+// run is what one validated command line runs: the engine design point
+// that sets the per-node service model, the cluster config, and the
+// replication fractions to sweep. Until the engine has run, cfg carries
+// stand-ins for what derives from the service model (see derive).
+type run struct {
+	engine    core.Options
+	cfg       cluster.Config
+	fractions []float64
+}
+
 // nodeTiming runs the one engine design point that sets the per-node
-// service model, on -cores cores at the -batch samples a query carries.
-func (o mainFlags) nodeTiming(model dlrm.Config, h trace.Hotness, scheme core.Scheme, seed uint64) (cluster.Timing, error) {
-	rep, err := core.Run(core.Options{Model: model, Hotness: h, Scheme: scheme, BatchSize: o.batch, Cores: o.cores, Seed: seed})
+// service model.
+func nodeTiming(opts core.Options) (cluster.Timing, error) {
+	rep, err := core.Run(opts)
 	if err != nil {
 		return cluster.Timing{}, err
 	}
 	return cluster.TimingFromReport(rep, platform.CascadeLake()), nil
 }
 
-// validate reports every bad flag at once, before the engine run starts.
-// isSet reports whether a flag was given explicitly on the command line —
-// needed because several flags have meaningful non-zero defaults that are
-// only wired through when their enabling flag is present.
-func (o mainFlags) validate(isSet func(string) bool) error {
-	var errs []error
-	if _, err := dlrm.ByName(o.modelName); err != nil {
+// validate turns the flags into the configs the run uses and reports
+// every bad flag at once, before the engine run starts: the flag checks
+// only the CLI can make here, every range rule through the library
+// configs' own Validate. isSet reports whether a flag was given
+// explicitly on the command line — needed because several flags have
+// meaningful non-zero defaults that are only wired through when their
+// enabling flag is present.
+func (o mainFlags) validate(isSet func(string) bool) (run, error) {
+	var errs []error // errors.Join drops the nil ones
+	base, err := dlrm.ByName(o.modelName)
+	if err != nil {
 		errs = append(errs, err)
+		base = dlrm.RM2Small() // a stand-in, so the configs below still check the other flags
 	}
-	if _, err := core.ParseScheme(o.scheme); err != nil {
-		errs = append(errs, err)
+	scheme, err := core.ParseScheme(o.scheme)
+	errs = append(errs, err)
+	policy, err := cluster.ParsePolicy(o.policy)
+	errs = append(errs, err)
+	h, err := trace.ParseHotness(o.hotness)
+	if err == nil && !slices.Contains(trace.ProductionHotness, h) {
+		err = fmt.Errorf("-hotness %s is a synthetic class (want high | medium | low)", o.hotness)
 	}
-	if _, err := cluster.ParsePolicy(o.policy); err != nil {
-		errs = append(errs, err)
-	}
-	if h, err := trace.ParseHotness(o.hotness); err != nil {
-		errs = append(errs, err)
-	} else if !slices.Contains(trace.ProductionHotness, h) {
-		errs = append(errs, fmt.Errorf("-hotness %s is a synthetic class (want high | medium | low)", o.hotness))
-	}
+	errs = append(errs, err)
+	fractions, err := parseFractions(o.replicate)
+	errs = append(errs, err)
 	if o.scale < 1 {
 		errs = append(errs, fmt.Errorf("-scale %d (want >= 1)", o.scale))
 	}
-	if o.nodes < 1 {
-		errs = append(errs, fmt.Errorf("-nodes %d (want >= 1)", o.nodes))
-	}
-	if o.batch < 1 {
-		errs = append(errs, fmt.Errorf("-batch %d (want >= 1)", o.batch))
-	}
-	if o.servers < 1 {
-		errs = append(errs, fmt.Errorf("-servers %d (want >= 1)", o.servers))
-	}
-	if n := platform.CascadeLake().Cores; o.cores < 0 || o.cores > n {
-		errs = append(errs, fmt.Errorf("-cores %d outside [0,%d] (0 = all platform cores)", o.cores, n))
+	if o.servers == 0 { // the cluster tier would read 0 as one server
+		errs = append(errs, fmt.Errorf("-servers 0 (want >= 1)"))
 	}
 	if o.shardWorkers < 1 {
 		errs = append(errs, fmt.Errorf("-shard-workers %d (want >= 1)", o.shardWorkers))
 	}
-	if !(o.netLat >= 0) || !(o.netBW >= 0) { // NaN fails !(x >= 0) checks too
-		errs = append(errs, fmt.Errorf("bad network parameters (-netlat %g, -netbw %g; want >= 0)", o.netLat, o.netBW))
-	}
 	// Chaos and adaptive-mitigation gating applies in both loop modes.
-	if o.chaos == "" {
-		if isSet("domains") {
-			errs = append(errs, fmt.Errorf("-domains needs -chaos"))
-		}
-	} else if _, err := o.chaosSchedule(); err != nil {
-		errs = append(errs, err)
+	if o.chaos == "" && isSet("domains") {
+		errs = append(errs, fmt.Errorf("-domains needs -chaos"))
 	}
-	if o.domains < 0 {
-		errs = append(errs, fmt.Errorf("-domains %d (want >= 0; 0 = one domain per node)", o.domains))
-	}
-	if o.breakerTrip == 0 {
+	if o.mit.BreakerTripRate == 0 {
 		for _, name := range []string{"breaker-min", "breaker-cooldown"} {
 			if isSet(name) {
 				errs = append(errs, fmt.Errorf("-%s needs -breaker-trip", name))
 			}
 		}
 	}
-	if o.retryBudget == 0 && o.breakerTrip == 0 && isSet("adapt-epoch") {
+	if o.mit.RetryBudget == 0 && o.mit.BreakerTripRate == 0 && isSet("adapt-epoch") {
 		errs = append(errs, fmt.Errorf("-adapt-epoch needs -retry-budget or -breaker-trip"))
 	}
 	if !o.open {
@@ -153,76 +152,113 @@ func (o mainFlags) validate(isSet func(string) bool) error {
 				errs = append(errs, fmt.Errorf("-%s needs -open", name))
 			}
 		}
-		if o.queries < 1 {
-			errs = append(errs, fmt.Errorf("-queries %d (want >= 1)", o.queries))
-		}
-		if !(o.arrival >= 0) {
-			errs = append(errs, fmt.Errorf("-arrival %g (want >= 0)", o.arrival))
+		if o.queries == 0 { // the cluster tier would read 0 as its default count
+			errs = append(errs, fmt.Errorf("-queries 0 (want >= 1)"))
 		}
 		if o.arrival == 0 && !(o.util > 0 && o.util < 1) {
 			errs = append(errs, fmt.Errorf("-util %g outside (0,1)", o.util))
 		}
-		return errors.Join(errs...)
-	}
-	// Open-loop mode: the closed-loop load knobs are the misplaced ones,
-	// and offered load may deliberately exceed capacity (-util >= 1).
-	for _, name := range []string{"arrival", "queries"} {
-		if isSet(name) {
-			errs = append(errs, fmt.Errorf("-%s is a closed-loop flag, unused with -open", name))
-		}
-	}
-	if !(o.rate >= 0) {
-		errs = append(errs, fmt.Errorf("-rate %g (want >= 0; 0 derives from -util)", o.rate))
-	}
-	if o.rate == 0 && !(o.util > 0) {
-		errs = append(errs, fmt.Errorf("-util %g (want > 0 to derive the open-loop rate)", o.util))
-	}
-	if !(o.duration >= 0) {
-		errs = append(errs, fmt.Errorf("-duration %g ms (want >= 0; 0 runs 1000 mean arrival periods)", o.duration))
-	}
-	if !(o.openWarmup >= 0) && o.openWarmup != -1 {
-		errs = append(errs, fmt.Errorf("-open-warmup %g ms (use -1 for explicitly no warmup)", o.openWarmup))
-	}
-	if !(o.sla >= 0) {
-		errs = append(errs, fmt.Errorf("-sla %g ms (want >= 0; 0 derives from the per-query work)", o.sla))
-	}
-	if o.arrivals != "mmpp" {
-		for _, name := range []string{"burst-factor", "burst-every", "burst-dur"} {
+	} else {
+		// The closed-loop load knobs are the misplaced ones, and offered
+		// load may deliberately exceed capacity (-util >= 1).
+		for _, name := range []string{"arrival", "queries"} {
 			if isSet(name) {
-				errs = append(errs, fmt.Errorf("-%s needs -arrivals mmpp", name))
+				errs = append(errs, fmt.Errorf("-%s is a closed-loop flag, unused with -open", name))
+			}
+		}
+		if o.rate == 0 && !(o.util > 0) {
+			errs = append(errs, fmt.Errorf("-util %g (want > 0 to derive the open-loop rate)", o.util))
+		}
+		if o.arrivals != "mmpp" {
+			for _, name := range []string{"burst-factor", "burst-every", "burst-dur"} {
+				if isSet(name) {
+					errs = append(errs, fmt.Errorf("-%s needs -arrivals mmpp", name))
+				}
+			}
+		}
+		if o.flashEvery == 0 && isSet("flash-factor") {
+			errs = append(errs, fmt.Errorf("-flash-factor needs -flash-every"))
+		}
+		if o.users == 0 {
+			for _, name := range []string{"revisit", "affinity"} {
+				if isSet(name) {
+					errs = append(errs, fmt.Errorf("-%s needs -users", name))
+				}
+			}
+		}
+		if o.scaleEvery == 0 {
+			for _, name := range []string{"scale-up", "scale-down", "provision", "min-nodes", "max-nodes"} {
+				if isSet(name) {
+					errs = append(errs, fmt.Errorf("-%s needs -scale-every", name))
+				}
 			}
 		}
 	}
-	if o.flashEvery == 0 && isSet("flash-factor") {
-		errs = append(errs, fmt.Errorf("-flash-factor needs -flash-every"))
+
+	model := base.Scaled(o.scale)
+	r := run{
+		engine:    core.Options{Model: model, Hotness: h, Scheme: scheme, BatchSize: o.batch, Cores: o.cores, Seed: o.seed},
+		fractions: fractions,
 	}
-	if o.users == 0 {
-		for _, name := range []string{"revisit", "affinity"} {
-			if isSet(name) {
-				errs = append(errs, fmt.Errorf("-%s needs -users", name))
-			}
-		}
+	errs = append(errs, r.engine.Validate())
+	plan, err := cluster.NewPlan(model, o.nodes, policy, 0, o.seed)
+	errs = append(errs, err)
+	r.cfg = cluster.Config{
+		Plan:            plan,
+		Hotness:         h,
+		SamplesPerQuery: o.batch,
+		Timing:          cluster.Timing{ColdLookupUs: 1}, // stand-in until the engine run
+		Net:             cluster.Network{LatencyMs: o.netLat, BandwidthGBs: o.netBW},
+		ServersPerNode:  o.servers,
+		JitterFrac:      0.08,
+		Faults:          o.faults,
+		Mitigation:      o.mit,
+		Seed:            o.seed,
 	}
-	if o.scaleEvery == 0 {
-		for _, name := range []string{"scale-up", "scale-down", "provision", "min-nodes", "max-nodes"} {
-			if isSet(name) {
-				errs = append(errs, fmt.Errorf("-%s needs -scale-every", name))
-			}
-		}
+	if o.chaos != "" {
+		r.cfg.Chaos, err = o.chaosSchedule()
+		errs = append(errs, err)
 	}
-	// The traffic tier owns the arrival and population knobs' ranges;
-	// check them before any engine work, at a stand-in rate (the real
-	// one may derive from the service model, and -rate is checked above).
-	if open, err := o.openLoop(); err != nil {
+	if o.open {
+		r.cfg.Open, err = o.openLoop()
 		errs = append(errs, err)
 	} else {
-		open.Arrivals.RatePerMs = 1
-		errs = append(errs, open.Arrivals.Validate())
-		if open.Population != nil {
-			errs = append(errs, open.Population.Validate())
+		r.cfg.Queries, r.cfg.MeanArrivalMs = o.queries, o.arrival
+		if o.arrival == 0 {
+			r.cfg.MeanArrivalMs = 1 // stand-in until derive
 		}
 	}
-	return errors.Join(errs...)
+	if plan != nil {
+		errs = append(errs, r.cfg.Validate())
+	}
+	return r, errors.Join(errs...)
+}
+
+// derive replaces the stand-ins validate left for the load knobs a zero
+// flag derives from the service model, once cfg.Timing holds the engine's:
+// the closed loop's mean arrival, and the open loop's rate, horizon, SLA
+// and shed budget. Simulate's Validate makes the checks these depend on.
+func (o mainFlags) derive(cfg *cluster.Config) {
+	plan, tm := cfg.Plan, cfg.Timing
+	if !o.open {
+		if o.arrival == 0 {
+			cfg.MeanArrivalMs = cluster.ArrivalForUtilization(plan, tm, o.batch, o.servers, o.util)
+		}
+		return
+	}
+	op := cfg.Open
+	if o.rate == 0 {
+		op.Arrivals.RatePerMs = 1 / cluster.ArrivalForUtilization(plan, tm, o.batch, o.servers, o.util)
+	}
+	if o.duration == 0 {
+		op.DurationMs = 1000 / op.Arrivals.RatePerMs
+	}
+	if o.sla == 0 {
+		op.SLAMs = 8 * cluster.QueryWorkMs(plan, tm, o.batch)
+	}
+	if op.Admission.Policy == cluster.ShedOverBudget && o.admitBudget == 0 {
+		op.Admission.QueueBudgetMs = op.SLAMs / 2
+	}
 }
 
 // chaosSchedule parses the -chaos spec and stamps -domains into it; the
@@ -236,22 +272,33 @@ func (o mainFlags) chaosSchedule() (cluster.ChaosSchedule, error) {
 	return sched, nil
 }
 
-// openLoop assembles the cluster.OpenLoop config from resolved flags
-// (rate, duration, and sla defaults already filled in). Knobs of disabled
-// features are deliberately left zero — the cluster tier rejects
-// misplaced knobs, and validate has already explained any the user set.
+// openLoop assembles the cluster.OpenLoop config from the flags, an
+// unknown arrival model or admission policy left at its zero value and
+// reported. Knobs of disabled features are deliberately left zero — the
+// cluster tier rejects misplaced knobs, and validate has already
+// explained any the user set.
+// A zero -rate, -duration or -sla (and a zero shed -admit-budget) derives
+// from the service model; until derive fills it in, it holds a stand-in
+// that passes every check not depending on the service model.
 func (o mainFlags) openLoop() (*cluster.OpenLoop, error) {
-	am, err := traffic.ParseModel(o.arrivals)
-	if err != nil {
-		return nil, err
+	am, amErr := traffic.ParseModel(o.arrivals)
+	pol, polErr := cluster.ParseAdmissionPolicy(o.admit)
+	rate, duration, sla, budget := o.rate, o.duration, o.sla, o.admitBudget
+	if rate == 0 {
+		rate = 1
 	}
-	pol, err := cluster.ParseAdmissionPolicy(o.admit)
-	if err != nil {
-		return nil, err
+	if duration == 0 {
+		duration = math.MaxFloat64 // above any warmup
+	}
+	if sla == 0 {
+		sla = 1
+	}
+	if pol == cluster.ShedOverBudget && budget == 0 {
+		budget = sla / 2
 	}
 	ar := traffic.Config{
 		Model:        am,
-		RatePerMs:    o.rate,
+		RatePerMs:    rate,
 		DayMs:        o.day,
 		DiurnalAmp:   o.diurnal,
 		FlashEveryMs: o.flashEvery,
@@ -267,11 +314,11 @@ func (o mainFlags) openLoop() (*cluster.OpenLoop, error) {
 	}
 	open := &cluster.OpenLoop{
 		Arrivals:    ar,
-		DurationMs:  o.duration,
+		DurationMs:  duration,
 		WarmupMs:    o.openWarmup,
-		SLAMs:       o.sla,
+		SLAMs:       sla,
 		StartNodes:  o.startNodes,
-		Admission:   cluster.Admission{Policy: pol, QueueBudgetMs: o.admitBudget},
+		Admission:   cluster.Admission{Policy: pol, QueueBudgetMs: budget},
 		StreamStats: o.streamStats,
 	}
 	if o.users > 0 {
@@ -287,30 +334,27 @@ func (o mainFlags) openLoop() (*cluster.OpenLoop, error) {
 			MaxNodes:      o.maxNodes,
 		}
 	}
-	return open, nil
+	return open, errors.Join(amErr, polErr)
 }
 
 func main() {
 	var o mainFlags
-	var (
-		replicate = flag.String("replicate", "0,0.001,0.01,0.05,0.2", "comma-separated hot-row replication fractions to sweep")
-		seed      = flag.Uint64("seed", 1, "random seed")
-
-		slowEvery  = flag.Float64("slowdown-every", 0, "mean ms between per-node slowdown episodes (0 = none)")
-		slowDur    = flag.Float64("slowdown-dur", 0, "mean slowdown episode duration (ms)")
-		slowFactor = flag.Float64("slowdown-factor", 4, "service-time multiplier during a slowdown episode")
-		downEvery  = flag.Float64("down-every", 0, "mean ms between per-node outage windows (0 = none)")
-		downDur    = flag.Float64("down-dur", 0, "mean outage window duration (ms)")
-		dropProb   = flag.Float64("drop", 0, "per-copy transit drop probability in [0,1)")
-		dropDetect = flag.Float64("drop-detect", 0, "transport loss-detection delay in ms (0 = 1 ms default)")
-		timeoutMs  = flag.Float64("timeout", 0, "router per-sub-request timeout in ms (0 = no timeouts)")
-		retries    = flag.Int("retries", 0, "max timeout retries down the standby chain")
-		hedge      = flag.Float64("hedge", 0, "hedged-request delay in ms (0 = no hedging)")
-		degraded   = flag.Bool("degraded", false, "join with partial results at the retry budget's deadline")
-		checkMode  = flag.Bool("check", false, "enable runtime invariant assertions (debug; slower)")
-		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf    = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	)
+	checkMode := flag.Bool("check", false, "enable runtime invariant assertions (debug; slower)")
+	cpuProf := flag.String("cpuprofile", "", "write a CPU profile to this file")
+	memProf := flag.String("memprofile", "", "write a heap profile to this file on exit")
+	flag.StringVar(&o.replicate, "replicate", "0,0.001,0.01,0.05,0.2", "comma-separated hot-row replication fractions to sweep")
+	flag.Uint64Var(&o.seed, "seed", 1, "random seed")
+	flag.Float64Var(&o.faults.SlowdownEveryMs, "slowdown-every", 0, "mean ms between per-node slowdown episodes (0 = none)")
+	flag.Float64Var(&o.faults.SlowdownMeanMs, "slowdown-dur", 0, "mean slowdown episode duration (ms)")
+	flag.Float64Var(&o.faults.SlowdownFactor, "slowdown-factor", 4, "service-time multiplier during a slowdown episode")
+	flag.Float64Var(&o.faults.DownEveryMs, "down-every", 0, "mean ms between per-node outage windows (0 = none)")
+	flag.Float64Var(&o.faults.DownMeanMs, "down-dur", 0, "mean outage window duration (ms)")
+	flag.Float64Var(&o.faults.DropProb, "drop", 0, "per-copy transit drop probability in [0,1)")
+	flag.Float64Var(&o.faults.DropDetectMs, "drop-detect", 0, "transport loss-detection delay in ms (0 = 1 ms default)")
+	flag.Float64Var(&o.mit.TimeoutMs, "timeout", 0, "router per-sub-request timeout in ms (0 = no timeouts)")
+	flag.IntVar(&o.mit.MaxRetries, "retries", 0, "max timeout retries down the standby chain")
+	flag.Float64Var(&o.mit.HedgeDelayMs, "hedge", 0, "hedged-request delay in ms (0 = no hedging)")
+	flag.BoolVar(&o.mit.DegradedJoin, "degraded", false, "join with partial results at the retry budget's deadline")
 	flag.StringVar(&o.modelName, "model", "rm2_1", "rm1 | rm2_1 | rm2_2 | rm2_3")
 	flag.StringVar(&o.scheme, "scheme", "baseline", "per-node design point: baseline | swpf | mpht | integrated")
 	flag.StringVar(&o.policy, "policy", "rowrange", "sharding policy: tablewise | rowrange")
@@ -329,11 +373,11 @@ func main() {
 
 	flag.StringVar(&o.chaos, "chaos", "", `deterministic chaos schedule, e.g. "down:dom=2,at=200,for=150;part:a=0,b=1,at=400,for=100" (kinds: down, slow [x=factor], part [a=,b=], recover; times in ms)`)
 	flag.IntVar(&o.domains, "domains", 0, "failure-domain count for -chaos (0 = one domain per node)")
-	flag.Float64Var(&o.retryBudget, "retry-budget", 0, "cap retries+hedges at this fraction of served primary traffic (0 = uncapped)")
-	flag.Float64Var(&o.adaptEpoch, "adapt-epoch", 0, "adaptive-mitigation control epoch in ms (0 = derive from timeout/hedge delay)")
-	flag.Float64Var(&o.breakerTrip, "breaker-trip", 0, "open a node's circuit breaker at this windowed timeout rate in (0,1] (0 = no breakers)")
-	flag.IntVar(&o.breakerMin, "breaker-min", 0, "min per-epoch samples before a breaker may trip (0 = 10)")
-	flag.Float64Var(&o.breakerCooldown, "breaker-cooldown", 0, "ms an open breaker waits before half-open probing (0 = 4 epochs)")
+	flag.Float64Var(&o.mit.RetryBudget, "retry-budget", 0, "cap retries+hedges at this fraction of served primary traffic (0 = uncapped)")
+	flag.Float64Var(&o.mit.AdaptEpochMs, "adapt-epoch", 0, "adaptive-mitigation control epoch in ms (0 = derive from timeout/hedge delay)")
+	flag.Float64Var(&o.mit.BreakerTripRate, "breaker-trip", 0, "open a node's circuit breaker at this windowed timeout rate in (0,1] (0 = no breakers)")
+	flag.IntVar(&o.mit.BreakerMinSamples, "breaker-min", 0, "min per-epoch samples before a breaker may trip (0 = 10)")
+	flag.Float64Var(&o.mit.BreakerCooldownMs, "breaker-cooldown", 0, "ms an open breaker waits before half-open probing (0 = 4 epochs)")
 
 	flag.BoolVar(&o.open, "open", false, "open-loop live-traffic mode: arrivals come from a generated stream, not a closed query count")
 	flag.BoolVar(&o.streamStats, "stream-stats", false, "open-loop: fixed-memory streaming percentile sketches instead of exact nearest-rank (long runs; summaries differ within sketch error)")
@@ -367,7 +411,8 @@ func main() {
 
 	setFlags := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
-	if err := o.validate(func(name string) bool { return setFlags[name] }); err != nil {
+	spec, err := o.validate(func(name string) bool { return setFlags[name] })
+	if err != nil {
 		fatal(err)
 	}
 	if o.shardWorkers > 1 {
@@ -384,120 +429,29 @@ func main() {
 		}
 	}()
 
-	base, err := dlrm.ByName(o.modelName)
+	tm, err := nodeTiming(spec.engine)
 	if err != nil {
 		fatal(err)
 	}
-	h, err := trace.ParseHotness(o.hotness)
-	if err != nil {
-		fatal(err)
-	}
-	scheme, err := core.ParseScheme(o.scheme)
-	if err != nil {
-		fatal(err)
-	}
-	policy, err := cluster.ParsePolicy(o.policy)
-	if err != nil {
-		fatal(err)
-	}
-	fractions, err := parseFractions(*replicate)
-	if err != nil {
-		fatal(err)
-	}
-	model := base.Scaled(o.scale)
-	tm, err := o.nodeTiming(model, h, scheme, *seed)
-	if err != nil {
-		fatal(err)
-	}
-
-	plan, err := cluster.NewPlan(model, o.nodes, policy, 0, *seed)
-	if err != nil {
-		fatal(err)
-	}
-	cfg := cluster.Config{
-		Plan:            plan,
-		Hotness:         h,
-		SamplesPerQuery: o.batch,
-		Timing:          tm,
-		Net:             cluster.Network{LatencyMs: o.netLat, BandwidthGBs: o.netBW},
-		ServersPerNode:  o.servers,
-		JitterFrac:      0.08,
-		Faults: cluster.FaultModel{
-			SlowdownEveryMs: *slowEvery,
-			SlowdownMeanMs:  *slowDur,
-			SlowdownFactor:  *slowFactor,
-			DownEveryMs:     *downEvery,
-			DownMeanMs:      *downDur,
-			DropProb:        *dropProb,
-			DropDetectMs:    *dropDetect,
-		},
-		Mitigation: cluster.Mitigation{
-			TimeoutMs:         *timeoutMs,
-			MaxRetries:        *retries,
-			HedgeDelayMs:      *hedge,
-			DegradedJoin:      *degraded,
-			RetryBudget:       o.retryBudget,
-			AdaptEpochMs:      o.adaptEpoch,
-			BreakerTripRate:   o.breakerTrip,
-			BreakerMinSamples: o.breakerMin,
-			BreakerCooldownMs: o.breakerCooldown,
-		},
-		Seed: *seed,
-	}
-	if o.chaos != "" {
-		sched, err := o.chaosSchedule()
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Chaos = sched
-	}
-	if o.open {
-		// Resolve the derive-from-load defaults now that the service model
-		// is known, then hand the rest to the cluster tier's validation.
-		if o.rate == 0 {
-			o.rate = 1 / cluster.ArrivalForUtilization(plan, tm, o.batch, o.servers, o.util)
-		}
-		if o.duration == 0 {
-			o.duration = 1000 / o.rate
-		}
-		if o.sla == 0 {
-			o.sla = 8 * cluster.QueryWorkMs(plan, tm, o.batch)
-		}
-		if o.admit == "shed" && o.admitBudget == 0 {
-			o.admitBudget = o.sla / 2
-		}
-		open, err := o.openLoop()
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Open = open
-	} else {
-		cfg.MeanArrivalMs = o.arrival
-		cfg.Queries = o.queries
-		if cfg.MeanArrivalMs <= 0 {
-			cfg.MeanArrivalMs = cluster.ArrivalForUtilization(plan, tm, o.batch, o.servers, o.util)
-		}
-	}
-	// Collect every fault/mitigation/traffic/geometry violation in one report.
-	if err := cfg.Validate(); err != nil {
-		fatal(err)
-	}
+	cfg, plan := spec.cfg, spec.cfg.Plan
+	cfg.Timing = tm
+	o.derive(&cfg)
 
 	fmt.Printf("dlrmcluster: %s (scale 1/%d), %v, %s per-node design\n",
-		base.Name, o.scale, h, scheme)
+		o.modelName, o.scale, spec.engine.Hotness, spec.engine.Scheme)
 	fmt.Printf("%d nodes, %s sharding: %.1f MB/node shard (%.1f MB total embeddings)\n",
 		plan.Nodes, plan.Policy, float64(plan.MaxShardBytes())/1e6, float64(plan.TotalBytes())/1e6)
 	fmt.Printf("service: %.3f µs/cold lookup, %.3f µs/hot lookup, dense %.3f ms; network %.3g ms + %g GB/s\n",
 		tm.ColdLookupUs, tm.HotLookupUs, tm.DenseMs, o.netLat, o.netBW)
 	if o.open {
 		fmt.Printf("open-loop: %s arrivals at %.2f q/ms base rate, horizon %.1f ms (warmup %g), SLA %.3f ms\n",
-			cfg.Open.Arrivals.Model, o.rate, o.duration, o.openWarmup, o.sla)
+			cfg.Open.Arrivals.Model, cfg.Open.Arrivals.RatePerMs, cfg.Open.DurationMs, cfg.Open.WarmupMs, cfg.Open.SLAMs)
 		if o.users > 0 {
 			fmt.Printf("population: %d users, revisit p=%.2f, profile affinity %.2f\n", o.users, o.revisit, o.affinity)
 		}
 		fmt.Printf("admission: %s", cfg.Open.Admission.Policy)
 		if cfg.Open.Admission.Policy == cluster.ShedOverBudget {
-			fmt.Printf(" (backlog budget %.3f ms)", o.admitBudget)
+			fmt.Printf(" (backlog budget %.3f ms)", cfg.Open.Admission.QueueBudgetMs)
 		}
 		if a := cfg.Open.Autoscale; a != nil {
 			minN, maxN := a.MinNodes, a.MaxNodes
@@ -545,7 +499,7 @@ func main() {
 	}
 	fmt.Println()
 
-	points, err := cluster.SweepReplication(cfg, fractions)
+	points, err := cluster.SweepReplication(cfg, spec.fractions)
 	if err != nil {
 		fatal(err)
 	}
@@ -591,7 +545,7 @@ func main() {
 	for _, p := range points {
 		hotRows := 0
 		if p.Fraction > 0 {
-			hp, err := cluster.NewPlan(model, o.nodes, policy, p.Fraction, *seed)
+			hp, err := cluster.NewPlan(plan.Model, plan.Nodes, plan.Policy, p.Fraction, o.seed)
 			if err != nil {
 				fatal(err)
 			}

@@ -6,9 +6,6 @@ import (
 	"testing"
 
 	"dlrmsim/internal/cluster"
-	"dlrmsim/internal/core"
-	"dlrmsim/internal/dlrm"
-	"dlrmsim/internal/trace"
 	"dlrmsim/internal/traffic"
 )
 
@@ -18,6 +15,8 @@ func goodFlags() mainFlags {
 		modelName: "rm2_1", scheme: "baseline", policy: "rowrange", hotness: "high",
 		scale: 8, nodes: 8, batch: 8, servers: 2, queries: 4000,
 		util: 0.55, netBW: 10, shardWorkers: 1,
+		replicate: "0,0.001,0.01,0.05,0.2", seed: 1,
+		faults:   cluster.FaultModel{SlowdownFactor: 4},
 		arrivals: "poisson", admit: "none",
 		burstFactor: 2, flashFactor: 3, revisit: 0.6, affinity: 0.5,
 	}
@@ -27,8 +26,8 @@ func setNone(string) bool { return false }
 
 // TestValidateBadInputs is the CLI bad-input regression table: every row
 // is a flag combination a user has plausibly typed, and each must be
-// rejected with a message naming the offending flag — before any engine
-// work starts.
+// rejected — before any engine work starts — with a message naming the
+// offending flag, or the library config field it sets.
 func TestValidateBadInputs(t *testing.T) {
 	cases := []struct {
 		name string
@@ -44,25 +43,25 @@ func TestValidateBadInputs(t *testing.T) {
 		{"synthetic hotness", func(o *mainFlags) { o.hotness = "oneitem" }, nil, "-hotness oneitem"},
 		{"random hotness", func(o *mainFlags) { o.hotness = "random" }, nil, "-hotness random"},
 		{"negative scale", func(o *mainFlags) { o.scale = -1 }, nil, "-scale"},
-		{"zero nodes", func(o *mainFlags) { o.nodes = 0 }, nil, "-nodes"},
-		{"zero batch", func(o *mainFlags) { o.batch = 0 }, nil, "-batch"},
+		{"zero nodes", func(o *mainFlags) { o.nodes = 0 }, nil, "cluster: 0 nodes"},
+		{"zero batch", func(o *mainFlags) { o.batch = 0 }, nil, "0 samples per query"},
 		{"zero servers", func(o *mainFlags) { o.servers = 0 }, nil, "-servers"},
-		{"negative cores", func(o *mainFlags) { o.cores = -2 }, nil, "-cores"},
-		{"cores above platform", func(o *mainFlags) { o.cores = 100 }, nil, "-cores 100 outside [0,24]"},
+		{"negative cores", func(o *mainFlags) { o.cores = -2 }, nil, "core: -2 cores"},
+		{"cores above platform", func(o *mainFlags) { o.cores = 100 }, nil, "core: 100 cores on a 24-core"},
 		{"zero shard workers", func(o *mainFlags) { o.shardWorkers = 0 }, nil, "-shard-workers"},
 		{"zero queries closed", func(o *mainFlags) { o.queries = 0 }, nil, "-queries"},
-		{"negative arrival", func(o *mainFlags) { o.arrival = -0.5 }, nil, "-arrival"},
+		{"negative arrival", func(o *mainFlags) { o.arrival = -0.5 }, nil, "mean arrival -0.5 ms"},
 		{"util at 1 closed", func(o *mainFlags) { o.util = 1 }, nil, "-util"},
-		{"negative netlat", func(o *mainFlags) { o.netLat = -1 }, nil, "-netlat"},
-		{"NaN netlat", func(o *mainFlags) { o.netLat = math.NaN() }, nil, "-netlat"},
-		{"NaN netbw", func(o *mainFlags) { o.netBW = math.NaN() }, nil, "-netbw"},
-		{"NaN arrival", func(o *mainFlags) { o.arrival = math.NaN() }, nil, "-arrival"},
+		{"negative netlat", func(o *mainFlags) { o.netLat = -1 }, nil, "network parameters (latency -1 ms"},
+		{"NaN netlat", func(o *mainFlags) { o.netLat = math.NaN() }, nil, "network parameters (latency NaN ms"},
+		{"NaN netbw", func(o *mainFlags) { o.netBW = math.NaN() }, nil, "bandwidth NaN GB/s"},
+		{"NaN arrival", func(o *mainFlags) { o.arrival = math.NaN() }, nil, "mean arrival NaN ms"},
 		{"NaN util closed", func(o *mainFlags) { o.util = math.NaN() }, nil, "-util"},
 		{"NaN util open", func(o *mainFlags) { o.open = true; o.util = math.NaN() }, nil, "-util"},
-		{"NaN rate", func(o *mainFlags) { o.open = true; o.rate = math.NaN() }, nil, "-rate"},
-		{"NaN duration", func(o *mainFlags) { o.open = true; o.duration = math.NaN() }, nil, "-duration"},
-		{"NaN open warmup", func(o *mainFlags) { o.open = true; o.openWarmup = math.NaN() }, nil, "-open-warmup"},
-		{"NaN sla", func(o *mainFlags) { o.open = true; o.sla = math.NaN() }, nil, "-sla"},
+		{"NaN rate", func(o *mainFlags) { o.open = true; o.rate = math.NaN() }, nil, "arrival rate NaN/ms"},
+		{"NaN duration", func(o *mainFlags) { o.open = true; o.duration = math.NaN() }, nil, "positive duration (got NaN ms)"},
+		{"NaN open warmup", func(o *mainFlags) { o.open = true; o.openWarmup = math.NaN() }, nil, "warmup NaN ms"},
+		{"NaN sla", func(o *mainFlags) { o.open = true; o.sla = math.NaN() }, nil, "SLA target (got NaN ms)"},
 		{"NaN diurnal", func(o *mainFlags) { o.open = true; o.day = 100; o.diurnal = math.NaN() }, nil, "diurnal amplitude NaN"},
 		{"NaN revisit", func(o *mainFlags) { o.open = true; o.users = 20; o.revisit = math.NaN() }, nil, "revisit probability NaN"},
 		{"+Inf flash factor", func(o *mainFlags) { o.open = true; o.flashEvery = 50; o.flashDur = 5; o.flashFactor = math.Inf(1) }, nil, "flash factor +Inf"},
@@ -71,23 +70,28 @@ func TestValidateBadInputs(t *testing.T) {
 		{"users without -open", func(o *mainFlags) { o.users = 1000 }, []string{"users"}, "-users needs -open"},
 		{"arrival with -open", func(o *mainFlags) { o.open = true; o.arrival = 0.2 }, []string{"arrival"}, "closed-loop flag"},
 		{"queries with -open", func(o *mainFlags) { o.open = true }, []string{"queries"}, "closed-loop flag"},
-		{"negative rate", func(o *mainFlags) { o.open = true; o.rate = -3 }, nil, "-rate"},
+		{"negative rate", func(o *mainFlags) { o.open = true; o.rate = -3 }, nil, "arrival rate -3/ms"},
 		{"open zero util and rate", func(o *mainFlags) { o.open = true; o.util = 0 }, nil, "-util"},
-		{"negative duration", func(o *mainFlags) { o.open = true; o.duration = -1 }, nil, "-duration"},
-		{"bad open warmup", func(o *mainFlags) { o.open = true; o.openWarmup = -2 }, nil, "-open-warmup"},
-		{"negative sla", func(o *mainFlags) { o.open = true; o.sla = -1 }, nil, "-sla"},
+		{"negative duration", func(o *mainFlags) { o.open = true; o.duration = -1 }, nil, "positive duration (got -1 ms)"},
+		{"bad open warmup", func(o *mainFlags) { o.open = true; o.openWarmup = -2 }, nil, "warmup -2 ms"},
+		{"negative sla", func(o *mainFlags) { o.open = true; o.sla = -1 }, nil, "SLA target (got -1 ms)"},
 		{"burst knob without mmpp", func(o *mainFlags) { o.open = true; o.burstEvery = 2 }, []string{"burst-every"}, "-burst-every needs -arrivals mmpp"},
 		{"flash factor without flash", func(o *mainFlags) { o.open = true; o.flashFactor = 4 }, []string{"flash-factor"}, "-flash-factor needs -flash-every"},
 		{"revisit without users", func(o *mainFlags) { o.open = true; o.revisit = 0.9 }, []string{"revisit"}, "-revisit needs -users"},
 		{"scale-up without autoscaler", func(o *mainFlags) { o.open = true; o.scaleUp = 1 }, []string{"scale-up"}, "-scale-up needs -scale-every"},
 		{"max-nodes without autoscaler", func(o *mainFlags) { o.open = true; o.maxNodes = 4 }, []string{"max-nodes"}, "-max-nodes needs -scale-every"},
 		{"domains without chaos", func(o *mainFlags) { o.domains = 4 }, []string{"domains"}, "-domains needs -chaos"},
-		{"negative domains", func(o *mainFlags) { o.chaos = "down:dom=0,at=1,for=1"; o.domains = -2 }, nil, "-domains -2"},
+		{"negative domains", func(o *mainFlags) { o.chaos = "down:dom=0,at=1,for=1"; o.domains = -2 }, nil, "-2 chaos domains"},
 		{"unparseable chaos spec", func(o *mainFlags) { o.chaos = "explode:dom=0,at=1" }, nil, "unknown chaos event kind"},
 		{"chaos bad value", func(o *mainFlags) { o.chaos = "down:dom=zero,at=1,for=1" }, nil, `value "zero"`},
-		{"breaker-min without trip", func(o *mainFlags) { o.breakerMin = 5 }, []string{"breaker-min"}, "-breaker-min needs -breaker-trip"},
-		{"breaker-cooldown without trip", func(o *mainFlags) { o.breakerCooldown = 8 }, []string{"breaker-cooldown"}, "-breaker-cooldown needs -breaker-trip"},
-		{"adapt-epoch without adaptive", func(o *mainFlags) { o.adaptEpoch = 5 }, []string{"adapt-epoch"}, "-adapt-epoch needs -retry-budget or -breaker-trip"},
+		{"breaker-min without trip", func(o *mainFlags) { o.mit.BreakerMinSamples = 5 }, []string{"breaker-min"}, "-breaker-min needs -breaker-trip"},
+		{"breaker-cooldown without trip", func(o *mainFlags) { o.mit.BreakerCooldownMs = 8 }, []string{"breaker-cooldown"}, "-breaker-cooldown needs -breaker-trip"},
+		{"adapt-epoch without adaptive", func(o *mainFlags) { o.mit.AdaptEpochMs = 5 }, []string{"adapt-epoch"}, "-adapt-epoch needs -retry-budget or -breaker-trip"},
+		{"drop probability above 1", func(o *mainFlags) { o.faults.DropProb = 2 }, []string{"drop"}, "drop probability 2 outside [0,1)"},
+		{"negative timeout", func(o *mainFlags) { o.mit.TimeoutMs = -1 }, []string{"timeout"}, "mitigation timeout -1"},
+		{"retries without timeout", func(o *mainFlags) { o.mit.MaxRetries = 2 }, []string{"retries"}, "retries need a timeout"},
+		{"degraded without timeout", func(o *mainFlags) { o.mit.DegradedJoin = true }, []string{"degraded"}, "degraded joins need a timeout"},
+		{"chaos domain beyond the fleet", func(o *mainFlags) { o.chaos = "down:dom=9,at=1,for=1" }, nil, "domain 9 outside [0,8)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -97,7 +101,7 @@ func TestValidateBadInputs(t *testing.T) {
 			for _, s := range tc.set {
 				set[s] = true
 			}
-			err := o.validate(func(name string) bool { return set[name] })
+			_, err := o.validate(func(name string) bool { return set[name] })
 			if err == nil {
 				t.Fatalf("accepted bad flags %+v", o)
 			}
@@ -134,20 +138,21 @@ func TestValidateGoodInputs(t *testing.T) {
 		{"chaos with adaptive mitigation", func(o *mainFlags) {
 			o.chaos = "down:dom=2,at=200,for=150;part:a=0,b=1,at=400,for=100"
 			o.domains = 4
-			o.retryBudget, o.adaptEpoch = 0.25, 8
-			o.breakerTrip, o.breakerMin, o.breakerCooldown = 0.5, 4, 32
+			o.mit.TimeoutMs, o.mit.MaxRetries = 2, 1
+			o.mit.RetryBudget, o.mit.AdaptEpochMs = 0.25, 8
+			o.mit.BreakerTripRate, o.mit.BreakerMinSamples, o.mit.BreakerCooldownMs = 0.5, 4, 32
 		}},
 		{"open chaos", func(o *mainFlags) {
 			o.open = true
 			o.chaos = "slow:dom=0,at=10,for=50,x=4;recover:dom=0,at=30"
-			o.retryBudget = 0.2
+			o.mit.TimeoutMs, o.mit.MaxRetries, o.mit.RetryBudget = 2, 1, 0.2
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			o := goodFlags()
 			tc.mut(&o)
-			if err := o.validate(setNone); err != nil {
+			if _, err := o.validate(setNone); err != nil {
 				t.Fatalf("rejected good flags: %v", err)
 			}
 		})
@@ -271,12 +276,15 @@ func TestParseFractions(t *testing.T) {
 // divided by -batch's lookups, -batch 8 charged each lookup 8× too much
 // and every query the dense time of 64 samples.
 func TestNodeTimingFollowsBatch(t *testing.T) {
-	model := dlrm.RM2Small().Scaled(40)
 	tms := map[int]cluster.Timing{}
 	for _, batch := range []int{8, 64} {
 		o := goodFlags()
-		o.batch, o.cores = batch, 2
-		tm, err := o.nodeTiming(model, trace.HighHot, core.Baseline, 1)
+		o.batch, o.cores, o.scale = batch, 2, 40
+		spec, err := o.validate(setNone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tm, err := nodeTiming(spec.engine)
 		if err != nil {
 			t.Fatal(err)
 		}

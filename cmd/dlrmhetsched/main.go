@@ -31,9 +31,8 @@ import (
 	"dlrmsim/internal/trace"
 )
 
-// mainFlags carries every flag that participates in validation, so the
-// bad-input paths are a plain function a test can drive without an
-// engine run or an os.Exit.
+// mainFlags carries every flag, so the bad-input paths are a plain
+// function a test can drive without an engine run or an os.Exit.
 type mainFlags struct {
 	mix, policy                 string
 	modelName, hotness, scheme  string
@@ -42,25 +41,45 @@ type mainFlags struct {
 	requests                    int
 	arrival, util, jitter, hold float64
 	maxBatch                    int
+	seed                        uint64
 }
 
 // engineFlags are meaningless when -gather/-dense set the phase graph
 // explicitly; validate rejects misplaced ones in a single pass.
 var engineFlags = []string{"model", "hotness", "scheme", "scale", "batch", "cores"}
 
-// validate reports every bad flag at once, before any engine work starts.
-// isSet reports whether a flag was given explicitly on the command line.
-func (o mainFlags) validate(isSet func(string) bool) error {
-	var errs []error
+// run is what one validated command line runs: the engine design point
+// that calibrates the phase costs (unused with -gather/-dense), one
+// config per device mix with the GPU overrides applied, and the
+// policies each mix runs under. Until the engine has run, each config
+// carries a stand-in graph, and a stand-in arrival where -arrival 0
+// derives one per mix from -util.
+type run struct {
+	engine   core.Options
+	mixes    []string
+	cfgs     []hetsched.Config
+	policies []hetsched.Policy
+}
+
+// validate turns the flags into the configs the run uses and reports
+// every bad flag at once, before any engine work starts: the flag checks
+// only the CLI can make here, every range rule through the library
+// configs' own Validate. isSet reports whether a flag was given
+// explicitly on the command line.
+func (o mainFlags) validate(isSet func(string) bool) (run, error) {
+	var errs []error // errors.Join drops the nil ones
+	var r run
+	graph := hetsched.DLRMGraph(o.gather, o.dense)
 	if isSet("gather") || isSet("dense") {
 		if !isSet("gather") || !isSet("dense") {
 			errs = append(errs, fmt.Errorf("-gather and -dense set the synthetic phase graph together"))
 		}
-		if isSet("gather") && !check.Positive(o.gather) {
-			errs = append(errs, fmt.Errorf("-gather %g µs (want finite > 0)", o.gather))
+		// A graph may hold zero-work phases, but these flags set a cost.
+		if isSet("gather") && o.gather == 0 {
+			errs = append(errs, fmt.Errorf("-gather 0 µs (want > 0)"))
 		}
-		if isSet("dense") && !check.Positive(o.dense) {
-			errs = append(errs, fmt.Errorf("-dense %g µs (want finite > 0)", o.dense))
+		if isSet("dense") && o.dense == 0 {
+			errs = append(errs, fmt.Errorf("-dense 0 µs (want > 0)"))
 		}
 		for _, name := range engineFlags {
 			if isSet(name) {
@@ -71,68 +90,86 @@ func (o mainFlags) validate(isSet func(string) bool) error {
 		if o.scale < 1 {
 			errs = append(errs, fmt.Errorf("-scale %d (want >= 1)", o.scale))
 		}
-		if o.batch < 1 {
-			errs = append(errs, fmt.Errorf("-batch %d (want >= 1)", o.batch))
+		if o.batch == 0 { // the engine would read 0 as its default batch
+			errs = append(errs, fmt.Errorf("-batch 0 (want >= 1)"))
 		}
-		if n := platform.CascadeLake().Cores; o.cores < 0 || o.cores > n {
-			errs = append(errs, fmt.Errorf("-cores %d outside [0,%d] (0 = all platform cores)", o.cores, n))
-		}
-		if _, err := dlrm.ByName(o.modelName); err != nil {
+		base, err := dlrm.ByName(o.modelName)
+		if err != nil {
 			errs = append(errs, err)
+			base = dlrm.RM2Small() // a stand-in, so the engine options still check the other flags
 		}
-		if _, err := core.ParseScheme(o.scheme); err != nil {
-			errs = append(errs, err)
+		scheme, err := core.ParseScheme(o.scheme)
+		errs = append(errs, err)
+		h, err := trace.ParseHotness(o.hotness)
+		if err == nil && !slices.Contains(trace.ProductionHotness, h) {
+			err = fmt.Errorf("-hotness %s is a synthetic class (want high | medium | low)", o.hotness)
 		}
-		if h, err := trace.ParseHotness(o.hotness); err != nil {
-			errs = append(errs, err)
-		} else if !slices.Contains(trace.ProductionHotness, h) {
-			errs = append(errs, fmt.Errorf("-hotness %s is a synthetic class (want high | medium | low)", o.hotness))
-		}
+		errs = append(errs, err)
+		r.engine = core.Options{Model: base.Scaled(o.scale), Hotness: h, Scheme: scheme, BatchSize: o.batch, Cores: o.cores, Seed: o.seed}
+		errs = append(errs, r.engine.Validate())
+		graph = hetsched.DLRMGraph(1, 1) // stand-in until the engine calibrates the phase costs
 	}
-	if o.mix != "all" {
-		if _, err := hetsched.NewMix(o.mix); err != nil {
-			errs = append(errs, err)
-		}
+	r.mixes = []string{o.mix}
+	if o.mix == "all" {
+		r.mixes = hetsched.Mixes
 	}
+	r.policies = hetsched.AllPolicies
 	if o.policy != "all" {
-		if _, err := hetsched.ParsePolicy(o.policy); err != nil {
-			errs = append(errs, err)
-		}
+		p, err := hetsched.ParsePolicy(o.policy)
+		errs = append(errs, err)
+		r.policies = []hetsched.Policy{p}
 	}
-	if o.requests < 1 {
-		errs = append(errs, fmt.Errorf("-requests %d (want >= 1)", o.requests))
-	}
-	if !check.NonNeg(o.arrival) {
-		errs = append(errs, fmt.Errorf("-arrival %g ms (want finite >= 0; 0 derives from -util)", o.arrival))
+	if o.requests == 0 { // the scheduler would read 0 as its default count
+		errs = append(errs, fmt.Errorf("-requests 0 (want >= 1)"))
 	}
 	if o.arrival == 0 && !(o.util > 0 && o.util < 1) { // NaN fails too
 		errs = append(errs, fmt.Errorf("-util %g outside (0,1)", o.util))
 	}
-	if !(o.jitter >= 0 && o.jitter <= 2) {
-		errs = append(errs, fmt.Errorf("-jitter %g outside [0,2]", o.jitter))
-	}
-	if o.maxBatch < 0 {
-		errs = append(errs, fmt.Errorf("-maxbatch %d (want >= 0)", o.maxBatch))
-	}
-	if !check.NonNeg(o.hold) {
-		errs = append(errs, fmt.Errorf("-hold %g µs (want finite >= 0)", o.hold))
-	}
-	if isSet("maxbatch") || isSet("hold") {
-		hasGPU := false
-		if o.mix != "all" {
-			if devs, err := hetsched.NewMix(o.mix); err == nil {
-				for _, d := range devs {
-					if d.Class == hetsched.GPUClass {
-						hasGPU = true
-					}
-				}
+	gpus := 0
+	for _, mix := range r.mixes {
+		devs, err := hetsched.NewMix(mix)
+		if err != nil {
+			errs = append(errs, err)
+			continue
+		}
+		for i := range devs {
+			if devs[i].Class != hetsched.GPUClass {
+				continue
+			}
+			gpus++
+			if isSet("maxbatch") {
+				devs[i].MaxBatch = o.maxBatch
+			}
+			if isSet("hold") {
+				devs[i].HoldUs = o.hold
 			}
 		}
-		if !hasGPU {
-			errs = append(errs, fmt.Errorf("-maxbatch/-hold override the GPU and need a single mix containing one (have -mix %s)", o.mix))
+		cfg := hetsched.Config{
+			Graph:         graph,
+			Devices:       devs,
+			Policy:        r.policies[0],
+			MeanArrivalMs: o.arrival,
+			Requests:      o.requests,
+			JitterFrac:    o.jitter,
+			Seed:          o.seed,
+		}
+		if o.arrival == 0 {
+			cfg.MeanArrivalMs = 1 // stand-in until the per-mix derivation
+		}
+		r.cfgs = append(r.cfgs, cfg)
+	}
+	if (isSet("maxbatch") || isSet("hold")) && (o.mix == "all" || gpus == 0) {
+		errs = append(errs, fmt.Errorf("-maxbatch/-hold override the GPU and need a single mix containing one (have -mix %s)", o.mix))
+	}
+	// Every mix shares the graph and stream knobs, and only a single mix
+	// takes the GPU overrides, so the first bad config says it all.
+	for _, cfg := range r.cfgs {
+		if err := cfg.Validate(); err != nil {
+			errs = append(errs, err)
+			break
 		}
 	}
-	return errors.Join(errs...)
+	return r, errors.Join(errs...)
 }
 
 func main() {
@@ -153,7 +190,7 @@ func main() {
 	flag.Float64Var(&o.jitter, "jitter", 0.25, "lognormal service-time jitter fraction")
 	flag.IntVar(&o.maxBatch, "maxbatch", 0, "override the GPU's max batch size (needs a mix with a GPU)")
 	flag.Float64Var(&o.hold, "hold", 0, "override the GPU's batching hold window in µs (needs a mix with a GPU)")
-	seed := flag.Uint64("seed", 1, "random seed")
+	flag.Uint64Var(&o.seed, "seed", 1, "random seed")
 	checkMode := flag.Bool("check", false, "enable runtime invariant assertions (debug; slower)")
 	flag.Parse()
 	check.Enabled = *checkMode
@@ -161,38 +198,24 @@ func main() {
 	setFlags := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
 	isSet := func(name string) bool { return setFlags[name] }
-	if err := o.validate(isSet); err != nil {
+	spec, err := o.validate(isSet)
+	if err != nil {
 		fatal(err)
 	}
 
-	var g hetsched.Graph
+	g := spec.cfgs[0].Graph
 	if isSet("gather") {
-		g = hetsched.DLRMGraph(o.gather, o.dense)
 		fmt.Printf("dlrmhetsched: synthetic phase graph\n")
 	} else {
-		base, err := dlrm.ByName(o.modelName)
-		if err != nil {
-			fatal(err)
-		}
-		h, err := trace.ParseHotness(o.hotness)
-		if err != nil {
-			fatal(err)
-		}
-		scheme, err := core.ParseScheme(o.scheme)
-		if err != nil {
-			fatal(err)
-		}
-		cpu := platform.CascadeLake()
-		model := base.Scaled(o.scale)
 		// One memoizable engine run calibrates the per-phase CPU costs.
-		rep, err := core.Run(core.Options{Model: model, Hotness: h, Scheme: scheme, BatchSize: o.batch, Cores: o.cores, Seed: *seed})
+		rep, err := core.Run(spec.engine)
 		if err != nil {
 			fatal(err)
 		}
-		tm := cluster.TimingFromReport(rep, cpu)
+		tm := cluster.TimingFromReport(rep, platform.CascadeLake())
 		g = hetsched.DLRMGraph(tm.ColdLookupUs*float64(rep.LookupsPerBatch), tm.DenseMs*1e3)
 		fmt.Printf("dlrmhetsched: %s (scale 1/%d), %v, %s design, %d-sample requests\n",
-			base.Name, o.scale, h, scheme, o.batch)
+			o.modelName, o.scale, spec.engine.Hotness, spec.engine.Scheme, o.batch)
 	}
 	kw := g.KindWorkUs()
 	fmt.Printf("phases: %.2f µs gather, %.2f µs interact, %.2f µs mlp (%.2f µs/request on a reference core)\n",
@@ -204,62 +227,22 @@ func main() {
 	}
 	fmt.Println()
 
-	mixes := []string{o.mix}
-	if o.mix == "all" {
-		mixes = hetsched.Mixes
-	}
-	policies := hetsched.AllPolicies
-	if o.policy != "all" {
-		p, err := hetsched.ParsePolicy(o.policy)
-		if err != nil {
-			fatal(err)
-		}
-		policies = []hetsched.Policy{p}
-	}
-
 	fmt.Printf("%-10s %-9s %12s %9s %9s %9s %10s %9s %6s %7s %6s %10s %10s\n",
 		"mix", "policy", "arrival (ms)", "p50 (ms)", "p95 (ms)", "p99 (ms)", "qps",
 		"wait (ms)", "batch", "steals", "util", "cross (ms)", "same (ms)")
-	for _, mix := range mixes {
-		devs, err := hetsched.NewMix(mix)
-		if err != nil {
-			fatal(err)
+	for i, cfg := range spec.cfgs {
+		cfg.Graph = g
+		if o.arrival == 0 {
+			cfg.MeanArrivalMs = hetsched.ArrivalForUtilization(g, cfg.Devices, o.util)
 		}
-		for i := range devs {
-			if devs[i].Class != hetsched.GPUClass {
-				continue
-			}
-			if isSet("maxbatch") {
-				devs[i].MaxBatch = o.maxBatch
-			}
-			if isSet("hold") {
-				devs[i].HoldUs = o.hold
-			}
-		}
-		arrival := o.arrival
-		if arrival == 0 {
-			arrival = hetsched.ArrivalForUtilization(g, devs, o.util)
-		}
-		for _, pol := range policies {
-			cfg := hetsched.Config{
-				Graph:         g,
-				Devices:       devs,
-				Policy:        pol,
-				MeanArrivalMs: arrival,
-				Requests:      o.requests,
-				JitterFrac:    o.jitter,
-				Seed:          *seed,
-			}
-			// Collect every config violation in one report.
-			if err := cfg.Validate(); err != nil {
-				fatal(err)
-			}
+		for _, pol := range spec.policies {
+			cfg.Policy = pol
 			res, err := hetsched.Simulate(cfg)
 			if err != nil {
 				fatal(err)
 			}
 			fmt.Printf("%-10s %-9s %12.4f %9.3f %9.3f %9.3f %10.0f %9.3f %6.2f %7d %5.1f%% %10.1f %10.1f\n",
-				mix, pol, arrival, res.P50, res.P95, res.P99, res.ThroughputQPS,
+				spec.mixes[i], pol, cfg.MeanArrivalMs, res.P50, res.P95, res.P99, res.ThroughputQPS,
 				res.MeanPhaseWaitMs, res.MeanBatchItems, res.Steals, 100*res.UtilTotal,
 				res.CrossKindOverlapMs, res.SameKindOverlapMs)
 		}

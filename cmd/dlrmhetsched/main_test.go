@@ -20,8 +20,8 @@ func setNone(string) bool { return false }
 
 // TestValidateBadInputs is the CLI bad-input regression table: every row
 // is a flag combination a user has plausibly typed, and each must be
-// rejected with a message naming the offending flag — before any engine
-// work starts.
+// rejected — before any engine work starts — with a message naming the
+// offending flag, or the library config field it sets.
 func TestValidateBadInputs(t *testing.T) {
 	cases := []struct {
 		name string
@@ -31,8 +31,8 @@ func TestValidateBadInputs(t *testing.T) {
 	}{
 		{"negative scale", func(o *mainFlags) { o.scale = -1 }, nil, "-scale"},
 		{"zero batch", func(o *mainFlags) { o.batch = 0 }, nil, "-batch"},
-		{"negative cores", func(o *mainFlags) { o.cores = -2 }, nil, "-cores"},
-		{"cores above platform", func(o *mainFlags) { o.cores = 100 }, nil, "-cores 100 outside [0,24]"},
+		{"negative cores", func(o *mainFlags) { o.cores = -2 }, nil, "core: -2 cores"},
+		{"cores above platform", func(o *mainFlags) { o.cores = 100 }, nil, "core: 100 cores on a 24-core"},
 		{"unknown hotness", func(o *mainFlags) { o.hotness = "scorching" }, nil, "unknown hotness"},
 		{"unknown model", func(o *mainFlags) { o.modelName = "bogus" }, nil, `unknown model "bogus"`},
 		{"unknown scheme", func(o *mainFlags) { o.scheme = "turbo" }, nil, `unknown scheme "turbo"`},
@@ -40,32 +40,34 @@ func TestValidateBadInputs(t *testing.T) {
 		{"synthetic hotness", func(o *mainFlags) { o.hotness = "one-item" }, nil, "-hotness one-item"},
 		{"random hotness", func(o *mainFlags) { o.hotness = "random" }, nil, "-hotness random"},
 		{"zero requests", func(o *mainFlags) { o.requests = 0 }, nil, "-requests"},
-		{"negative arrival", func(o *mainFlags) { o.arrival = -0.5 }, nil, "-arrival"},
+		{"negative arrival", func(o *mainFlags) { o.arrival = -0.5 }, nil, "mean arrival -0.5 ms"},
 		{"util at 1", func(o *mainFlags) { o.util = 1 }, nil, "-util"},
-		{"negative jitter", func(o *mainFlags) { o.jitter = -0.1 }, nil, "-jitter"},
-		{"huge jitter", func(o *mainFlags) { o.jitter = 3 }, nil, "-jitter"},
+		{"negative jitter", func(o *mainFlags) { o.jitter = -0.1 }, nil, "jitter fraction -0.1"},
+		{"huge jitter", func(o *mainFlags) { o.jitter = 3 }, nil, "jitter fraction 3"},
 		{"unknown mix", func(o *mainFlags) { o.mix = "tpu9" }, nil, "unknown device mix"},
 		{"unknown policy", func(o *mainFlags) { o.policy = "random" }, nil, "unknown policy"},
 		{"gather without dense", func(o *mainFlags) { o.gather = 40 }, []string{"gather"}, "-gather and -dense"},
 		{"dense without gather", func(o *mainFlags) { o.dense = 30 }, []string{"dense"}, "-gather and -dense"},
 		{"zero gather", func(o *mainFlags) { o.dense = 30 }, []string{"gather", "dense"}, "-gather 0"},
-		{"negative dense", func(o *mainFlags) { o.gather = 40; o.dense = -1 }, []string{"gather", "dense"}, "-dense"},
+		{"negative dense", func(o *mainFlags) { o.gather = 40; o.dense = -1 }, []string{"gather", "dense"}, "negative work -0.25"},
 		{"model with synthetic graph", func(o *mainFlags) { o.gather = 40; o.dense = 30 },
 			[]string{"gather", "dense", "model"}, "-model is an engine-calibration flag"},
 		{"scale with synthetic graph", func(o *mainFlags) { o.gather = 40; o.dense = 30 },
 			[]string{"gather", "dense", "scale"}, "-scale is an engine-calibration flag"},
-		{"negative maxbatch", func(o *mainFlags) { o.maxBatch = -4 }, nil, "-maxbatch"},
-		{"negative hold", func(o *mainFlags) { o.hold = -1 }, nil, "-hold"},
-		{"NaN gather", func(o *mainFlags) { o.gather = math.NaN(); o.dense = 30 }, []string{"gather", "dense"}, "-gather NaN"},
-		{"+Inf dense", func(o *mainFlags) { o.gather = 40; o.dense = math.Inf(1) }, []string{"gather", "dense"}, "-dense +Inf"},
+		{"negative maxbatch", func(o *mainFlags) { o.maxBatch = -4 }, []string{"maxbatch"}, "negative max batch -4"},
+		{"negative hold", func(o *mainFlags) { o.hold = -1 }, []string{"hold"}, "negative hold window -1"},
+		{"NaN gather", func(o *mainFlags) { o.gather = math.NaN(); o.dense = 30 }, []string{"gather", "dense"}, "phase 0 has non-finite or negative work NaN"},
+		{"+Inf dense", func(o *mainFlags) { o.gather = 40; o.dense = math.Inf(1) }, []string{"gather", "dense"}, "negative work +Inf"},
 		{"NaN util", func(o *mainFlags) { o.util = math.NaN() }, nil, "-util NaN"},
-		{"NaN arrival", func(o *mainFlags) { o.arrival = math.NaN() }, nil, "-arrival NaN"},
-		{"NaN jitter", func(o *mainFlags) { o.jitter = math.NaN() }, nil, "-jitter NaN"},
-		{"NaN hold", func(o *mainFlags) { o.hold = math.NaN() }, nil, "-hold NaN"},
+		{"NaN arrival", func(o *mainFlags) { o.arrival = math.NaN() }, nil, "mean arrival NaN ms"},
+		{"NaN jitter", func(o *mainFlags) { o.jitter = math.NaN() }, nil, "jitter fraction NaN"},
+		{"NaN hold", func(o *mainFlags) { o.hold = math.NaN() }, []string{"hold"}, "hold window NaN"},
 		{"maxbatch without a gpu", func(o *mainFlags) { o.mix = "cpu4"; o.maxBatch = 64 },
 			[]string{"maxbatch"}, "need a single mix containing one"},
 		{"hold with mix all", func(o *mainFlags) { o.mix = "all"; o.hold = 40 },
 			[]string{"hold"}, "need a single mix containing one"},
+		{"gpu hold without batching", func(o *mainFlags) { o.mix = "cpu2gpu1"; o.maxBatch = 1; o.hold = 40 },
+			[]string{"maxbatch", "hold"}, "holds 40 µs for batches but MaxBatch is 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -79,7 +81,7 @@ func TestValidateBadInputs(t *testing.T) {
 				}
 				isSet = func(name string) bool { return set[name] }
 			}
-			err := o.validate(isSet)
+			_, err := o.validate(isSet)
 			if err == nil {
 				t.Fatalf("validate accepted %+v", o)
 			}
@@ -113,7 +115,7 @@ func TestValidateGoodInputs(t *testing.T) {
 			for _, name := range tc.set {
 				set[name] = true
 			}
-			if err := o.validate(func(name string) bool { return set[name] }); err != nil {
+			if _, err := o.validate(func(name string) bool { return set[name] }); err != nil {
 				t.Fatalf("validate rejected %+v: %v", o, err)
 			}
 		})

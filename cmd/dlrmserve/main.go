@@ -9,6 +9,7 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -23,47 +24,49 @@ import (
 	"dlrmsim/internal/trace"
 )
 
-// mainFlags carries every flag that participates in validation, so the
-// bad-input paths are a plain function a test can drive without an
-// engine run or an os.Exit.
+// mainFlags carries every flag, so the bad-input paths are a plain
+// function a test can drive without an engine run or an os.Exit.
 type mainFlags struct {
 	modelName, hotness, schemes string
 	scale, cores, requests      int
+	seed                        uint64
 }
 
-// validate reports every bad flag at once, before any engine work starts,
-// and returns the parsed hotness and design points. platformCores bounds
-// -cores.
-func (o mainFlags) validate(platformCores int) (trace.Hotness, []core.Scheme, error) {
-	var errs []error
-	if _, err := dlrm.ByName(o.modelName); err != nil {
-		errs = append(errs, err)
-	}
-	h, err := trace.ParseHotness(o.hotness)
+// validate turns the flags into the configs the run uses and reports
+// every bad flag at once, before any engine work starts: the flag checks
+// only the CLI can make here, every range rule through the library
+// configs' own Validate. It returns the engine options each design point
+// runs with (the baseline's service time anchors the arrival sweep), the
+// design points, and the serving config each design's arrival sweep
+// runs, whose service and arrival times are stand-ins until then.
+func (o mainFlags) validate() (core.Options, []core.Scheme, serve.Config, error) {
+	var errs []error // errors.Join drops the nil ones
+	base, err := dlrm.ByName(o.modelName)
 	if err != nil {
 		errs = append(errs, err)
-	} else if !slices.Contains(trace.ProductionHotness, h) {
-		errs = append(errs, fmt.Errorf("-hotness %s is a synthetic class (want high | medium | low)", o.hotness))
+		base = dlrm.RM2Small() // a stand-in, so the configs below still check the other flags
 	}
+	h, err := trace.ParseHotness(o.hotness)
+	if err == nil && !slices.Contains(trace.ProductionHotness, h) {
+		err = fmt.Errorf("-hotness %s is a synthetic class (want high | medium | low)", o.hotness)
+	}
+	errs = append(errs, err)
 	var schemes []core.Scheme
 	for _, name := range strings.Split(o.schemes, ",") {
 		s, err := core.ParseScheme(strings.TrimSpace(name))
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		schemes = append(schemes, s)
+		schemes, errs = append(schemes, s), append(errs, err)
 	}
 	if o.scale < 1 {
 		errs = append(errs, fmt.Errorf("-scale %d (want >= 1)", o.scale))
 	}
-	if o.cores < 0 || o.cores > platformCores {
-		errs = append(errs, fmt.Errorf("-cores %d outside [0,%d] (0 = all platform cores)", o.cores, platformCores))
+	if o.requests == 0 { // the serving tier would read 0 as its default count
+		errs = append(errs, fmt.Errorf("-requests 0 (want >= 1)"))
 	}
-	if o.requests < 1 {
-		errs = append(errs, fmt.Errorf("-requests %d (want >= 1)", o.requests))
-	}
-	return h, schemes, errors.Join(errs...)
+	opts := core.Options{Model: base.Scaled(o.scale), Hotness: h, Scheme: core.Baseline, Cores: o.cores, Seed: o.seed}
+	errs = append(errs, opts.Validate())
+	opts.Cores = cmp.Or(opts.Cores, platform.CascadeLake().Cores) // the sweep spreads arrivals over them
+	srv := serve.Config{Cores: opts.Cores, ServiceMs: 1, MeanArrivalMs: 1, JitterFrac: 0.08, Requests: o.requests, Seed: o.seed}
+	return opts, schemes, srv, errors.Join(append(errs, srv.Validate())...)
 }
 
 func main() {
@@ -74,28 +77,18 @@ func main() {
 	flag.IntVar(&o.scale, "scale", 8, "model scale-down divisor")
 	flag.IntVar(&o.cores, "cores", 0, "server cores (0 = all platform cores)")
 	flag.IntVar(&o.requests, "requests", 3000, "requests per sweep point")
-	seed := flag.Uint64("seed", 1, "random seed")
+	flag.Uint64Var(&o.seed, "seed", 1, "random seed")
 	flag.Parse()
 
-	cpu := platform.CascadeLake()
-	h, schemes, err := o.validate(cpu.Cores)
+	opts, schemes, srv, err := o.validate()
 	if err != nil {
 		fatal(err)
 	}
-	base, err := dlrm.ByName(o.modelName)
-	if err != nil {
-		fatal(err)
-	}
-	n := cpu.Cores
-	if o.cores > 0 {
-		n = o.cores
-	}
-	model := base.Scaled(o.scale)
-
-	fmt.Printf("dlrmserve: %s (scale 1/%d) on %s, %d cores, %v\n\n", base.Name, o.scale, cpu.Name, n, h)
+	n, model := opts.Cores, opts.Model
+	fmt.Printf("dlrmserve: %s (scale 1/%d) on %s, %d cores, %v\n\n", o.modelName, o.scale, platform.CascadeLake().Name, n, opts.Hotness)
 
 	// Baseline service time anchors the arrival sweep.
-	bl, err := core.Run(core.Options{Model: model, Hotness: h, Scheme: core.Baseline, Cores: n, Seed: *seed})
+	bl, err := core.Run(opts)
 	if err != nil {
 		fatal(err)
 	}
@@ -103,11 +96,11 @@ func main() {
 	for _, f := range []float64{0.4, 0.7, 1.0, 1.5, 2.5, 4.0} {
 		arrivals = append(arrivals, f*bl.BatchLatencyMs/float64(n))
 	}
-	sla := base.SLATargetMs
+	sla := model.SLATargetMs
 	if o.scale > 1 {
 		sla = 4 * bl.BatchLatencyMs
 		fmt.Printf("(scaled run: using SLA = 4x baseline latency = %.2f ms instead of the paper's %.0f ms)\n\n",
-			sla, base.SLATargetMs)
+			sla, model.SLATargetMs)
 	}
 
 	fmt.Printf("%-12s %-10s", "design", "svc (ms)")
@@ -117,17 +110,13 @@ func main() {
 	fmt.Printf("  fastest SLA-ok\n")
 
 	for _, s := range schemes {
-		rep, err := core.Run(core.Options{Model: model, Hotness: h, Scheme: s, Cores: n, Seed: *seed})
+		opts.Scheme = s
+		rep, err := core.Run(opts)
 		if err != nil {
 			fatal(err)
 		}
-		points, err := serve.SweepArrival(serve.Config{
-			Cores:      n,
-			ServiceMs:  rep.BatchLatencyMs,
-			JitterFrac: 0.08,
-			Requests:   o.requests,
-			Seed:       *seed,
-		}, arrivals)
+		srv.ServiceMs = rep.BatchLatencyMs
+		points, err := serve.SweepArrival(srv, arrivals)
 		if err != nil {
 			fatal(err)
 		}

@@ -27,27 +27,31 @@ type options struct {
 	top                                   int
 }
 
-// validate reports every bad flag at once. isSet reports whether a flag
-// was given explicitly: -in reads the trace's shape from the file, so
-// the flags that shape or inspect a generated trace are rejected with it
-// instead of silently ignored.
-func (o options) validate(isSet func(string) bool) error {
+// validate turns the flags into the trace.Config a generated trace uses
+// and reports every bad flag at once, the config's ranges through its
+// own Validate. isSet reports whether a flag was given explicitly: -in
+// reads the trace's shape from the file, so the flags that shape or
+// inspect a generated trace are rejected with it instead of silently
+// ignored.
+func (o options) validate(isSet func(string) bool) (trace.Config, error) {
 	var errs []error
 	if o.top < 0 {
 		errs = append(errs, fmt.Errorf("-top %d (want >= 0)", o.top))
 	}
-	if o.in == "" {
-		if _, err := trace.ParseHotness(o.hotness); err != nil {
-			errs = append(errs, err)
+	if o.in != "" {
+		for _, name := range []string{"hotness", "rows", "tables", "batch", "lookups", "batches", "seed", "o", "stats"} {
+			if isSet(name) {
+				errs = append(errs, fmt.Errorf("-%s applies to a generated trace, not to -in", name))
+			}
 		}
-		return errors.Join(errs...)
+		return trace.Config{}, errors.Join(errs...)
 	}
-	for _, name := range []string{"hotness", "rows", "tables", "batch", "lookups", "batches", "seed", "o", "stats"} {
-		if isSet(name) {
-			errs = append(errs, fmt.Errorf("-%s applies to a generated trace, not to -in", name))
-		}
+	h, err := trace.ParseHotness(o.hotness)
+	cfg := trace.Config{
+		Hotness: h, Rows: o.rows, Tables: o.tables,
+		BatchSize: o.batch, LookupsPerSample: o.lookups, Batches: o.batches, Seed: o.seed,
 	}
-	return errors.Join(errs...)
+	return cfg, errors.Join(append(errs, err, cfg.Validate())...)
 }
 
 func main() {
@@ -66,7 +70,8 @@ func main() {
 	flag.Parse()
 	setFlags := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
-	if err := o.validate(func(name string) bool { return setFlags[name] }); err != nil {
+	cfg, err := o.validate(func(name string) bool { return setFlags[name] })
+	if err != nil {
 		fatal(err)
 	}
 
@@ -86,19 +91,12 @@ func main() {
 		return
 	}
 
-	h, err := trace.ParseHotness(o.hotness)
-	if err != nil {
-		fatal(err)
-	}
-	ds, err := trace.NewDataset(trace.Config{
-		Hotness: h, Rows: o.rows, Tables: o.tables,
-		BatchSize: o.batch, LookupsPerSample: o.lookups, Batches: o.batches, Seed: o.seed,
-	})
+	ds, err := trace.NewDataset(cfg)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("dataset: %v, %d tables x %d rows, %d batches x %d samples x %d lookups (zipf s=%.3f)\n",
-		h, o.tables, o.rows, o.batches, o.batch, o.lookups, ds.Exponent())
+		cfg.Hotness, cfg.Tables, cfg.Rows, cfg.Batches, cfg.BatchSize, cfg.LookupsPerSample, ds.Exponent())
 
 	if o.stats {
 		for t := 0; t < min(o.tables, 3); t++ {

@@ -31,6 +31,7 @@ func TestValidateBadInputs(t *testing.T) {
 		{"lookups with -in", func(o *options) { o.in = "t.bin" }, []string{"lookups"}, "-lookups applies"},
 		{"batches with -in", func(o *options) { o.in = "t.bin" }, []string{"batches"}, "-batches applies"},
 		{"seed with -in", func(o *options) { o.in = "t.bin" }, []string{"seed"}, "-seed applies"},
+		{"zero rows", func(o *options) { o.rows = 0 }, []string{"rows"}, "trace: non-positive dimension"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -40,7 +41,7 @@ func TestValidateBadInputs(t *testing.T) {
 			for _, s := range tc.set {
 				set[s] = true
 			}
-			err := o.validate(func(name string) bool { return set[name] })
+			_, err := o.validate(func(name string) bool { return set[name] })
 			if err == nil {
 				t.Fatalf("accepted bad flags %+v (set %v)", o, tc.set)
 			}
@@ -70,7 +71,7 @@ func TestValidateGoodInputs(t *testing.T) {
 		for _, s := range tc.set {
 			set[s] = true
 		}
-		if err := o.validate(func(name string) bool { return set[name] }); err != nil {
+		if _, err := o.validate(func(name string) bool { return set[name] }); err != nil {
 			t.Errorf("%s: rejected good flags: %v", name, err)
 		}
 	}

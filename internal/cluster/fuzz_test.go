@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -172,9 +173,12 @@ func FuzzChaosSchedule(f *testing.F) {
 // Every numeric knob maps onto a finite range that straddles zero, so
 // both sides of every Validate bound are reachable; a zero byte is a zero
 // knob, and the float knobs' three extreme bytes are NaN, +Inf and -Inf.
-// An odd last byte turns the closed loop into an open-loop run with
-// stream stats: Poisson arrivals at the closed loop's mean gap over the
-// horizon its query count spans.
+// An odd byte after them turns the closed loop into an open-loop run
+// with stream stats over the horizon the closed loop's query count
+// spans. The bytes after it set the arrival stream: a model byte (2 is
+// an invalid model), then each traffic float knob from eight bytes read
+// as its IEEE bits, so the knobs come log-uniformly from the whole
+// float64 range, with 0, NaN and ±Inf among them.
 func configFromBytes(plans []*Plan, data []byte) Config {
 	next := func() byte {
 		if len(data) == 0 {
@@ -242,8 +246,18 @@ func configFromBytes(plans []*Plan, data []byte) Config {
 		}}
 	}
 	if next()&1 == 1 {
+		knob := func() float64 {
+			var b [8]byte
+			for i := range b {
+				b[i] = next()
+			}
+			return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+		}
 		cfg.Open = &OpenLoop{
-			Arrivals:    traffic.Config{Model: traffic.Poisson, RatePerMs: 1 / cfg.MeanArrivalMs},
+			Arrivals: traffic.Config{Model: traffic.Model(next() % 3), RatePerMs: knob(),
+				BurstFactor: knob(), BurstEveryMs: knob(), BurstMeanMs: knob(),
+				DayMs: knob(), DiurnalAmp: knob(),
+				FlashEveryMs: knob(), FlashMeanMs: knob(), FlashFactor: knob()},
 			DurationMs:  float64(cfg.Queries) * cfg.MeanArrivalMs,
 			SLAMs:       50,
 			StreamStats: true,
@@ -251,6 +265,43 @@ func configFromBytes(plans []*Plan, data []byte) Config {
 		cfg.MeanArrivalMs, cfg.Queries, cfg.WarmupQueries = 0, 0, 0
 	}
 	return cfg
+}
+
+// openKnobBytes encodes an arrival stream's float knobs the way
+// configFromBytes decodes them.
+func openKnobBytes(ar traffic.Config) []byte {
+	var out []byte
+	for _, k := range []float64{ar.RatePerMs, ar.BurstFactor, ar.BurstEveryMs, ar.BurstMeanMs,
+		ar.DayMs, ar.DiurnalAmp, ar.FlashEveryMs, ar.FlashMeanMs, ar.FlashFactor} {
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(k))
+	}
+	return out
+}
+
+// maxOpenWork bounds the arrival-stream work one fuzzed open loop may
+// ask for (openWork); a config past it is valid but too slow to fuzz.
+const maxOpenWork = 2e4
+
+// openWork bounds the thinning candidates, and so the arrivals, and the
+// episode windows an open-loop run of cfg draws: over its horizon and
+// one pre-draw block past it, at most openPredrawBlock arrivals at the
+// rate's floor RatePerMs·(1−DiurnalAmp). The candidate clock ticks at the
+// peak rate and stops at +Inf once past MaxFloat64.
+func openWork(cfg Config) float64 {
+	ar := cfg.Open.Arrivals
+	s, err := traffic.NewStream(ar)
+	if err != nil {
+		panic(err) // only called on validated configs
+	}
+	span := min(cfg.Open.DurationMs+float64(openPredrawBlock)/(ar.RatePerMs*(1-ar.DiurnalAmp)), math.MaxFloat64)
+	work := span * s.PeakRate()
+	if ar.Model == traffic.MMPP {
+		work += span / (ar.BurstEveryMs + ar.BurstMeanMs)
+	}
+	if ar.FlashEveryMs > 0 {
+		work += span / (ar.FlashEveryMs + ar.FlashMeanMs)
+	}
+	return work
 }
 
 // FuzzClusterConfig checks that Validate is Simulate's only gate: Simulate
@@ -292,16 +343,32 @@ func FuzzClusterConfig(f *testing.F) {
 	f.Add([]byte{3, 2, 8, 108, 0, 0, 16, 1, 255, 255, 255, 80, 255})
 	// NaN latency, +Inf dense stage, -Inf jitter: refused too.
 	f.Add([]byte{3, 2, 8, 108, 0, 0, 16, 1, 8, 127, 128, 80, 129})
-	// The faulted fleet as an open-loop run with stream stats.
-	f.Add([]byte{7, 1, 4, 58, 255, 2, 16, 1, 8, 1, 1, 80, 8,
+	// The faulted fleet as an open-loop run with stream stats, Poisson
+	// arrivals at its closed loop's rate.
+	f.Add(append([]byte{7, 1, 4, 58, 255, 2, 16, 1, 8, 1, 1, 80, 8,
 		40, 8, 32, 40, 8, 13, 4,
 		16, 2, 24, 1, 2, 0, 4, 3, 0,
-		9, 0, 0, 1})
+		9, 0, 0, 1, 0}, openKnobBytes(traffic.Config{RatePerMs: 2})...))
+	// Streams whose Next once never returned: a thinning peak that
+	// overflows to +Inf, and a clock that overflows to +Inf, where the
+	// diurnal rate was NaN.
+	for _, ar := range []traffic.Config{
+		{Model: traffic.MMPP, RatePerMs: 1e200, BurstFactor: 1e200, BurstEveryMs: 10, BurstMeanMs: 1},
+		{RatePerMs: 1e-306, DayMs: 100, DiurnalAmp: 0.5},
+	} {
+		f.Add(append([]byte{3, 2, 8, 108, 0, 0, 16, 1, 8, 1, 1, 80, 0,
+			0, 0, 0, 0, 0, 0, 0,
+			0, 0, 0, 0, 0, 0, 0, 0, 0,
+			0, 0, 0, 1, byte(ar.Model)}, openKnobBytes(ar)...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		defer func(old bool) { check.Enabled = old }(check.Enabled)
 		check.Enabled = true
 		cfg := configFromBytes(plans, data)
 		verr := cfg.Validate()
+		if verr == nil && cfg.Open != nil && openWork(cfg) > maxOpenWork {
+			return // valid, but too slow to simulate here
+		}
 		res, serr := Simulate(cfg)
 		if (verr == nil) != (serr == nil) {
 			t.Fatalf("Validate err %v but Simulate err %v for %+v", verr, serr, cfg)

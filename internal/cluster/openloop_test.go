@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"dlrmsim/internal/stats"
 	"dlrmsim/internal/trace"
@@ -429,6 +430,40 @@ func TestOpenLoopValidate(t *testing.T) {
 		}
 		if _, simErr := Simulate(cfg); simErr == nil {
 			t.Errorf("%s: Simulate accepted what Validate rejects", tc.name)
+		}
+	}
+}
+
+// TestOpenLoopStreamProbesTerminate: an open loop over a stream whose
+// Next once never returned either is rejected (a thinning peak that
+// overflows to +Inf) or runs to completion (a candidate clock that
+// overflows to +Inf before the first arrival lands in the horizon).
+func TestOpenLoopStreamProbesTerminate(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		ar     traffic.Config
+		reject bool
+	}{
+		{"mmpp peak overflows", traffic.Config{Model: traffic.MMPP, RatePerMs: 1e200, BurstFactor: 1e200, BurstEveryMs: 10, BurstMeanMs: 1}, true},
+		{"tiny diurnal rate", traffic.Config{RatePerMs: 1e-306, DayMs: 100, DiurnalAmp: 0.5}, false},
+	} {
+		cfg := openTestConfig(t, 4, &OpenLoop{Arrivals: tc.ar, DurationMs: 100, SLAMs: 10})
+		if err := cfg.Validate(); (err != nil) != tc.reject {
+			t.Errorf("%s: Validate error %v, want rejected=%v", tc.name, err, tc.reject)
+			continue
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := Simulate(cfg)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if (err != nil) != tc.reject {
+				t.Errorf("%s: Simulate error %v, want rejected=%v", tc.name, err, tc.reject)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: Simulate still running after 10 s", tc.name)
 		}
 	}
 }

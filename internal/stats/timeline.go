@@ -39,12 +39,16 @@ func (tl *Timeline) Seed(seed, stream uint64, gapMean, durMean, factor float64) 
 	}
 }
 
-// Extend materializes lazy windows until the timeline covers t.
+// Extend materializes lazy windows until the timeline covers t. A
+// window too short for the clock to resolve at its start (End == Start)
+// is drawn but not kept, so every kept window is non-empty.
 func (tl *Timeline) Extend(t float64) {
 	for tl.gapMean > 0 && tl.horizon <= t {
 		start := tl.horizon + tl.rng.ExpFloat64()*tl.gapMean
 		end := start + tl.rng.ExpFloat64()*tl.durMean
-		tl.Win = append(tl.Win, Window{start, end, tl.factor})
+		if end > start {
+			tl.Win = append(tl.Win, Window{start, end, tl.factor})
+		}
 		tl.horizon = end
 	}
 }

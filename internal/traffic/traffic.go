@@ -110,11 +110,12 @@ const (
 )
 
 // Validate reports every violation in the stream config at once. Every
-// float must be finite: a NaN or infinite knob would leave the thinning
-// loop in Next unable to accept a candidate. Fields of disabled features
-// must be zero, so a flag typo (burst knobs without -arrivals mmpp,
-// flash duration without a flash interval) surfaces as an error instead
-// of being silently ignored.
+// float must be finite, and so must the thinning peak they multiply to:
+// a NaN or infinite knob or peak would leave the thinning loop in Next
+// unable to accept a candidate. Fields of disabled features must be
+// zero, so a flag typo (burst knobs without -arrivals mmpp, flash
+// duration without a flash interval) surfaces as an error instead of
+// being silently ignored.
 func (c Config) Validate() error {
 	var errs []error
 	if c.Model != Poisson && c.Model != MMPP {
@@ -159,7 +160,24 @@ func (c Config) Validate() error {
 	} else if c.FlashMeanMs != 0 || c.FlashFactor != 0 {
 		errs = append(errs, fmt.Errorf("traffic: flash parameters need a positive flash interval"))
 	}
+	if p := c.peak(); len(errs) == 0 && !check.Finite(p) {
+		errs = append(errs, fmt.Errorf("traffic: thinning peak rate %g/ms (rate × (1+diurnal) × burst × flash; need finite)", p))
+	}
 	return errors.Join(errs...)
+}
+
+// peak is the thinning envelope, the supremum of the stream's rate:
+// RatePerMs·(1+DiurnalAmp), times BurstFactor under MMPP and FlashFactor
+// when flash crowds are on.
+func (c Config) peak() float64 {
+	p := c.RatePerMs * (1 + c.DiurnalAmp)
+	if c.Model == MMPP {
+		p *= c.BurstFactor
+	}
+	if c.FlashEveryMs > 0 {
+		p *= c.FlashFactor
+	}
+	return p
 }
 
 // Stream draws one arrival sequence. Not safe for concurrent use; build
@@ -181,24 +199,28 @@ func NewStream(cfg Config) (*Stream, error) {
 	s := &Stream{
 		cfg:  cfg,
 		rng:  stats.SeededRNG(stats.SplitSeed(cfg.Seed^saltArrival, 0)),
-		peak: cfg.RatePerMs * (1 + cfg.DiurnalAmp),
+		peak: cfg.peak(),
 	}
 	if cfg.Model == MMPP {
-		s.peak *= cfg.BurstFactor
 		s.burst.Seed(cfg.Seed^saltBurst, 0, cfg.BurstEveryMs, cfg.BurstMeanMs, 0)
 	}
 	if cfg.FlashEveryMs > 0 {
-		s.peak *= cfg.FlashFactor
 		s.flash.Seed(cfg.Seed^saltFlash, 0, cfg.FlashEveryMs, cfg.FlashMeanMs, 0)
 	}
 	return s, nil
 }
 
 // RateAt returns the instantaneous arrival rate at t in queries per ms.
+// Where the diurnal phase 2πt/DayMs overflows (a far t, or a day shorter
+// than the clock can resolve) the cosine is NaN, and the ramp takes its
+// mean over a day, 1, instead: a NaN rate would leave Next's thinning
+// coin nothing to land below.
 func (s *Stream) RateAt(t float64) float64 {
 	rate := s.cfg.RatePerMs
 	if s.cfg.DiurnalAmp > 0 {
-		rate *= 1 - s.cfg.DiurnalAmp*math.Cos(2*math.Pi*t/s.cfg.DayMs)
+		if phase := 2 * math.Pi * t / s.cfg.DayMs; !math.IsInf(phase, 0) {
+			rate *= 1 - s.cfg.DiurnalAmp*math.Cos(phase)
+		}
 	}
 	if _, on := s.burst.At(t); on {
 		rate *= s.cfg.BurstFactor
@@ -213,12 +235,15 @@ func (s *Stream) RateAt(t float64) float64 {
 func (s *Stream) PeakRate() float64 { return s.peak }
 
 // Next returns the next arrival time. Arrivals are strictly increasing
-// (exponential gaps are almost surely positive) and unbounded; the caller
-// decides when the stream's horizon is reached.
+// while finite (exponential gaps are almost surely positive) and
+// unbounded; the caller decides when the stream's horizon is reached.
+// Once the candidate clock overflows to +Inf, every later call returns
+// +Inf without thinning: an episode timeline asked for its state at +Inf
+// would never finish drawing windows.
 func (s *Stream) Next() float64 {
 	for {
 		s.now += s.rng.ExpFloat64() / s.peak
-		if s.rng.Float64()*s.peak < s.RateAt(s.now) {
+		if math.IsInf(s.now, 1) || s.rng.Float64()*s.peak < s.RateAt(s.now) {
 			return s.now
 		}
 	}

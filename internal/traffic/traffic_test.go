@@ -1,9 +1,11 @@
 package traffic
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 // drawUntil collects every arrival strictly before horizon.
@@ -309,6 +311,63 @@ func TestConfigValidateRejectsNonFinite(t *testing.T) {
 	} {
 		if err := pop.Validate(); err == nil {
 			t.Errorf("accepted population %+v", pop)
+		}
+	}
+}
+
+// terminationProbes are streams whose Next once never returned: a
+// thinning peak that overflows to +Inf (the acceptance coin never lands
+// below the rate), and candidate clocks that overflow to +Inf, where a
+// diurnal rate is NaN. reject marks the ones Validate must refuse.
+var terminationProbes = []struct {
+	name   string
+	cfg    Config
+	reject bool
+}{
+	{"mmpp peak overflows", Config{Model: MMPP, RatePerMs: 1e200, BurstFactor: 1e200, BurstEveryMs: 10, BurstMeanMs: 1, Seed: 1}, true},
+	{"flash peak overflows", Config{RatePerMs: 1e300, FlashEveryMs: 10, FlashMeanMs: 1, FlashFactor: 1e10, Seed: 1}, true},
+	{"subnormal diurnal rate", Config{RatePerMs: 1e-320, DayMs: 100, DiurnalAmp: 0.5, Seed: 1}, false},
+	{"tiny diurnal rate", Config{RatePerMs: 1e-306, DayMs: 100, DiurnalAmp: 0.5, Seed: 1}, false},
+	{"tiny poisson rate", Config{RatePerMs: 1e-307, Seed: 1}, false},
+}
+
+// TestStreamProbesTerminate: each probe is rejected by Validate, or its
+// first 200 arrivals return, strictly increasing while finite, with
+// +Inf absorbing once the clock reaches it.
+func TestStreamProbesTerminate(t *testing.T) {
+	for _, p := range terminationProbes {
+		s, err := NewStream(p.cfg)
+		if (err != nil) != p.reject {
+			t.Errorf("%s: NewStream error %v, want rejected=%v", p.name, err, p.reject)
+			continue
+		}
+		if err != nil {
+			continue
+		}
+		done := make(chan error, 1)
+		go func() {
+			prev := 0.0
+			for i := 0; i < 200; i++ {
+				a := s.Next()
+				if math.IsNaN(a) || !(a > prev || math.IsInf(prev, 1) && math.IsInf(a, 1)) {
+					done <- fmt.Errorf("arrival %d = %g after %g", i, a, prev)
+					return
+				}
+				prev = a
+			}
+			if !math.IsInf(prev, 1) {
+				done <- fmt.Errorf("arrival 199 = %g, want the clock to have overflowed to +Inf", prev)
+				return
+			}
+			done <- nil
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("%s: %v", p.name, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: 200 arrivals still drawing after 10 s", p.name)
 		}
 	}
 }
