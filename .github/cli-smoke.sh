@@ -14,6 +14,7 @@ dlrmcluster -scale 40 -queries 200
 dlrmhetsched -gather 40 -dense 30 -requests 200
 dlrmserve -scale 40 -schemes baseline -requests 200
 tracegen -rows 1000 -stats
+reusedist -rows 1000 -cores 2 -hist
 dlrmbench -exp fig1 -scale 40
 OK
 
@@ -28,5 +29,6 @@ dlrmcluster -drop 2
 dlrmhetsched -mix cpu2gpu1 -maxbatch 1 -hold 40
 dlrmserve -cores 999
 tracegen -rows 0
+reusedist -cores 0
 dlrmbench -exp nosuch
 BAD

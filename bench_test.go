@@ -17,6 +17,7 @@ import (
 	"dlrmsim/internal/core"
 	"dlrmsim/internal/dlrm"
 	"dlrmsim/internal/exp"
+	"dlrmsim/internal/memsim"
 	"dlrmsim/internal/platform"
 	"dlrmsim/internal/reuse"
 	"dlrmsim/internal/serve"
@@ -215,8 +216,7 @@ func BenchmarkReuseAnalyzer(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, err := reuse.Run(ds, reuse.ModelConfig{
 			EmbeddingDim: 128, Cores: 2,
-			CacheBytes: []int64{cpu.Mem.L1.SizeBytes, cpu.Mem.L2.SizeBytes, cpu.Mem.L3.SizeBytes},
-			CacheNames: []string{"L1D", "L2", "L3"},
+			Caches: []memsim.CacheConfig{cpu.Mem.L1, cpu.Mem.L2, cpu.Mem.L3},
 		})
 		if err != nil {
 			b.Fatal(err)

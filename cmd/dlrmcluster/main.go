@@ -228,9 +228,7 @@ func (o mainFlags) validate(isSet func(string) bool) (run, error) {
 			r.cfg.MeanArrivalMs = 1 // stand-in until derive
 		}
 	}
-	if plan != nil {
-		errs = append(errs, r.cfg.Validate())
-	}
+	errs = append(errs, r.cfg.Validate())
 	return r, errors.Join(errs...)
 }
 

@@ -44,6 +44,8 @@ func TestValidateBadInputs(t *testing.T) {
 		{"random hotness", func(o *mainFlags) { o.hotness = "random" }, nil, "-hotness random"},
 		{"negative scale", func(o *mainFlags) { o.scale = -1 }, nil, "-scale"},
 		{"zero nodes", func(o *mainFlags) { o.nodes = 0 }, nil, "cluster: 0 nodes"},
+		{"zero nodes with drop above 1", func(o *mainFlags) { o.nodes = 0; o.faults.DropProb = 2 }, []string{"drop"}, "drop probability 2 outside [0,1)"},
+		{"zero nodes open with negative sla", func(o *mainFlags) { o.nodes = 0; o.open = true; o.sla = -1 }, nil, "SLA target (got -1 ms)"},
 		{"zero batch", func(o *mainFlags) { o.batch = 0 }, nil, "0 samples per query"},
 		{"zero servers", func(o *mainFlags) { o.servers = 0 }, nil, "-servers"},
 		{"negative cores", func(o *mainFlags) { o.cores = -2 }, nil, "core: -2 cores"},

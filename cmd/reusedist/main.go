@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 
+	"dlrmsim/internal/memsim"
 	"dlrmsim/internal/platform"
 	"dlrmsim/internal/reuse"
 	"dlrmsim/internal/trace"
@@ -48,8 +49,7 @@ func main() {
 	res, err := reuse.Run(ds, reuse.ModelConfig{
 		EmbeddingDim: *dim,
 		Cores:        *cores,
-		CacheBytes:   []int64{cpu.Mem.L1.SizeBytes, cpu.Mem.L2.SizeBytes, cpu.Mem.L3.SizeBytes},
-		CacheNames:   []string{"L1D", "L2", "L3"},
+		Caches:       []memsim.CacheConfig{cpu.Mem.L1, cpu.Mem.L2, cpu.Mem.L3},
 	})
 	if err != nil {
 		fatal(err)

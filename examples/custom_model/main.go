@@ -13,6 +13,7 @@ import (
 
 	"dlrmsim/internal/core"
 	"dlrmsim/internal/dlrm"
+	"dlrmsim/internal/memsim"
 	"dlrmsim/internal/platform"
 	"dlrmsim/internal/reuse"
 	"dlrmsim/internal/trace"
@@ -44,8 +45,7 @@ func main() {
 	}
 	ru, err := reuse.Run(ds, reuse.ModelConfig{
 		EmbeddingDim: cfg.EmbDim, Cores: 4,
-		CacheBytes: []int64{cpu.Mem.L1.SizeBytes, cpu.Mem.L2.SizeBytes, cpu.Mem.L3.SizeBytes},
-		CacheNames: []string{"L1D", "L2", "L3"},
+		Caches: []memsim.CacheConfig{cpu.Mem.L1, cpu.Mem.L2, cpu.Mem.L3},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -54,19 +54,11 @@ type breakerUnit struct {
 // by value (openRun.adaptSt), so its per-node slices recycle with the
 // run.
 type adaptState struct {
-	// Policy (from Mitigation, defaults resolved).
-	epochMs    float64
-	budget     float64
-	budgetOn   bool
-	breakerOn  bool
-	timeoutMs  float64
-	tripRate   float64
-	minSamples int32
-	cooldownMs float64
+	m *Mitigation // the run's policy, defaults resolved
 
 	boundary float64 // next unsettled epoch boundary
 
-	// Settled state — the only fields allowCond reads.
+	// Settled state — with the policy, all that allowCond reads.
 	primServed   int64
 	condLaunched int64
 	breakers     []breakerUnit
@@ -81,15 +73,8 @@ type adaptState struct {
 }
 
 func (ad *adaptState) init(m *Mitigation, nodes int) {
-	ad.epochMs = m.AdaptEpochMs
-	ad.budget = m.RetryBudget
-	ad.budgetOn = m.RetryBudget > 0
-	ad.breakerOn = m.BreakerTripRate > 0
-	ad.timeoutMs = m.TimeoutMs
-	ad.tripRate = m.BreakerTripRate
-	ad.minSamples = int32(m.BreakerMinSamples)
-	ad.cooldownMs = m.BreakerCooldownMs
-	ad.boundary = ad.epochMs
+	ad.m = m
+	ad.boundary = m.AdaptEpochMs
 	ad.primServed, ad.condLaunched = 0, 0
 	ad.pendPrim, ad.pendCond = 0, 0
 	ad.openNodeMs, ad.lastT = 0, 0
@@ -118,7 +103,7 @@ func (ad *adaptState) settle() {
 	ad.primServed += ad.pendPrim
 	ad.condLaunched += ad.pendCond
 	ad.pendPrim, ad.pendCond = 0, 0
-	if ad.breakerOn {
+	if ad.m.BreakerTripRate > 0 {
 		for n := range ad.breakers {
 			br := &ad.breakers[n]
 			a, s := ad.attempts[n], ad.slow[n]
@@ -127,20 +112,20 @@ func (ad *adaptState) settle() {
 			case breakerOpen:
 				// Open for the whole epoch just ended; the counts are
 				// primaries-only traffic, not a probe — discard them.
-				ad.openNodeMs += ad.epochMs
+				ad.openNodeMs += ad.m.AdaptEpochMs
 				if b >= br.until {
 					br.state = breakerHalfOpen
 				}
 			case breakerClosed:
-				if a >= ad.minSamples && float64(s) >= ad.tripRate*float64(a) {
-					br.state, br.until = breakerOpen, b+ad.cooldownMs
+				if int(a) >= ad.m.BreakerMinSamples && float64(s) >= ad.m.BreakerTripRate*float64(a) {
+					br.state, br.until = breakerOpen, b+ad.m.BreakerCooldownMs
 				}
 			case breakerHalfOpen:
 				// Probe epoch: any conditional traffic went through; no
 				// traffic at all means no verdict yet.
 				if a > 0 {
-					if float64(s) >= ad.tripRate*float64(a) {
-						br.state, br.until = breakerOpen, b+ad.cooldownMs
+					if float64(s) >= ad.m.BreakerTripRate*float64(a) {
+						br.state, br.until = breakerOpen, b+ad.m.BreakerCooldownMs
 					} else {
 						br.state = breakerClosed
 					}
@@ -148,17 +133,17 @@ func (ad *adaptState) settle() {
 			}
 		}
 	}
-	ad.boundary = b + ad.epochMs
+	ad.boundary = b + ad.m.AdaptEpochMs
 }
 
 // allowCond decides whether a conditional copy (hedge or timeout retry)
 // targeting node may launch. Reads settled state only — the decision is
 // identical wherever in the current epoch the copy sits.
 func (ad *adaptState) allowCond(node int) bool {
-	if ad.budgetOn && float64(ad.condLaunched) >= ad.budget*float64(ad.primServed) {
+	if ad.m.RetryBudget > 0 && float64(ad.condLaunched) >= ad.m.RetryBudget*float64(ad.primServed) {
 		return false
 	}
-	if ad.breakerOn && ad.breakers[node].state == breakerOpen {
+	if ad.m.BreakerTripRate > 0 && ad.breakers[node].state == breakerOpen {
 		return false
 	}
 	return true
@@ -173,9 +158,9 @@ func (ad *adaptState) observe(node int, kind copyKind, respMs float64) {
 	} else {
 		ad.pendCond++
 	}
-	if ad.breakerOn {
+	if ad.m.BreakerTripRate > 0 {
 		ad.attempts[node]++
-		if respMs > ad.timeoutMs {
+		if respMs > ad.m.TimeoutMs {
 			ad.slow[node]++
 		}
 	}
@@ -190,8 +175,8 @@ func (ad *adaptState) finalize() float64 {
 		check.Assert(ad.boundary > ad.lastT,
 			"cluster: adaptive settle behind schedule (boundary %g, last copy %g)", ad.boundary, ad.lastT)
 	}
-	if ad.breakerOn {
-		if tail := ad.lastT - (ad.boundary - ad.epochMs); tail > 0 {
+	if ad.m.BreakerTripRate > 0 {
+		if tail := ad.lastT - (ad.boundary - ad.m.AdaptEpochMs); tail > 0 {
 			for n := range ad.breakers {
 				if ad.breakers[n].state == breakerOpen {
 					ad.openNodeMs += tail

@@ -145,6 +145,8 @@ type Autoscaler struct {
 	MaxNodes int
 }
 
+// validateErrs reports every violation in the autoscaler. nodes 0 (no
+// plan to check against) skips the node-range checks.
 func (a *Autoscaler) validateErrs(nodes int) []error {
 	var errs []error
 	if !check.Positive(a.IntervalMs) {
@@ -163,10 +165,10 @@ func (a *Autoscaler) validateErrs(nodes int) []error {
 	if !check.NonNeg(a.ProvisionMs) {
 		errs = append(errs, fmt.Errorf("cluster: provisioning delay %g ms (need finite >= 0)", a.ProvisionMs))
 	}
-	if a.MinNodes < 0 || a.MinNodes > nodes {
+	if a.MinNodes < 0 || (nodes > 0 && a.MinNodes > nodes) {
 		errs = append(errs, fmt.Errorf("cluster: autoscaler floor %d outside [0,%d]", a.MinNodes, nodes))
 	}
-	if a.MaxNodes < 0 || a.MaxNodes > nodes {
+	if a.MaxNodes < 0 || (nodes > 0 && a.MaxNodes > nodes) {
 		errs = append(errs, fmt.Errorf("cluster: autoscaler cap %d outside [0,%d]", a.MaxNodes, nodes))
 	}
 	minN, maxN := a.MinNodes, a.MaxNodes
@@ -176,7 +178,8 @@ func (a *Autoscaler) validateErrs(nodes int) []error {
 	if maxN == 0 {
 		maxN = nodes
 	}
-	if minN > maxN {
+	// An unset cap resolves to the plan's node count, unknown at nodes 0.
+	if minN > maxN && (nodes > 0 || a.MaxNodes != 0) {
 		errs = append(errs, fmt.Errorf("cluster: autoscaler floor %d above cap %d", minN, maxN))
 	}
 	return errs
@@ -225,7 +228,8 @@ type OpenLoop struct {
 }
 
 // validateErrs reports every violation without mutating o, accepting the
-// zero-means-default fields in either pre- or post-default form.
+// zero-means-default fields in either pre- or post-default form. nodes 0
+// (no plan to check against) skips the node-range checks.
 func (o *OpenLoop) validateErrs(nodes int) []error {
 	var errs []error
 	ar := o.Arrivals
@@ -258,7 +262,7 @@ func (o *OpenLoop) validateErrs(nodes int) []error {
 	if !check.Positive(o.SLAMs) {
 		errs = append(errs, fmt.Errorf("cluster: open-loop runs need a finite positive SLA target (got %g ms)", o.SLAMs))
 	}
-	if o.StartNodes < 0 || o.StartNodes > nodes {
+	if o.StartNodes < 0 || (nodes > 0 && o.StartNodes > nodes) {
 		errs = append(errs, fmt.Errorf("cluster: %d start nodes outside [0,%d]", o.StartNodes, nodes))
 	}
 	errs = append(errs, o.Admission.validateErrs()...)
@@ -272,7 +276,9 @@ func (o *OpenLoop) validateErrs(nodes int) []error {
 		if start == 0 {
 			start = nodes
 		}
-		if start < minN {
+		// An unset start resolves to the plan's node count, unknown at
+		// nodes 0.
+		if start < minN && (nodes > 0 || o.StartNodes != 0) {
 			errs = append(errs, fmt.Errorf("cluster: %d start nodes below autoscaler floor %d", start, minN))
 		}
 	}

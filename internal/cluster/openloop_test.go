@@ -469,21 +469,72 @@ func TestOpenLoopStreamProbesTerminate(t *testing.T) {
 }
 
 // TestOpenLoopValidateCollectsAll: one config, many violations, one
-// error report naming each.
+// error report naming each. Without a plan (nodes 0) the node-range
+// checks are skipped, so a nil plan is the only error a config that
+// sets node counts gets for them.
 func TestOpenLoopValidateCollectsAll(t *testing.T) {
-	cfg := openTestConfig(t, 4, &OpenLoop{
-		Arrivals:  traffic.Config{Model: traffic.Poisson, RatePerMs: -1, Seed: 5},
-		SLAMs:     -2,
-		Admission: Admission{Policy: AdmissionPolicy(9)},
-	})
-	err := cfg.Validate()
-	if err == nil {
-		t.Fatal("accepted a config with five violations")
-	}
-	for _, want := range []string{"arrival rate", "traffic seed", "positive duration", "SLA target", "admission policy"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error missing %q:\n%v", want, err)
+	valid := func() *OpenLoop {
+		return &OpenLoop{
+			Arrivals:   traffic.Config{Model: traffic.Poisson, RatePerMs: 1},
+			DurationMs: 100,
+			SLAMs:      10,
 		}
+	}
+	for _, tc := range []struct {
+		name    string
+		open    func() *OpenLoop
+		noPlan  bool
+		want    []string
+		notWant []string
+	}{
+		{"five violations", func() *OpenLoop {
+			return &OpenLoop{
+				Arrivals:  traffic.Config{Model: traffic.Poisson, RatePerMs: -1, Seed: 5},
+				SLAMs:     -2,
+				Admission: Admission{Policy: AdmissionPolicy(9)},
+			}
+		}, false, []string{"arrival rate", "traffic seed", "positive duration", "SLA target", "admission policy"}, nil},
+		{"nil plan with start nodes", func() *OpenLoop {
+			o := valid()
+			o.StartNodes = 3
+			return o
+		}, true, []string{"nil plan"}, []string{"start nodes"}},
+		{"nil plan with default autoscaler", func() *OpenLoop {
+			o := valid()
+			o.Autoscale = &Autoscaler{IntervalMs: 10, UpBacklogMs: 5}
+			return o
+		}, true, []string{"nil plan"}, []string{"autoscaler floor", "autoscaler cap"}},
+		{"nil plan with autoscaler floor", func() *OpenLoop {
+			o := valid()
+			o.Autoscale = &Autoscaler{IntervalMs: 10, UpBacklogMs: 5, MinNodes: 2}
+			return o
+		}, true, []string{"nil plan"}, []string{"autoscaler floor", "start nodes"}},
+		{"nil plan keeps structural autoscaler checks", func() *OpenLoop {
+			o := valid()
+			o.Autoscale = &Autoscaler{IntervalMs: 10, UpBacklogMs: 5, MinNodes: 3, MaxNodes: 2}
+			return o
+		}, true, []string{"nil plan", "floor 3 above cap 2"}, []string{"outside [0,0]"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := openTestConfig(t, 4, tc.open())
+			if tc.noPlan {
+				cfg.Plan = nil
+			}
+			err := cfg.Validate()
+			if err == nil {
+				t.Fatal("accepted a bad config")
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error missing %q:\n%v", want, err)
+				}
+			}
+			for _, bad := range tc.notWant {
+				if strings.Contains(err.Error(), bad) {
+					t.Errorf("error has %q:\n%v", bad, err)
+				}
+			}
+		})
 	}
 }
 

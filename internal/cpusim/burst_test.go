@@ -158,3 +158,35 @@ func TestBurstMatchesPerLineSystem(t *testing.T) {
 		t.Fatalf("system results diverge:\nburst    %+v\nper-line %+v", rb, rl)
 	}
 }
+
+// TestOneLineOpIgnoresLinesZeroOrOne: Lines 0 and Lines 1 both mean one
+// line, so every one-line load and prefetch must time identically under
+// either spelling, on a lone context and beside an SMT sibling.
+func TestOneLineOpIgnoresLinesZeroOrOne(t *testing.T) {
+	spell := func(ops []Op, lines int32) []Op {
+		out := append([]Op(nil), ops...)
+		for i := range out {
+			if out[i].Kind == OpLoad || out[i].Kind == OpPrefetch {
+				out[i].Lines = lines
+			}
+		}
+		return out
+	}
+	ops := gatherOps(0x0DDBA11C0FFEE123, 400, 1)
+	sib := gatherOps(0x5EED5EED5EED5EED, 300, 1)
+	for _, smt := range []bool{false, true} {
+		run := func(lines int32) (CoreResult, memsim.HierStats) {
+			c := newCoreOver(testCoreParams(), testMemParams(), true)
+			streams := []Stream{NewSliceStream(spell(ops, lines))}
+			if smt {
+				streams = append(streams, NewSliceStream(spell(sib, lines)))
+			}
+			return c.Run(streams...), c.Hierarchy().Stats
+		}
+		r0, s0 := run(0)
+		r1, s1 := run(1)
+		if !reflect.DeepEqual(r0, r1) || s0 != s1 {
+			t.Fatalf("smt=%v: Lines 0 and Lines 1 diverge:\nLines 0 %+v %+v\nLines 1 %+v %+v", smt, r0, s0, r1, s1)
+		}
+	}
+}

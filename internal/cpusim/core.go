@@ -68,9 +68,10 @@ type thread struct {
 	loadHead int
 	done     bool
 
-	// In-progress load/prefetch burst (Op.Lines > 1): the next line and
-	// how many remain. A burst suspends whenever the per-op scheduler
-	// would have run someone else and resumes on the next Step.
+	// In-progress load or prefetch (every one runs as a burst of
+	// max(Op.Lines, 1) lines): the next line and how many remain. A
+	// burst suspends whenever the per-op scheduler would have run
+	// someone else and resumes on the next Step.
 	gatherAddr memsim.Addr
 	gatherLeft int32
 	gatherHint memsim.AccessKind
@@ -367,12 +368,9 @@ func (c *Core) contention(t *thread) float64 {
 // Timing rules (see DESIGN.md §5):
 //   - every op pays 1/width issue cycles (width halves under contention);
 //   - OpCompute additionally pays its Cost (doubled under contention);
-//   - OpLoad consults the hierarchy; latencies above PipelinedLatency
-//     enter the shared demand pool (stall when full) and the thread's
-//     window FIFO (stall when the oldest is WindowSize ops behind);
-//   - OpPrefetch consults the hierarchy but only ever occupies the
-//     prefetch pool, applying backpressure when it is full;
-//   - OpStore updates cache state and never stalls (write buffering).
+//   - OpStore updates cache state and never stalls (write buffering);
+//   - OpLoad and OpPrefetch take the per-line path, stepGather, which
+//     issues each line they cover (one when Lines is 0 or 1).
 func (c *Core) Step(t *thread) {
 	prevNow := t.now
 	if t.gatherLeft > 0 {
@@ -395,9 +393,10 @@ func (c *Core) Step(t *thread) {
 		t.done = true
 		return
 	}
-	if op.Lines > 1 && (op.Kind == OpLoad || op.Kind == OpPrefetch) {
+	switch op.Kind {
+	case OpLoad, OpPrefetch:
 		t.gatherAddr = op.Addr
-		t.gatherLeft = op.Lines
+		t.gatherLeft = max(op.Lines, 1)
 		t.gatherPf = op.Kind == OpPrefetch
 		if t.gatherPf {
 			t.gatherHint = op.Hint
@@ -406,44 +405,35 @@ func (c *Core) Step(t *thread) {
 			}
 		}
 		c.stepGather(t)
-		c.finishStep(t, prevNow)
-		return
-	}
-	t.seq++
-	t.issued++
 
-	factor := c.contention(t)
-	width := c.params.IssueWidth / factor
-	window := int(float64(c.params.WindowSize) / factor)
-	t.spanIssue = true
-	issueCyc := 1 / width
-	t.now += issueCyc
-	t.activeCyc += issueCyc
-
-	switch op.Kind {
 	case OpCompute:
+		factor := c.issue(t)
 		cost := op.Cost * factor
 		t.now += cost
 		t.activeCyc += cost
 		t.computeCy += cost
 
 	case OpStore:
+		c.issue(t)
 		c.hier.Access(int64(t.now), op.Addr, memsim.KindStore)
-
-	case OpLoad:
-		c.execLoad(t, op.Addr, window)
-
-	case OpPrefetch:
-		hint := op.Hint
-		if !hint.IsPrefetch() {
-			hint = memsim.KindPrefetchL1
-		}
-		c.execPrefetch(t, op.Addr, hint)
 
 	default:
 		panic(fmt.Sprintf("cpusim: unknown op kind %d", op.Kind))
 	}
 	c.finishStep(t, prevNow)
+}
+
+// issue pays one op's (or one line's) issue cycles at the width the
+// sibling leaves free and returns the contention factor it used.
+func (c *Core) issue(t *thread) float64 {
+	t.seq++
+	t.issued++
+	factor := c.contention(t)
+	t.spanIssue = true
+	issueCyc := 1 / (c.params.IssueWidth / factor)
+	t.now += issueCyc
+	t.activeCyc += issueCyc
+	return factor
 }
 
 // finishStep closes one Step: span bookkeeping plus the monotonic-clock
@@ -502,29 +492,21 @@ func (c *Core) execPrefetch(t *thread, addr memsim.Addr, hint memsim.AccessKind)
 	}
 }
 
-// stepGather advances a multi-line burst (Op.Lines > 1), line by line.
-// Each line repeats the single-op rules bit for bit — issue cycles,
-// contention factor, window and fill-buffer stalls — so timing is
-// identical to per-line emission; the burst only skips the per-line
-// trip through Stream.Next and the scheduler. Between lines it suspends
-// exactly where the per-op drivers would have run someone else: when
+// stepGather advances a load or prefetch line by line; it is the only
+// path either takes, so a one-line op is a burst of one. Each line pays
+// issue cycles at the current contention factor, then the demand rules
+// (execLoad: window and fill-buffer stalls) or the prefetch rules
+// (execPrefetch: fill buffers only). Between lines it suspends exactly
+// where a per-line op stream would have run someone else: when
 // nextThread picks the SMT sibling, or when the clock passes the
 // cross-core burstLimit. The remaining lines resume on the next Step.
 func (c *Core) stepGather(t *thread) {
 	for {
-		t.seq++
-		t.issued++
-		factor := c.contention(t)
-		width := c.params.IssueWidth / factor
-		t.spanIssue = true
-		issueCyc := 1 / width
-		t.now += issueCyc
-		t.activeCyc += issueCyc
+		factor := c.issue(t)
 		if t.gatherPf {
 			c.execPrefetch(t, t.gatherAddr, t.gatherHint)
 		} else {
-			window := int(float64(c.params.WindowSize) / factor)
-			c.execLoad(t, t.gatherAddr, window)
+			c.execLoad(t, t.gatherAddr, int(float64(c.params.WindowSize)/factor))
 		}
 		t.gatherAddr += memsim.LineSize
 		t.gatherLeft--

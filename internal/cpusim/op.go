@@ -46,15 +46,15 @@ type Op struct {
 	// Hint selects the target level for OpPrefetch
 	// (KindPrefetchL1/L2/L3).
 	Hint memsim.AccessKind
-	// Lines turns an OpLoad or OpPrefetch into a burst over that many
-	// consecutive cache lines starting at Addr — the shape of an
-	// embedding-row gather. 0 and 1 both mean a single line. Timing is
-	// bit-identical to emitting the lines as individual ops (each line
-	// pays issue, window, and fill-buffer costs, and the core still
-	// yields to its SMT sibling and the cross-core interleaver between
-	// lines); the burst only removes the per-line trip through the
-	// Stream interface. Note streams emit fewer (wider) ops, so
-	// CountOps counts a burst once.
+	// Lines is how many consecutive cache lines, starting at Addr, an
+	// OpLoad or OpPrefetch covers — the shape of an embedding-row
+	// gather. 0 and 1 both mean a single line. The core runs every load
+	// and prefetch through one per-line path: each line pays issue,
+	// window, and fill-buffer costs, and the core still yields to its
+	// SMT sibling and the cross-core interleaver between lines, so a
+	// burst times exactly like its lines emitted as one-line ops; it
+	// only removes the per-line trip through the Stream interface. Note
+	// streams emit fewer (wider) ops, so CountOps counts a burst once.
 	Lines int32
 }
 
@@ -110,12 +110,6 @@ func (s *ConcatStream) Next(op *Op) bool {
 	}
 	return false
 }
-
-// FuncStream adapts a closure to the Stream interface.
-type FuncStream func(op *Op) bool
-
-// Next implements Stream.
-func (f FuncStream) Next(op *Op) bool { return f(op) }
 
 // CountOps drains a stream and returns the number of ops by kind; a
 // convenience for tests and workload introspection.

@@ -5,6 +5,7 @@ import (
 
 	"dlrmsim/internal/core"
 	"dlrmsim/internal/dlrm"
+	"dlrmsim/internal/memsim"
 	"dlrmsim/internal/platform"
 	"dlrmsim/internal/reuse"
 	"dlrmsim/internal/trace"
@@ -136,8 +137,7 @@ func runFig7(x *Context) (*Table, error) {
 		res, err := reuse.Run(ds, reuse.ModelConfig{
 			EmbeddingDim: m.EmbDim,
 			Cores:        cores,
-			CacheBytes:   []int64{cpu.Mem.L1.SizeBytes, cpu.Mem.L2.SizeBytes, cpu.Mem.L3.SizeBytes},
-			CacheNames:   []string{"L1D", "L2", "L3"},
+			Caches:       []memsim.CacheConfig{cpu.Mem.L1, cpu.Mem.L2, cpu.Mem.L3},
 		})
 		if err != nil {
 			return nil, err

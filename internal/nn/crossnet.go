@@ -105,29 +105,11 @@ func (c CrossNet) Forward(x0 []float32) ([]float32, error) {
 // U/V weight matrices stream sequentially (HW-prefetch-friendly) with the
 // layer's compute interleaved.
 func (c CrossNet) NewStream(cfg StreamConfig) cpusim.Stream {
-	if cfg.FlopsPerCycle <= 0 || cfg.Batch < 1 {
-		panic(fmt.Sprintf("nn: bad stream config %+v", cfg))
-	}
+	checkStreamConfig(cfg)
 	if err := c.Validate(); err != nil {
 		panic(err)
 	}
-	totalLines := (c.WeightBytes() + memsim.LineSize - 1) / memsim.LineSize
-	perLine := float64(c.FLOPs(cfg.Batch)) / cfg.FlopsPerCycle / float64(totalLines)
 	base := crossBase + memsim.Addr(stats.Mix64(c.Seed)%(1<<24))*memsim.LineSize
-	var line int64
-	emitLoad := true
-	return cpusim.FuncStream(func(op *cpusim.Op) bool {
-		if line >= totalLines {
-			return false
-		}
-		if emitLoad {
-			*op = cpusim.Op{Kind: cpusim.OpLoad, Addr: base + memsim.Addr(line*memsim.LineSize)}
-			emitLoad = false
-			return true
-		}
-		*op = cpusim.Op{Kind: cpusim.OpCompute, Cost: perLine}
-		emitLoad = true
-		line++
-		return true
-	})
+	s := newLineStream(base, c.WeightBytes(), c.FLOPs(cfg.Batch), cfg)
+	return &s
 }

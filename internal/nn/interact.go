@@ -88,26 +88,8 @@ func (it Interaction) Forward(bottom []float32, emb [][]float32) ([]float32, err
 // stream is dominated by compute with a light pass over the activation
 // lines.
 func (it Interaction) NewStream(cfg StreamConfig) cpusim.Stream {
-	if cfg.FlopsPerCycle <= 0 || cfg.Batch < 1 {
-		panic(fmt.Sprintf("nn: bad stream config %+v", cfg))
-	}
+	checkStreamConfig(cfg)
 	actBytes := int64(it.Tables+1) * int64(it.Dim) * 4 * int64(cfg.Batch)
-	lines := (actBytes + memsim.LineSize - 1) / memsim.LineSize
-	perLine := float64(it.FLOPs(cfg.Batch)) / cfg.FlopsPerCycle / float64(lines)
-	var line int64
-	emitLoad := true
-	return cpusim.FuncStream(func(op *cpusim.Op) bool {
-		if line >= lines {
-			return false
-		}
-		if emitLoad {
-			*op = cpusim.Op{Kind: cpusim.OpLoad, Addr: interactBase + memsim.Addr(line*memsim.LineSize)}
-			emitLoad = false
-			return true
-		}
-		*op = cpusim.Op{Kind: cpusim.OpCompute, Cost: perLine}
-		emitLoad = true
-		line++
-		return true
-	})
+	s := newLineStream(interactBase, actBytes, it.FLOPs(cfg.Batch), cfg)
+	return &s
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dlrmsim/internal/cpusim"
-	"dlrmsim/internal/memsim"
 )
 
 // concat joins the bottom vector and the embedding vectors, validating
@@ -95,18 +94,8 @@ func (c ConcatInteraction) Forward(bottom []float32, emb [][]float32) ([]float32
 
 // NewStream implements Interactor: one pass over the activation lines.
 func (c ConcatInteraction) NewStream(cfg StreamConfig) cpusim.Stream {
-	if cfg.FlopsPerCycle <= 0 || cfg.Batch < 1 {
-		panic(fmt.Sprintf("nn: bad stream config %+v", cfg))
-	}
-	bytes := int64(c.OutputDim()) * 4 * int64(cfg.Batch)
-	lines := (bytes + memsim.LineSize - 1) / memsim.LineSize
-	var line int64
-	return cpusim.FuncStream(func(op *cpusim.Op) bool {
-		if line >= lines {
-			return false
-		}
-		*op = cpusim.Op{Kind: cpusim.OpLoad, Addr: interactBase + memsim.Addr(line*memsim.LineSize)}
-		line++
-		return true
-	})
+	checkStreamConfig(cfg)
+	s := newLineStream(interactBase, int64(c.OutputDim())*4*int64(cfg.Batch), 0, cfg)
+	s.compute = false
+	return &s
 }

@@ -140,54 +140,84 @@ type StreamConfig struct {
 // hardware stride prefetcher loves) interleaved with the matching share
 // of the layer's compute.
 func (m *MLP) NewStream(cfg StreamConfig) cpusim.Stream {
-	if cfg.FlopsPerCycle <= 0 || cfg.Batch < 1 {
-		panic(fmt.Sprintf("nn: bad stream config %+v", cfg))
-	}
+	checkStreamConfig(cfg)
 	return &mlpStream{m: m, cfg: cfg}
 }
 
-type mlpStream struct {
-	m   *MLP
-	cfg StreamConfig
+// layerStream is layer l's weight pass: every weight and bias line
+// loaded in order, the layer's batch FLOPs spread evenly across them.
+func (m *MLP) layerStream(l int, cfg StreamConfig) lineStream {
+	wBytes := int64(m.dims[l])*int64(m.dims[l+1])*4 + int64(m.dims[l+1])*4
+	flops := 2 * int64(m.dims[l]) * int64(m.dims[l+1]) * int64(cfg.Batch)
+	return newLineStream(m.base+memsim.Addr(l)<<24, wBytes, flops, cfg)
+}
 
-	layer      int
-	line       int64
-	layerLines int64
-	perLine    float64
-	layerBase  memsim.Addr
-	emitLoad   bool
-	done       bool
+// mlpStream runs the layers' weight passes back to back.
+type mlpStream struct {
+	m     *MLP
+	cfg   StreamConfig
+	layer int // next layer to enter
+	lineStream
 }
 
 // Next implements cpusim.Stream.
 func (s *mlpStream) Next(op *cpusim.Op) bool {
-	if s.done {
-		return false
-	}
-	if s.layerLines == 0 { // enter next layer
+	for !s.lineStream.Next(op) {
 		if s.layer >= s.m.Layers() {
-			s.done = true
 			return false
 		}
-		wBytes := int64(s.m.dims[s.layer])*int64(s.m.dims[s.layer+1])*4 + int64(s.m.dims[s.layer+1])*4
-		s.layerLines = (wBytes + memsim.LineSize - 1) / memsim.LineSize
-		flops := 2 * int64(s.m.dims[s.layer]) * int64(s.m.dims[s.layer+1]) * int64(s.cfg.Batch)
-		s.perLine = float64(flops) / s.cfg.FlopsPerCycle / float64(s.layerLines)
-		s.layerBase = s.m.base + memsim.Addr(s.layer)<<24
-		s.line = 0
-		s.emitLoad = true
-	}
-	if s.emitLoad {
-		*op = cpusim.Op{Kind: cpusim.OpLoad, Addr: s.layerBase + memsim.Addr(s.line*memsim.LineSize)}
-		s.emitLoad = false
-		return true
-	}
-	*op = cpusim.Op{Kind: cpusim.OpCompute, Cost: s.perLine}
-	s.emitLoad = true
-	s.line++
-	if s.line >= s.layerLines {
+		s.lineStream = s.m.layerStream(s.layer, s.cfg)
 		s.layer++
-		s.layerLines = 0
 	}
 	return true
+}
+
+// lineStream is the dense stages' one access pattern: load line i of a
+// contiguous region, then spend perLine cycles of compute on it, for
+// every line in turn. A stream without compute only loads.
+type lineStream struct {
+	base    memsim.Addr
+	lines   int64
+	perLine float64
+	compute bool
+	line    int64 // next line to load
+	loaded  bool  // line's load is out and its compute is next
+}
+
+// newLineStream covers bytes from base, spreading flops (FLOPs at
+// cfg.FlopsPerCycle) evenly over the lines.
+func newLineStream(base memsim.Addr, bytes, flops int64, cfg StreamConfig) lineStream {
+	lines := (bytes + memsim.LineSize - 1) / memsim.LineSize
+	return lineStream{
+		base: base, lines: lines, compute: true,
+		perLine: float64(flops) / cfg.FlopsPerCycle / float64(lines),
+	}
+}
+
+// Next implements cpusim.Stream.
+func (s *lineStream) Next(op *cpusim.Op) bool {
+	if s.loaded {
+		*op = cpusim.Op{Kind: cpusim.OpCompute, Cost: s.perLine}
+		s.loaded = false
+		s.line++
+		return true
+	}
+	if s.line >= s.lines {
+		return false
+	}
+	*op = cpusim.Op{Kind: cpusim.OpLoad, Addr: s.base + memsim.Addr(s.line*memsim.LineSize)}
+	if s.compute {
+		s.loaded = true
+	} else {
+		s.line++
+	}
+	return true
+}
+
+// checkStreamConfig panics on a config no stream can be built from (a
+// caller bug, not a runtime condition).
+func checkStreamConfig(cfg StreamConfig) {
+	if cfg.FlopsPerCycle <= 0 || cfg.Batch < 1 {
+		panic(fmt.Sprintf("nn: bad stream config %+v", cfg))
+	}
 }

@@ -87,9 +87,8 @@ type lastTouch struct {
 	batch int32
 }
 
-// Decompose replays the dataset's index-access trace exactly like Run
-// (batch b on core b%cores, round-robin interleaving, table → sample →
-// lookup order) and attributes every access to a reuse class, measuring
+// Decompose replays the dataset's index-access trace in Run's order
+// (walk) and attributes every access to a reuse class, measuring
 // per-class stack distances. This reproduces the paper's qualitative
 // §3.1.2 analysis as a quantitative table.
 func Decompose(d *trace.Dataset, cores int) (*Decomposition, error) {
@@ -103,27 +102,19 @@ func Decompose(d *trace.Dataset, cores int) (*Decomposition, error) {
 	}
 	an := NewAnalyzer(tc.BatchSize * tc.LookupsPerSample * tc.Tables)
 	last := make(map[uint64]lastTouch)
-
-	type coreCursor struct {
-		batch   int
-		table   int
-		pos     int
-		current trace.TableBatch
-		done    bool
-	}
-	cursors := make([]*coreCursor, cores)
-	active := 0
-	for c := range cursors {
-		cur := &coreCursor{batch: c}
-		if cur.batch >= tc.Batches {
-			cur.done = true
-		} else {
-			cur.current = d.Batch(cur.batch, 0)
-			active++
+	walk(d, cores, func(core, batch int, key uint64) {
+		dist := an.Access(key)
+		prev, seen := last[key]
+		cls := IntraTable
+		switch {
+		case !seen:
+			cls = ColdAccess
+		case prev.core != core:
+			cls = InterCore
+		case prev.batch != int32(batch):
+			cls = InterBatch
 		}
-		cursors[c] = cur
-	}
-	record := func(cls ReuseClass, dist int64) {
+		last[key] = lastTouch{core: core, batch: int32(batch)}
 		cs := &dec.Classes[cls]
 		cs.Count++
 		if dist >= 0 {
@@ -133,43 +124,6 @@ func Decompose(d *trace.Dataset, cores int) (*Decomposition, error) {
 			cs.DistanceHist.AddInf()
 		}
 		dec.Accesses++
-	}
-	for active > 0 {
-		for coreID, cur := range cursors {
-			if cur.done {
-				continue
-			}
-			ix := cur.current.Indices[cur.pos]
-			key := uint64(cur.table)<<32 | uint64(uint32(ix))
-			dist := an.Access(key)
-			prev, seen := last[key]
-			switch {
-			case !seen:
-				record(ColdAccess, dist)
-			case prev.core != coreID:
-				record(InterCore, dist)
-			case prev.batch != int32(cur.batch):
-				record(InterBatch, dist)
-			default:
-				record(IntraTable, dist)
-			}
-			last[key] = lastTouch{core: coreID, batch: int32(cur.batch)}
-			cur.pos++
-			if cur.pos >= len(cur.current.Indices) {
-				cur.pos = 0
-				cur.table++
-				if cur.table >= tc.Tables {
-					cur.table = 0
-					cur.batch += cores
-					if cur.batch >= tc.Batches {
-						cur.done = true
-						active--
-						continue
-					}
-				}
-				cur.current = d.Batch(cur.batch, cur.table)
-			}
-		}
-	}
+	})
 	return dec, nil
 }

@@ -3,6 +3,7 @@ package reuse
 import (
 	"testing"
 
+	"dlrmsim/internal/memsim"
 	"dlrmsim/internal/trace"
 )
 
@@ -104,23 +105,41 @@ func TestInterBatchDistancesAreLarge(t *testing.T) {
 	}
 }
 
-// TestDecomposeColdFractionMatchesAnalyzer: the decomposition's cold
-// class must agree with the plain analyzer's cold-miss accounting.
+// TestDecomposeColdFractionMatchesAnalyzer: Run and Decompose replay one trace walk, so
+// both see every access — Batches·Tables·BatchSize·LookupsPerSample of
+// them, whatever the core count — and the decomposition's cold class
+// must agree with the plain analyzer's cold-miss accounting. The rows
+// cover more cores than batches, batch counts that cores do not
+// divide, and a single table.
 func TestDecomposeColdFractionMatchesAnalyzer(t *testing.T) {
-	d := classifyDataset(t, trace.MediumHot, 2)
-	dec, err := Decompose(d, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(d, ModelConfig{
-		EmbeddingDim: 64, Cores: 2,
-		CacheBytes: []int64{32 << 10}, CacheNames: []string{"L1D"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := dec.Fraction(ColdAccess), res.ColdMissFraction; got != want {
-		t.Fatalf("cold fraction %g != model's %g", got, want)
+	for _, tc := range []struct{ cores, batches, tables int }{
+		{2, 2, 3}, {1, 4, 3}, {4, 2, 3}, {3, 7, 3}, {5, 3, 1}, {2, 5, 1},
+	} {
+		d, err := trace.NewDataset(trace.Config{
+			Hotness: trace.MediumHot, Rows: 5_000, Tables: tc.tables, BatchSize: 8,
+			LookupsPerSample: 16, Batches: tc.batches, Seed: 21,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := Decompose(d, tc.cores)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(d, ModelConfig{
+			EmbeddingDim: 64, Cores: tc.cores,
+			Caches: []memsim.CacheConfig{{Name: "L1D", SizeBytes: 32 << 10}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := uint64(tc.batches * tc.tables * 8 * 16)
+		if res.Accesses != want || dec.Accesses != want {
+			t.Errorf("%+v: Run saw %d accesses, Decompose %d, want %d", tc, res.Accesses, dec.Accesses, want)
+		}
+		if got, want := dec.Fraction(ColdAccess), res.ColdMissFraction; got != want {
+			t.Errorf("%+v: cold fraction %g != model's %g", tc, got, want)
+		}
 	}
 }
 

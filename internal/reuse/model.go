@@ -3,6 +3,7 @@ package reuse
 import (
 	"fmt"
 
+	"dlrmsim/internal/memsim"
 	"dlrmsim/internal/stats"
 	"dlrmsim/internal/trace"
 )
@@ -20,10 +21,9 @@ type ModelConfig struct {
 	// batch is mapped to one core (the paper's execution model); the
 	// interleaved trace models their shared-LLC interaction.
 	Cores int
-	// CacheBytes lists the capacities to mark, e.g. L1/L2/L3 sizes.
-	CacheBytes []int64
-	// CacheNames labels them 1:1 in the result.
-	CacheNames []string
+	// Caches lists the caches whose capacities to mark, e.g. a
+	// platform's L1/L2/L3; results are keyed by each cache's Name.
+	Caches []memsim.CacheConfig
 }
 
 // ModelResult is the paper's reuse-distance characterization for one
@@ -46,89 +46,75 @@ type ModelResult struct {
 	MeanDistance float64
 }
 
-// Run generates the index-access trace for d (batch b goes to core
-// b%Cores; concurrent cores' accesses interleave round-robin) and returns
-// the reuse-distance characterization. The access key is (table, row):
-// one embedding vector, matching the paper's vector-granularity model.
+// Run generates the index-access trace for d (see walk for the order)
+// and returns the reuse-distance characterization. The access key is
+// (table, row): one embedding vector, matching the paper's
+// vector-granularity model.
 func Run(d *trace.Dataset, cfg ModelConfig) (*ModelResult, error) {
 	if cfg.EmbeddingDim < 1 || cfg.Cores < 1 {
 		return nil, fmt.Errorf("reuse: bad model config %+v", cfg)
 	}
-	if len(cfg.CacheBytes) != len(cfg.CacheNames) {
-		return nil, fmt.Errorf("reuse: %d capacities vs %d names", len(cfg.CacheBytes), len(cfg.CacheNames))
-	}
 	tc := d.Config()
 	vectorBytes := int64(4 * cfg.EmbeddingDim)
-	capsVec := make([]int64, len(cfg.CacheBytes))
-	for i, b := range cfg.CacheBytes {
-		capsVec[i] = b / vectorBytes
+	capsVec := make([]int64, len(cfg.Caches))
+	for i, c := range cfg.Caches {
+		capsVec[i] = c.SizeBytes / vectorBytes
 	}
 	an := NewAnalyzer(tc.BatchSize * tc.LookupsPerSample * tc.Tables)
 	tracker := NewCapacityTracker(capsVec)
-
-	// Round-robin interleave the per-core streams. Core c runs batches
-	// c, c+Cores, c+2*Cores, ...; within a batch the loop order is
-	// table → sample → lookup (Algorithm 1).
-	type coreCursor struct {
-		batch   int // current batch index (absolute)
-		table   int
-		pos     int // index into the current TableBatch.Indices
-		current trace.TableBatch
-		done    bool
-	}
-	cursors := make([]*coreCursor, cfg.Cores)
-	for c := range cursors {
-		cur := &coreCursor{batch: c}
-		if cur.batch >= tc.Batches {
-			cur.done = true
-		} else {
-			cur.current = d.Batch(cur.batch, 0)
-		}
-		cursors[c] = cur
-	}
-	active := 0
-	for _, cur := range cursors {
-		if !cur.done {
-			active++
-		}
-	}
-	for active > 0 {
-		for _, cur := range cursors {
-			if cur.done {
-				continue
-			}
-			ix := cur.current.Indices[cur.pos]
-			key := uint64(cur.table)<<32 | uint64(uint32(ix))
-			tracker.Record(an.Access(key))
-			cur.pos++
-			if cur.pos >= len(cur.current.Indices) {
-				cur.pos = 0
-				cur.table++
-				if cur.table >= tc.Tables {
-					cur.table = 0
-					cur.batch += cfg.Cores
-					if cur.batch >= tc.Batches {
-						cur.done = true
-						active--
-						continue
-					}
-				}
-				cur.current = d.Batch(cur.batch, cur.table)
-			}
-		}
-	}
+	walk(d, cfg.Cores, func(_, _ int, key uint64) {
+		tracker.Record(an.Access(key))
+	})
 
 	res := &ModelResult{
 		Hist:             an.Histogram(),
-		HitRates:         make(map[string]float64, len(cfg.CacheNames)),
-		VectorCapacity:   make(map[string]int64, len(cfg.CacheNames)),
+		HitRates:         make(map[string]float64, len(cfg.Caches)),
+		VectorCapacity:   make(map[string]int64, len(cfg.Caches)),
 		ColdMissFraction: tracker.ColdFraction(),
 		Accesses:         tracker.Total(),
 		MeanDistance:     an.Histogram().Mean(),
 	}
-	for i, name := range cfg.CacheNames {
-		res.HitRates[name] = tracker.HitRate(i)
-		res.VectorCapacity[name] = capsVec[i]
+	for i, c := range cfg.Caches {
+		res.HitRates[c.Name] = tracker.HitRate(i)
+		res.VectorCapacity[c.Name] = capsVec[i]
 	}
 	return res, nil
+}
+
+// walk replays d's index-access trace and hands visit every access's
+// core, absolute batch and (table, row) key. Batch b runs on core
+// b%cores, so core c runs batches c, c+cores, c+2*cores, ...; within a
+// batch the loop order is table → sample → lookup (Algorithm 1); and
+// the cores' streams interleave round-robin, one access each per round.
+func walk(d *trace.Dataset, cores int, visit func(core, batch int, key uint64)) {
+	tc := d.Config()
+	type cursor struct {
+		core, batch, table int
+		pos                int     // next lookup in indices
+		indices            []int32 // the (batch, table) pass's lookups
+	}
+	live := make([]cursor, 0, min(cores, tc.Batches))
+	for c := 0; c < cores && c < tc.Batches; c++ {
+		live = append(live, cursor{core: c, batch: c, indices: d.Batch(c, 0).Indices})
+	}
+	for len(live) > 0 {
+		// Finished cores drop out in place; the rest keep their order.
+		n := 0
+		for _, cur := range live {
+			visit(cur.core, cur.batch, uint64(cur.table)<<32|uint64(uint32(cur.indices[cur.pos])))
+			if cur.pos++; cur.pos == len(cur.indices) {
+				cur.pos = 0
+				if cur.table++; cur.table == tc.Tables {
+					cur.table = 0
+					if cur.batch += cores; cur.batch >= tc.Batches {
+						continue
+					}
+				}
+				cur.indices = d.Batch(cur.batch, cur.table).Indices
+			}
+			live[n] = cur
+			n++
+		}
+		live = live[:n]
+	}
 }
