@@ -93,13 +93,15 @@ bench-gate:
 	echo "bench-gate: $$old -> $$new (threshold $(BENCH_GATE_PCT)%)"; \
 	$(GO) run ./cmd/benchjson -compare -gate $(BENCH_GATE_PCT) -calibrate 'BenchmarkCalibration' $$old $$new
 
-# Regenerate every golden regression file after a DELIBERATE change to
-# simulator arithmetic (review the diff — this is the regression
-# baseline). All pinned quantities live in internal/exp/testdata/golden.json,
-# so one -update run covers the engine, serving, cluster, and hetsched
-# tiers. `golden` is the historical alias.
+# Re-pin after a DELIBERATE change to simulator arithmetic (review the
+# diff — these files are the regression baseline). One `go test -update`
+# over every package whose tests import internal/pin rewrites
+# internal/exp/testdata/golden.json and every testdata/*.pin value file
+# (the engine, cluster, hetsched and Zipf-stream pins); a second run
+# leaves git diff empty. `golden` is the historical alias.
+PIN_PKGS = $(shell $(GO) list -f '{{.ImportPath}}{{range .TestImports}} {{.}}{{end}}' ./... | awk '/ dlrmsim\/internal\/pin( |$$)/ {print $$1}')
 golden-update:
-	$(GO) test ./internal/exp -run TestGoldenRegression -update
+	$(GO) test $(PIN_PKGS) -update
 
 golden: golden-update
 

@@ -7,6 +7,7 @@ import (
 
 	"dlrmsim/internal/cpusim"
 	"dlrmsim/internal/dlrm"
+	"dlrmsim/internal/pin"
 	"dlrmsim/internal/platform"
 	"dlrmsim/internal/trace"
 )
@@ -49,18 +50,23 @@ func runCountingBuild(t *testing.T, o Options) (Report, bool) {
 // TestReusedSystemGatesHWPFPerRun alternates baseline and w/o HW-PF on one
 // System. The HW-PF gate is not in the free-list key, so every run after
 // the first reuses the System the previous one released, and each report
-// must still equal the fresh-System pin of TestEngineReportsPinned.
+// must still equal, field for field, the scheme's run on a fresh System.
 func TestReusedSystemGatesHWPFPerRun(t *testing.T) {
+	fresh := map[Scheme]Report{}
+	for _, s := range []Scheme{Baseline, NoHWPF} {
+		clearIdleSystems()
+		fresh[s] = mustRun(t, testOptions(s, trace.MediumHot))
+	}
 	clearIdleSystems()
+	var got, want []Report
 	for i, s := range []Scheme{Baseline, NoHWPF, Baseline, NoHWPF} {
 		r, built := runCountingBuild(t, testOptions(s, trace.MediumHot))
 		if built != (i == 0) {
 			t.Fatalf("run %d (%v): built a System %v, want %v", i, s, built, i == 0)
 		}
-		if got, want := digest(pinReport(r)), engineReportPins[s.String()]; got != want {
-			t.Errorf("run %d (%v): report digest %s, pinned %s", i, s, got, want)
-		}
+		got, want = append(got, r), append(want, fresh[s])
 	}
+	pin.Near(t, got, want, 0)
 }
 
 // freeListCells returns 18 small embedding-only cells over 12 free-list

@@ -3,32 +3,28 @@ package exp
 import (
 	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
-	"math"
 	"os"
-	"path/filepath"
-	"sort"
 	"testing"
 
 	"dlrmsim/internal/cluster"
 	"dlrmsim/internal/core"
 	"dlrmsim/internal/dlrm"
 	"dlrmsim/internal/hetsched"
+	"dlrmsim/internal/pin"
 	"dlrmsim/internal/serve"
 	"dlrmsim/internal/trace"
 	"dlrmsim/internal/traffic"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.json from the current simulator")
-
 // golden pins the reproduction's headline quantities at a small fixed
 // configuration (scale 20, batch 8, 2 cores, seed 1). Any refactor that
 // silently changes simulator arithmetic — engine, memory hierarchy, trace
 // synthesis, serving — trips this file even when the coarser shape tests
-// still pass. Regenerate deliberately with:
+// still pass. Regenerate it, and every value file the pin tests keep,
+// deliberately with:
 //
-//	go test ./internal/exp -run TestGolden -update
+//	make golden-update
 type golden struct {
 	// IntegratedSpeedup maps "model|hotness" to the Integrated scheme's
 	// end-to-end speedup over baseline (multi-core).
@@ -417,7 +413,8 @@ func computeGolden(t *testing.T) golden {
 const goldenPath = "testdata/golden.json"
 
 // TestGoldenRegression recomputes the pinned quantities at the golden
-// seed and compares them to testdata/golden.json within 1e-9.
+// seed and compares every one with testdata/golden.json within 1e-9,
+// naming each moved, new or vanished quantity; -update rewrites the file.
 func TestGoldenRegression(t *testing.T) {
 	got := computeGolden(t)
 	// The robustness subsystem's acceptance criterion, checked against the
@@ -521,10 +518,7 @@ func TestGoldenRegression(t *testing.T) {
 	if nohold, hold := got.HetBatchP95Ms["u=0.35|b=64|h=0"], got.HetBatchP95Ms["u=0.35|b=64|h=40"]; nohold >= hold {
 		t.Errorf("hold window is free at low load: p95 %.4f ms without vs %.4f ms with", nohold, hold)
 	}
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
+	if *pin.Update {
 		buf, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
@@ -537,94 +531,11 @@ func TestGoldenRegression(t *testing.T) {
 	}
 	buf, err := os.ReadFile(goldenPath)
 	if err != nil {
-		t.Fatalf("%v (run with -update to generate)", err)
+		t.Fatalf("%v (go test -update writes it)", err)
 	}
 	var want golden
 	if err := json.Unmarshal(buf, &want); err != nil {
 		t.Fatal(err)
 	}
-	const tol = 1e-9
-	close := func(a, b float64) bool {
-		return math.Abs(a-b) <= tol*math.Max(1, math.Abs(b))
-	}
-	var wantKeys []string
-	for k := range want.IntegratedSpeedup {
-		wantKeys = append(wantKeys, k)
-	}
-	sort.Strings(wantKeys)
-	if len(got.IntegratedSpeedup) != len(wantKeys) {
-		t.Errorf("golden has %d speedup cells, computed %d", len(wantKeys), len(got.IntegratedSpeedup))
-	}
-	for _, k := range wantKeys {
-		g, ok := got.IntegratedSpeedup[k]
-		if !ok {
-			t.Errorf("cell %q missing from computed results", k)
-			continue
-		}
-		if !close(g, want.IntegratedSpeedup[k]) {
-			t.Errorf("Integrated speedup[%s] = %.12g, golden %.12g", k, g, want.IntegratedSpeedup[k])
-		}
-	}
-	if !close(got.BatchingP99Ms, want.BatchingP99Ms) {
-		t.Errorf("batching p99 = %.12g ms, golden %.12g ms", got.BatchingP99Ms, want.BatchingP99Ms)
-	}
-	if !close(got.BatchingMeanBatch, want.BatchingMeanBatch) {
-		t.Errorf("batching mean batch = %.12g, golden %.12g", got.BatchingMeanBatch, want.BatchingMeanBatch)
-	}
-	if len(got.ClusterP95Ms) != len(want.ClusterP95Ms) {
-		t.Errorf("golden has %d cluster cells, computed %d", len(want.ClusterP95Ms), len(got.ClusterP95Ms))
-	}
-	var clusterKeys []string
-	for k := range want.ClusterP95Ms {
-		clusterKeys = append(clusterKeys, k)
-	}
-	sort.Strings(clusterKeys)
-	for _, k := range clusterKeys {
-		g, ok := got.ClusterP95Ms[k]
-		if !ok {
-			t.Errorf("cluster cell %q missing from computed results", k)
-			continue
-		}
-		if !close(g, want.ClusterP95Ms[k]) {
-			t.Errorf("cluster p95[%s] = %.12g ms, golden %.12g ms", k, g, want.ClusterP95Ms[k])
-		}
-	}
-	compareMap := func(metric string, gotM, wantM map[string]float64) {
-		if len(gotM) != len(wantM) {
-			t.Errorf("golden has %d %s cells, computed %d", len(wantM), metric, len(gotM))
-		}
-		var keys []string
-		for k := range wantM {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			g, ok := gotM[k]
-			if !ok {
-				t.Errorf("%s cell %q missing from computed results", metric, k)
-				continue
-			}
-			if !close(g, wantM[k]) {
-				t.Errorf("%s[%s] = %.12g, golden %.12g", metric, k, g, wantM[k])
-			}
-		}
-	}
-	compareMap("fault p99", got.ClusterFaultP99Ms, want.ClusterFaultP99Ms)
-	compareMap("fault completeness", got.ClusterFaultCompleteness, want.ClusterFaultCompleteness)
-	compareMap("open goodput", got.ClusterOpenGoodputQPS, want.ClusterOpenGoodputQPS)
-	compareMap("open shed rate", got.ClusterOpenShedRate, want.ClusterOpenShedRate)
-	compareMap("open violation minutes", got.ClusterOpenViolationMinutes, want.ClusterOpenViolationMinutes)
-	compareMap("open mean nodes", got.ClusterOpenMeanNodes, want.ClusterOpenMeanNodes)
-	compareMap("chaos post-fault ratio", got.ClusterChaosPostFaultRatio, want.ClusterChaosPostFaultRatio)
-	compareMap("chaos recover ms", got.ClusterChaosRecoverMs, want.ClusterChaosRecoverMs)
-	compareMap("chaos retry amp", got.ClusterChaosRetryAmp, want.ClusterChaosRetryAmp)
-	compareMap("chaos breaker minutes", got.ClusterChaosBreakerMin, want.ClusterChaosBreakerMin)
-	compareMap("het p95", got.HetP95Ms, want.HetP95Ms)
-	compareMap("het batching p95", got.HetBatchP95Ms, want.HetBatchP95Ms)
-	if !close(got.HetSMTCrossOverlapMs, want.HetSMTCrossOverlapMs) {
-		t.Errorf("het SMT cross overlap = %.12g ms, golden %.12g ms", got.HetSMTCrossOverlapMs, want.HetSMTCrossOverlapMs)
-	}
-	if !close(got.HetSMTSameOverlapMs, want.HetSMTSameOverlapMs) {
-		t.Errorf("het SMT same overlap = %.12g ms, golden %.12g ms", got.HetSMTSameOverlapMs, want.HetSMTSameOverlapMs)
-	}
+	pin.Near(t, got, want, 1e-9)
 }
