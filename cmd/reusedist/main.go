@@ -10,6 +10,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -20,49 +21,76 @@ import (
 	"dlrmsim/internal/trace"
 )
 
-func main() {
-	var (
-		hotness = flag.String("hotness", "medium", "one-item | high | medium | low | random")
-		rows    = flag.Int("rows", 125_000, "rows per embedding table")
-		tables  = flag.Int("tables", 8, "number of tables")
-		batch   = flag.Int("batch", 64, "batch size")
-		lookups = flag.Int("lookups", 120, "lookups per sample")
-		cores   = flag.Int("cores", 24, "concurrently executing cores (interleaved streams)")
-		dim     = flag.Int("dim", 128, "embedding dimension")
-		seed    = flag.Uint64("seed", 1, "random seed")
-		hist    = flag.Bool("hist", false, "print the log2 distance histogram")
-	)
-	flag.Parse()
+// options holds the parsed command line.
+type options struct {
+	hotness                                  string
+	rows, tables, batch, lookups, cores, dim int
+	seed                                     uint64
+	hist                                     bool
+}
 
-	h, err := trace.ParseHotness(*hotness)
-	if err != nil {
-		fatal(err)
+// validate turns the flags into the trace and model configs the run uses
+// and reports every bad flag at once, each by its name: the libraries
+// reject a non-positive dimension too, but name neither the flag nor the
+// field. -cores sets both the interleaved streams and the batches.
+func (o options) validate() (trace.Config, reuse.ModelConfig, error) {
+	h, err := trace.ParseHotness(o.hotness)
+	errs := []error{err}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"rows", o.rows}, {"tables", o.tables}, {"batch", o.batch}, {"lookups", o.lookups}, {"cores", o.cores}, {"dim", o.dim}} {
+		if f.v < 1 {
+			errs = append(errs, fmt.Errorf("-%s %d (want >= 1)", f.name, f.v))
+		}
 	}
-	ds, err := trace.NewDataset(trace.Config{
-		Hotness: h, Rows: *rows, Tables: *tables,
-		BatchSize: *batch, LookupsPerSample: *lookups, Batches: *cores, Seed: *seed,
-	})
-	if err != nil {
-		fatal(err)
+	tc := trace.Config{
+		Hotness: h, Rows: o.rows, Tables: o.tables,
+		BatchSize: o.batch, LookupsPerSample: o.lookups, Batches: o.cores, Seed: o.seed,
 	}
 	cpu := platform.CascadeLake()
-	res, err := reuse.Run(ds, reuse.ModelConfig{
-		EmbeddingDim: *dim,
-		Cores:        *cores,
+	mc := reuse.ModelConfig{
+		EmbeddingDim: o.dim,
+		Cores:        o.cores,
 		Caches:       []memsim.CacheConfig{cpu.Mem.L1, cpu.Mem.L2, cpu.Mem.L3},
-	})
+	}
+	return tc, mc, errors.Join(errs...)
+}
+
+func main() {
+	var o options
+	flag.StringVar(&o.hotness, "hotness", "medium", "one-item | high | medium | low | random")
+	flag.IntVar(&o.rows, "rows", 125_000, "rows per embedding table")
+	flag.IntVar(&o.tables, "tables", 8, "number of tables")
+	flag.IntVar(&o.batch, "batch", 64, "batch size")
+	flag.IntVar(&o.lookups, "lookups", 120, "lookups per sample")
+	flag.IntVar(&o.cores, "cores", 24, "concurrently executing cores (interleaved streams)")
+	flag.IntVar(&o.dim, "dim", 128, "embedding dimension")
+	flag.Uint64Var(&o.seed, "seed", 1, "random seed")
+	flag.BoolVar(&o.hist, "hist", false, "print the log2 distance histogram")
+	flag.Parse()
+
+	tc, mc, err := o.validate()
+	if err != nil {
+		fatal(err)
+	}
+	ds, err := trace.NewDataset(tc)
+	if err != nil {
+		fatal(err)
+	}
+	res, err := reuse.Run(ds, mc)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("dataset=%v tables=%d rows=%d cores=%d dim=%d accesses=%d\n",
-		h, *tables, *rows, *cores, *dim, res.Accesses)
+		tc.Hotness, o.tables, o.rows, o.cores, o.dim, res.Accesses)
 	for _, name := range []string{"L1D", "L2", "L3"} {
 		fmt.Printf("%-4s capacity=%6d vectors  hit rate=%6.2f%%\n",
 			name, res.VectorCapacity[name], 100*res.HitRates[name])
 	}
 	fmt.Printf("cold misses: %.2f%% of accesses\n", 100*res.ColdMissFraction)
 	fmt.Printf("mean finite reuse distance: %.0f vectors\n", res.MeanDistance)
-	if *hist {
+	if o.hist {
 		fmt.Println("\nreuse-distance histogram (log2 buckets):")
 		for _, b := range res.Hist.NonEmptyBuckets() {
 			if b.Lo < 0 {
