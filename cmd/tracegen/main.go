@@ -96,7 +96,7 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("dataset: %v, %d tables x %d rows, %d batches x %d samples x %d lookups (zipf s=%.3f)\n",
-		cfg.Hotness, cfg.Tables, cfg.Rows, cfg.Batches, cfg.BatchSize, cfg.LookupsPerSample, ds.Exponent())
+		cfg.Hotness, cfg.Tables, cfg.Rows, cfg.Batches, cfg.BatchSize, cfg.LookupsPerSample, cfg.Hotness.ReferenceExponent())
 
 	if o.stats {
 		for t := 0; t < min(o.tables, 3); t++ {
@@ -106,7 +106,7 @@ func main() {
 				total += c
 			}
 			fmt.Printf("table %d: unique=%.3f distinct=%d accesses=%d\n",
-				t, ds.UniqueFraction(t), len(counts), total)
+				t, float64(len(counts))/float64(total), len(counts), total)
 			n := min(o.top, len(counts))
 			fmt.Printf("  top-%d counts:", n)
 			for i := 0; i < n; i++ {

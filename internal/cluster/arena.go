@@ -29,6 +29,7 @@ import (
 	"sync"
 
 	"dlrmsim/internal/serve"
+	"dlrmsim/internal/trace"
 )
 
 var (
@@ -56,7 +57,7 @@ func acquireRun() *openRun {
 // parked run pins nothing but its own buffers.
 func (r *openRun) release() {
 	r.cfg, r.o, r.plan, r.as = Config{}, nil, nil, nil
-	r.arrivals, r.visitors, r.zipf = nil, nil, nil
+	r.arrivals, r.visitors, r.ranks = nil, nil, trace.Ranks{}
 	runMu.Lock()
 	runFree = append(runFree, r)
 	runMu.Unlock()

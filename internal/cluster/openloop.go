@@ -458,7 +458,7 @@ type openRun struct {
 	arrivals interface{ Next() float64 } // traffic stream, or the closed loop's poissonCount
 	visitors *traffic.Visitors
 	pop      traffic.Population
-	zipf     *stats.Zipf
+	ranks    trace.Ranks
 
 	// The active set. route walks a shard's standby chain to the first
 	// active node — the same chain retries use, so any node can serve
@@ -583,11 +583,7 @@ func newOpenRun(cfg Config) (*openRun, error) {
 	}
 	r.activeCount = o.StartNodes
 
-	switch cfg.Hotness {
-	case trace.OneItem, trace.RandomAccess:
-	default:
-		r.zipf = stats.NewSharedZipf(model.RowsPerTable, cfg.Hotness.ReferenceExponent())
-	}
+	r.ranks = cfg.Hotness.Ranks(model.RowsPerTable)
 
 	// SLA-violation minutes bucketize on the configured day when the
 	// stream defines one, else on the run horizon.
@@ -639,21 +635,6 @@ func (r *openRun) backlog(n int, now float64) float64 {
 func (r *openRun) noteActive(now float64) {
 	r.nodeMsSum += float64(r.activeCount) * (now - r.lastChange)
 	r.lastChange = now
-}
-
-// sampleRank draws one lookup's hotness rank from any generator — the
-// per-(query,table) stream for fresh lookups, a stateless profile
-// stream for profile lookups, so profile slots keep the marginal
-// hotness distribution while pinning each slot to one row.
-func (r *openRun) sampleRank(rng *stats.RNG) int {
-	switch r.cfg.Hotness {
-	case trace.OneItem:
-		return 0
-	case trace.RandomAccess:
-		return rng.Intn(r.plan.Model.RowsPerTable)
-	default:
-		return r.zipf.SampleWith(rng)
-	}
 }
 
 // tick runs one autoscaler control tick. Activation first, so a node
@@ -724,15 +705,18 @@ func (r *openRun) drawArrival(q int, user uint64, visit int, cold []int) (hot, w
 	for t := 0; t < model.Tables; t++ {
 		rng := stats.SeededRNG(stats.SplitSeed(cfg.Seed^0x100C, uint64(q*model.Tables+t)))
 		for l := 0; l < r.draws; l++ {
+			// A profile lookup draws its rank from the slot's stateless
+			// stream, so each slot keeps the marginal hotness
+			// distribution while pinning one row.
 			var rk int
 			fromProfile := false
 			if r.visitors != nil && rng.Float64() < affinity {
 				slot := rng.Intn(profSize)
 				pr := prof.Stream(t, slot)
-				rk = r.sampleRank(&pr)
+				rk = r.ranks.Draw(&pr)
 				fromProfile = true
 			} else {
-				rk = r.sampleRank(&rng)
+				rk = r.ranks.Draw(&rng)
 			}
 			switch {
 			case plan.Replicated(rk):

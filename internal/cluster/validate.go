@@ -6,6 +6,7 @@ import (
 
 	"dlrmsim/internal/check"
 	"dlrmsim/internal/serve"
+	"dlrmsim/internal/trace"
 )
 
 // Validate reports every violation in the cluster configuration at once
@@ -26,6 +27,9 @@ func (c Config) Validate() error {
 		if err := c.Plan.Model.Validate(); err != nil {
 			errs = append(errs, err)
 		}
+	}
+	if c.Hotness < trace.OneItem || c.Hotness > trace.RandomAccess {
+		errs = append(errs, fmt.Errorf("cluster: unknown hotness class %d", int(c.Hotness)))
 	}
 	if c.SamplesPerQuery < 1 {
 		errs = append(errs, fmt.Errorf("cluster: %d samples per query", c.SamplesPerQuery))

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dlrmsim/internal/dlrm"
+	"dlrmsim/internal/trace"
 )
 
 func validPlan(t *testing.T) *Plan {
@@ -21,6 +22,7 @@ func validPlan(t *testing.T) *Plan {
 func TestConfigValidateCollectsAllViolations(t *testing.T) {
 	cfg := Config{
 		Plan:            validPlan(t),
+		Hotness:         trace.RandomAccess + 1,
 		SamplesPerQuery: 0,
 		MeanArrivalMs:   -1,
 		Timing:          Timing{ColdLookupUs: -2, HotLookupUs: -1, SubRequestUs: -1, DenseMs: -1},
@@ -39,7 +41,7 @@ func TestConfigValidateCollectsAllViolations(t *testing.T) {
 	}
 	err := cfg.Validate()
 	if err == nil {
-		t.Fatal("Validate accepted a config with nineteen violations")
+		t.Fatal("Validate accepted a config with twenty violations")
 	}
 	// Simulate gates on the same validator, so it reports the same list.
 	_, serr := Simulate(cfg)
@@ -47,6 +49,7 @@ func TestConfigValidateCollectsAllViolations(t *testing.T) {
 		t.Fatal("Simulate accepted a config Validate rejects")
 	}
 	for _, want := range []string{
+		"unknown hotness class 5",
 		"samples per query",
 		"mean arrival",
 		"cold lookup",

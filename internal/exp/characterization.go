@@ -106,7 +106,7 @@ func runFig5(x *Context) (*Table, error) {
 				top1pct += c
 			}
 		}
-		t.AddRow(h.String(), f3(ds.UniqueFraction(0)), fmt.Sprintf("%d", counts[0]),
+		t.AddRow(h.String(), f3(float64(len(counts))/float64(total)), fmt.Sprintf("%d", counts[0]),
 			pct(float64(top10)/float64(total)), pct(float64(top1pct)/float64(total)),
 			fmt.Sprintf("%d", total))
 	}

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"errors"
 	"fmt"
 
 	"dlrmsim/internal/cpusim"
@@ -31,12 +32,10 @@ type CrossNet struct {
 	Seed uint64
 }
 
-// Validate reports configuration errors.
+// Validate reports every non-positive field at once.
 func (c CrossNet) Validate() error {
-	if c.Dim < 1 || c.Rank < 1 || c.Layers < 1 {
-		return fmt.Errorf("nn: bad cross net %+v", c)
-	}
-	return nil
+	return errors.Join(positive("cross net Dim", c.Dim), positive("cross net Rank", c.Rank),
+		positive("cross net Layers", c.Layers))
 }
 
 // WeightBytes returns the parameter footprint: per layer, V (rank×dim),

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"dlrmsim/internal/cpusim"
@@ -13,10 +14,39 @@ func TestCrossNetValidate(t *testing.T) {
 	if err := testCross().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := testCross()
-	bad.Rank = 0
-	if bad.Validate() == nil {
-		t.Fatal("accepted zero rank")
+	for _, tc := range []struct {
+		field string
+		mut   func(*CrossNet)
+	}{
+		{"Dim", func(c *CrossNet) { c.Dim = 0 }},
+		{"Rank", func(c *CrossNet) { c.Rank = 0 }},
+		{"Layers", func(c *CrossNet) { c.Layers = -2 }},
+	} {
+		bad := testCross()
+		tc.mut(&bad)
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), tc.field) || strings.Contains(err.Error(), "{") {
+			t.Errorf("%s: Validate() = %v, want an error naming the field and no struct dump", tc.field, err)
+		}
+	}
+}
+
+func TestStreamConfigPanicNamesField(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		cfg   StreamConfig
+	}{
+		{"FlopsPerCycle", StreamConfig{FlopsPerCycle: 0, Batch: 4}},
+		{"Batch", StreamConfig{FlopsPerCycle: 32, Batch: 0}},
+	} {
+		func() {
+			defer func() {
+				err, _ := recover().(error)
+				if err == nil || !strings.Contains(err.Error(), tc.field) || strings.Contains(err.Error(), "{") {
+					t.Errorf("%s: panic %v, want an error naming the field and no struct dump", tc.field, err)
+				}
+			}()
+			testCross().NewStream(tc.cfg)
+		}()
 	}
 }
 

@@ -1,8 +1,6 @@
 package nn
 
 import (
-	"fmt"
-
 	"dlrmsim/internal/cpusim"
 	"dlrmsim/internal/memsim"
 )
@@ -55,27 +53,19 @@ func (it Interaction) FLOPs(batch int) int64 {
 // Forward computes the interaction for one sample: bottom is the
 // bottom-MLP output; emb[t] is table t's pooled vector.
 func (it Interaction) Forward(bottom []float32, emb [][]float32) ([]float32, error) {
-	if len(bottom) != it.Dim {
-		return nil, fmt.Errorf("nn: interaction bottom dim %d, want %d", len(bottom), it.Dim)
+	x, err := concat(it.Dim, it.Tables, bottom, emb)
+	if err != nil {
+		return nil, err
 	}
-	if len(emb) != it.Tables {
-		return nil, fmt.Errorf("nn: interaction got %d tables, want %d", len(emb), it.Tables)
-	}
-	vecs := make([][]float32, 0, it.Tables+1)
-	vecs = append(vecs, bottom)
-	for t, e := range emb {
-		if len(e) != it.Dim {
-			return nil, fmt.Errorf("nn: interaction table %d dim %d, want %d", t, len(e), it.Dim)
-		}
-		vecs = append(vecs, e)
-	}
+	vec := func(i int) []float32 { return x[i*it.Dim : (i+1)*it.Dim] }
 	out := make([]float32, 0, it.OutputDim())
 	out = append(out, bottom...)
-	for i := 1; i < len(vecs); i++ {
+	for i := 1; i <= it.Tables; i++ {
+		vi := vec(i)
 		for j := 0; j < i; j++ {
 			var dot float32
-			for k := 0; k < it.Dim; k++ {
-				dot += vecs[i][k] * vecs[j][k]
+			for k, v := range vec(j) {
+				dot += vi[k] * v
 			}
 			out = append(out, dot)
 		}

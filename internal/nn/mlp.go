@@ -9,6 +9,7 @@
 package nn
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -217,7 +218,15 @@ func (s *lineStream) Next(op *cpusim.Op) bool {
 // checkStreamConfig panics on a config no stream can be built from (a
 // caller bug, not a runtime condition).
 func checkStreamConfig(cfg StreamConfig) {
-	if cfg.FlopsPerCycle <= 0 || cfg.Batch < 1 {
-		panic(fmt.Sprintf("nn: bad stream config %+v", cfg))
+	if err := errors.Join(positive("stream FlopsPerCycle", cfg.FlopsPerCycle), positive("stream Batch", cfg.Batch)); err != nil {
+		panic(err)
 	}
+}
+
+// positive names field in an error unless v > 0.
+func positive[T int | float64](field string, v T) error {
+	if v > 0 {
+		return nil
+	}
+	return fmt.Errorf("nn: %s %v (want > 0)", field, v)
 }

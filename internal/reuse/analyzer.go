@@ -48,26 +48,10 @@ func (a *Analyzer) Access(key uint64) int64 {
 	return dist
 }
 
-// Accesses returns the number of accesses recorded.
-func (a *Analyzer) Accesses() uint64 { return a.hist.Count() }
-
-// ColdMisses returns the number of first-touch accesses.
-func (a *Analyzer) ColdMisses() uint64 { return a.hist.InfCount() }
-
-// ColdMissFraction returns cold misses over all accesses.
-func (a *Analyzer) ColdMissFraction() float64 { return a.hist.InfFraction() }
-
 // Histogram returns the log-bucketed distance histogram (cold misses are
 // the infinite bucket). The histogram is live; callers must not retain it
 // across further Access calls if they need a snapshot.
 func (a *Analyzer) Histogram() *stats.Histogram { return a.hist }
-
-// HitRate returns the exact hit rate of a fully-associative LRU cache
-// holding `blocks` blocks, per the log-bucketed histogram (within-bucket
-// interpolation applies at the boundary bucket).
-func (a *Analyzer) HitRate(blocks int64) float64 {
-	return a.hist.FractionBelow(blocks)
-}
 
 // CapacityTracker counts, exactly, hits for a fixed set of cache
 // capacities while the trace streams through — avoiding the bucket

@@ -3,8 +3,6 @@ package reuse
 import (
 	"testing"
 	"testing/quick"
-
-	"dlrmsim/internal/stats"
 )
 
 // naiveStackDistance is the O(n²) reference implementation.
@@ -91,14 +89,15 @@ func TestAnalyzerColdMissAccounting(t *testing.T) {
 	for _, k := range []uint64{1, 2, 3, 1, 2, 3} {
 		a.Access(k)
 	}
-	if a.ColdMisses() != 3 {
-		t.Fatalf("cold misses = %d", a.ColdMisses())
+	h := a.Histogram()
+	if h.InfCount() != 3 {
+		t.Fatalf("cold misses = %d", h.InfCount())
 	}
-	if a.ColdMissFraction() != 0.5 {
-		t.Fatalf("cold fraction = %g", a.ColdMissFraction())
+	if h.InfFraction() != 0.5 {
+		t.Fatalf("cold fraction = %g", h.InfFraction())
 	}
-	if a.Accesses() != 6 {
-		t.Fatalf("accesses = %d", a.Accesses())
+	if h.Count() != 6 {
+		t.Fatalf("accesses = %d", h.Count())
 	}
 }
 
@@ -157,20 +156,5 @@ func TestFenwickGrowth(t *testing.T) {
 	}
 	if f.rangeSum(5000, 6000) != 0 {
 		t.Fatal("out-of-range sum nonzero")
-	}
-}
-
-func TestHistogramHitRateRoughlyMatchesTracker(t *testing.T) {
-	// The log-bucketed estimate should be within a few points of exact.
-	a := NewAnalyzer(0)
-	tr := NewCapacityTracker([]int64{64})
-	rng := stats.NewRNG(5)
-	for i := 0; i < 20000; i++ {
-		tr.Record(a.Access(uint64(rng.Intn(200))))
-	}
-	exact := tr.HitRate(0)
-	est := a.HitRate(64)
-	if diff := exact - est; diff > 0.1 || diff < -0.1 {
-		t.Fatalf("exact %.3f vs histogram estimate %.3f", exact, est)
 	}
 }

@@ -1,6 +1,7 @@
 package reuse
 
 import (
+	"errors"
 	"fmt"
 
 	"dlrmsim/internal/memsim"
@@ -51,8 +52,15 @@ type ModelResult struct {
 // (table, row): one embedding vector, matching the paper's
 // vector-granularity model.
 func Run(d *trace.Dataset, cfg ModelConfig) (*ModelResult, error) {
-	if cfg.EmbeddingDim < 1 || cfg.Cores < 1 {
-		return nil, fmt.Errorf("reuse: bad model config %+v", cfg)
+	var errs []error
+	if cfg.EmbeddingDim < 1 {
+		errs = append(errs, fmt.Errorf("reuse: EmbeddingDim %d (want >= 1)", cfg.EmbeddingDim))
+	}
+	if cfg.Cores < 1 {
+		errs = append(errs, fmt.Errorf("reuse: Cores %d (want >= 1)", cfg.Cores))
+	}
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
 	tc := d.Config()
 	vectorBytes := int64(4 * cfg.EmbeddingDim)

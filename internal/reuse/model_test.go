@@ -1,6 +1,7 @@
 package reuse
 
 import (
+	"strings"
 	"testing"
 
 	"dlrmsim/internal/memsim"
@@ -104,8 +105,14 @@ func TestModelOneItemIsPerfect(t *testing.T) {
 
 func TestModelRejectsBadConfig(t *testing.T) {
 	d := modelDataset(t, trace.LowHot)
-	if _, err := Run(d, ModelConfig{EmbeddingDim: 0, Cores: 1}); err == nil {
-		t.Fatal("accepted zero dim")
+	for _, tc := range []struct {
+		field      string
+		dim, cores int
+	}{{"EmbeddingDim", 0, 1}, {"Cores", 64, 0}} {
+		_, err := Run(d, ModelConfig{EmbeddingDim: tc.dim, Cores: tc.cores})
+		if err == nil || !strings.Contains(err.Error(), tc.field) || strings.Contains(err.Error(), "{") {
+			t.Errorf("%s: Run error %v, want one naming the field and no struct dump", tc.field, err)
+		}
 	}
 }
 

@@ -1,11 +1,6 @@
 package serve
 
-import (
-	"fmt"
-
-	"dlrmsim/internal/check"
-	"dlrmsim/internal/stats"
-)
+import "dlrmsim/internal/stats"
 
 // BatchingConfig describes query-level serving with dynamic batch
 // formation: individual queries arrive Poisson; the batcher flushes a
@@ -35,14 +30,8 @@ type BatchingConfig struct {
 }
 
 func (c *BatchingConfig) applyDefaults() error {
-	if c.Cores < 1 || c.MaxBatch < 1 || c.Queries < 0 {
-		return fmt.Errorf("serve: bad batching config %+v", *c)
-	}
-	if !check.Positive(c.MeanArrivalMs) || !check.Positive(c.MaxWaitMs) {
-		return fmt.Errorf("serve: non-finite or non-positive times in %+v", *c)
-	}
-	if !check.NonNeg(c.ServiceBaseMs) || !check.Positive(c.ServicePerQueryMs) {
-		return fmt.Errorf("serve: bad service model in %+v", *c)
+	if err := c.Validate(); err != nil {
+		return err
 	}
 	if c.Queries == 0 {
 		c.Queries = 20000

@@ -77,3 +77,36 @@ func TestUtilizationMatchesDefinition(t *testing.T) {
 		t.Fatalf("utilization = %g, want %g", got, want)
 	}
 }
+
+// TestMD1MeanWaitMatchesPollaczekKhinchine: with one core and no jitter
+// the simulator is an M/D/1 queue, whose mean wait the
+// Pollaczek–Khinchine formula gives exactly: ρ·S / (2(1−ρ)). The mean
+// of the per-seed mean waits must lie within 3 standard errors of it.
+func TestMD1MeanWaitMatchesPollaczekKhinchine(t *testing.T) {
+	const service, seeds = 10.0, 12
+	for _, rho := range []float64{0.3, 0.5, 0.7} {
+		waits := make([]float64, seeds)
+		for s := range waits {
+			res, err := Simulate(Config{
+				Cores: 1, MeanArrivalMs: service / rho, ServiceMs: service,
+				Requests: 20000, Seed: uint64(s + 1),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			waits[s] = res.Mean - service
+		}
+		var mean, ss float64
+		for _, w := range waits {
+			mean += w / seeds
+		}
+		for _, w := range waits {
+			ss += (w - mean) * (w - mean)
+		}
+		se := math.Sqrt(ss / (seeds - 1) / seeds)
+		want := rho * service / (2 * (1 - rho))
+		if math.Abs(mean-want) > 3*se {
+			t.Errorf("ρ=%.1f: mean wait %.4f ms (SE %.4f over %d seeds), Pollaczek–Khinchine %.4f ms", rho, mean, se, seeds, want)
+		}
+	}
+}

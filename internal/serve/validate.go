@@ -37,3 +37,30 @@ func (c Config) Validate() error {
 	}
 	return errors.Join(errs...)
 }
+
+// Validate reports every violation in the batching config at once
+// (errors.Join), naming each bad field, without mutating it.
+// SimulateBatching runs it before filling defaults; Queries 0 means the
+// default.
+func (c BatchingConfig) Validate() error {
+	var errs []error
+	for _, f := range []struct {
+		name string
+		v    float64
+		ok   bool
+		want string
+	}{
+		{"Cores", float64(c.Cores), c.Cores >= 1, ">= 1"},
+		{"MaxBatch", float64(c.MaxBatch), c.MaxBatch >= 1, ">= 1"},
+		{"Queries", float64(c.Queries), c.Queries >= 0, ">= 0"},
+		{"MeanArrivalMs", c.MeanArrivalMs, check.Positive(c.MeanArrivalMs), "finite > 0"},
+		{"MaxWaitMs", c.MaxWaitMs, check.Positive(c.MaxWaitMs), "finite > 0"},
+		{"ServiceBaseMs", c.ServiceBaseMs, check.NonNeg(c.ServiceBaseMs), "finite >= 0"},
+		{"ServicePerQueryMs", c.ServicePerQueryMs, check.Positive(c.ServicePerQueryMs), "finite > 0"},
+	} {
+		if !f.ok {
+			errs = append(errs, fmt.Errorf("serve: batching %s %g (need %s)", f.name, f.v, f.want))
+		}
+	}
+	return errors.Join(errs...)
+}

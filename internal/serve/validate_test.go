@@ -82,3 +82,38 @@ func TestConfigValidateAcceptsDefaults(t *testing.T) {
 		t.Error("warmup above default request count accepted")
 	}
 }
+
+func TestBatchingConfigValidateNamesEachField(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		mut   func(*BatchingConfig)
+	}{
+		{"Cores", func(c *BatchingConfig) { c.Cores = 0 }},
+		{"MaxBatch", func(c *BatchingConfig) { c.MaxBatch = 0 }},
+		{"Queries", func(c *BatchingConfig) { c.Queries = -1 }},
+		{"MeanArrivalMs", func(c *BatchingConfig) { c.MeanArrivalMs = 0 }},
+		{"MaxWaitMs", func(c *BatchingConfig) { c.MaxWaitMs = math.Inf(1) }},
+		{"ServiceBaseMs", func(c *BatchingConfig) { c.ServiceBaseMs = -1 }},
+		{"ServicePerQueryMs", func(c *BatchingConfig) { c.ServicePerQueryMs = math.NaN() }},
+	} {
+		cfg := batchCfg()
+		tc.mut(&cfg)
+		err := cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.field) || strings.Contains(err.Error(), "{") {
+			t.Errorf("%s: Validate() = %v, want an error naming the field and no struct dump", tc.field, err)
+			continue
+		}
+		if _, serr := SimulateBatching(cfg); serr == nil || serr.Error() != err.Error() {
+			t.Errorf("%s: SimulateBatching error %v, want Validate's %v", tc.field, serr, err)
+		}
+	}
+	// Every violation is reported at once.
+	cfg := batchCfg()
+	cfg.Cores, cfg.MaxWaitMs = 0, 0
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "Cores") || !strings.Contains(err.Error(), "MaxWaitMs") {
+		t.Errorf("two bad fields: Validate() = %v, want both named", err)
+	}
+	if err := batchCfg().Validate(); err != nil {
+		t.Errorf("the test config is rejected: %v", err)
+	}
+}

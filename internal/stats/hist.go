@@ -92,34 +92,6 @@ func (h *Histogram) Max() int64 {
 	return h.max
 }
 
-// FractionBelow returns the fraction of all observations (including
-// infinite ones in the denominator) whose value is strictly less than
-// limit. For reuse-distance analysis this is exactly the hit rate of a
-// fully-associative LRU cache holding `limit` blocks.
-func (h *Histogram) FractionBelow(limit int64) float64 {
-	if h.count == 0 || limit <= 0 {
-		return 0
-	}
-	var below uint64
-	for b, n := range h.buckets {
-		if n == 0 {
-			continue
-		}
-		lo, hi := bucketRange(b)
-		switch {
-		case hi < limit:
-			below += n
-		case lo >= limit:
-			// entirely above
-		default:
-			// straddling bucket: assume uniform within the bucket
-			frac := float64(limit-lo) / float64(hi-lo+1)
-			below += uint64(float64(n) * frac)
-		}
-	}
-	return float64(below) / float64(h.count)
-}
-
 func bucketRange(b int) (lo, hi int64) {
 	if b == 0 {
 		return 0, 0

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestHistogramBasics(t *testing.T) {
@@ -40,35 +39,6 @@ func TestHistogramInf(t *testing.T) {
 	}
 }
 
-func TestHistogramFractionBelow(t *testing.T) {
-	h := NewHistogram()
-	// 10 observations of 0 and 10 of 1024.
-	for i := 0; i < 10; i++ {
-		h.Add(0)
-		h.Add(1024)
-	}
-	if got := h.FractionBelow(1); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("FractionBelow(1) = %g, want 0.5", got)
-	}
-	if got := h.FractionBelow(100000); math.Abs(got-1.0) > 1e-9 {
-		t.Fatalf("FractionBelow(100000) = %g, want 1", got)
-	}
-	if got := h.FractionBelow(0); got != 0 {
-		t.Fatalf("FractionBelow(0) = %g, want 0", got)
-	}
-}
-
-func TestHistogramFractionBelowCountsInfInDenominator(t *testing.T) {
-	h := NewHistogram()
-	h.Add(0)
-	h.AddInf()
-	// One of two observations is below any positive limit: infinite reuse
-	// distance (cold miss) can never be a hit.
-	if got := h.FractionBelow(10); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("FractionBelow with inf = %g, want 0.5", got)
-	}
-}
-
 func TestHistogramAddPanicsOnNegative(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -76,27 +46,6 @@ func TestHistogramAddPanicsOnNegative(t *testing.T) {
 		}
 	}()
 	NewHistogram().Add(-1)
-}
-
-func TestHistogramMonotoneFractionBelow(t *testing.T) {
-	f := func(vals []uint16) bool {
-		h := NewHistogram()
-		for _, v := range vals {
-			h.Add(int64(v))
-		}
-		prev := -1.0
-		for _, limit := range []int64{1, 2, 4, 64, 1024, 70000} {
-			fb := h.FractionBelow(limit)
-			if fb < prev-1e-12 || fb < 0 || fb > 1 {
-				return false
-			}
-			prev = fb
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestNonEmptyBuckets(t *testing.T) {

@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 )
 
@@ -17,9 +16,8 @@ import (
 // needs exp or log, and the sampler returns the same rank from the same
 // draws as the plain method (zipfHead).
 type Zipf struct {
-	rng *RNG
-	n   float64
-	s   float64
+	n float64
+	s float64
 	// precomputed constants for rejection-inversion
 	oneMinusS    float64
 	invOneMinusS float64
@@ -27,25 +25,26 @@ type Zipf struct {
 	hImaxPlus1   float64
 	sCut         float64
 	// head is the shared sampler's head table (verdicts and rank rows);
-	// nil for NewZipf samplers and where the table is disabled.
+	// nil for newZipf samplers and where the table is disabled.
 	head *zipfHead
 }
 
-// NewZipf returns a Zipf sampler over ranks [0, n) with exponent s > 0,
-// s != 1 handled exactly and s == 1 via a tiny offset. It panics if n < 1
-// or s is not positive (NaN included), which indicate a programming error
-// in the caller.
-func NewZipf(rng *RNG, n int, s float64) *Zipf {
+// newZipf returns a head-less Zipf sampler over ranks [0, n) with
+// exponent s > 0, s != 1 handled exactly and s == 1 via a tiny offset:
+// the plain rejection-inversion method the head table must agree with.
+// It panics if n < 1 or s is not positive (NaN included), which indicate
+// a programming error in the caller.
+func newZipf(n int, s float64) *Zipf {
 	if n < 1 {
-		panic(fmt.Sprintf("stats: NewZipf with n=%d", n))
+		panic(fmt.Sprintf("stats: Zipf with n=%d", n))
 	}
 	if !(s > 0) {
-		panic(fmt.Sprintf("stats: NewZipf with s=%g", s))
+		panic(fmt.Sprintf("stats: Zipf with s=%g", s))
 	}
 	if s == 1 {
 		s = 1 + 1e-9
 	}
-	z := &Zipf{rng: rng, n: float64(n), s: s}
+	z := &Zipf{n: float64(n), s: s}
 	z.oneMinusS = 1 - s
 	z.invOneMinusS = 1 / z.oneMinusS
 	z.hx0 = z.h(0.5) - 1
@@ -54,21 +53,20 @@ func NewZipf(rng *RNG, n int, s float64) *Zipf {
 	return z
 }
 
-// NewSharedZipf returns a sampler with no generator of its own, for use
-// with SampleWith only. Construction never draws from the generator, so a
-// shared sampler plus per-stream generators yields exactly the streams
-// that per-stream samplers would. The sampler carries the head table
-// (zipfHead: a 32 KB verdict table over the draw's top mantissa bits
-// and rows for the first 1024 ranks) and is memoized per (n, s): it is
-// built before it is published and never written after, so every
-// caller, on any goroutine, gets the same one, and a sweep of short
-// runs builds each table once.
+// NewSharedZipf returns the sampler over ranks [0, n) with exponent s.
+// Construction never draws from a generator, so one shared sampler plus
+// per-stream generators yields exactly the streams that per-stream
+// samplers would. The sampler carries the head table (zipfHead: a 32 KB
+// verdict table over the draw's top mantissa bits and rows for the first
+// 1024 ranks) and is memoized per (n, s): it is built before it is
+// published and never written after, so every caller, on any goroutine,
+// gets the same one, and a sweep of short runs builds each table once.
 func NewSharedZipf(n int, s float64) *Zipf {
 	key := zipfKey{n, s}
 	if z, ok := sharedZipfs.Load(key); ok {
 		return z.(*Zipf)
 	}
-	z := NewZipf(nil, n, s)
+	z := newZipf(n, s)
 	z.head = newZipfHead(z)
 	shared, _ := sharedZipfs.LoadOrStore(key, z)
 	return shared.(*Zipf)
@@ -93,15 +91,12 @@ func (z *Zipf) hInv(x float64) float64 {
 	return math.Exp(z.invOneMinusS * math.Log(z.oneMinusS*x))
 }
 
-// Sample returns a rank in [0, n). Rank 0 is the hottest.
-func (z *Zipf) Sample() int { return z.SampleWith(z.rng) }
-
-// SampleWith draws a rank using r instead of the sampler's own stream.
-// The sampler's constants depend only on (n, s), so one Zipf can serve
-// many independent streams — construction is the expensive part. Each
-// iteration takes one 53-bit mantissa m from r, the value r.Float64()
-// would scale, so the generator is consumed exactly as by Float64; a
-// shared sampler first looks up m's verdict in its head table.
+// SampleWith draws a rank in [0, n) from r; rank 0 is the hottest. The
+// sampler holds no generator: its constants depend only on (n, s), so
+// one Zipf serves many independent streams. Each iteration takes one
+// 53-bit mantissa m from r, the value r.Float64() would scale, so the
+// generator is consumed exactly as by Float64; a shared sampler first
+// looks up m's verdict in its head table.
 func (z *Zipf) SampleWith(r *RNG) int {
 	h := z.head
 	for {
@@ -159,51 +154,4 @@ func (z *Zipf) iterate(u float64) (int, bool) {
 // value, so its thresholds are bit-identical to the ones iterate computes.
 func (z *Zipf) accept(k float64) float64 {
 	return z.h(k+0.5) - math.Exp(-z.s*math.Log(k))
-}
-
-// UniqueFraction estimates, by simulation, the fraction of distinct ranks
-// drawn in a stream of length draws from a Zipf(n, s) distribution. It is
-// used to calibrate the exponent against the paper's reported unique-access
-// percentages (High=3%, Medium=24%, Low=60%).
-func UniqueFraction(seed uint64, n, draws int, s float64) float64 {
-	rng := NewRNG(seed)
-	z := NewZipf(rng, n, s)
-	seen := make(map[int]struct{}, draws)
-	for i := 0; i < draws; i++ {
-		seen[z.Sample()] = struct{}{}
-	}
-	return float64(len(seen)) / float64(draws)
-}
-
-// CalibrateZipfExponent finds, by bisection, the exponent s for which a
-// Zipf(n, s) stream of the given length has approximately the target
-// unique-access fraction. Larger s means hotter (fewer unique accesses).
-func CalibrateZipfExponent(seed uint64, n, draws int, targetUnique float64) float64 {
-	lo, hi := 0.01, 3.0
-	for i := 0; i < 24; i++ {
-		mid := (lo + hi) / 2
-		u := UniqueFraction(seed, n, draws, mid)
-		if u > targetUnique {
-			lo = mid // too uniform; need hotter
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}
-
-// AccessCounts draws `draws` samples from sampler and returns the per-rank
-// access counts sorted descending — the data behind the paper's Fig. 5
-// hot-embedding histograms.
-func AccessCounts(sample func() int, draws int) []int {
-	counts := map[int]int{}
-	for i := 0; i < draws; i++ {
-		counts[sample()]++
-	}
-	out := make([]int, 0, len(counts))
-	for _, c := range counts {
-		out = append(out, c)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(out)))
-	return out
 }

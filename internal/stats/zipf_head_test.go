@@ -89,7 +89,7 @@ func checkHeadAround(t *testing.T, z *Zipf, b float64, ulps int, tally *headTall
 // outside the NewSharedZipf memo, so tests and fuzzing over arbitrary
 // (n, s) leave the process-wide memo alone.
 func unsharedZipf(n int, s float64) *Zipf {
-	z := NewZipf(nil, n, s)
+	z := newZipf(n, s)
 	z.head = newZipfHead(z)
 	return z
 }
@@ -211,8 +211,8 @@ func TestSharedZipfMemoized(t *testing.T) {
 	if NewSharedZipf(50_001, 1.326) == a {
 		t.Fatal("different table heights share a sampler")
 	}
-	if NewZipf(nil, 50_000, 1.326).head != nil {
-		t.Fatal("a NewZipf sampler carries a head table")
+	if newZipf(50_000, 1.326).head != nil {
+		t.Fatal("a newZipf sampler carries a head table")
 	}
 	if allocs := testing.AllocsPerRun(100, func() { NewSharedZipf(50_000, 1.326) }); allocs != 0 {
 		t.Fatalf("memoized NewSharedZipf allocates %.0f objects, want 0", allocs)
@@ -225,7 +225,7 @@ func TestSharedZipfMemoized(t *testing.T) {
 func TestSharedZipfConcurrent(t *testing.T) {
 	const n, s, draws = 4321, 1.234, 2000
 	want := make([]int, draws)
-	ref, r := NewZipf(nil, n, s), NewRNG(9)
+	ref, r := newZipf(n, s), NewRNG(9)
 	for i := range want {
 		want[i] = ref.SampleWith(r)
 	}

@@ -6,13 +6,14 @@
 // with measured unique-access fractions — High 3%, Medium 24%, Low 60% —
 // plus two synthetic extremes, one-item (all lookups hit one row) and
 // random (uniform). This package generates index streams from a truncated
-// power-law (Zipf) sampler whose exponent is calibrated, per configuration,
-// so the generated stream reproduces the target unique fraction. That is
-// the statistic every downstream analysis (reuse distance, cold misses,
-// cache hit rates) actually depends on.
+// power-law (Zipf) sampler at each class's fixed paper-scale reference
+// exponent, which reproduces the class's unique fraction on 1M-row
+// tables. That is the statistic every downstream analysis (reuse
+// distance, cold misses, cache hit rates) actually depends on.
 package trace
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -94,6 +95,39 @@ func (h Hotness) ReferenceExponent() float64 {
 	}
 }
 
+// Ranks is a hotness class's rank draw over one table height: rank 0 is
+// the hottest row, and a table's RowPerm maps ranks to rows. It holds
+// no generator, so one Ranks serves any number of streams.
+type Ranks struct {
+	h    Hotness
+	rows int
+	zipf *stats.Zipf // the shared sampler, for the hot classes only
+}
+
+// Ranks returns the class's rank draw over rows rows. The hot classes
+// share one memoized sampler per (rows, exponent) (stats.NewSharedZipf).
+func (h Hotness) Ranks(rows int) Ranks {
+	r := Ranks{h: h, rows: rows}
+	if s := h.ReferenceExponent(); s > 0 {
+		r.zipf = stats.NewSharedZipf(rows, s)
+	}
+	return r
+}
+
+// Draw returns one rank in [0, rows) from rng: 0 without drawing for
+// OneItem, uniform for RandomAccess, Zipf at the class's reference
+// exponent otherwise.
+func (r Ranks) Draw(rng *stats.RNG) int {
+	switch r.h {
+	case OneItem:
+		return 0
+	case RandomAccess:
+		return rng.Intn(r.rows)
+	default:
+		return r.zipf.SampleWith(rng)
+	}
+}
+
 // AllHotness lists the classes in the order the paper's figures use.
 var AllHotness = []Hotness{OneItem, HighHot, MediumHot, LowHot, RandomAccess}
 
@@ -131,27 +165,28 @@ type Config struct {
 	// LookupsPerSample is the (average) pooling factor: indices per
 	// sample per table.
 	LookupsPerSample int
-	// Batches is the number of batches the trace covers; the Zipf
-	// exponent is calibrated against the whole stream length.
+	// Batches is the number of batches the trace covers.
 	Batches int
 	// Seed drives all generation; equal configs generate equal traces.
 	Seed uint64
-	// CalibrateUnique fits the Zipf exponent so that THIS trace's unique
-	// fraction matches the class target, instead of using the
-	// paper-scale reference exponent. Only meaningful when the trace is
-	// itself at production scale; see Hotness.ReferenceExponent.
-	CalibrateUnique bool
 }
 
-// Validate reports whether the configuration is generatable.
+// Validate reports every reason the configuration is not generatable at
+// once (errors.Join), naming each bad field.
 func (c Config) Validate() error {
+	var errs []error
 	if c.Hotness < OneItem || c.Hotness > RandomAccess {
-		return fmt.Errorf("trace: unknown hotness class %d", int(c.Hotness))
+		errs = append(errs, fmt.Errorf("trace: unknown hotness class %d", int(c.Hotness)))
 	}
-	if c.Rows < 1 || c.Tables < 1 || c.BatchSize < 1 || c.LookupsPerSample < 1 || c.Batches < 1 {
-		return fmt.Errorf("trace: non-positive dimension in %+v", c)
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"Rows", c.Rows}, {"Tables", c.Tables}, {"BatchSize", c.BatchSize}, {"LookupsPerSample", c.LookupsPerSample}, {"Batches", c.Batches}} {
+		if f.v < 1 {
+			errs = append(errs, fmt.Errorf("trace: non-positive dimension %s %d", f.name, f.v))
+		}
 	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // TableBatch is the embedding_bag input for one (batch, table) pair:
@@ -169,37 +204,21 @@ func (tb TableBatch) Lookups() int { return len(tb.Indices) }
 // so multi-core simulations can generate work lazily and identically on
 // every bandwidth-fixed-point replay.
 type Dataset struct {
-	cfg      Config
-	exponent float64 // calibrated Zipf exponent (hot classes only)
+	cfg   Config
+	ranks Ranks
 }
 
-// calibrationCap bounds the stream length used during exponent
-// calibration; unique fractions are estimated on a prefix for very long
-// traces to keep NewDataset fast.
-const calibrationCap = 200_000
-
-// NewDataset calibrates (if needed) and returns a Dataset. The returned
-// error only reflects invalid configuration.
+// NewDataset returns a Dataset. The returned error only reflects invalid
+// configuration.
 func NewDataset(cfg Config) (*Dataset, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	d := &Dataset{cfg: cfg, exponent: cfg.Hotness.ReferenceExponent()}
-	if target := cfg.Hotness.TargetUniqueFraction(); target > 0 && cfg.CalibrateUnique {
-		draws := cfg.BatchSize * cfg.LookupsPerSample * cfg.Batches
-		if draws > calibrationCap {
-			draws = calibrationCap
-		}
-		d.exponent = stats.CalibrateZipfExponent(cfg.Seed^0xCA11B, cfg.Rows, draws, target)
-	}
-	return d, nil
+	return &Dataset{cfg: cfg, ranks: cfg.Hotness.Ranks(cfg.Rows)}, nil
 }
 
 // Config returns the dataset's configuration.
 func (d *Dataset) Config() Config { return d.cfg }
-
-// Exponent returns the calibrated Zipf exponent (0 for OneItem/Random).
-func (d *Dataset) Exponent() float64 { return d.exponent }
 
 // RowPerm is one table's rank→row affine bijection, row = (rank·mult +
 // add) mod rows. Each table gets its own from (seed, table), so each has
@@ -244,47 +263,27 @@ func (d *Dataset) Batch(batchIdx, tableIdx int) TableBatch {
 		Indices: make([]int32, 0, n),
 	}
 	perm := NewRowPerm(c.Seed, tableIdx, c.Rows)
-	var sample func() int32
-	switch c.Hotness {
-	case OneItem:
-		sample = func() int32 { return 0 }
-	case RandomAccess:
-		sample = func() int32 { return int32(rng.Intn(c.Rows)) }
-	default:
-		z := stats.NewZipf(rng, c.Rows, d.exponent)
-		sample = func() int32 { return perm.Row(z.Sample()) }
-	}
+	// Only the hot classes permute: a one-item table hits row 0, and a
+	// uniform rank is already a uniform row.
+	permute := d.ranks.zipf != nil
 	for s := 0; s < c.BatchSize; s++ {
 		tb.Offsets[s] = int32(len(tb.Indices))
 		for l := 0; l < c.LookupsPerSample; l++ {
-			tb.Indices = append(tb.Indices, sample())
+			row := int32(d.ranks.Draw(rng))
+			if permute {
+				row = perm.Row(int(row))
+			}
+			tb.Indices = append(tb.Indices, row)
 		}
 	}
 	tb.Offsets[c.BatchSize] = int32(len(tb.Indices))
 	return tb
 }
 
-// UniqueFraction measures the fraction of distinct indices across the
-// whole trace for one table — the statistic the paper characterizes
-// datasets by.
-func (d *Dataset) UniqueFraction(tableIdx int) float64 {
-	seen := make(map[int32]struct{})
-	total := 0
-	for b := 0; b < d.cfg.Batches; b++ {
-		tb := d.Batch(b, tableIdx)
-		for _, ix := range tb.Indices {
-			seen[ix] = struct{}{}
-		}
-		total += len(tb.Indices)
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(len(seen)) / float64(total)
-}
-
 // AccessCounts returns per-row access counts for one table across the
-// whole trace, sorted descending — the paper's Fig. 5 histogram.
+// whole trace, sorted descending — the paper's Fig. 5 histogram. Their
+// number over their sum is the table's unique-access fraction, the
+// statistic the paper characterizes datasets by.
 func (d *Dataset) AccessCounts(tableIdx int) []int {
 	counts := make(map[int32]int)
 	for b := 0; b < d.cfg.Batches; b++ {

@@ -2,8 +2,14 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
+
+	"dlrmsim/internal/stats"
 )
 
 func smallConfig(h Hotness) Config {
@@ -27,6 +33,12 @@ func mustDataset(t *testing.T, cfg Config) *Dataset {
 	return d
 }
 
+// uniqueFraction is table's distinct rows over its accesses.
+func uniqueFraction(d *Dataset, table int) float64 {
+	c := d.Config()
+	return float64(len(d.AccessCounts(table))) / float64(c.Batches*c.BatchSize*c.LookupsPerSample)
+}
+
 func TestConfigValidate(t *testing.T) {
 	good := smallConfig(LowHot)
 	if err := good.Validate(); err != nil {
@@ -37,8 +49,8 @@ func TestConfigValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Fatal("accepted zero rows")
 	}
-	// An unknown class would reach stats.NewZipf with s = 0 and panic in
-	// the first Batch.
+	// An unknown class would reach the Zipf sampler with s = 0 and panic
+	// in NewDataset.
 	for _, h := range []Hotness{OneItem - 1, RandomAccess + 1} {
 		bad = good
 		bad.Hotness = h
@@ -122,32 +134,39 @@ func TestOneItemAlwaysRowZero(t *testing.T) {
 func TestRandomIsNearlyUnique(t *testing.T) {
 	// 10240 draws from 50k rows uniform: expected unique fraction ~90%.
 	d := mustDataset(t, smallConfig(RandomAccess))
-	if u := d.UniqueFraction(0); u < 0.8 {
+	if u := uniqueFraction(d, 0); u < 0.8 {
 		t.Fatalf("random unique fraction = %.3f", u)
 	}
 }
 
 func TestHotnessCalibration(t *testing.T) {
-	// With CalibrateUnique, the generated trace must land near the
-	// paper's unique-access fractions: High 3%, Medium 24%, Low 60%.
-	for _, h := range ProductionHotness {
-		cfg := smallConfig(h)
-		cfg.CalibrateUnique = true
-		d := mustDataset(t, cfg)
-		got := d.UniqueFraction(0)
-		want := h.TargetUniqueFraction()
-		if math.Abs(got-want) > 0.08 {
-			t.Errorf("%v: unique fraction %.3f, want ~%.2f", h, got, want)
+	// The reference exponents must reproduce the paper's unique-access
+	// fractions where they were fit: 1M-row tables, 2M draws for High
+	// and Medium, and as many draws as rows for the near-uniform Low.
+	const rows = 1_000_000
+	for _, tc := range []struct {
+		h     Hotness
+		draws int
+		tol   float64
+	}{{HighHot, 2 * rows, 0.005}, {MediumHot, 2 * rows, 0.005}, {LowHot, rows, 0.02}} {
+		ranks, rng := tc.h.Ranks(rows), stats.NewRNG(1)
+		seen, unique := make([]bool, rows), 0
+		for i := 0; i < tc.draws; i++ {
+			if k := ranks.Draw(rng); !seen[k] {
+				seen[k] = true
+				unique++
+			}
+		}
+		got, want := float64(unique)/float64(tc.draws), tc.h.TargetUniqueFraction()
+		if math.Abs(got-want) > tc.tol {
+			t.Errorf("%v: unique fraction %.4f over %d draws, want %.2f ± %.3f", tc.h, got, tc.draws, want, tc.tol)
 		}
 	}
 }
 
 func TestReferenceExponents(t *testing.T) {
-	// Fixed paper-scale exponents must be ordered (hotter = steeper) and
-	// reproduce the paper's unique fractions at production scale. The
-	// production-scale check is done with a modest sample against the
-	// analytically expected direction rather than re-running the full 2M
-	// draw calibration.
+	// Fixed paper-scale exponents must be ordered (hotter = steeper);
+	// TestHotnessCalibration checks the fractions they reproduce.
 	sH, sM, sL := HighHot.ReferenceExponent(), MediumHot.ReferenceExponent(), LowHot.ReferenceExponent()
 	if !(sH > sM && sM > sL && sL > 0) {
 		t.Fatalf("exponents not ordered: %g %g %g", sH, sM, sL)
@@ -158,9 +177,9 @@ func TestReferenceExponents(t *testing.T) {
 }
 
 func TestHotnessOrdering(t *testing.T) {
-	uh := mustDataset(t, smallConfig(HighHot)).UniqueFraction(1)
-	um := mustDataset(t, smallConfig(MediumHot)).UniqueFraction(1)
-	ul := mustDataset(t, smallConfig(LowHot)).UniqueFraction(1)
+	uh := uniqueFraction(mustDataset(t, smallConfig(HighHot)), 1)
+	um := uniqueFraction(mustDataset(t, smallConfig(MediumHot)), 1)
+	ul := uniqueFraction(mustDataset(t, smallConfig(LowHot)), 1)
 	if !(uh < um && um < ul) {
 		t.Fatalf("unique fractions not ordered: high=%.3f med=%.3f low=%.3f", uh, um, ul)
 	}
@@ -288,6 +307,90 @@ func TestRowPermIsBijectionSample(t *testing.T) {
 					t.Fatalf("rows %d table %d: row permutation collides or escapes at rank %d (row %d)", rows, table, r, v)
 				}
 				seen[v] = true
+			}
+		}
+	}
+}
+
+func TestConfigValidateNamesEachField(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		mut   func(*Config)
+	}{
+		{"Rows", func(c *Config) { c.Rows = 0 }},
+		{"Tables", func(c *Config) { c.Tables = -1 }},
+		{"BatchSize", func(c *Config) { c.BatchSize = 0 }},
+		{"LookupsPerSample", func(c *Config) { c.LookupsPerSample = 0 }},
+		{"Batches", func(c *Config) { c.Batches = 0 }},
+		{"hotness", func(c *Config) { c.Hotness = RandomAccess + 1 }},
+	} {
+		cfg := smallConfig(HighHot)
+		tc.mut(&cfg)
+		err := cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.field) || strings.Contains(err.Error(), "{") {
+			t.Errorf("%s: Validate() = %v, want an error naming the field and no struct dump", tc.field, err)
+		}
+	}
+	// Every bad field is reported at once.
+	cfg := smallConfig(HighHot)
+	cfg.Rows, cfg.Batches = 0, 0
+	var joined interface{ Unwrap() []error }
+	if err := cfg.Validate(); !errors.As(err, &joined) || len(joined.Unwrap()) != 2 {
+		t.Errorf("two bad fields: Validate() = %v, want both joined", err)
+	}
+}
+
+// TestBatchConcurrentMatchesSequential: engine cells call Batch from
+// many goroutines, and the hot classes read one memoized sampler per
+// (rows, exponent). Goroutines that race through overlapping (batch,
+// table) pairs on fresh Datasets, building the samplers of a table
+// height no other test uses, must draw what one sequential pass draws.
+func TestBatchConcurrentMatchesSequential(t *testing.T) {
+	const workers, rows = 4, 77_777
+	cfgs := make([]Config, len(AllHotness))
+	for i, h := range AllHotness {
+		cfgs[i] = smallConfig(h)
+		cfgs[i].Rows, cfgs[i].Tables, cfgs[i].Batches = rows, 2, 3
+	}
+	pairs := cfgs[0].Tables * cfgs[0].Batches
+	got := make([][][]TableBatch, workers) // [worker][config][pair]
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[w] = make([][]TableBatch, len(cfgs))
+			for c, cfg := range cfgs {
+				d, err := NewDataset(cfg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[w][c] = make([]TableBatch, pairs)
+				// Each worker starts at its own pair, so the workers
+				// overlap on every pair in a different order.
+				for i := range pairs {
+					p := (i + w) % pairs
+					got[w][c][p] = d.Batch(p/cfg.Tables, p%cfg.Tables)
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for c, cfg := range cfgs {
+		d := mustDataset(t, cfg)
+		for p := range pairs {
+			want := d.Batch(p/cfg.Tables, p%cfg.Tables)
+			for w := range got {
+				if tb := got[w][c][p]; !slices.Equal(tb.Indices, want.Indices) || !slices.Equal(tb.Offsets, want.Offsets) {
+					t.Fatalf("%v: worker %d batch %d table %d differs from the sequential pass", cfg.Hotness, w, p/cfg.Tables, p%cfg.Tables)
+				}
 			}
 		}
 	}
