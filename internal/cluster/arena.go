@@ -11,14 +11,15 @@ package cluster
 // it around them.
 //
 // Correctness is the same argument everywhere: a reused buffer is
-// either fully overwritten before it is read (the pre-draw ring —
+// either fully overwritten before it is read (the pre-draw blocks —
 // drawArrival zeroes its own cold slice), explicitly re-zeroed or
 // rewound (the active set, fault timelines, adaptive state, the latency
 // sketch, the recovery buckets), or re-sliced to length zero and only
 // appended to (subs, join records, samples, copy chains and their free
-// lists). Queue objects reset through serve.Queue.Reset and the copy
-// heap through copyHeap.reset. Nothing observable escapes: the free list
-// is guarded by a mutex, each concurrent run owns its openRun
+// lists). Queue objects reset through serve.Queue.Reset, the copy heap
+// through copyHeap.reset, and the pre-draw job channel is empty once
+// the run's helpers are joined. Nothing observable escapes: the free
+// list is guarded by a mutex, each concurrent run owns its openRun
 // exclusively between acquire and release, and a run that errors out
 // simply never releases (it is garbage-collected).
 //

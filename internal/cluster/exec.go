@@ -4,15 +4,36 @@ package cluster
 // spends its cores. Every run is the one event loop (openloop.go's
 // loop), which serves copies in copyCmp order on the calling goroutine.
 // What parallelizes is the arrival pre-draw: the loop takes its
-// arrivals from a ring, and each arrival's lookup draws — the dominant
-// per-event cost — are pure functions of (Seed, q, user, visit), so
-// under Parallel(P) a block of them is drawn on P goroutines while the
-// arrival times and user attributions are still pulled sequentially
-// from their shared streams. Any partitioning yields identical draws
-// (independent RNG lanes via stats.SplitSeed), so the output is
-// byte-identical to Sequential at any P.
+// arrivals from blocks of openPredrawBlock entries, and each arrival's
+// lookup draws — the dominant per-event cost — are pure functions of
+// (Seed, q, user, visit), so they can be computed ahead of the loop.
+//
+// Under Sequential (and Parallel(1)) the loop fills each block itself
+// when the previous one runs dry. Under Parallel(P) the pre-draw is a
+// pipeline over two blocks: while the loop serves the front block, P−1
+// helper goroutines draw the back one. When the front runs dry the loop
+// claims the back block's undrawn chunks itself, waits for the helpers'
+// share, swaps the blocks, pulls the next block's arrival times and
+// users, and hands it to the helpers.
+//
+// The output is byte-identical to Sequential at any P:
+//   - each entry's draws use their own stats.SplitSeed lanes and write
+//     only that entry's slots, so which goroutine drew it, and when,
+//     is unobservable;
+//   - arrivals.Next and visitors.Next run only on the loop goroutine,
+//     in arrival order, and only while no block is being drawn.
+//
+// Helpers read, through drawArrival, only run state that stays fixed
+// from newOpenRun to release: cfg, plan, draws, ranks, pop, affinity
+// and profSize, plus the published block they were handed. They never
+// touch the streams, the queues or the router state. They start once
+// per run (startHelpers) and are joined before loop returns
+// (stopHelpers), so none outlives Simulate.
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // ExecBackend names one execution strategy for a single run. The zero
 // value is Sequential.
@@ -65,9 +86,9 @@ func execParts(nodes int) int {
 	return p
 }
 
-// openArrival is one pre-drawn ring entry: the arrival's instant, user
+// openArrival is one pre-drawn block entry: the arrival's instant, user
 // attribution, and lookup split (its per-owner cold counts live in the
-// flat ring buffer alongside).
+// block's flat cold buffer alongside).
 type openArrival struct {
 	t     float64
 	user  uint64
@@ -76,58 +97,125 @@ type openArrival struct {
 	warm  int
 }
 
-// openPredrawBlock is the pre-draw ring's refill granularity.
+// openPredrawBlock is the number of arrivals in one pre-draw block.
 var openPredrawBlock = 256
 
-// ringFill refills the pre-draw ring: arrival times and user
-// attributions pulled sequentially from the shared streams, lookup
-// splits drawn on parts goroutines (caller included) for the entries
-// before the horizon (the rest are never processed). Ring entry i is
-// arrival number r.q+i — the ring only refills when fully drained, so
-// the base index is the live counter.
-func (r *openRun) ringFill(parts int) {
+// predrawChunk is the number of entries one claim on a block draws.
+const predrawChunk = 16
+
+// predrawBlock is one block of pre-drawn arrivals. Entry i is arrival
+// number base+i. Entries from live on lie at or past the horizon: the
+// loop never reaches them, so they are never drawn.
+type predrawBlock struct {
+	ring []openArrival
+	cold []int // per-owner cold counts, Nodes per entry
+	base int
+	live int
+
+	next atomic.Int32   // the next chunk to claim
+	wg   sync.WaitGroup // one Done per helper handed the block
+}
+
+// startHelpers starts the run's parts−1 pre-draw helpers; at parts < 2
+// it starts none and the loop draws every block itself.
+func (r *openRun) startHelpers(parts int) {
+	r.parts = parts
+	if parts < 2 {
+		return
+	}
+	if cap(r.jobs) < parts-1 {
+		r.jobs = make(chan *predrawBlock, parts-1)
+	}
+	r.helpers.Add(parts - 1)
+	for range parts - 1 {
+		go r.predrawHelper()
+	}
+}
+
+// stopHelpers hands every helper the nil stop job and waits until all
+// have exited. A helper still drawing a block finishes it first, so no
+// helper writes into the run after it is released. The channel is
+// empty afterwards and recycles with the run.
+func (r *openRun) stopHelpers() {
+	for range r.parts - 1 {
+		r.jobs <- nil
+	}
+	r.helpers.Wait()
+}
+
+// predrawHelper draws chunks of each block it is handed until it
+// receives nil.
+func (r *openRun) predrawHelper() {
+	for b := <-r.jobs; b != nil; b = <-r.jobs {
+		r.drawChunks(b)
+		b.wg.Done()
+	}
+	r.helpers.Done()
+}
+
+// ringNext makes the next block the front once the loop has drained the
+// current one (or at the start of the run): the back block when one is
+// in flight, else a block pulled here. The loop draws the front's
+// unclaimed chunks and waits for the helpers' share. Then, under
+// Parallel, the block after it goes to the helpers unless the front
+// already reaches the horizon.
+func (r *openRun) ringNext() {
+	if r.backPending {
+		r.front, r.backPending = 1-r.front, false
+	} else {
+		r.ringPull(&r.blocks[r.front], r.q)
+	}
+	f := &r.blocks[r.front]
+	r.drawChunks(f)
+	f.wg.Wait()
+	r.ringHead, r.nextArr = 0, f.ring[0].t
+	if r.parts > 1 && f.live == len(f.ring) {
+		r.ringPull(&r.blocks[1-r.front], r.q+len(f.ring))
+		r.backPending = true
+	}
+}
+
+// ringPull fills b with the next openPredrawBlock arrival times and
+// user attributions from the shared streams, base being the arrival
+// number of its first entry, and hands it to the helpers. It runs on the
+// loop goroutine while no block is being drawn.
+func (r *openRun) ringPull(b *predrawBlock, base int) {
 	n := openPredrawBlock
-	arenaSlice(&r.ring, n)
-	arenaSlice(&r.ringCold, n*r.plan.Nodes) // sized apart: a recycled ring may come from a smaller fleet
-	live := n
-	for i := range r.ring {
-		a := &r.ring[i]
+	arenaSlice(&b.ring, n)
+	arenaSlice(&b.cold, n*r.plan.Nodes) // sized apart: a recycled block may come from a smaller fleet
+	b.base, b.live = base, n
+	for i := range b.ring {
+		a := &b.ring[i]
 		a.t = r.arrivals.Next()
-		a.user, a.visit = uint64(r.q+i), 1
+		a.user, a.visit = uint64(base+i), 1
 		if r.visitors != nil {
 			a.user, a.visit = r.visitors.Next()
 		}
-		if a.t >= r.o.DurationMs && live == n {
-			live = i
+		if a.t >= r.o.DurationMs && b.live == n {
+			b.live = i
 		}
 	}
-	// The goroutines take every value as an argument: a variable a
-	// closure captured would escape, and cost an allocation per refill
-	// at P = 1 too.
-	chunk := (live + parts - 1) / parts
-	if parts > 1 && chunk < live {
-		for lo := chunk; lo < live; lo += chunk {
-			r.ringWG.Add(1)
-			go r.drawRing(lo, min(lo+chunk, live), &r.ringWG)
-		}
-		r.drawRing(0, chunk, nil)
-		r.ringWG.Wait()
-	} else {
-		r.drawRing(0, live, nil)
+	b.next.Store(0)
+	// No more helpers than chunks.
+	k := min(r.parts-1, (b.live+predrawChunk-1)/predrawChunk)
+	b.wg.Add(k)
+	for range k {
+		r.jobs <- b
 	}
-	r.ringHead = 0
-	r.nextArr = r.ring[0].t
 }
 
-// drawRing draws the lookups of ring entries [lo, hi), then marks wg
-// done if it is set.
-func (r *openRun) drawRing(lo, hi int, wg *sync.WaitGroup) {
+// drawChunks claims b's chunks one at a time and draws their entries'
+// lookups until none is left.
+func (r *openRun) drawChunks(b *predrawBlock) {
 	nodes := r.plan.Nodes
-	for i := lo; i < hi; i++ {
-		a := &r.ring[i]
-		a.hot, a.warm = r.drawArrival(r.q+i, a.user, a.visit, r.ringCold[i*nodes:(i+1)*nodes])
-	}
-	if wg != nil {
-		wg.Done()
+	for {
+		lo := int(b.next.Add(1)-1) * predrawChunk
+		if lo >= b.live {
+			return
+		}
+		for i := lo; i < min(lo+predrawChunk, b.live); i++ {
+			a := &b.ring[i]
+			a.hot, a.warm = r.drawArrival(b.base+i, a.user, a.visit, b.cold[i*nodes:(i+1)*nodes])
+		}
 	}
 }

@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
+	"dlrmsim/internal/stats"
 	"dlrmsim/internal/trace"
 	"dlrmsim/internal/traffic"
 )
@@ -159,8 +162,9 @@ func openExecConfigs(t *testing.T) map[string]Config {
 // TestParallelBackendByteIdenticalOpenLoop: the event loop with its
 // arrivals pre-drawn on several goroutines is bit-for-bit the
 // sequential run at every shard count, in both the exact and
-// stream-stats summaries. The tiny pre-draw block forces frequent ring
-// refills, exercising the refill path's sequential/concurrent split.
+// stream-stats summaries. The tiny pre-draw block forces frequent
+// block swaps, each taken while the helpers may still hold chunks of
+// the back block.
 func TestParallelBackendByteIdenticalOpenLoop(t *testing.T) {
 	prevBlock := openPredrawBlock
 	openPredrawBlock = 7
@@ -192,6 +196,113 @@ func TestParallelBackendByteIdenticalOpenLoop(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// blockEdgeConfigs spans the pre-draw pipeline's block bookkeeping at
+// block size n on an 8-node fleet, about 300 arrivals in whole blocks:
+// a closed loop whose Queries is a multiple of n (the last full block
+// publishes a back block of +Inf arrivals), an open horizon exactly on
+// a block boundary (the back block's first entry lies on the horizon,
+// so it has no live entry), and one on a block's last entry (the block
+// reaches the horizon, so no back block is published after it).
+func blockEdgeConfigs(t *testing.T, n int) map[string]Config {
+	t.Helper()
+	arrivals := max(2, 300/n) * n
+	closed := testConfig(t, 8, RowRange, 0.01, trace.HighHot)
+	closed.Queries = arrivals
+	cfgs := map[string]Config{"closed-multiple": closed}
+	for name, idx := range map[string]int{"horizon-on-boundary": arrivals, "horizon-on-last-entry": arrivals - 1} {
+		cfg := openTestConfig(t, 8, &OpenLoop{
+			Arrivals:   traffic.Config{Model: traffic.Poisson, RatePerMs: openRate(t, 8, 0.5)},
+			SLAMs:      50,
+			Population: &traffic.Population{Users: 1 << 10, RevisitProb: 0.5, Affinity: 0.5},
+		})
+		cfg.Open.DurationMs = nthArrival(t, cfg, idx)
+		cfgs[name] = cfg
+	}
+	return cfgs
+}
+
+// nthArrival returns the instant of arrival number idx (from 0) of the
+// open run cfg configures.
+func nthArrival(t *testing.T, cfg Config, idx int) float64 {
+	t.Helper()
+	ar := cfg.Open.Arrivals
+	ar.Seed = stats.SplitSeed(cfg.Seed^saltOpenArrivals, 0)
+	stream, err := traffic.NewStream(ar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range idx {
+		stream.Next()
+	}
+	return stream.Next()
+}
+
+// TestParallelBackendByteIdenticalBlockEdges: the pipelined pre-draw
+// is %+v-identical to Sequential at P = 2, 3 and 8 at the edges of its
+// block bookkeeping (blockEdgeConfigs), at blocks of 1 and 3 arrivals
+// (fewer entries than helpers, and one chunk per block) and at the
+// default size.
+func TestParallelBackendByteIdenticalBlockEdges(t *testing.T) {
+	prevBlock := openPredrawBlock
+	t.Cleanup(func() { openPredrawBlock = prevBlock })
+	for _, n := range []int{1, 3, prevBlock} {
+		openPredrawBlock = n
+		for name, cfg := range blockEdgeConfigs(t, n) {
+			t.Run(fmt.Sprintf("block%d/%s", n, name), func(t *testing.T) {
+				want, err := Simulate(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, shards := range []int{2, 3, 8} {
+					restore := SetExecBackend(Parallel(shards))
+					got, err := Simulate(cfg)
+					restore()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if g, w := fmt.Sprintf("%+v", got), fmt.Sprintf("%+v", want); g != w {
+						t.Fatalf("Parallel(%d) diverged from Sequential:\nseq %s\npar %s", shards, w, g)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestPredrawHelpersJoinedOnReturn: no pre-draw helper outlives
+// Simulate. Under Parallel(2) and Parallel(4) the goroutine count is
+// back at its baseline the moment Simulate returns, for closed and open
+// runs: the block-edge shapes, where the last published block has no
+// live entry, and an open day that ends inside a block. The check runs
+// at GOMAXPROCS 1, where it is exact: a helper's last act before it
+// exits wakes the loop, and with one P the loop runs again only once
+// that helper is gone, while a helper the loop did not wait for is
+// still counted.
+func TestPredrawHelpersJoinedOnReturn(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	prevBlock := openPredrawBlock
+	t.Cleanup(func() { openPredrawBlock = prevBlock })
+	openPredrawBlock = 3
+	cfgs := blockEdgeConfigs(t, openPredrawBlock)
+	cfgs["open-day"] = openBenchConfig(t)
+	cfgs["open-day"].Open.DurationMs = 400
+	for name, cfg := range cfgs {
+		for _, shards := range []int{2, 4} {
+			restore := SetExecBackend(Parallel(shards))
+			base := runtime.NumGoroutine()
+			_, err := Simulate(cfg)
+			got := runtime.NumGoroutine()
+			restore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got > base {
+				t.Errorf("%s under Parallel(%d): %d goroutines after Simulate returned, %d before", name, shards, got, base)
+			}
 		}
 	}
 }

@@ -456,9 +456,15 @@ type openRun struct {
 	queryLast   int32
 
 	arrivals interface{ Next() float64 } // traffic stream, or the closed loop's poissonCount
-	visitors *traffic.Visitors
+	visitors *traffic.Visitors           // loop goroutine only (exec.go)
 	pop      traffic.Population
 	ranks    trace.Ranks
+
+	// The population's profile knobs, copied from visitors so that
+	// drawArrival reads only state fixed for the run. profSize > 0
+	// exactly when the run has a population.
+	affinity float64
+	profSize int
 
 	// The active set. route walks a shard's standby chain to the first
 	// active node — the same chain retries use, so any node can serve
@@ -488,12 +494,18 @@ type openRun struct {
 	nextArr float64
 	q       int
 
-	// Pre-draw ring (exec.go): arrivals whose lookup draws were computed
-	// ahead, as pure functions of (Seed, q, user, visit).
-	ring     []openArrival
-	ringCold []int
-	ringHead int
-	ringWG   sync.WaitGroup // the refill's draw goroutines
+	// Pre-draw blocks (exec.go): arrivals whose lookup draws were
+	// computed ahead, as pure functions of (Seed, q, user, visit). The
+	// loop serves blocks[front] from ringHead on; under Parallel the
+	// helpers draw the other block meanwhile (backPending). jobs hands
+	// blocks to the parts−1 helpers; helpers counts the live ones.
+	blocks      [2]predrawBlock
+	front       int
+	ringHead    int
+	backPending bool
+	parts       int
+	jobs        chan *predrawBlock
+	helpers     sync.WaitGroup
 
 	// Storage faults, adapt, o and arrivals point into: the fault and
 	// adaptive state, held by value so their per-node slices recycle
@@ -534,11 +546,14 @@ func newOpenRun(cfg Config) (*openRun, error) {
 			joins: r.sj.joins[:0], freeJoins: r.sj.freeJoins[:0],
 			sketch: r.sj.sketch, lats: r.sj.lats[:0], shares: r.sj.shares[:0],
 		},
-		eff:      arenaSlice(&r.eff, plan.Nodes),
-		ring:     r.ring,
-		ringCold: r.ringCold,
-		faultSt:  r.faultSt,
-		adaptSt:  r.adaptSt,
+		eff: arenaSlice(&r.eff, plan.Nodes),
+		blocks: [2]predrawBlock{
+			{ring: r.blocks[0].ring, cold: r.blocks[0].cold},
+			{ring: r.blocks[1].ring, cold: r.blocks[1].cold},
+		},
+		jobs:    r.jobs,
+		faultSt: r.faultSt,
+		adaptSt: r.adaptSt,
 	}
 	r.copies.reset()
 	if r.o == nil {
@@ -566,6 +581,7 @@ func newOpenRun(cfg Config) (*openRun, error) {
 			if r.visitors, err = traffic.NewVisitors(r.pop); err != nil {
 				return nil, err
 			}
+			r.affinity, r.profSize = r.visitors.Affinity(), r.visitors.ProfileSize()
 		}
 	}
 	o := r.o
@@ -685,9 +701,9 @@ func (r *openRun) tick(now float64) {
 // drawArrival draws arrival q's lookups: cold (len Nodes, overwritten)
 // receives per-OWNER cold counts — routing through the active set
 // happens at processing time — and hot/warm are the replicated and
-// profile-warm counts. A pure function of (Seed, q, user, visit), so
-// the pre-draw ring computes it ahead, concurrently under Parallel
-// (exec.go).
+// profile-warm counts. A pure function of (Seed, q, user, visit) that
+// reads only run state fixed from newOpenRun on, so the pre-draw
+// computes it ahead, on helper goroutines under Parallel (exec.go).
 func (r *openRun) drawArrival(q int, user uint64, visit int, cold []int) (hot, warm int) {
 	cfg := &r.cfg
 	plan := r.plan
@@ -695,12 +711,11 @@ func (r *openRun) drawArrival(q int, user uint64, visit int, cold []int) (hot, w
 	for n := range cold {
 		cold[n] = 0
 	}
-	// The user's profile key and knobs, derived once per arrival.
+	// The user's profile key, derived once per arrival.
 	var prof traffic.UserProfile
-	affinity, profSize := 0.0, 0
-	if r.visitors != nil {
+	affinity, profSize := r.affinity, r.profSize
+	if profSize > 0 {
 		prof = r.pop.Profile(user)
-		affinity, profSize = r.visitors.Affinity(), r.visitors.ProfileSize()
 	}
 	for t := 0; t < model.Tables; t++ {
 		rng := stats.SeededRNG(stats.SplitSeed(cfg.Seed^0x100C, uint64(q*model.Tables+t)))
@@ -710,7 +725,7 @@ func (r *openRun) drawArrival(q int, user uint64, visit int, cold []int) (hot, w
 			// distribution while pinning one row.
 			var rk int
 			fromProfile := false
-			if r.visitors != nil && rng.Float64() < affinity {
+			if profSize > 0 && rng.Float64() < affinity {
 				slot := rng.Intn(profSize)
 				pr := prof.Stream(t, slot)
 				rk = r.ranks.Draw(&pr)
@@ -807,13 +822,15 @@ func (r *openRun) processArrival(now float64, a *openArrival, cold []int) {
 // loop is the run's one event loop over the three deterministic
 // sources. Ticks precede arrivals precede copies at equal instants
 // (strict inequalities below encode the tie-break). Arrivals come from
-// the pre-draw ring, refilled on parts goroutines (exec.go); copies are
-// served one by one in copyCmp order.
+// the pre-draw blocks, drawn ahead on parts goroutines (exec.go);
+// copies are served one by one in copyCmp order.
 func (r *openRun) loop(parts int) {
 	o := r.o
 	nodes := r.plan.Nodes
 	h := &r.copies
-	r.ringFill(parts)
+	r.startHelpers(parts)
+	defer r.stopHelpers()
+	r.ringNext()
 	prev := subCopy{arrive: math.Inf(-1)} // last popped copy (check-mode order assertion)
 	for {
 		now := math.Inf(1)
@@ -836,14 +853,14 @@ func (r *openRun) loop(parts int) {
 			r.tick(now)
 		case 2:
 			// Arrival: decide admission and schedule its sub-request
-			// copies, then step the ring.
-			i := r.ringHead
-			r.processArrival(now, &r.ring[i], r.ringCold[i*nodes:(i+1)*nodes])
+			// copies, then step the front block.
+			f, i := &r.blocks[r.front], r.ringHead
+			r.processArrival(now, &f.ring[i], f.cold[i*nodes:(i+1)*nodes])
 			r.ringHead++
-			if r.ringHead == len(r.ring) {
-				r.ringFill(parts)
+			if r.ringHead == len(f.ring) {
+				r.ringNext()
 			} else {
-				r.nextArr = r.ring[r.ringHead].t
+				r.nextArr = f.ring[r.ringHead].t
 			}
 		case 3:
 			cp := h.Pop()
