@@ -12,6 +12,7 @@ while read -r cmd; do
 done <<'OK'
 dlrmcluster -scale 40 -queries 200
 dlrmhetsched -gather 40 -dense 30 -requests 200
+dlrmhetsched -gather 40 -dense 30 -mix smt2 -policy eft -util 0.95 -requests 20000 -check
 dlrmserve -scale 40 -schemes baseline -requests 200
 tracegen -rows 1000 -stats
 reusedist -rows 1000 -cores 2 -hist

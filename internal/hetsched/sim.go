@@ -93,8 +93,8 @@ type simState struct {
 	finish     []float64
 
 	// per device
-	pend      [][]int32 // ready-phase FIFO (index 0 is the head)
-	pendEstMs []float64 // summed service estimates of the queue (EFT)
+	queue     []readyQueue // ready phases, one FIFO ring per kind
+	pendEstMs []float64    // summed service estimates of the queue (EFT)
 	busy      []bool
 	busyEnd   []float64 // end of the last launch; device clocks are monotone
 	busyKind  []PhaseKind
@@ -142,7 +142,7 @@ func newSimState(cfg Config) (*simState, error) {
 		phasesLeft: make([]int8, cfg.Requests),
 		finish:     make([]float64, cfg.Requests),
 
-		pend:      make([][]int32, nDev),
+		queue:     make([]readyQueue, nDev),
 		pendEstMs: make([]float64, nDev),
 		busy:      make([]bool, nDev),
 		busyEnd:   make([]float64, nDev),
@@ -221,11 +221,11 @@ func (st *simState) ready(p int32, t float64) {
 		}
 	case Steal:
 		d = st.plan.pick(k)
-		if st.busy[d] || len(st.pend[d]) > 0 {
+		if st.busy[d] || st.queue[d].n > 0 {
 			// Divert to an idle device with an empty queue that can run
 			// the phase — work sharing before the queue even forms.
 			for e := range st.specs {
-				if e != d && !st.busy[e] && len(st.pend[e]) == 0 && st.specs[e].can(k) {
+				if e != d && !st.busy[e] && st.queue[e].n == 0 && st.specs[e].can(k) {
 					d = e
 					st.steals++
 					break
@@ -239,8 +239,8 @@ func (st *simState) ready(p int32, t float64) {
 }
 
 func (st *simState) enqueue(d int, p int32, t float64) {
-	st.pend[d] = append(st.pend[d], p)
 	ph := &st.cfg.Graph.Phases[int(p)%st.nPh]
+	st.queue[d].push(p, ph.Kind)
 	st.pendEstMs[d] += st.estSvcMs(d, ph.Kind, ph.WorkUs)
 	if !st.busy[d] {
 		st.maybeStart(d, t)
@@ -250,25 +250,15 @@ func (st *simState) enqueue(d int, p int32, t float64) {
 // maybeStart launches a batch on an idle device, or arms the batching
 // hold window when the device prefers to wait for a fuller batch.
 func (st *simState) maybeStart(d int, t float64) {
-	if st.busy[d] || len(st.pend[d]) == 0 {
+	q := &st.queue[d]
+	if st.busy[d] || q.n == 0 {
 		return
 	}
 	spec := &st.specs[d]
-	mb := spec.maxBatch()
-	q := st.pend[d]
-	k := st.cfg.Graph.Phases[int(q[0])%st.nPh].Kind
-	n := 0
-	for _, p := range q {
-		if st.cfg.Graph.Phases[int(p)%st.nPh].Kind == k {
-			n++
-			if n == mb {
-				break
-			}
-		}
-	}
-	if n < mb && spec.HoldUs > 0 {
+	k, _ := q.oldest(nil)
+	if q.kind[k].n < spec.maxBatch() && spec.HoldUs > 0 {
 		// Wait for the window measured from the oldest pending phase.
-		deadline := st.readyAt[q[0]] + spec.HoldUs/1e3
+		deadline := st.readyAt[q.kind[k].front().p] + spec.HoldUs/1e3
 		if t < deadline {
 			st.holdArmed[d] = true
 			st.holdAt[d] = deadline
@@ -276,42 +266,39 @@ func (st *simState) maybeStart(d int, t float64) {
 		}
 	}
 	st.holdArmed[d] = false
-	st.startBatch(d, t, k, n)
+	st.startBatch(d, t, k)
 }
 
-// startBatch pulls the first n kind-k phases off d's queue and serves
-// them as one batch.
-func (st *simState) startBatch(d int, t float64, k PhaseKind, n int) {
+// startBatch pulls the oldest kind-k phases, up to a full batch, off d's
+// queue and serves them as one batch.
+func (st *simState) startBatch(d int, t float64, k PhaseKind) {
 	spec := &st.specs[d]
+	q := &st.queue[d]
 	batch := st.batchOf[d][:0]
-	q := st.pend[d]
-	w := 0 // write cursor for the phases left behind
 	svcUs := spec.FixedUs[k]
-	for _, p := range q {
+	for range min(q.kind[k].n, spec.maxBatch()) {
+		p := q.pop(k)
 		ph := &st.cfg.Graph.Phases[int(p)%st.nPh]
-		if len(batch) < n && ph.Kind == k {
-			batch = append(batch, p)
-			svcUs += spec.Speed[k] * ph.WorkUs
-			st.pendEstMs[d] -= st.estSvcMs(d, ph.Kind, ph.WorkUs)
-			if check.Enabled {
-				check.Assert(st.depsLeft[p] == 0 && st.readyAt[p] <= t,
-					"hetsched: phase %d started at %g before ready (deps %d, ready %g)",
-					p, t, st.depsLeft[p], st.readyAt[p])
-			}
-			req := int(p) / st.nPh
-			if req >= st.cfg.WarmupRequests {
-				st.waitSumMs += t - st.readyAt[p]
-				st.waitCount++
-			}
-			continue
+		batch = append(batch, p)
+		svcUs += spec.Speed[k] * ph.WorkUs
+		st.pendEstMs[d] -= st.estSvcMs(d, k, ph.WorkUs)
+		if check.Enabled {
+			check.Assert(st.depsLeft[p] == 0 && st.readyAt[p] <= t,
+				"hetsched: phase %d started at %g before ready (deps %d, ready %g)",
+				p, t, st.depsLeft[p], st.readyAt[p])
 		}
-		q[w] = p
-		w++
+		req := int(p) / st.nPh
+		if req >= st.cfg.WarmupRequests {
+			st.waitSumMs += t - st.readyAt[p]
+			st.waitCount++
+		}
 	}
-	st.pend[d] = q[:w]
 	st.batchOf[d] = batch
-	if w == 0 {
+	if q.n == 0 {
 		st.pendEstMs[d] = 0 // clamp float drift on empty queues
+	}
+	if check.Enabled {
+		check.Assert(q.counted(), "hetsched: device %d queue count %d disagrees with its rings", d, q.n)
 	}
 
 	// SMT contention: the factor is fixed at launch from what the
@@ -368,11 +355,8 @@ func (st *simState) complete(d int, t float64) {
 		st.finishPhase(p, t)
 	}
 	st.maybeStart(d, t)
-	if st.cfg.Policy == Steal && !st.busy[d] && len(st.pend[d]) == 0 {
-		if st.stealInto(d) {
-			st.steals++
-			st.maybeStart(d, t)
-		}
+	if st.cfg.Policy == Steal && !st.busy[d] && st.queue[d].n == 0 && st.stealInto(d, t) {
+		st.steals++
 	}
 }
 
@@ -399,33 +383,27 @@ func (st *simState) finishPhase(p int32, t float64) {
 	}
 }
 
-// stealInto moves the oldest compatible phase from the most backlogged
-// queue onto idle device d. Returns false when nothing stealable exists.
-func (st *simState) stealInto(d int) bool {
+// stealInto moves the oldest phase that idle device d can run from the
+// most backlogged queue onto d, and launches it. Returns false when
+// nothing stealable exists.
+func (st *simState) stealInto(d int, t float64) bool {
 	src, best := -1, 0
 	for e := range st.specs {
-		if e != d && len(st.pend[e]) > best {
-			src, best = e, len(st.pend[e])
+		if e != d && st.queue[e].n > best {
+			src, best = e, st.queue[e].n
 		}
 	}
 	if src < 0 {
 		return false
 	}
-	q := st.pend[src]
-	for i, p := range q {
-		ph := &st.cfg.Graph.Phases[int(p)%st.nPh]
-		if !st.specs[d].can(ph.Kind) {
-			continue
-		}
-		copy(q[i:], q[i+1:])
-		st.pend[src] = q[:len(q)-1]
-		est := st.estSvcMs(src, ph.Kind, ph.WorkUs)
-		st.pendEstMs[src] -= est
-		st.pend[d] = append(st.pend[d], p)
-		st.pendEstMs[d] += st.estSvcMs(d, ph.Kind, ph.WorkUs)
-		return true
+	k, ok := st.queue[src].oldest(&st.specs[d])
+	if !ok {
+		return false
 	}
-	return false
+	p := st.queue[src].pop(k)
+	st.pendEstMs[src] -= st.estSvcMs(src, k, st.cfg.Graph.Phases[int(p)%st.nPh].WorkUs)
+	st.enqueue(d, p, t)
+	return true
 }
 
 // nextTimer finds the earliest device event, a batch completion
@@ -484,20 +462,8 @@ func (st *simState) run() {
 			st.complete(dev, tE)
 		default: // hold window expired: launch with what is queued
 			st.holdArmed[dev] = false
-			q := st.pend[dev]
-			if len(q) > 0 {
-				k := st.cfg.Graph.Phases[int(q[0])%st.nPh].Kind
-				n := 0
-				mb := st.specs[dev].maxBatch()
-				for _, p := range q {
-					if st.cfg.Graph.Phases[int(p)%st.nPh].Kind == k {
-						n++
-						if n == mb {
-							break
-						}
-					}
-				}
-				st.startBatch(dev, tE, k, n)
+			if k, ok := st.queue[dev].oldest(nil); ok {
+				st.startBatch(dev, tE, k)
 			}
 		}
 	}
