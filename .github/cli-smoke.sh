@@ -19,6 +19,22 @@ reusedist -rows 1000 -cores 2 -hist
 dlrmbench -exp fig1 -scale 40
 OK
 
+# The checkpoint store's resume path: a second run over the same store
+# must serve every cell from it and simulate none.
+echo "== dlrmbench -checkpoint (write, then resume)"
+"$bin"/dlrmbench -exp fig1 -scale 40 -checkpoint "$bin/ck" > /dev/null
+"$bin"/dlrmbench -exp fig1 -scale 40 -checkpoint "$bin/ck" > "$bin/resume.txt"
+if ! grep -Eq ': [1-9][0-9]* resumed, 0 simulated\)$' "$bin/resume.txt"; then
+	echo "resumed run simulated cells:"
+	cat "$bin/resume.txt"
+	exit 1
+fi
+
+# The trace file format, written and read back through tracegen.
+echo "== tracegen -o, then -in"
+"$bin"/tracegen -rows 1000 -o "$bin/t.bin" > /dev/null
+"$bin"/tracegen -in "$bin/t.bin" > /dev/null
+
 while read -r cmd; do
 	echo "== $cmd (must fail)"
 	if "$bin"/$cmd > /dev/null 2>&1; then

@@ -297,27 +297,3 @@ func BenchmarkAblationBandwidthFixedPoint(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkAblationHWPrefetchDegree sweeps the hardware stride
-// prefetcher's aggressiveness.
-func BenchmarkAblationHWPrefetchDegree(b *testing.B) {
-	for _, deg := range []int{1, 2, 4} {
-		deg := deg
-		b.Run(map[int]string{1: "deg1", 2: "deg2", 4: "deg4"}[deg], func(b *testing.B) {
-			b.ReportAllocs()
-			var ms float64
-			for i := 0; i < b.N; i++ {
-				cpu := platform.CascadeLake()
-				cpu.Mem.L2PrefetchDegree = deg
-				o := benchOptions(core.Baseline, trace.MediumHot)
-				o.CPU = cpu
-				rep, err := core.Run(o)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ms = rep.BatchLatencyMs
-			}
-			b.ReportMetric(ms, "batch-ms")
-		})
-	}
-}

@@ -9,7 +9,6 @@
 //	dlrmbench -exp all -workers 1      # sequential (default: all CPUs)
 //	dlrmbench -exp all -checkpoint dir # persist cells; an interrupted
 //	                                   # re-run resumes where it stopped
-//	dlrmbench -exp all -keepgoing      # complete the sweep past failures
 //	dlrmbench -list                    # list experiment IDs
 //
 // -scale divides model dimensions (tables, lookups, rows, MLP widths);
@@ -20,6 +19,12 @@
 // a pure function of its options and results are collected in experiment
 // order); -workers 1 runs strictly sequentially on one goroutine and
 // prints per-experiment timing as each artifact finishes.
+//
+// Every sweep runs to completion: an experiment that fails (a panic in a
+// design point included) is skipped in the output, the tables of the
+// others are printed, every failure is reported on stderr with its stack,
+// and the exit status is 1. An unknown experiment ID exits 2 before
+// anything runs.
 package main
 
 import (
@@ -54,7 +59,6 @@ func main() {
 		quietTime = flag.Bool("notime", false, "suppress timing output")
 		ckptDir   = flag.String("checkpoint", "", "persist completed design points to this directory and resume from it")
 		resume    = flag.Bool("resume", true, "with -checkpoint: reuse cells already in the store (false = recompute and overwrite)")
-		keepGoing = flag.Bool("keepgoing", false, "complete the sweep past failed experiments; report failures and exit 1")
 		checkMode = flag.Bool("check", false, "enable runtime invariant assertions (debug; slower)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -73,6 +77,12 @@ func main() {
 	ids := exp.IDs()
 	if *expFlag != "all" {
 		ids = strings.Split(*expFlag, ",")
+	}
+	for _, id := range ids {
+		if _, err := exp.Get(strings.TrimSpace(id)); err != nil {
+			fmt.Fprintln(os.Stderr, "dlrmbench:", err)
+			os.Exit(2)
+		}
 	}
 	cfg := exp.Config{
 		Scale:               *scale,
@@ -160,63 +170,47 @@ func main() {
 		fmt.Printf(")\n")
 	}
 	ctx := context.Background()
-	if *keepGoing {
-		start := time.Now()
-		tables, failures, err := exp.RunAllKeepGoing(ctx, x, ids, *workers)
-		if err != nil {
-			fail(err)
-		}
-		for _, tbl := range tables {
-			if tbl != nil {
-				render(tbl)
-			}
-		}
-		if !*quietTime && *format == "text" {
-			fmt.Printf("(%d/%d experiments completed in %.1fs with %d workers)\n",
-				len(tables)-len(failures), len(tables), time.Since(start).Seconds(), *workers)
-		}
-		reportStore()
-		if len(failures) > 0 {
-			fmt.Fprint(os.Stderr, exp.FormatFailures(failures))
-			os.Exit(1)
-		}
-		return
-	}
+	var errs []error
 	if *workers == 1 {
 		// Sequential path: render and time each artifact as it completes.
 		for _, id := range ids {
 			start := time.Now()
 			tables, err := exp.RunAll(ctx, x, []string{id}, 1)
 			if err != nil {
-				fail(err)
+				errs = append(errs, err)
+				continue
 			}
 			render(tables[0])
 			if !*quietTime && *format == "text" {
 				fmt.Printf("(%s completed in %.1fs)\n\n", tables[0].ID, time.Since(start).Seconds())
 			}
 		}
-		reportStore()
-		return
-	}
-	start := time.Now()
-	tables, err := exp.RunAll(ctx, x, ids, *workers)
-	if err != nil {
-		fail(err)
-	}
-	for _, tbl := range tables {
-		render(tbl)
-	}
-	if !*quietTime && *format == "text" {
-		fmt.Printf("(%d experiments completed in %.1fs with %d workers)\n",
-			len(tables), time.Since(start).Seconds(), *workers)
+	} else {
+		start := time.Now()
+		tables, err := exp.RunAll(ctx, x, ids, *workers)
+		done := 0
+		for _, tbl := range tables {
+			if tbl != nil {
+				render(tbl)
+				done++
+			}
+		}
+		if err != nil {
+			errs = append(errs, err)
+		}
+		if !*quietTime && *format == "text" {
+			fmt.Printf("(%d experiments completed in %.1fs with %d workers)\n",
+				done, time.Since(start).Seconds(), *workers)
+		}
 	}
 	reportStore()
+	if len(errs) > 0 {
+		fmt.Fprint(os.Stderr, exp.FormatFailures(errors.Join(errs...)))
+		os.Exit(1)
+	}
 }
 
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "dlrmbench:", err)
-	if strings.Contains(err.Error(), "unknown experiment") {
-		os.Exit(2)
-	}
 	os.Exit(1)
 }

@@ -24,13 +24,6 @@ const (
 	StageInference = "inference"
 )
 
-// BatchProvider supplies embedding_bag inputs per (batch, table) pair.
-// Both trace.Dataset (synthetic) and trace.StoredTrace (replayed from a
-// file) satisfy it.
-type BatchProvider interface {
-	Batch(batchIdx, tableIdx int) trace.TableBatch
-}
-
 // Options configures one engine run.
 type Options struct {
 	// Model is the DLRM architecture (a Table 2 config, possibly Scaled).
@@ -58,14 +51,9 @@ type Options struct {
 	// Prefetch overrides the platform-tuned Algorithm 3 knobs for
 	// SWPF/Integrated runs. Zero means use CPU.TunedPFDist/TunedPFBlocks.
 	Prefetch embedding.PrefetchConfig
-	// Seed drives trace and parameter generation.
+	// Seed drives parameter generation and the synthesized input trace
+	// (a trace.Dataset of Batches×ActiveCores batches, 2x for DP-HT).
 	Seed uint64
-	// Trace, when non-nil, supplies the embedding_bag inputs instead of
-	// a synthesized dataset — e.g. a trace.StoredTrace written by
-	// cmd/tracegen, for replaying one input set across design points or
-	// machines. It must cover Batches×ActiveCores batches (2x for DP-HT) of
-	// Model.Tables tables at BatchSize samples.
-	Trace BatchProvider
 	// BandwidthIterations bounds the DRAM fixed point (0 = cpusim's
 	// default of 3).
 	BandwidthIterations int
@@ -211,7 +199,7 @@ func Run(opts Options) (Report, error) {
 // RunContext is Run with cancellation: a dead context makes the engine
 // return ctx.Err() at the next checkpoint (before setup, after trace
 // synthesis, before simulation) instead of completing the design point.
-// Parallel sweeps use this so one failing cell cancels the rest.
+// A sweep uses this so a caller's cancellation stops its queued cells.
 func RunContext(ctx context.Context, opts Options) (Report, error) {
 	if err := ctx.Err(); err != nil {
 		return Report{}, err
@@ -229,21 +217,17 @@ func RunContext(ctx context.Context, opts Options) (Report, error) {
 	if opts.Scheme == DPHT {
 		instances = 2
 	}
-	var provider BatchProvider = opts.Trace
-	if provider == nil {
-		ds, err := trace.NewDataset(trace.Config{
-			Hotness:          opts.Hotness,
-			Rows:             opts.Model.RowsPerTable,
-			Tables:           opts.Model.Tables,
-			BatchSize:        opts.BatchSize,
-			LookupsPerSample: opts.Model.LookupsPerSample,
-			Batches:          opts.Batches * opts.ActiveCores * instances,
-			Seed:             opts.Seed ^ 0xDA7A,
-		})
-		if err != nil {
-			return Report{}, err
-		}
-		provider = ds
+	ds, err := trace.NewDataset(trace.Config{
+		Hotness:          opts.Hotness,
+		Rows:             opts.Model.RowsPerTable,
+		Tables:           opts.Model.Tables,
+		BatchSize:        opts.BatchSize,
+		LookupsPerSample: opts.Model.LookupsPerSample,
+		Batches:          opts.Batches * opts.ActiveCores * instances,
+		Seed:             opts.Seed ^ 0xDA7A,
+	})
+	if err != nil {
+		return Report{}, err
 	}
 	if err := ctx.Err(); err != nil {
 		return Report{}, err
@@ -271,7 +255,7 @@ func RunContext(ctx context.Context, opts Options) (Report, error) {
 	embStream := func(core, instance, batchIdx int) cpusim.StreamFactory {
 		p := mlp
 		p.BufBase, p.Prefetch = bufBase(core, instance), pf
-		src := func(tableID int) trace.TableBatch { return provider.Batch(batchIdx, tableID) }
+		src := func(tableID int) trace.TableBatch { return ds.Batch(batchIdx, tableID) }
 		return func() cpusim.Stream { return model.EmbeddingStream(src, p) }
 	}
 	bottomStream := func() cpusim.Stream { return model.BottomStream(mlp) }

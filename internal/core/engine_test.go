@@ -204,3 +204,14 @@ func TestExplicitPrefetchOverride(t *testing.T) {
 		t.Fatal("override disabled prefetching")
 	}
 }
+
+func TestDLRMConfigInteractionStrings(t *testing.T) {
+	for _, k := range []dlrm.InteractionKind{dlrm.DotInteraction, dlrm.CrossInteraction, dlrm.ConcatInteraction} {
+		if k.String() == "invalid" {
+			t.Fatalf("kind %d unnamed", k)
+		}
+	}
+	if dlrm.InteractionKind(9).String() != "invalid" {
+		t.Fatal("bad kind not flagged")
+	}
+}

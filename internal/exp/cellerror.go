@@ -84,6 +84,10 @@ func withCellIndex(err error, i int) error {
 	return err
 }
 
+// runEngine is the engine entry runCell calls; tests swap in one that
+// panics.
+var runEngine = core.RunContext
+
 // runCell executes one engine cell under panic isolation.
 func runCell(ctx context.Context, opts core.Options) (rep core.Report, err error) {
 	defer func() {
@@ -91,7 +95,7 @@ func runCell(ctx context.Context, opts core.Options) (rep core.Report, err error
 			err = &CellError{CellIndex: -1, Options: opts, Panic: r, Stack: debug.Stack()}
 		}
 	}()
-	return core.RunContext(ctx, opts)
+	return runEngine(ctx, opts)
 }
 
 // safeRun executes one experiment body under panic isolation, so a panic
@@ -106,25 +110,29 @@ func safeRun(e Experiment, x *Context) (tbl *Table, err error) {
 	return tbl, withExpID(err, e.ID)
 }
 
-// Failure records one experiment that failed during a KeepGoing sweep.
-type Failure struct {
-	ID  string
-	Err error
-}
-
-// FormatFailures renders the structured failure summary a KeepGoing sweep
-// reports: one block per failed experiment, with the design point and
-// panic stack when the failure was a captured panic.
-func FormatFailures(failures []Failure) string {
-	if len(failures) == 0 {
-		return ""
+// FormatFailures renders a failed sweep's error as the report dlrmbench
+// prints: one block per failed experiment, with the panic stack when the
+// failure was a captured panic. It walks errors.Join trees, so the
+// errors of several RunAll calls can be joined and reported at once.
+func FormatFailures(err error) string {
+	var leaves []error
+	var walk func(error)
+	walk = func(err error) {
+		if j, ok := err.(interface{ Unwrap() []error }); ok {
+			for _, e := range j.Unwrap() {
+				walk(e)
+			}
+			return
+		}
+		leaves = append(leaves, err)
 	}
+	walk(err)
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d experiment(s) failed:\n", len(failures))
-	for _, f := range failures {
-		fmt.Fprintf(&b, "  %s: %v\n", f.ID, f.Err)
+	fmt.Fprintf(&b, "%d experiment(s) failed:\n", len(leaves))
+	for _, e := range leaves {
+		fmt.Fprintf(&b, "  %v\n", e)
 		var ce *CellError
-		if errors.As(f.Err, &ce) && len(ce.Stack) > 0 {
+		if errors.As(e, &ce) && len(ce.Stack) > 0 {
 			for _, line := range strings.Split(strings.TrimRight(string(ce.Stack), "\n"), "\n") {
 				fmt.Fprintf(&b, "    %s\n", line)
 			}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
@@ -11,17 +12,26 @@ import (
 	"dlrmsim/internal/trace"
 )
 
-// panicProvider is a BatchProvider whose first use panics — a stand-in for
-// any bug deep inside one design point's simulation.
-type panicProvider struct{}
+// panicSeed marks the cells panicEngine makes panic.
+const panicSeed = 0xB00
 
-func (panicProvider) Batch(batchIdx, tableIdx int) trace.TableBatch {
-	panic("panicProvider: boom")
+// panicEngine makes runCell's engine panic, until the test ends, on every
+// cell seeded panicSeed — a stand-in for any bug deep inside one design
+// point's simulation. Other cells run normally.
+func panicEngine(t *testing.T) {
+	t.Helper()
+	t.Cleanup(func() { runEngine = core.RunContext })
+	runEngine = func(ctx context.Context, opts core.Options) (core.Report, error) {
+		if opts.Seed == panicSeed {
+			panic("panicEngine: boom")
+		}
+		return core.RunContext(ctx, opts)
+	}
 }
 
-// panicOptions returns a completed cell that panics inside the engine.
+// panicOptions returns a completed cell that panicEngine makes panic.
 func panicOptions(x *Context) core.Options {
-	return x.complete(core.Options{Model: x.Cfg.model(dlrm.RM2Small()), Trace: panicProvider{}})
+	return x.complete(core.Options{Model: x.Cfg.model(dlrm.RM2Small()), Seed: panicSeed})
 }
 
 // registerTemp registers an experiment for one test and removes it on
@@ -36,6 +46,7 @@ func registerTemp(t *testing.T, e Experiment) {
 // *CellError carrying the cell's options, the panic value, and the stack —
 // not as a process crash.
 func TestRunCellPanicCaptured(t *testing.T) {
+	panicEngine(t)
 	x := tinyContext()
 	_, err := x.Run(panicOptions(x))
 	var ce *CellError
@@ -45,10 +56,10 @@ func TestRunCellPanicCaptured(t *testing.T) {
 	if ce.CellIndex != -1 {
 		t.Errorf("CellIndex = %d, want -1 before attribution", ce.CellIndex)
 	}
-	if ce.Options.Trace == nil {
+	if ce.Options.Seed != panicSeed {
 		t.Error("CellError lost the failing cell's options")
 	}
-	if len(ce.Stack) == 0 || !strings.Contains(string(ce.Stack), "panicProvider") {
+	if len(ce.Stack) == 0 || !strings.Contains(string(ce.Stack), "panicEngine") {
 		t.Error("CellError stack does not reach the panic site")
 	}
 	if s, ok := ce.Panic.(string); !ok || !strings.Contains(s, "boom") {
@@ -61,6 +72,7 @@ func TestRunCellPanicCaptured(t *testing.T) {
 // without mutating the memoized original (two batches sharing the failed
 // memo cell each see their own index).
 func TestRunManyAttributesCellIndex(t *testing.T) {
+	panicEngine(t)
 	for _, workers := range []int{1, 4} {
 		x := tinyContext().WithParallelism(context.Background(), workers)
 		good := x.complete(core.Options{Model: x.Cfg.model(dlrm.RM2Small()), Hotness: trace.LowHot, Cores: 2})
@@ -82,11 +94,13 @@ func TestRunManyAttributesCellIndex(t *testing.T) {
 	}
 }
 
-// TestRunAllKeepGoingIsolatesFailure: one deliberately panicking experiment
-// does not stop the sweep — every other table completes, the failure comes
-// back as a structured *CellError with the experiment attributed, and the
-// plain RunAll path still fails fast on the same registry.
-func TestRunAllKeepGoingIsolatesFailure(t *testing.T) {
+// TestRunAllIsolatesFailure: failing experiments do not stop the sweep.
+// At any worker count every other table completes, byte-identical to a
+// sweep without the failures, and the error names every failed
+// experiment in ids order, carrying the panicking cell's *CellError with
+// the experiment attributed and the stack that FormatFailures prints.
+func TestRunAllIsolatesFailure(t *testing.T) {
+	panicEngine(t)
 	registerTemp(t, Experiment{
 		ID:    "zz-panic",
 		Title: "deliberately panicking cell (test only)",
@@ -95,33 +109,46 @@ func TestRunAllKeepGoingIsolatesFailure(t *testing.T) {
 			return nil, err
 		},
 	})
-	ids := []string{"fig1", "zz-panic", "fig10b"}
+	registerTemp(t, Experiment{
+		ID:    "zz-body-panic",
+		Title: "deliberately panicking body (test only)",
+		Run:   func(x *Context) (*Table, error) { panic("body boom") },
+	})
+	clean, err := RunAll(context.Background(), tinyContext(), []string{"fig1", "fig10b"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := renderAll(t, clean)
+	ids := []string{"fig1", "zz-panic", "fig10b", "zz-body-panic"}
 	for _, workers := range []int{1, 4} {
-		tables, failures, err := RunAllKeepGoing(context.Background(), tinyContext(), ids, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: pre-flight error: %v", workers, err)
+		tables, err := RunAll(context.Background(), tinyContext(), ids, workers)
+		if tables == nil || tables[1] != nil || tables[3] != nil {
+			t.Fatalf("workers=%d: tables = %v, want nil only at indexes 1 and 3", workers, tables)
 		}
-		if len(failures) != 1 || failures[0].ID != "zz-panic" {
-			t.Fatalf("workers=%d: failures = %+v, want exactly zz-panic", workers, failures)
+		if tables[0] == nil || tables[2] == nil {
+			t.Fatalf("workers=%d: a healthy experiment lost its table", workers)
+		}
+		if got := renderAll(t, []*Table{tables[0], tables[2]}); !bytes.Equal(got, want) {
+			t.Errorf("workers=%d: healthy tables differ from a sweep without failures", workers)
+		}
+		if err == nil {
+			t.Fatalf("workers=%d: no error for two failed experiments", workers)
+		}
+		msg := err.Error()
+		if i, j := strings.Index(msg, "zz-panic"), strings.Index(msg, "zz-body-panic"); i < 0 || j < i {
+			t.Errorf("workers=%d: error does not name both failures in ids order:\n%s", workers, msg)
 		}
 		var ce *CellError
-		if !errors.As(failures[0].Err, &ce) {
-			t.Fatalf("workers=%d: failure err = %v, want *CellError", workers, failures[0].Err)
+		if !errors.As(err, &ce) {
+			t.Fatalf("workers=%d: err = %v, want a *CellError in the chain", workers, err)
 		}
-		if ce.ExpID != "zz-panic" {
-			t.Errorf("workers=%d: ExpID = %q, want zz-panic", workers, ce.ExpID)
+		if ce.ExpID != "zz-panic" || ce.Options.Seed != panicSeed {
+			t.Errorf("workers=%d: first CellError = %+v, want zz-panic's cell", workers, ce)
 		}
-		if tables[0] == nil || tables[2] == nil || tables[1] != nil {
-			t.Errorf("workers=%d: tables = [%v %v %v], want only index 1 nil",
-				workers, tables[0] != nil, tables[1] != nil, tables[2] != nil)
-		}
-		report := FormatFailures(failures)
-		if !strings.Contains(report, "zz-panic") || !strings.Contains(report, "panicProvider") {
-			t.Errorf("workers=%d: FormatFailures output missing ID or stack:\n%s", workers, report)
-		}
-
-		if _, err := RunAll(context.Background(), tinyContext(), ids, workers); err == nil {
-			t.Errorf("workers=%d: RunAll completed over a panicking experiment", workers)
+		report := FormatFailures(err)
+		if !strings.HasPrefix(report, "2 experiment(s) failed:") ||
+			!strings.Contains(report, "panicEngine") || !strings.Contains(report, "body boom") {
+			t.Errorf("workers=%d: FormatFailures output missing a failure or its stack:\n%s", workers, report)
 		}
 	}
 }

@@ -13,8 +13,7 @@ package exp
 //   - Keys are content-addressed: the key is a SHA-256 over a canonical
 //     JSON encoding of the cell's fully-completed core.Options (plus a
 //     format version), so a cell is reused only for byte-identical
-//     configuration. Cells driven by an in-memory trace (Options.Trace
-//     != nil) have no canonical encoding and are never checkpointed.
+//     configuration.
 //   - Writes are atomic and durable: entries land via temp file + fsync +
 //     rename, and an append-only MANIFEST line is fsync'd per entry, so a
 //     crash mid-write can leave a garbage temp file but never a torn
@@ -45,7 +44,7 @@ import (
 // checkpointVersion tags the on-disk entry format and the canonical key
 // derivation. Bump it when either changes; stale entries then read as
 // misses instead of being misinterpreted.
-const checkpointVersion = 2
+const checkpointVersion = 3
 
 // manifestName is the append-only audit log of committed entries.
 const manifestName = "MANIFEST"
@@ -133,41 +132,23 @@ type cellEntry struct {
 	Report  json.RawMessage `json:"report"`
 }
 
-// canonicalCell canonicalizes a cell for hashing. Options.Trace is an
-// interface with no stable encoding, so traced cells are uncacheable;
-// callers check that before building one.
+// canonicalCell is what a cell's key encodes: the format version and
+// the completed options.
 type canonicalCell struct {
 	Version int          `json:"version"`
 	Options core.Options `json:"options"`
 }
 
-// canonicalOptions returns the canonical key bytes for a cell, or ok=false
-// for cells that cannot be content-addressed (external trace attached).
-// The encoding is JSON of the completed Options: struct fields marshal in
-// declaration order and maps inside (there are none) would be sorted, so
-// equal options always produce equal bytes.
-func canonicalOptions(opts core.Options) ([]byte, bool) {
-	if opts.Trace != nil {
-		return nil, false
-	}
+// canonicalOptions returns the canonical key bytes for a cell: JSON of
+// the completed Options. Struct fields marshal in declaration order and
+// Options holds no maps, so equal options always produce equal bytes.
+// Only a non-finite float field fails to encode.
+func canonicalOptions(opts core.Options) ([]byte, error) {
 	buf, err := json.Marshal(canonicalCell{Version: checkpointVersion, Options: opts})
 	if err != nil {
-		// Options is plain data; this cannot fail for real configs.
-		return nil, false
+		return nil, fmt.Errorf("exp: cell %s has no key: %w", cellLabel(opts), err)
 	}
-	return buf, true
-}
-
-// CellHash returns the content address of a cell (the entry's file stem),
-// or ok=false for uncacheable cells. Exported for tests and tooling that
-// want to locate or corrupt a specific entry.
-func CellHash(opts core.Options) (string, bool) {
-	key, ok := canonicalOptions(opts)
-	if !ok {
-		return "", false
-	}
-	sum := sha256.Sum256(key)
-	return hex.EncodeToString(sum[:]), true
+	return buf, nil
 }
 
 func (c *Checkpoint) entryPath(hash string) string {
@@ -181,12 +162,11 @@ func (c *Checkpoint) Get(opts core.Options) (core.Report, bool) {
 	if c.writeOnly {
 		return core.Report{}, false
 	}
-	key, cacheable := canonicalOptions(opts)
-	if !cacheable {
-		return core.Report{}, false
+	key, err := canonicalOptions(opts)
+	var buf []byte
+	if err == nil {
+		buf, err = os.ReadFile(c.entryPath(checksum(key)))
 	}
-	sum := sha256.Sum256(key)
-	buf, err := os.ReadFile(c.entryPath(hex.EncodeToString(sum[:])))
 	if err != nil {
 		c.count(func(s *CheckpointStats) { s.Misses++ })
 		return core.Report{}, false
@@ -211,11 +191,11 @@ func (c *Checkpoint) Get(opts core.Options) (core.Report, bool) {
 // Put commits a completed cell. It is best-effort: a failed write is
 // counted but does not fail the sweep (the cell simply won't resume).
 func (c *Checkpoint) Put(opts core.Options, rep core.Report) {
-	key, cacheable := canonicalOptions(opts)
-	if !cacheable {
-		return
+	key, err := canonicalOptions(opts)
+	if err == nil {
+		err = c.put(key, opts, rep)
 	}
-	if err := c.put(key, opts, rep); err != nil {
+	if err != nil {
 		c.count(func(s *CheckpointStats) { s.WriteErrors++ })
 		return
 	}
@@ -236,8 +216,7 @@ func (c *Checkpoint) put(key []byte, opts core.Options, rep core.Report) error {
 	if err != nil {
 		return err
 	}
-	sum := sha256.Sum256(key)
-	hash := hex.EncodeToString(sum[:])
+	hash := checksum(key)
 	tmp, err := os.CreateTemp(c.dir, ".tmp-cell-*")
 	if err != nil {
 		return err
@@ -276,6 +255,8 @@ func (c *Checkpoint) count(f func(*CheckpointStats)) {
 	c.mu.Unlock()
 }
 
+// checksum is the hex SHA-256 of b: applied to a cell's key it is the
+// entry's file stem, applied to a report payload the entry's Sum.
 func checksum(b []byte) string {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])

@@ -3,15 +3,18 @@ package exp
 import (
 	"bytes"
 	"context"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"dlrmsim/internal/cluster"
 	"dlrmsim/internal/core"
 	"dlrmsim/internal/dlrm"
+	"dlrmsim/internal/platform"
 	"dlrmsim/internal/trace"
 )
 
@@ -66,10 +69,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, rep) {
 		t.Errorf("report did not round-trip:\nput %+v\ngot %+v", rep, got)
 	}
-	hash, ok := CellHash(opts)
-	if !ok {
-		t.Fatal("CellHash not ok for a plain cell")
+	key, err := canonicalOptions(opts)
+	if err != nil {
+		t.Fatal(err)
 	}
+	hash := checksum(key)
 	if _, err := os.Stat(filepath.Join(dir, hash+".cell")); err != nil {
 		t.Errorf("entry file missing: %v", err)
 	}
@@ -208,7 +212,11 @@ func TestCheckpointCorruptEntryRecomputed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hash, _ := CellHash(opts)
+	key, err := canonicalOptions(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash := checksum(key)
 	path := filepath.Join(dir, hash+".cell")
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -237,21 +245,24 @@ func TestCheckpointCorruptEntryRecomputed(t *testing.T) {
 	}
 }
 
-// TestCheckpointUncacheableTrace: cells driven by an in-memory trace have
-// no canonical encoding and must never be stored or served.
-func TestCheckpointUncacheableTrace(t *testing.T) {
-	x := tinyContext()
-	opts := x.complete(core.Options{Model: x.Cfg.model(dlrm.RM2Small()), Trace: panicProvider{}})
-	if _, ok := CellHash(opts); ok {
-		t.Error("CellHash content-addressed a traced cell")
-	}
+// TestCellWithoutKeyFails: a cell whose options do not encode (a NaN
+// float) fails with an error instead of panicking, and the store
+// neither serves nor commits it.
+func TestCellWithoutKeyFails(t *testing.T) {
 	cp := openTestCheckpoint(t, t.TempDir())
-	cp.Put(opts, core.Report{})
-	if s := cp.Stats(); s.Writes != 0 {
-		t.Errorf("traced cell was committed: %+v", s)
+	x := tinyContext().WithCheckpoint(cp)
+	cpu := platform.CascadeLake()
+	cpu.FrequencyGHz = math.NaN()
+	opts := x.complete(core.Options{Model: x.Cfg.model(dlrm.RM2Small()), CPU: cpu, Cores: 2})
+	if _, err := x.Run(opts); err == nil || !strings.Contains(err.Error(), "has no key") {
+		t.Errorf("Run err = %v, want the missing key", err)
 	}
+	cp.Put(opts, core.Report{})
 	if _, ok := cp.Get(opts); ok {
-		t.Error("Get served a traced cell")
+		t.Error("Get served a cell without a key")
+	}
+	if s := cp.Stats(); s.Writes != 0 || s.WriteErrors != 1 {
+		t.Errorf("stats = %+v, want the commit counted as a write error", s)
 	}
 }
 

@@ -176,18 +176,15 @@ func cellLabel(opts core.Options) string {
 // Run executes (or recalls) one engine design point. The memo is keyed
 // on the cell's canonical encoding (canonicalOptions), the same bytes
 // the checkpoint hashes, so two cells share a report only when every
-// option is equal; a cell driven by an in-memory trace has no such
-// encoding and runs unmemoized. With a checkpoint armed, a cell already
-// in the store is returned without simulating, and a freshly simulated
-// cell is committed before Run returns; a panic inside the engine is
-// captured as a *CellError rather than propagated.
+// option is equal. With a checkpoint armed, a cell already in the store
+// is returned without simulating, and a freshly simulated cell is
+// committed before Run returns; a panic inside the engine is captured
+// as a *CellError rather than propagated.
 func (x *Context) Run(opts core.Options) (core.Report, error) {
 	opts = x.complete(opts)
-	key, ok := canonicalOptions(opts)
-	if !ok {
-		release := x.acquire()
-		defer release()
-		return runCell(x.ctx, opts)
+	key, err := canonicalOptions(opts)
+	if err != nil {
+		return core.Report{}, err
 	}
 	x.mu.Lock()
 	cell, ok := x.memo[string(key)]

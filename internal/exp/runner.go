@@ -18,6 +18,7 @@ package exp
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -97,80 +98,48 @@ func (x *Context) RunMany(cells []core.Options) ([]core.Report, error) {
 // returns their tables index-aligned with ids. workers <= 0 uses
 // GOMAXPROCS; workers == 1 runs the experiments strictly sequentially on
 // the calling goroutine — the pre-runner path. Unknown IDs fail before
-// anything runs. The first failing cell cancels every in-flight and
-// queued cell of the sweep, and the lowest-index error is returned; a
-// panic inside any cell or experiment body surfaces as a *CellError in
-// the chain rather than crashing the process.
+// anything runs. Otherwise every experiment runs to completion: a failed
+// one leaves nil at its index, and the error joins one error per failed
+// experiment, in ids order, each prefixed with its ID. A panic inside any
+// cell or experiment body surfaces as a *CellError, stack included, in
+// its experiment's chain rather than crashing the process. Cancelling ctx
+// aborts the sweep: the experiments still running fail with ctx.Err().
 func RunAll(ctx context.Context, x *Context, ids []string, workers int) ([]*Table, error) {
-	tables, failures, err := runExperiments(ctx, x, ids, workers, false)
-	if err != nil {
-		return nil, err
-	}
-	if len(failures) > 0 {
-		f := failures[0]
-		return nil, fmt.Errorf("%s: %w", f.ID, f.Err)
-	}
-	return tables, nil
-}
-
-// RunAllKeepGoing is RunAll in fault-isolation mode: a failing or
-// panicking experiment no longer cancels the sweep. Every experiment runs
-// to completion (or failure), tables holds nil at failed indexes, and the
-// failures — in ids order, each carrying the typed *CellError when the
-// cause was a panic — are returned for structured reporting. err is
-// non-nil only for pre-flight problems (unknown IDs), so callers decide
-// the exit code from len(failures).
-func RunAllKeepGoing(ctx context.Context, x *Context, ids []string, workers int) (tables []*Table, failures []Failure, err error) {
-	return runExperiments(ctx, x, ids, workers, true)
-}
-
-// runExperiments is the shared sweep loop. In keepGoing mode errors are
-// collected instead of cancelling the run.
-func runExperiments(ctx context.Context, x *Context, ids []string, workers int, keepGoing bool) ([]*Table, []Failure, error) {
 	exps := make([]Experiment, len(ids))
 	for i, id := range ids {
 		e, err := Get(strings.TrimSpace(id))
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		exps[i] = e
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	x.WithParallelism(ctx, workers)
 	tables := make([]*Table, len(exps))
 	errs := make([]error, len(exps))
 	if workers == 1 {
-		x.WithParallelism(ctx, 1)
 		for i, e := range exps {
 			tables[i], errs[i] = safeRun(e, x)
-			if errs[i] != nil && !keepGoing {
-				break
-			}
 		}
 	} else {
-		ctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		x.WithParallelism(ctx, workers)
 		var wg sync.WaitGroup
 		for i, e := range exps {
 			wg.Add(1)
 			go func(i int, e Experiment) {
 				defer wg.Done()
 				tables[i], errs[i] = safeRun(e, x)
-				if errs[i] != nil && !keepGoing {
-					cancel()
-				}
 			}(i, e)
 		}
 		wg.Wait()
 	}
-	var failures []Failure
+	var failed []error
 	for i, err := range errs {
 		if err != nil {
-			failures = append(failures, Failure{ID: exps[i].ID, Err: err})
+			failed = append(failed, fmt.Errorf("%s: %w", exps[i].ID, err))
 			tables[i] = nil
 		}
 	}
-	return tables, failures, nil
+	return tables, errors.Join(failed...)
 }

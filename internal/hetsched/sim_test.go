@@ -334,3 +334,47 @@ func TestNewMixUnknown(t *testing.T) {
 		}
 	}
 }
+
+// TestEFTPickAfterClampedEstimate: a queue that drains leaves float drift
+// in its running estimate (0.1 + 0.2 + 0.3 − 0.1 − 0.2 − 0.3 is 2⁻⁵³,
+// not 0), and startBatch clamps it to 0. Two identical idle devices are
+// then tied for the next phase and EFT keeps the lower index; without the
+// clamp device 0 would look later and the phase would go to device 1.
+func TestEFTPickAfterClampedEstimate(t *testing.T) {
+	defer func(old bool) { check.Enabled = old }(check.Enabled)
+	check.Enabled = false // observe the pick, not the invariant layer
+	dev := DeviceSpec{Class: CPUClass, Speed: [NumKinds]float64{Gather: 1, Interact: 1, MLP: 1}, SMTSibling: -1}
+	var phases []Phase
+	for _, us := range []float64{100, 200, 300, 100} {
+		phases = append(phases, Phase{Kind: Gather, WorkUs: us})
+	}
+	st, err := newSimState(Config{
+		Graph:         Graph{Phases: phases},
+		Devices:       []DeviceSpec{dev, dev},
+		Policy:        EFT,
+		MeanArrivalMs: 1,
+		Requests:      1,
+		Seed:          1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Queue phases 0–2 on device 0, then serve them one at a time.
+	st.busy[0] = true
+	for p := range int32(3) {
+		st.enqueue(0, p, 0)
+	}
+	if drift := st.pendEstMs[0] - 0.1 - 0.2 - 0.3; drift <= 0 {
+		t.Fatalf("the drained estimate would drift by %g; the test needs a positive drift", drift)
+	}
+	for range 3 {
+		st.busy[0] = false
+		st.startBatch(0, st.busyEnd[0], Gather)
+	}
+	// Device 0 completes; phase 3 becomes ready with both devices idle.
+	st.busy[0] = false
+	st.ready(3, st.busyEnd[0])
+	if !st.busy[0] || st.busy[1] {
+		t.Errorf("EFT sent the phase to device 1 (busy %v); the tie goes to device 0", st.busy)
+	}
+}

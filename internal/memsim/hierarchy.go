@@ -9,11 +9,14 @@ type MemParams struct {
 	L2   CacheConfig
 	L3   CacheConfig // shared; size is the whole LLC
 	DRAM DRAMConfig
-
-	// L1PrefetchDegree and L2PrefetchDegree set engine aggressiveness.
-	L1PrefetchDegree int
-	L2PrefetchDegree int
 }
+
+// The hardware prefetchers' degrees: lines the L1 next-line engine and
+// the L2 stride engine fetch per trigger.
+const (
+	l1PrefetchDegree = 1
+	l2PrefetchDegree = 2
+)
 
 // Shared is the portion of the memory system common to all cores on a
 // socket: the last-level cache and the DRAM behind it. On a 2-socket node
@@ -140,19 +143,12 @@ func (s HierStats) AvgLoadLatency() float64 {
 
 // NewHierarchy builds the private levels for one core in front of shared.
 func NewHierarchy(p MemParams, shared *Shared) *Hierarchy {
-	l1deg, l2deg := p.L1PrefetchDegree, p.L2PrefetchDegree
-	if l1deg < 1 {
-		l1deg = 1
-	}
-	if l2deg < 1 {
-		l2deg = 2
-	}
 	return &Hierarchy{
 		L1:     NewCache(p.L1),
 		L2:     NewCache(p.L2),
 		shared: shared,
-		l1pf:   NewNextLinePrefetcher(l1deg),
-		l2pf:   NewStridePrefetcher(l2deg, 32),
+		l1pf:   NewNextLinePrefetcher(l1PrefetchDegree),
+		l2pf:   NewStridePrefetcher(l2PrefetchDegree, 32),
 	}
 }
 

@@ -149,15 +149,11 @@ type refHierarchy struct {
 }
 
 func newRefHierarchy(p MemParams) *refHierarchy {
-	l1deg, l2deg := max(p.L1PrefetchDegree, 1), p.L2PrefetchDegree
-	if l2deg < 1 {
-		l2deg = 2
-	}
 	return &refHierarchy{
 		l1: newRefCache(p.L1), l2: newRefCache(p.L2), l3: newRefCache(p.L3),
 		mem:        NewShared(p),
-		l1pf:       NewNextLinePrefetcher(l1deg),
-		l2pf:       NewStridePrefetcher(l2deg, 32),
+		l1pf:       NewNextLinePrefetcher(l1PrefetchDegree),
+		l2pf:       NewStridePrefetcher(l2PrefetchDegree, 32),
 		hwPrefetch: true,
 	}
 }
@@ -362,11 +358,10 @@ func (o *oraclePair) compare(c *Cache, ref *refCache) {
 // L2 4 × 4, L3 4 × 11 (an odd associativity, like the real LLC).
 func oracleParams() MemParams {
 	return MemParams{
-		L1:               CacheConfig{Name: "L1D", SizeBytes: 2 * 2 * LineSize, Ways: 2, LatencyCyc: 5},
-		L2:               CacheConfig{Name: "L2", SizeBytes: 4 * 4 * LineSize, Ways: 4, LatencyCyc: 14},
-		L3:               CacheConfig{Name: "L3", SizeBytes: 4 * 11 * LineSize, Ways: 11, LatencyCyc: 50},
-		DRAM:             DRAMConfig{BaseLatencyCyc: 220, PeakBandwidthBytesPerCyc: 58, QueueSensitivity: 1},
-		L1PrefetchDegree: 2,
+		L1:   CacheConfig{Name: "L1D", SizeBytes: 2 * 2 * LineSize, Ways: 2, LatencyCyc: 5},
+		L2:   CacheConfig{Name: "L2", SizeBytes: 4 * 4 * LineSize, Ways: 4, LatencyCyc: 14},
+		L3:   CacheConfig{Name: "L3", SizeBytes: 4 * 11 * LineSize, Ways: 11, LatencyCyc: 50},
+		DRAM: DRAMConfig{BaseLatencyCyc: 220, PeakBandwidthBytesPerCyc: 58, QueueSensitivity: 1},
 	}
 }
 
@@ -402,7 +397,6 @@ func TestFillAfterStaleProbe(t *testing.T) {
 	check.Enabled = true
 	p := oracleParams()
 	p.L1 = CacheConfig{Name: "L1D", SizeBytes: 2 * LineSize, Ways: 2, LatencyCyc: 5} // one set
-	p.L1PrefetchDegree = 1
 	o := newOraclePair(t, p)
 	const x = Addr(0x40000)
 	next, other := x+LineSize, x+8*LineSize

@@ -68,9 +68,5 @@ func (p MemParams) Validate() error {
 	if err := p.DRAM.Validate(); err != nil {
 		errs = append(errs, err)
 	}
-	if p.L1PrefetchDegree < 0 || p.L2PrefetchDegree < 0 {
-		errs = append(errs, fmt.Errorf("memsim: negative prefetch degree (L1 %d, L2 %d)",
-			p.L1PrefetchDegree, p.L2PrefetchDegree))
-	}
 	return errors.Join(errs...)
 }

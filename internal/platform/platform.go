@@ -73,11 +73,6 @@ func (c CPU) CyclesToMs(cycles float64) float64 {
 	return cycles / (c.FrequencyGHz * 1e9) * 1e3
 }
 
-// MsToCycles converts milliseconds to cycles on this part.
-func (c CPU) MsToCycles(ms float64) float64 {
-	return ms / 1e3 * c.FrequencyGHz * 1e9
-}
-
 // bw converts GB/s to bytes per core cycle at the given frequency.
 func bw(gbs, ghz float64) float64 { return gbs * 1e9 / (ghz * 1e9) }
 

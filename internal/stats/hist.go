@@ -192,21 +192,3 @@ func Mean(samples []float64) float64 {
 	}
 	return sum / float64(len(samples))
 }
-
-// GeoMean returns the geometric mean of positive samples; zero or negative
-// entries are skipped. Speedup summaries across benchmarks conventionally
-// use the geometric mean.
-func GeoMean(samples []float64) float64 {
-	var logSum float64
-	n := 0
-	for _, v := range samples {
-		if v > 0 {
-			logSum += math.Log(v)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(logSum / float64(n))
-}

@@ -94,15 +94,9 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestMeanAndGeoMean(t *testing.T) {
+func TestMean(t *testing.T) {
 	if got := Mean([]float64{2, 4, 6}); got != 4 {
 		t.Fatalf("mean = %g", got)
-	}
-	if got := GeoMean([]float64{1, 4}); math.Abs(got-2) > 1e-9 {
-		t.Fatalf("geomean = %g", got)
-	}
-	if got := GeoMean([]float64{0, -3}); got != 0 {
-		t.Fatalf("geomean of nonpositives = %g", got)
 	}
 	if got := Mean(nil); got != 0 {
 		t.Fatalf("mean of empty = %g", got)

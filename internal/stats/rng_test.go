@@ -117,18 +117,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(23)
-	p := r.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("invalid permutation element %d", v)
-		}
-		seen[v] = true
-	}
-}
-
 func TestShufflePreservesMultiset(t *testing.T) {
 	r := NewRNG(29)
 	s := []int{1, 2, 3, 4, 5, 6, 7, 8}

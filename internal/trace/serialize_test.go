@@ -78,7 +78,7 @@ func TestReadRejectsInvalidConfig(t *testing.T) {
 	}
 }
 
-func TestStoredTraceIsBatchProviderShaped(t *testing.T) {
+func TestStoredTraceBatchShape(t *testing.T) {
 	cfg := smallConfig(HighHot)
 	cfg.Tables = 2
 	cfg.Batches = 2

@@ -8,7 +8,7 @@ package traffic
 // show), otherwise a fresh user is drawn uniformly from the population.
 //
 // Revisits are what make the population matter to the serving tier: every
-// user owns a small personal profile of embedding rows (ProfileSize
+// user owns a small personal profile of embedding rows (profileSize
 // stateless Zipf draws per table, so the *marginal* row distribution of
 // the whole stream keeps the trace tier's hotness class), and a fraction
 // Affinity of the user's lookups come from that profile. A revisiting
@@ -30,10 +30,11 @@ import (
 	"dlrmsim/internal/stats"
 )
 
-// population defaults.
+// recentWindow bounds the recency ring revisits draw from; profileSize
+// is each user's personal rank count per table.
 const (
-	defaultRecentWindow = 512
-	defaultProfileSize  = 16
+	recentWindow = 512
+	profileSize  = 16
 )
 
 // saltProfile derives per-user profile streams.
@@ -46,12 +47,6 @@ type Population struct {
 	// RevisitProb is the probability an arrival revisits a recently
 	// active user instead of drawing a fresh one, in [0, 1].
 	RevisitProb float64
-	// RecentWindow bounds the recency ring revisits draw from (0 means
-	// the 512-entry default).
-	RecentWindow int
-	// ProfileSize is each user's personal rank count per table (0 means
-	// the 16-slot default).
-	ProfileSize int
 	// Affinity is the probability one lookup draws from the user's
 	// profile instead of the global hotness distribution, in [0, 1].
 	Affinity float64
@@ -68,27 +63,10 @@ func (p Population) Validate() error {
 	if !(p.RevisitProb >= 0 && p.RevisitProb <= 1) { // NaN fails too
 		errs = append(errs, fmt.Errorf("traffic: revisit probability %g outside [0,1]", p.RevisitProb))
 	}
-	if p.RecentWindow < 0 {
-		errs = append(errs, fmt.Errorf("traffic: negative recency window %d", p.RecentWindow))
-	}
-	if p.ProfileSize < 0 {
-		errs = append(errs, fmt.Errorf("traffic: negative profile size %d", p.ProfileSize))
-	}
 	if !(p.Affinity >= 0 && p.Affinity <= 1) {
 		errs = append(errs, fmt.Errorf("traffic: profile affinity %g outside [0,1]", p.Affinity))
 	}
 	return errors.Join(errs...)
-}
-
-// withDefaults fills the zero-means-default fields.
-func (p Population) withDefaults() Population {
-	if p.RecentWindow == 0 {
-		p.RecentWindow = defaultRecentWindow
-	}
-	if p.ProfileSize == 0 {
-		p.ProfileSize = defaultProfileSize
-	}
-	return p
 }
 
 // Visitors attributes an arrival sequence to users. Not safe for
@@ -96,7 +74,7 @@ func (p Population) withDefaults() Population {
 type Visitors struct {
 	pop    Population
 	rng    stats.RNG
-	ring   []uint64 // last RecentWindow arrivals' users (with repeats)
+	ring   []uint64 // last recentWindow arrivals' users (with repeats)
 	next   int      // ring write cursor
 	filled int      // entries populated so far
 	visits map[uint64]int
@@ -107,11 +85,10 @@ func NewVisitors(pop Population) (*Visitors, error) {
 	if err := pop.Validate(); err != nil {
 		return nil, err
 	}
-	pop = pop.withDefaults()
 	return &Visitors{
 		pop:    pop,
 		rng:    stats.SeededRNG(stats.SplitSeed(pop.Seed^0x0517E5, 0)),
-		ring:   make([]uint64, pop.RecentWindow),
+		ring:   make([]uint64, recentWindow),
 		visits: map[uint64]int{},
 	}, nil
 }
@@ -135,8 +112,8 @@ func (v *Visitors) Next() (user uint64, visit int) {
 	return user, v.visits[user]
 }
 
-// ProfileSize returns the effective (default-filled) profile size.
-func (v *Visitors) ProfileSize() int { return v.pop.ProfileSize }
+// ProfileSize returns each user's profile rank count per table.
+func (v *Visitors) ProfileSize() int { return profileSize }
 
 // Affinity returns the configured profile affinity.
 func (v *Visitors) Affinity() float64 { return v.pop.Affinity }
@@ -153,18 +130,16 @@ func (p Population) ProfileStream(user uint64, table, slot int) stats.RNG {
 // UserProfile is one user's profile streams with the per-user key
 // derived once, for callers that draw many profile lookups per arrival.
 type UserProfile struct {
-	key  uint64
-	size int
+	key uint64
 }
 
 // Profile returns user's profile; its Stream(table, slot) equals
 // ProfileStream(user, table, slot).
 func (p Population) Profile(user uint64) UserProfile {
-	p = p.withDefaults()
-	return UserProfile{key: stats.SplitSeed(p.Seed^saltProfile, user), size: p.ProfileSize}
+	return UserProfile{key: stats.SplitSeed(p.Seed^saltProfile, user)}
 }
 
 // Stream returns the generator of the profile slot (table, slot).
 func (u UserProfile) Stream(table, slot int) stats.RNG {
-	return stats.SeededRNG(stats.SplitSeed(u.key, uint64(table*u.size+slot)))
+	return stats.SeededRNG(stats.SplitSeed(u.key, uint64(table*profileSize+slot)))
 }

@@ -93,28 +93,28 @@ func TestProfileStreamPure(t *testing.T) {
 		}
 	}
 	// A UserProfile derives the per-user key once; its streams are
-	// ProfileStream's, with the default profile size and an explicit one.
-	for _, p := range []Population{pop, {Users: 100, ProfileSize: 3, Seed: 9}} {
+	// ProfileStream's, at two seeds.
+	for _, p := range []Population{pop, {Users: 100, Seed: 9}} {
 		prof := p.Profile(42)
 		for table := 0; table < 3; table++ {
 			for slot := 0; slot < 5; slot++ {
 				if a, b := first(prof.Stream(table, slot)), first(p.ProfileStream(42, table, slot)); a != b {
-					t.Fatalf("profile size %d: Profile(42).Stream(%d, %d) drew %d, ProfileStream %d", p.ProfileSize, table, slot, a, b)
+					t.Fatalf("seed %d: Profile(42).Stream(%d, %d) drew %d, ProfileStream %d", p.Seed, table, slot, a, b)
 				}
 			}
 		}
 	}
 }
 
-// TestPopulationValidate: all violations in one report; the zero-means-
-// default fields pass through Validate untouched.
+// TestPopulationValidate: all violations in one report; a valid
+// population's Visitors keep the fixed recency window and profile size.
 func TestPopulationValidate(t *testing.T) {
-	bad := Population{Users: 0, RevisitProb: -1, RecentWindow: -2, ProfileSize: -3, Affinity: 2}
+	bad := Population{Users: 0, RevisitProb: -1, Affinity: 2}
 	err := bad.Validate()
 	if err == nil {
-		t.Fatal("accepted a population with five violations")
+		t.Fatal("accepted a population with three violations")
 	}
-	for _, want := range []string{"users", "revisit probability", "recency window", "profile size", "affinity"} {
+	for _, want := range []string{"users", "revisit probability", "affinity"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error missing %q:\n%v", want, err)
 		}
@@ -123,14 +123,11 @@ func TestPopulationValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Errorf("minimal population rejected: %v", err)
 	}
-	if good.RecentWindow != 0 || good.ProfileSize != 0 {
-		t.Error("Validate mutated zero-means-default fields")
-	}
 	v, err := NewVisitors(good)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.ProfileSize() != defaultProfileSize || len(v.ring) != defaultRecentWindow {
-		t.Errorf("defaults not applied: profile %d ring %d", v.ProfileSize(), len(v.ring))
+	if v.ProfileSize() != profileSize || len(v.ring) != recentWindow {
+		t.Errorf("profile %d ring %d, want %d and %d", v.ProfileSize(), len(v.ring), profileSize, recentWindow)
 	}
 }
