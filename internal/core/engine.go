@@ -24,11 +24,11 @@ const (
 	StageInference = "inference"
 )
 
-// Options configures one engine run.
+// Options configures one engine run; Resolve fills its zero defaults.
 type Options struct {
 	// Model is the DLRM architecture (a Table 2 config, possibly Scaled).
 	Model dlrm.Config
-	// CPU is the platform (defaults to Cascade Lake when zero).
+	// CPU is the platform; Resolve fills a zero CPU with Cascade Lake.
 	CPU platform.CPU
 	// Hotness selects the input-trace class.
 	Hotness trace.Hotness
@@ -38,18 +38,18 @@ type Options struct {
 	BatchSize int
 	// Batches is the number of batches measured per core (default 1).
 	Batches int
-	// Cores is the number of cores per socket; 0 means all of CPU.Cores.
+	// Cores is cores per socket; Resolve fills 0 with all of CPU.Cores.
 	Cores int
-	// Sockets is the socket count, 1 or 2; 0 means 1. On two sockets
-	// memory is page-interleaved and a remote fill pays the interconnect
-	// (see cpusim.SystemParams.Sockets).
+	// Sockets is the socket count, 1 or 2; Resolve fills 0 with 1. On two
+	// sockets memory is page-interleaved and a remote fill pays the
+	// interconnect (see cpusim.SystemParams.Sockets).
 	Sockets int
 	// ActiveCores is how many cores get work, placed socket-major; the
 	// rest idle. 0 means Cores. Two sockets with ActiveCores ≤ Cores run
 	// on socket 0 against interleaved memory; more spread across both.
 	ActiveCores int
 	// Prefetch overrides the platform-tuned Algorithm 3 knobs for
-	// SWPF/Integrated runs. Zero means use CPU.TunedPFDist/TunedPFBlocks.
+	// SWPF/Integrated runs. Zero resolves to CPU.TunedPFDist/TunedPFBlocks.
 	Prefetch embedding.PrefetchConfig
 	// Seed drives parameter generation and the synthesized input trace
 	// (a trace.Dataset of Batches×ActiveCores batches, 2x for DP-HT).
@@ -60,33 +60,6 @@ type Options struct {
 	// EmbeddingOnly runs just the embedding stage (Figs. 12, Table 4).
 	// Valid for Baseline, NoHWPF, and SWPF.
 	EmbeddingOnly bool
-}
-
-// applyDefaults rejects what Validate rejects, then resolves the
-// zero-means-default fields in place.
-func (o *Options) applyDefaults() error {
-	if err := o.Validate(); err != nil {
-		return err
-	}
-	if o.CPU.Name == "" {
-		o.CPU = platform.CascadeLake()
-	}
-	if o.BatchSize == 0 {
-		o.BatchSize = 64
-	}
-	if o.Batches == 0 {
-		o.Batches = 1
-	}
-	if o.Cores == 0 {
-		o.Cores = o.CPU.Cores
-	}
-	if o.ActiveCores == 0 {
-		o.ActiveCores = o.Cores
-	}
-	if o.Scheme.UsesSWPrefetch() && !o.Prefetch.Enabled() {
-		o.Prefetch = embedding.PrefetchConfig{Dist: o.CPU.TunedPFDist, Blocks: o.CPU.TunedPFBlocks}
-	}
-	return nil
 }
 
 // Report is the engine's output for one (model, platform, dataset, scheme)
@@ -138,13 +111,13 @@ const batchRegion memsim.Addr = 1 << 28
 // allocations, while System.Run resets every piece of state it reads (the
 // shared LLC+DRAM at each fixed-point iteration, each worked core's
 // hierarchy, the core-local pools), so a reused System is observably
-// fresh. The key is what NewSystem allocates: the HW-PF gate is set per
-// run, and Sockets 0 and 1 share a key. A run takes the most recently
+// fresh. The key is what NewSystem allocates, read from the resolved
+// options: the HW-PF gate is set per run. A run takes the most recently
 // released System of its key; a release parks its System as the newest
 // and, once the list is full, evicts the oldest.
 //
 // maxIdleSystems caps the list. Replaying the acquire/release trace of a
-// bench-size render (Scale 40, Cores 4, 2 workers: 333 runs over 12 keys)
+// bench-size render (Scale 40, Cores 4, 2 workers; 333 runs, 12 keys)
 // against caps 4, 8 and 16 built 34, 28 and 26 Systems in a first render
 // and 34, 23 and 15 in a second, with at most 5, 9 and 17 alive at once:
 // 8 rebuilds a third fewer than 4 for about half of 16's peak.
@@ -204,7 +177,8 @@ func RunContext(ctx context.Context, opts Options) (Report, error) {
 	if err := ctx.Err(); err != nil {
 		return Report{}, err
 	}
-	if err := opts.applyDefaults(); err != nil {
+	opts, err := opts.Resolve()
+	if err != nil {
 		return Report{}, err
 	}
 	model, err := dlrm.New(opts.Model, opts.Seed)
@@ -237,7 +211,7 @@ func RunContext(ctx context.Context, opts Options) (Report, error) {
 		Core:                opts.CPU.Core,
 		Mem:                 opts.CPU.Mem,
 		Cores:               opts.Cores,
-		Sockets:             max(opts.Sockets, 1),
+		Sockets:             opts.Sockets,
 		BandwidthIterations: opts.BandwidthIterations,
 	}
 	sys := acquireSystem(sysKey)

@@ -171,8 +171,8 @@ func TestRunRejectsTooManyCores(t *testing.T) {
 }
 
 func TestDefaultPrefetchFromPlatform(t *testing.T) {
-	o := testOptions(SWPF, trace.LowHot)
-	if err := (&o).applyDefaults(); err != nil {
+	o, err := testOptions(SWPF, trace.LowHot).Resolve()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if o.Prefetch.Dist != o.CPU.TunedPFDist || o.Prefetch.Blocks != o.CPU.TunedPFBlocks {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -61,6 +62,28 @@ func TestValidateAcceptsZeroMeansDefault(t *testing.T) {
 	}
 }
 
+// TestResolveFillsEveryDefault: zero options resolve to the engine's
+// defaults (TestDefaultPrefetchFromPlatform covers the SW-PF knobs),
+// resolving again changes nothing (the engine re-resolves what
+// exp already resolved), and Resolve rejects what Validate rejects.
+func TestResolveFillsEveryDefault(t *testing.T) {
+	o, err := Options{Model: dlrm.RM2Small()}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	csl := platform.CascadeLake()
+	if !reflect.DeepEqual(o.CPU, csl) || o.BatchSize != 64 || o.Batches != 1 ||
+		o.Cores != csl.Cores || o.Sockets != 1 || o.ActiveCores != csl.Cores {
+		t.Errorf("resolved = %+v", o)
+	}
+	if again, err := o.Resolve(); err != nil || !reflect.DeepEqual(again, o) {
+		t.Errorf("resolving twice changed the options (err %v)", err)
+	}
+	if _, err := (Options{Model: dlrm.RM2Small(), Sockets: 3}).Resolve(); err == nil {
+		t.Error("Resolve accepted what Validate rejects")
+	}
+}
+
 func TestValidateEmbeddingOnlySMT(t *testing.T) {
 	opts := Options{Model: dlrm.RM2Small(), Scheme: MPHT, EmbeddingOnly: true}
 	if err := opts.Validate(); err == nil {
@@ -69,7 +92,7 @@ func TestValidateEmbeddingOnlySMT(t *testing.T) {
 }
 
 // TestRunRejectsNegativeGeometry is the flag-audit regression: negative
-// batch geometry used to slip through applyDefaults (only == 0 was
+// batch geometry used to slip through the default pass (only == 0 was
 // checked) and surfaced as empty work lists and NaN throughput downstream.
 // Run rejects each field with its own Validate message.
 func TestRunRejectsNegativeGeometry(t *testing.T) {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -70,11 +72,14 @@ func TestRunCellPanicCaptured(t *testing.T) {
 // TestRunManyAttributesCellIndex: a failing cell fails RunMany's batch,
 // sequential or pooled, and RunMany stamps the failing cell's index
 // without mutating the memoized original (two batches sharing the failed
-// memo cell each see their own index).
+// memo cell each see their own index). Both cells leave the CPU zero, so
+// the error message and the good cell's MANIFEST line name the platform
+// the cell resolved to.
 func TestRunManyAttributesCellIndex(t *testing.T) {
 	panicEngine(t)
 	for _, workers := range []int{1, 4} {
-		x := tinyContext().WithParallelism(context.Background(), workers)
+		dir := t.TempDir()
+		x := tinyContext().WithParallelism(context.Background(), workers).WithCheckpoint(openTestCheckpoint(t, dir))
 		good := x.complete(core.Options{Model: x.Cfg.model(dlrm.RM2Small()), Hotness: trace.LowHot, Cores: 2})
 		_, err := x.RunMany([]core.Options{good, panicOptions(x)})
 		var ce *CellError
@@ -83,6 +88,12 @@ func TestRunManyAttributesCellIndex(t *testing.T) {
 		}
 		if ce.CellIndex != 1 {
 			t.Errorf("workers=%d: CellIndex = %d, want 1", workers, ce.CellIndex)
+		}
+		if !strings.Contains(ce.Error(), "|CSL|") {
+			t.Errorf("workers=%d: error does not name the resolved CPU: %v", workers, ce)
+		}
+		if manifest, err := os.ReadFile(filepath.Join(dir, manifestName)); err != nil || !strings.Contains(string(manifest), "|CSL|") {
+			t.Errorf("workers=%d: MANIFEST does not name the resolved CPU (err %v):\n%s", workers, err, manifest)
 		}
 		_, err = x.RunMany([]core.Options{panicOptions(x)})
 		if !errors.As(err, &ce) {

@@ -11,9 +11,8 @@ package exp
 // Correctness rests on three properties:
 //
 //   - Keys are content-addressed: the key is a SHA-256 over a canonical
-//     JSON encoding of the cell's fully-completed core.Options (plus a
-//     format version), so a cell is reused only for byte-identical
-//     configuration.
+//     JSON encoding of the cell's resolved core.Options (plus a format
+//     version), so a cell is reused only for byte-identical configuration.
 //   - Writes are atomic and durable: entries land via temp file + fsync +
 //     rename, and an append-only MANIFEST line is fsync'd per entry, so a
 //     crash mid-write can leave a garbage temp file but never a torn
@@ -44,7 +43,7 @@ import (
 // checkpointVersion tags the on-disk entry format and the canonical key
 // derivation. Bump it when either changes; stale entries then read as
 // misses instead of being misinterpreted.
-const checkpointVersion = 3
+const checkpointVersion = 4
 
 // manifestName is the append-only audit log of committed entries.
 const manifestName = "MANIFEST"
@@ -132,15 +131,14 @@ type cellEntry struct {
 	Report  json.RawMessage `json:"report"`
 }
 
-// canonicalCell is what a cell's key encodes: the format version and
-// the completed options.
+// canonicalCell is what a cell's key encodes: version and resolved options.
 type canonicalCell struct {
 	Version int          `json:"version"`
 	Options core.Options `json:"options"`
 }
 
 // canonicalOptions returns the canonical key bytes for a cell: JSON of
-// the completed Options. Struct fields marshal in declaration order and
+// the resolved Options. Struct fields marshal in declaration order and
 // Options holds no maps, so equal options always produce equal bytes.
 // Only a non-finite float field fails to encode.
 func canonicalOptions(opts core.Options) ([]byte, error) {

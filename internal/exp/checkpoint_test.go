@@ -207,7 +207,11 @@ func TestCheckpointResumeParallelBackendIndependent(t *testing.T) {
 func TestCheckpointCorruptEntryRecomputed(t *testing.T) {
 	dir := t.TempDir()
 	x := tinyContext().WithCheckpoint(openTestCheckpoint(t, dir))
-	opts := x.complete(core.Options{Model: x.Cfg.model(dlrm.RM2Small()), Hotness: trace.LowHot, Cores: 2})
+	// The store keys on the resolved cell, the options Run commits.
+	opts, err := x.complete(core.Options{Model: x.Cfg.model(dlrm.RM2Small()), Hotness: trace.LowHot, Cores: 2}).Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
 	want, err := x.Run(opts)
 	if err != nil {
 		t.Fatal(err)

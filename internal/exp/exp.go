@@ -101,8 +101,8 @@ func (c Config) multiCores(cpu platform.CPU) int {
 // model returns the (possibly scaled) model config.
 func (c Config) model(base dlrm.Config) dlrm.Config { return base.Scaled(c.Scale) }
 
-// Context carries the config plus a memo of engine runs, since several
-// experiments share design points (e.g. the multi-core baseline).
+// Context carries the config plus a memo of engine runs, one per resolved
+// cell (core.Options.Resolve), since experiments share design points.
 //
 // A Context is safe for concurrent use: concurrent Run calls for the same
 // design point share one computation (the losers wait on the winner's
@@ -173,15 +173,17 @@ func cellLabel(opts core.Options) string {
 		opts.Prefetch, opts.EmbeddingOnly, opts.Seed)
 }
 
-// Run executes (or recalls) one engine design point. The memo is keyed
-// on the cell's canonical encoding (canonicalOptions), the same bytes
-// the checkpoint hashes, so two cells share a report only when every
-// option is equal. With a checkpoint armed, a cell already in the store
-// is returned without simulating, and a freshly simulated cell is
-// committed before Run returns; a panic inside the engine is captured
-// as a *CellError rather than propagated.
+// Run executes (or recalls) one engine design point, keyed on the
+// completed, resolved cell's canonical encoding (canonicalOptions), the
+// bytes the checkpoint hashes; an invalid cell fails first. With a
+// checkpoint armed, a stored cell is returned without simulating and a
+// simulated one is committed before Run returns; an engine panic becomes
+// a *CellError.
 func (x *Context) Run(opts core.Options) (core.Report, error) {
-	opts = x.complete(opts)
+	opts, err := x.complete(opts).Resolve()
+	if err != nil {
+		return core.Report{}, err
+	}
 	key, err := canonicalOptions(opts)
 	if err != nil {
 		return core.Report{}, err

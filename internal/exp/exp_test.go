@@ -2,13 +2,17 @@ package exp
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"maps"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"dlrmsim/internal/core"
 	"dlrmsim/internal/dlrm"
+	"dlrmsim/internal/embedding"
 	"dlrmsim/internal/platform"
 	"dlrmsim/internal/trace"
 )
@@ -191,6 +195,123 @@ func TestContextKeepsPlacementsApart(t *testing.T) {
 		}
 		seen[key] = i
 	}
+}
+
+// countEngine wraps the engine, until the test ends, in a counter of
+// its calls per resolved cell. The count map is keyed by the cell's
+// checksum and label, so a cell simulated twice names itself.
+func countEngine(t *testing.T) func() map[string]int {
+	t.Helper()
+	var mu sync.Mutex
+	calls := map[string]int{}
+	t.Cleanup(func() { runEngine = core.RunContext })
+	runEngine = func(ctx context.Context, opts core.Options) (core.Report, error) {
+		r, err := opts.Resolve()
+		if err != nil {
+			return core.Report{}, err
+		}
+		key, err := canonicalOptions(r)
+		if err != nil {
+			return core.Report{}, err
+		}
+		mu.Lock()
+		calls[checksum(key)[:12]+" "+cellLabel(r)]++
+		mu.Unlock()
+		return core.RunContext(ctx, opts)
+	}
+	return func() map[string]int {
+		mu.Lock()
+		defer mu.Unlock()
+		return maps.Clone(calls)
+	}
+}
+
+// sumCalls is the number of engine calls in a countEngine map.
+func sumCalls(calls map[string]int) int {
+	n := 0
+	for _, c := range calls {
+		n += c
+	}
+	return n
+}
+
+// TestOneSimulationPerDesignPoint: two spellings of one design point —
+// a field left zero, and the same field set to the value Resolve fills —
+// run concurrently through one Context make one engine call and return
+// equal reports. With a checkpoint armed, a fresh Context given the
+// second spelling reads the entry the first one wrote.
+func TestOneSimulationPerDesignPoint(t *testing.T) {
+	csl := platform.CascadeLake()
+	twoCore := csl // a two-core Cascade Lake keeps the all-cores cell small
+	twoCore.Cores = 2
+	base := core.Options{
+		Model: dlrm.RM2Small().Scaled(20), Hotness: trace.MediumHot,
+		Cores: 2, EmbeddingOnly: true,
+	}
+	pair := func(a, b func(*core.Options)) [2]core.Options {
+		x, y := base, base
+		a(&x)
+		b(&y)
+		return [2]core.Options{x, y}
+	}
+	none := func(*core.Options) {}
+	swpf := func(o *core.Options) { o.Scheme = core.SWPF }
+	for name, cells := range map[string][2]core.Options{
+		"cpu":          pair(none, func(o *core.Options) { o.CPU = csl }),
+		"cores":        pair(func(o *core.Options) { o.CPU, o.Cores = twoCore, 0 }, func(o *core.Options) { o.CPU = twoCore }),
+		"active cores": pair(none, func(o *core.Options) { o.ActiveCores = 2 }),
+		"sockets":      pair(none, func(o *core.Options) { o.Sockets = 1 }),
+		"prefetch": pair(swpf, func(o *core.Options) {
+			swpf(o)
+			o.Prefetch = embedding.PrefetchConfig{Dist: csl.TunedPFDist, Blocks: csl.TunedPFBlocks}
+		}),
+	} {
+		calls := countEngine(t)
+		dir := t.TempDir()
+		cp := openTestCheckpoint(t, dir)
+		x := tinyContext().WithParallelism(context.Background(), 4).WithCheckpoint(cp)
+		reps, err := x.RunMany(cells[:])
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if n := sumCalls(calls()); n != 1 {
+			t.Errorf("%s: %d engine calls for one design point: %v", name, n, calls())
+		}
+		if !reflect.DeepEqual(reps[0], reps[1]) {
+			t.Errorf("%s: the two spellings returned different reports", name)
+		}
+		if s := cp.Stats(); s.Writes != 1 {
+			t.Errorf("%s: first context's store stats = %+v, want 1 write", name, s)
+		}
+		cp2 := openTestCheckpoint(t, dir)
+		rep, err := tinyContext().WithCheckpoint(cp2).Run(cells[1])
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if s := cp2.Stats(); s.Hits != 1 || s.Writes != 0 {
+			t.Errorf("%s: second spelling's store stats = %+v, want 1 hit and 0 writes", name, s)
+		}
+		if !reflect.DeepEqual(rep, reps[0]) {
+			t.Errorf("%s: the resumed report differs from the simulated one", name)
+		}
+	}
+}
+
+// TestRenderSimulatesEachCellOnce: over a whole registry render, the
+// engine runs every resolved cell once, whichever spelling of a design
+// point each experiment uses.
+func TestRenderSimulatesEachCellOnce(t *testing.T) {
+	calls := countEngine(t)
+	if _, err := RunAll(context.Background(), tinyContext(), IDs(), 4); err != nil {
+		t.Fatal(err)
+	}
+	got := calls()
+	for cell, n := range got {
+		if n > 1 {
+			t.Errorf("cell %s simulated %d times", cell, n)
+		}
+	}
+	t.Logf("%d engine calls over %d resolved cells", sumCalls(got), len(got))
 }
 
 func TestConfigDefaults(t *testing.T) {
