@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 
 	"dlrmsim/internal/check"
@@ -108,50 +107,44 @@ const batchRegion memsim.Addr = 1 << 28
 
 // Systems are reused through one free list of idle Systems. A System is
 // tens of MB of cache model and building one dominates a cell's
-// allocations, while System.Run resets every piece of state it reads (the
-// shared LLC+DRAM at each fixed-point iteration, each worked core's
-// hierarchy, the core-local pools), so a reused System is observably
-// fresh. The key is what NewSystem allocates, read from the resolved
-// options: the HW-PF gate is set per run. A run takes the most recently
-// released System of its key; a release parks its System as the newest
-// and, once the list is full, evicts the oldest.
+// allocations. Any idle System serves any run: acquireSystem takes the
+// most recently released one and reshapes it to the run's parameters
+// (cpusim.System.Reshape), which reuses its cache arrays, grows them only
+// when the run needs more lines than they hold, and empties every cache.
+// With System.Run resetting the rest of the state it reads, a reshaped
+// System is observably fresh. A System is built only when the list is
+// empty, so a process builds about one per concurrent engine run.
 //
-// maxIdleSystems caps the list. Replaying the acquire/release trace of a
-// bench-size render (Scale 40, Cores 4, 2 workers; 333 runs, 12 keys)
-// against caps 4, 8 and 16 built 34, 28 and 26 Systems in a first render
-// and 34, 23 and 15 in a second, with at most 5, 9 and 17 alive at once:
-// 8 rebuilds a third fewer than 4 for about half of 16's peak.
+// maxIdleSystems bounds the list, so a burst of concurrent callers cannot
+// pin unbounded memory once it ends: a release that finds the list full
+// drops its System.
 const maxIdleSystems = 8
-
-type idleSystem struct {
-	key cpusim.SystemParams
-	sys *cpusim.System
-}
 
 var (
 	sysMu   sync.Mutex
-	sysFree []idleSystem // oldest first
+	sysFree []*cpusim.System // newest last
 )
 
-func acquireSystem(key cpusim.SystemParams) *cpusim.System {
+func acquireSystem(p cpusim.SystemParams) *cpusim.System {
 	sysMu.Lock()
-	for i := len(sysFree) - 1; i >= 0; i-- {
-		if e := sysFree[i]; e.key == key {
-			sysFree = slices.Delete(sysFree, i, i+1)
-			sysMu.Unlock()
-			return e.sys
-		}
+	n := len(sysFree)
+	if n == 0 {
+		sysMu.Unlock()
+		return cpusim.NewSystem(p)
 	}
+	s := sysFree[n-1]
+	sysFree[n-1] = nil
+	sysFree = sysFree[:n-1]
 	sysMu.Unlock()
-	return cpusim.NewSystem(key)
+	s.Reshape(p)
+	return s
 }
 
-func releaseSystem(key cpusim.SystemParams, s *cpusim.System) {
+func releaseSystem(s *cpusim.System) {
 	sysMu.Lock()
-	if len(sysFree) == maxIdleSystems {
-		sysFree = slices.Delete(sysFree, 0, 1)
+	if len(sysFree) < maxIdleSystems {
+		sysFree = append(sysFree, s)
 	}
-	sysFree = append(sysFree, idleSystem{key, s})
 	sysMu.Unlock()
 }
 
@@ -207,15 +200,14 @@ func RunContext(ctx context.Context, opts Options) (Report, error) {
 		return Report{}, err
 	}
 
-	sysKey := cpusim.SystemParams{
+	sys := acquireSystem(cpusim.SystemParams{
 		Core:                opts.CPU.Core,
 		Mem:                 opts.CPU.Mem,
 		Cores:               opts.Cores,
 		Sockets:             opts.Sockets,
 		BandwidthIterations: opts.BandwidthIterations,
-	}
-	sys := acquireSystem(sysKey)
-	defer releaseSystem(sysKey, sys)
+	})
+	defer releaseSystem(sys)
 	for i := 0; i < sys.Cores(); i++ {
 		sys.Core(i).Hierarchy().HWPrefetchEnabled = opts.Scheme != NoHWPF
 	}

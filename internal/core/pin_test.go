@@ -12,8 +12,9 @@ import (
 // design point on testOptions(scheme, MediumHot), full and ("/emb")
 // embedding-only, in testdata/engine_reports.pin. The goldens hold a few
 // fields to 1e-9; this is the tier-1 guard that a change to cpusim's
-// driver, its DRAM fixed point or the engine's System free list leaves
-// engine output exactly where it was. A failure names each moved field,
+// driver, its DRAM fixed point or the engine's free list of Systems,
+// each reshaped in place for the cell it serves, leaves engine output
+// exactly where it was. A failure names each moved field,
 // old → new; make golden-update re-pins a deliberate change.
 func TestEngineReportsPinned(t *testing.T) {
 	got := map[string]Report{}

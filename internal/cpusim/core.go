@@ -218,6 +218,19 @@ func NewCore(params CoreParams, hier *memsim.Hierarchy) *Core {
 	return &Core{params: params, hier: hier, burstLimit: math.Inf(1)}
 }
 
+// reshape rebuilds c in place as NewCore(params, hier) builds one, over
+// its own hierarchy reshaped for mem in front of shared (see
+// memsim.Hierarchy.Reshape). The pools and the threads' load FIFOs keep
+// their arrays. The caller has validated params.
+func (c *Core) reshape(params CoreParams, mem memsim.MemParams, shared *memsim.Shared) {
+	c.hier.Reshape(mem, shared)
+	c.params = params
+	c.threads = c.threads[:0]
+	c.demand.reset()
+	c.prefetch.reset()
+	c.burstLimit = math.Inf(1)
+}
+
 // Hierarchy returns the core's private memory hierarchy.
 func (c *Core) Hierarchy() *memsim.Hierarchy { return c.hier }
 

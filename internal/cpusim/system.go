@@ -133,13 +133,33 @@ func (r SystemResult) MeanCoreCycles() float64 {
 // two sockets of params.Cores cores each.
 type System struct {
 	params  SystemParams
-	sockets []*memsim.Shared
-	cores   []*Core // socket-major: cores[s*params.Cores + i]
+	sockets []*memsim.Shared // a prefix of socketPool
+	cores   []*Core          // socket-major: cores[s*params.Cores + i]; a prefix of corePool
+
+	// socketPool and corePool hold every socket and core the System has
+	// built, so a Reshape to a smaller node keeps the rest, and their
+	// cache arrays, for a later, larger one.
+	socketPool []*memsim.Shared
+	corePool   []*Core
 }
 
 // NewSystem builds a node of params.Sockets sockets with params.Cores
 // cores each. It panics on invalid configuration.
 func NewSystem(params SystemParams) *System {
+	s := &System{}
+	s.Reshape(params)
+	return s
+}
+
+// Reshape rebuilds s in place as NewSystem(params) builds a fresh System.
+// Every cache it already holds keeps its line arrays and takes params'
+// geometry (see memsim.Cache.Reshape): socket i's LLC serves socket i,
+// and core slot i's L1 and L2 serve core i in socket-major order, wired
+// to its new socket. Only sockets and cores s has never had are built.
+// Reshape empties every cache and counter, and Run resets the rest of
+// the state it reads, so a reshaped System is observably fresh. It panics
+// on invalid configuration.
+func (s *System) Reshape(params SystemParams) {
 	if params.Cores < 1 || params.Sockets < 0 || params.Sockets > memsim.MaxSockets {
 		panic(fmt.Sprintf("cpusim: %d sockets x %d cores", params.Sockets, params.Cores))
 	}
@@ -149,14 +169,19 @@ func NewSystem(params SystemParams) *System {
 	if params.BandwidthIterations <= 0 {
 		params.BandwidthIterations = 3
 	}
-	s := &System{params: params, sockets: memsim.NewSockets(params.Mem, max(params.Sockets, 1))}
-	for _, shared := range s.sockets {
-		for i := 0; i < params.Cores; i++ {
-			hier := memsim.NewHierarchy(params.Mem, shared)
-			s.cores = append(s.cores, NewCore(params.Core, hier))
+	n := max(params.Sockets, 1)
+	s.params = params
+	s.socketPool = memsim.ReshapeSockets(s.socketPool, params.Mem, n)
+	s.sockets = s.socketPool[:n]
+	for i := 0; i < n*params.Cores; i++ {
+		shared := s.sockets[i/params.Cores]
+		if i < len(s.corePool) {
+			s.corePool[i].reshape(params.Core, params.Mem, shared)
+		} else {
+			s.corePool = append(s.corePool, NewCore(params.Core, memsim.NewHierarchy(params.Mem, shared)))
 		}
 	}
-	return s
+	s.cores = s.corePool[:n*params.Cores]
 }
 
 // Cores returns the total core count (socket-major indexing).

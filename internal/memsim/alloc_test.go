@@ -54,3 +54,24 @@ func TestCacheLookupFillZeroAlloc(t *testing.T) {
 		t.Fatalf("Cache Lookup/Fill allocates %.2f objects per access; want 0", avg)
 	}
 }
+
+// TestCacheReshapeWithinCapacityZeroAlloc pins Cache.Reshape's reuse: a
+// reshape to a geometry whose lines and sets fit the arrays the cache
+// already holds (fewer sets, fewer ways, more ways) allocates nothing.
+func TestCacheReshapeWithinCapacityZeroAlloc(t *testing.T) {
+	geoms := []CacheConfig{
+		{Name: "A", SizeBytes: 64 << 10, Ways: 4, LatencyCyc: 4},  // 256 sets, 1024 lines
+		{Name: "B", SizeBytes: 32 << 10, Ways: 8, LatencyCyc: 4},  // 64 sets, 512 lines
+		{Name: "C", SizeBytes: 48 << 10, Ways: 12, LatencyCyc: 4}, // 64 sets, 768 lines
+		{Name: "D", SizeBytes: 16 << 10, Ways: 1, LatencyCyc: 4},  // 256 sets, 256 lines
+	}
+	c := NewCache(geoms[0])
+	i := 0
+	avg := testing.AllocsPerRun(100, func() {
+		i++
+		c.Reshape(geoms[i%len(geoms)])
+	})
+	if avg != 0 {
+		t.Fatalf("Cache.Reshape within capacity allocates %.2f objects; want 0", avg)
+	}
+}

@@ -26,17 +26,20 @@ type CacheConfig struct {
 // line. Recency is tracked with a per-cache monotonic counter rather than
 // physical ordering, so hits don't shuffle memory.
 //
-// Only Reset invalidates lines, and a fill always takes the first free
-// way, so a set's valid lines are always the prefix [0, n) of its ways,
-// with n kept per set in valid. Probes scan only that prefix, a fill into
-// a set that is not full takes way n without a scan, and a full set picks
-// its victim from the recency stamps alone. Ways at n and above hold
-// leftovers from before the last Reset that nothing reads.
+// Only Reset (which Reshape calls) invalidates lines, and a fill always
+// takes the first free way, so a set's valid lines are always the prefix
+// [0, n) of its ways, with n kept per set in valid. Probes scan only that
+// prefix, a fill into a set that is not full takes way n without a scan,
+// and a full set picks its victim from the recency stamps alone. Ways at
+// n and above hold leftovers from before the last Reset, possibly of
+// another geometry, that nothing reads.
 //
 // Reset zeroes the one-byte counts and leaves the line arrays alone, so
 // it clears 1/(25·ways) of the cache's state: tens of kilobytes for a
-// multi-megabyte LLC. This is what makes reusing a Cache across
-// simulation runs (see core's engine pool) cheap.
+// multi-megabyte LLC. Reshape relies on the same invariant to give a
+// Cache another geometry without clearing its arrays. Together they make
+// reusing a Cache across simulation runs (see core's System free list)
+// cheap.
 type Cache struct {
 	cfg CacheConfig
 
@@ -101,22 +104,44 @@ func (s CacheStats) HitRate() float64 {
 // nonsensical configs, which indicate programmer error, and on more than
 // 255 ways, which a set's valid count cannot hold.
 func NewCache(cfg CacheConfig) *Cache {
+	c := &Cache{}
+	c.Reshape(cfg)
+	return c
+}
+
+// Reshape gives c cfg's geometry and empties it, in place: afterwards c
+// serves every access as NewCache(cfg) would. The line arrays only grow.
+// They are re-sliced when their capacity holds cfg's lines, so a reshape
+// to a geometry that fits allocates nothing, and reallocated only when it
+// does not. Their old contents stay behind, and that is exact: a set's
+// valid lines are the prefix counted by valid, which Reshape zeroes, and
+// nothing reads a way past that prefix (see Cache). It panics on the
+// configs NewCache rejects.
+func (c *Cache) Reshape(cfg CacheConfig) {
 	if cfg.SizeBytes <= 0 || cfg.Ways <= 0 || cfg.Ways > math.MaxUint8 {
 		panic(fmt.Sprintf("memsim: invalid cache config %+v", cfg))
 	}
-	numSets := cfg.Sets()
-	lines := int(numSets) * cfg.Ways
-	return &Cache{
-		cfg:      cfg,
-		tags:     make([]uint64, lines),
-		ready:    make([]int64, lines),
-		used:     make([]int64, lines),
-		pref:     make([]bool, lines),
-		valid:    make([]uint8, numSets),
-		ways:     cfg.Ways,
-		setMask:  uint64(numSets - 1),
-		tagShift: lineShift + uint(bits.Len64(uint64(numSets-1))),
+	numSets := int(cfg.Sets())
+	lines := numSets * cfg.Ways
+	c.cfg = cfg
+	c.tags = resize(c.tags, lines)
+	c.ready = resize(c.ready, lines)
+	c.used = resize(c.used, lines)
+	c.pref = resize(c.pref, lines)
+	c.valid = resize(c.valid, numSets)
+	c.ways = cfg.Ways
+	c.setMask = uint64(numSets - 1)
+	c.tagShift = lineShift + uint(bits.Len64(uint64(numSets-1)))
+	c.Reset()
+}
+
+// resize returns s with length n, re-sliced when its capacity holds n
+// and freshly allocated, at exactly n, when it does not.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
+	return s[:n]
 }
 
 // Config returns the cache geometry.

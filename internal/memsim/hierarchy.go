@@ -57,19 +57,31 @@ func NewShared(p MemParams) *Shared {
 // NewSockets builds one Shared per socket of an n-socket node, n in
 // [1, MaxSockets], and wires each socket to the other's DRAM. It panics on
 // any other n.
-func NewSockets(p MemParams, n int) []*Shared {
+func NewSockets(p MemParams, n int) []*Shared { return ReshapeSockets(nil, p, n) }
+
+// ReshapeSockets makes the first n sockets of pool the node NewSockets(p,
+// n) builds and returns pool, grown to at least n sockets. A socket the
+// pool holds is reshaped in place: its LLC keeps its line arrays (see
+// Cache.Reshape) and its DRAM is rebuilt. A socket it lacks is built.
+// Sockets past n are left as they are, for a later, larger node. It
+// panics on an n outside [1, MaxSockets].
+func ReshapeSockets(pool []*Shared, p MemParams, n int) []*Shared {
 	if n < 1 || n > MaxSockets {
 		panic(fmt.Sprintf("memsim: %d sockets outside [1, %d]", n, MaxSockets))
 	}
-	sockets := make([]*Shared, n)
-	for i := range sockets {
-		sockets[i] = NewShared(p)
-		sockets[i].socket = i
+	for i := 0; i < n; i++ {
+		if i < len(pool) {
+			pool[i].L3.Reshape(p.L3)
+			pool[i].DRAM = NewDRAM(p.DRAM)
+		} else {
+			pool = append(pool, NewShared(p))
+		}
+		pool[i].socket, pool[i].remote = i, nil
 	}
 	if n == 2 {
-		sockets[0].remote, sockets[1].remote = sockets[1].DRAM, sockets[0].DRAM
+		pool[0].remote, pool[1].remote = pool[1].DRAM, pool[0].DRAM
 	}
-	return sockets
+	return pool
 }
 
 // homeLocal reports whether line a is homed on this socket.
@@ -150,6 +162,18 @@ func NewHierarchy(p MemParams, shared *Shared) *Hierarchy {
 		l1pf:   NewNextLinePrefetcher(l1PrefetchDegree),
 		l2pf:   NewStridePrefetcher(l2PrefetchDegree, 32),
 	}
+}
+
+// Reshape rebuilds h in place as NewHierarchy(p, shared) builds one: L1
+// and L2 take p's geometry over their own line arrays (see
+// Cache.Reshape), the hardware prefetchers are off and untrained, and the
+// counters are zero.
+func (h *Hierarchy) Reshape(p MemParams, shared *Shared) {
+	h.L1.Reshape(p.L1)
+	h.L2.Reshape(p.L2)
+	h.shared = shared
+	h.HWPrefetchEnabled = false
+	h.Reset()
 }
 
 // Shared exposes the LLC+DRAM this hierarchy sits in front of.
