@@ -99,6 +99,9 @@ func BenchmarkSweepSequential(b *testing.B) {
 // custom metric. The output tables are byte-identical either way (see
 // internal/exp/runner_test.go); only the wall-clock moves, and only as
 // far as the host's core count allows (parallel-x ≈ 1.0 on one CPU).
+// It also reports the live heap after a forced GC (live-heap-MB, 10^6
+// bytes), which the engine's idle Systems and their cache line arrays
+// dominate, so each BENCH point records the engine's footprint.
 func BenchmarkSweepParallel(b *testing.B) {
 	workers := runtime.GOMAXPROCS(0)
 	b.ReportAllocs()
@@ -119,6 +122,10 @@ func BenchmarkSweepParallel(b *testing.B) {
 		b.ReportMetric(seq.Seconds()/par.Seconds(), "parallel-x")
 	}
 	b.ReportMetric(float64(workers), "workers")
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	b.ReportMetric(float64(ms.HeapAlloc)/1e6, "live-heap-MB")
 }
 
 // BenchmarkEngineCells times the engine cell fan-out (exp.Context's

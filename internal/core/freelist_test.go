@@ -144,14 +144,15 @@ func TestOneSystemServesEveryCell(t *testing.T) {
 // TestReshapedSystemAllocatesNoCacheArrays guards against System churn
 // coming back: after one warm pass over the cells, a second pass on one
 // goroutine reshapes the warm System for every run and must allocate, per
-// run, under a tenth of the smallest cell's LLC line arrays (8 bytes of
-// tag, 8 of ready time, 8 of recency and 1 of prefetch flag per line).
-// One rebuilt LLC, or one new System, per run would exceed it.
+// run, under a tenth of the smallest cell's LLC line arrays (4 bytes of
+// tag, 8 of ready time, 4 of recency and 1 bit of prefetch flag per
+// line). One rebuilt LLC, or one new System, per run would exceed it.
 func TestReshapedSystemAllocatesNoCacheArrays(t *testing.T) {
 	cells := freeListCells()
 	smallest := int64(math.MaxInt64)
 	for _, o := range cells {
-		smallest = min(smallest, memsim.NewCache(o.CPU.Mem.L3).CapacityLines()*25)
+		lines := memsim.NewCache(o.CPU.Mem.L3).CapacityLines()
+		smallest = min(smallest, lines*16+lines/8)
 	}
 	clearIdleSystems()
 	for _, o := range cells {

@@ -21,10 +21,12 @@ type CacheConfig struct {
 // value is not usable; construct with NewCache.
 //
 // Line state is stored as parallel arrays rather than an array of structs:
-// the tag scan — the operation every probe performs — walks 8 bytes per
-// way instead of 32, so a whole 8-way set's tags fit in one host cache
-// line. Recency is tracked with a per-cache monotonic counter rather than
-// physical ordering, so hits don't shuffle memory.
+// the tag scan — the operation every probe performs — walks 4 bytes per
+// way, so a whole 16-way set's tags fit in one host cache line. A line
+// costs 16 bytes plus 1 bit: a 32-bit tag, a 64-bit ready time, a 32-bit
+// recency stamp and a prefetch flag in a bitset. Recency is tracked with a
+// per-cache counter rather than physical ordering, so hits don't shuffle
+// memory; the counter is rebased before it wraps (see rebase).
 //
 // Only Reset (which Reshape calls) invalidates lines, and a fill always
 // takes the first free way, so a set's valid lines are always the prefix
@@ -35,8 +37,8 @@ type CacheConfig struct {
 // another geometry, that nothing reads.
 //
 // Reset zeroes the one-byte counts and leaves the line arrays alone, so
-// it clears 1/(25·ways) of the cache's state: tens of kilobytes for a
-// multi-megabyte LLC. Reshape relies on the same invariant to give a
+// it clears about 1/(16·ways) of the cache's state: tens of kilobytes for
+// a multi-megabyte LLC. Reshape relies on the same invariant to give a
 // Cache another geometry without clearing its arrays. Together they make
 // reusing a Cache across simulation runs (see core's System free list)
 // cheap.
@@ -44,11 +46,12 @@ type Cache struct {
 	cfg CacheConfig
 
 	// Per-line state, sets × ways, flattened. tags holds (tag<<1)|1 for a
-	// valid line, so a probe's encoded tag is never 0.
-	tags  []uint64
-	ready []int64 // cycle at which the line's fill completes
-	used  []int64 // recency stamp; larger = more recent
-	pref  []bool  // filled by a prefetch and not yet demand-touched
+	// valid line, so a probe's encoded tag is never 0; setBase panics on
+	// an address whose encoded tag would not fit in 32 bits.
+	tags  []uint32
+	ready []int64  // cycle at which the line's fill completes
+	used  []uint32 // recency stamp; larger = more recent within a set
+	pref  []uint64 // bit i: line i was filled by a prefetch and not yet demand-touched
 
 	// valid[s] is set s's count of valid ways, its prefix [0, n).
 	valid []uint8
@@ -56,8 +59,9 @@ type Cache struct {
 	ways     int
 	setMask  uint64
 	tagShift uint // line-offset bits + set-index bits, in one shift
-	// clock advances on every hit and every fill; it stamps used.
-	clock int64
+	// clock advances on every hit and every fill; it stamps used. It
+	// never exceeds clockLimit (see tick).
+	clock uint32
 
 	// Stats accumulates hit/miss counters for this level.
 	Stats CacheStats
@@ -66,17 +70,27 @@ type Cache struct {
 // probe is one logical access's view of one cache's set for one line,
 // computed once by setBase and carried from the lookup on the way down to
 // the fill on the way back. clock is the cache's clock when the probe was
-// taken. Every hit and every fill advances the clock and a missing lookup
-// does not, so a fill that still reads the same clock knows the probe's
-// lookup missed and nothing has touched the cache since: the line is
-// still absent. A fill must therefore follow a lookup with the same
-// probe; Fill, which makes none, sets clock to -1.
+// taken. Every hit and every fill moves the clock, forward or, at a
+// rebase, back to a value no probe of the same access read, and a missing
+// lookup does not move it, so a fill that still reads the same clock
+// knows the probe's lookup missed and nothing has touched the cache since:
+// the line is still absent. A fill must therefore follow a lookup with
+// the same probe; Fill, which makes none, sets clock to noLookup, which no
+// cache clock reads.
 type probe struct {
 	set   int
 	base  int    // index of the set's way 0 in the line arrays
-	want  uint64 // encoded tag, (tag<<1)|1
-	clock int64
+	want  uint32 // encoded tag, (tag<<1)|1
+	clock uint32
 }
+
+const (
+	// clockLimit is the largest value a cache's clock takes. The tick
+	// that would pass it rebases the stamps first (see rebase).
+	clockLimit = math.MaxUint32 - 1
+	// noLookup is the clock of a probe no lookup was made with.
+	noLookup = math.MaxUint32
+)
 
 // CacheStats counts the traffic observed by one cache level.
 type CacheStats struct {
@@ -127,7 +141,7 @@ func (c *Cache) Reshape(cfg CacheConfig) {
 	c.tags = resize(c.tags, lines)
 	c.ready = resize(c.ready, lines)
 	c.used = resize(c.used, lines)
-	c.pref = resize(c.pref, lines)
+	c.pref = resize(c.pref, (lines+63)/64)
 	c.valid = resize(c.valid, numSets)
 	c.ways = cfg.Ways
 	c.setMask = uint64(numSets - 1)
@@ -153,11 +167,31 @@ func (c *Cache) NumSets() int { return len(c.valid) }
 // CapacityLines returns the number of lines the cache can hold.
 func (c *Cache) CapacityLines() int64 { return int64(len(c.tags)) }
 
-// setBase returns the probe for a's line, with no lookup made yet.
+// setBase returns the probe for a's line, with no lookup made yet. It
+// panics when a's tag does not fit the 31 bits an encoded tag leaves it,
+// that is at addresses of 2^(31+tagShift) and above: 8 TiB for a 64-set
+// cache.
 func (c *Cache) setBase(a Addr) probe {
 	la := uint64(a)
+	tag := la >> c.tagShift
+	if tag >= 1<<31 {
+		panic(tagOverflow{c.cfg.Name, a, c.tagShift})
+	}
 	set := int((la >> lineShift) & c.setMask)
-	return probe{set: set, base: set * c.ways, want: (la>>c.tagShift)<<1 | 1, clock: c.clock}
+	return probe{set: set, base: set * c.ways, want: uint32(tag)<<1 | 1, clock: c.clock}
+}
+
+// tagOverflow is setBase's panic value for an address past its bound. It
+// formats only when printed, which keeps setBase inlinable.
+type tagOverflow struct {
+	cache    string
+	addr     Addr
+	tagShift uint
+}
+
+func (e tagOverflow) Error() string {
+	return fmt.Sprintf("memsim: %s: address %#x is at or above 2^%d, past what its 32-bit tags encode",
+		e.cache, uint64(e.addr), 31+e.tagShift)
 }
 
 // Lookup probes for the line containing a. On a hit it updates recency and
@@ -183,13 +217,12 @@ func (c *Cache) lookupAt(p probe, demand bool, now int64) (idx int, readyAt int6
 		}
 		return -1, 0, false
 	}
-	c.clock++
-	c.used[i] = c.clock
+	c.used[i] = c.tick()
 	if demand {
 		c.Stats.DemandHits++
-		if c.pref[i] {
+		if w, bit := i>>6, uint64(1)<<(uint(i)&63); c.pref[w]&bit != 0 {
 			c.Stats.PrefetchHits++
-			c.pref[i] = false
+			c.pref[w] &^= bit
 		}
 		if c.ready[i] > now {
 			c.Stats.InFlightHits++
@@ -200,7 +233,7 @@ func (c *Cache) lookupAt(p probe, demand bool, now int64) (idx int, readyAt int6
 
 // find returns the line index of want among the n valid ways of the set
 // at base, or -1.
-func (c *Cache) find(base, n int, want uint64) int {
+func (c *Cache) find(base, n int, want uint32) int {
 	for j, tag := range c.tags[base : base+n] {
 		if tag == want {
 			return base + j
@@ -214,7 +247,7 @@ func (c *Cache) find(base, n int, want uint64) int {
 // marks the fill as speculative for useless-prefetch accounting.
 func (c *Cache) Fill(a Addr, readyAt int64, prefetch bool) {
 	p := c.setBase(a)
-	p.clock = -1 // no lookup: the line may be resident
+	p.clock = noLookup // the line may be resident
 	c.fillAt(p, readyAt, prefetch)
 }
 
@@ -252,47 +285,90 @@ func (c *Cache) fillAt(p probe, readyAt int64, prefetch bool) {
 	if check.Enabled {
 		c.checkSlot(p, slot)
 	}
-	c.clock++
+	stamp := c.tick()
+	w, bit := slot>>6, uint64(1)<<(uint(slot)&63)
 	if n < c.ways {
 		c.valid[p.set]++
 	} else {
 		c.Stats.Evictions++
-		if c.pref[slot] {
+		if c.pref[w]&bit != 0 {
 			c.Stats.UselessPrefILL++
 		}
 	}
 	c.tags[slot] = p.want
 	c.ready[slot] = readyAt
-	c.used[slot] = c.clock
-	c.pref[slot] = prefetch
+	c.used[slot] = stamp
 	if prefetch {
+		c.pref[w] |= bit
 		c.Stats.PrefetchFills++
+	} else {
+		c.pref[w] &^= bit
 	}
+}
+
+// tick advances the clock and returns it, the stamp of the hit or fill
+// that called it. At clockLimit it rebases the stamps first.
+func (c *Cache) tick() uint32 {
+	if c.clock >= clockLimit {
+		c.rebase()
+	}
+	c.clock++
+	return c.clock
+}
+
+// rebase replaces each valid line's stamp with its rank, 1 to n, among the
+// n valid lines of its set, and restarts the clock at ways, at or above
+// every rank. It is exact: stamps are distinct between Resets, so the
+// ranks keep every set's order, and the stamps given out afterwards exceed
+// every rank, as they exceeded every stamp before. LRU compares stamps
+// only within a set, so every victim is the one the old stamps name. A
+// probe taken before the rebase carries a clock near clockLimit, which the
+// restarted clock does not reach again within one access, so fillAt
+// rescans for it (see probe). Ways past a set's valid prefix keep stale
+// stamps, which nothing reads. It stays out of line so that tick, on
+// every hit and fill, is inlined.
+//
+//go:noinline
+func (c *Cache) rebase() {
+	var rank [math.MaxUint8]uint32
+	for s, n := range c.valid {
+		used := c.used[s*c.ways : s*c.ways+int(n)]
+		for i, u := range used {
+			r := uint32(1)
+			for _, v := range used {
+				if v < u {
+					r++
+				}
+			}
+			rank[i] = r
+		}
+		copy(used, rank[:n])
+	}
+	c.clock = uint32(c.ways)
 }
 
 // lruWay returns the index of the least recently used way of the full set
 // at base. Stamps are distinct between Resets, so the smallest is unique;
-// packing each way's number (< 256) under its stamp lets one branch-free
-// min find both, and a stamp, bounded by the hits and fills since the
-// last Reset, stays far below 2^55.
+// packing each way's number (< 256) under its 32-bit stamp lets one
+// branch-free min find both.
 func (c *Cache) lruWay(base int) int {
-	m := int64(math.MaxInt64)
+	m := uint64(math.MaxUint64)
 	for i, u := range c.used[base : base+c.ways] {
-		m = min(m, u<<8|int64(i))
+		m = min(m, uint64(u)<<8|uint64(i))
 	}
 	return base + int(m&0xff)
 }
 
 // findOrLRU is find and lruWay in one pass over the full set at base: the
 // index of want, or -1 and the LRU way.
-func (c *Cache) findOrLRU(base int, want uint64) (idx, lru int) {
+func (c *Cache) findOrLRU(base int, want uint32) (idx, lru int) {
 	used := c.used[base : base+c.ways]
-	m := int64(math.MaxInt64)
+	m := uint64(math.MaxUint64)
 	for i, tag := range c.tags[base : base+len(used)] {
 		if tag == want {
 			return base + i, -1
 		}
-		m = min(m, used[i]<<8|int64(i))
+		m = min(m, uint64(used[i])<<8|uint64(i))
 	}
 	return -1, base + int(m&0xff)
 }
@@ -314,7 +390,7 @@ func (c *Cache) checkSlot(p probe, slot int) {
 	}
 	want := p.base + n
 	if n == c.ways {
-		victimUsed := int64(math.MaxInt64)
+		victimUsed := uint32(math.MaxUint32)
 		for i := p.base; i < p.base+c.ways; i++ {
 			if c.used[i] < victimUsed {
 				want, victimUsed = i, c.used[i]
@@ -327,11 +403,10 @@ func (c *Cache) checkSlot(p probe, slot int) {
 // refreshAt re-installs a line already known resident at idx: it takes the
 // earlier of the two ready times and makes the line most recent.
 func (c *Cache) refreshAt(idx int, readyAt int64) {
-	c.clock++
 	if readyAt < c.ready[idx] {
 		c.ready[idx] = readyAt
 	}
-	c.used[idx] = c.clock
+	c.used[idx] = c.tick()
 }
 
 // Contains reports whether the line holding a is resident, without touching

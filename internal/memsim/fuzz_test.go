@@ -19,11 +19,21 @@ import (
 // built fresh with it: every lookup's hit and ready time, and every
 // counter, must match the fresh cache's, whether the reshape grew the
 // cache, shrank it or changed its ways.
+//
+// When the first byte's top bit is set, the cache's clock starts 1–8
+// ticks (from the second byte's top three bits) below the stamp rebase,
+// before each half, and the first half too is served beside a fresh
+// cache: every rebase must leave every lookup and counter unchanged.
 func FuzzCacheAccess(f *testing.F) {
 	f.Add([]byte{2, 1, 2, 1, 0, 0, 0, 1, 0, 2, 0, 1}) // tiny cache, a few lines
 	f.Add([]byte{8, 32, 1, 0, 0xFF, 0xFF, 0, 0, 0xFF, 0xFF, 1, 0, 2, 0, 0xFF, 0xFF, 0, 0})
 	f.Add([]byte{1, 1, 7, 31, 5, 0, 5, 0, 5, 0, 5, 0})            // direct-mapped, repeated line, then grown
 	f.Add([]byte{3, 9, 5, 9, 1, 0, 2, 0, 3, 0, 1, 0, 2, 0, 3, 0}) // same size, other ways
+	// Near the rebase: in one set of a 2-way cache, two lines filled
+	// before it, two after, then the first of those again; then the same
+	// in a 4-way cache, where the rebase lands amid more lines.
+	f.Add([]byte{0x81, 0x60, 0x81, 0x60, 0, 0, 8, 0, 16, 0, 24, 0, 16, 0, 8, 0, 0, 0, 24, 0, 0, 0, 8, 0, 16, 0, 24, 0, 16, 0, 8, 0, 0, 0, 24, 0})
+	f.Add([]byte{0x83, 0x60, 0x83, 0xE0, 0, 0, 8, 0, 16, 0, 24, 0, 32, 0, 40, 0, 32, 0, 8, 0, 0, 0, 8, 0, 16, 0, 24, 0, 32, 0, 40, 0, 32, 0, 8, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			t.Skip()
@@ -31,12 +41,21 @@ func FuzzCacheAccess(f *testing.F) {
 		defer func(old bool) { check.Enabled = old }(check.Enabled)
 		check.Enabled = true
 
-		c := NewCache(fuzzGeometry(data[0], data[1]))
-		b := fuzzGeometry(data[2], data[3])
+		a, b := fuzzGeometry(data[0], data[1]), fuzzGeometry(data[2], data[3])
+		c := NewCache(a)
 		ops := data[4:]
 		half := len(ops) / 2 &^ 1
-		serveFuzz(t, c, nil, ops[:half])
+		var twin *Cache // the first half runs beside one only near the rebase
+		nearRebase, ticks := data[0]&0x80 != 0, uint32(data[1]>>5)+1
+		if nearRebase {
+			twin = NewCache(a)
+			raiseClock(t, c, ticks)
+		}
+		serveFuzz(t, c, twin, ops[:half])
 		c.Reshape(b)
+		if nearRebase {
+			raiseClock(t, c, ticks)
+		}
 		serveFuzz(t, c, NewCache(b), ops[half:])
 	})
 }
@@ -60,7 +79,7 @@ func serveFuzz(t *testing.T, c, twin *Cache, ops []byte) {
 		readyAt, hit := c.Lookup(a, true, now)
 		if twin != nil {
 			if wantAt, wantHit := twin.Lookup(a, true, now); readyAt != wantAt || hit != wantHit {
-				t.Fatalf("access %d to %#x: reshaped cache reads (%d, %v), fresh cache (%d, %v)", i/2, a, readyAt, hit, wantAt, wantHit)
+				t.Fatalf("access %d to %#x: cache reads (%d, %v), fresh cache (%d, %v)", i/2, a, readyAt, hit, wantAt, wantHit)
 			}
 		}
 		demandProbes++
@@ -87,7 +106,7 @@ func serveFuzz(t *testing.T, c, twin *Cache, ops []byte) {
 			resident[lineOf(a)] = true
 		}
 		if twin != nil && c.Stats != twin.Stats {
-			t.Fatalf("access %d: reshaped cache's stats %+v, fresh cache's %+v", i/2, c.Stats, twin.Stats)
+			t.Fatalf("access %d: cache's stats %+v, fresh cache's %+v", i/2, c.Stats, twin.Stats)
 		}
 	}
 	if c.Stats.DemandHits != hits || c.Stats.DemandMisses != misses {

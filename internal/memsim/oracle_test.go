@@ -290,6 +290,9 @@ type oraclePair struct {
 	ref *refHierarchy
 	now int64
 	n   int // accesses so far, for failure messages
+	// rebasing leaves stamps and clocks out of compare: the Hierarchy's
+	// clocks are raised toward the rebase and the reference's are not.
+	rebasing bool
 }
 
 func newOraclePair(t *testing.T, p MemParams) *oraclePair {
@@ -327,13 +330,23 @@ func (o *oraclePair) reset() {
 }
 
 // compare requires c to hold exactly the reference's valid lines, way by
-// way, with the same tags, ready times, stamps and prefetch flags, plus
-// the same clock and counters.
+// way, plus the same counters (see compareCache). Stamps and the clock
+// are compared too unless the pair runs across clock rebases.
 func (o *oraclePair) compare(c *Cache, ref *refCache) {
 	o.t.Helper()
-	if c.Stats != ref.Stats || c.clock != ref.clock {
-		o.t.Fatalf("access %d: %s stats %+v clock %d, reference %+v clock %d",
-			o.n, c.cfg.Name, c.Stats, c.clock, ref.Stats, ref.clock)
+	compareCache(o.t, o.n, c, ref, !o.rebasing)
+}
+
+// compareCache requires c to hold exactly the reference's valid lines,
+// way by way, with the same tags, ready times and prefetch flags, and the
+// same counters. With stamps it also requires the same recency stamps and
+// clock; a rebase renumbers both, so a cache whose clock has been
+// rebased is compared without them.
+func compareCache(t *testing.T, step int, c *Cache, ref *refCache, stamps bool) {
+	t.Helper()
+	if c.Stats != ref.Stats || stamps && int64(c.clock) != ref.clock {
+		t.Fatalf("step %d: %s stats %+v clock %d, reference %+v clock %d",
+			step, c.cfg.Name, c.Stats, c.clock, ref.Stats, ref.clock)
 	}
 	for set := range c.valid {
 		n := int(c.valid[set])
@@ -342,11 +355,12 @@ func (o *oraclePair) compare(c *Cache, ref *refCache) {
 			i := set*c.ways + w
 			refValid := refLive && ref.tags[i] != 0
 			if (w < n) != refValid {
-				o.t.Fatalf("access %d: %s set %d way %d: valid %v, reference %v", o.n, c.cfg.Name, set, w, w < n, refValid)
+				t.Fatalf("step %d: %s set %d way %d: valid %v, reference %v", step, c.cfg.Name, set, w, w < n, refValid)
 			}
-			if w < n && (c.tags[i] != ref.tags[i] || c.ready[i] != ref.ready[i] || c.used[i] != ref.used[i] || c.pref[i] != ref.pref[i]) {
-				o.t.Fatalf("access %d: %s set %d way %d: tag %#x ready %d used %d pref %v, reference %#x %d %d %v",
-					o.n, c.cfg.Name, set, w, c.tags[i], c.ready[i], c.used[i], c.pref[i],
+			if w < n && (uint64(c.tags[i]) != ref.tags[i] || c.ready[i] != ref.ready[i] ||
+				stamps && int64(c.used[i]) != ref.used[i] || prefBit(c, i) != ref.pref[i]) {
+				t.Fatalf("step %d: %s set %d way %d: tag %#x ready %d used %d pref %v, reference %#x %d %d %v",
+					step, c.cfg.Name, set, w, c.tags[i], c.ready[i], c.used[i], prefBit(c, i),
 					ref.tags[i], ref.ready[i], ref.used[i], ref.pref[i])
 			}
 		}
@@ -445,6 +459,9 @@ func TestFullSetEvictionAfterReset(t *testing.T) {
 		t.Fatalf("the least recently used line survived the eviction")
 	}
 }
+
+// prefBit reports line i's prefetch flag.
+func prefBit(c *Cache, i int) bool { return c.pref[i>>6]&(1<<(i&63)) != 0 }
 
 // lineIndex returns the line-array index holding a in c, failing the test
 // when a is not resident.

@@ -9,8 +9,9 @@ import (
 	"dlrmsim/internal/stats"
 )
 
-// crossBase places cross-network weights in their own address region.
-const crossBase memsim.Addr = 1 << 37
+// CrossBase places cross-network weights in their own address region. A
+// cross network's weights start within 2^24 lines above it.
+const CrossBase memsim.Addr = 1 << 37
 
 // CrossNet is a DCN-v2 style cross network with low-rank weights: each
 // layer computes
@@ -108,7 +109,7 @@ func (c CrossNet) NewStream(cfg StreamConfig) cpusim.Stream {
 	if err := c.Validate(); err != nil {
 		panic(err)
 	}
-	base := crossBase + memsim.Addr(stats.Mix64(c.Seed)%(1<<24))*memsim.LineSize
+	base := CrossBase + memsim.Addr(stats.Mix64(c.Seed)%(1<<24))*memsim.LineSize
 	s := newLineStream(base, c.WeightBytes(), c.FLOPs(cfg.Batch), cfg)
 	return &s
 }

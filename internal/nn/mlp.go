@@ -18,8 +18,10 @@ import (
 	"dlrmsim/internal/stats"
 )
 
-// weightsBase places MLP weights in their own address region.
-const weightsBase memsim.Addr = 1 << 36
+// WeightsBase places MLP weights in their own address region. An MLP's
+// base lies within 2^38 bytes above it, and its layer l starts l<<24
+// above that base.
+const WeightsBase memsim.Addr = 1 << 36
 
 // MLP is a fully-connected ReLU network. Construct with NewMLP.
 type MLP struct {
@@ -44,7 +46,7 @@ func NewMLP(name string, dims []int, seed uint64, sigmoidOut bool) (*MLP, error)
 		}
 	}
 	m := &MLP{name: name, dims: append([]int(nil), dims...), seed: seed, sigmoidOut: sigmoidOut}
-	m.base = weightsBase + memsim.Addr(stats.Mix64(seed^uint64(len(name)))%(1<<30))*256
+	m.base = WeightsBase + memsim.Addr(stats.Mix64(seed^uint64(len(name)))%(1<<30))*256
 	return m, nil
 }
 
